@@ -88,7 +88,6 @@ def _run_workload(tracer: Tracer) -> float:
             scheduling_interval_s=10.0,
             heartbeat_interval_s=1.0,
             horizon_s=horizon,
-            engine="ondemand",
         ),
         metrics=Metrics(),
         tracer=tracer,

@@ -61,7 +61,6 @@ def test_scale_million_lifecycles() -> None:
             scheduling_interval_s=10.0,
             heartbeat_interval_s=1.0,
             horizon_s=horizon,
-            engine="ondemand",
         ),
         metrics=metrics,
     )
@@ -134,7 +133,7 @@ def test_scale_million_lifecycles() -> None:
     released = metrics.counter("task_released_total").value()
     assert released >= TASKS  # full lifecycles, not just allocations
     assert scheduler.pending_tasks() == 0
-    # The on-demand engine actually skipped the idle drain-phase ticks.
+    # The heartbeat series actually skipped the idle drain-phase ticks.
     assert sim.heartbeat_handle.fired < sim.heartbeat_handle.ticks
 
     record_benchmark(

@@ -10,7 +10,7 @@ pseudocost branching, rounding heuristic, bound-aware plunging).
 
 Both configurations are exact, so every batch must reach the same optimal
 objective; the overhaul is required to cut the median batch solve time at
-least in half.  Per-phase :class:`~repro.solver.SolverStats` totals are
+least in half.  Per-phase :class:`~repro.obs.SolverStats` totals are
 printed for both runs.
 """
 
@@ -20,8 +20,9 @@ import statistics
 import time
 
 from repro import ClusterState, ConstraintManager, IlpScheduler, build_cluster
+from repro.obs import SolverStats
 from repro.reporting import banner, render_series
-from repro.solver import BnBOptions, SolverStats
+from repro.solver import BnBOptions
 from repro.workloads import hbase_population
 
 NUM_LRAS = 10

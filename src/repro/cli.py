@@ -157,15 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRA scheduler to drive the simulation with (default ilp)",
     )
     p_sim.add_argument(
-        "--backend", choices=("object", "array"), default=None,
-        help="cluster-state backend (default: MEDEA_STATE_BACKEND or object)",
-    )
-    p_sim.add_argument(
-        "--engine", choices=("periodic", "ondemand"), default=None,
-        help="event-engine mode (default periodic); same-seed runs are "
-             "decision-equivalent across engines — 'repro diff' verifies it",
-    )
-    p_sim.add_argument(
         "--audit", action="store_true",
         help="record scheduler decision audits (scheduler.audit events) "
              "so 'repro diff' can explain placement flips causally",
@@ -669,12 +660,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sim = ClusterSimulation(
         topology,
         scheduler,
-        config=SimConfig(
-            scheduling_interval_s=10.0,
-            horizon_s=horizon,
-            engine=args.engine or "periodic",
-            backend=args.backend,
-        ),
+        config=SimConfig(scheduling_interval_s=10.0, horizon_s=horizon),
         watchdog=watchdog,
     )
     for i in range(lras):

@@ -5,41 +5,28 @@ state* component).  It maintains, incrementally, the per-node-set tag
 cardinalities γ𝒮 for every registered node group so that constraint
 evaluation inside scheduling loops is O(#groups) instead of O(cluster size).
 
-Two interchangeable state backends share the exact same API:
+Per-node capacity / free / availability are mirrored into numpy
+struct-of-arrays (:class:`_StateArrays`), keyed by a stable node-index map
+in topology order, and ``total_free`` / utilisation / fragmentation / rack
+statistics are computed vectorised over it.  The mirror is maintained
+through :meth:`Node.add_listener` hooks, so it stays consistent no matter
+which code path mutates a node.  All integer aggregates are exact (int64);
+the test suite checks every metric against a scalar oracle that loops over
+the topology's nodes (``tests/helpers.py``) and against a golden fixture
+frozen from the retired dict-of-``Node`` backend.
 
-``object``
-    The original dict-of-:class:`Node` representation; every cluster-wide
-    metric is a Python loop over the topology.
-
-``array`` (default when numpy is importable)
-    Mirrors per-node capacity / free / availability into numpy
-    struct-of-arrays (:class:`_StateArrays`), keyed by a stable node-index
-    map in topology order, and computes ``total_free`` / utilisation /
-    fragmentation / rack statistics vectorised.  The mirror is maintained
-    through :meth:`Node.add_listener` hooks, so it stays consistent no
-    matter which code path mutates a node.  All integer aggregates are
-    exact (int64), so fingerprints and canonical traces are byte-for-byte
-    identical to the object backend; only ``memory_utilization_cv`` may
-    differ in the last float ulps (different summation order).
-
-Select with ``ClusterState(topology, backend=...)`` or the
-``MEDEA_STATE_BACKEND`` environment variable.  Derived metrics are memoised
-on a state *version counter* that every allocate / release / availability
-flip bumps, so repeated reads within one tick (timeline sink, watchdog,
-state-hash event) cost one computation.
+Derived metrics are memoised on a state *version counter* that every
+allocate / release / availability flip bumps, so repeated reads within one
+tick (timeline sink, watchdog, state-hash event) cost one computation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-try:  # numpy backs the "array" backend; without it we degrade to "object".
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from ..tags import TagMultiset
 
@@ -53,27 +40,13 @@ from .topology import ClusterTopology
 __all__ = ["ClusterState", "PlacedContainer", "placement_fingerprint"]
 
 
-def _resolve_backend(backend: str | None) -> str:
-    """Pick the state backend: explicit arg > env > numpy availability."""
-    if backend is None:
-        backend = os.environ.get("MEDEA_STATE_BACKEND") or "array"
-    if backend not in ("object", "array"):
-        raise ValueError(
-            f"unknown state backend {backend!r} (choose 'object' or 'array')"
-        )
-    if backend == "array" and _np is None:
-        backend = "object"
-    return backend
-
-
 class _StateArrays:
     """Struct-of-arrays mirror of the per-node scalar state.
 
     One row per node, in topology insertion order (the *stable node-index
-    map*); int64 throughout so sums are exact and aggregate metrics match
-    the object backend bit-for-bit.  Rack membership is pre-encoded into
-    integer codes (sorted rack-name order) so per-rack reductions are one
-    ``bincount``.
+    map*); int64 throughout so integer sums are exact.  Rack membership is
+    pre-encoded into integer codes (sorted rack-name order) so per-rack
+    reductions are one ``bincount``.
     """
 
     __slots__ = (
@@ -158,17 +131,13 @@ class ClusterState:
         self,
         topology: ClusterTopology,
         *,
-        backend: str | None = None,
-        index_bucket_mb: int | None = None,
+        index_bucket_mb: int = 2048,
     ) -> None:
         self.topology = topology
         self._containers: dict[str, PlacedContainer] = {}
         # (group name, node-set index) -> Counter of tags, maintained
         # incrementally on allocate/release.
         self._group_tags: dict[tuple[str, int], Counter[str]] = {}
-        self.backend = _resolve_backend(backend)
-        if index_bucket_mb is None:
-            index_bucket_mb = int(os.environ.get("MEDEA_INDEX_BUCKET_MB", "2048"))
         if index_bucket_mb <= 0:
             raise ValueError("index_bucket_mb must be positive")
         #: Free-memory bucket width used by :meth:`candidate_index`.
@@ -180,9 +149,7 @@ class ClusterState:
         self._down: set[str] = {
             n.node_id for n in topology if not n.available
         }
-        self._arrays: _StateArrays | None = (
-            _StateArrays(topology) if self.backend == "array" else None
-        )
+        self._arrays = _StateArrays(topology)
         self._candidate_index: CandidateIndex | None = None
         for node in topology:
             node.add_listener(self)
@@ -195,13 +162,11 @@ class ClusterState:
 
     def _node_allocated(self, node: Node, allocation: Allocation) -> None:
         self._version += 1
-        if self._arrays is not None:
-            self._arrays.refresh_free(node)
+        self._arrays.refresh_free(node)
 
     def _node_released(self, node: Node, allocation: Allocation) -> None:
         self._version += 1
-        if self._arrays is not None:
-            self._arrays.refresh_free(node)
+        self._arrays.refresh_free(node)
 
     def _node_availability(self, node: Node, up: bool) -> None:
         self._version += 1
@@ -209,8 +174,7 @@ class ClusterState:
             self._down.discard(node.node_id)
         else:
             self._down.add(node.node_id)
-        if self._arrays is not None:
-            self._arrays.avail[self._arrays.index_of[node.node_id]] = up
+        self._arrays.avail[self._arrays.index_of[node.node_id]] = up
 
     @property
     def version(self) -> int:
@@ -218,8 +182,8 @@ class ClusterState:
         return self._version
 
     @property
-    def arrays(self) -> _StateArrays | None:
-        """The struct-of-arrays mirror, or ``None`` on the object backend."""
+    def arrays(self) -> _StateArrays:
+        """The struct-of-arrays mirror of per-node scalar state."""
         return self._arrays
 
     def candidate_index(self) -> CandidateIndex:
@@ -322,20 +286,11 @@ class ClusterState:
 
     def _compute_total_free(self) -> Resource:
         arrays = self._arrays
-        if arrays is not None:
-            avail = arrays.avail
-            return Resource(
-                int(arrays.free_mem[avail].sum()),
-                int(arrays.free_vc[avail].sum()),
-            )
-        total_mem = 0
-        total_vc = 0
-        for node in self.topology:
-            if node.available:
-                free = node.free
-                total_mem += free.memory_mb
-                total_vc += free.vcores
-        return Resource(total_mem, total_vc)
+        avail = arrays.avail
+        return Resource(
+            int(arrays.free_mem[avail].sum()),
+            int(arrays.free_vc[avail].sum()),
+        )
 
     # -- tag cardinality ------------------------------------------------------
 
@@ -499,10 +454,9 @@ class ClusterState:
     # -- cluster-wide metrics ---------------------------------------------------
     #
     # Every metric is memoised on the state version counter (the timeline
-    # sink reads several per heartbeat) and dispatches to a vectorised
-    # computation when the struct-of-arrays mirror is live.  The private
-    # ``_compute_*`` functions are the uncached paths; regression tests
-    # assert cached and direct values agree.
+    # sink reads several per heartbeat) and computed vectorised over the
+    # struct-of-arrays mirror.  The private ``_compute_*`` functions are the
+    # uncached paths; regression tests assert cached and direct values agree.
 
     def fragmented_node_fraction(self, threshold: Resource = Resource(2048, 1)) -> float:
         """Fraction of nodes with less free than ``threshold`` but not fully
@@ -516,23 +470,17 @@ class ClusterState:
 
     def _compute_fragmented_node_fraction(self, threshold: Resource) -> float:
         arrays = self._arrays
-        if arrays is not None:
-            avail = arrays.avail
-            total = int(avail.sum())
-            if total == 0:
-                return 0.0
-            free_mem, free_vc = arrays.free_mem, arrays.free_vc
-            fully_used = (free_mem == 0) & (free_vc == 0)
-            too_small = (free_mem < threshold.memory_mb) | (
-                free_vc < threshold.vcores
-            )
-            fragmented = int((avail & ~fully_used & too_small).sum())
-            return fragmented / total
-        nodes = [n for n in self.topology if n.available]
-        if not nodes:
+        avail = arrays.avail
+        total = int(avail.sum())
+        if total == 0:
             return 0.0
-        fragmented = sum(1 for n in nodes if n.is_fragmented(threshold))
-        return fragmented / len(nodes)
+        free_mem, free_vc = arrays.free_mem, arrays.free_vc
+        fully_used = (free_mem == 0) & (free_vc == 0)
+        too_small = (free_mem < threshold.memory_mb) | (
+            free_vc < threshold.vcores
+        )
+        fragmented = int((avail & ~fully_used & too_small).sum())
+        return fragmented / total
 
     def memory_utilization_cv(self) -> float:
         """Coefficient of variation of per-node memory utilisation — the
@@ -545,29 +493,20 @@ class ClusterState:
 
     def _compute_memory_utilization_cv(self) -> float:
         arrays = self._arrays
-        if arrays is not None:
-            avail = arrays.avail
-            cap = arrays.cap_mem[avail]
-            if cap.size == 0:
-                return 0.0
-            free = arrays.free_mem[avail]
-            ratio = _np.divide(
-                free, cap, out=_np.zeros(cap.shape, dtype=_np.float64),
-                where=cap > 0,
-            )
-            utils = _np.where(cap > 0, 1.0 - ratio, 0.0)
-            mean = float(utils.mean())
-            if mean == 0:
-                return 0.0
-            variance = float(((utils - mean) ** 2).mean())
-            return (variance ** 0.5) / mean
-        utils = [n.memory_utilization() for n in self.topology if n.available]
-        if not utils:
+        avail = arrays.avail
+        cap = arrays.cap_mem[avail]
+        if cap.size == 0:
             return 0.0
-        mean = sum(utils) / len(utils)
+        free = arrays.free_mem[avail]
+        ratio = _np.divide(
+            free, cap, out=_np.zeros(cap.shape, dtype=_np.float64),
+            where=cap > 0,
+        )
+        utils = _np.where(cap > 0, 1.0 - ratio, 0.0)
+        mean = float(utils.mean())
         if mean == 0:
             return 0.0
-        variance = sum((u - mean) ** 2 for u in utils) / len(utils)
+        variance = float(((utils - mean) ** 2).mean())
         return (variance ** 0.5) / mean
 
     def rack_memory_utilization(self) -> dict[str, float]:
@@ -580,29 +519,17 @@ class ClusterState:
 
     def _compute_rack_memory_utilization(self) -> dict[str, float]:
         arrays = self._arrays
-        if arrays is not None:
-            used_weights = _np.where(
-                arrays.avail, arrays.cap_mem - arrays.free_mem, 0
-            )
-            used_by_rack = _np.bincount(
-                arrays.rack_codes, weights=used_weights,
-                minlength=len(arrays.rack_names),
-            )
-            return {
-                rack: float(used_by_rack[i] / arrays.rack_cap_mem[i])
-                for i, rack in enumerate(arrays.rack_names)
-                if arrays.rack_cap_mem[i] > 0
-            }
-        used: dict[str, float] = {}
-        capacity: dict[str, float] = {}
-        for node in self.topology:
-            capacity[node.rack] = capacity.get(node.rack, 0.0) + node.capacity.memory_mb
-            if node.available:
-                used[node.rack] = used.get(node.rack, 0.0) + node.used.memory_mb
+        used_weights = _np.where(
+            arrays.avail, arrays.cap_mem - arrays.free_mem, 0
+        )
+        used_by_rack = _np.bincount(
+            arrays.rack_codes, weights=used_weights,
+            minlength=len(arrays.rack_names),
+        )
         return {
-            rack: used.get(rack, 0.0) / capacity[rack]
-            for rack in sorted(capacity)
-            if capacity[rack] > 0
+            rack: float(used_by_rack[i] / arrays.rack_cap_mem[i])
+            for i, rack in enumerate(arrays.rack_names)
+            if arrays.rack_cap_mem[i] > 0
         }
 
     def down_node_ids(self) -> list[str]:
@@ -634,16 +561,8 @@ class ClusterState:
 
     def _compute_cluster_memory_utilization(self) -> float:
         arrays = self._arrays
-        if arrays is not None:
-            total = arrays.total_cap_mem
-            if total == 0:
-                return 0.0
-            used = total - int(arrays.free_mem[arrays.avail].sum())
-            return used / total
-        total = self.topology.total_capacity()
-        if total.memory_mb == 0:
+        total = arrays.total_cap_mem
+        if total == 0:
             return 0.0
-        used = total.memory_mb - sum(
-            n.free.memory_mb for n in self.topology if n.available
-        )
-        return used / total.memory_mb
+        used = total - int(arrays.free_mem[arrays.avail].sum())
+        return used / total

@@ -24,13 +24,11 @@ Observability: the facade emits the LRA lifecycle trace (``lra.submit`` /
 ``lra.drop`` / ``lra.complete``) and the cycle envelope (``cycle.start`` /
 ``cycle.end``), and keeps lifecycle counters in the ambient metrics
 registry.  Clock arguments follow the unified convention — keyword-only
-``now: float`` — with a deprecation shim accepting the legacy positional
-form.
+``now: float``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..cluster.state import ClusterState
@@ -45,24 +43,6 @@ from .requests import ContainerRequest, LRARequest, TaskRequest
 from .scheduler import LRAScheduler, PlacementResult
 
 __all__ = ["MedeaScheduler", "LraOutcome"]
-
-
-def _shim_now(method: str, args: tuple, now: float) -> float:
-    """Deprecation shim: accept the legacy positional clock argument."""
-    if not args:
-        return now
-    if len(args) > 1:
-        raise TypeError(
-            f"{method}() takes at most one positional clock argument "
-            f"({len(args)} extra given)"
-        )
-    warnings.warn(
-        f"passing 'now' positionally to {method}() is deprecated; "
-        "use the keyword-only form now=<time>",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return float(args[0])
 
 
 @dataclass
@@ -130,10 +110,9 @@ class MedeaScheduler:
 
     # -- submission routing (the LRA interface, §3) -----------------------------
 
-    def submit_lra(self, request: LRARequest, *args, now: float = 0.0) -> None:
+    def submit_lra(self, request: LRARequest, *, now: float = 0.0) -> None:
         """Queue an LRA for the next scheduling cycle and register its
         constraints with the constraint manager."""
-        now = _shim_now("submit_lra", args, now)
         self.manager.register_application(request)
         self._pending.append(request)
         self.outcomes.setdefault(request.app_id, LraOutcome(request.app_id, now))
@@ -151,14 +130,13 @@ class MedeaScheduler:
                 },
             )
 
-    def submit_task(self, task: TaskRequest, *args, now: float = 0.0) -> None:
+    def submit_task(self, task: TaskRequest, *, now: float = 0.0) -> None:
         """Route a plain task request.
 
         Normally it goes straight to the task-based scheduler; under
         ``ilp_all`` it is wrapped as a constraint-free single-container LRA
         and waits for the optimisation cycle like everything else.
         """
-        now = _shim_now("submit_task", args, now)
         if not self.ilp_all:
             self.task_scheduler.submit(task, now)
             return
@@ -179,10 +157,9 @@ class MedeaScheduler:
 
     # -- the scheduling cycle -----------------------------------------------------
 
-    def run_cycle(self, *args, now: float = 0.0) -> PlacementResult:
+    def run_cycle(self, *, now: float = 0.0) -> PlacementResult:
         """Invoke the LRA scheduler on everything queued since the last
         cycle, then allocate through the task-based scheduler."""
-        now = _shim_now("run_cycle", args, now)
         self._last_cycle_time = now
         tracer = self.tracer
         pending_lras = len(self._pending)
@@ -385,10 +362,10 @@ class MedeaScheduler:
         * when the task scheduler reports the skip is side-effect-free
           (no delay scheduling in play), nodes whose free vector is below
           the element-wise minimum queue-head demand are skipped — no head
-          can fit there, so their heartbeat could not allocate.  With the
-          array state backend the skip test is one vectorised compare over
-          the free matrices; the bound is re-derived whenever an
-          allocation changes the queue heads.
+          can fit there, so their heartbeat could not allocate.  The skip
+          test is one vectorised compare over the state's free arrays; the
+          bound is re-derived whenever an allocation changes the queue
+          heads.
         """
         allocations = []
         task_scheduler = self.task_scheduler
@@ -406,20 +383,6 @@ class MedeaScheduler:
             return allocations
         bound = task_scheduler.min_head_demand()
         arrays = state.arrays
-        if arrays is None:
-            for node in state.topology:
-                if not node.available:
-                    continue
-                free = node.free
-                if free.memory_mb < bound[0] or free.vcores < bound[1]:
-                    continue
-                allocs = self.heartbeat(node.node_id, now)
-                if allocs:
-                    allocations.extend(allocs)
-                    if task_scheduler.pending_tasks() == 0:
-                        break
-                    bound = task_scheduler.min_head_demand()
-            return allocations
         node_ids = arrays.node_ids
         total = len(node_ids)
         start = 0

@@ -12,11 +12,9 @@ cluster state and rolls every one of them back on exit.
 from __future__ import annotations
 
 import abc
-import inspect
 import itertools
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -103,11 +101,6 @@ class LRAScheduler(abc.ABC):
     #: a :class:`~repro.obs.DecisionAudit` to their result.
     audit_enabled: bool = False
 
-    #: "does this ``place`` accept ``now``?", cached per implementation
-    #: function (not per class — a subclass may override with the legacy
-    #: signature); supports the positional-compat shim.
-    _place_accepts_now_cache: dict[object, bool] = {}
-
     @abc.abstractmethod
     def place(
         self,
@@ -127,42 +120,6 @@ class LRAScheduler(abc.ABC):
         ``state``; the returned placements are applied later by the
         task-based scheduler.
         """
-
-    @classmethod
-    def _accepts_now(cls) -> bool:
-        func = cls.place
-        cached = LRAScheduler._place_accepts_now_cache.get(func)
-        if cached is None:
-            try:
-                parameters = inspect.signature(func).parameters
-            except (TypeError, ValueError):  # pragma: no cover - exotic callables
-                cached = False
-            else:
-                cached = "now" in parameters or any(
-                    p.kind is inspect.Parameter.VAR_KEYWORD
-                    for p in parameters.values()
-                )
-            LRAScheduler._place_accepts_now_cache[func] = cached
-        return cached
-
-    def _call_place(
-        self,
-        requests: Sequence[LRARequest],
-        state: ClusterState,
-        manager: ConstraintManager,
-        now: float,
-    ) -> PlacementResult:
-        """Invoke :meth:`place`, tolerating pre-redesign overrides that do
-        not yet accept the keyword-only ``now`` (deprecation shim)."""
-        if type(self)._accepts_now():
-            return self.place(requests, state, manager, now=now)
-        warnings.warn(
-            f"{type(self).__name__}.place() without the keyword-only 'now' "
-            "parameter is deprecated; add '*, now: float = 0.0'",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return self.place(requests, state, manager)
 
     def timed_place(
         self,
@@ -185,7 +142,7 @@ class LRAScheduler(abc.ABC):
         """
         start = time.perf_counter()
         with span(f"place:{self.name}", tracer=tracer, time=now):
-            result = self._call_place(requests, state, manager, now)
+            result = self.place(requests, state, manager, now=now)
         result.solve_time_s = time.perf_counter() - start
         registry = metrics if metrics is not None else get_metrics()
         registry.timer("scheduler_place_seconds").observe(

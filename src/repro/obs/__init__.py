@@ -10,8 +10,7 @@ substrate):
   ``tracer.enabled``.
 * **Metrics** — a :class:`Metrics` registry of labelled counters, gauges,
   and timers with a deterministic :meth:`~Metrics.snapshot` API.
-  :class:`SolverStats` (formerly ``repro.solver.SolverStats``) is one of
-  its record types.
+  :class:`SolverStats` is one of its record types.
 * **Decision audit** — :class:`DecisionAudit` attached to
   ``PlacementResult`` explains each placement: candidates considered,
   constraints that pruned them, and the winning score/objective terms.
@@ -164,7 +163,6 @@ from .metrics import (
     TimerStat,
     get_metrics,
     set_metrics,
-    use_reservoir_percentiles,
 )
 from .profile import (
     AppCriticalPath,
@@ -288,7 +286,6 @@ __all__ = [
     "Histogram",
     "Timer",
     "TimerStat",
-    "use_reservoir_percentiles",
     "Metrics",
     "SolverStats",
     "get_metrics",

@@ -30,9 +30,9 @@ The outcome is a four-way verdict:
 * ``IDENTICAL`` — the canonical (wall-stripped) streams are byte-identical.
 * ``EQUIVALENT`` — the structural streams and every placement fingerprint
   match; only non-structural cadence (heartbeats, queue samples, engine
-  dispatch, spans) and wall-clock data differ.  This is the contract
-  between the ``periodic`` and ``ondemand`` engines and between state
-  backends: same decisions, different bookkeeping.
+  dispatch, spans) and wall-clock data differ — e.g. an armed watchdog
+  fires the idle heartbeat ticks an unarmed run skips: same decisions,
+  different bookkeeping.
 * ``DIVERGED`` — a structural event or a placement fingerprint differs;
   ``tick`` localizes the first divergence.
 * ``INCOMPARABLE`` — the inputs cannot be meaningfully aligned (unreadable
@@ -85,11 +85,11 @@ VERDICT_DIVERGED = "DIVERGED"
 VERDICT_INCOMPARABLE = "INCOMPARABLE"
 
 #: Event kinds that constitute the deterministic decision stream.  Two
-#: same-seed runs must agree on these exactly, whatever the engine or
-#: state backend; everything else is cadence/telemetry whose presence and
-#: count legitimately vary (the ``ondemand`` engine skips idle heartbeats
-#: and queue samples, sampling policies thin lifecycles, spans follow the
-#: callbacks that actually fired).
+#: same-seed runs must agree on these exactly; everything else is
+#: cadence/telemetry whose presence and count legitimately vary (idle
+#: heartbeats and queue samples are skipped unless a watchdog is armed,
+#: sampling policies thin lifecycles, spans follow the callbacks that
+#: actually fired).
 STRUCTURAL_KINDS = frozenset({
     EventKind.LRA_SUBMIT,
     EventKind.LRA_PLACE,

@@ -4,8 +4,8 @@ The latency-under-load plane (ISSUE 10) needs one data structure every
 consumer agrees on: bounded-memory, bounded-relative-error latency
 distributions that merge *exactly* (bucket-count addition, associative and
 commutative) so per-step / per-worker / per-process histograms compose
-into cluster-wide percentiles without resampling bias — the property the
-seeded reservoirs behind :class:`~repro.obs.metrics.TimerStat` never had.
+into cluster-wide percentiles without resampling bias.  Timer percentiles
+(:class:`~repro.obs.metrics.TimerStat`) are backed by it.
 
 :class:`LatencyHistogram` is HDR-histogram-shaped but built on
 :func:`math.frexp`, which is exact IEEE-754 — bucket indices are pure

@@ -10,19 +10,15 @@ scheduler="MEDEA-ILP")`` keeps one value per label set.  Labels are
 canonicalised (sorted ``key=value`` pairs) so snapshots are deterministic.
 
 :class:`SolverStats` — the MILP effort breakdown both solver backends
-produce — lives here as one of the metric types; ``repro.solver`` keeps a
-deprecation alias so existing imports continue to work.
+produce — lives here as one of the metric types.
 """
 
 from __future__ import annotations
 
-import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .hist import LatencyHistogram
-from .stats import percentile as _percentile
 
 __all__ = [
     "Counter",
@@ -35,7 +31,6 @@ __all__ = [
     "get_metrics",
     "set_metrics",
     "parse_label_key",
-    "use_reservoir_percentiles",
 ]
 
 
@@ -137,42 +132,6 @@ class Gauge(_Instrument):
         return {k: self._values[k] for k in sorted(self._values)}
 
 
-#: Bounded reservoir size backing *legacy* timer percentiles (per label
-#: set) — the pre-histogram path kept behind :func:`use_reservoir_percentiles`.
-RESERVOIR_SIZE = 256
-#: Fixed seed for the per-stat reservoir RNG: same observation sequence →
-#: same retained sample → deterministic percentiles (Vitter's algorithm R).
-_RESERVOIR_SEED = 0x5EED
-
-#: When True, new observations feed the deprecated bounded reservoir
-#: instead of the log-bucketed histogram.  Flipped (with a one-time
-#: DeprecationWarning) by :func:`use_reservoir_percentiles`.
-_reservoir_mode = False
-_reservoir_warned = False
-
-
-def use_reservoir_percentiles(enabled: bool = True) -> None:
-    """Deprecated: opt timer percentiles back onto reservoir sampling.
-
-    Timer percentiles are histogram-backed (``repro.obs.hist``): bounded
-    relative error and exact under merge, where the old seeded reservoir
-    was an unbiased-but-noisy subsample.  This shim restores the old
-    behaviour for stats created *and fed* after the call; it warns once
-    and will be removed once nothing depends on reservoir semantics.
-    """
-    global _reservoir_mode, _reservoir_warned
-    if enabled and not _reservoir_warned:
-        _reservoir_warned = True
-        warnings.warn(
-            "use_reservoir_percentiles(): reservoir-sampled timer "
-            "percentiles are deprecated; TimerStat now uses bounded-error "
-            "mergeable histograms (repro.obs.hist) by default",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    _reservoir_mode = enabled
-
-
 @dataclass
 class TimerStat:
     """Aggregate of one timer label set.
@@ -182,10 +141,6 @@ class TimerStat:
     so :meth:`percentile` (and the ``p50_s``/``p95_s``/``p99_s`` snapshot
     fields) work at bounded memory with bounded relative error (~0.8%) for
     arbitrarily long runs — and merge exactly across stats.
-
-    The deprecated reservoir-sampling path survives behind
-    :func:`use_reservoir_percentiles`; its fields are created lazily so the
-    default path pays nothing for it.
     """
 
     count: int = 0
@@ -195,28 +150,13 @@ class TimerStat:
     hist: LatencyHistogram = field(
         default_factory=LatencyHistogram, repr=False, compare=False
     )
-    reservoir_size: int = RESERVOIR_SIZE
-    _samples: list[float] = field(
-        default_factory=list, repr=False, compare=False
-    )
-    _rng: random.Random | None = field(default=None, repr=False, compare=False)
 
     def observe(self, seconds: float) -> None:
         self.count += 1
         self.total_s += seconds
         self.min_s = min(self.min_s, seconds)
         self.max_s = max(self.max_s, seconds)
-        if not _reservoir_mode:
-            self.hist.record(seconds)
-            return
-        if len(self._samples) < self.reservoir_size:
-            self._samples.append(seconds)
-        else:
-            if self._rng is None:
-                self._rng = random.Random(_RESERVOIR_SEED)
-            slot = self._rng.randrange(self.count)
-            if slot < self.reservoir_size:
-                self._samples[slot] = seconds
+        self.hist.record(seconds)
 
     @property
     def mean_s(self) -> float:
@@ -224,16 +164,11 @@ class TimerStat:
 
     def percentile(self, q: float) -> float:
         """q-th percentile (in [0, 100]); bounded-relative-error histogram
-        estimate (exact-sample reservoir estimate under the deprecated
-        :func:`use_reservoir_percentiles` mode).  Returns 0.0 when nothing
-        was observed."""
-        if self._samples:
-            return _percentile(self._samples, q)
+        estimate.  Returns 0.0 when nothing was observed."""
         return self.hist.quantile(q)
 
     def merge(self, other: "TimerStat") -> "TimerStat":
-        """Exact merge of another stat into this one (histogram path only;
-        reservoir samples do not compose and are dropped)."""
+        """Exact merge of another stat into this one."""
         self.count += other.count
         self.total_s += other.total_s
         self.min_s = min(self.min_s, other.min_s)

@@ -174,7 +174,7 @@ def render_prometheus(snapshot: Mapping[str, Any]) -> str:
 
     Counters and gauges map directly; timers become summary-style
     families: ``<name>_count`` / ``<name>_sum`` plus ``quantile``-labelled
-    sample lines from the deterministic reservoir percentiles.
+    sample lines from the timer's histogram percentiles.
     """
     lines: list[str] = []
     for name in sorted(snapshot.get("counters", {})):

@@ -3,11 +3,9 @@
 The paper reports box plots with whiskers at p5/p99, boxes at p25/p75 and a
 median line (Fig. 7 caption); :class:`BoxStats` mirrors exactly that.
 
-Historically this lived at ``repro.metrics.stats`` as a disconnected side
-system; it now sits inside ``repro.obs`` so summaries fold into the same
+It sits inside ``repro.obs`` so summaries fold into the same
 :class:`~repro.obs.metrics.Metrics` registry everything else records into
-(see :meth:`BoxStats.record_to`).  ``repro.metrics`` keeps re-exporting the
-public names, and ``repro.metrics.stats`` remains as a deprecation shim.
+(see :meth:`BoxStats.record_to`).
 
 This module is dependency-free (no ``repro`` imports) so it can be pulled
 in from anywhere in the package without import cycles.

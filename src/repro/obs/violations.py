@@ -6,10 +6,8 @@ bookkeeping) and, for every placed LRA container and every active constraint
 that applies to it, evaluates the constraint semantics exactly — the same
 brute-force check tests use to validate the ILP encoding.
 
-Historically this lived at ``repro.metrics.violations`` as a disconnected
-side system; it now sits inside ``repro.obs`` next to the metrics registry
-it records into (``repro.metrics`` remains as a deprecation shim).  The
-cluster/core types only appear as annotations, so this module has no
+It sits inside ``repro.obs`` next to the metrics registry it records
+into.  The cluster/core types only appear as annotations, so this module has no
 runtime dependency on them and is safe to import from anywhere in
 ``repro.obs`` (the online watchdog cross-checks against it every few
 heartbeats).

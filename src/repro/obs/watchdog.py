@@ -35,7 +35,9 @@ corrupt state.
 
 Zero-cost when off: the simulation holds ``watchdog=None`` unless
 ``MEDEA_WATCHDOG`` (``1``/``warn``/``abort``) or an explicit instance
-enables it, so disabled runs execute no checks and emit no events.
+enables it, so disabled runs execute no checks and emit no events.  When
+armed it counts as demand for the heartbeat series: ticks with no queued
+tasks, which the simulation otherwise skips, still run the checks.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Cluster simulation: Medea running against simulated machines.
 
-Wires the discrete-event engine to the Medea facade: periodic node
-heartbeats drive the task-based scheduler, periodic scheduling cycles drive
-the LRA scheduler, task containers complete after their duration, and LRAs
-optionally tear down.  Machine unavailability traces can be replayed to take
-nodes down and up (used by the resilience experiments).
+Wires the discrete-event engine to the Medea facade: node heartbeats drive
+the task-based scheduler, scheduling cycles drive the LRA scheduler, task
+containers complete after their duration, and LRAs optionally tear down.
+Both series tick on a fixed time grid but skip the work of a tick with no
+demand (no queued tasks / no pending LRAs), so idle heartbeats cost one
+heap operation; such ticks emit no ``sim.heartbeat`` / ``sim.state_hash``.
+Machine unavailability traces can be replayed to take nodes down and up
+(used by the resilience experiments).
 
 A :class:`~repro.obs.Tracer` (explicit, or the ambient one) threads through
 every layer: the engine stamps ``engine.dispatch`` events, the facade the
@@ -32,39 +35,19 @@ from ..obs.trace import Tracer, get_tracer
 from ..obs.watchdog import Watchdog, watchdog_from_env
 from ..taskscheduler.base import TaskBasedScheduler
 from ..taskscheduler.capacity import CapacityScheduler
-from .engine import PeriodicHandle, SimulationEngine
+from .engine import SimulationEngine
 
 __all__ = ["ClusterSimulation", "SimConfig"]
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Timing and scale knobs for a simulation run."""
+    """Timing knobs for a simulation run."""
 
     scheduling_interval_s: float = 10.0
     heartbeat_interval_s: float = 1.0
     #: Hard stop for periodic activity; ``run()`` may stop earlier.
     horizon_s: float = 3600.0
-    #: Event-engine mode for the periodic series.  ``"periodic"`` fires
-    #: heartbeats and scheduling cycles every interval until the horizon;
-    #: ``"ondemand"`` suspends a series while it has no work (no queued
-    #: tasks / no pending LRAs) and resumes it — on the same time grid —
-    #: when work arrives, so idle heartbeats cost nothing.  Watchdog and
-    #: tracing hooks ride the ticks that actually fire.
-    engine: str = "periodic"
-    #: Cluster-state backend (``"object"`` | ``"array"``); ``None`` defers
-    #: to ``MEDEA_STATE_BACKEND`` / the default.
-    backend: str | None = None
-    #: Free-memory bucket width (MB) for the candidate index; ``None``
-    #: defers to ``MEDEA_INDEX_BUCKET_MB`` / the default.
-    index_bucket_mb: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.engine not in ("periodic", "ondemand"):
-            raise ValueError(
-                f"unknown engine mode {self.engine!r} "
-                "(choose 'periodic' or 'ondemand')"
-            )
 
 
 class _OnDemandSeries:
@@ -75,16 +58,16 @@ class _OnDemandSeries:
     exactly like an uninterrupted ``schedule_periodic`` series — every
     grid tick ``k * interval`` dispatches, and tick ``k+1``'s event is
     created during tick ``k``'s dispatch.  Keeping the event-creation
-    points identical is what makes on-demand mode byte-equivalent to the
-    periodic engine: at equal timestamps the heap breaks ties by creation
+    points identical is what makes skipping decision-equivalent to firing
+    every tick: at equal timestamps the heap breaks ties by creation
     sequence, so a tick resumed any other way (e.g. scheduled lazily when
     work arrives) can invert its order against same-time events such as
     task completions, and placements diverge.
 
     What *is* skipped is the callback: when ``demand()`` is false the tick
     reduces to one heap operation and a counter check — no span, no state
-    fingerprint, no watchdog sweep.  Those per-tick costs, not the heap,
-    are what dominate idle time at 10k nodes.  ``fired`` counts only the
+    fingerprint.  Those per-tick costs, not the heap, are what dominate
+    idle time at 10k nodes.  ``fired`` counts only the
     ticks that ran the callback; ``ticks`` counts every grid point.
     """
 
@@ -157,11 +140,7 @@ class ClusterSimulation:
         watchdog: Watchdog | None = None,
     ) -> None:
         self.config = config or SimConfig()
-        self.state = ClusterState(
-            topology,
-            backend=self.config.backend,
-            index_bucket_mb=self.config.index_bucket_mb,
-        )
+        self.state = ClusterState(topology)
         self._tracer = tracer
         self._metrics = metrics
         self.task_scheduler = task_scheduler or CapacityScheduler(
@@ -184,8 +163,8 @@ class ClusterSimulation:
         #: Observers called after every LRA scheduling cycle with (sim, result).
         self.cycle_observers: list[Callable] = []
         #: Cancellable handles for the heartbeat and cycle series.
-        self.heartbeat_handle: PeriodicHandle | None = None
-        self.cycle_handle: PeriodicHandle | None = None
+        self.heartbeat_handle: _OnDemandSeries | None = None
+        self.cycle_handle: _OnDemandSeries | None = None
         #: Online invariant monitor; ``None`` (the default, unless
         #: ``MEDEA_WATCHDOG`` asks for one) keeps the hot path check-free.
         self.watchdog = watchdog if watchdog is not None else watchdog_from_env()
@@ -202,33 +181,25 @@ class ClusterSimulation:
     # -- periodic machinery ------------------------------------------------------
 
     def _install_periodic_activity(self) -> None:
-        if self.config.engine == "ondemand":
-            # Same install order as the periodic branch below so the first
-            # ticks carry the same sequence numbers (observable when both
-            # series share a timestamp).
-            self.heartbeat_handle = _OnDemandSeries(
-                self.engine,
-                self.config.heartbeat_interval_s,
-                self._heartbeat_tick,
-                demand=lambda: self.task_scheduler.pending_tasks() > 0,
-                until=self.config.horizon_s,
-            )
-            self.cycle_handle = _OnDemandSeries(
-                self.engine,
-                self.config.scheduling_interval_s,
-                self._cycle_tick,
-                demand=lambda: self.medea.pending_lras() > 0,
-                until=self.config.horizon_s,
-            )
-            return
-        self.heartbeat_handle = self.engine.schedule_periodic(
+        # Heartbeats are installed before cycles: when both series share a
+        # timestamp the heap breaks the tie by creation sequence.
+        self.heartbeat_handle = _OnDemandSeries(
+            self.engine,
             self.config.heartbeat_interval_s,
             self._heartbeat_tick,
+            # An armed watchdog checks invariants every tick, so it counts
+            # as demand: corruption on an idle tick is caught at that tick.
+            demand=lambda: (
+                self.watchdog is not None
+                or self.task_scheduler.pending_tasks() > 0
+            ),
             until=self.config.horizon_s,
         )
-        self.cycle_handle = self.engine.schedule_periodic(
+        self.cycle_handle = _OnDemandSeries(
+            self.engine,
             self.config.scheduling_interval_s,
             self._cycle_tick,
+            demand=lambda: self.medea.pending_lras() > 0,
             until=self.config.horizon_s,
         )
 

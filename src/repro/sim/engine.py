@@ -124,9 +124,7 @@ class SimulationEngine:
             callback(engine)
             # Multiplicative grid (first + k*interval), not an additive
             # now+interval recurrence: tick times are a pure function of
-            # the fire count, so no float drift accumulates and suspended
-            # series (the on-demand engine mode) resume onto the exact
-            # timestamps an uninterrupted series would have used.
+            # the fire count, so no float drift accumulates.
             next_time = first + handle.fired * interval
             if not handle.cancelled and (until is None or next_time <= until):
                 handle._event = engine.schedule_at(next_time, tick)

@@ -12,8 +12,6 @@ Public entry point::
 
 from __future__ import annotations
 
-import warnings
-
 from .branch_and_bound import BnBOptions, solve_branch_and_bound
 from .highs import HighsOptions, solve_highs
 from .model import INF, MilpModel, MilpSolution, Sense, SolveStatus
@@ -24,7 +22,6 @@ __all__ = [
     "MilpModel",
     "MilpSolution",
     "Sense",
-    "SolverStats",
     "SolveStatus",
     "BnBOptions",
     "HighsOptions",
@@ -36,21 +33,6 @@ __all__ = [
     "solve_branch_and_bound",
     "solve_highs",
 ]
-
-def __getattr__(name: str):
-    # Deprecation alias: SolverStats moved to the unified observability
-    # layer.  Kept importable from here so the PR-1 plumbing keeps working.
-    if name == "SolverStats":
-        warnings.warn(
-            "repro.solver.SolverStats has moved to repro.obs.SolverStats; "
-            "update imports (the alias will be removed in a future release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..obs.metrics import SolverStats
-
-        return SolverStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _BACKENDS = {

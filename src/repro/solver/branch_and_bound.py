@@ -25,7 +25,7 @@ HiGHS MILP backend and vice versa:
   incumbent, tightening the cutoff early.
 
 Internally everything is converted to *minimisation*; results are reported
-back in the model's declared sense.  A :class:`~repro.solver.model.SolverStats`
+back in the model's declared sense.  A :class:`~repro.obs.metrics.SolverStats`
 record (nodes, LP solves, presolve reductions, per-phase wall time) is
 attached to every returned solution.
 """
@@ -51,10 +51,11 @@ except Exception:  # pragma: no cover - depends on scipy build
     _hcore = None
 
 from ..obs.events import EventKind
+from ..obs.metrics import SolverStats
 from ..obs.spans import span, span_phase
 from ..obs.log import get_run_logger
 from ..obs.trace import get_tracer
-from .model import MilpModel, MilpSolution, Sense, SolverStats, SolveStatus
+from .model import MilpModel, MilpSolution, Sense, SolveStatus
 from .presolve import PresolveResult, StandardForm, presolve, standard_form
 
 __all__ = ["solve_branch_and_bound", "BnBOptions"]

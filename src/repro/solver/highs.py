@@ -14,9 +14,10 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..obs.events import EventKind
+from ..obs.metrics import SolverStats
 from ..obs.spans import span
 from ..obs.trace import get_tracer
-from .model import MilpModel, MilpSolution, Sense, SolverStats, SolveStatus
+from .model import MilpModel, MilpSolution, Sense, SolveStatus
 
 __all__ = ["solve_highs", "HighsOptions"]
 

@@ -18,12 +18,9 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-# SolverStats moved to the unified observability layer (repro.obs.metrics);
-# re-exported here so ``from repro.solver.model import SolverStats`` keeps
-# working for both backends and existing callers.
 from ..obs.metrics import SolverStats
 
-__all__ = ["Sense", "SolveStatus", "MilpModel", "MilpSolution", "SolverStats", "INF"]
+__all__ = ["Sense", "SolveStatus", "MilpModel", "MilpSolution", "INF"]
 
 INF = float("inf")
 

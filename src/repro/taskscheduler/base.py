@@ -207,10 +207,10 @@ class TaskBasedScheduler(abc.ABC):
                 )
         return allocations
 
-    def release_task(self, task_id: str, *, now: float | None = None) -> None:
+    def release_task(self, task_id: str, *, now: float) -> None:
         """Release a finished task container.  ``now`` stamps the trace
         event with the simulated clock so the timeline can bucket container
-        churn; ``None`` (legacy callers) leaves the event unstamped."""
+        churn."""
         placed = self.state.release(task_id)
         queue_name = self._task_queue.pop(task_id, None)
         if queue_name is not None:

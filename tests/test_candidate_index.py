@@ -37,7 +37,7 @@ _op = st.tuples(
 
 def _build_state() -> ClusterState:
     topology = build_cluster(NUM_NODES, racks=2, memory_mb=8 * 1024, vcores=8)
-    return ClusterState(topology, backend="object", index_bucket_mb=1024)
+    return ClusterState(topology, index_bucket_mb=1024)
 
 
 def _interpret(state: ClusterState, ops) -> None:

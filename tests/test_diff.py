@@ -34,6 +34,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import Metrics, set_metrics
 from repro.obs.sample import SamplingPolicy, TraceSampler
+from repro.obs.watchdog import Watchdog
 from repro.sim import ClusterSimulation, SimConfig
 from repro.workloads import GridMixConfig, generate_tasks
 
@@ -50,12 +51,11 @@ def isolate_obs():
 def _run_events(
     *,
     seed: int = 5,
-    engine: str = "periodic",
-    backend: str | None = None,
     scheduler=None,
     audit: bool = False,
     horizon: float = 40.0,
     sample: str | None = None,
+    watchdog: Watchdog | None = None,
 ):
     """Run a small mixed workload and return the decoded trace objects."""
     sink = MemorySink()
@@ -68,12 +68,10 @@ def _run_events(
     sim = ClusterSimulation(
         topo,
         scheduler,
-        config=SimConfig(
-            scheduling_interval_s=5.0, horizon_s=horizon,
-            engine=engine, backend=backend,
-        ),
+        config=SimConfig(scheduling_interval_s=5.0, horizon_s=horizon),
         tracer=tracer,
         metrics=Metrics(),
+        watchdog=watchdog,
     )
     sim.submit_lra(hbase_instance("lra-0"), at=2.0)
     sim.submit_lra(tensorflow_instance("lra-1"), at=9.0)
@@ -94,19 +92,22 @@ class TestVerdicts:
         assert report.headline() == "IDENTICAL"
         assert not report.flips
 
-    @pytest.mark.parametrize("engine_b,backend_b", [
-        ("ondemand", None),
-        ("periodic", "array"),
-        ("ondemand", "array"),
-    ])
-    def test_same_seed_matrix_is_equivalent(self, engine_b, backend_b):
-        """The determinism contract: same seed, any engine × backend combo
-        makes the same decisions — only cadence differs."""
-        a = _run_events(engine="periodic", backend="object")
-        b = _run_events(engine=engine_b, backend=backend_b)
-        report = diff_events(a, b, label_a="periodic/object",
-                             label_b=f"{engine_b}/{backend_b or 'object'}")
-        assert report.verdict in (VERDICT_IDENTICAL, VERDICT_EQUIVALENT)
+    def test_same_seed_twice_is_identical(self):
+        """The determinism contract: two separate same-seed runs make the
+        same decisions and record the same canonical trace."""
+        report = diff_events(_run_events(), _run_events())
+        assert report.verdict == VERDICT_IDENTICAL
+        assert report.ok
+
+    def test_armed_watchdog_changes_cadence_not_decisions(self):
+        """An armed watchdog fires the idle heartbeat ticks an unarmed run
+        skips: more ``sim.heartbeat``/``sim.state_hash`` events, the same
+        decisions."""
+        a = _run_events()
+        b = _run_events(watchdog=Watchdog(mode="warn"))
+        assert len(b) > len(a)
+        report = diff_events(a, b, label_a="unarmed", label_b="armed")
+        assert report.verdict == VERDICT_EQUIVALENT
         assert report.ok
         assert report.placements["flipped"] == 0
         assert report.checkpoints["final_match"]

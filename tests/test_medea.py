@@ -147,8 +147,8 @@ class TestSchedulingCycle:
         class ConflictingScheduler(SerialScheduler):
             """Emits a placement, then a task grabs the node first."""
 
-            def place(self, requests, state_, manager):
-                result = super().place(requests, state_, manager)
+            def place(self, requests, state_, manager, *, now=0.0):
+                result = super().place(requests, state_, manager, now=now)
                 # Simulate the race: a task lands on the target node after
                 # the decision but before allocation.
                 state_.allocate(

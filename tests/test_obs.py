@@ -3,13 +3,12 @@
 Covers the tentpole guarantees of the obs redesign: deterministic trace
 streams (same seed ⇒ byte-identical canonical JSONL), metrics snapshot
 correctness, decision-audit contents for affinity / anti-affinity pruning,
-the disabled-tracer no-op, and the ``SolverStats`` migration aliases.
+the disabled-tracer no-op, and the keyword-only clock convention.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -256,17 +255,7 @@ class TestMetrics:
         assert place_stats["scheduler=Serial"]["count"] >= 1
 
 
-class TestSolverStatsMigration:
-    def test_deprecated_alias_warns_and_is_same_class(self):
-        with pytest.warns(DeprecationWarning, match="moved to repro.obs"):
-            from repro.solver import SolverStats as LegacyStats
-        assert LegacyStats is SolverStats
-
-    def test_model_reexport_still_works(self):
-        from repro.solver.model import SolverStats as ModelStats
-
-        assert ModelStats is SolverStats
-
+class TestSolverStats:
     def test_record_to_folds_into_metrics(self):
         stats = SolverStats(
             backend="bnb", nodes_explored=7, lp_solves=3,
@@ -350,66 +339,24 @@ class TestDecisionAudit:
         assert decision.chosen_node == "n00001"
 
 
-class TestClockShims:
-    def test_positional_now_warns_but_works(self):
+class TestClockConvention:
+    def test_positional_now_rejected(self):
+        """Clock arguments are keyword-only; there is no positional form."""
         from repro import CapacityScheduler, ClusterState, MedeaScheduler
 
-        topo = build_cluster(2)
-        state = ClusterState(topo)
-        medea = MedeaScheduler(
-            state, SerialScheduler(), CapacityScheduler(state),
-            metrics=Metrics(),
-        )
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            medea.submit_lra(make_lra("x", containers=1), 3.0)
-        assert medea.outcomes["x"].submit_time == 3.0
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            medea.run_cycle(4.0)
-        assert medea.outcomes["x"].placed_time == 4.0
-
-    def test_too_many_positionals_rejected(self):
-        from repro import CapacityScheduler, ClusterState, MedeaScheduler
-
-        topo = build_cluster(2)
-        state = ClusterState(topo)
+        state = ClusterState(build_cluster(2))
         medea = MedeaScheduler(
             state, SerialScheduler(), CapacityScheduler(state),
             metrics=Metrics(),
         )
         with pytest.raises(TypeError):
-            medea.run_cycle(1.0, 2.0)
-
-    def test_legacy_place_override_shimmed(self):
-        from repro import ClusterState, ConstraintManager
-        from repro.core.scheduler import LRAScheduler, PlacementResult
-
-        class LegacyScheduler(LRAScheduler):
-            name = "legacy"
-
-            def place(self, requests, state, manager):  # old 3-arg form
-                return PlacementResult()
-
-        topo = build_cluster(2)
-        state = ClusterState(topo)
-        scheduler = LegacyScheduler()
-        with pytest.warns(DeprecationWarning, match="keyword-only 'now'"):
-            result = scheduler.timed_place(
-                [make_lra("l", containers=1)], state,
-                ConstraintManager(topo), now=5.0, metrics=Metrics(),
-            )
-        assert isinstance(result, PlacementResult)
-
-    def test_keyword_now_no_warning(self):
-        from repro import ClusterState, ConstraintManager
-
-        topo = build_cluster(2)
-        state = ClusterState(topo)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            SerialScheduler().timed_place(
-                [make_lra("k", containers=1)], state,
-                ConstraintManager(topo), now=1.0, metrics=Metrics(),
-            )
+            medea.submit_lra(make_lra("x", containers=1), 3.0)
+        with pytest.raises(TypeError):
+            medea.run_cycle(4.0)
+        medea.submit_lra(make_lra("x", containers=1), now=3.0)
+        medea.run_cycle(now=4.0)
+        assert medea.outcomes["x"].submit_time == 3.0
+        assert medea.outcomes["x"].placed_time == 4.0
 
 
 class TestPublicApi:

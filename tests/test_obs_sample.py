@@ -89,7 +89,6 @@ def _run_sim(tracer, *, nodes=24, tasks_per_s=10, horizon=40.0):
             scheduling_interval_s=10.0,
             heartbeat_interval_s=1.0,
             horizon_s=horizon,
-            engine="ondemand",
         ),
         tracer=tracer,
     )

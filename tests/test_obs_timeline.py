@@ -4,8 +4,8 @@ Covers the evaluation-signal tentpole: bounded-memory time-series
 aggregation, declarative SLO monitoring with typed breach events, trace
 replay with state-hash cross-checking (including corruption detection),
 dashboard byte-determinism for same-seed runs, timer percentiles, the
-``repro.metrics.stats`` → ``repro.obs.stats`` move, and the hardened
-trace-file reader behind ``repro trace-report`` / ``dashboard``.
+``repro.obs.stats`` summaries, and the hardened trace-file reader behind
+``repro trace-report`` / ``dashboard``.
 """
 
 from __future__ import annotations
@@ -345,45 +345,13 @@ class TestTimerPercentiles:
         assert len(stats[0].hist._buckets) < 2_000
         assert stats[0].percentile(90) == pytest.approx(9_000, rel=0.01)
 
-    def test_reservoir_shim_restores_old_path(self, monkeypatch):
-        from repro.obs import metrics as metrics_mod
-        from repro.obs.metrics import use_reservoir_percentiles
-
-        monkeypatch.setattr(metrics_mod, "_reservoir_warned", False)
-        with pytest.warns(DeprecationWarning, match="reservoir"):
-            use_reservoir_percentiles(True)
-        try:
-            metrics = Metrics()
-            timer = metrics.timer("lat")
-            for v in range(1, 101):
-                timer.observe(float(v))
-            stat = timer.stat()
-            # Legacy reservoir semantics: exact interpolated percentiles
-            # below the reservoir size, samples retained.
-            assert len(stat._samples) == 100
-            assert stat.percentile(50) == pytest.approx(50.5)
-            assert stat.percentile(99) == pytest.approx(99.01)
-        finally:
-            use_reservoir_percentiles(False)
-
 
 class TestStatsMove:
     def test_repro_package_import_warns_nothing(self):
-        """The supported spelling is ``from repro import BoxStats``; the
-        whole ``repro.metrics`` package is now a warn-once shim (see
-        tests/test_deprecation_shims.py)."""
+        """The supported spelling is ``from repro import BoxStats``."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro import BoxStats, evaluate_violations  # noqa: F401
-
-    def test_old_module_path_warns(self):
-        import repro.metrics.stats as old
-
-        with pytest.warns(DeprecationWarning, match="repro.obs.stats"):
-            old.BoxStats
-        import repro.obs.stats as new
-
-        assert old.percentile is new.percentile
 
     def test_box_stats_record_to_registry(self):
         from repro.obs.stats import BoxStats

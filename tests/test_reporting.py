@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -66,7 +69,7 @@ class TestPublicApi:
         import repro.cluster
         import repro.core
         import repro.failures
-        import repro.metrics
+        import repro.obs
         import repro.perf
         import repro.sim
         import repro.solver
@@ -75,8 +78,28 @@ class TestPublicApi:
 
         for module in (
             repro.apps, repro.cluster, repro.core, repro.failures,
-            repro.metrics, repro.perf, repro.sim, repro.solver,
+            repro.obs, repro.perf, repro.sim, repro.solver,
             repro.taskscheduler, repro.workloads,
         ):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name} missing"
+
+
+def test_env_knob_ledger():
+    """EXPERIMENTS.md's knob table lists exactly the ``MEDEA_*`` environment
+    variables the package reads — a new knob must be documented, a retired
+    one must be struck."""
+    root = Path(__file__).resolve().parent.parent
+    token = re.compile(r"MEDEA_[A-Z_]+")
+    in_src = {
+        name
+        for path in (root / "src").rglob("*.py")
+        for name in token.findall(path.read_text())
+    }
+    table_rows = [
+        line for line in (root / "EXPERIMENTS.md").read_text().splitlines()
+        if line.startswith("| `MEDEA_")
+    ]
+    in_table = {token.search(line).group() for line in table_rows}
+    assert len(in_table) == len(table_rows) == 9
+    assert in_src == in_table

@@ -53,7 +53,6 @@ def _run_sim(tracer, *, horizon=50.0, tasks_per_s=8):
             scheduling_interval_s=10.0,
             heartbeat_interval_s=1.0,
             horizon_s=horizon,
-            engine="ondemand",
         ),
         tracer=tracer,
     )

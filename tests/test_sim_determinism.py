@@ -94,19 +94,19 @@ def test_deterministic_across_scheduler_types() -> None:
     assert run_once() == run_once()
 
 
-def run_large_cluster(engine_mode: str, *, tracer=None) -> tuple[str, int]:
-    """A seeded 1000-node run; returns (canonical trace, heartbeats fired).
+def run_large_cluster(*, tracer=None) -> tuple[str, int, int]:
+    """A seeded 1000-node run; returns (canonical trace, heartbeat ticks
+    that did work, heartbeat grid ticks).
 
     The trace records only scheduling cycles that placed or rejected
-    something: the on-demand engine legitimately skips the no-op ticks the
-    periodic engine fires, and everything *observable* must still match.
+    something; no-op ticks are skipped.
     """
     topology = build_cluster(1000, racks=20, memory_mb=16 * 1024, vcores=16)
     sim = ClusterSimulation(
         topology,
         ConstraintUnawareScheduler(seed=7),
         config=SimConfig(scheduling_interval_s=10.0, heartbeat_interval_s=1.0,
-                         horizon_s=120.0, engine=engine_mode),
+                         horizon_s=120.0),
         tracer=tracer,
     )
     trace: list[str] = []
@@ -145,18 +145,19 @@ def run_large_cluster(engine_mode: str, *, tracer=None) -> tuple[str, int]:
     trace.append(f"final={final}")
     trace.append(f"fingerprint={sim.state.fingerprint()}")
     canon = "\n".join(line for line in trace if line is not None)
-    return canon, sim.heartbeat_handle.fired
+    return canon, sim.heartbeat_handle.fired, sim.heartbeat_handle.ticks
 
 
-def test_engines_byte_identical_at_scale() -> None:
-    """Periodic vs on-demand event engines: identical observables on a
-    seeded 1k-node cluster, with on-demand firing strictly fewer ticks."""
-    periodic, periodic_fired = run_large_cluster("periodic")
-    ondemand, ondemand_fired = run_large_cluster("ondemand")
-    assert periodic.encode() == ondemand.encode()
-    assert "placed=" in periodic and "fingerprint=" in periodic
-    # The point of on-demand mode: idle heartbeats never fire.
-    assert ondemand_fired < periodic_fired
+def test_same_seed_byte_identical_at_scale() -> None:
+    """Two same-seed runs of a seeded 1k-node cluster: identical
+    observables, with idle heartbeat ticks skipped."""
+    first, fired, ticks = run_large_cluster()
+    second, fired_again, _ = run_large_cluster()
+    assert first.encode() == second.encode()
+    assert "placed=" in first and "fingerprint=" in first
+    assert fired == fired_again
+    # Idle heartbeats never fire.
+    assert fired < ticks
 
 
 def test_tracing_does_not_perturb_the_run() -> None:
@@ -164,9 +165,9 @@ def test_tracing_does_not_perturb_the_run() -> None:
     tracer cannot change placements, latencies, or fingerprints."""
     from repro.obs.trace import MemorySink, Tracer
 
-    quiet, _ = run_large_cluster("ondemand")
+    quiet, _, _ = run_large_cluster()
     sink = MemorySink()
-    traced, _ = run_large_cluster("ondemand", tracer=Tracer([sink], enabled=True))
+    traced, _, _ = run_large_cluster(tracer=Tracer([sink], enabled=True))
     assert quiet.encode() == traced.encode()
     assert len(sink) > 0  # the tracer actually captured the run
 

@@ -15,6 +15,7 @@ from repro import (
     build_cluster,
     cardinality,
 )
+from tests.helpers import scalar_state_metrics
 
 
 def put(state, cid, node, tags=("w",), mem=1024, app="a1", long_running=True):
@@ -248,13 +249,21 @@ class TestMetricMemoisation:
         assert state.cluster_memory_utilization() == (
             state._compute_cluster_memory_utilization()
         )
+        # The vectorised metrics agree with plain loops over the nodes
+        # (integers exactly; float reductions up to summation order).
+        oracle = scalar_state_metrics(state, threshold)
+        assert state.total_free() == oracle["total_free"]
+        assert state.cluster_memory_utilization() == oracle["utilization"]
+        assert state.fragmented_node_fraction(threshold) == oracle["frag"]
+        assert state.memory_utilization_cv() == pytest.approx(
+            oracle["cv"], rel=1e-12
+        )
+        assert state.rack_memory_utilization() == pytest.approx(
+            oracle["rack_util"], rel=1e-12
+        )
 
-    @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_cached_values_track_mutations(self, small_topology, backend):
-        try:
-            state = ClusterState(small_topology, backend=backend)
-        except ValueError:
-            pytest.skip("numpy unavailable")
+    def test_cached_values_track_mutations(self, small_topology):
+        state = ClusterState(small_topology)
         nodes = list(small_topology)
         rng = random.Random(5)
         live: list[str] = []

@@ -1,24 +1,27 @@
-"""Differential equivalence suite for the scale-out core.
+"""Golden-fixture equivalence suite for the scale-out core.
 
-The vectorised cluster-state backend, the incrementally-maintained
-candidate index, and the on-demand event engine are all pure
-optimisations: same placements, same canonical traces, same fingerprints,
-byte for byte.  This suite locks that contract in by running every
-scenario generator the repo ships — HBase populations, utilisation-mix
-populations, complexity groups, GridMix and Google-trace task streams,
-with node failures thrown in — across the full (backend × engine) matrix
-and diffing the results against the legacy ``(object, periodic)``
-reference configuration.
+The vectorised cluster state, the incrementally-maintained candidate
+index, and the skip-idle-ticks heartbeat/cycle series replaced a
+dict-of-``Node`` state backend and a fire-every-tick engine mode.  Before
+those were deleted, the observable output of the retired ``(object,
+periodic)`` configuration was frozen into
+``tests/fixtures/scale_core_golden.json`` for every scenario generator the
+repo ships — HBase populations, utilisation-mix populations, complexity
+groups, GridMix and Google-trace task streams, with node failures thrown
+in.  This suite runs each scenario once and compares it to that fixture.
 
 Anything observable must match exactly: the per-cycle placement trace,
 task-allocation latencies, the final container→node map, the placement
 fingerprint, and the ground-truth violation audit.  Statistical floats
-(utilisation CV) may differ in ulps between scalar and vectorised
-summation, so they are compared approximately — they never feed the
-canonical trace.
+(utilisation CV, per-rack utilisation) were summed in a different order by
+the scalar backend, so they are compared at ``rel=1e-12`` — they never
+feed the canonical trace.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +31,8 @@ from repro import (
     TagPopularityScheduler,
     build_cluster,
 )
-from repro.cluster.state import ClusterState, _np
+from repro.cluster.resources import Resource
+from repro.cluster.state import ClusterState
 from repro.core.requests import TaskRequest
 from repro.obs.violations import evaluate_violations
 from repro.sim import ClusterSimulation, SimConfig
@@ -40,48 +44,27 @@ from repro.workloads.lra_gen import (
     population_for_utilization,
 )
 
-#: The full differential matrix; ``(object, periodic)`` is the reference.
-CONFIGS = [
-    ("object", "periodic"),
-    ("object", "ondemand"),
-    ("array", "periodic"),
-    ("array", "ondemand"),
-]
-
-needs_numpy = pytest.mark.skipif(_np is None, reason="numpy unavailable")
-
-
-def _configs() -> list[tuple[str, str]]:
-    if _np is None:  # pragma: no cover - numpy is baked into the image
-        return [c for c in CONFIGS if c[0] != "array"]
-    return list(CONFIGS)
-
-
-#: Task streams are generated once per scenario and shared across configs
-#: (generation is fully deterministic per seed — ids included — so this
-#: cache is just an optimisation, not a correctness requirement).
-_TASK_STREAMS: dict[str, list[tuple[float, TaskRequest]]] = {}
-
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "scale_core_golden.json").read_text()
+)
 
 def _task_stream(name: str) -> list[tuple[float, TaskRequest]]:
-    if name not in _TASK_STREAMS:
-        if name == "hbase-gridmix":
-            stream = generate_tasks(
-                GridMixConfig(seed=7, mean_interarrival_s=1.0), count=60
-            )
-        elif name == "utilization-google":
-            stream = generate_trace(GoogleTraceConfig(seed=29), count=50)
-        elif name == "unaware-gridmix":
-            stream = generate_tasks(
-                GridMixConfig(seed=11, mean_interarrival_s=0.8), count=50
-            )
-        else:
-            stream = iter(())
-        _TASK_STREAMS[name] = list(stream)
-    return _TASK_STREAMS[name]
+    if name == "hbase-gridmix":
+        stream = generate_tasks(
+            GridMixConfig(seed=7, mean_interarrival_s=1.0), count=60
+        )
+    elif name == "utilization-google":
+        stream = generate_trace(GoogleTraceConfig(seed=29), count=50)
+    elif name == "unaware-gridmix":
+        stream = generate_tasks(
+            GridMixConfig(seed=11, mean_interarrival_s=0.8), count=50
+        )
+    else:
+        stream = iter(())
+    return list(stream)
 
 
-def run_scenario(name: str, backend: str, engine: str) -> dict:
+def run_scenario(name: str) -> dict:
     """Run one named scenario end to end; returns everything observable."""
     topology = build_cluster(24, racks=4, memory_mb=16 * 1024, vcores=16)
     horizon = 150.0
@@ -114,8 +97,6 @@ def run_scenario(name: str, backend: str, engine: str) -> dict:
             scheduling_interval_s=10.0,
             heartbeat_interval_s=1.0,
             horizon_s=horizon,
-            engine=engine,
-            backend=backend,
         ),
     )
     trace: list[str] = []
@@ -125,8 +106,8 @@ def run_scenario(name: str, backend: str, engine: str) -> dict:
             f" placed={sorted(p.container_id + '@' + p.node_id for p in result.placements)}"
             f" rejected={sorted(result.rejected_apps)}"
         )
-        # Only cycles that did something are recorded: the on-demand engine
-        # legitimately skips the no-op ticks the periodic engine fires.
+        # Only cycles that did something are recorded: no-op ticks are
+        # skipped, where the retired periodic engine fired them.
         if result.placements or result.rejected_apps
         else None
     )
@@ -164,64 +145,43 @@ def run_scenario(name: str, backend: str, engine: str) -> dict:
     }
 
 
-#: Keys that must match the reference byte for byte / value for value.
+#: Keys that must match the fixture value for value.
 EXACT_KEYS = (
     "trace", "fingerprint", "final", "task_latencies", "down",
     "violations", "total_free", "utilization", "frag",
 )
 
 
-@pytest.mark.parametrize(
-    "scenario",
-    ["hbase-gridmix", "utilization-google", "complexity", "unaware-gridmix"],
-)
-def test_backends_and_engines_are_equivalent(scenario: str) -> None:
-    reference = run_scenario(scenario, "object", "periodic")
+def _encode(value):
+    """The fixture's JSON encoding: ``Resource`` as ``[memory_mb, vcores]``,
+    floats via ``repr`` (an exact round trip), tuples as lists."""
+    if isinstance(value, Resource):
+        return [value.memory_mb, value.vcores]
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_matches_retired_reference(scenario: str) -> None:
+    golden = GOLDEN[scenario]
     # Sanity: the scenario actually exercised the scheduler.
-    assert reference["final"], scenario
-    assert reference["trace"], scenario
-    for backend, engine in _configs()[1:]:
-        candidate = run_scenario(scenario, backend, engine)
-        for key in EXACT_KEYS:
-            assert candidate[key] == reference[key], (
-                f"{scenario}: {key} diverged under backend={backend} "
-                f"engine={engine}"
-            )
-        # Vectorised float reductions may differ from scalar ones in ulps.
-        assert candidate["cv"] == pytest.approx(reference["cv"], rel=1e-12)
-        for rack, util in reference["rack_util"].items():
-            assert candidate["rack_util"][rack] == pytest.approx(util, rel=1e-12)
+    assert golden["final"], scenario
+    assert golden["trace"], scenario
+    candidate = run_scenario(scenario)
+    for key in EXACT_KEYS:
+        assert _encode(candidate[key]) == golden[key], f"{scenario}: {key} diverged"
+    # Vectorised float reductions may differ from scalar ones in ulps.
+    assert candidate["cv"] == pytest.approx(float(golden["cv"]), rel=1e-12)
+    assert candidate["rack_util"] == pytest.approx(
+        {rack: float(util) for rack, util in golden["rack_util"].items()},
+        rel=1e-12,
+    )
 
 
-@needs_numpy
-def test_array_backend_is_default(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.delenv("MEDEA_STATE_BACKEND", raising=False)
-    state = ClusterState(build_cluster(4))
-    assert state.arrays is not None
-
-
-@needs_numpy
-def test_backend_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setenv("MEDEA_STATE_BACKEND", "object")
-    assert ClusterState(build_cluster(4)).arrays is None
-    monkeypatch.setenv("MEDEA_STATE_BACKEND", "array")
-    assert ClusterState(build_cluster(4)).arrays is not None
-    # Explicit argument wins over the environment.
-    assert ClusterState(build_cluster(4), backend="object").arrays is None
-    monkeypatch.setenv("MEDEA_STATE_BACKEND", "bogus")
-    with pytest.raises(ValueError, match="backend"):
-        ClusterState(build_cluster(4))
-
-
-def test_index_bucket_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setenv("MEDEA_INDEX_BUCKET_MB", "512")
-    assert ClusterState(build_cluster(4)).index_bucket_mb == 512
+def test_index_bucket_width_validated() -> None:
     assert ClusterState(build_cluster(4), index_bucket_mb=64).index_bucket_mb == 64
-    monkeypatch.setenv("MEDEA_INDEX_BUCKET_MB", "0")
     with pytest.raises(ValueError, match="bucket"):
-        ClusterState(build_cluster(4))
-
-
-def test_unknown_engine_mode_rejected() -> None:
-    with pytest.raises(ValueError, match="engine"):
-        SimConfig(engine="sometimes")
+        ClusterState(build_cluster(4), index_bucket_mb=0)

@@ -94,7 +94,7 @@ class TestHeartbeatAllocation:
         sched = FifoScheduler(state)
         sched.submit(task("t1"), now=0.0)
         sched.handle_heartbeat("n00000", now=1.0)
-        sched.release_task("t1")
+        sched.release_task("t1", now=0.0)
         assert "t1" not in state.containers
         assert sched.queues.queue("default").used_mb == 0
 
