@@ -1,0 +1,117 @@
+"""Alternating-pairs A/B of the pipeline benchmark: BASE commit vs this tree.
+
+    python3 benchmarks/compare_commits.py BASE [--pairs 3] [--workloads W ...] [--seed N]
+
+BASE is exported (``git archive``) into a temporary directory, then
+``benchmarks/pipeline/run.py --trace 0`` runs base/change/change/base/… per
+workload, each side from its own checkout, so host drift hits both sides
+alike.  Per (workload, end-to-end metric) it prints both medians, both
+quartile spreads (q3 − q1), the ratio change/base and a verdict:
+``unresolved`` when the medians differ by no more than the wider spread
+(``benchmarks/pipeline/README.md``, "Observed run-to-run spread"), otherwise
+``improved`` or ``worse`` by the metric's direction in ``BENCHMARK.json``.
+Exits 1 if a run fails its output checks or the two sides' output
+fingerprints differ.  Reads the benchmark, never edits it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_once(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
+    """One untraced run from ``checkout``: (metric -> value, detail)."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(checkout, "benchmarks", "pipeline", "run.py"),
+         "--workload", workload, "--seed", str(seed), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or len(lines) < 2:
+        raise SystemExit(f"{workload} failed in {checkout} (exit {done.returncode})")
+    result, detail = json.loads(lines[-1]), json.loads(lines[-2])["detail"]
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{workload} in {checkout}: {detail['errors'] or result}")
+    return {k: v["value"] for k, v in result["metrics"].items()}, detail
+
+
+def spread(values: list[float]) -> tuple[float, float]:
+    """(median, q3 − q1)."""
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q2, q3 - q1
+
+
+def verdict(base: list[float], change: list[float], better: str) -> tuple:
+    base_median, base_iqr = spread(base)
+    change_median, change_iqr = spread(change)
+    gain = change_median - base_median if better == "higher" else base_median - change_median
+    if abs(gain) <= max(base_iqr, change_iqr):
+        word = "unresolved"
+    else:
+        word = "improved" if gain > 0 else "worse"
+    ratio = change_median / base_median if base_median else float("nan")
+    return base_median, base_iqr, change_median, change_iqr, ratio, word
+
+
+def main(argv: list[str] | None = None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    names = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", metavar="BASE", help="commit to compare this tree against")
+    parser.add_argument("--pairs", type=int, default=3, help="base/change pairs per workload (>= 2)")
+    parser.add_argument("--workloads", nargs="+", choices=names, default=names)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 (quartiles need two runs a side)")
+
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="compare_commits_") as base_dir:
+        archive = subprocess.run(
+            ["git", "archive", "--format=tar", args.base],
+            cwd=ROOT, stdout=subprocess.PIPE, check=True,
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            # ``filter=`` needs 3.12, or a patched 3.10.12+ / 3.11.4+.
+            tar.extractall(base_dir, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        sides = {"base": base_dir, "change": ROOT}
+        print(f"{'workload':14s} {'metric':17s} {'base':>10s} {'±iqr':>9s} "
+              f"{'change':>10s} {'±iqr':>9s} {'ratio':>8s}  verdict")
+        for workload in args.workloads:
+            values = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in sides}
+            prints = {side: set() for side in sides}
+            for pair in range(args.pairs):
+                # base/change, change/base, ...: neither side always runs first.
+                for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
+                    print(f"[{workload} pair {pair + 1}/{args.pairs}] {side}", file=sys.stderr)
+                    metrics, detail = run_once(sides[side], workload, args.seed)
+                    prints[side].add(detail["fingerprint"])
+                    for name, value in metrics.items():
+                        values[side][name].append(value)
+            for metric in spec["end_to_end"]:
+                name = metric["name"]
+                row = verdict(values["base"][name], values["change"][name], metric["better"])
+                print(f"{workload:14s} {name:17s} {row[0]:10.5g} {row[1]:9.3g} "
+                      f"{row[2]:10.5g} {row[3]:9.3g} {row[4]:8.3f}  {row[5]}")
+            if prints["base"] != prints["change"] or len(prints["base"]) != 1:
+                ok = False
+                print(f"{workload}: FINGERPRINTS DIFFER base={sorted(prints['base'])} "
+                      f"change={sorted(prints['change'])}")
+            else:
+                print(f"{workload}: fingerprint {prints['base'].pop()} on both sides")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

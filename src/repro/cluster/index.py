@@ -1,116 +1,85 @@
-"""Incrementally-maintained candidate store over a cluster topology.
+"""Incrementally-maintained tag and rack maps over a cluster topology.
 
-Every scheduler in this repo used to enumerate candidate nodes by rescanning
-the whole topology per container — O(cluster size) per placement decision.
-At the ROADMAP's 10k-node scale that scan, not the solver, dominates cycle
-time.  :class:`CandidateIndex` replaces the rescan with three indexes that
-are updated on every allocate / release / availability flip through
-:meth:`~repro.cluster.node.Node.add_listener` hooks:
+:class:`CandidateIndex` answers "which nodes carry tag t" and "which nodes
+are in rack r" without rescanning the topology.  It is updated on every
+allocate / release through :meth:`~repro.cluster.node.Node.add_listener`
+hooks:
 
 * **tag index** — dynamic tag → ``{node index: container count}`` plus a
   static-tag map built once; answers "which nodes currently host tag t"
   (the gamma environment of a constraint) in O(#matches);
-* **rack index** — rack → node indices, static;
-* **free-capacity buckets** — nodes bucketed by ``free memory // bucket_mb``
-  so capacity-feasibility enumeration only touches buckets that can
-  possibly fit the demand.
+* **rack index** — rack → node indices, static.
+
+Capacity, availability and constraint scoring are *not* kept here: they are
+single array passes over the owning state's struct-of-arrays mirror
+(:meth:`~repro.cluster.state.StateArrays.fit_mask`,
+:meth:`~repro.cluster.state.ClusterState.placement_deltas`); the index only
+resolves the fit mask to a list (:meth:`CandidateIndex.fit_node_indices`).
 
 Node identity is a *stable node-index map* (topology insertion order — the
 same order every legacy ``for node in state.topology`` scan used), so
 index-driven enumeration yields candidates in the exact order the scan did
-and scheduler tie-breaking stays byte-for-byte identical.
-
-The index is *exact* only through its final per-node checks: buckets give a
-sound over-approximation (a node whose whole bucket lies below the demand
-can never fit), and :meth:`fit_node_indices` re-checks availability and the
-precise free vector per surviving candidate.  Property tests assert that an
-incrementally-maintained index always equals a from-scratch rebuild under
-arbitrary allocate / release / failure interleavings.
+and scheduler tie-breaking stays byte-for-byte identical.  Property tests
+assert that an incrementally-maintained index always equals a from-scratch
+rebuild under arbitrary allocate / release / failure interleavings, and
+that the fit query equals the brute-force ``node.can_fit`` scan.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as _np
+
 if TYPE_CHECKING:
     from .resources import Resource
 from .node import Allocation, Node
+from .state import StateArrays
 from .topology import ClusterTopology
 
 __all__ = ["CandidateIndex"]
 
 
 class CandidateIndex:
-    """Tag / rack / free-capacity index over the nodes of one topology."""
+    """Tag / rack index over the nodes of one topology.
+
+    ``arrays`` is the owning state's live mirror; the index then registers
+    for node mutations.  Without it the index is a snapshot of the topology's
+    *current* state (own mirror, no hooks) — see :meth:`rebuilt`.
+    """
 
     def __init__(
-        self,
-        topology: ClusterTopology,
-        *,
-        bucket_mb: int = 2048,
-        register: bool = True,
+        self, topology: ClusterTopology, *, arrays: StateArrays | None = None
     ) -> None:
-        if bucket_mb <= 0:
-            raise ValueError("bucket_mb must be positive")
-        self.topology = topology
-        self.bucket_mb = bucket_mb
-        self.nodes: list[Node] = list(topology)
-        self.node_ids: list[str] = [n.node_id for n in self.nodes]
-        self.index_of: dict[str, int] = {
-            node_id: i for i, node_id in enumerate(self.node_ids)
-        }
-        # -- static structure ------------------------------------------------
+        live = arrays is not None
+        self._topology = topology
+        self._arrays = arrays if live else StateArrays(topology)
+        self.node_ids: list[str] = self._arrays.node_ids
+        self.index_of: dict[str, int] = self._arrays.index_of
         racks: dict[str, list[int]] = {}
         static_tags: dict[str, set[int]] = {}
-        for i, node in enumerate(self.nodes):
+        #: dynamic tag -> {node index: container-contributed count}
+        self._tag_nodes: dict[str, dict[int, int]] = {}
+        for i, node in enumerate(topology):
             racks.setdefault(node.rack, []).append(i)
             for tag in node.static_tags:
                 static_tags.setdefault(tag, set()).add(i)
+            for allocation in node.iter_allocations():
+                self._add_tags(i, allocation.tags)
+            if live:
+                node.add_listener(self)
         self._rack_nodes: dict[str, tuple[int, ...]] = {
             rack: tuple(members) for rack, members in racks.items()
         }
         self._static_tag_nodes = static_tags
-        # -- incremental structure -------------------------------------------
-        #: dynamic tag -> {node index: container-contributed count}
-        self._tag_nodes: dict[str, dict[int, int]] = {}
-        #: free-memory bucket -> node indices; every node is in exactly one
-        #: bucket (down nodes included — availability is a separate filter).
-        self._buckets: dict[int, set[int]] = {}
-        self._bucket_of: list[int] = []
-        self._down: set[int] = set()
-        for i, node in enumerate(self.nodes):
-            bucket = node.free.memory_mb // bucket_mb
-            self._bucket_of.append(bucket)
-            self._buckets.setdefault(bucket, set()).add(i)
-            if not node.available:
-                self._down.add(i)
-            for allocation in node.iter_allocations():
-                self._add_tags(i, allocation.tags)
-        # -- signature cache (see signatures()) ------------------------------
-        self._sig_cache: dict[tuple[str, ...], list[tuple]] = {}
-        self._sig_version = topology.groups_version
-        if register:
-            for node in self.nodes:
-                node.add_listener(self)
 
     # -- node mutation hooks --------------------------------------------------
 
     def _node_allocated(self, node: Node, allocation: Allocation) -> None:
-        i = self.index_of[node.node_id]
-        self._add_tags(i, allocation.tags)
-        self._refresh_bucket(i, node)
+        self._add_tags(self.index_of[node.node_id], allocation.tags)
 
     def _node_released(self, node: Node, allocation: Allocation) -> None:
-        i = self.index_of[node.node_id]
-        self._remove_tags(i, allocation.tags)
-        self._refresh_bucket(i, node)
-
-    def _node_availability(self, node: Node, up: bool) -> None:
-        i = self.index_of[node.node_id]
-        if up:
-            self._down.discard(i)
-        else:
-            self._down.add(i)
+        self._remove_tags(self.index_of[node.node_id], allocation.tags)
 
     def _add_tags(self, i: int, tags: Iterable[str]) -> None:
         for tag in tags:
@@ -130,39 +99,13 @@ class CandidateIndex:
                 if not per_node:
                     del self._tag_nodes[tag]
 
-    def _refresh_bucket(self, i: int, node: Node) -> None:
-        bucket = node.free.memory_mb // self.bucket_mb
-        old = self._bucket_of[i]
-        if bucket == old:
-            return
-        members = self._buckets[old]
-        members.discard(i)
-        if not members:
-            del self._buckets[old]
-        self._buckets.setdefault(bucket, set()).add(i)
-        self._bucket_of[i] = bucket
-
     # -- queries --------------------------------------------------------------
 
     def fit_node_indices(self, demand: "Resource") -> list[int]:
         """Indices of available nodes that can fit ``demand``, in topology
         order (ascending index) — the same order a full topology scan with
         ``node.can_fit`` yields, minus the scan."""
-        min_bucket = demand.memory_mb // self.bucket_mb
-        candidates: list[int] = []
-        for bucket, members in self._buckets.items():
-            if bucket >= min_bucket:
-                candidates.extend(members)
-        candidates.sort()
-        mem, vc = demand.memory_mb, demand.vcores
-        nodes = self.nodes
-        out: list[int] = []
-        for i in candidates:
-            node = nodes[i]
-            free = node.free
-            if node.available and mem <= free.memory_mb and vc <= free.vcores:
-                out.append(i)
-        return out
+        return _np.flatnonzero(self._arrays.fit_mask(demand)).tolist()
 
     def fit_node_ids(self, demand: "Resource") -> list[str]:
         """Like :meth:`fit_node_indices` but resolved to node ids."""
@@ -197,35 +140,12 @@ class CandidateIndex:
     def rack_members(self, rack: str) -> tuple[int, ...]:
         return self._rack_nodes.get(rack, ())
 
-    def down_indices(self) -> frozenset[int]:
-        return frozenset(self._down)
-
     def signatures(self, groups: tuple[str, ...]) -> list[tuple]:
-        """Per-node *constraint signatures* for a tuple of node groups.
-
-        A node's signature is the tuple, per group, of the indices of that
-        group's node sets containing it.  Constraint-violation deltas
-        depend on a node only through this signature (the γ counters are
-        per (group, set)), so schedulers evaluate the delta once per
-        signature class instead of once per node.  Cached per group tuple;
-        invalidated when new groups are registered on the topology.
-        """
-        version = self.topology.groups_version
-        if self._sig_version != version:
-            self._sig_cache.clear()
-            self._sig_version = version
-        sigs = self._sig_cache.get(groups)
-        if sigs is None:
-            topology = self.topology
-            sigs = [
-                tuple(
-                    tuple(topology.set_indices_for_node(group, node_id))
-                    for group in groups
-                )
-                for node_id in self.node_ids
-            ]
-            self._sig_cache[groups] = sigs
-        return sigs
+        """Per node, per group of ``groups``, the indices of the group's sets
+        containing it, computed on demand.  Scoring does not read it (it
+        gathers through the state's membership arrays)."""
+        sets_of = self._topology.set_indices_for_node
+        return [tuple(tuple(sets_of(g, n)) for g in groups) for n in self.node_ids]
 
     # -- verification helpers -------------------------------------------------
 
@@ -237,25 +157,15 @@ class CandidateIndex:
         mutation interleavings.
         """
         return {
-            "bucket_mb": self.bucket_mb,
             "tags": {
                 tag: dict(sorted(per_node.items()))
                 for tag, per_node in sorted(self._tag_nodes.items())
             },
-            "buckets": {
-                bucket: sorted(members)
-                for bucket, members in sorted(self._buckets.items())
-                if members
-            },
-            "bucket_of": list(self._bucket_of),
-            "down": sorted(self._down),
         }
 
     @classmethod
-    def rebuilt(
-        cls, topology: ClusterTopology, *, bucket_mb: int = 2048
-    ) -> "CandidateIndex":
+    def rebuilt(cls, topology: ClusterTopology) -> "CandidateIndex":
         """A from-scratch index over the topology's *current* state, not
         registered for updates — the ground truth incremental maintenance
         is checked against."""
-        return cls(topology, bucket_mb=bucket_mb, register=False)
+        return cls(topology)

@@ -2,18 +2,29 @@
 
 This is the single source of truth both schedulers read (Fig. 4's *cluster
 state* component).  It maintains, incrementally, the per-node-set tag
-cardinalities γ𝒮 for every registered node group so that constraint
-evaluation inside scheduling loops is O(#groups) instead of O(cluster size).
+cardinalities γ𝒮 for every registered node group, stored array-shaped so a
+scheduler scores *all* candidate nodes of a container in one pass
+(:meth:`ClusterState.placement_deltas`, the one implementation of the greedy
+violation-delta policy; its floats are bit-identical to a node-by-node
+evaluation — the method's docstring states the accumulation order):
+
+* per group, a node-index → set-index **membership array** (one column per
+  set a node can be in; rows of nodes in fewer sets, or none, are padded),
+  rebuilt — and γ recounted from the container map — whenever
+  ``topology.groups_version`` moves;
+* per (group, tag) with at least one live container, an int64 **γ array**
+  over the group's set indices, allocated on the tag's first increment and
+  freed when its last container leaves: memory is O(live tags × sets).
 
 Per-node capacity / free / availability are mirrored into numpy
-struct-of-arrays (:class:`_StateArrays`), keyed by a stable node-index map
+struct-of-arrays (:class:`StateArrays`), keyed by a stable node-index map
 in topology order, and ``total_free`` / utilisation / fragmentation / rack
 statistics are computed vectorised over it.  The mirror is maintained
 through :meth:`Node.add_listener` hooks, so it stays consistent no matter
 which code path mutates a node.  All integer aggregates are exact (int64);
-the test suite checks every metric against a scalar oracle that loops over
-the topology's nodes (``tests/helpers.py``) and against a golden fixture
-frozen from the retired dict-of-``Node`` backend.
+the test suite checks every metric and every delta against scalar oracles
+(``tests/helpers.py``) and a golden fixture frozen from the retired
+dict-of-``Node`` backend.
 
 Derived metrics are memoised on a state *version counter* that every
 allocate / release / availability flip bumps, so repeated reads within one
@@ -23,24 +34,22 @@ tick (timeline sink, watchdog, state-hash event) cost one computation.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+import itertools
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as _np
 
-from ..tags import TagMultiset
-
 if TYPE_CHECKING:  # import only for annotations: core depends on cluster
-    from ..core.constraints import PlacementConstraint
+    from ..core.constraints import PlacementConstraint, TagConstraint
     from .index import CandidateIndex
 from .node import Allocation, Node
 from .resources import Resource
 from .topology import ClusterTopology
 
-__all__ = ["ClusterState", "PlacedContainer", "placement_fingerprint"]
+__all__ = ["ClusterState", "PlacedContainer", "StateArrays", "placement_fingerprint"]
 
 
-class _StateArrays:
+class StateArrays:
     """Struct-of-arrays mirror of the per-node scalar state.
 
     One row per node, in topology insertion order (the *stable node-index
@@ -95,6 +104,113 @@ class _StateArrays:
         self.free_mem[i] = free.memory_mb
         self.free_vc[i] = free.vcores
 
+    def fit_mask(
+        self, demand: Resource, nodes: _np.ndarray | slice = slice(None)
+    ) -> _np.ndarray:
+        """Per node (all, or the given indices): available and free ≥
+        ``demand`` in both dimensions — ``Node.can_fit`` in one compare."""
+        return (
+            self.avail[nodes]
+            & (self.free_mem[nodes] >= demand.memory_mb)
+            & (self.free_vc[nodes] >= demand.vcores)
+        )
+
+
+class _GroupGamma:
+    """γ𝒮 storage of one node group: which sets each node is in, and one
+    cardinality array over the group's sets per live tag.
+
+    Every per-set array has one slot more than the group has sets.  That
+    last slot stands for "no set": no node is in it, so its count stays 0,
+    and membership rows are padded with its index — a gather through the
+    padding reads 0 and needs no mask."""
+
+    __slots__ = ("sets_of", "member", "no_set", "counts", "zeros")
+
+    def __init__(self, topology: ClusterTopology, name: str, node_ids: list[str]) -> None:
+        #: node index -> indices of the sets containing it, in the
+        #: topology's membership order (the scalar write and read path).
+        self.sets_of: list[Sequence[int]] = [
+            topology.set_indices_for_node(name, node_id) for node_id in node_ids
+        ]
+        self.no_set = len(topology.group(name).node_sets)
+        lengths = _np.fromiter(
+            map(len, self.sets_of), dtype=_np.intp, count=len(node_ids)
+        )
+        #: The same as an array for the scorer's gathers: one column per
+        #: membership position, rows right-padded with ``no_set``.
+        self.member = _np.full(
+            (len(node_ids), max(1, int(lengths.max()))), self.no_set, dtype=_np.intp
+        )
+        # The cells left of each row's length, in row-major order, are the
+        # membership lists laid end to end.
+        self.member[_np.arange(self.member.shape[1]) < lengths[:, None]] = (
+            _np.fromiter(
+                itertools.chain.from_iterable(self.sets_of),
+                dtype=_np.intp, count=int(lengths.sum()),
+            )
+        )
+        #: tag -> int64 cardinality per set; present only while some
+        #: container carries the tag (see ``ClusterState._update_group_tags``).
+        self.counts: dict[str, _np.ndarray] = {}
+        #: γ of a tag nobody carries.  Shared, hence read-only.
+        self.zeros = _np.zeros(self.no_set + 1, dtype=_np.int64)
+        self.zeros.setflags(write=False)
+
+    def gamma(self, tags: Iterable[str]) -> _np.ndarray:
+        """γ𝒮 of a tag conjunction over every set of the group: the minimum
+        over the tags (see :meth:`TagMultiset.min_cardinality`)."""
+        out = None
+        for tag in tags:
+            counts = self.counts.get(tag)
+            if counts is None:
+                return self.zeros
+            out = counts if out is None else _np.minimum(out, counts)
+        return self.zeros if out is None else out
+
+
+def _conjunction_count(
+    counts: Mapping[str, _np.ndarray],
+    set_index: int,
+    tags: Iterable[str],
+    exclude: Iterable[str] = (),
+) -> int:
+    """Scalar γ of a tag conjunction in one node set (see
+    :meth:`ClusterState.gamma`)."""
+    excl = set(exclude)
+    gamma = None
+    for tag in tags:
+        per_set = counts.get(tag)
+        count = int(per_set[set_index]) if per_set is not None else 0
+        if tag in excl:
+            count -= 1
+        gamma = count if gamma is None else min(gamma, count)
+    return max(0, gamma if gamma is not None else 0)
+
+
+def _extent_over(tc: "TagConstraint", gamma: _np.ndarray) -> _np.ndarray:
+    """Eq. 8 over an integer γ array: ``tc.violation_extent`` elementwise,
+    with the same IEEE operations (an int/int true division, or the raw
+    slack for a zero bound), so each element equals the scalar bit for bit."""
+    below = tc.cmin - gamma
+    above = gamma - tc.cmax
+    return _np.where(
+        below > 0,
+        below / tc.cmin if tc.cmin > 0 else below,
+        _np.where(above > 0, above / tc.cmax if tc.cmax > 0 else above, 0.0),
+    )
+
+
+def _fold_over_sets(terms: list[_np.ndarray], columns: _np.ndarray) -> _np.ndarray:
+    """Per candidate node, the sum of per-set ``terms`` over the node's sets
+    (``columns``: one set-index array per membership position), added in the
+    scalar evaluation's order: sets outermost, terms innermost."""
+    out = _np.zeros(columns.shape[1])
+    for column in columns:
+        for term in terms:
+            out += term[column]
+    return out
+
 
 def placement_fingerprint(
     placements: Mapping[str, str], down_nodes: Iterable[str] = ()
@@ -127,21 +243,15 @@ class PlacedContainer:
 class ClusterState:
     """Mutable cluster-wide allocation state over a fixed topology."""
 
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        *,
-        index_bucket_mb: int = 2048,
-    ) -> None:
+    def __init__(self, topology: ClusterTopology) -> None:
         self.topology = topology
         self._containers: dict[str, PlacedContainer] = {}
-        # (group name, node-set index) -> Counter of tags, maintained
-        # incrementally on allocate/release.
-        self._group_tags: dict[tuple[str, int], Counter[str]] = {}
-        if index_bucket_mb <= 0:
-            raise ValueError("index_bucket_mb must be positive")
-        #: Free-memory bucket width used by :meth:`candidate_index`.
-        self.index_bucket_mb = index_bucket_mb
+        # group name -> γ storage, maintained incrementally on
+        # allocate/release and rebuilt when the topology's groups change
+        # (see _gamma_groups); tag -> number of live containers carrying it.
+        self._gamma: dict[str, _GroupGamma] = {}
+        self._gamma_version = -1
+        self._live_tags: dict[str, int] = {}
         #: Bumped on every node mutation; memoised metrics key off it.
         self._version = 0
         self._memo: dict = {}
@@ -149,7 +259,7 @@ class ClusterState:
         self._down: set[str] = {
             n.node_id for n in topology if not n.available
         }
-        self._arrays = _StateArrays(topology)
+        self._arrays = StateArrays(topology)
         self._candidate_index: CandidateIndex | None = None
         for node in topology:
             node.add_listener(self)
@@ -182,7 +292,7 @@ class ClusterState:
         return self._version
 
     @property
-    def arrays(self) -> _StateArrays:
+    def arrays(self) -> StateArrays:
         """The struct-of-arrays mirror of per-node scalar state."""
         return self._arrays
 
@@ -196,7 +306,7 @@ class ClusterState:
             from .index import CandidateIndex
 
             self._candidate_index = CandidateIndex(
-                self.topology, bucket_mb=self.index_bucket_mb
+                self.topology, arrays=self._arrays
             )
         return self._candidate_index
 
@@ -229,18 +339,21 @@ class ClusterState:
             long_running=long_running,
         )
         node.allocate(allocation)
+        # γ before the container map: a group registered since the last
+        # write is recounted *from* that map inside this call.
+        self._update_group_tags(node_id, allocation.tags, +1)
         placed = PlacedContainer(container_id, node_id, allocation)
         self._containers[container_id] = placed
-        self._update_group_tags(node_id, allocation.tags, +1)
         return placed
 
     def release(self, container_id: str) -> PlacedContainer:
         try:
-            placed = self._containers.pop(container_id)
+            placed = self._containers[container_id]
         except KeyError:
             raise KeyError(f"container {container_id} is not allocated") from None
         self.topology.node(placed.node_id).release(container_id)
         self._update_group_tags(placed.node_id, placed.allocation.tags, -1)
+        del self._containers[container_id]
         return placed
 
     def release_application(self, app_id: str) -> list[PlacedContainer]:
@@ -250,14 +363,49 @@ class ClusterState:
             self.release(placed.container_id)
         return victims
 
+    def _gamma_groups(self) -> dict[str, _GroupGamma]:
+        """The per-group γ storage, current with the topology's groups.
+
+        A group registered (or replaced) after containers were placed gets
+        its membership arrays built and its γ recounted from the container
+        map here, so it is never invisible to constraint checks."""
+        version = self.topology.groups_version
+        if version != self._gamma_version:
+            self._gamma_version = version
+            node_ids = self._arrays.node_ids
+            self._gamma = {
+                name: _GroupGamma(self.topology, name, node_ids)
+                for name in self.topology.group_names()
+            }
+            self._live_tags = {}
+            for placed in self._containers.values():
+                self._update_group_tags(placed.node_id, placed.allocation.tags, +1)
+        return self._gamma
+
     def _update_group_tags(self, node_id: str, tags: frozenset[str], delta: int) -> None:
-        for group_name in self.topology.group_names():
-            for idx in self.topology.set_indices_for_node(group_name, node_id):
-                counter = self._group_tags.setdefault((group_name, idx), Counter())
-                for tag in tags:
-                    counter[tag] += delta
-                    if counter[tag] <= 0:
-                        del counter[tag]
+        groups = self._gamma_groups().values()
+        i = self._arrays.index_of[node_id]
+        for group in groups:
+            sets = group.sets_of[i]
+            if not sets:
+                continue
+            counts = group.counts
+            for tag in tags:
+                per_set = counts.get(tag)
+                if per_set is None:
+                    per_set = counts[tag] = _np.zeros_like(group.zeros)
+                for set_index in sets:
+                    per_set[set_index] += delta
+        live = self._live_tags
+        for tag in tags:
+            carriers = live.get(tag, 0) + delta
+            if carriers > 0:
+                live[tag] = carriers
+            else:
+                # Last container with this tag left: its arrays are all zero.
+                del live[tag]
+                for group in groups:
+                    group.counts.pop(tag, None)
 
     # -- queries -----------------------------------------------------------------
 
@@ -296,13 +444,8 @@ class ClusterState:
 
     def group_tag_count(self, group_name: str, set_index: int, tag: str) -> int:
         """γ𝒮(tag) for the ``set_index``-th node set of ``group_name``."""
-        return self._group_tags.get((group_name, set_index), Counter()).get(tag, 0)
-
-    def group_multiset(self, group_name: str, set_index: int) -> TagMultiset:
-        multiset = TagMultiset()
-        for tag, count in self._group_tags.get((group_name, set_index), Counter()).items():
-            multiset.add(tag, count)
-        return multiset
+        per_set = self._gamma_groups()[group_name].counts.get(tag)
+        return int(per_set[set_index]) if per_set is not None else 0
 
     def gamma(
         self,
@@ -320,15 +463,9 @@ class ClusterState:
         occurrence of each listed tag, used when the subject container is
         itself already counted in the state.
         """
-        counter = self._group_tags.get((group_name, set_index), Counter())
-        excl = set(exclude)
-        gamma = None
-        for tag in tags:
-            count = counter.get(tag, 0)
-            if tag in excl:
-                count -= 1
-            gamma = count if gamma is None else min(gamma, count)
-        return max(0, gamma if gamma is not None else 0)
+        return _conjunction_count(
+            self._gamma_groups()[group_name].counts, set_index, tags, exclude
+        )
 
     def group_sets_for_node(self, group_name: str, node_id: str) -> list[int]:
         """Indices of ``group_name``'s node sets containing ``node_id``."""
@@ -364,18 +501,83 @@ class ClusterState:
             # evaluated there, which we treat as one violation per tag
             # constraint (the subject was required to sit inside the group).
             return False, float(len(constraint.tag_constraints))
+        counts = self._gamma_groups()[constraint.node_group].counts
         satisfied = True
         extent = 0.0
         for set_index in set_indices:
             for tc in constraint.tag_constraints:
                 exclude = tc.c_tag.tags & subject if placed else ()
-                gamma = self.gamma(
-                    constraint.node_group, set_index, tc.c_tag.tags, exclude=exclude
-                )
+                gamma = _conjunction_count(counts, set_index, tc.c_tag.tags, exclude)
                 if not tc.satisfied_by(gamma):
                     satisfied = False
                     extent += tc.violation_extent(gamma)
         return satisfied, extent
+
+    def placement_deltas(
+        self,
+        constraints: Iterable[PlacementConstraint],
+        node_indices: Sequence[int] | _np.ndarray,
+        subject_tags: Iterable[str],
+    ) -> _np.ndarray:
+        """Violation extent a hypothetical placement of one container would
+        incur on each of ``node_indices`` (a float64 per index).
+
+        Scores both directions: (a) *forward* — constraints whose subject
+        matches the new container, evaluated on the candidate node (the
+        Eq.-8 extent is the gradient greedy descent needs: a nearly
+        satisfied cmin must score better than a far-from-satisfied one);
+        (b) *reverse* — constraints of already-placed subjects whose target
+        count the new container would raise (an ``hb`` container next to a
+        subject with ``{hb, 0, 0}``).  A node set holds γ𝒮(subject) such
+        subjects, each observing the target count γ𝒮(c_tag), minus itself
+        when the subject expression implies the target expression.
+
+        Every Eq.-8 term is computed once per node *set* of the group and
+        gathered to the candidates through the membership array.  Each
+        result equals, bit for bit, the node-by-node evaluation the test
+        oracle spells out (``tests/helpers.py::scalar_placement_delta``):
+        constraints in sequence; per constraint ``weight * forward`` then
+        ``weight * reverse``; each of the two a left fold over the node's
+        sets in membership order and, per set, the tag constraints in order
+        (a satisfied term adds ``0.0``, which changes no bits).  A node in
+        no set of the group scores one forward violation per tag constraint
+        and no reverse ones.
+        """
+        subject = frozenset(subject_tags)
+        nodes = _np.asarray(node_indices, dtype=_np.intp)
+        total = _np.zeros(len(nodes))
+        groups = self._gamma_groups()
+        for constraint in constraints:
+            tag_constraints = constraint.tag_constraints
+            forward = constraint.applies_to(subject)
+            reverse = [tc for tc in tag_constraints if tc.c_tag.tags <= subject]
+            if not forward and not reverse:
+                continue
+            group = groups[constraint.node_group]
+            columns = group.member[nodes].T
+            if forward:
+                terms = [
+                    _extent_over(tc, group.gamma(tc.c_tag.tags))
+                    for tc in tag_constraints
+                ]
+                for term in terms:
+                    term[group.no_set] = 0.0  # γ = 0 there is padding, not a violation
+                extent = _fold_over_sets(terms, columns)
+                extent[columns[0] == group.no_set] = float(len(tag_constraints))
+                total += constraint.weight * extent
+            if reverse:
+                subjects = group.gamma(constraint.subject.tags)
+                terms = []
+                for tc in reverse:
+                    gamma = group.gamma(tc.c_tag.tags)
+                    if tc.c_tag.tags <= constraint.subject.tags:
+                        # Every subject also counts toward the target and
+                        # must exclude itself.
+                        gamma = _np.maximum(0, gamma - 1)
+                    delta = _extent_over(tc, gamma + 1) - _extent_over(tc, gamma)
+                    terms.append(_np.where(delta > 0, subjects * delta, 0.0))
+                total += constraint.weight * _fold_over_sets(terms, columns)
+        return total
 
     def placement_delta_violations(
         self,
@@ -383,73 +585,12 @@ class ClusterState:
         node_id: str,
         subject_tags: Iterable[str],
     ) -> float:
-        """Violation extent a hypothetical placement would incur.
-
-        Scores both directions: (a) constraints whose *subject* matches the
-        new container, evaluated on the candidate node; and (b) constraints
-        of already-placed subjects whose *target* count the new container
-        would change (e.g. placing an ``hb`` container next to a subject
-        with ``{hb, 0, 0}`` anti-affinity).  Used by the greedy schedulers
-        and J-Kube scoring.
-        """
-        subject = frozenset(subject_tags)
-        total = 0.0
-        for constraint in constraints:
-            weight = constraint.weight
-            satisfied, extent = self.check_placement(
-                constraint, node_id, subject, placed=False
-            )
-            if not satisfied:
-                # The Eq.-8 extent is the gradient greedy descent needs: a
-                # nearly-satisfied cmin (small extent) must score better than
-                # a far-from-satisfied one.
-                total += weight * extent
-            total += weight * self._reverse_violations(constraint, node_id, subject)
-        return total
-
-    def _reverse_violations(
-        self,
-        constraint: PlacementConstraint,
-        node_id: str,
-        new_tags: frozenset[str],
-    ) -> float:
-        """Extra violations placing ``new_tags`` on ``node_id`` inflicts on
-        *existing* subjects of ``constraint`` in the affected node sets.
-
-        Computed entirely from the incremental γ counters (O(1) per node
-        set): the number of existing subjects in a set is γ𝒮(subject) and
-        every such subject observes the same target count — γ𝒮(c_tag),
-        minus its own contribution when the subject expression implies the
-        target expression.
-        """
-        relevant = [
-            tc for tc in constraint.tag_constraints if tc.c_tag.tags <= new_tags
-        ]
-        if not relevant:
-            return 0.0
-        total = 0.0
-        for set_index in self.group_sets_for_node(constraint.node_group, node_id):
-            n_subjects = self.gamma(
-                constraint.node_group, set_index, constraint.subject.tags
-            )
-            if n_subjects == 0:
-                continue
-            for tc in relevant:
-                gamma_all = self.gamma(
-                    constraint.node_group, set_index, tc.c_tag.tags
-                )
-                # A subject container's tags are a superset of the subject
-                # expression; if the target conjunction is contained in the
-                # subject expression, every subject also counts toward the
-                # target and must exclude itself.
-                if tc.c_tag.tags <= constraint.subject.tags:
-                    gamma = max(0, gamma_all - 1)
-                else:
-                    gamma = gamma_all
-                delta = tc.violation_extent(gamma + 1) - tc.violation_extent(gamma)
-                if delta > 0:
-                    total += n_subjects * delta
-        return total
+        """:meth:`placement_deltas` for a single node, by id."""
+        return float(
+            self.placement_deltas(
+                constraints, [self._arrays.index_of[node_id]], subject_tags
+            )[0]
+        )
 
     # -- cluster-wide metrics ---------------------------------------------------
     #

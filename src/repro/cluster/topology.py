@@ -51,7 +51,8 @@ class ClusterTopology:
             self._nodes[node.node_id] = node
         self._groups: dict[str, NodeGroup] = {}
         #: Bumped whenever the set of registered groups changes, so caches
-        #: keyed on group structure (constraint signatures) can invalidate.
+        #: keyed on group structure (the state's membership arrays and γ
+        #: counts) can rebuild.
         self._groups_version = 0
         self._register_predefined_groups()
         # node_id -> group name -> list of set indices, for O(1) lookup of

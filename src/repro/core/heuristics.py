@@ -3,7 +3,11 @@
 All heuristics share one greedy loop: order the batch's containers, then for
 each container pick the feasible node with the smallest *additional*
 constraint-violation extent (ties broken toward the node with most free
-memory, which nudges load balance).  They differ only in the ordering:
+memory, which nudges load balance).  Node selection is one array pass per
+container — the capacity fit mask over the state's free arrays, then
+:meth:`ClusterState.placement_deltas` over the fitting nodes — and the
+optional decision audit is a view of those same two arrays.  The
+heuristics differ only in the ordering:
 
 * **Serial** — no ordering; containers are placed in submission order.
 * **Medea-TP (tag popularity)** — containers whose tags appear in the most
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import random
 from typing import Sequence
+
+import numpy as np
 
 from ..cluster.state import ClusterState
 from ..obs.audit import (
@@ -205,125 +211,78 @@ class GreedyScheduler(LRAScheduler):
         decision: ContainerDecision | None = None,
     ) -> str | None:
         """Feasible node minimising additional violation extent; ties broken
-        toward the node with the most free memory.
+        toward the node with the most free memory, then toward the first
+        node in topology order.
+
+        One array pass: the capacity fit mask over the state's free arrays,
+        :meth:`ClusterState.placement_deltas` over the survivors, then the
+        lexicographic minimum of (delta, −free memory).  The deltas are
+        bit-identical to a node-by-node evaluation, so this picks exactly
+        the node a strict-``<`` first-wins scan in topology order would.
 
         When ``decision`` is given, every pruned/penalised candidate is
-        recorded into it (capacity misfits, and constraint-violating nodes
-        attributed to the specific responsible constraints).
-
-        Selection runs through the candidate index (the audited path keeps
-        the full scan, since the audit records every pruned node): capacity
-        feasibility comes from the free-capacity buckets, and the violation
-        delta is evaluated once per *constraint signature class* — nodes
-        with identical (group, node-set) memberships necessarily score the
-        same delta, because the γ counters the extent reads are per
-        (group, set).  Both paths pick the identical node: candidates are
-        enumerated in topology order with the same strict-``<`` first-wins
-        tie-break.
+        recorded into it — a view of the same fit mask and delta array.
         """
         relevant = self._relevant(constraints, container.tags)
-        if decision is None:
-            return self._pick_node_indexed(container, relevant, state)
-        best_node: str | None = None
-        best_key: tuple[float, float] | None = None
-        for node in state.topology:
-            if decision is not None:
-                decision.considered += 1
-            if not node.can_fit(container.resource):
-                if decision is not None:
-                    decision.pruned.append(
-                        CandidatePruned(node.node_id, PRUNE_CAPACITY)
-                    )
-                continue
-            delta = state.placement_delta_violations(
-                relevant, node.node_id, container.tags
+        arrays = state.arrays
+        fits = arrays.fit_mask(container.resource)
+        fit = np.flatnonzero(fits)
+        deltas = state.placement_deltas(relevant, fit, container.tags)
+        if decision is not None:
+            self._audit_candidates(
+                decision, relevant, container, state, fits, fit, deltas
             )
-            if decision is not None:
-                if delta > 0:
-                    self._audit_violating_candidate(
-                        decision, relevant, node.node_id, container, state
-                    )
-                else:
-                    decision.feasible += 1
-            key = (delta, -node.free.memory_mb)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_node = node.node_id
-        if decision is not None and best_node is not None:
-            decision.chosen_node = best_node
-            assert best_key is not None
-            decision.score_terms = {
-                "violation_delta": best_key[0],
-                "free_memory_mb": -best_key[1],
-            }
-        return best_node
-
-    def _pick_node_indexed(
-        self,
-        container: ContainerRequest,
-        relevant: Sequence[PlacementConstraint],
-        state: ClusterState,
-    ) -> str | None:
-        index = state.candidate_index()
-        fit = index.fit_node_indices(container.resource)
-        if not fit:
+        if not fit.size:
             return None
-        nodes = index.nodes
-        node_ids = index.node_ids
-        if not relevant:
-            # No constraint interacts with this container: the delta is 0
-            # everywhere and the scan reduces to "most free memory wins".
-            best_i = fit[0]
-            best_mem = nodes[best_i].free.memory_mb
-            for i in fit[1:]:
-                mem = nodes[i].free.memory_mb
-                if mem > best_mem:
-                    best_mem = mem
-                    best_i = i
-            return node_ids[best_i]
-        groups = tuple(sorted({c.node_group for c in relevant}))
-        signatures = index.signatures(groups)
-        deltas: dict[tuple, float] = {}
-        best_i: int | None = None
-        best_key: tuple[float, int] | None = None
-        for i in fit:
-            signature = signatures[i]
-            delta = deltas.get(signature)
-            if delta is None:
-                delta = state.placement_delta_violations(
-                    relevant, node_ids[i], container.tags
-                )
-                deltas[signature] = delta
-            key = (delta, -nodes[i].free.memory_mb)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_i = i
-        assert best_i is not None
-        return node_ids[best_i]
+        free = arrays.free_mem[fit]
+        tied = np.flatnonzero(deltas == deltas.min())
+        best = tied[free[tied].argmax()]  # argmax: first of equal maxima
+        chosen = arrays.node_ids[fit[best]]
+        if decision is not None:
+            decision.chosen_node = chosen
+            decision.score_terms = {
+                "violation_delta": float(deltas[best]),
+                "free_memory_mb": int(free[best]),
+            }
+        return chosen
 
-    def _audit_violating_candidate(
-        self,
+    @staticmethod
+    def _audit_candidates(
         decision: ContainerDecision,
         relevant: Sequence[PlacementConstraint],
-        node_id: str,
         container: ContainerRequest,
         state: ClusterState,
+        fits: np.ndarray,
+        fit: np.ndarray,
+        deltas: np.ndarray,
     ) -> None:
-        """Attribute a positive violation delta to the responsible
-        constraints (one audit entry per contributing constraint)."""
-        for constraint in relevant:
-            extent = state.placement_delta_violations(
-                [constraint], node_id, container.tags
+        """Record what ``pick_node`` saw, in topology order: capacity
+        misfits, and for every candidate with a positive delta one entry
+        per contributing constraint."""
+        violating = fit[deltas > 0]
+        decision.considered += len(fits)
+        decision.feasible += fit.size - violating.size
+        row_of = {int(i): row for row, i in enumerate(violating)}
+        attributed = [
+            (
+                format_constraint(constraint),
+                state.placement_deltas([constraint], violating, container.tags),
             )
-            if extent > 0:
-                decision.pruned.append(
-                    CandidatePruned(
-                        node_id,
-                        PRUNE_CONSTRAINT,
-                        constraint=format_constraint(constraint),
-                        extent=extent,
-                    )
-                )
+            for constraint in relevant
+        ]
+        for i, node_id in enumerate(state.arrays.node_ids):
+            if not fits[i]:
+                decision.pruned.append(CandidatePruned(node_id, PRUNE_CAPACITY))
+            elif i in row_of:
+                for text, extents in attributed:
+                    extent = float(extents[row_of[i]])
+                    if extent > 0:
+                        decision.pruned.append(
+                            CandidatePruned(
+                                node_id, PRUNE_CONSTRAINT,
+                                constraint=text, extent=extent,
+                            )
+                        )
 
 
 class SerialScheduler(GreedyScheduler):
@@ -424,13 +383,17 @@ class NodeCandidatesScheduler(GreedyScheduler):
         return best_index
 
     def after_placement(self, container: ContainerRequest, node_id: str) -> None:
-        if self._state is None:
+        state = self._state
+        if state is None:
             return
+        # The placed container is done; only still-pending ones are refreshed.
+        self._candidates.pop(container.container_id, None)
+        arrays = state.arrays
+        node_ids = arrays.node_ids
+        placed_node = np.array([arrays.index_of[node_id]])
         affected = self._affected_nodes(container, node_id)
         placed_tags = container.tags
         for _, other in self._pending:
-            if other.container_id == container.container_id:
-                continue
             candidates = self._candidates.get(other.container_id)
             if candidates is None:
                 continue
@@ -443,16 +406,17 @@ class NodeCandidatesScheduler(GreedyScheduler):
             )
             # Capacity on the placed node always needs a re-check; constraint
             # effects only when the containers' tags interact.
-            nodes_to_check = affected if tag_related else {node_id}
-            for check_node in nodes_to_check:
-                if self._is_candidate(other, check_node, relevant):
-                    candidates.add(check_node)
-                else:
-                    candidates.discard(check_node)
+            nodes = affected if tag_related else placed_node
+            still = arrays.fit_mask(other.resource, nodes) & (
+                state.placement_deltas(relevant, nodes, other.tags) == 0
+            )
+            candidates.difference_update(node_ids[i] for i in nodes)
+            candidates.update(node_ids[i] for i in nodes[still])
 
-    def _affected_nodes(self, container: ContainerRequest, node_id: str) -> set[str]:
-        """Nodes whose candidacy the placement may have changed: the node
-        itself plus every node sharing a constrained node set with it."""
+    def _affected_nodes(self, container: ContainerRequest, node_id: str) -> np.ndarray:
+        """Indices of the nodes whose candidacy the placement may have
+        changed: the node itself plus every node sharing a constrained node
+        set with it."""
         assert self._state is not None
         affected = {node_id}
         groups = {
@@ -464,53 +428,21 @@ class NodeCandidatesScheduler(GreedyScheduler):
                 group_name, node_id
             ):
                 affected.update(node_set)
-        return affected
-
-    def _is_candidate(
-        self,
-        container: ContainerRequest,
-        node_id: str,
-        relevant: Sequence[PlacementConstraint],
-    ) -> bool:
-        assert self._state is not None
-        node = self._state.topology.node(node_id)
-        if not node.can_fit(container.resource):
-            return False
-        return (
-            self._state.placement_delta_violations(
-                relevant, node_id, container.tags
-            )
-            == 0
+        index_of = self._state.arrays.index_of
+        return np.fromiter(
+            (index_of[n] for n in affected), dtype=np.intp, count=len(affected)
         )
 
     def _compute_candidates(self, container: ContainerRequest) -> set[str]:
-        """Initial violation-free candidate set, via the candidate index:
-        capacity feasibility from the free-capacity buckets, and the
-        delta==0 test evaluated once per constraint signature class (same
-        argument as :meth:`GreedyScheduler._pick_node_indexed`)."""
+        """Initial violation-free candidate set: the fit mask and delta
+        array :meth:`GreedyScheduler.pick_node` ranks, tested for zero."""
         assert self._state is not None
-        state = self._state
-        relevant = self._relevant(self._constraints, container.tags)
-        index = state.candidate_index()
-        fit = index.fit_node_indices(container.resource)
-        node_ids = index.node_ids
-        if not relevant:
-            return {node_ids[i] for i in fit}
-        groups = tuple(sorted({c.node_group for c in relevant}))
-        signatures = index.signatures(groups)
-        deltas: dict[tuple, float] = {}
-        out: set[str] = set()
-        for i in fit:
-            signature = signatures[i]
-            delta = deltas.get(signature)
-            if delta is None:
-                delta = state.placement_delta_violations(
-                    relevant, node_ids[i], container.tags
-                )
-                deltas[signature] = delta
-            if delta == 0:
-                out.add(node_ids[i])
-        return out
+        arrays = self._state.arrays
+        fit = np.flatnonzero(arrays.fit_mask(container.resource))
+        deltas = self._state.placement_deltas(
+            self._relevant(self._constraints, container.tags), fit, container.tags
+        )
+        return {arrays.node_ids[i] for i in fit[deltas == 0]}
 
 
 class ConstraintUnawareScheduler(LRAScheduler):

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..cluster.node import Node
+import numpy as np
+
 from ..cluster.state import ClusterState
 from ..obs.audit import (
     PRUNE_CAPACITY,
@@ -36,7 +37,7 @@ from .constraints import (
     PlacementConstraint,
     TagConstraint,
 )
-from .heuristics import _gather_constraints, relevant_constraints
+from .heuristics import _gather_constraints
 from .requests import ContainerRequest, LRARequest
 from .scheduler import LRAScheduler, PlacementResult, ScratchPlacements
 
@@ -149,57 +150,52 @@ class JKubeScheduler(LRAScheduler):
         *,
         decision: ContainerDecision | None = None,
     ) -> str | None:
-        constraints = relevant_constraints(constraints, container.tags)
-        best_node: str | None = None
-        best_score = float("-inf")
-        for node in state.topology:
-            if decision is not None:
-                decision.considered += 1
-            if not node.can_fit(container.resource):
-                if decision is not None:
-                    decision.pruned.append(
-                        CandidatePruned(node.node_id, PRUNE_CAPACITY)
-                    )
-                continue  # filter phase
-            if decision is not None:
-                decision.feasible += 1
-            score = self._score(node, container, constraints, state)
-            if score > best_score:
-                best_score = score
-                best_node = node.node_id
-        if decision is not None and best_node is not None:
-            decision.chosen_node = best_node
-            decision.score_terms = {"kube_score": best_score}
-        return best_node
+        arrays = state.arrays
+        fits = arrays.fit_mask(container.resource)  # filter phase
+        fit = np.flatnonzero(fits)
+        if decision is not None:
+            decision.considered += len(fits)
+            decision.feasible += fit.size
+            decision.pruned.extend(
+                CandidatePruned(arrays.node_ids[i], PRUNE_CAPACITY)
+                for i in np.flatnonzero(~fits)
+            )
+        if not fit.size:
+            return None
+        scores = self._scores(fit, container, constraints, state)
+        best = scores.argmax()  # first of equal maxima, as a strict-> scan
+        if decision is not None:
+            decision.chosen_node = arrays.node_ids[fit[best]]
+            decision.score_terms = {"kube_score": float(scores[best])}
+        return arrays.node_ids[fit[best]]
 
-    def _score(
+    def _scores(
         self,
-        node: Node,
+        nodes: np.ndarray,
         container: ContainerRequest,
         constraints: Sequence[PlacementConstraint],
         state: ClusterState,
-    ) -> float:
-        violation = state.placement_delta_violations(
-            constraints, node.node_id, container.tags
+    ) -> np.ndarray:
+        """Kubernetes-style score of placing ``container`` on each of the
+        (fitting) node indices: every term is elementwise over the state
+        arrays, in the operation order of the per-node formula."""
+        arrays = state.arrays
+        violation = state.placement_deltas(constraints, nodes, container.tags)
+        cap_mem, cap_vc = arrays.cap_mem[nodes], arrays.cap_vc[nodes]
+        # Share of each resource still free after the placement (0 for a
+        # node without that resource).
+        mem_free = np.divide(
+            arrays.free_mem[nodes] - container.resource.memory_mb, cap_mem,
+            out=np.zeros(len(nodes)), where=cap_mem > 0,
         )
-        free_after = node.free - container.resource
-        least_requested = 0.0
-        if node.capacity.memory_mb > 0:
-            least_requested += free_after.memory_mb / node.capacity.memory_mb
-        if node.capacity.vcores > 0:
-            least_requested += free_after.vcores / node.capacity.vcores
-        least_requested /= 2.0
-        mem_frac = (
-            1.0 - free_after.memory_mb / node.capacity.memory_mb
-            if node.capacity.memory_mb
-            else 0.0
+        cpu_free = np.divide(
+            arrays.free_vc[nodes] - container.resource.vcores, cap_vc,
+            out=np.zeros(len(nodes)), where=cap_vc > 0,
         )
-        cpu_frac = (
-            1.0 - free_after.vcores / node.capacity.vcores
-            if node.capacity.vcores
-            else 0.0
-        )
-        balanced = 1.0 - abs(mem_frac - cpu_frac)
+        least_requested = (mem_free + cpu_free) / 2.0
+        mem_frac = np.where(cap_mem > 0, 1.0 - mem_free, 0.0)
+        cpu_frac = np.where(cap_vc > 0, 1.0 - cpu_free, 0.0)
+        balanced = 1.0 - np.abs(mem_frac - cpu_frac)
         return (
             -_CONSTRAINT_WEIGHT * violation
             + _LEAST_REQUESTED_WEIGHT * least_requested

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from ..cluster.state import ClusterState
 from .constraint_manager import ConstraintManager
 from .constraints import PlacementConstraint
@@ -156,18 +158,16 @@ class MigrationPlanner:
                 base_delta = state.placement_delta_violations(
                     relevant, placed.node_id, tags
                 )
+                arrays = state.arrays
+                fits = arrays.fit_mask(resource)
+                fits[arrays.index_of[placed.node_id]] = False
+                fit = np.flatnonzero(fits)
+                deltas = state.placement_deltas(relevant, fit, tags)
                 best_node, best_delta = None, base_delta
-                for node in state.topology:
-                    if node.node_id == placed.node_id:
-                        continue
-                    if not node.can_fit(resource):
-                        continue
-                    delta = state.placement_delta_violations(
-                        relevant, node.node_id, tags
-                    )
-                    if delta < best_delta:
-                        best_delta = delta
-                        best_node = node.node_id
+                # argmin: the first node in topology order among equal minima.
+                if fit.size and deltas.min() < base_delta:
+                    best = deltas.argmin()
+                    best_node, best_delta = arrays.node_ids[fit[best]], float(deltas[best])
             finally:
                 state.allocate(
                     container_id, placed.node_id, removal.allocation.resource,

@@ -42,12 +42,10 @@ __all__ = [
 def feasible_nodes(state: ClusterState, demand: Resource) -> list[str]:
     """Ids of available nodes that can fit ``demand``, in topology order.
 
-    The shared candidate-enumeration entry point for LRA schedulers: served
-    by the state's incrementally-maintained
-    :class:`~repro.cluster.index.CandidateIndex` (free-capacity buckets)
-    instead of a full topology scan, but returning exactly the list the
-    scan ``[n.node_id for n in state.topology if n.can_fit(demand)]``
-    would — order included — so selection tie-breaks are unchanged.
+    One vectorised compare over the state's free-capacity arrays instead
+    of a full topology scan, but returning exactly the list the scan
+    ``[n.node_id for n in state.topology if n.can_fit(demand)]`` would —
+    order included — so selection tie-breaks are unchanged.
     """
     return state.candidate_index().fit_node_ids(demand)
 

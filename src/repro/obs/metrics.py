@@ -85,6 +85,24 @@ class _Instrument:
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
+        #: label items -> canonical key, one per label set written: deriving
+        #: a key (sort, ``str``, escape) costs several times the write itself.
+        self._write_keys: dict[tuple, str] = {}
+
+    def _write_key(self, labels: dict[str, Any]) -> str:
+        """:func:`_label_key`, memoised for label sets with only ``str``
+        values (equal values of other types — ``1``, ``1.0``, ``True`` —
+        render differently, so those are derived every time)."""
+        if not labels:
+            return ""
+        for value in labels.values():
+            if type(value) is not str:
+                return _label_key(labels)
+        items = tuple(labels.items())
+        key = self._write_keys.get(items)
+        if key is None:
+            key = self._write_keys[items] = _label_key(labels)
+        return key
 
 
 class Counter(_Instrument):
@@ -97,7 +115,7 @@ class Counter(_Instrument):
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name}: cannot decrease ({amount})")
-        key = _label_key(labels)
+        key = self._write_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
@@ -119,10 +137,10 @@ class Gauge(_Instrument):
         self._values: dict[str, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
-        self._values[_label_key(labels)] = float(value)
+        self._values[self._write_key(labels)] = float(value)
 
     def add(self, delta: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        key = self._write_key(labels)
         self._values[key] = self._values.get(key, 0.0) + delta
 
     def value(self, **labels: Any) -> float:
@@ -197,7 +215,11 @@ class Timer(_Instrument):
         self._stats: dict[str, TimerStat] = {}
 
     def observe(self, seconds: float, **labels: Any) -> None:
-        self._stats.setdefault(_label_key(labels), TimerStat()).observe(seconds)
+        key = self._write_key(labels)
+        stat = self._stats.get(key)
+        if stat is None:  # not setdefault: that builds a TimerStat per call
+            stat = self._stats[key] = TimerStat()
+        stat.observe(seconds)
 
     def stat(self, **labels: Any) -> TimerStat:
         return self._stats.get(_label_key(labels), TimerStat())
@@ -243,13 +265,13 @@ class Histogram(_Instrument):
         return hist
 
     def observe(self, seconds: float, **labels: Any) -> None:
-        self._stat(_label_key(labels)).record(seconds)
+        self._stat(self._write_key(labels)).record(seconds)
 
     def observe_corrected(
         self, seconds: float, expected_interval_s: float, **labels: Any
     ) -> None:
         """Record with coordinated-omission back-fill (closed-loop)."""
-        self._stat(_label_key(labels)).record_corrected(
+        self._stat(self._write_key(labels)).record_corrected(
             seconds, expected_interval_s
         )
 

@@ -68,3 +68,61 @@ def scalar_state_metrics(state: ClusterState, threshold: Resource) -> dict:
             if cap > 0
         },
     }
+
+
+def scalar_placement_delta(
+    state: ClusterState, constraints, node_id: str, subject_tags
+) -> float:
+    """Scalar oracle for ``ClusterState.placement_deltas``, one node at a time.
+
+    Tag cardinalities are recounted from ``state.containers`` and the
+    topology's group definitions on every call — no γ store, no membership
+    arrays, no index — and the extents are accumulated in the order the
+    array scorer promises to reproduce bit for bit.
+    """
+    subject = frozenset(subject_tags)
+
+    def gamma(node_set, tags) -> int:
+        return min(
+            sum(
+                1 for placed in state.containers.values()
+                if placed.node_id in node_set and tag in placed.allocation.tags
+            )
+            for tag in tags
+        )
+
+    total = 0.0
+    for constraint in constraints:
+        node_sets = [
+            node_set
+            for node_set in state.topology.group(constraint.node_group).node_sets
+            if node_id in node_set
+        ]
+        if constraint.applies_to(subject):
+            # Forward: the new container is a subject; Eq.-8 extent on this node.
+            extent = float(len(constraint.tag_constraints)) if not node_sets else 0.0
+            for node_set in node_sets:
+                for tc in constraint.tag_constraints:
+                    count = gamma(node_set, tc.c_tag.tags)
+                    if not tc.satisfied_by(count):
+                        extent += tc.violation_extent(count)
+            if extent:
+                total += constraint.weight * extent
+        # Reverse: the new container raises the target count every subject
+        # already in the set observes (minus itself when it is a target too).
+        reverse = 0.0
+        for node_set in node_sets:
+            n_subjects = gamma(node_set, constraint.subject.tags)
+            if n_subjects == 0:
+                continue
+            for tc in constraint.tag_constraints:
+                if not tc.c_tag.tags <= subject:
+                    continue
+                count = gamma(node_set, tc.c_tag.tags)
+                if tc.c_tag.tags <= constraint.subject.tags:
+                    count = max(0, count - 1)
+                delta = tc.violation_extent(count + 1) - tc.violation_extent(count)
+                if delta > 0:
+                    reverse += n_subjects * delta
+        total += constraint.weight * reverse
+    return total

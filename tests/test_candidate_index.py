@@ -1,12 +1,12 @@
 """Property tests for the incrementally-maintained candidate index.
 
 The :class:`~repro.cluster.index.CandidateIndex` is updated through node
-mutation hooks on every allocate / release / availability flip.  These
-tests drive arbitrary interleavings of those operations (Hypothesis
-generates the op sequences) and assert the one invariant everything else
-rests on: the incremental index is always *identical* to an index rebuilt
-from scratch over the same topology state — same tag counts, same
-free-capacity buckets, same down set.
+mutation hooks on every allocate / release (availability lives on the
+state's arrays, which the fit query reads).  These tests drive arbitrary
+interleavings of allocate / release / fail / recover (Hypothesis generates
+the op sequences) and assert the one invariant everything else rests on:
+the incremental index is always *identical* to an index rebuilt from
+scratch over the same topology state — same tag counts.
 
 On top of the snapshot invariant, the query surface is cross-checked
 against brute-force topology scans: ``fit_node_indices`` must equal the
@@ -16,10 +16,11 @@ per-node tag recomputation.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Resource, build_cluster
+from repro import Resource, anti_affinity, build_cluster
 from repro.cluster.index import CandidateIndex
 from repro.cluster.state import ClusterState
 
@@ -37,7 +38,7 @@ _op = st.tuples(
 
 def _build_state() -> ClusterState:
     topology = build_cluster(NUM_NODES, racks=2, memory_mb=8 * 1024, vcores=8)
-    return ClusterState(topology, index_bucket_mb=1024)
+    return ClusterState(topology)
 
 
 def _interpret(state: ClusterState, ops) -> None:
@@ -73,7 +74,7 @@ def test_incremental_index_equals_rebuild(ops) -> None:
     state = _build_state()
     index = state.candidate_index()
     _interpret(state, ops)
-    rebuilt = CandidateIndex.rebuilt(state.topology, bucket_mb=1024)
+    rebuilt = CandidateIndex.rebuilt(state.topology)
     assert index.snapshot() == rebuilt.snapshot()
 
 
@@ -135,22 +136,41 @@ def test_index_consistent_after_release_all(ops) -> None:
     _interpret(state, ops)
     for cid in list(state.containers):
         state.release(cid)
-    pristine = CandidateIndex.rebuilt(state.topology, bucket_mb=1024)
+    pristine = CandidateIndex.rebuilt(state.topology)
     snap = index.snapshot()
     assert snap == pristine.snapshot()
     assert snap["tags"] == {}
 
 
-def test_signatures_invalidate_on_new_group() -> None:
+def test_membership_arrays_rebuild_on_new_group() -> None:
+    """The scorer's node → set membership arrays follow the topology's
+    groups: a group registered later is scored, not a ``KeyError``."""
+    state = _build_state()
+    nodes = [n.node_id for n in state.topology]
+    state.allocate("c1", nodes[1], Resource(512, 1), ("web",), "app")
+    constraint = anti_affinity("web", "web", "halves")
+    everywhere = list(range(NUM_NODES))
+    with pytest.raises(KeyError):
+        state.placement_deltas([constraint], everywhere, {"web"})
+    state.topology.register_group("halves", [nodes[:4], nodes[4:]])
+    deltas = state.placement_deltas([constraint], everywhere, {"web"})
+    # Forward (the new container sees one ``web``) plus reverse (the placed
+    # one would see the new one) in the first half, nothing in the second.
+    assert deltas.tolist() == [2.0] * 4 + [0.0] * 4
+
+
+def test_signatures_follow_the_topology() -> None:
+    """``signatures`` is computed on demand, so it equals the state's
+    per-node membership and sees a group registered later."""
     state = _build_state()
     index = state.candidate_index()
-    first = index.signatures(("rack",))
-    assert index.signatures(("rack",)) is first  # cached
-    state.topology.register_group(
-        "halves",
-        [
-            [n.node_id for n in list(state.topology)[:4]],
-            [n.node_id for n in list(state.topology)[4:]],
-        ],
+    nodes = [n.node_id for n in state.topology]
+    assert index.signatures(("rack", "node")) == [
+        tuple(tuple(state.group_sets_for_node(g, n)) for g in ("rack", "node"))
+        for n in nodes
+    ]
+    # Overlapping sets, and the last node in none of them.
+    state.topology.register_group("halves", [nodes[:5], nodes[3:7]])
+    assert index.signatures(("halves",)) == (
+        [((0,),)] * 3 + [((0, 1),)] * 2 + [((1,),)] * 2 + [((),)]
     )
-    assert index.signatures(("rack",)) is not first

@@ -212,6 +212,26 @@ class TestMetrics:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
+    def test_memoised_write_keys_equal_derived_keys(self):
+        """Writes memoise the label key; reads derive it.  They must agree
+        for repeated writes, any keyword order, values needing escapes, and
+        equal-but-differently-rendered values (1, 1.0, True)."""
+        counter = Metrics().counter("c")
+        for _ in range(3):
+            counter.inc(q="a,b", rack="r=1")
+            counter.inc(rack="r=1", q="a,b")
+        assert counter.value(q="a,b", rack="r=1") == 6
+        for n in (1, 1.0, True):
+            counter.inc(n=n)
+            counter.inc(n=n)
+        assert counter.snapshot() == {
+            "n=1": 2, "n=1.0": 2, "n=True": 2, "q=a\\,b,rack=r\\=1": 6,
+        }
+        timer = Metrics().timer("t")
+        timer.observe(0.5, q="x")
+        timer.observe(1.5, q="x")
+        assert timer.stat(q="x").count == 2
+
     def test_gauge_set_and_add(self):
         gauge = Metrics().gauge("g")
         gauge.set(4.0)

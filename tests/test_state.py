@@ -131,6 +131,61 @@ class TestGammaBookkeeping:
                     assert state.group_tag_count(group_name, idx, tag) == expected
 
 
+class TestGammaStore:
+    """The array γ store: late group registration and its memory bound."""
+
+    def test_group_registered_after_placement_is_counted(self):
+        """Regression: a node group registered after containers were placed
+        used to be invisible to γ (count 0, delta 0.0), and the later
+        release drove its counter below zero."""
+        topology = build_cluster(4, racks=2)
+        state = ClusterState(topology)
+        put(state, "c1", "n00000", tags=("hb",))
+        topology.register_group(
+            "ud", [["n00000", "n00001"], ["n00002", "n00003"]]
+        )
+        constraint = anti_affinity("hb", "hb", "ud")
+        assert state.gamma("ud", 0, ["hb"]) == 1
+        assert state.placement_delta_violations([constraint], "n00001", {"hb"}) == 2.0
+        assert state.placement_delta_violations([constraint], "n00002", {"hb"}) == 0.0
+        # Writes after the registration count once, not twice.
+        put(state, "c2", "n00001", tags=("hb",))
+        assert state.gamma("ud", 0, ["hb"]) == 2
+        state.release("c1")
+        assert state.gamma("ud", 0, ["hb"]) == 1
+        state.release("c2")
+        for group_name in topology.group_names():
+            for idx in range(len(topology.group(group_name).node_sets)):
+                assert state.group_tag_count(group_name, idx, "hb") == 0
+        assert all(not g.counts for g in state._gamma_groups().values())
+
+    def test_release_right_after_registration_stays_non_negative(self):
+        topology = build_cluster(4, racks=2)
+        state = ClusterState(topology)
+        put(state, "c1", "n00000", tags=("hb",))
+        put(state, "c2", "n00000", tags=("hb",))
+        topology.register_group("ud", [["n00000", "n00001"]])
+        state.release("c1")  # first write to see the new group
+        assert state.gamma("ud", 0, ["hb"]) == 1
+        state.release("c2")
+        assert state.gamma("ud", 0, ["hb"]) == 0
+
+    def test_gamma_arrays_exist_only_for_live_tags(self):
+        """Memory is O(live tags × sets): a thousand short-lived
+        application tags on a thousand nodes leave no array behind."""
+        topology = build_cluster(1000, racks=20)
+        state = ClusterState(topology)
+        node_ids = topology.node_ids()
+        for k in range(1000):
+            put(state, f"c{k}", node_ids[k], tags=("lra", f"appID:{k:04d}"))
+        groups = state._gamma_groups()
+        assert all(len(g.counts) == 1001 for g in groups.values())
+        for k in range(1000):
+            state.release(f"c{k}")
+        assert all(not g.counts for g in groups.values())
+        assert state._live_tags == {}
+
+
 class TestCheckPlacement:
     def test_affinity_hypothetical(self, state):
         constraint = affinity("storm", "mem", "node")

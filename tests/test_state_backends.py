@@ -32,7 +32,6 @@ from repro import (
     build_cluster,
 )
 from repro.cluster.resources import Resource
-from repro.cluster.state import ClusterState
 from repro.core.requests import TaskRequest
 from repro.obs.violations import evaluate_violations
 from repro.sim import ClusterSimulation, SimConfig
@@ -179,9 +178,3 @@ def test_matches_retired_reference(scenario: str) -> None:
         {rack: float(util) for rack, util in golden["rack_util"].items()},
         rel=1e-12,
     )
-
-
-def test_index_bucket_width_validated() -> None:
-    assert ClusterState(build_cluster(4), index_bucket_mb=64).index_bucket_mb == 64
-    with pytest.raises(ValueError, match="bucket"):
-        ClusterState(build_cluster(4), index_bucket_mb=0)
