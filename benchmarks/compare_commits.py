@@ -11,7 +11,9 @@ quartile spreads (q3 − q1), the ratio change/base and a verdict:
 (``benchmarks/pipeline/README.md``, "Observed run-to-run spread"), otherwise
 ``improved`` or ``worse`` by the metric's direction in ``BENCHMARK.json``.
 Exits 1 if a run fails its output checks or the two sides' output
-fingerprints differ.  Reads the benchmark, never edits it.
+fingerprints differ, and 3 if a metric is ``worse`` by more than its
+``bound`` in ``BENCHMARK.json`` (the rule of ``run.py --check-repeat``;
+``unresolved`` never fails).  Reads the benchmark, never edits it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,35 @@ def verdict(base: list[float], change: list[float], better: str) -> tuple:
     return base_median, base_iqr, change_median, change_iqr, ratio, word
 
 
+def judge(spec: dict, values: dict, prints: dict) -> tuple[list[str], int]:
+    """Report lines and exit status, from the collected runs alone.
+
+    ``values[workload][side][metric]`` holds one value per run and
+    ``prints[workload][side]`` the set of output fingerprints seen.
+    """
+    lines = [f"{'workload':14s} {'metric':17s} {'base':>10s} {'±iqr':>9s} "
+             f"{'change':>10s} {'±iqr':>9s} {'ratio':>8s}  verdict"]
+    mismatch, offenders = False, []
+    for workload, sides in values.items():
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            row = verdict(sides["base"][name], sides["change"][name], metric["better"])
+            ratio, word = row[4:]
+            lines.append(f"{workload:14s} {name:17s} {row[0]:10.5g} {row[1]:9.3g} "
+                         f"{row[2]:10.5g} {row[3]:9.3g} {ratio:8.3f}  {word}")
+            if word == "worse" and abs(ratio - 1.0) > metric["bound"]:
+                offenders.append(f"{workload}.{name} (ratio {ratio:.3f}, bound ±{metric['bound']:g})")
+        base, change = prints[workload]["base"], prints[workload]["change"]
+        if base != change or len(base) != 1:
+            mismatch = True
+            lines.append(f"{workload}: FINGERPRINTS DIFFER base={sorted(base)} change={sorted(change)}")
+        else:
+            lines.append(f"{workload}: fingerprint {min(base)} on both sides")
+    if offenders:
+        lines.append("WORSE BEYOND BOUND: " + ", ".join(offenders))
+    return lines, 1 if mismatch else 3 if offenders else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
@@ -76,7 +107,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs a side)")
 
-    ok = True
+    values: dict = {}
+    prints: dict = {}
     with tempfile.TemporaryDirectory(prefix="compare_commits_") as base_dir:
         archive = subprocess.run(
             ["git", "archive", "--format=tar", args.base],
@@ -86,31 +118,20 @@ def main(argv: list[str] | None = None) -> int:
             # ``filter=`` needs 3.12, or a patched 3.10.12+ / 3.11.4+.
             tar.extractall(base_dir, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
         sides = {"base": base_dir, "change": ROOT}
-        print(f"{'workload':14s} {'metric':17s} {'base':>10s} {'±iqr':>9s} "
-              f"{'change':>10s} {'±iqr':>9s} {'ratio':>8s}  verdict")
         for workload in args.workloads:
-            values = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in sides}
-            prints = {side: set() for side in sides}
+            values[workload] = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in sides}
+            prints[workload] = {side: set() for side in sides}
             for pair in range(args.pairs):
                 # base/change, change/base, ...: neither side always runs first.
                 for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
                     print(f"[{workload} pair {pair + 1}/{args.pairs}] {side}", file=sys.stderr)
                     metrics, detail = run_once(sides[side], workload, args.seed)
-                    prints[side].add(detail["fingerprint"])
+                    prints[workload][side].add(detail["fingerprint"])
                     for name, value in metrics.items():
-                        values[side][name].append(value)
-            for metric in spec["end_to_end"]:
-                name = metric["name"]
-                row = verdict(values["base"][name], values["change"][name], metric["better"])
-                print(f"{workload:14s} {name:17s} {row[0]:10.5g} {row[1]:9.3g} "
-                      f"{row[2]:10.5g} {row[3]:9.3g} {row[4]:8.3f}  {row[5]}")
-            if prints["base"] != prints["change"] or len(prints["base"]) != 1:
-                ok = False
-                print(f"{workload}: FINGERPRINTS DIFFER base={sorted(prints['base'])} "
-                      f"change={sorted(prints['change'])}")
-            else:
-                print(f"{workload}: fingerprint {prints['base'].pop()} on both sides")
-    return 0 if ok else 1
+                        values[workload][side][name].append(value)
+    lines, status = judge(spec, values, prints)
+    print("\n".join(lines))
+    return status
 
 
 if __name__ == "__main__":

@@ -6,16 +6,9 @@ structured event trace to ``MEDEA_TRACE_OUT`` (default
 ambient metrics registry is dumped next to it as
 ``<trace stem>.metrics.json`` — the pair CI uploads as build artifacts.
 
-Independently of tracing, every :func:`benchmarks.harness
-.run_placement_experiment` call collects per-batch series (utilisation,
-queue depth, queuing delay, solver latency) into
-``harness.BENCH_TIMELINES``; when any ran, the session dumps them as
-``BENCH_timeline.json`` (``BENCH_TIMELINE_OUT`` overrides the path).
-
 The live plane rides the same hooks: ``MEDEA_SERVE=port`` starts the
 in-process telemetry endpoint for the session (CI curls ``/metrics`` and
-``/healthz`` mid-run), ``MEDEA_LOG=file`` writes the structured run
-log (closed at session end), and ``MEDEA_ROLLUP=file`` streams bounded
+``/healthz`` mid-run) and ``MEDEA_ROLLUP=file`` streams bounded
 ``ROLLUP_*.json`` aggregates for the whole session.
 
 Self-telemetry: before the metrics snapshot is dumped, the tracer's own
@@ -33,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.log import configure_log_from_env, get_run_logger
 from repro.obs.metrics import get_metrics
 from repro.obs.rollup import rollup_from_env, shutdown_rollup
 from repro.obs.serve import serve_from_env, shutdown_server
@@ -62,20 +54,14 @@ def fold_tracer_self_stats() -> None:
 @pytest.fixture(scope="session", autouse=True)
 def _medea_trace_session():
     configure_from_env()
-    configure_log_from_env()
     serve_from_env()
     rollup_from_env()
     yield
-    from .harness import BENCH_TIMELINES, write_bench_timeline
-
-    if BENCH_TIMELINES:
-        write_bench_timeline()
     tracer = get_tracer()
     if tracer.enabled:
         fold_tracer_self_stats()
     shutdown_rollup()
     shutdown_server()
-    get_run_logger().close()
     if not tracer.enabled:
         return
     tracer.close()

@@ -20,17 +20,10 @@ ambient metrics-registry snapshot after each experiment.  ``MEDEA_TRACE=1``
 structured event trace to ``MEDEA_TRACE_OUT`` — with per-batch
 ``lra.place`` / ``sim.state_hash`` checkpoints emitted here so the trace
 replays and cross-checks like a simulation trace does.
-
-Per-batch telemetry: every experiment also collects utilisation, queue
-depth, queuing delay, and solver latency series into the module-level
-``BENCH_TIMELINES`` map; ``benchmarks/conftest.py`` dumps it at session end
-as ``BENCH_timeline.json`` (override via ``BENCH_TIMELINE_OUT``) — the
-per-benchmark signal file CI uploads as a build artifact.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,65 +48,9 @@ from repro.workloads import fill_cluster
 #: Global scale multiplier for benchmark cluster sizes (1.0 = default).
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "1.0"))
 
-#: Per-experiment timeline summaries, keyed by experiment label; filled by
-#: :func:`run_placement_experiment`, dumped by :func:`write_bench_timeline`.
-BENCH_TIMELINES: dict[str, dict] = {}
-
-ENV_TIMELINE_OUT = "BENCH_TIMELINE_OUT"
-DEFAULT_TIMELINE_OUT = "BENCH_timeline.json"
-
 
 def scaled(n: int) -> int:
     return max(4, int(n * BENCH_SCALE))
-
-
-def write_bench_timeline(path: str | None = None) -> str:
-    """Dump :data:`BENCH_TIMELINES` as JSON; returns the path written.
-
-    Schema 2: each benchmark carries a ``stats`` block (count/median/p95
-    per series, via :func:`repro.obs.bench.attach_stats`) — the summary
-    statistics ``repro bench-compare`` gates CI on.
-    """
-    from repro.obs.bench import attach_stats
-
-    if path is None:
-        path = os.environ.get(ENV_TIMELINE_OUT, DEFAULT_TIMELINE_OUT)
-    document = attach_stats({
-        "benchmarks": {label: BENCH_TIMELINES[label]
-                       for label in sorted(BENCH_TIMELINES)},
-    })
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def record_benchmark(
-    label: str,
-    *,
-    scheduler: str,
-    nodes: int,
-    apps: int,
-    series: dict[str, dict],
-) -> str:
-    """Register one benchmark entry in :data:`BENCH_TIMELINES`.
-
-    ``series`` maps series name → ``{"t": [...], "v": [...]}``.  Labels
-    already present are deduplicated with a ``#N`` suffix (re-runs within
-    one session).  Returns the label actually used.
-    """
-    if label in BENCH_TIMELINES:
-        suffix = 2
-        while f"{label} #{suffix}" in BENCH_TIMELINES:
-            suffix += 1
-        label = f"{label} #{suffix}"
-    BENCH_TIMELINES[label] = {
-        "scheduler": scheduler,
-        "nodes": nodes,
-        "apps": apps,
-        "series": series,
-    }
-    return label
 
 
 def make_schedulers(max_candidate_nodes: int = 60) -> dict[str, LRAScheduler]:
@@ -165,8 +102,8 @@ def run_placement_experiment(
 ) -> ExperimentResult:
     """Feed ``population`` to ``scheduler`` in batches and audit the result.
 
-    ``experiment`` labels this run's entry in :data:`BENCH_TIMELINES`
-    (default: the scheduler's name, deduplicated across calls).
+    ``experiment`` labels this run's ``bench.experiment`` trace event
+    (default: the scheduler's name).
     """
     from repro.obs import EventKind, get_tracer
 
@@ -193,10 +130,6 @@ def run_placement_experiment(
     placed = rejected = 0
     cycle_times: list[float] = []
     solver_totals: SolverStats | None = None
-    ticks: list[float] = []
-    utilization: list[float] = []
-    queue_depth: list[int] = []
-    latency: list[float] = []
     for start in range(0, len(population), batch_size):
         batch = list(population[start:start + batch_size])
         for request in batch:
@@ -219,10 +152,6 @@ def run_placement_experiment(
         rejected += len(result.rejected_apps)
         for app_id in result.rejected_apps:
             manager.unregister_application(app_id)
-        ticks.append(float(start))
-        utilization.append(round(state.cluster_memory_utilization(), 6))
-        queue_depth.append(max(0, len(population) - (start + len(batch))))
-        latency.append(round(result.solve_time_s, 6))
         if tracer.enabled:
             # Mirror the simulation's replayable event shape: the applied
             # placements, then a state-hash checkpoint over the new state.
@@ -246,19 +175,6 @@ def run_placement_experiment(
                     "utilization": round(state.cluster_memory_utilization(), 6),
                 },
             )
-
-    record_benchmark(
-        experiment or scheduler.name,
-        scheduler=scheduler.name,
-        nodes=num_nodes,
-        apps=len(population),
-        series={
-            "utilization": {"t": ticks, "v": utilization},
-            "queue_depth": {"t": ticks, "v": [float(q) for q in queue_depth]},
-            "queue_delay_s": {"t": ticks, "v": latency},
-            "solver_latency_s": {"t": ticks, "v": latency},
-        },
-    )
 
     report = evaluate_violations(state, manager=manager)
     if solver_totals is not None and os.environ.get("SOLVER_STATS"):

@@ -25,7 +25,7 @@ from repro.apps import hbase_instance
 from repro.reporting import banner, render_series
 from repro.workloads import fill_cluster
 
-from .harness import record_benchmark, scaled
+from .harness import scaled
 
 CLUSTER_SIZES = [scaled(n) for n in (50, 200, 500, 1000)]
 
@@ -59,26 +59,10 @@ def latency_ms(scheduler, num_nodes: int) -> float:
 
 
 def run_fig11a():
-    series = {
+    return {
         name: [latency_ms(sched, n) for n in CLUSTER_SIZES]
         for name, sched in schedulers().items()
     }
-    # Feed each scheduler's latency-vs-scale curve into the session's
-    # BENCH_timeline.json so the bench-compare gate covers Fig. 11a.
-    for name, values in series.items():
-        record_benchmark(
-            f"fig11a:{name}",
-            scheduler=name,
-            nodes=CLUSTER_SIZES[-1],
-            apps=2 * len(CLUSTER_SIZES),
-            series={
-                "solver_latency_s": {
-                    "t": [float(n) for n in CLUSTER_SIZES],
-                    "v": [round(ms / 1000.0, 6) for ms in values],
-                },
-            },
-        )
-    return series
 
 
 def test_fig11a_latency_scale(benchmark):

@@ -1,9 +1,10 @@
-"""Timeline telemetry smoke — every experiment feeds ``BENCH_timeline.json``.
+"""Timeline telemetry smoke — two cheap traced placement experiments.
 
-Runs one cheap heuristic and one small ILP placement experiment and asserts
-that :data:`benchmarks.harness.BENCH_TIMELINES` captured non-empty
-utilisation / queuing-delay / solver-latency series for each — the signals
-``benchmarks/conftest.py`` dumps at session end and CI uploads.
+Runs one heuristic and one small ILP placement experiment through
+:func:`benchmarks.harness.run_placement_experiment`.  Under ``MEDEA_TRACE``
+their ``bench.experiment`` / ``lra.place`` / ``sim.state_hash`` events are
+what CI's ``trace-report`` → ``dashboard --fail-on-breach`` → ``profile``
+chain replays and judges.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from __future__ import annotations
 from repro import IlpScheduler, SerialScheduler
 from repro.workloads import hbase_population
 
-from .harness import BENCH_TIMELINES, run_placement_experiment, scaled
-
-REQUIRED_SERIES = ("utilization", "queue_depth", "queue_delay_s", "solver_latency_s")
+from .harness import run_placement_experiment, scaled
 
 
 def _run(scheduler, label: str):
@@ -30,16 +29,6 @@ def _run(scheduler, label: str):
 def test_timeline_smoke_serial():
     result = _run(SerialScheduler(), "timeline-smoke-serial")
     assert result.placed_apps > 0
-    entry = BENCH_TIMELINES["timeline-smoke-serial"]
-    for name in REQUIRED_SERIES:
-        series = entry["series"][name]
-        assert series["t"], f"{name} has no ticks"
-        assert len(series["t"]) == len(series["v"])
-    assert max(entry["series"]["utilization"]["v"]) > 0.0
-    # Queue drains monotonically as batches are placed.
-    depths = entry["series"]["queue_depth"]["v"]
-    assert depths == sorted(depths, reverse=True)
-    assert depths[-1] == 0.0
 
 
 def test_timeline_smoke_ilp():
@@ -48,7 +37,3 @@ def test_timeline_smoke_ilp():
     )
     result = _run(scheduler, "timeline-smoke-ilp")
     assert result.placed_apps > 0
-    entry = BENCH_TIMELINES["timeline-smoke-ilp"]
-    latency = entry["series"]["solver_latency_s"]["v"]
-    assert latency and all(v >= 0.0 for v in latency)
-    assert entry["scheduler"] == scheduler.name

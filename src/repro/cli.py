@@ -25,8 +25,9 @@ Eleven commands, each a thin wrapper over the library:
   (traces or rollups): structural first-divergence localization, causal
   placement-flip explanations from decision audits, and noise-thresholded
   statistical deltas; ``--fail-on-divergence`` turns it into a CI gate.
-* ``bench-compare`` — gate a ``BENCH_*.json`` run against a committed
-  baseline (median/p95 with noise tolerance); exits non-zero on regression.
+* ``loadgen`` — drive the placement hot path with seeded open- or
+  closed-loop load and sweep offered rates into a latency-vs-throughput
+  curve.
 * ``watch`` — poll a live telemetry endpoint's ``/snapshot`` into a
   refreshing terminal view (retries with capped exponential backoff while
   the endpoint comes up).
@@ -34,8 +35,7 @@ Eleven commands, each a thin wrapper over the library:
 Exit codes are uniform across commands (the :data:`EXIT_OK` family):
 ``0`` success, ``1`` unreadable/invalid input data or a runtime failure,
 ``2`` usage errors (argparse's convention), ``3`` a CI gate tripped
-(``bench-compare`` regression, ``dashboard --fail-on-breach``,
-``diff --fail-on-divergence``).
+(``dashboard --fail-on-breach``, ``diff --fail-on-divergence``).
 
 Tracing: set ``MEDEA_TRACE=1`` (optionally ``MEDEA_TRACE_OUT=file.jsonl``
 — a ``.mtrc`` extension selects the columnar container) or pass
@@ -48,14 +48,12 @@ Live plane: ``--serve PORT`` (or ``MEDEA_SERVE=port``) starts the
 in-process telemetry endpoint (``/metrics``, ``/healthz``, ``/snapshot``)
 for the duration of the run; ``--rollup FILE`` (or ``MEDEA_ROLLUP``)
 streams bounded rollup documents to disk; ``--watchdog {warn,abort}`` (or
-``MEDEA_WATCHDOG``) turns on the online invariant monitors; ``--log FILE``
-(or ``MEDEA_LOG``) writes the structured JSON-lines run log.
+``MEDEA_WATCHDOG``) turns on the online invariant monitors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -75,9 +73,9 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 #: Command-line usage error (argparse exits with this itself).
 EXIT_USAGE = 2
-#: A CI gate tripped: bench-compare regression, dashboard --fail-on-breach,
-#: diff --fail-on-divergence.  Distinct from EXIT_DATA_ERROR so CI can tell
-#: "the check ran and failed" from "the check could not run".
+#: A CI gate tripped: dashboard --fail-on-breach, diff --fail-on-divergence.
+#: Distinct from EXIT_DATA_ERROR so CI can tell "the check ran and failed"
+#: from "the check could not run".
 EXIT_GATE = 3
 
 
@@ -87,11 +85,6 @@ def _add_live_plane_args(p: argparse.ArgumentParser) -> None:
         "--serve", type=int, default=None, metavar="PORT",
         help="serve /metrics, /healthz and /snapshot on this port for the "
              "duration of the run (0 picks an ephemeral port)",
-    )
-    p.add_argument(
-        "--log", metavar="FILE", default=None,
-        help="write the structured JSON-lines run log to this file "
-             "('-' for stderr)",
     )
     p.add_argument(
         "--rollup", metavar="FILE", default=None,
@@ -279,26 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
              f"INCOMPARABLE always exits {EXIT_DATA_ERROR}",
     )
 
-    p_bench = sub.add_parser(
-        "bench-compare",
-        help="diff a BENCH_*.json run against a baseline; non-zero on regression",
-    )
-    p_bench.add_argument("baseline", help="committed BENCH_*.json baseline")
-    p_bench.add_argument("current", help="BENCH_*.json from the current run")
-    p_bench.add_argument(
-        "--ratio", type=float, default=None,
-        help="regression threshold multiplier (default 1.5)",
-    )
-    p_bench.add_argument(
-        "--abs-floor", type=float, default=None, metavar="SECONDS",
-        help="absolute slack added to every limit (default 0.02s)",
-    )
-    p_bench.add_argument(
-        "--series", action="append", default=None, metavar="NAME",
-        help="gate this extra per-benchmark series (repeatable), e.g. "
-             "obs_overhead_ratio; defaults to the built-in gated set",
-    )
-
     p_load = sub.add_parser(
         "loadgen",
         help="drive the placement hot path with seeded load; sweep offered "
@@ -353,11 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission limit of the in-process service (default 128)",
     )
     p_load.add_argument(
-        "--place-delay", type=float, default=0.0, metavar="SECONDS",
-        help="inject an artificial delay into the placement critical "
-             "section (for validating the bench-compare gate)",
-    )
-    p_load.add_argument(
         "--target", default=None, metavar="URL",
         help="POST /place against this telemetry endpoint instead of an "
              "in-process service",
@@ -387,10 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--html", dest="html_out", default=None, metavar="FILE",
         help="write a latency-vs-throughput HTML report",
-    )
-    p_load.add_argument(
-        "--bench-out", default=None, metavar="FILE",
-        help="write a schema-2 BENCH_serve.json for repro bench-compare",
     )
 
     p_watch = sub.add_parser(
@@ -670,16 +634,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                         count=tasks):
         if arrival < horizon:
             sim.submit_task(task, at=arrival)
-    try:
-        sim.run(horizon)
-    except WatchdogError as exc:
-        trip = exc.trip
+    def report_trip(trip) -> None:
         print(
             f"simulate: watchdog tripped at t={trip.time}: "
             f"{trip.check}: {trip.summary()}",
             file=sys.stderr,
         )
+
+    try:
+        sim.run(horizon)
+    except WatchdogError as exc:
+        report_trip(exc.trip)
         return EXIT_DATA_ERROR
+    # Warn mode keeps running; what it caught must still reach the operator.
+    if sim.watchdog is not None:
+        for trip in sim.watchdog.trips:
+            report_trip(trip)
 
     report = evaluate_violations(sim.state, manager=sim.medea.manager)
     print(f"LRAs placed:        {len(sim.lra_latencies())}/{lras}")
@@ -901,27 +871,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from .obs import bench
-
-    kwargs = {}
-    if args.ratio is not None:
-        kwargs["ratio"] = args.ratio
-    if args.abs_floor is not None:
-        kwargs["abs_floor_s"] = args.abs_floor
-    if args.series:
-        kwargs["series"] = tuple(bench.DEFAULT_GATED_SERIES) + tuple(args.series)
-    try:
-        comparison = bench.compare_bench_files(
-            args.baseline, args.current, **kwargs
-        )
-    except (OSError, ValueError) as exc:
-        print(f"bench-compare: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    print(bench.render_comparison(comparison))
-    return EXIT_OK if comparison.ok else EXIT_GATE
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -1000,7 +949,6 @@ def _build_placement_service(args: argparse.Namespace):
         scheduler,
         ConstraintManager(topology),
         max_pending=args.max_pending,
-        extra_place_delay_s=args.place_delay,
     )
 
 
@@ -1013,7 +961,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         render_sweep,
         render_sweep_html,
         run_sweep,
-        sweep_to_bench,
         sweep_to_json,
     )
 
@@ -1086,12 +1033,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         with open(args.html_out, "w", encoding="utf-8") as fh:
             fh.write(render_sweep_html(sweep))
         print(f"loadgen: wrote {args.html_out}", file=sys.stderr)
-    if args.bench_out:
-        bench = sweep_to_bench(sweep)
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"loadgen: wrote {args.bench_out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -1182,16 +1123,10 @@ def _configure_tracing(args: argparse.Namespace) -> bool:
 
 
 def _configure_live_plane(args: argparse.Namespace):
-    """Honour --log / MEDEA_LOG and --serve / MEDEA_SERVE for a run command.
-    Returns the telemetry server (or ``None``)."""
-    from .obs.log import configure_log, configure_log_from_env
+    """Honour --serve / MEDEA_SERVE and --rollup / MEDEA_ROLLUP for a run
+    command.  Returns the telemetry server (or ``None``)."""
     from .obs.serve import install as install_server, serve_from_env
 
-    log_target = getattr(args, "log", None)
-    if log_target:
-        configure_log(log_target)
-    else:
-        configure_log_from_env()
     port = getattr(args, "serve", None)
     if port is not None:
         server = install_server(port)
@@ -1212,13 +1147,11 @@ def _configure_live_plane(args: argparse.Namespace):
 
 
 def _finish_live_plane() -> None:
-    from .obs.log import get_run_logger
     from .obs.rollup import shutdown_rollup
     from .obs.serve import shutdown_server
 
     shutdown_rollup()
     shutdown_server()
-    get_run_logger().close()
 
 
 def _finish_tracing() -> None:
@@ -1259,8 +1192,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_dashboard(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "bench-compare":
-        return _cmd_bench_compare(args)
     if args.command == "diff":
         return _cmd_diff(args)
     if args.command == "loadgen":

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 from ..cluster.state import ClusterState
 from ..obs.events import EventKind
-from ..obs.log import get_run_logger
 from ..obs.metrics import Metrics, get_metrics
 from ..obs.spans import span
 from ..obs.trace import Tracer, get_tracer
@@ -231,12 +230,6 @@ class MedeaScheduler:
                         time=now,
                         data={"app_id": app_id, "attempt": outcome.attempts},
                     )
-                log = get_run_logger()
-                if log.enabled:
-                    log.warning(
-                        "medea", "lra placement conflict", tick=now,
-                        app=app_id, attempt=outcome.attempts,
-                    )
                 self._resubmit(requests_by_id[app_id], outcome, now)
             else:
                 outcome.placed_time = now
@@ -306,12 +299,6 @@ class MedeaScheduler:
                     EventKind.LRA_DROP,
                     time=now,
                     data={"app_id": request.app_id, "attempts": outcome.attempts},
-                )
-            log = get_run_logger()
-            if log.enabled:
-                log.warning(
-                    "medea", "lra dropped after max attempts", tick=now,
-                    app=request.app_id, attempts=outcome.attempts,
                 )
             return
         self._pending.append(request)

@@ -247,9 +247,7 @@ class PlacementService:
     ``retain=False`` (default) measures placement latency over a static
     cluster: proposals are not applied, so offered load can run
     indefinitely without filling the cluster.  ``retain=True`` commits
-    each placement (fill-up experiments).  ``extra_place_delay_s`` injects
-    an artificial slowdown into the placement section — the knob the
-    bench-compare regression gate is validated against.
+    each placement (fill-up experiments).
     """
 
     def __init__(
@@ -262,7 +260,6 @@ class PlacementService:
         retain: bool = False,
         metrics: Metrics | None = None,
         tracer=None,
-        extra_place_delay_s: float = 0.0,
     ) -> None:
         self.state = state
         self.scheduler = scheduler
@@ -273,7 +270,6 @@ class PlacementService:
         self.retain = retain
         self.metrics = metrics
         self.tracer = tracer
-        self.extra_place_delay_s = extra_place_delay_s
         self._place_lock = threading.Lock()
         self._meta_lock = threading.Lock()
         self._pending = 0
@@ -384,8 +380,6 @@ class PlacementService:
                     with span("request", tracer=tracer, time=now):
                         self.manager.register_application(request)
                         try:
-                            if self.extra_place_delay_s > 0.0:
-                                time.sleep(self.extra_place_delay_s)
                             result = self.scheduler.timed_place(
                                 [request],
                                 self.state,

@@ -41,9 +41,6 @@ in flight, zero-cost when disabled like everything else:
   fingerprints, violation-audit consistency) on every engine heartbeat and
   emits typed ``watchdog.trip`` events — replay's corruption detection
   moved to the moment of corruption; ``abort`` mode exits non-zero.
-* **Run log** — :class:`RunLogger` (``repro.obs.log``) is the structured
-  JSON-lines narrative (run id, tick, component, span path) engine / sim /
-  medea / solver write instead of ad-hoc prints; ``MEDEA_LOG=file``.
 
 And the profiling layer (ISSUE 4 / the paper's §7.3–§7.5 latency
 attribution):
@@ -54,9 +51,6 @@ attribution):
   (self/total time per path, collapsed-stack export for flamegraphs).
 * **Critical paths** — :func:`critical_paths` attributes each placed app's
   end-to-end latency to queue wait → constraint retries → solver time.
-* **Bench gate** — :func:`compare_bench` diffs a ``BENCH_*.json`` run
-  against a committed baseline (median/p95, noise-tolerant) so CI can fail
-  on perf regressions (``repro bench-compare``).
 
 The **scale plane** (ISSUE 8) — observing 10k-node runs without the
 telemetry dominating the run:
@@ -78,8 +72,8 @@ telemetry dominating the run:
   ``--rollup``).
 * **Self-telemetry** — the tracer accounts its own cost
   (``events_seen/emitted/dropped``, ``overhead_s``); the
-  ``benchmarks/test_obs_overhead.py`` gate keeps total observability
-  overhead within budget via ``repro bench-compare``.
+  ``benchmarks/test_obs_overhead.py`` gate asserts total observability
+  overhead against its CPU-ratio budget.
 
 The **diff plane** (ISSUE 9) — cross-run differential observability:
 
@@ -89,7 +83,7 @@ The **diff plane** (ISSUE 9) — cross-run differential observability:
   with first-divergence localization, replay-backed placement-fingerprint
   cross-checks, causal placement-flip explanations from the recorded
   ``scheduler.audit`` payloads, and statistical series/span deltas under
-  the bench-compare noise model.  Four-way verdict
+  a ``ratio`` × + ``abs_floor`` noise threshold.  Four-way verdict
   (``IDENTICAL`` / ``EQUIVALENT`` / ``DIVERGED`` / ``INCOMPARABLE``),
   rendered by :func:`render_diff` / :func:`render_diff_html`;
   ``repro diff A B --fail-on-divergence`` gates CI on it.
@@ -106,13 +100,6 @@ Ambient configuration::
 from __future__ import annotations
 
 from . import report, stats
-from .log import (
-    RunLogger,
-    configure_log,
-    configure_log_from_env,
-    get_run_logger,
-    set_run_logger,
-)
 from .audit import (
     PRUNE_CANDIDATE_POOL,
     PRUNE_CAPACITY,
@@ -137,14 +124,6 @@ from .diff import (
     diff_traces,
     render_diff,
     render_diff_html,
-)
-from .bench import (
-    BenchCheck,
-    BenchComparison,
-    compare_bench,
-    compare_bench_files,
-    load_bench,
-    series_stats,
 )
 from .events import WALL_KEY, EventKind, TraceEvent, canonical
 from .hist import (
@@ -341,13 +320,6 @@ __all__ = [
     "span_deltas",
     "AppCriticalPath",
     "critical_paths",
-    # bench gate
-    "series_stats",
-    "load_bench",
-    "BenchCheck",
-    "BenchComparison",
-    "compare_bench",
-    "compare_bench_files",
     # trace files + dashboard
     "TraceFileError",
     "TraceReader",
@@ -371,12 +343,6 @@ __all__ = [
     "WatchdogError",
     "WatchdogTrip",
     "watchdog_from_env",
-    # structured run log
-    "RunLogger",
-    "get_run_logger",
-    "set_run_logger",
-    "configure_log",
-    "configure_log_from_env",
     # renderers + moved stats helpers
     "report",
     "stats",

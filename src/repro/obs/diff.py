@@ -21,9 +21,9 @@ pass per side and reports along three axes:
   attributed constraint), or the score terms that ranked another node
   first.
 * **Statistical diff** — per-path span-profile deltas and timeline series
-  deltas.  Deterministic series compare exactly; wall-clock timings use
-  the bench-compare noise model (``ratio`` × + ``abs_floor``) so runner
-  jitter never reads as divergence.
+  deltas.  Deterministic series compare exactly; wall-clock timings are
+  flagged only beyond ``ratio`` × + ``abs_floor`` so runner jitter never
+  reads as divergence.
 
 The outcome is a four-way verdict:
 
@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .audit import explain_placement_flip
-from .bench import DEFAULT_ABS_FLOOR_S, DEFAULT_RATIO
 from .events import WALL_KEY, EventKind, TraceEvent
 from .profile import ProfileReport, span_deltas
 from .replay import ReplayState
@@ -116,6 +115,11 @@ STRUCTURAL_KINDS = frozenset({
 
 #: Structural events kept as post-divergence context per side.
 DEFAULT_CONTEXT = 5
+
+#: A wall-clock delta is significant when the larger side exceeds the
+#: smaller × ``DEFAULT_RATIO`` + ``DEFAULT_ABS_FLOOR_S`` seconds.
+DEFAULT_RATIO = 1.5
+DEFAULT_ABS_FLOOR_S = 0.02
 
 #: Placement flips explained in full before the report only counts them.
 MAX_RECORDED_FLIPS = 12
@@ -543,8 +547,8 @@ def _placement_section(
 
 
 def _stat_delta(a: float, b: float, *, ratio: float, abs_floor_s: float) -> bool:
-    """Symmetric bench-compare noise test: significant iff the larger
-    value exceeds the smaller scaled by ``ratio`` plus the floor."""
+    """Symmetric noise test: significant iff the larger value exceeds the
+    smaller scaled by ``ratio`` plus the floor."""
     lo, hi = (a, b) if a <= b else (b, a)
     return hi > lo * ratio + abs_floor_s
 

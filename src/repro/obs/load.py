@@ -34,9 +34,8 @@ A **sweep** steps offered load over a rate ladder, records one histogram
 per step, and :func:`detect_knee` finds the saturation knee: the first
 step whose achieved throughput falls below ``efficiency ×`` offered, or
 whose p99 blows past ``latency_blowup ×`` the unloaded baseline.  Results
-render as a terminal table, an HTML latency-vs-throughput curve, a
-sorted-key JSON document, or a schema-2 ``BENCH_serve.json`` for the
-``repro bench-compare`` gate.
+render as a terminal table, an HTML latency-vs-throughput curve, or a
+sorted-key JSON document.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ __all__ = [
     "detect_knee",
     "sweep_to_obj",
     "sweep_to_json",
-    "sweep_to_bench",
     "render_sweep",
     "render_sweep_html",
 ]
@@ -770,39 +768,6 @@ def sweep_to_json(sweep: SweepResult) -> str:
     return json.dumps(
         sweep_to_obj(sweep), sort_keys=True, separators=(",", ":")
     ) + "\n"
-
-
-def sweep_to_bench(sweep: SweepResult, *, label: str = "serve_sweep") -> dict[str, Any]:
-    """Schema-2 ``BENCH_serve.json`` document: latency percentiles and
-    achieved throughput as series over the offered-rate axis, stats
-    attached so ``repro bench-compare`` gates it directly."""
-    from .bench import attach_stats
-
-    offered = [s.offered_rps for s in sweep.steps]
-    series = {
-        "place_latency_p50_s": {
-            "t": offered, "v": [s.hist.quantile(50) for s in sweep.steps]
-        },
-        "place_latency_p95_s": {
-            "t": offered, "v": [s.hist.quantile(95) for s in sweep.steps]
-        },
-        "place_latency_p99_s": {
-            "t": offered, "v": [s.hist.quantile(99) for s in sweep.steps]
-        },
-        "achieved_rps": {
-            "t": offered, "v": [s.achieved_rps for s in sweep.steps]
-        },
-    }
-    entry: dict[str, Any] = {
-        "mode": sweep.config.get("mode"),
-        "arrival": sweep.config.get("arrival"),
-        "target": sweep.config.get("target"),
-        "requests_per_step": sweep.config.get("requests_per_step"),
-        "series": series,
-    }
-    if sweep.knee is not None:
-        entry["knee"] = sweep.knee
-    return attach_stats({"benchmarks": {label: entry}})
 
 
 def render_sweep(sweep: SweepResult) -> str:

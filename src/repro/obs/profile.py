@@ -152,8 +152,8 @@ def span_deltas(
     so count mismatches on common paths are reported exactly (but they are
     informational — span cadence legitimately differs between engines).
     Self-*times* are wall clock, so a path is only flagged when the larger
-    side exceeds the smaller scaled by ``ratio`` plus ``abs_floor_s`` —
-    the bench-compare noise model, keeping runner jitter out of the diff.
+    side exceeds the smaller scaled by ``ratio`` plus ``abs_floor_s``,
+    keeping runner jitter out of the diff.
     """
     paths_a, paths_b = set(a.spans), set(b.spans)
     common = paths_a & paths_b

@@ -71,8 +71,8 @@ class TraceFile:
     truncated: bool = False
 
 
-#: Whole-file diagnosis cap: mix-up documents (BENCH_*.json, ROLLUP_*.json)
-#: are re-parsed in full for a precise error message only below this size.
+#: Whole-file diagnosis cap: a mixed-up ROLLUP_*.json document is
+#: re-parsed in full for a precise error message only below this size.
 _DIAGNOSIS_MAX_BYTES = 64 * 1024 * 1024
 
 
@@ -88,9 +88,9 @@ class TraceReader:
 
     * missing/unreadable file, a directory, or an empty trace →
       :class:`TraceFileError`
-    * corrupt data before the tail → :class:`TraceFileError`; common
-      mix-ups (``BENCH_*.json`` benchmark documents, ``ROLLUP_*.json``
-      rollup files) get a specific diagnosis
+    * corrupt data before the tail → :class:`TraceFileError`; a
+      ``ROLLUP_*.json`` rollup file passed by mistake gets a specific
+      diagnosis
     * a corrupt *trailing* line/chunk is tolerated as a partial write from
       a crashed run: iteration ends cleanly with :attr:`truncated` set
       (unless ``allow_partial_tail=False``)
@@ -206,11 +206,6 @@ class TraceReader:
             raise TraceFileError(
                 f"{self.path} is a ROLLUP_*.json streaming-rollup document, "
                 f"not a raw trace — pass it to 'repro dashboard' directly"
-            )
-        if "benchmarks" in doc or "schema" in doc:
-            raise TraceFileError(
-                f"{self.path} is a BENCH_*.json benchmark results file, not "
-                f"a trace — use 'repro bench-compare' for benchmark documents"
             )
 
 

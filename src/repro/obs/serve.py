@@ -43,7 +43,6 @@ from urllib.request import Request, urlopen
 
 from ..version import build_info, server_banner, user_agent
 from .events import TraceEvent
-from .log import get_run_logger
 from .metrics import Metrics, get_metrics, parse_label_key
 from .rollup import RollupState
 from .timeline import DEFAULT_MAX_POINTS, DEFAULT_TICK_S, TimelineAggregator
@@ -461,10 +460,7 @@ class TelemetryServer:
                 self.wfile.write(body)
 
             def log_message(self, format: str, *args: Any) -> None:
-                # Route access logs through the run logger instead of stderr.
-                log = get_run_logger()
-                if log.enabled:
-                    log.debug("serve", format % args, client=self.client_address[0])
+                """Silence the base handler's per-request stderr lines."""
 
         self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
         self._httpd.daemon_threads = True
@@ -475,9 +471,6 @@ class TelemetryServer:
             daemon=True,
         )
         self._thread.start()
-        log = get_run_logger()
-        if log.enabled:
-            log.info("serve", "telemetry endpoint up", host=self.host, port=self.port)
         return self.port
 
     def stop(self) -> None:

@@ -28,10 +28,9 @@ Checks (each independently intervalled; 1 = every heartbeat):
 
 A tripped watchdog emits a typed ``watchdog.trip`` trace event whose
 ``data`` payload is fully deterministic (check name, tick, structured
-diagnosis naming nodes/containers), bumps ``watchdog_trips_total``, logs
-an ``error`` record, and — in ``abort`` mode — raises
-:class:`WatchdogError` so the run exits non-zero instead of continuing on
-corrupt state.
+diagnosis naming nodes/containers), bumps ``watchdog_trips_total``, and
+— in ``abort`` mode — raises :class:`WatchdogError` so the run exits
+non-zero instead of continuing on corrupt state.
 
 Zero-cost when off: the simulation holds ``watchdog=None`` unless
 ``MEDEA_WATCHDOG`` (``1``/``warn``/``abort``) or an explicit instance
@@ -47,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from .events import EventKind
-from .log import RunLogger, get_run_logger
 from .metrics import Metrics, get_metrics
 from .trace import Tracer, get_tracer
 
@@ -108,8 +106,8 @@ class Watchdog:
     """Online invariant monitor over a :class:`ClusterSimulation`.
 
     ``mode`` decides what a trip does: ``warn`` records it and keeps
-    running (the trip event + log line are the alert), ``abort`` raises
-    :class:`WatchdogError` after recording.  Identical consecutive
+    running (the trip event and :attr:`trips` are the alert), ``abort``
+    raises :class:`WatchdogError` after recording.  Identical consecutive
     diagnoses for a check are emitted once, so a persistent corruption
     does not flood the trace — the first trip pins the corrupting tick.
     """
@@ -122,7 +120,6 @@ class Watchdog:
         violations_interval: int = 5,
         tracer: Tracer | None = None,
         metrics: Metrics | None = None,
-        logger: RunLogger | None = None,
     ) -> None:
         if mode not in _MODES:
             raise ValueError(f"unknown watchdog mode {mode!r}; expected {_MODES}")
@@ -137,7 +134,6 @@ class Watchdog:
         self.checks_run = 0
         self._tracer = tracer
         self._metrics = metrics
-        self._logger = logger
         #: check -> last emitted diagnosis, for consecutive-trip dedup.
         self._last_diagnosis: dict[str, dict[str, Any]] = {}
         #: High-water mark of the violations evaluation counter.
@@ -150,10 +146,6 @@ class Watchdog:
     @property
     def metrics(self) -> Metrics:
         return self._metrics if self._metrics is not None else get_metrics()
-
-    @property
-    def logger(self) -> RunLogger:
-        return self._logger if self._logger is not None else get_run_logger()
 
     # -- the heartbeat hook --------------------------------------------------
 
@@ -333,14 +325,6 @@ class Watchdog:
         if tracer.enabled:
             tracer.emit(
                 EventKind.WATCHDOG_TRIP, time=trip.time, data=trip.to_data()
-            )
-        log = self.logger
-        if log.enabled:
-            log.error(
-                "watchdog",
-                f"invariant {trip.check} violated",
-                tick=trip.time,
-                **{k: v for k, v in trip.diagnosis.items()},
             )
 
 

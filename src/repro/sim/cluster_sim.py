@@ -28,7 +28,6 @@ from ..core.medea import MedeaScheduler
 from ..core.requests import LRARequest, TaskRequest
 from ..core.scheduler import LRAScheduler
 from ..obs.events import EventKind
-from ..obs.log import get_run_logger
 from ..obs.metrics import Metrics, get_metrics
 from ..obs.spans import span
 from ..obs.trace import Tracer, get_tracer
@@ -323,12 +322,6 @@ class ClusterSimulation:
 
         def flip(engine: SimulationEngine) -> None:
             self.state.topology.node(node_id).available = up
-            log = get_run_logger()
-            if log.enabled:
-                log.info(
-                    "sim", "node availability flip", tick=engine.now,
-                    node=node_id, up=up,
-                )
             tracer = self.tracer
             if tracer.enabled:
                 tracer.emit(

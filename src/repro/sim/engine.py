@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..obs.events import EventKind
-from ..obs.log import get_run_logger
 from ..obs.spans import span
 from ..obs.trace import Tracer, get_tracer
 
@@ -178,17 +177,8 @@ class SimulationEngine:
         tree: heartbeat / cycle / solver phases all nest inside it, and its
         self time is the loop's own dispatch overhead.
         """
-        log = get_run_logger()
-        if log.enabled:
-            log.info(
-                "engine", "run start", tick=self.now,
-                until=until, pending=self.pending(),
-            )
         with span("engine.run", tracer=self.tracer, time=self.now):
-            final = self._run(until)
-        if log.enabled:
-            log.info("engine", "run end", tick=final, pending=self.pending())
-        return final
+            return self._run(until)
 
     def _run(self, until: float | None) -> float:
         self._running = True

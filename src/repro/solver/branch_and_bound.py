@@ -53,7 +53,6 @@ except Exception:  # pragma: no cover - depends on scipy build
 from ..obs.events import EventKind
 from ..obs.metrics import SolverStats
 from ..obs.spans import span, span_phase
-from ..obs.log import get_run_logger
 from ..obs.trace import get_tracer
 from .model import MilpModel, MilpSolution, Sense, SolveStatus
 from .presolve import PresolveResult, StandardForm, presolve, standard_form
@@ -362,17 +361,6 @@ def _solution(
     start: float,
 ) -> MilpSolution:
     stats.time_total_s = time.perf_counter() - start
-    log = get_run_logger()
-    if log.enabled:
-        log.debug(
-            "solver",
-            "milp solve finished",
-            backend=stats.backend,
-            status=status.value,
-            nodes=stats.nodes_explored,
-            lps=stats.lp_solves,
-            total_ms=round(stats.time_total_s * 1000, 3),
-        )
     tracer = get_tracer()
     if tracer.enabled:
         tracer.emit(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_USAGE, build_parser, main
 
 
 class TestParser:
@@ -172,51 +172,23 @@ class TestTraceToolsOnMtrc:
         )
 
 
-class TestBenchCompareSeries:
-    def _doc(self, ratio_value):
-        return {
-            "schema": 2,
-            "benchmarks": {
-                "obs:overhead": {
-                    "scheduler": "x", "nodes": 1, "apps": 1,
-                    "series": {"obs_overhead_ratio": {
-                        "t": [0.0], "v": [ratio_value]}},
-                    "stats": {"obs_overhead_ratio": {
-                        "count": 1, "median": ratio_value,
-                        "p95": ratio_value}},
-                },
-            },
-        }
+def test_retired_ledger_stays_retired():
+    """The schema-2 bench gate and the run log are deleted; their command,
+    flags and exports must not regrow."""
+    import repro.obs
 
-    def test_series_flag_gates_overhead_ratio(self, tmp_path, capsys):
-        import json as _json
-
-        baseline = tmp_path / "base.json"
-        current = tmp_path / "cur.json"
-        baseline.write_text(_json.dumps(self._doc(1.05)))
-        current.write_text(_json.dumps(self._doc(1.30)))
-        # Not gated by default (obs_overhead_ratio is opt-in)...
-        assert main(["bench-compare", str(baseline), str(current)]) == 0
-        capsys.readouterr()
-        # ...but --series pulls it into the gate, and 1.30 > 1.05*1.05+0.02.
-        assert main(["bench-compare", str(baseline), str(current),
-                     "--series", "obs_overhead_ratio",
-                     "--ratio", "1.05", "--abs-floor", "0.02"]) == 3
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_committed_obs_baseline_is_usable(self, tmp_path, capsys):
-        """The repo's committed overhead baseline loads and gates: a
-        within-budget run passes, an over-budget run fails."""
-        import json as _json
-
-        baseline = "benchmarks/baselines/BENCH_obs_baseline.json"
-        ok = tmp_path / "ok.json"
-        ok.write_text(_json.dumps(self._doc(1.04)))
-        assert main(["bench-compare", baseline, str(ok),
-                     "--series", "obs_overhead_ratio",
-                     "--ratio", "1.05", "--abs-floor", "0.02"]) == 0
-        bad = tmp_path / "bad.json"
-        bad.write_text(_json.dumps(self._doc(1.40)))
-        assert main(["bench-compare", baseline, str(bad),
-                     "--series", "obs_overhead_ratio",
-                     "--ratio", "1.05", "--abs-floor", "0.02"]) == 3
+    for argv in (
+        ["bench-compare", "A", "B"],
+        ["simulate", "--log", "x"],
+        ["compare", "--log", "x"],
+        ["loadgen", "--bench-out", "x"],
+        ["loadgen", "--place-delay", "1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == EXIT_USAGE, argv
+    assert not set(repro.obs.__all__) & {
+        "compare_bench", "compare_bench_files", "load_bench", "BenchCheck",
+        "BenchComparison", "RunLogger", "get_run_logger", "set_run_logger",
+        "configure_log", "configure_log_from_env",
+    }

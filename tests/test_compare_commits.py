@@ -1,0 +1,81 @@
+"""The perf gate's decision, on synthetic values: ``verdict()`` wording for
+both metric directions, and ``judge()``'s exit status — 0 within bound or
+unresolved, 3 worse beyond bound, 1 on a fingerprint mismatch.  No
+benchmark run involved."""
+
+from __future__ import annotations
+
+import pytest
+
+from benchmarks.compare_commits import judge, verdict
+
+SPEC = {
+    "end_to_end": [
+        {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+        {"name": "throughput_per_s", "better": "higher", "bound": 0.25},
+    ]
+}
+
+TIGHT = [100.0, 101.0, 102.0]
+
+
+def scaled(factor: float) -> list[float]:
+    return [v * factor for v in TIGHT]
+
+
+@pytest.mark.parametrize(
+    "better, change, word",
+    [
+        ("lower", scaled(0.5), "improved"),
+        ("lower", scaled(2.0), "worse"),
+        ("higher", scaled(2.0), "improved"),
+        ("higher", scaled(0.5), "worse"),
+        ("lower", [100.5, 101.5, 102.5], "unresolved"),
+        ("higher", [100.5, 101.5, 102.5], "unresolved"),
+    ],
+)
+def test_verdict_words(better, change, word):
+    assert verdict(TIGHT, change, better)[5] == word
+
+
+def collected(latency: list[float], throughput: list[float], fingerprint: str = "f0"):
+    values = {
+        "w": {
+            "base": {"latency_p50_ms": TIGHT, "throughput_per_s": TIGHT},
+            "change": {"latency_p50_ms": latency, "throughput_per_s": throughput},
+        }
+    }
+    prints = {"w": {"base": {"f0"}, "change": {fingerprint}}}
+    return values, prints
+
+
+def test_worse_within_bound_passes():
+    lines, status = judge(SPEC, *collected(scaled(1.2), scaled(0.8)))
+    assert status == 0
+    assert sum(line.endswith("worse") for line in lines) == 2
+
+
+def test_worse_beyond_bound_trips_the_gate():
+    lines, status = judge(SPEC, *collected(scaled(1.3), TIGHT))
+    assert status == 3
+    assert lines[-1].startswith("WORSE BEYOND BOUND")
+    assert "w.latency_p50_ms" in lines[-1]
+    assert "throughput_per_s" not in lines[-1]
+
+    # The same rule in the other direction: throughput down by 30 %.
+    lines, status = judge(SPEC, *collected(TIGHT, scaled(0.7)))
+    assert status == 3
+    assert "w.throughput_per_s" in lines[-1]
+
+
+def test_beyond_bound_but_inside_the_spread_is_unresolved_and_passes():
+    noisy = [60.0, 140.0, 220.0]  # median +39 %, quartile spread 160
+    lines, status = judge(SPEC, *collected(noisy, TIGHT))
+    assert status == 0
+    assert any("latency_p50_ms" in line and line.endswith("unresolved") for line in lines)
+
+
+def test_fingerprint_mismatch_exits_1_even_when_a_metric_is_worse():
+    lines, status = judge(SPEC, *collected(scaled(2.0), TIGHT, fingerprint="f1"))
+    assert status == 1
+    assert any("FINGERPRINTS DIFFER" in line for line in lines)

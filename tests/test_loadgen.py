@@ -38,7 +38,6 @@ from repro.obs.load import (
     request_to_obj,
     run_step,
     run_sweep,
-    sweep_to_bench,
     sweep_to_json,
     uniform_arrivals,
 )
@@ -359,44 +358,6 @@ class TestServingPathHTTP:
         assert excinfo.value.code == 503
 
 
-class TestBenchGate:
-    def _bench(self, delay_s):
-        service = _service(extra_place_delay_s=delay_s)
-        sweep = run_sweep(
-            InProcessTarget(service), RequestTemplate(containers=2),
-            rates=[100.0], requests_per_step=25, concurrency=8, seed=4
-        )
-        return sweep_to_bench(sweep)
-
-    def test_injected_slowdown_fails_gate(self, isolate_obs):
-        from repro.obs.bench import compare_bench
-
-        baseline = self._bench(0.0)
-        slowed = self._bench(0.05)  # ≥2x the unslowed place path
-        series = ("place_latency_p50_s", "place_latency_p99_s")
-        comparison = compare_bench(
-            baseline, slowed, ratio=1.5, abs_floor_s=0.005, series=series
-        )
-        assert not comparison.ok
-        regressed = [c for c in comparison.checks if c.regressed]
-        assert regressed
-        # And the unslowed run passes against itself.
-        again = compare_bench(
-            baseline, self._bench(0.0), ratio=1.5, abs_floor_s=0.05,
-            series=series,
-        )
-        assert again.ok
-
-    def test_bench_document_shape(self, isolate_obs):
-        document = self._bench(0.0)
-        assert document["schema"] == 2
-        entry = document["benchmarks"]["serve_sweep"]
-        for name in ("place_latency_p50_s", "place_latency_p95_s",
-                     "place_latency_p99_s", "achieved_rps"):
-            assert entry["stats"][name]["count"] == 1
-            assert entry["series"][name]["t"] == [100.0]
-
-
 class TestLoadgenCli:
     def test_virtual_sweep_json_stdout_byte_stable(self, capsys):
         from repro.cli import main
@@ -423,16 +384,12 @@ class TestLoadgenCli:
 
         json_out = tmp_path / "curve.json"
         html_out = tmp_path / "curve.html"
-        bench_out = tmp_path / "BENCH_serve.json"
         assert main([
             "loadgen", "--virtual", "--sweep", "20,200", "--requests", "80",
             "--seed", "1", "--json", str(json_out), "--html", str(html_out),
-            "--bench-out", str(bench_out),
         ]) == 0
         assert json.loads(json_out.read_text())["schema"] == LOADGEN_SCHEMA
         assert "<svg" in html_out.read_text()
-        bench = json.loads(bench_out.read_text())
-        assert "place_latency_p99_s" in bench["benchmarks"]["serve_sweep"]["stats"]
         assert "loadgen sweep" in capsys.readouterr().out
 
     def test_bad_sweep_spec_is_usage_error(self, capsys):

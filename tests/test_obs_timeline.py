@@ -411,7 +411,7 @@ class TestTraceFileReading:
             {"schema": 2, "benchmarks": {"fig11a": {"series": {}}}},
             indent=2,
         ))
-        with pytest.raises(TraceFileError, match="bench-compare"):
+        with pytest.raises(TraceFileError, match="corrupt JSON on line 1"):
             read_trace(str(path))
 
     def test_non_event_json_gets_actionable_error(self, tmp_path):
@@ -432,7 +432,7 @@ class TestTraceFileReading:
         path = tmp_path / "BENCH_x.json"
         path.write_text(json.dumps({"benchmarks": {}}, indent=2))
         assert main(["trace-report", str(path)]) == 1
-        assert "bench-compare" in capsys.readouterr().err
+        assert "trace-report:" in capsys.readouterr().err
 
 
 class TestCli:

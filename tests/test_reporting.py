@@ -101,5 +101,5 @@ def test_env_knob_ledger():
         if line.startswith("| `MEDEA_")
     ]
     in_table = {token.search(line).group() for line in table_rows}
-    assert len(in_table) == len(table_rows) == 9
+    assert len(in_table) == len(table_rows) == 6
     assert in_src == in_table
