@@ -467,6 +467,15 @@ class ClusterState:
             self._gamma_groups()[group_name].counts, set_index, tags, exclude
         )
 
+    def gamma_array(self, group_name: str, tags: Iterable[str]) -> _np.ndarray:
+        """γ𝒮 of a tag conjunction over every set of ``group_name`` at once
+        (indexed by set; one trailing "no set" slot that is always 0): the
+        array form of :meth:`gamma` without ``exclude``, as a read-only
+        view of the live counts."""
+        view = self._gamma_groups()[group_name].gamma(tags).view()
+        view.setflags(write=False)
+        return view
+
     def group_sets_for_node(self, group_name: str, node_id: str) -> list[int]:
         """Indices of ``group_name``'s node sets containing ``node_id``."""
         return self.topology.set_indices_for_node(group_name, node_id)

@@ -43,13 +43,20 @@ Notes on fidelity:
 Constraints of *already deployed* LRAs are grounded too: their subjects have
 fixed placements, so their inequalities are unconditionally active on the
 node sets containing them and constrain only the new ``X`` variables.
+
+Grounding visits only node sets that hold an ``X`` variable (of the subject,
+for a new subject; of a matching target, for deployed subjects) — no other
+set can yield a row — and reads every constant from the state's γ arrays
+(:meth:`ClusterState.gamma_array`), so building costs time proportional to
+the rows emitted, not to constraints × node sets.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..cluster.resources import Resource
 from ..cluster.state import ClusterState
@@ -129,25 +136,70 @@ class IlpFormulation:
         # (constraint key) -> list of slack var metadata for diagnostics.
         self._slack_vars: list[tuple[PlacementConstraint, str, int, float]] = []
         self._built = False
+        #: (request index, container index, container) of every new container.
+        self._new = [
+            (i, j, container)
+            for i, request in enumerate(self.requests)
+            for j, container in enumerate(request.containers)
+        ]
+        #: (i, j) -> {node: X variable}, and node -> [(X variable, container)],
+        #: both in candidate-node / container order (filled by build()).
+        self._x_of: dict[tuple[int, int], dict[str, int]] = {}
+        self._on_node: dict[str, list[tuple[int, ContainerRequest]]] = {}
+        #: Per-batch lookups (see _memo's callers): computed on first use,
+        #: read many times.
+        self._cache: dict[tuple, object] = {}
 
-    # -- helpers --------------------------------------------------------------
+    # -- per-batch lookups -----------------------------------------------------
 
-    def _new_containers(self) -> list[tuple[int, int, ContainerRequest]]:
-        out = []
-        for i, request in enumerate(self.requests):
-            for j, container in enumerate(request.containers):
-                out.append((i, j, container))
+    def _memo(self, key: tuple, compute):
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = compute()
         return out
 
-    def _matching_new(
-        self, tags: frozenset[str], exclude: tuple[int, int] | None = None
-    ) -> list[tuple[int, int, ContainerRequest]]:
+    def _matching_new(self, tags: frozenset[str]) -> list[tuple[int, int, ContainerRequest]]:
         """New containers whose tag set contains the conjunction ``tags``."""
-        return [
-            (i, j, c)
-            for (i, j, c) in self._new_containers()
-            if (exclude is None or (i, j) != exclude) and tags <= c.tags
-        ]
+        return self._memo(("new", tags), lambda: [
+            (i, j, c) for i, j, c in self._new if tags <= c.tags
+        ])
+
+    def _existing_matching(self, tags: frozenset[str]) -> int:
+        """Already-placed containers matching a tag conjunction, cluster-wide."""
+        return self._memo(("placed", tags), lambda: sum(
+            1 for placed in self.state.containers.values()
+            if tags <= placed.allocation.tags
+        ))
+
+    def _x_per_set(
+        self, group_name: str, owners: Sequence[tuple[int, int]]
+    ) -> dict[int, dict[int, float]]:
+        """The sets of ``group_name`` holding an X variable of the new
+        containers ``owners``, ascending, each with those variables and
+        their occurrence counts in the set.  Only these sets can hold a row
+        that a placement variable enters."""
+        sets_of = self._memo(("sets", group_name), lambda: {
+            node_id: self.state.group_sets_for_node(group_name, node_id)
+            for node_id in self.nodes
+        })
+        per_set: dict[int, dict[int, float]] = {}
+        for owner in owners:
+            for node_id, var in self._x_of[owner].items():
+                for set_index in sets_of[node_id]:
+                    row = per_set.setdefault(set_index, {})
+                    row[var] = row.get(var, 0.0) + 1.0
+        return dict(sorted(per_set.items()))
+
+    def _targets(
+        self, group_name: str, tags: frozenset[str]
+    ) -> tuple[dict[int, dict[int, float]], list[int]]:
+        """Per set of ``group_name``: the X variables of new containers
+        matching ``tags`` (see :meth:`_x_per_set`), and γ of ``tags`` over
+        the already-placed containers (the row constants)."""
+        return self._memo(("targets", group_name, tags), lambda: (
+            self._x_per_set(group_name, [(i, j) for i, j, _ in self._matching_new(tags)]),
+            self.state.gamma_array(group_name, tags).tolist(),
+        ))
 
     def _active_constraints(self) -> list[PlacementConstraint]:
         """Union of manager-held constraints and those of the new requests
@@ -202,54 +254,57 @@ class IlpFormulation:
             s_var = self.model.add_binary(f"S[{request.app_id}]")
             self.s_vars[i] = s_var
             self.model.add_objective_term(s_var, self.weights.w1_placement / k)
-        for i, j, container in self._new_containers():
-            free_ok = False
-            for node_id in self.nodes:
-                node = self.state.topology.node(node_id)
-                if container.resource.fits(node.free):
-                    self.x_vars[(i, j, node_id)] = self.model.add_binary(
-                        f"X[{container.container_id}@{node_id}]"
-                    )
-                    free_ok = True
-            if not free_ok:
-                # Container fits nowhere: Eq. 4 will force S_i = 0.
-                pass
+        # X only where the container fits the node's free resources (a
+        # container that fits nowhere gets none: Eq. 4 forces S_i = 0).
+        arrays = self.state.arrays
+        rows = np.fromiter(
+            (arrays.index_of[n] for n in self.nodes), dtype=np.intp, count=len(self.nodes)
+        )
+        self._on_node = {node_id: [] for node_id in self.nodes}
+        for i, j, container in self._new:
+            x_of = self._x_of[i, j] = {}
+            for pos in np.flatnonzero(arrays.fit_mask(container.resource, rows)).tolist():
+                node_id = self.nodes[pos]
+                var = self.model.add_binary(f"X[{container.container_id}@{node_id}]")
+                x_of[node_id] = self.x_vars[i, j, node_id] = var
+                self._on_node[node_id].append((var, container))
         # Eq. 2: each container placed at most once.
-        for i, j, container in self._new_containers():
-            coeffs = {
-                self.x_vars[(i, j, n)]: 1.0
-                for n in self.nodes
-                if (i, j, n) in self.x_vars
-            }
-            if coeffs:
-                self.model.add_le(coeffs, 1.0, name=f"once[{container.container_id}]")
+        for i, j, container in self._new:
+            if self._x_of[i, j]:
+                self.model.add_le(
+                    dict.fromkeys(self._x_of[i, j].values(), 1.0), 1.0,
+                    name=f"once[{container.container_id}]",
+                )
+
+    def _free(self, node_id: str) -> tuple[float, float]:
+        """Free (memory, vcores) of a node, from the state's free arrays."""
+        arrays = self.state.arrays
+        k = arrays.index_of[node_id]
+        return float(arrays.free_mem[k]), float(arrays.free_vc[k])
 
     def _add_capacity_constraints(self) -> None:
         # Eq. 3, one row per node per resource dimension.
         for node_id in self.nodes:
-            node = self.state.topology.node(node_id)
-            mem_coeffs: dict[int, float] = {}
-            cpu_coeffs: dict[int, float] = {}
-            for i, j, container in self._new_containers():
-                var = self.x_vars.get((i, j, node_id))
-                if var is None:
-                    continue
-                mem_coeffs[var] = float(container.resource.memory_mb)
-                cpu_coeffs[var] = float(container.resource.vcores)
-            if mem_coeffs:
-                self.model.add_le(mem_coeffs, float(node.free.memory_mb), name=f"cap-mem[{node_id}]")
-            if cpu_coeffs:
-                self.model.add_le(cpu_coeffs, float(node.free.vcores), name=f"cap-cpu[{node_id}]")
+            placed = self._on_node[node_id]
+            if placed:
+                free_mem, free_vc = self._free(node_id)
+                self.model.add_le(
+                    {var: float(c.resource.memory_mb) for var, c in placed},
+                    free_mem, name=f"cap-mem[{node_id}]",
+                )
+                self.model.add_le(
+                    {var: float(c.resource.vcores) for var, c in placed},
+                    free_vc, name=f"cap-cpu[{node_id}]",
+                )
 
     def _add_all_or_nothing(self) -> None:
         # Eq. 4: sum of X over an LRA's containers equals T_i * S_i.
         for i, request in enumerate(self.requests):
-            coeffs: dict[int, float] = {}
-            for j in range(len(request.containers)):
-                for node_id in self.nodes:
-                    var = self.x_vars.get((i, j, node_id))
-                    if var is not None:
-                        coeffs[var] = coeffs.get(var, 0.0) + 1.0
+            coeffs = {
+                var: 1.0
+                for j in range(len(request.containers))
+                for var in self._x_of[i, j].values()
+            }
             coeffs[self.s_vars[i]] = -float(len(request.containers))
             self.model.add_eq(coeffs, 0.0, name=f"all-or-nothing[{request.app_id}]")
 
@@ -260,40 +315,30 @@ class IlpFormulation:
         rmin_mem = float(self.rmin.memory_mb)
         big_b = rmin_mem + 1.0
         for node_id in self.nodes:
-            node = self.state.topology.node(node_id)
             z_var = self.model.add_binary(f"z[{node_id}]")
             self.z_vars[node_id] = z_var
             self.model.add_objective_term(
                 z_var, self.weights.w3_fragmentation / n_nodes
             )
             coeffs: dict[int, float] = {z_var: big_b}
-            for i, j, container in self._new_containers():
-                var = self.x_vars.get((i, j, node_id))
-                if var is not None:
-                    coeffs[var] = coeffs.get(var, 0.0) + float(container.resource.memory_mb)
+            for var, container in self._on_node[node_id]:
+                coeffs[var] = float(container.resource.memory_mb)
             # used_new + B*z <= Rf - rmin + B   (equivalent to Eq. 5)
             self.model.add_le(
-                coeffs,
-                float(node.free.memory_mb) - rmin_mem + big_b,
-                name=f"frag[{node_id}]",
+                coeffs, self._free(node_id)[0] - rmin_mem + big_b, name=f"frag[{node_id}]"
             )
 
     def _add_machines_used(self) -> None:
         """Optional §2.4 objective: minimise the number of machines used for
         the *new* placements."""
         n_nodes = max(1, len(self.nodes))
-        total_containers = sum(len(r.containers) for r in self.requests)
         for node_id in self.nodes:
-            coeffs: dict[int, float] = {}
-            for i, j, _ in self._new_containers():
-                var = self.x_vars.get((i, j, node_id))
-                if var is not None:
-                    coeffs[var] = 1.0
+            coeffs = {var: 1.0 for var, _ in self._on_node[node_id]}
             if not coeffs:
                 continue
             u_var = self.model.add_binary(f"u[{node_id}]")
             self.u_vars[node_id] = u_var
-            coeffs[u_var] = -float(total_containers)
+            coeffs[u_var] = -float(len(self._new))
             self.model.add_le(coeffs, 0.0, name=f"used[{node_id}]")
             self.model.add_objective_term(
                 u_var, -self.weights.w4_machines / n_nodes
@@ -317,14 +362,14 @@ class IlpFormulation:
         then gains a ``±D·(1-d)`` deactivation using the same big-D computed
         for that inequality (used for DNF support).
         """
-        group = self.state.topology.group(constraint.node_group)
+        group_name = self.state.topology.group(constraint.node_group).name
         created = 0
         # New subject containers.
-        for i, j, container in self._new_containers():
+        for i, j, container in self._new:
             if not constraint.applies_to(container.tags):
                 continue
             created += self._ground_for_new_subject(
-                constraint, group.name, (i, j), container,
+                constraint, group_name, (i, j), container,
                 violation_terms, activation_extra,
             )
         # Already-placed subjects, aggregated per node set: every existing
@@ -333,43 +378,9 @@ class IlpFormulation:
         # n per-subject rows (and keeps the model small as the cluster
         # fills).
         created += self._ground_for_existing_subjects(
-            constraint, group.name, violation_terms, activation_extra
+            constraint, group_name, violation_terms, activation_extra
         )
         return created
-
-    def _target_terms(
-        self,
-        tc: TagConstraint,
-        node_set: tuple[str, ...],
-        exclude_new: tuple[int, int] | None,
-    ) -> tuple[dict[int, float], int]:
-        """Variable coefficients and constant count of c_tag matches in a
-        node set (constant part = already-placed containers)."""
-        coeffs: dict[int, float] = {}
-        for i, j, _ in self._matching_new(tc.c_tag.tags, exclude=exclude_new):
-            for node_id in node_set:
-                var = self.x_vars.get((i, j, node_id))
-                if var is not None:
-                    coeffs[var] = coeffs.get(var, 0.0) + 1.0
-        constant = 0
-        multiset_total: dict[str, int] = {}
-        for node_id in node_set:
-            node = self.state.topology.node(node_id)
-            dyn = node.dynamic_tags()
-            for tag in tc.c_tag.tags:
-                multiset_total[tag] = multiset_total.get(tag, 0) + dyn.cardinality(tag)
-        if multiset_total:
-            constant = min(multiset_total.get(tag, 0) for tag in tc.c_tag.tags)
-        return coeffs, constant
-
-
-    def _existing_matching(self, tags: frozenset[str]) -> int:
-        """Already-placed containers matching a tag conjunction, cluster-wide."""
-        return sum(
-            1
-            for placed in self.state.containers.values()
-            if tags <= placed.allocation.tags
-        )
 
     def _max_slack_norm(self, tc: TagConstraint) -> float:
         """Normaliser keeping a cmax-side violation in [0, 1] for the
@@ -400,10 +411,14 @@ class IlpFormulation:
         violation_terms: list[tuple[int, float]],
         activation_extra: int | None,
     ) -> int:
-        group = self.state.topology.group(group_name)
-        i, j = subject_idx
         created = 0
         weight = self._objective_weight(constraint)
+        # The sets the subject can be placed inside; the row of any other
+        # set is deactivated by its big-D whatever the solver does.
+        subject_sets = self._memo(
+            ("subject", group_name, subject_idx),
+            lambda: self._x_per_set(group_name, [subject_idx]),
+        )
         for tc_index, tc in enumerate(constraint.tag_constraints):
             slack_min = slack_max = None
             if tc.cmin > 0:
@@ -424,31 +439,26 @@ class IlpFormulation:
                 )
             if slack_min is None and slack_max is None:
                 continue  # vacuous (0, UNBOUNDED) constraint
-            for set_index, node_set in enumerate(group.node_sets):
-                subject_x = {
-                    self.x_vars[(i, j, n)]: 1.0
-                    for n in node_set
-                    if (i, j, n) in self.x_vars
-                }
-                if not subject_x:
-                    continue  # subject cannot be placed inside this set
-                target_coeffs, constant = self._target_terms(
-                    tc, node_set, exclude_new=(i, j)
-                )
-                # The subject's own tags never count toward the target when
-                # the subject is an existing container; for new subjects the
-                # exclusion already removed its X variables from the sum.
-                big_d = self._big_d(tc, constant)
+            targets, gamma = self._targets(group_name, tc.c_tag.tags)
+            big_d_of: dict[int, float] = {}
+            for set_index, subject_x in subject_sets.items():
+                constant = gamma[set_index]
+                big_d = big_d_of.get(constant)
+                if big_d is None:
+                    big_d = big_d_of[constant] = self._big_d(tc, constant)
                 created += 1
+                # Target counts exclude the subject itself (tij ≠ tisjs):
+                # its X variables carry only the -D·(1 - y) activation.
+                target_coeffs = targets.get(set_index, {})
                 if slack_min is not None:
                     # targets + D(1-y) + slack >= cmin  (y = sum of subject X in set)
                     coeffs = dict(target_coeffs)
-                    for var, coeff in subject_x.items():
-                        coeffs[var] = coeffs.get(var, 0.0) - big_d * coeff
-                    coeffs[slack_min] = coeffs.get(slack_min, 0.0) + 1.0
+                    for var in subject_x:
+                        coeffs[var] = -big_d
+                    coeffs[slack_min] = 1.0
                     rhs = float(tc.cmin) - constant - big_d
                     if activation_extra is not None:
-                        coeffs[activation_extra] = coeffs.get(activation_extra, 0.0) - big_d
+                        coeffs[activation_extra] = -big_d
                         rhs -= big_d
                     self.model.add_ge(
                         coeffs, rhs,
@@ -457,12 +467,12 @@ class IlpFormulation:
                 if slack_max is not None:
                     # targets - D(1-y) - slack <= cmax
                     coeffs = dict(target_coeffs)
-                    for var, coeff in subject_x.items():
-                        coeffs[var] = coeffs.get(var, 0.0) + big_d * coeff
-                    coeffs[slack_max] = coeffs.get(slack_max, 0.0) - 1.0
+                    for var in subject_x:
+                        coeffs[var] = big_d
+                    coeffs[slack_max] = -1.0
                     rhs = float(tc.cmax) - constant + big_d
                     if activation_extra is not None:
-                        coeffs[activation_extra] = coeffs.get(activation_extra, 0.0) + big_d
+                        coeffs[activation_extra] = big_d
                         rhs += big_d
                     self.model.add_le(
                         coeffs, rhs,
@@ -477,23 +487,26 @@ class IlpFormulation:
         violation_terms: list[tuple[int, float]],
         activation_extra: int | None,
     ) -> int:
-        group = self.state.topology.group(group_name)
         created = 0
         weight = self._objective_weight(constraint)
         subject_tags = constraint.subject.tags
-        for set_index, node_set in enumerate(group.node_sets):
-            n_subjects = self._gamma_constant(set_index, group_name, subject_tags)
+        subjects = self.state.gamma_array(group_name, subject_tags)
+        tcs = [
+            (tc_index, tc, *self._targets(group_name, tc.c_tag.tags))
+            for tc_index, tc in enumerate(constraint.tag_constraints)
+            if tc.cmin > 0 or tc.cmax < UNBOUNDED
+        ]
+        # A set no new placement variable enters gives a constant
+        # inequality that would only dilute the violation normalisation.
+        for set_index in sorted({s for _, _, targets, _ in tcs for s in targets}):
+            n_subjects = int(subjects[set_index])
             if n_subjects == 0:
                 continue
-            for tc_index, tc in enumerate(constraint.tag_constraints):
-                if tc.cmin == 0 and tc.cmax >= UNBOUNDED:
-                    continue
-                target_coeffs, constant = self._target_terms(tc, node_set, exclude_new=None)
+            for tc_index, tc, targets, gamma in tcs:
+                target_coeffs = targets.get(set_index)
                 if not target_coeffs:
-                    # No new placement variable can change this count: the
-                    # inequality is a constant and only dilutes the
-                    # violation normalisation — skip it.
                     continue
+                constant = gamma[set_index]
                 # Subjects whose tags imply the target conjunction count
                 # toward it and must exclude themselves (tij != tisjs).
                 if tc.c_tag.tags <= subject_tags:
@@ -512,10 +525,10 @@ class IlpFormulation:
                         (constraint, tag_name, slack_min, 1.0 / tc.cmin)
                     )
                     coeffs = dict(target_coeffs)
-                    coeffs[slack_min] = coeffs.get(slack_min, 0.0) + 1.0
+                    coeffs[slack_min] = 1.0
                     rhs = float(tc.cmin) - constant
                     if activation_extra is not None:
-                        coeffs[activation_extra] = coeffs.get(activation_extra, 0.0) - big_d
+                        coeffs[activation_extra] = -big_d
                         rhs -= big_d
                     self.model.add_ge(coeffs, rhs, name=f"cmin{tag_name}")
                 if tc.cmax < UNBOUNDED:
@@ -528,23 +541,13 @@ class IlpFormulation:
                          1.0 / tc.cmax if tc.cmax > 0 else 1.0)
                     )
                     coeffs = dict(target_coeffs)
-                    coeffs[slack_max] = coeffs.get(slack_max, 0.0) - 1.0
+                    coeffs[slack_max] = -1.0
                     rhs = float(tc.cmax) - constant
                     if activation_extra is not None:
-                        coeffs[activation_extra] = coeffs.get(activation_extra, 0.0) + big_d
+                        coeffs[activation_extra] = big_d
                         rhs += big_d
                     self.model.add_le(coeffs, rhs, name=f"cmax{tag_name}")
         return created
-
-    def _gamma_constant(
-        self, set_index: int, group_name: str, tags: frozenset[str]
-    ) -> int:
-        """γ of a conjunction over already-placed containers in one set."""
-        gamma = None
-        for tag in tags:
-            count = self.state.group_tag_count(group_name, set_index, tag)
-            gamma = count if gamma is None else min(gamma, count)
-        return max(0, gamma or 0)
 
     def _big_d(self, tc: TagConstraint, constant: int) -> float:
         """A D large enough to deactivate either inequality."""
@@ -627,12 +630,11 @@ class IlpFormulation:
                 result.rejected_apps.append(request.app_id)
                 continue
             for j, container in enumerate(request.containers):
-                placed_node = None
-                for node_id in self.nodes:
-                    var = self.x_vars.get((i, j, node_id))
-                    if var is not None and solution.rounded(var) == 1:
-                        placed_node = node_id
-                        break
+                placed_node = next(
+                    (node_id for node_id, var in self._x_of[i, j].items()
+                     if solution.rounded(var) == 1),
+                    None,
+                )
                 if placed_node is None:
                     raise RuntimeError(
                         f"solver reported S=1 for {request.app_id} but container "

@@ -10,11 +10,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
+import numpy as np
+
 from ..cluster.resources import Resource
 from ..cluster.state import ClusterState
 from ..obs.audit import PRUNE_CANDIDATE_POOL, CandidatePruned, DecisionAudit
 from ..obs.metrics import SolverStats, get_metrics
-from ..solver import BnBOptions, HighsOptions, solve
+from ..solver import BnBOptions, HighsOptions, MilpSolution, solve
 from .constraint_manager import ConstraintManager
 from .ilp import IlpFormulation, IlpWeights
 from .requests import LRARequest
@@ -53,8 +55,10 @@ class IlpScheduler(LRAScheduler):
         nodes, chosen to cover (a) nodes already hosting tags the batch's
         constraints refer to, (b) the emptiest racks taken whole (so rack
         affinity groups stay placeable), and (c) a stride sample across the
-        cluster (so anti-affinity spreads stay placeable).  ``None`` (the
-        default) keeps the paper's full formulation.
+        cluster (so anti-affinity spreads stay placeable).  When the pooled
+        solve rejects an app one of whose containers fits an available node
+        outside the pool, the batch is re-solved once on the full node
+        list.  ``None`` (the default) keeps the paper's full formulation.
     """
 
     name = "MEDEA-ILP"
@@ -95,6 +99,26 @@ class IlpScheduler(LRAScheduler):
         if not requests:
             return PlacementResult()
         pool = self._candidate_pool(requests, state, manager)
+        formulation, solution, result = self._solve(requests, state, manager, pool)
+        if pool is not None and self._fits_outside(pool, requests, result, state):
+            # A rejected app has a container that fits a node the pool left
+            # out: re-solve once on the full node list, so pruning never
+            # loses a placeable app.
+            pool = None
+            formulation, solution, result = self._solve(requests, state, manager, pool)
+        if self.audit_enabled:
+            result.audit = self._build_audit(
+                requests, state, pool, formulation, solution, result
+            )
+        return result
+
+    def _solve(
+        self,
+        requests: Sequence[LRARequest],
+        state: ClusterState,
+        manager: ConstraintManager,
+        pool: list[str] | None,
+    ) -> tuple[IlpFormulation, MilpSolution, PlacementResult]:
         formulation = IlpFormulation(
             requests,
             state,
@@ -121,11 +145,27 @@ class IlpScheduler(LRAScheduler):
         # (the PR-1 hand-threaded path lives on via result.solver_stats).
         if solution.stats is not None:
             solution.stats.record_to(get_metrics(), scheduler=self.name)
-        if self.audit_enabled:
-            result.audit = self._build_audit(
-                requests, state, pool, formulation, solution, result
-            )
-        return result
+        return formulation, solution, result
+
+    @staticmethod
+    def _fits_outside(
+        pool: list[str],
+        requests: Sequence[LRARequest],
+        result: PlacementResult,
+        state: ClusterState,
+    ) -> bool:
+        """Whether some container of a rejected app fits an available node
+        outside ``pool``."""
+        arrays = state.arrays
+        outside = np.ones(len(arrays.node_ids), dtype=bool)
+        outside[[arrays.index_of[node_id] for node_id in pool]] = False
+        rejected = set(result.rejected_apps)
+        return any(
+            (arrays.fit_mask(container.resource) & outside).any()
+            for request in requests
+            if request.app_id in rejected
+            for container in request.containers
+        )
 
     def _build_audit(
         self,
@@ -133,7 +173,7 @@ class IlpScheduler(LRAScheduler):
         state: ClusterState,
         pool: list[str] | None,
         formulation: IlpFormulation,
-        solution,
+        solution: MilpSolution,
         result: PlacementResult,
     ) -> DecisionAudit:
         """Explain the batch solve: candidate-pool pruning, the weighted
@@ -149,6 +189,7 @@ class IlpScheduler(LRAScheduler):
             "candidate_pool": float(considered),
             "milp_variables": float(formulation.model.num_variables),
             "milp_constraints": float(formulation.model.num_constraints),
+            "mip_gap": solution.stats.gap,
         }
         pooled_out: list[CandidatePruned] = []
         if pool is not None:

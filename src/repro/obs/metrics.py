@@ -15,6 +15,7 @@ produce — lives here as one of the metric types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -458,6 +459,9 @@ class SolverStats:
     time_total_s: float = 0.0
     #: Number of solves merged into this record (1 for a single solve).
     solves: int = 1
+    #: Achieved relative MIP gap (incumbent vs. best bound); NaN when the
+    #: solve reports none.  A merged record keeps the largest.
+    gap: float = math.nan
 
     #: (counter field name) pairs recorded by :meth:`record_to`.
     _COUNTER_FIELDS = (
@@ -496,6 +500,8 @@ class SolverStats:
         self.time_heuristic_s += other.time_heuristic_s
         self.time_total_s += other.time_total_s
         self.solves += other.solves
+        if math.isnan(self.gap) or other.gap > self.gap:
+            self.gap = other.gap
 
     def record_to(self, metrics: Metrics, **labels: Any) -> None:
         """Fold this record into a :class:`Metrics` registry.

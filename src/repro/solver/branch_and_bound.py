@@ -567,6 +567,8 @@ def _solve_bnb(
         heap, (root.fun, next(counter), _Node(root.fun, root_lower, root_upper))
     )
     proven_optimal = True
+    #: Lowest bound among nodes dropped by the gap cutoff (for stats.gap).
+    cut_bound = math.inf
     dive_node: _Node | None = None
     dive_depth = 0
 
@@ -581,6 +583,7 @@ def _solve_bnb(
             bound, _, node = heapq.heappop(heap)
             dive_depth = 0
         if bound >= cutoff():
+            cut_bound = min(cut_bound, bound)
             continue  # cannot beat the incumbent
         if (
             options.node_propagation
@@ -599,6 +602,7 @@ def _solve_bnb(
         if result.fun >= cutoff() or (
             incumbent is not None and result.fun >= incumbent_obj - 1e-12
         ):
+            cut_bound = min(cut_bound, result.fun)
             continue
         branch_var = _select_branch_var(result.x, int_cols, pseudocosts)
         if branch_var < 0:
@@ -608,6 +612,7 @@ def _solve_bnb(
             continue
         try_rounding(result.x)
         if result.fun >= cutoff():
+            cut_bound = min(cut_bound, result.fun)
             continue  # the heuristic may have closed the gap
         value = result.x[branch_var]
         floor_val, ceil_val = math.floor(value), math.ceil(value)
@@ -652,6 +657,11 @@ def _solve_bnb(
             return _solution(SolveStatus.INFEASIBLE, math.nan, (), stats, start)
         return _solution(SolveStatus.ERROR, math.nan, (), stats, start)
 
+    best_bound = min(
+        [incumbent_obj, cut_bound, *(entry[0] for entry in heap)]
+        + ([dive_node.bound] if dive_node is not None else [])
+    )
+    stats.gap = (incumbent_obj - best_bound) / max(abs(incumbent_obj + form.c0), 1e-9)
     objective = sign * (incumbent_obj + form.c0)
     status = SolveStatus.OPTIMAL if proven_optimal else SolveStatus.FEASIBLE
     return _solution(status, objective, lift(incumbent), stats, start)

@@ -69,6 +69,7 @@ def _solve_highs(model: MilpModel, options: HighsOptions | None = None) -> MilpS
     sign = -1.0 if model.sense is Sense.MAXIMIZE else 1.0
     c = sign * model.objective_vector()
     lower, upper = model.variable_bounds()
+    integrality = model.integrality()
     constraints = []
     if model.num_constraints:
         matrix, lb, ub = model.constraint_matrix()
@@ -77,7 +78,7 @@ def _solve_highs(model: MilpModel, options: HighsOptions | None = None) -> MilpS
         c=c,
         constraints=constraints,
         bounds=Bounds(lower, upper),
-        integrality=model.integrality(),
+        integrality=integrality,
         options={
             "time_limit": options.time_limit_s,
             "mip_rel_gap": options.mip_rel_gap,
@@ -99,7 +100,7 @@ def _solve_highs(model: MilpModel, options: HighsOptions | None = None) -> MilpS
                 c=np.zeros_like(c),
                 constraints=constraints,
                 bounds=Bounds(lower, upper),
-                integrality=model.integrality(),
+                integrality=integrality,
                 options={"time_limit": options.time_limit_s},
             )
             if feas.status == 0:
@@ -114,8 +115,10 @@ def _solve_highs(model: MilpModel, options: HighsOptions | None = None) -> MilpS
     values = np.asarray(result.x, dtype=float)
     # Snap integer variables to exact integers to shield downstream code
     # from solver tolerance noise.
-    for index in model.integer_indices():
-        values[index] = round(values[index])
+    integer = integrality == 1
+    values[integer] = np.round(values[integer])
+    if getattr(result, "mip_gap", None) is not None:
+        stats.gap = float(result.mip_gap)
     objective = sign * float(result.fun)
     _trace_solve(status, stats)
     return MilpSolution(status, objective, tuple(values.tolist()), stats.nodes_explored, stats)

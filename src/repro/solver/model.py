@@ -12,7 +12,7 @@ variable bounds with an integrality flag.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,30 +60,28 @@ class MilpSolution:
         return int(round(self.values[index]))
 
 
-@dataclass
-class _Variable:
-    name: str
-    lower: float
-    upper: float
-    integer: bool
-
-
-@dataclass
-class _Constraint:
-    coeffs: dict[int, float]
-    lower: float
-    upper: float
-    name: str
-
-
 class MilpModel:
-    """Incrementally built MILP."""
+    """Incrementally built MILP.
+
+    Variables and rows live in flat lists, one per attribute; row ``r``'s
+    nonzeros are ``_cols`` / ``_vals`` from ``_row_start[r]`` to
+    ``_row_start[r + 1]`` (CSR layout), so every export is one array
+    conversion and no object is kept per row.
+    """
 
     def __init__(self, sense: Sense = Sense.MAXIMIZE, name: str = "milp") -> None:
         self.sense = sense
         self.name = name
-        self._variables: list[_Variable] = []
-        self._constraints: list[_Constraint] = []
+        self._var_names: list[str] = []
+        self._var_lower: list[float] = []
+        self._var_upper: list[float] = []
+        self._var_integer: list[bool] = []
+        self._row_start: list[int] = [0]
+        self._cols: list[int] = []
+        self._vals: list[float] = []
+        self._row_lower: list[float] = []
+        self._row_upper: list[float] = []
+        self._row_names: list[str] = []
         self._objective: dict[int, float] = {}
 
     # -- variables -------------------------------------------------------------
@@ -99,8 +97,11 @@ class MilpModel:
         """Add a variable and return its column index."""
         if lower > upper:
             raise ValueError(f"variable {name!r}: lower {lower} > upper {upper}")
-        self._variables.append(_Variable(name, lower, upper, integer))
-        return len(self._variables) - 1
+        self._var_names.append(name)
+        self._var_lower.append(lower)
+        self._var_upper.append(upper)
+        self._var_integer.append(integer)
+        return len(self._var_names) - 1
 
     def add_binary(self, name: str) -> int:
         return self.add_variable(name, lower=0.0, upper=1.0, integer=True)
@@ -110,14 +111,17 @@ class MilpModel:
 
     @property
     def num_variables(self) -> int:
-        return len(self._variables)
+        return len(self._var_names)
 
     @property
     def num_constraints(self) -> int:
-        return len(self._constraints)
+        return len(self._row_names)
 
     def variable_name(self, index: int) -> str:
-        return self._variables[index].name
+        return self._var_names[index]
+
+    def constraint_name(self, index: int) -> str:
+        return self._row_names[index]
 
     # -- objective ---------------------------------------------------------------
 
@@ -146,12 +150,22 @@ class MilpModel:
             raise ValueError(f"constraint {name!r} is vacuous (no bounds)")
         if lower > upper:
             raise ValueError(f"constraint {name!r}: lower {lower} > upper {upper}")
-        cleaned = {i: float(c) for i, c in coeffs.items() if c != 0.0}
-        for index in cleaned:
-            if not 0 <= index < len(self._variables):
-                raise IndexError(f"constraint {name!r} references unknown variable {index}")
-        self._constraints.append(_Constraint(cleaned, lower, upper, name))
-        return len(self._constraints) - 1
+        cols = [*coeffs]
+        vals = [*coeffs.values()]  # made float64 by the matrix export
+        if 0.0 in vals:
+            cols = [i for i, v in zip(cols, vals) if v != 0.0]
+            vals = [v for v in vals if v != 0.0]
+        n = len(self._var_names)
+        if cols and not (0 <= min(cols) and max(cols) < n):
+            bad = next(i for i in cols if not 0 <= i < n)
+            raise IndexError(f"constraint {name!r} references unknown variable {bad}")
+        self._cols += cols
+        self._vals += vals
+        self._row_start.append(len(self._cols))
+        self._row_lower.append(lower)
+        self._row_upper.append(upper)
+        self._row_names.append(name)
+        return len(self._row_names) - 1
 
     def add_le(self, coeffs: Mapping[int, float], rhs: float, name: str = "") -> int:
         return self.add_constraint(coeffs, upper=rhs, name=name)
@@ -165,55 +179,56 @@ class MilpModel:
     # -- matrix export ------------------------------------------------------------
 
     def objective_vector(self) -> np.ndarray:
-        c = np.zeros(len(self._variables))
-        for index, coeff in self._objective.items():
-            c[index] = coeff
+        c = np.zeros(len(self._var_names))
+        c[list(self._objective)] = list(self._objective.values())
         return c
 
     def constraint_matrix(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """``(A, lb, ub)`` with one row per constraint."""
-        rows, cols, data = [], [], []
-        for row, constraint in enumerate(self._constraints):
-            for col, coeff in constraint.coeffs.items():
-                rows.append(row)
-                cols.append(col)
-                data.append(coeff)
+        """``(A, lb, ub)`` with one row per constraint, column indices
+        sorted within each row."""
         matrix = sparse.csr_matrix(
-            (data, (rows, cols)),
-            shape=(len(self._constraints), len(self._variables)),
+            (
+                np.array(self._vals, dtype=float),
+                np.array(self._cols, dtype=np.int64),
+                np.array(self._row_start, dtype=np.int64),
+            ),
+            shape=(len(self._row_names), len(self._var_names)),
         )
-        lb = np.array([c.lower for c in self._constraints])
-        ub = np.array([c.upper for c in self._constraints])
-        return matrix, lb, ub
+        matrix.sort_indices()
+        return matrix, np.array(self._row_lower, dtype=float), np.array(
+            self._row_upper, dtype=float
+        )
 
     def variable_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lower = np.array([v.lower for v in self._variables])
-        upper = np.array([v.upper for v in self._variables])
-        return lower, upper
+        return (
+            np.array(self._var_lower, dtype=float),
+            np.array(self._var_upper, dtype=float),
+        )
 
     def integrality(self) -> np.ndarray:
         """1 where the variable is integer-constrained, else 0 (scipy
         ``milp`` convention)."""
-        return np.array([1 if v.integer else 0 for v in self._variables])
+        return np.array(self._var_integer, dtype=np.int64)
 
     def integer_indices(self) -> list[int]:
-        return [i for i, v in enumerate(self._variables) if v.integer]
+        return np.flatnonzero(self._var_integer).tolist()
 
     # -- evaluation -----------------------------------------------------------------
 
     def objective_value(self, values: Sequence[float]) -> float:
-        return sum(coeff * values[index] for index, coeff in self._objective.items())
+        return float(self.objective_vector() @ np.asarray(values, dtype=float))
 
     def is_feasible(self, values: Sequence[float], tol: float = 1e-6) -> bool:
         """Check a candidate point against all bounds and constraints."""
-        for i, var in enumerate(self._variables):
-            v = values[i]
-            if v < var.lower - tol or v > var.upper + tol:
-                return False
-            if var.integer and abs(v - round(v)) > tol:
-                return False
-        for constraint in self._constraints:
-            total = sum(coeff * values[i] for i, coeff in constraint.coeffs.items())
-            if total < constraint.lower - tol or total > constraint.upper + tol:
-                return False
-        return True
+        x = np.asarray(values, dtype=float)
+        lower, upper = self.variable_bounds()
+        snapped = x[self.integrality() == 1]
+        if (
+            np.any(x < lower - tol)
+            or np.any(x > upper + tol)
+            or np.any(np.abs(snapped - np.round(snapped)) > tol)
+        ):
+            return False
+        matrix, lb, ub = self.constraint_matrix()
+        total = matrix @ x
+        return not (np.any(total < lb - tol) or np.any(total > ub + tol))

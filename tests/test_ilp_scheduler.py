@@ -9,6 +9,7 @@ from repro import (
     ConstraintManager,
     IlpScheduler,
     Resource,
+    TagPopularityScheduler,
     affinity,
     build_cluster,
     evaluate_violations,
@@ -100,3 +101,56 @@ class TestPrunedScheduling:
         scheduler = IlpScheduler(time_limit_s=1.0, mip_rel_gap=0.05)
         result = scheduler.place([make_lra(containers=2)], state, manager)
         assert len(result.placements) == 2
+
+
+def _one_free_node_outside_pool():
+    """Racks 0/2/3 half full, n00001's rack full except n00001 itself: the
+    pool takes rack 0 whole and a stride sample, leaving out n00001 — the
+    only node a 12 GB container fits on."""
+    topo = build_cluster(40, racks=4, memory_mb=16 * 1024, vcores=8)
+    state, manager = ClusterState(topo), ConstraintManager(topo)
+    rack = topo.node("n00001").rack
+    for node in topo:
+        if node.rack != rack:
+            demand = Resource(8 * 1024, 1)
+        elif node.node_id != "n00001":
+            demand = Resource(16 * 1024, 8)
+        else:
+            continue
+        state.allocate(f"bg/{node.node_id}", node.node_id, demand, ("task",), "bg")
+    request = make_lra("big", containers=1, memory_mb=12 * 1024)
+    manager.register_application(request)
+    return state, manager, request
+
+
+class TestPooledRetry:
+    @pytest.mark.parametrize(
+        "scheduler",
+        [IlpScheduler(max_candidate_nodes=8), IlpScheduler(), TagPopularityScheduler()],
+        ids=["ilp-pooled", "ilp-full", "tag-popularity"],
+    )
+    def test_app_placed_on_the_one_node_it_fits(self, scheduler):
+        state, manager, request = _one_free_node_outside_pool()
+        if isinstance(scheduler, IlpScheduler) and scheduler.max_candidate_nodes:
+            assert "n00001" not in scheduler._candidate_pool([request], state, manager)
+        result = scheduler.place([request], state, manager)
+        assert result.rejected_apps == []
+        assert [p.node_id for p in result.placements] == ["n00001"]
+
+    def test_no_retry_when_nothing_outside_the_pool_fits(self):
+        state, manager, _ = _one_free_node_outside_pool()
+        too_big = make_lra("huge", containers=1, memory_mb=32 * 1024)
+        manager.register_application(too_big)
+        scheduler = IlpScheduler(max_candidate_nodes=8)
+        result = scheduler.place([too_big], state, manager)
+        assert result.rejected_apps == ["huge"]
+        pool = scheduler._candidate_pool([too_big], state, manager)
+        assert scheduler.last_formulation.nodes == pool
+
+    def test_audit_reports_mip_gap(self):
+        topo = build_cluster(10)
+        state, manager = ClusterState(topo), ConstraintManager(topo)
+        scheduler = IlpScheduler(audit=True, mip_rel_gap=0.05)
+        result = scheduler.place([make_lra(containers=2)], state, manager)
+        gap = result.audit.objective_terms["mip_gap"]
+        assert 0.0 <= gap <= 0.05
