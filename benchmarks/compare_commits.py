@@ -6,10 +6,13 @@ BASE is exported (``git archive``) into a temporary directory, then
 ``benchmarks/pipeline/run.py --trace 0`` runs base/change/change/base/… per
 workload, each side from its own checkout, so host drift hits both sides
 alike.  Per (workload, end-to-end metric) it prints both medians, both
-quartile spreads (q3 − q1), the ratio change/base and a verdict:
-``unresolved`` when the medians differ by no more than the wider spread
-(``benchmarks/pipeline/README.md``, "Observed run-to-run spread"), otherwise
-``improved`` or ``worse`` by the metric's direction in ``BENCHMARK.json``.
+quartile spreads (q3 − q1), the ratio change/base, the pairs the change won
+(beat the base in the metric's direction; a tie counts for neither side) and
+a verdict: ``unresolved`` when the medians differ by no more than the wider
+spread (``benchmarks/pipeline/README.md``, "Observed run-to-run spread"),
+otherwise ``improved`` or ``worse`` by the metric's direction in
+``BENCHMARK.json`` — where ``improved`` also needs at least 9 of every 10
+pairs won, and reads ``unresolved`` without them.
 Exits 1 if a run fails its output checks or the two sides' output
 fingerprints differ, and 3 if a metric is ``worse`` by more than its
 ``bound`` in ``BENCHMARK.json`` (the rule of ``run.py --check-repeat``;
@@ -54,15 +57,21 @@ def spread(values: list[float]) -> tuple[float, float]:
 
 
 def verdict(base: list[float], change: list[float], better: str) -> tuple:
+    """(base median, base iqr, change median, change iqr, ratio, verdict,
+    pairs won); ``base[i]`` and ``change[i]`` are the two runs of pair ``i``."""
     base_median, base_iqr = spread(base)
     change_median, change_iqr = spread(change)
-    gain = change_median - base_median if better == "higher" else base_median - change_median
+    sign = 1 if better == "higher" else -1
+    gain = sign * (change_median - base_median)
+    won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     if abs(gain) <= max(base_iqr, change_iqr):
         word = "unresolved"
+    elif gain < 0:
+        word = "worse"
     else:
-        word = "improved" if gain > 0 else "worse"
+        word = "improved" if 10 * won >= 9 * len(base) else "unresolved"
     ratio = change_median / base_median if base_median else float("nan")
-    return base_median, base_iqr, change_median, change_iqr, ratio, word
+    return base_median, base_iqr, change_median, change_iqr, ratio, word, won
 
 
 def judge(spec: dict, values: dict, prints: dict) -> tuple[list[str], int]:
@@ -72,15 +81,16 @@ def judge(spec: dict, values: dict, prints: dict) -> tuple[list[str], int]:
     ``prints[workload][side]`` the set of output fingerprints seen.
     """
     lines = [f"{'workload':14s} {'metric':17s} {'base':>10s} {'±iqr':>9s} "
-             f"{'change':>10s} {'±iqr':>9s} {'ratio':>8s}  verdict"]
+             f"{'change':>10s} {'±iqr':>9s} {'ratio':>8s} {'won':>6s}  verdict"]
     mismatch, offenders = False, []
     for workload, sides in values.items():
         for metric in spec["end_to_end"]:
             name = metric["name"]
             row = verdict(sides["base"][name], sides["change"][name], metric["better"])
-            ratio, word = row[4:]
+            ratio, word, won = row[4:]
+            pairs = f"{won}/{len(sides['base'][name])}"
             lines.append(f"{workload:14s} {name:17s} {row[0]:10.5g} {row[1]:9.3g} "
-                         f"{row[2]:10.5g} {row[3]:9.3g} {ratio:8.3f}  {word}")
+                         f"{row[2]:10.5g} {row[3]:9.3g} {ratio:8.3f} {pairs:>6s}  {word}")
             if word == "worse" and abs(ratio - 1.0) > metric["bound"]:
                 offenders.append(f"{workload}.{name} (ratio {ratio:.3f}, bound ±{metric['bound']:g})")
         base, change = prints[workload]["base"], prints[workload]["change"]

@@ -2,8 +2,8 @@
 
 A node has a resource capacity, a set of *static* attributes exposed as tags
 (e.g. ``gpu``, mirroring §4.1's note that static machine attributes are a
-special case of the tag model), and a dynamic tag multiset fed by the
-containers currently allocated on it.
+special case of the tag model), and the containers currently allocated on
+it.  Their tags are counted in the cluster state's γ arrays, not here.
 """
 
 from __future__ import annotations
@@ -11,10 +11,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..tags import TagMultiset
+from ..tags import TagMultiset, validate_tag
 from .resources import Resource
 
 __all__ = ["Node", "Allocation"]
+
+#: Tag strings already validated (validity depends on the string alone);
+#: emptied past 65,536 entries so its memory stays bounded.
+_valid_tags: set[str] = set()
+
+
+def _validate_tags(tags: frozenset[str]) -> None:
+    """:func:`validate_tag` for every tag, each string checked only once."""
+    if not _valid_tags.issuperset(tags):
+        for tag in tags:
+            validate_tag(tag)
+        if len(_valid_tags) > 1 << 16:
+            _valid_tags.clear()
+        _valid_tags.update(tags)
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,11 +46,11 @@ class Node:
     """A single cluster machine.
 
     Mutation happens only through :meth:`allocate` / :meth:`release` so the
-    free-resource vector and the dynamic tag multiset can never drift apart.
+    free-resource vector and the allocations can never drift apart.
     """
 
     __slots__ = ("node_id", "rack", "capacity", "static_tags", "_free",
-                 "_allocations", "_dynamic_tags", "_available", "_listeners",
+                 "_allocations", "_available", "_listeners",
                  "_alloc_hooks", "_release_hooks", "_avail_hooks")
 
     def __init__(
@@ -52,7 +66,6 @@ class Node:
         self.static_tags = frozenset(static_tags)
         self._free = capacity
         self._allocations: dict[str, Allocation] = {}
-        self._dynamic_tags = TagMultiset()
         #: False while the machine is down / being upgraded (failure replay).
         self._available = True
         #: Mutation observers (struct-of-arrays mirror, candidate index).
@@ -114,6 +127,8 @@ class Node:
     # -- allocation lifecycle ------------------------------------------------
 
     def allocate(self, allocation: Allocation) -> None:
+        """Store ``allocation``; every check (duplicate id, fit, tag syntax)
+        runs before anything is mutated, so a rejected call leaves no trace."""
         if allocation.container_id in self._allocations:
             raise ValueError(f"container {allocation.container_id} already on {self.node_id}")
         if not allocation.resource.fits(self._free):
@@ -121,9 +136,9 @@ class Node:
                 f"container {allocation.container_id} ({allocation.resource}) does not fit "
                 f"free {self._free} on {self.node_id}"
             )
+        _validate_tags(allocation.tags)
         self._allocations[allocation.container_id] = allocation
         self._free = self._free - allocation.resource
-        self._dynamic_tags.add_all(allocation.tags)
         for hook in self._alloc_hooks:
             hook(self, allocation)
 
@@ -133,7 +148,6 @@ class Node:
         except KeyError:
             raise KeyError(f"container {container_id} not on node {self.node_id}") from None
         self._free = self._free + allocation.resource
-        self._dynamic_tags.remove_all(allocation.tags)
         for hook in self._release_hooks:
             hook(self, allocation)
         return allocation
@@ -159,14 +173,16 @@ class Node:
 
         Static tags count once — they describe the machine, not containers.
         """
-        tags = self._dynamic_tags.copy()
-        for tag in self.static_tags:
-            tags.add(tag)
+        tags = self.dynamic_tags()
+        tags.add_all(self.static_tags)
         return tags
 
     def dynamic_tags(self) -> TagMultiset:
-        """Only container-contributed tags (no static attributes)."""
-        return self._dynamic_tags
+        """Only container-contributed tags (no static attributes), counted
+        afresh from the allocations — an independent recount of γn."""
+        return TagMultiset(
+            tag for allocation in self._allocations.values() for tag in allocation.tags
+        )
 
     # -- metrics --------------------------------------------------------------
 

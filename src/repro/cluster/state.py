@@ -13,8 +13,10 @@ evaluation — the method's docstring states the accumulation order):
   rebuilt — and γ recounted from the container map — whenever
   ``topology.groups_version`` moves;
 * per (group, tag) with at least one live container, an int64 **γ array**
-  over the group's set indices, allocated on the tag's first increment and
-  freed when its last container leaves: memory is O(live tags × sets).
+  over the group's set indices: a slice view of the tag's one *column*
+  (every group's sets end to end; a write adds at the node's precomputed
+  slots), allocated on the tag's first increment and freed when its last
+  container leaves: memory is O(live tags × sets).
 
 Per-node capacity / free / availability are mirrored into numpy
 struct-of-arrays (:class:`StateArrays`), keyed by a stable node-index map
@@ -123,35 +125,31 @@ class _GroupGamma:
     Every per-set array has one slot more than the group has sets.  That
     last slot stands for "no set": no node is in it, so its count stays 0,
     and membership rows are padded with its index — a gather through the
-    padding reads 0 and needs no mask."""
+    padding reads 0 and needs no mask.  The group's per-set arrays start at
+    ``offset`` in the state's per-tag columns."""
 
-    __slots__ = ("sets_of", "member", "no_set", "counts", "zeros")
+    __slots__ = ("member", "no_set", "offset", "counts", "zeros")
 
-    def __init__(self, topology: ClusterTopology, name: str, node_ids: list[str]) -> None:
-        #: node index -> indices of the sets containing it, in the
-        #: topology's membership order (the scalar write and read path).
-        self.sets_of: list[Sequence[int]] = [
-            topology.set_indices_for_node(name, node_id) for node_id in node_ids
-        ]
-        self.no_set = len(topology.group(name).node_sets)
-        lengths = _np.fromiter(
-            map(len, self.sets_of), dtype=_np.intp, count=len(node_ids)
-        )
+    def __init__(self, sets_of: list[Sequence[int]], no_set: int, offset: int) -> None:
+        self.no_set = no_set
+        self.offset = offset
+        lengths = _np.fromiter(map(len, sets_of), dtype=_np.intp, count=len(sets_of))
         #: The same as an array for the scorer's gathers: one column per
         #: membership position, rows right-padded with ``no_set``.
         self.member = _np.full(
-            (len(node_ids), max(1, int(lengths.max()))), self.no_set, dtype=_np.intp
+            (len(sets_of), max(1, int(lengths.max()))), no_set, dtype=_np.intp
         )
         # The cells left of each row's length, in row-major order, are the
         # membership lists laid end to end.
         self.member[_np.arange(self.member.shape[1]) < lengths[:, None]] = (
             _np.fromiter(
-                itertools.chain.from_iterable(self.sets_of),
+                itertools.chain.from_iterable(sets_of),
                 dtype=_np.intp, count=int(lengths.sum()),
             )
         )
-        #: tag -> int64 cardinality per set; present only while some
-        #: container carries the tag (see ``ClusterState._update_group_tags``).
+        #: tag -> int64 cardinality per set, a view into the tag's column;
+        #: present only while some container carries the tag (see
+        #: ``ClusterState._update_group_tags``).
         self.counts: dict[str, _np.ndarray] = {}
         #: γ of a tag nobody carries.  Shared, hence read-only.
         self.zeros = _np.zeros(self.no_set + 1, dtype=_np.int64)
@@ -248,10 +246,14 @@ class ClusterState:
         self._containers: dict[str, PlacedContainer] = {}
         # group name -> γ storage, maintained incrementally on
         # allocate/release and rebuilt when the topology's groups change
-        # (see _gamma_groups); tag -> number of live containers carrying it.
+        # (see _gamma_groups); tag -> live containers carrying it, and its
+        # column; node index -> its column slots; column length.
         self._gamma: dict[str, _GroupGamma] = {}
         self._gamma_version = -1
         self._live_tags: dict[str, int] = {}
+        self._columns: dict[str, _np.ndarray] = {}
+        self._slots_of: list[tuple[int, ...]] = []
+        self._width = 0
         #: Bumped on every node mutation; memoised metrics key off it.
         self._version = 0
         self._memo: dict = {}
@@ -334,7 +336,7 @@ class ClusterState:
         allocation = Allocation(
             container_id=container_id,
             resource=resource,
-            tags=frozenset(tags),
+            tags=tags if type(tags) is frozenset else frozenset(tags),
             app_id=app_id,
             long_running=long_running,
         )
@@ -369,43 +371,50 @@ class ClusterState:
         A group registered (or replaced) after containers were placed gets
         its membership arrays built and its γ recounted from the container
         map here, so it is never invisible to constraint checks."""
-        version = self.topology.groups_version
+        topology = self.topology
+        version = topology.groups_version
         if version != self._gamma_version:
             self._gamma_version = version
             node_ids = self._arrays.node_ids
-            self._gamma = {
-                name: _GroupGamma(self.topology, name, node_ids)
-                for name in self.topology.group_names()
-            }
+            self._gamma = {}
+            slots: list[list[int]] = [[] for _ in node_ids]
+            offset = 0
+            for name in topology.group_names():
+                sets_of = [topology.set_indices_for_node(name, n) for n in node_ids]
+                no_set = len(topology.group(name).node_sets)
+                self._gamma[name] = _GroupGamma(sets_of, no_set, offset)
+                for row, sets in zip(slots, sets_of):
+                    row.extend(offset + s for s in sets)
+                offset += no_set + 1
+            self._slots_of = [tuple(row) for row in slots]
+            self._width = offset
             self._live_tags = {}
+            self._columns = {}
             for placed in self._containers.values():
                 self._update_group_tags(placed.node_id, placed.allocation.tags, +1)
         return self._gamma
 
     def _update_group_tags(self, node_id: str, tags: frozenset[str], delta: int) -> None:
-        groups = self._gamma_groups().values()
-        i = self._arrays.index_of[node_id]
-        for group in groups:
-            sets = group.sets_of[i]
-            if not sets:
-                continue
-            counts = group.counts
-            for tag in tags:
-                per_set = counts.get(tag)
-                if per_set is None:
-                    per_set = counts[tag] = _np.zeros_like(group.zeros)
-                for set_index in sets:
-                    per_set[set_index] += delta
+        groups = self._gamma_groups()
+        slots = self._slots_of[self._arrays.index_of[node_id]]
         live = self._live_tags
+        columns = self._columns
         for tag in tags:
+            column = columns.get(tag)
+            if column is None:
+                column = columns[tag] = _np.zeros(self._width, dtype=_np.int64)
+                for group in groups.values():
+                    group.counts[tag] = column[group.offset:group.offset + group.no_set + 1]
+            for slot in slots:
+                column[slot] += delta
             carriers = live.get(tag, 0) + delta
             if carriers > 0:
                 live[tag] = carriers
             else:
-                # Last container with this tag left: its arrays are all zero.
-                del live[tag]
-                for group in groups:
-                    group.counts.pop(tag, None)
+                # Last container with this tag left: its column is all zero.
+                del live[tag], columns[tag]
+                for group in groups.values():
+                    del group.counts[tag]
 
     # -- queries -----------------------------------------------------------------
 

@@ -350,9 +350,16 @@ class MedeaScheduler:
           (no delay scheduling in play), nodes whose free vector is below
           the element-wise minimum queue-head demand are skipped — no head
           can fit there, so their heartbeat could not allocate.  The skip
-          test is one vectorised compare over the state's free arrays; the
-          bound is re-derived whenever an allocation changes the queue
-          heads.
+          test is one vectorised compare over the state's free arrays.
+
+        The rest of the cluster is re-screened only when an allocation
+        *loosens* the bound (lowers it in memory or vcores).  Otherwise the
+        current mask is still a superset of the nodes a head could fit, and
+        heartbeats on the extra nodes are strict no-ops while
+        ``demand_bound_safe()`` holds: the selected task is a queue head that
+        does not fit (no ``_select_task`` has side effects without locality).
+        Allocations change only the current node, so the mask over the nodes
+        ahead stays valid.
         """
         allocations = []
         task_scheduler = self.task_scheduler
@@ -379,7 +386,6 @@ class MedeaScheduler:
                 & (arrays.free_mem[start:] >= bound[0])
                 & (arrays.free_vc[start:] >= bound[1])
             )
-            rescan = False
             for offset in mask.nonzero()[0]:
                 idx = start + int(offset)
                 allocs = self.heartbeat(node_ids[idx], now)
@@ -388,14 +394,13 @@ class MedeaScheduler:
                     if task_scheduler.pending_tasks() == 0:
                         return allocations
                     new_bound = task_scheduler.min_head_demand()
-                    if new_bound != bound:
-                        # The queue heads changed; nodes after this one
-                        # must be re-screened against the new bound.
+                    if new_bound[0] < bound[0] or new_bound[1] < bound[1]:
+                        # The bound loosened: nodes after this one that the
+                        # mask left out may now fit a head.
                         bound = new_bound
                         start = idx + 1
-                        rescan = True
                         break
-            if not rescan:
+            else:
                 break
         return allocations
 

@@ -93,16 +93,23 @@ class _Instrument:
     def _write_key(self, labels: dict[str, Any]) -> str:
         """:func:`_label_key`, memoised for label sets with only ``str``
         values (equal values of other types — ``1``, ``1.0``, ``True`` —
-        render differently, so those are derived every time)."""
+        render differently, so those are derived every time).
+
+        The memo is probed first: only ``str``-valued sets are stored, and
+        ``1``, ``1.0`` or ``True`` never equal a ``str``."""
         if not labels:
             return ""
+        items = tuple(labels.items())
+        try:
+            key = self._write_keys.get(items)
+        except TypeError:  # an unhashable label value
+            key = None
+        if key is not None:
+            return key
         for value in labels.values():
             if type(value) is not str:
                 return _label_key(labels)
-        items = tuple(labels.items())
-        key = self._write_keys.get(items)
-        if key is None:
-            key = self._write_keys[items] = _label_key(labels)
+        key = self._write_keys[items] = _label_key(labels)
         return key
 
 

@@ -1,9 +1,10 @@
 """Discrete-event simulation engine.
 
-A minimal, deterministic event loop: events are (time, sequence) ordered,
-callbacks receive the engine so they can schedule follow-ups.  This is the
-substrate standing in for the paper's simulator, which "executes Medea with
-simulated machines, merely ignoring RPCs and task execution" (§7.1).
+A minimal, deterministic event loop over a heap of ``(time, seq, event)``
+tuples (``seq`` is unique, so two events never compare); callbacks receive
+the engine so they can schedule follow-ups.  This is the substrate standing
+in for the paper's simulator, which "executes Medea with simulated machines,
+merely ignoring RPCs and task execution" (§7.1).
 
 Observability: when built with an enabled :class:`~repro.obs.Tracer` (or
 when the ambient default tracer is enabled), the engine emits one
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..obs.events import EventKind
@@ -28,12 +28,16 @@ __all__ = ["SimulationEngine", "PeriodicHandle"]
 Callback = Callable[["SimulationEngine"], None]
 
 
-@dataclass(order=True)
 class _Event:
-    time: float
-    seq: int
-    callback: Callback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """A pending callback; cancelling it leaves it in the heap, unfired."""
+
+    __slots__ = ("time", "seq", "callback", "cancelled")
+
+    def __init__(self, time: float, seq: int, callback: Callback) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
 
 
 class PeriodicHandle:
@@ -70,7 +74,7 @@ class SimulationEngine:
     """Deterministic single-threaded event loop with a simulated clock."""
 
     def __init__(self, *, tracer: Tracer | None = None) -> None:
-        self._queue: list[_Event] = []
+        self._queue: list[tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self.now: float = 0.0
         self._running = False
@@ -86,7 +90,7 @@ class SimulationEngine:
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         event = _Event(time, next(self._seq), callback)
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, event.seq, event))
         return event
 
     def schedule_in(self, delay: float, callback: Callback) -> _Event:
@@ -140,20 +144,20 @@ class SimulationEngine:
             event.cancelled = True
 
     def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)
 
     def _dispatch(self, event: _Event, traced: bool | None = None) -> None:
         self.now = event.time
-        tracer = self.tracer
         # ``traced`` is the run-level latch (see ``Tracer.kind_enabled``):
         # the dispatch stream is the densest in the system, so a rate-0
         # sampling policy must cost one bool check here, not a call.
         if traced is None:
+            tracer = self.tracer
             traced = tracer.enabled and tracer.kind_enabled(
                 EventKind.ENGINE_DISPATCH
             )
         if traced:
-            tracer.emit(
+            self.tracer.emit(
                 EventKind.ENGINE_DISPATCH,
                 time=event.time,
                 data={
@@ -184,12 +188,12 @@ class SimulationEngine:
         self._running = True
         tracer = self.tracer
         traced = tracer.enabled and tracer.kind_enabled(EventKind.ENGINE_DISPATCH)
+        queue = self._queue
         try:
-            while self._queue:
-                event = self._queue[0]
-                if until is not None and event.time > until:
+            while queue:
+                if until is not None and queue[0][0] > until:
                     break
-                heapq.heappop(self._queue)
+                event = heapq.heappop(queue)[2]
                 if event.cancelled:
                     continue
                 self._dispatch(event, traced)
@@ -202,7 +206,7 @@ class SimulationEngine:
     def step(self) -> bool:
         """Process exactly one event; returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             self._dispatch(event)

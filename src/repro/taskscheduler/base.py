@@ -28,6 +28,8 @@ __all__ = ["TaskAllocation", "PlacementConflictError", "TaskBasedScheduler"]
 #: Tag automatically attached to short-running task containers so metrics can
 #: tell them apart from LRA containers.
 TASK_TAG = "task"
+#: The tag set of every task container, frozen once.
+_TASK_TAGS = frozenset((TASK_TAG,))
 
 
 @dataclass(frozen=True)
@@ -133,28 +135,19 @@ class TaskBasedScheduler(abc.ABC):
         dimension cannot receive an allocation this heartbeat — a sound
         (possibly loose) skip test for :meth:`MedeaScheduler.heartbeat_all`.
         """
-        min_mem: int | None = None
-        min_vc = 0
-        for queue in self.queues.nonempty_queues():
-            task = queue.head()
-            if task is None:
-                continue
-            resource = task.resource
-            if min_mem is None:
-                min_mem = resource.memory_mb
-                min_vc = resource.vcores
-            else:
-                min_mem = min(min_mem, resource.memory_mb)
-                min_vc = min(min_vc, resource.vcores)
-        if min_mem is None:
+        heads = [queue.head().resource for queue in self.queues.nonempty_queues()]
+        if not heads:
             return None
-        return (min_mem, min_vc)
+        return min(r.memory_mb for r in heads), min(r.vcores for r in heads)
 
     def handle_heartbeat(self, node_id: str, now: float) -> list[TaskAllocation]:
         """Allocate queued tasks onto the heartbeating node until it is full
         or no queue can use it.  Returns the new allocations."""
         node = self.state.topology.node(node_id)
         allocations: list[TaskAllocation] = []
+        # Resolved on the first allocation, not per task: a heartbeat that
+        # allocates nothing must not register the instruments.
+        allocated = latency = None
         while node.available:
             task = self._select_task(node_id)
             if task is None:
@@ -170,7 +163,7 @@ class TaskBasedScheduler(abc.ABC):
                 task.task_id,
                 node_id,
                 task.resource,
-                (TASK_TAG,),
+                _TASK_TAGS,
                 task.app_id,
                 long_running=False,
             )
@@ -186,10 +179,12 @@ class TaskBasedScheduler(abc.ABC):
             self.completed_count += 1
             if self.retain_completed:
                 self.completed_allocations.append(allocation)
-            self.metrics.counter("task_allocated_total").inc(queue=task.queue)
-            self.metrics.timer("task_queue_latency_seconds").observe(
-                allocation.latency_s, queue=task.queue
-            )
+            if allocated is None:
+                metrics = self.metrics
+                allocated = metrics.counter("task_allocated_total")
+                latency = metrics.timer("task_queue_latency_seconds")
+            allocated.inc(queue=task.queue)
+            latency.observe(allocation.latency_s, queue=task.queue)
         tracer = self.tracer
         if tracer.enabled:
             for allocation in allocations:

@@ -13,6 +13,7 @@ from collections import defaultdict
 
 from ..core.requests import TaskRequest
 from .base import TaskBasedScheduler
+from .queues import LeafQueue
 
 __all__ = ["CapacityScheduler"]
 
@@ -29,9 +30,10 @@ class CapacityScheduler(TaskBasedScheduler):
 
     def _select_task(self, node_id: str) -> TaskRequest | None:
         node = self.state.topology.node(node_id)
-        for queue in sorted(
-            self.queues.nonempty_queues(), key=lambda q: q.utilization()
-        ):
+        queues = self.queues.nonempty_queues()
+        if len(queues) > 1:
+            queues.sort(key=LeafQueue.utilization)  # stable, like ``sorted``
+        for queue in queues:
             task = queue.head()
             if task is None:
                 continue

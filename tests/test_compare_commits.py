@@ -1,7 +1,7 @@
 """The perf gate's decision, on synthetic values: ``verdict()`` wording for
-both metric directions, and ``judge()``'s exit status — 0 within bound or
-unresolved, 3 worse beyond bound, 1 on a fingerprint mismatch.  No
-benchmark run involved."""
+both metric directions and its pairs-won rule, and ``judge()``'s exit
+status — 0 within bound or unresolved, 3 worse beyond bound, 1 on a
+fingerprint mismatch.  No benchmark run involved."""
 
 from __future__ import annotations
 
@@ -36,6 +36,28 @@ def scaled(factor: float) -> list[float]:
 )
 def test_verdict_words(better, change, word):
     assert verdict(TIGHT, change, better)[5] == word
+
+
+@pytest.mark.parametrize("better, sign", [("higher", 1), ("lower", -1)])
+def test_improved_needs_nine_of_ten_pairs_won(better, sign):
+    base = [100.0] * 10
+    # Medians 100 apart, spreads 0 and 37.5: a gain by the medians alone,
+    # but the change wins only 8 of the 10 pairs.
+    change = [100.0 + sign * 100.0] * 8 + [100.0 - sign * 50.0] * 2
+    assert verdict(base, change, better)[5:] == ("unresolved", 8)
+    # A tie counts for neither side.
+    assert verdict(base, change[:9] + [100.0], better)[5:] == ("unresolved", 8)
+    change = [100.0 + sign * 100.0] * 10
+    assert verdict(base, change, better)[5:] == ("improved", 10)
+
+
+def test_judge_prints_pairs_won():
+    values = {"w": {"base": {"latency_p50_ms": TIGHT, "throughput_per_s": TIGHT},
+                    "change": {"latency_p50_ms": scaled(0.5), "throughput_per_s": scaled(0.5)}}}
+    lines, status = judge(SPEC, values, {"w": {"base": {"f0"}, "change": {"f0"}}})
+    assert status == 3
+    assert any(line.endswith(" 3/3  improved") for line in lines)
+    assert any(line.endswith(" 0/3  worse") for line in lines)
 
 
 def collected(latency: list[float], throughput: list[float], fingerprint: str = "f0"):

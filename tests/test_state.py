@@ -42,6 +42,33 @@ class TestAllocationLifecycle:
         with pytest.raises(KeyError):
             state.release("ghost")
 
+    def test_invalid_tag_leaves_no_trace(self):
+        """Regression: a malformed tag used to raise only after the node had
+        stored the allocation and cut its free vector, while the mirror, γ
+        and the container map never heard of it — and a retry with valid
+        tags then failed as a duplicate."""
+        from repro.cluster.index import CandidateIndex
+
+        topology = build_cluster(4, racks=2)
+        state = ClusterState(topology)
+        index = state.candidate_index()
+        fresh = ClusterState(build_cluster(4, racks=2))
+        with pytest.raises(ValueError):
+            state.allocate("c1", "n00001", Resource(4096, 2), {"bad tag"}, "a")
+        node = topology.node("n00001")
+        assert node.free == node.capacity and node.allocations == {}
+        for name in ("free_mem", "free_vc", "avail"):
+            assert (getattr(state.arrays, name) == getattr(fresh.arrays, name)).all()
+        assert state.containers == {} and state.version == fresh.version
+        assert state._live_tags == {}
+        assert all(not g.counts for g in state._gamma_groups().values())
+        assert index.snapshot() == CandidateIndex.rebuilt(topology).snapshot()
+        assert state.fingerprint() == fresh.fingerprint()
+
+        put(state, "c1", "n00001", tags=("good",), mem=4096)
+        assert state.free_resources("n00001") == Resource(12 * 1024, 7)
+        assert state.gamma("node", 1, ["good"]) == 1
+
     def test_release_application(self, state):
         put(state, "c1", "n00000", app="appA")
         put(state, "c2", "n00001", app="appA")
