@@ -1,9 +1,10 @@
-"""Ablation — MILP backend: HiGHS vs. the from-scratch branch-and-bound.
+"""Ablation — MILP backend: HiGHS, the from-scratch branch-and-bound, and
+the two-stage ``auto`` default (B&B certifies, HiGHS takes what it cannot).
 
-Not a paper figure; validates the DESIGN.md claim that the two solver
-backends are interchangeable for the Medea formulation, and measures the
-cost of the pure-Python B&B.  Both must produce placements of equal quality
-(same placed-app count, same violation count) on identical inputs.
+Not a paper figure; validates the DESIGN.md claim that the solver backends
+are interchangeable for the Medea formulation, and measures their cost.
+All three must produce placements of equal quality (same placed-container
+count, no violations) on identical inputs.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def run_backend(backend: str):
 
 
 def run_ablation():
-    return {backend: run_backend(backend) for backend in ("highs", "bnb")}
+    return {backend: run_backend(backend) for backend in ("highs", "bnb", "auto")}
 
 
 def test_ablation_solver_backends(benchmark):
@@ -56,7 +57,6 @@ def test_ablation_solver_backends(benchmark):
         ["backend", "containers placed", "violations", "time (s)"],
         [[b, r["placed"], r["violations"], r["time_s"]] for b, r in results.items()],
     ))
-    highs, bnb = results["highs"], results["bnb"]
     # Interchangeable: equal placement quality.
-    assert highs["placed"] == bnb["placed"]
-    assert highs["violations"] == bnb["violations"] == 0
+    assert len({r["placed"] for r in results.values()}) == 1
+    assert all(r["violations"] == 0 for r in results.values())

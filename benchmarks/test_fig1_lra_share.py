@@ -22,7 +22,7 @@ class BestFitScheduler(GreedyScheduler):
 
     name = "best-fit"
 
-    def pick_node(self, container, constraints, state):
+    def pick_node(self, container, constraints, state, *, decision=None):
         best_node, best_key = None, None
         for node in state.topology:
             if not node.can_fit(container.resource):

@@ -33,8 +33,12 @@ class IlpScheduler(LRAScheduler):
     weights:
         Objective weights (defaults to the paper's w1=1, w2=0.5, w3=0.25).
     backend:
-        ``"highs"`` (default) or ``"bnb"`` for the from-scratch
-        branch-and-bound solver.
+        ``"auto"`` (default): the from-scratch branch-and-bound solver
+        first tries to *prove* the batch optimum (or infeasibility) within
+        :data:`~repro.solver.CERTIFY_MAX_NODES` nodes at gap 1e-6, and only
+        a batch it cannot prove goes to HiGHS, with ``mip_rel_gap`` and the
+        rest of ``time_limit_s``.  ``"highs"`` and ``"bnb"`` run one solver
+        alone; they are the references tests and ablations compare against.
     rmin:
         Fragmentation threshold of Eq. 5.
     time_limit_s:
@@ -42,7 +46,8 @@ class IlpScheduler(LRAScheduler):
     mip_rel_gap:
         Relative optimality gap at which the solver may stop early; batch
         placement rarely benefits from proving the last fraction of a
-        percent, so sweeps use a few percent here.
+        percent, so sweeps use a few percent here.  Under ``"auto"`` it
+        applies to the HiGHS stage only.
     bnb_options:
         Full :class:`~repro.solver.BnBOptions` for the ``"bnb"`` backend
         (presolve, pseudocost branching, rounding heuristic, node
@@ -67,7 +72,7 @@ class IlpScheduler(LRAScheduler):
         self,
         weights: IlpWeights | None = None,
         *,
-        backend: str = "highs",
+        backend: str = "auto",
         rmin: Resource = Resource(2048, 1),
         time_limit_s: float = 60.0,
         mip_rel_gap: float = 1e-6,

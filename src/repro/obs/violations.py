@@ -66,6 +66,62 @@ class ViolationReport:
         metrics.gauge("violations_total_extent").set(self.total_extent, **labels)
 
 
+class _ExactCheck:
+    """``ClusterState.check_placement(..., placed=True)`` with exact
+    conjunction counts.
+
+    The state's γ counts a tag conjunction as the *minimum* of its per-tag
+    counts, which overcounts when no single container carries every tag
+    (``appID:a ∧ hb_sec`` on a node with ``{appID:a, hb_m}`` and
+    ``{appID:b, hb_sec}`` is 1 there, 0 here).  The audit instead counts,
+    per (group, set, conjunction), the allocations on the set's nodes that
+    carry every tag — memoised for one evaluation — and excludes the
+    subject container itself.
+    """
+
+    def __init__(self, state: "ClusterState") -> None:
+        self._topology = state.topology
+        self._counts: dict[tuple[str, int, frozenset[str]], int] = {}
+
+    def _count(self, group: str, set_index: int, tags: frozenset[str]) -> int:
+        key = (group, set_index, tags)
+        count = self._counts.get(key)
+        if count is None:
+            topology = self._topology
+            count = self._counts[key] = sum(
+                tags <= allocation.tags
+                for node_id in topology.group(group).node_sets[set_index]
+                for allocation in topology.node(node_id).iter_allocations()
+            )
+        return count
+
+    def __call__(
+        self,
+        constraint: "PlacementConstraint",
+        node_id: str,
+        subject: frozenset[str],
+    ) -> tuple[bool, float]:
+        """``(satisfied, violation_extent)`` of ``constraint`` for the placed
+        subject on ``node_id``, summed like ``check_placement``."""
+        if not constraint.applies_to(subject):
+            return True, 0.0
+        group = constraint.node_group
+        set_indices = self._topology.set_indices_for_node(group, node_id)
+        if not set_indices:
+            return False, float(len(constraint.tag_constraints))
+        satisfied = True
+        extent = 0.0
+        for set_index in set_indices:
+            for tc in constraint.tag_constraints:
+                tags = tc.c_tag.tags
+                # The subject sits in every one of these sets.
+                gamma = self._count(group, set_index, tags) - (tags <= subject)
+                if not tc.satisfied_by(gamma):
+                    satisfied = False
+                    extent += tc.violation_extent(gamma)
+        return satisfied, extent
+
+
 def evaluate_violations(
     state: "ClusterState",
     constraints: Sequence["PlacementConstraint"] | None = None,
@@ -95,6 +151,7 @@ def evaluate_violations(
         constraints = manager.active_constraints()
         compound = tuple(manager.active_compound_constraints()) or compound
 
+    check = _ExactCheck(state)
     report = ViolationReport()
     for placed in state.containers.values():
         if not placed.allocation.long_running:
@@ -114,9 +171,7 @@ def evaluate_violations(
         report.subject_containers += 1
         violated = False
         for constraint in applicable:
-            ok, extent = state.check_placement(
-                constraint, placed.node_id, tags, placed=True
-            )
+            ok, extent = check(constraint, placed.node_id, tags)
             if not ok:
                 violated = True
                 report.total_extent += extent
@@ -131,9 +186,7 @@ def evaluate_violations(
                 for constraint in conjunct:
                     if not constraint.applies_to(tags):
                         continue
-                    ok, extent = state.check_placement(
-                        constraint, placed.node_id, tags, placed=True
-                    )
+                    ok, extent = check(constraint, placed.node_id, tags)
                     if not ok:
                         conj_ok = False
                         conj_extent += extent

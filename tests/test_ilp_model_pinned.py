@@ -16,7 +16,9 @@ behaviour-preserving must leave every digest unchanged.
 
 Scenarios: the first :data:`PINNED_BATCHES` full-size ``lra_ilp`` benchmark
 batches of two seeds (500 nodes, candidate pool, models captured exactly as
-the benchmark builds them, batches committed one after another), and small
+the benchmark builds them, batches committed one after another, every batch
+solved by HiGHS so that the committed placements — and with them the next
+batch's model — do not depend on the scheduler's default solver), and small
 unpooled formulations that between them reach every grounding path the
 benchmark does not: a DNF compound constraint, the ``w4_machines``
 objective, a tag-conjunction target, anti-affinity (``cmax = 0``),
@@ -32,6 +34,7 @@ recorded in CHANGES.md)::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -108,17 +111,27 @@ def model_digest(model) -> dict:
 # -- scenarios ----------------------------------------------------------------
 
 
-def lra_ilp_models(seed: int) -> list[dict]:
-    """The benchmark's first batches, each model digested as built."""
+@functools.lru_cache(maxsize=None)
+def lra_ilp_batches(seed: int) -> tuple:
+    """The benchmark's first batches as ``(model, objective)`` pairs, each
+    model as built and its objective as committed.  HiGHS solves every
+    batch, so the sequence pins ``IlpFormulation.build``, not the solver
+    choice."""
     workload = make_workload("lra_ilp", seed)
     state, manager, apps, scheduler = workload._setup(Window(), workload.make_scheduler)
+    scheduler.backend = "highs"
     out = []
     for start in range(0, PINNED_BATCHES * BATCH, BATCH):
-        workload._place_batch(
+        result, _, _ = workload._place_batch(
             state, manager, scheduler, apps[start:start + BATCH], float(start)
         )
-        out.append(model_digest(scheduler.last_formulation.model))
-    return out
+        out.append((scheduler.last_formulation.model, result.objective))
+    return tuple(out)
+
+
+def lra_ilp_models(seed: int) -> list[dict]:
+    """The benchmark's first batches, each model digested as built."""
+    return [model_digest(model) for model, _ in lra_ilp_batches(seed)]
 
 
 def _cluster(nodes=8, racks=2, memory_mb=8 * 1024):

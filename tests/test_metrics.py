@@ -200,6 +200,33 @@ class TestViolationAuditor:
         report = evaluate_violations(state, [anti_affinity("w", "w", "node")])
         assert report.violating_containers == 2
 
+    def test_conjunction_target_counts_containers_carrying_every_tag(self):
+        """γ of ``appID:X ∧ hb_sec`` is the number of containers carrying
+        both tags, not the minimum of the two per-tag counts."""
+        state, _ = self.build()
+        for cid, node, tags in [
+            ("a/m", "n00000", ("appID:a", "hb_m")),
+            ("a/th", "n00000", ("appID:a", "hb_th")),
+            ("b/sec", "n00000", ("appID:b", "hb_sec")),
+            ("c/m", "n00001", ("appID:c", "hb_m")),
+            ("c/rs", "n00001", ("appID:c", "hb_rs")),
+            ("d/th", "n00001", ("appID:d", "hb_th")),
+        ]:
+            state.allocate(cid, node, Resource(1024, 1), tags, cid[0])
+        report = evaluate_violations(
+            state,
+            [
+                # a's master shares n00000 with a's thrift and b's secondary,
+                # but with no container carrying appID:a and hb_sec.
+                anti_affinity(["appID:a", "hb_m"], ["appID:a", "hb_sec"], "node"),
+                # c's master shares n00001 with c's region server and d's
+                # thrift, but with no container carrying appID:c and hb_th.
+                affinity(["appID:c", "hb_m"], ["appID:c", "hb_th"], "node"),
+            ],
+        )
+        assert report.subject_containers == 2
+        assert [(r.container_id, r.extent) for r in report.records] == [("c/m", 1.0)]
+
     def test_needs_constraints_or_manager(self):
         state, _ = self.build()
         with pytest.raises(ValueError):

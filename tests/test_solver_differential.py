@@ -7,7 +7,9 @@ both objective senses, equality / inequality / range rows, deliberately
 including infeasible and unbounded instances — and must agree on the solve
 status and, when optimal, on the objective value.  The branch-and-bound
 solver is exercised both with presolve on and off, and every optimal
-solution it returns is re-checked for feasibility against the model.
+solution it returns is re-checked for feasibility against the model.  The
+two-stage ``auto`` backend (node-bounded B&B, HiGHS for what it cannot
+prove) is held to the same agreement on every model.
 
 A disagreement here means one of the solvers is wrong; historically this
 kind of fuzz harness is what catches tolerance bugs, bad prunes, and
@@ -70,23 +72,26 @@ def random_model(rng: random.Random) -> MilpModel:
 
 
 def assert_agreement(model: MilpModel, bnb_options: BnBOptions, seed: int) -> None:
+    """B&B (with ``bnb_options``) and the two-stage ``auto`` backend must
+    each agree with HiGHS."""
     reference = solve(model, backend="highs")
-    candidate = solve(model, backend="bnb", options=bnb_options)
-    context = f"seed={seed} presolve={bnb_options.presolve}"
-    assert candidate.status is not SolveStatus.ERROR, context
-    assert reference.status is not SolveStatus.ERROR, context
-    assert candidate.status == reference.status, (
-        f"{context}: bnb={candidate.status} highs={reference.status}"
-    )
-    if reference.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
-        assert abs(candidate.objective - reference.objective) < _OBJ_TOL, (
-            f"{context}: bnb obj {candidate.objective} "
-            f"!= highs obj {reference.objective}"
+    assert reference.status is not SolveStatus.ERROR, f"seed={seed}"
+    for backend, options in (("bnb", bnb_options), ("auto", None)):
+        candidate = solve(model, backend=backend, options=options)
+        context = f"seed={seed} backend={backend} presolve={bnb_options.presolve}"
+        assert candidate.status is not SolveStatus.ERROR, context
+        assert candidate.status == reference.status, (
+            f"{context}: {backend}={candidate.status} highs={reference.status}"
         )
-        # The returned point must actually attain the claimed objective.
-        assert model.is_feasible(candidate.values), context
-        recomputed = model.objective_value(candidate.values)
-        assert abs(recomputed - candidate.objective) < _OBJ_TOL, context
+        if reference.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
+            assert abs(candidate.objective - reference.objective) < _OBJ_TOL, (
+                f"{context}: {backend} obj {candidate.objective} "
+                f"!= highs obj {reference.objective}"
+            )
+            # The returned point must actually attain the claimed objective.
+            assert model.is_feasible(candidate.values), context
+            recomputed = model.objective_value(candidate.values)
+            assert abs(recomputed - candidate.objective) < _OBJ_TOL, context
 
 
 @pytest.mark.parametrize("chunk", range(_CHUNKS))
