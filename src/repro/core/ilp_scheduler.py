@@ -7,7 +7,6 @@ configured backend, and decodes placements.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -47,13 +46,8 @@ class IlpScheduler(LRAScheduler):
         Relative optimality gap at which the solver may stop early; batch
         placement rarely benefits from proving the last fraction of a
         percent, so sweeps use a few percent here.  Under ``"auto"`` it
-        applies to the HiGHS stage only.
-    bnb_options:
-        Full :class:`~repro.solver.BnBOptions` for the ``"bnb"`` backend
-        (presolve, pseudocost branching, rounding heuristic, node
-        propagation).  When given, its ``time_limit_s``/``gap`` are
-        overridden by this scheduler's ``time_limit_s``/``mip_rel_gap``;
-        ``None`` uses the solver defaults (everything enabled).
+        applies to the HiGHS stage only; under ``"bnb"`` it is the
+        :class:`~repro.solver.BnBOptions` ``gap``.
     max_candidate_nodes:
         Optional pruning of the placement-variable space for large
         clusters: the MILP considers only a pool of roughly this many
@@ -77,7 +71,6 @@ class IlpScheduler(LRAScheduler):
         time_limit_s: float = 60.0,
         mip_rel_gap: float = 1e-6,
         max_candidate_nodes: int | None = None,
-        bnb_options: BnBOptions | None = None,
         audit: bool = False,
     ) -> None:
         self.weights = weights or IlpWeights()
@@ -86,7 +79,6 @@ class IlpScheduler(LRAScheduler):
         self.time_limit_s = time_limit_s
         self.mip_rel_gap = mip_rel_gap
         self.max_candidate_nodes = max_candidate_nodes
-        self.bnb_options = bnb_options
         self.audit_enabled = audit
         #: Diagnostics from the last invocation.
         self.last_formulation: IlpFormulation | None = None
@@ -134,10 +126,7 @@ class IlpScheduler(LRAScheduler):
         )
         formulation.build()
         if self.backend == "bnb":
-            base = self.bnb_options or BnBOptions()
-            options = replace(
-                base, time_limit_s=self.time_limit_s, gap=self.mip_rel_gap
-            )
+            options = BnBOptions(time_limit_s=self.time_limit_s, gap=self.mip_rel_gap)
         else:
             options = HighsOptions(
                 time_limit_s=self.time_limit_s, mip_rel_gap=self.mip_rel_gap

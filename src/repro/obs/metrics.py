@@ -444,17 +444,15 @@ class SolverStats:
     """Where a MILP solve spent its effort.
 
     Produced by both solver backends (branch-and-bound fills every field;
-    HiGHS reports what ``scipy.optimize.milp`` exposes, which is wall time
-    only).  Historically hand-threaded ``IlpScheduler`` → ``PlacementResult``
-    → harness; since the ``repro.obs`` redesign it is also folded into the
+    HiGHS reports its node count, achieved gap and wall time, since its
+    phases are not separable).  Historically hand-threaded ``IlpScheduler``
+    → ``PlacementResult`` → harness; since the ``repro.obs`` redesign it is also folded into the
     generic :class:`Metrics` channel via :meth:`record_to`.
     """
 
     backend: str = "bnb"
     nodes_explored: int = 0
     lp_solves: int = 0
-    #: Nodes pruned by bound propagation before any LP was solved.
-    lp_solves_avoided: int = 0
     presolve_rows_removed: int = 0
     presolve_cols_fixed: int = 0
     presolve_bounds_tightened: int = 0
@@ -474,7 +472,6 @@ class SolverStats:
     _COUNTER_FIELDS = (
         "nodes_explored",
         "lp_solves",
-        "lp_solves_avoided",
         "presolve_rows_removed",
         "presolve_cols_fixed",
         "presolve_bounds_tightened",
@@ -497,7 +494,6 @@ class SolverStats:
             self.backend = f"{self.backend}+{other.backend}"
         self.nodes_explored += other.nodes_explored
         self.lp_solves += other.lp_solves
-        self.lp_solves_avoided += other.lp_solves_avoided
         self.presolve_rows_removed += other.presolve_rows_removed
         self.presolve_cols_fixed += other.presolve_cols_fixed
         self.presolve_bounds_tightened += other.presolve_bounds_tightened
@@ -531,7 +527,6 @@ class SolverStats:
         return (
             f"solver[{self.backend}] solves={self.solves} "
             f"nodes={self.nodes_explored} lps={self.lp_solves} "
-            f"(avoided={self.lp_solves_avoided}) "
             f"presolve(rows-={self.presolve_rows_removed} "
             f"cols-={self.presolve_cols_fixed} "
             f"tighten={self.presolve_bounds_tightened}) "

@@ -1,28 +1,26 @@
 """From-scratch branch-and-bound MILP solver (hot-path edition).
 
 The paper's implementation calls CPLEX; we substitute an exact solver built
-on LP relaxations (SciPy's HiGHS ``linprog``) with best-first
-branch-and-bound.  The search core is tuned for the Medea placement models
-while staying exact within tolerances, which lets tests cross-validate the
-HiGHS MILP backend and vice versa:
+on HiGHS LP relaxations with best-first branch-and-bound.  The search core
+is tuned for the Medea placement models while staying exact within
+tolerances, which lets tests cross-validate the HiGHS MILP backend and vice
+versa.  Every technique below always runs:
 
 * an exact presolve (:mod:`repro.solver.presolve`) shrinks the model before
   the search — bound tightening, fixed-column substitution, redundant-row
   removal;
-* node LPs are **warm started**: the constraint matrix is loaded into one
-  incremental HiGHS instance once per solve (factorization-ready CSC), and
-  each node only swaps the variable-bound array in place, so dual simplex
-  restarts from the previous node's basis instead of refactorizing from
-  scratch (falls back to per-node ``linprog`` calls when SciPy's internal
-  HiGHS bindings are unavailable);
-* per-node bound propagation (two sparse mat-vecs) prunes infeasible
-  subproblems without paying for an LP solve;
+* node LPs are **warm started**: the reduced model is loaded into one
+  incremental HiGHS instance once per solve, and each node only swaps the
+  variable-bound array in place, so dual simplex restarts from the previous
+  node's basis instead of refactorizing from scratch;
 * branching uses pseudocosts with a reliability fallback: variables whose
   pseudocost history is too thin are scored with the average pseudocost,
   which degrades gracefully to most-fractional branching when no history
   exists yet;
 * a rounding-based primal heuristic tries to turn every LP solution into an
-  incumbent, tightening the cutoff early.
+  incumbent, tightening the cutoff early;
+* the search plunges into the child the LP solution leans toward while that
+  child is strictly the best-bound node.
 
 Internally everything is converted to *minimisation*; results are reported
 back in the model's declared sense.  A :class:`~repro.obs.metrics.SolverStats`
@@ -39,78 +37,40 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-
-try:  # SciPy ships the HiGHS bindings `milp` uses; the incremental
-    # ``_Highs`` object gives true basis-reusing warm starts between the
-    # node LPs.  Private API, so everything degrades to ``linprog`` when
-    # the import or model load fails.
-    from scipy.optimize._highspy import _core as _hcore
-except Exception:  # pragma: no cover - depends on scipy build
-    _hcore = None
 
 from ..obs.events import EventKind
 from ..obs.metrics import SolverStats
 from ..obs.spans import span, span_phase
 from ..obs.trace import get_tracer
+from .highs import load_highs, run_highs
 from .model import MilpModel, MilpSolution, Sense, SolveStatus
-from .presolve import PresolveResult, StandardForm, presolve, standard_form
+from .presolve import StandardForm, presolve, standard_form
 
 __all__ = ["solve_branch_and_bound", "BnBOptions"]
 
 _INT_TOL = 1e-6
 _FEAS_TOL = 1e-7
+#: Branchings per direction before a variable's own pseudocost is trusted
+#: over the global average.
+_RELIABILITY = 2
+#: Maximum depth-first plunge length: after branching, the child on the LP
+#: solution's side is explored immediately — but only while it is
+#: *strictly* the best-bound node overall, so search order degrades to pure
+#: best-first on models with flat LP bounds (like the Medea placement
+#: MILPs, whose relaxations are highly degenerate).  Diving keeps
+#: consecutive LPs one bound change apart, which is where the warm-started
+#: basis pays most.
+_PLUNGE_DEPTH = 512
 
 
 @dataclass(frozen=True)
 class BnBOptions:
-    """Termination and search knobs for the branch-and-bound solver."""
+    """Termination limits of the branch-and-bound solver."""
 
     max_nodes: int = 200_000
     time_limit_s: float = 120.0
     #: Stop when the relative optimality gap falls below this value.
     gap: float = 1e-6
-    #: Run the exact presolve before the search.
-    presolve: bool = True
-    #: Solve node LPs on one incremental HiGHS instance so each re-solve
-    #: warm starts from the previous basis; ``False`` restores per-node
-    #: cold ``linprog`` calls.
-    warm_start: bool = True
-    #: Prune nodes by activity-based bound propagation before solving LPs.
-    node_propagation: bool = True
-    #: Branch on pseudocosts (with reliability fallback); ``False`` restores
-    #: plain most-fractional branching.
-    pseudocost_branching: bool = True
-    #: Branchings per direction before a variable's own pseudocost is
-    #: trusted over the global average.
-    reliability_threshold: int = 2
-    #: Try to round every LP solution into an incumbent.
-    rounding_heuristic: bool = True
-    #: Maximum depth-first plunge length: after branching, the child on the
-    #: LP solution's side is explored immediately — but only while it is
-    #: *strictly* the best-bound node overall, so search order degrades to
-    #: pure best-first on models with flat LP bounds (like the Medea
-    #: placement MILPs, whose relaxations are highly degenerate).  Diving
-    #: keeps consecutive LPs one bound change apart, which is where the
-    #: warm-started basis pays most.  ``0`` disables diving entirely.
-    plunge_depth: int = 512
-
-    @classmethod
-    def naive(cls, **overrides) -> "BnBOptions":
-        """The pre-overhaul configuration (most-fractional branching, pure
-        best-first, no presolve/propagation/heuristic) — kept for A/B
-        benchmarking."""
-        base = dict(
-            presolve=False,
-            warm_start=False,
-            node_propagation=False,
-            pseudocost_branching=False,
-            rounding_heuristic=False,
-            plunge_depth=0,
-        )
-        base.update(overrides)
-        return cls(**base)
 
 
 class _Node:
@@ -126,12 +86,13 @@ class _Node:
 
 
 class _LpResult:
-    """Node LP outcome, ``linprog``-status-compatible (0 optimal,
-    2 infeasible, 3 unbounded, 4 numerical error)."""
+    """Node LP outcome; ``fun`` and ``x`` are set only when ``OPTIMAL``."""
 
     __slots__ = ("status", "fun", "x")
 
-    def __init__(self, status: int, fun: float, x: np.ndarray | None) -> None:
+    def __init__(
+        self, status: SolveStatus, fun: float = math.nan, x: np.ndarray | None = None
+    ) -> None:
         self.status = status
         self.fun = fun
         self.x = x
@@ -140,84 +101,27 @@ class _LpResult:
 class _LpContext:
     """Per-solve cache of everything node LPs share, plus warm starts.
 
-    When SciPy's internal HiGHS bindings are importable, the constraint
-    matrix is passed to one incremental ``Highs`` instance exactly once; a
-    node solve then only swaps the variable-bound array in place and
-    re-runs, so HiGHS restarts dual simplex from the previous node's basis
-    (typically a handful of iterations instead of a cold factorization).
-    Otherwise the model is split once into the ``A_ub``/``A_eq`` blocks
-    ``linprog`` wants — in CSC, the layout HiGHS factorizes from — and each
-    node pays a cold solve.  Positive/negative splits of the range matrix
-    support the LP-free activity propagation either way.
+    The constraint matrix is passed to one incremental HiGHS instance
+    exactly once; a node solve then only swaps the variable-bound array in
+    place and re-runs, so HiGHS restarts dual simplex from the previous
+    node's basis (typically a handful of iterations instead of a cold
+    factorization).  Positive/negative splits of the range matrix support
+    the LP-free activity check of the rounding heuristic.
     """
 
-    def __init__(self, form: StandardForm, warm_start: bool = True) -> None:
+    def __init__(self, form: StandardForm) -> None:
         self.form = form
         self.c = form.c
         a = form.a.tocsr()
-        # Positive/negative splits for propagation and heuristic checks.
         self.a_pos = a.maximum(0).tocsr()
         self.a_neg = a.minimum(0).tocsr()
         self.lp_solves = 0
         self.lp_time = 0.0
-        self._highs = (
-            self._build_highs() if warm_start and _hcore is not None else None
-        )
-        self.warm_started = self._highs is not None
-        if self._highs is None:
-            eq_mask = np.isclose(form.row_lb, form.row_ub) & np.isfinite(form.row_ub)
-            ub_rows = []
-            ub_rhs = []
-            range_mask = ~eq_mask
-            finite_ub = range_mask & np.isfinite(form.row_ub)
-            finite_lb = range_mask & np.isfinite(form.row_lb)
-            if finite_ub.any():
-                ub_rows.append(a[finite_ub])
-                ub_rhs.append(form.row_ub[finite_ub])
-            if finite_lb.any():
-                ub_rows.append(-a[finite_lb])
-                ub_rhs.append(-form.row_lb[finite_lb])
-            self.a_ub = sparse.vstack(ub_rows).tocsc() if ub_rows else None
-            self.b_ub = np.concatenate(ub_rhs) if ub_rhs else None
-            self.a_eq = a[eq_mask].tocsc() if eq_mask.any() else None
-            self.b_eq = form.row_ub[eq_mask] if eq_mask.any() else None
-
-    def _build_highs(self):
-        try:
-            form = self.form
-            csc = form.a.tocsc()
-            lp = _hcore.HighsLp()
-            lp.num_col_ = form.num_cols
-            lp.num_row_ = form.num_rows
-            lp.col_cost_ = np.asarray(self.c, dtype=float)
-            lp.col_lower_ = np.asarray(form.col_lb, dtype=float)
-            lp.col_upper_ = np.asarray(form.col_ub, dtype=float)
-            lp.row_lower_ = np.asarray(form.row_lb, dtype=float)
-            lp.row_upper_ = np.asarray(form.row_ub, dtype=float)
-            lp.a_matrix_.format_ = _hcore.MatrixFormat.kColwise
-            lp.a_matrix_.start_ = csc.indptr.astype(np.int32)
-            lp.a_matrix_.index_ = csc.indices.astype(np.int32)
-            lp.a_matrix_.value_ = csc.data.astype(float)
-            highs = _hcore._Highs()
-            highs.setOptionValue("output_flag", False)
-            if highs.passModel(lp) != _hcore.HighsStatus.kOk:
-                return None
-            self._col_idx = np.arange(form.num_cols, dtype=np.int32)
-            return highs
-        except Exception:  # pragma: no cover - private-API safety net
-            return None
+        self._highs = load_highs(form, output_flag=False)
+        self._col_idx = np.arange(form.num_cols, dtype=np.int32)
 
     def solve(self, lower: np.ndarray, upper: np.ndarray) -> _LpResult:
         start = time.perf_counter()
-        if self._highs is not None:
-            result = self._solve_highs(lower, upper)
-        else:
-            result = self._solve_linprog(lower, upper)
-        self.lp_time += time.perf_counter() - start
-        self.lp_solves += 1
-        return result
-
-    def _solve_highs(self, lower: np.ndarray, upper: np.ndarray) -> _LpResult:
         highs = self._highs
         highs.changeColsBounds(
             lower.size,
@@ -225,37 +129,15 @@ class _LpContext:
             np.asarray(lower, dtype=float),
             np.asarray(upper, dtype=float),
         )
-        highs.run()
-        status = highs.getModelStatus()
-        if status == _hcore.HighsModelStatus.kUnboundedOrInfeasible:
-            # Presolve could not tell the two apart; the simplex run
-            # without presolve always can.
-            highs.setOptionValue("presolve", "off")
-            highs.run()
-            status = highs.getModelStatus()
-            highs.setOptionValue("presolve", "choose")
-        if status == _hcore.HighsModelStatus.kOptimal:
+        status = run_highs(highs)
+        if status is SolveStatus.OPTIMAL:
             x = np.asarray(highs.getSolution().col_value, dtype=float)
-            return _LpResult(0, highs.getInfo().objective_function_value, x)
-        if status == _hcore.HighsModelStatus.kInfeasible:
-            return _LpResult(2, math.inf, None)
-        if status == _hcore.HighsModelStatus.kUnbounded:
-            return _LpResult(3, -math.inf, None)
-        return _LpResult(4, math.nan, None)
-
-    def _solve_linprog(self, lower: np.ndarray, upper: np.ndarray) -> _LpResult:
-        result = linprog(
-            self.c,
-            A_ub=self.a_ub,
-            b_ub=self.b_ub,
-            A_eq=self.a_eq,
-            b_eq=self.b_eq,
-            bounds=np.column_stack((lower, upper)),
-            method="highs",
-        )
-        x = np.asarray(result.x, dtype=float) if result.status == 0 else None
-        fun = float(result.fun) if result.fun is not None else math.nan
-        return _LpResult(result.status, fun, x)
+            result = _LpResult(status, highs.getInfo().objective_function_value, x)
+        else:
+            result = _LpResult(status)
+        self.lp_time += time.perf_counter() - start
+        self.lp_solves += 1
+        return result
 
     def provably_infeasible(self, lower: np.ndarray, upper: np.ndarray) -> bool:
         """Activity-based infeasibility check: two mat-vecs, no LP."""
@@ -281,15 +163,13 @@ class _Pseudocosts:
     """Per-variable objective-degradation estimates for branching.
 
     ``update`` records (gain / fractional distance) whenever a child LP is
-    solved.  ``score`` combines the up and down estimates with the product
-    rule; columns whose history is thinner than the reliability threshold
-    use the global average pseudocost instead, so with no history at all
-    the score is proportional to ``f·(1-f)`` — i.e. most-fractional
-    branching.
+    solved.  ``select`` combines the up and down estimates with the product
+    rule; columns whose history is thinner than :data:`_RELIABILITY` use
+    the global average pseudocost instead, so with no history at all the
+    score is proportional to ``f·(1-f)`` — i.e. most-fractional branching.
     """
 
-    def __init__(self, n: int, reliability: int) -> None:
-        self.reliability = reliability
+    def __init__(self, n: int) -> None:
         self.sum_up = np.zeros(n)
         self.cnt_up = np.zeros(n, dtype=int)
         self.sum_dn = np.zeros(n)
@@ -303,8 +183,13 @@ class _Pseudocosts:
             self.sum_dn[var] += gain_per_unit
             self.cnt_dn[var] += 1
 
-    def select(self, candidates: np.ndarray, values: np.ndarray) -> int:
-        """Best candidate by the product rule over up/down estimates."""
+    def select(self, values: np.ndarray, int_cols: np.ndarray) -> int:
+        """Reduced-space column to branch on (best candidate by the product
+        rule over up/down estimates), or -1 when ``values`` is integral."""
+        vals = values[int_cols]
+        candidates = int_cols[np.abs(vals - np.round(vals)) > _INT_TOL]
+        if candidates.size == 0:
+            return -1
         frac = values[candidates] - np.floor(values[candidates])
         total_cnt = self.cnt_up.sum() + self.cnt_dn.sum()
         avg = (
@@ -316,12 +201,12 @@ class _Pseudocosts:
         cnt_up = self.cnt_up[candidates]
         cnt_dn = self.cnt_dn[candidates]
         est_up = np.where(
-            cnt_up >= self.reliability,
+            cnt_up >= _RELIABILITY,
             self.sum_up[candidates] / np.maximum(cnt_up, 1),
             avg,
         )
         est_dn = np.where(
-            cnt_dn >= self.reliability,
+            cnt_dn >= _RELIABILITY,
             self.sum_dn[candidates] / np.maximum(cnt_dn, 1),
             avg,
         )
@@ -334,23 +219,6 @@ class _Pseudocosts:
         near = score >= best * 0.9
         tie_break = np.where(near, frac * (1.0 - frac), -1.0)
         return int(candidates[np.argmax(tie_break)])
-
-
-def _select_branch_var(
-    values: np.ndarray,
-    int_cols: np.ndarray,
-    pseudocosts: _Pseudocosts | None,
-) -> int:
-    """Reduced-space column to branch on, or -1 when integral."""
-    vals = values[int_cols]
-    frac = np.abs(vals - np.round(vals))
-    candidates = int_cols[frac > _INT_TOL]
-    if candidates.size == 0:
-        return -1
-    if pseudocosts is None:
-        fracs = np.abs(values[candidates] - np.round(values[candidates]))
-        return int(candidates[np.argmax(fracs)])
-    return pseudocosts.select(candidates, values)
 
 
 def _solution(
@@ -370,7 +238,6 @@ def _solution(
                 "status": status.value,
                 "nodes_explored": stats.nodes_explored,
                 "lp_solves": stats.lp_solves,
-                "lp_solves_avoided": stats.lp_solves_avoided,
                 "heuristic_incumbents": stats.heuristic_incumbents,
             },
             wall={
@@ -421,37 +288,31 @@ def _solve_bnb(
     sign = -1.0 if model.sense is Sense.MAXIMIZE else 1.0
 
     form = standard_form(model)
-    n_original = form.num_cols
-    if options.presolve:
-        t0 = time.perf_counter()
-        reduction = presolve(form)
-        stats.time_presolve_s = time.perf_counter() - t0
-        stats.presolve_rows_removed = reduction.rows_removed
-        stats.presolve_cols_fixed = reduction.cols_fixed
-        stats.presolve_bounds_tightened = reduction.bounds_tightened
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.SOLVER_PRESOLVE,
-                data={
-                    "rows_removed": reduction.rows_removed,
-                    "cols_fixed": reduction.cols_fixed,
-                    "bounds_tightened": reduction.bounds_tightened,
-                    "cols_before": n_original,
-                    "infeasible": reduction.status is SolveStatus.INFEASIBLE,
-                },
-                wall={"time_presolve_s": stats.time_presolve_s},
-            )
-        if reduction.status is SolveStatus.INFEASIBLE:
-            return _solution(SolveStatus.INFEASIBLE, math.nan, (), stats, start)
-        form = reduction.form
-    else:
-        reduction = None
+    t0 = time.perf_counter()
+    reduction = presolve(form)
+    stats.time_presolve_s = time.perf_counter() - t0
+    stats.presolve_rows_removed = reduction.rows_removed
+    stats.presolve_cols_fixed = reduction.cols_fixed
+    stats.presolve_bounds_tightened = reduction.bounds_tightened
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.emit(
+            EventKind.SOLVER_PRESOLVE,
+            data={
+                "rows_removed": reduction.rows_removed,
+                "cols_fixed": reduction.cols_fixed,
+                "bounds_tightened": reduction.bounds_tightened,
+                "cols_before": form.num_cols,
+                "infeasible": reduction.status is SolveStatus.INFEASIBLE,
+            },
+            wall={"time_presolve_s": stats.time_presolve_s},
+        )
+    if reduction.status is SolveStatus.INFEASIBLE:
+        return _solution(SolveStatus.INFEASIBLE, math.nan, (), stats, start)
+    form = reduction.form
 
     def lift(x_reduced: np.ndarray) -> tuple[float, ...]:
-        if reduction is not None:
-            return tuple(reduction.postsolve(x_reduced).tolist())
-        return tuple(np.asarray(x_reduced, dtype=float).tolist())
+        return tuple(reduction.postsolve(x_reduced).tolist())
 
     # Everything eliminated: the fixed values are the solution (presolve
     # already proved the remaining rows feasible).
@@ -460,7 +321,7 @@ def _solve_bnb(
         objective = sign * form.c0
         return _solution(SolveStatus.OPTIMAL, objective, values, stats, start)
 
-    ctx = _LpContext(form, warm_start=options.warm_start)
+    ctx = _LpContext(form)
     int_mask = form.integer_mask
     int_cols = np.nonzero(int_mask)[0]
     root_lower = form.col_lb.copy()
@@ -470,23 +331,13 @@ def _solve_bnb(
     counter = itertools.count()  # heap tiebreaker
 
     root = ctx.solve(root_lower, root_upper)
-    if root.status == 2:
+    if root.status is not SolveStatus.OPTIMAL:
         stats.lp_solves, stats.time_lp_s = ctx.lp_solves, ctx.lp_time
-        return _solution(SolveStatus.INFEASIBLE, math.nan, (), stats, start)
-    if root.status == 3:
-        stats.lp_solves, stats.time_lp_s = ctx.lp_solves, ctx.lp_time
-        return _solution(SolveStatus.UNBOUNDED, math.nan, (), stats, start)
-    if root.status != 0:
-        stats.lp_solves, stats.time_lp_s = ctx.lp_solves, ctx.lp_time
-        return _solution(SolveStatus.ERROR, math.nan, (), stats, start)
+        return _solution(root.status, math.nan, (), stats, start)
 
     incumbent: np.ndarray | None = None
     incumbent_obj = math.inf  # reduced minimisation sense (excludes c0)
-    pseudocosts = (
-        _Pseudocosts(form.num_cols, options.reliability_threshold)
-        if options.pseudocost_branching
-        else None
-    )
+    pseudocosts = _Pseudocosts(form.num_cols)
 
     def cutoff() -> float:
         if incumbent is None:
@@ -507,8 +358,6 @@ def _solve_bnb(
         stay rare.
         """
         nonlocal incumbent, incumbent_obj
-        if not options.rounding_heuristic:
-            return
         t0 = time.perf_counter()
         candidate = np.where(int_mask, np.round(values), values)
         np.clip(candidate, root_lower, root_upper, out=candidate)
@@ -549,7 +398,10 @@ def _solve_bnb(
             return
         lp_before = ctx.lp_time
         completion = ctx.solve(fixed_lower, fixed_upper)
-        if completion.status == 0 and completion.fun < incumbent_obj - 1e-12:
+        if (
+            completion.status is SolveStatus.OPTIMAL
+            and completion.fun < incumbent_obj - 1e-12
+        ):
             incumbent = np.where(int_mask, np.round(completion.x), completion.x)
             incumbent_obj = completion.fun
             stats.heuristic_incumbents += 1
@@ -585,18 +437,11 @@ def _solve_bnb(
         if bound >= cutoff():
             cut_bound = min(cut_bound, bound)
             continue  # cannot beat the incumbent
-        if (
-            options.node_propagation
-            and node.branch_var >= 0
-            and ctx.provably_infeasible(node.lower, node.upper)
-        ):
-            stats.lp_solves_avoided += 1
-            continue
         result = ctx.solve(node.lower, node.upper)
         stats.nodes_explored += 1
-        if result.status != 0:
+        if result.status is not SolveStatus.OPTIMAL:
             continue  # infeasible subproblem (or numerical failure): prune
-        if pseudocosts is not None and node.branch_var >= 0 and node.frac_dist > _INT_TOL:
+        if node.branch_var >= 0 and node.frac_dist > _INT_TOL:
             gain = max(0.0, result.fun - node.bound)
             pseudocosts.update(node.branch_var, node.branch_dir, gain / node.frac_dist)
         if result.fun >= cutoff() or (
@@ -604,7 +449,7 @@ def _solve_bnb(
         ):
             cut_bound = min(cut_bound, result.fun)
             continue
-        branch_var = _select_branch_var(result.x, int_cols, pseudocosts)
+        branch_var = pseudocosts.select(result.x, int_cols)
         if branch_var < 0:
             # Integral solution: new incumbent.
             incumbent = np.where(int_mask, np.round(result.x), result.x)
@@ -632,16 +477,14 @@ def _solve_bnb(
         # Plunge: keep diving on the child the LP solution leans toward —
         # but only while that child is still the best-bound node overall
         # (otherwise it would not have been popped next anyway, and diving
-        # past better nodes inflates the tree).  Diving keeps consecutive
-        # LPs a single bound change apart, which is where the warm-started
-        # basis pays most.  Everything else goes to the best-first heap in
-        # deterministic (down, up) order.
+        # past better nodes inflates the tree).  Everything else goes to
+        # the best-first heap in deterministic (down, up) order.
         preferred = (
             up_child if value - floor_val > 0.5 else down_child
         ) or down_child or up_child
         if (
             preferred is not None
-            and dive_depth < options.plunge_depth
+            and dive_depth < _PLUNGE_DEPTH
             and (not heap or preferred.bound < heap[0][0] - 1e-9)
         ):
             dive_node = preferred

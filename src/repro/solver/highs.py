@@ -1,8 +1,11 @@
-"""HiGHS backend: delegate a :class:`MilpModel` to ``scipy.optimize.milp``.
+"""The one binding to HiGHS, through SciPy's vendored ``_highspy`` module.
 
-This is the production backend (fast, battle-tested); the branch-and-bound
-solver next door provides an independent implementation for
-cross-validation.
+Two helpers hold everything that touches the bindings: :func:`load_highs`
+loads a :class:`StandardForm` into one incremental HiGHS instance, and
+:func:`run_highs` runs it and maps the outcome to a :class:`SolveStatus`.
+The branch-and-bound solver next door solves its node LPs on such an
+instance; :func:`solve_highs` is the production MILP backend on another,
+and the independent reference the B&B core is cross-validated against.
 """
 
 from __future__ import annotations
@@ -11,15 +14,77 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core
 
 from ..obs.events import EventKind
 from ..obs.metrics import SolverStats
 from ..obs.spans import span
 from ..obs.trace import get_tracer
 from .model import MilpModel, MilpSolution, Sense, SolveStatus
+from .presolve import StandardForm, standard_form
 
-__all__ = ["solve_highs", "HighsOptions"]
+__all__ = ["solve_highs", "HighsOptions", "load_highs", "run_highs"]
+
+_MODEL = _core.HighsModelStatus
+_STATUS = {
+    _MODEL.kOptimal: SolveStatus.OPTIMAL,
+    # No columns: the empty point is optimal (objective 0).
+    _MODEL.kModelEmpty: SolveStatus.OPTIMAL,
+    _MODEL.kInfeasible: SolveStatus.INFEASIBLE,
+    _MODEL.kUnbounded: SolveStatus.UNBOUNDED,
+}
+_LIMITS = (_MODEL.kTimeLimit, _MODEL.kIterationLimit, _MODEL.kSolutionLimit)
+
+
+def load_highs(form: StandardForm, integer: bool = False, **options) -> _core._Highs:
+    """A HiGHS instance holding ``form``; ``integer`` keeps its integrality
+    (a MIP), otherwise it is the LP relaxation.  ``options`` are HiGHS
+    option values set before the model is passed."""
+    csc = form.a.tocsc()
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = form.num_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = form.num_rows
+    lp.col_cost_ = np.asarray(form.c, dtype=float)
+    lp.col_lower_ = np.asarray(form.col_lb, dtype=float)
+    lp.col_upper_ = np.asarray(form.col_ub, dtype=float)
+    lp.row_lower_ = np.asarray(form.row_lb, dtype=float)
+    lp.row_upper_ = np.asarray(form.row_ub, dtype=float)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = csc.indptr.astype(np.int32)
+    lp.a_matrix_.index_ = csc.indices.astype(np.int32)
+    lp.a_matrix_.value_ = csc.data.astype(float)
+    if integer:
+        lp.integrality_ = [
+            _core.HighsVarType.kInteger if flag else _core.HighsVarType.kContinuous
+            for flag in form.integer_mask
+        ]
+    highs = _core._Highs()
+    for name, value in options.items():
+        highs.setOptionValue(name, value)
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        raise ValueError("HiGHS rejected the model")
+    return highs
+
+
+def run_highs(highs: _core._Highs) -> SolveStatus:
+    """Run ``highs`` and map its model status.
+
+    Presolve may report "infeasible or unbounded" without telling which;
+    one run without presolve always can, after which presolve is restored.
+    A time, iteration or solution limit counts as ``FEASIBLE`` when an
+    incumbent exists; every other outcome is ``ERROR``.
+    """
+    highs.run()
+    status = highs.getModelStatus()
+    if status == _MODEL.kUnboundedOrInfeasible:
+        highs.setOptionValue("presolve", "off")
+        highs.run()
+        status = highs.getModelStatus()
+        highs.setOptionValue("presolve", "choose")
+    if status in _LIMITS:
+        found = math.isfinite(highs.getInfo().objective_function_value)
+        return SolveStatus.FEASIBLE if found else SolveStatus.ERROR
+    return _STATUS.get(status, SolveStatus.ERROR)
 
 
 def _trace_solve(status: SolveStatus, stats: SolverStats) -> None:
@@ -44,17 +109,8 @@ class HighsOptions:
         self.mip_rel_gap = mip_rel_gap
 
 
-_STATUS_MAP = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.ERROR,       # iteration/time limit without a solution
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.ERROR,
-}
-
-
 def solve_highs(model: MilpModel, options: HighsOptions | None = None) -> MilpSolution:
-    """Solve via SciPy's HiGHS backend; traced as a ``solver.highs`` span.
+    """Solve with HiGHS's MIP solver; traced as a ``solver.highs`` span.
 
     HiGHS is a black box, so unlike :func:`solve_branch_and_bound` the span
     has no phase children — its self time is the whole solve.
@@ -66,59 +122,32 @@ def solve_highs(model: MilpModel, options: HighsOptions | None = None) -> MilpSo
 def _solve_highs(model: MilpModel, options: HighsOptions | None = None) -> MilpSolution:
     options = options or HighsOptions()
     start = time.perf_counter()
-    sign = -1.0 if model.sense is Sense.MAXIMIZE else 1.0
-    c = sign * model.objective_vector()
-    lower, upper = model.variable_bounds()
-    integrality = model.integrality()
-    constraints = []
-    if model.num_constraints:
-        matrix, lb, ub = model.constraint_matrix()
-        constraints.append(LinearConstraint(matrix, lb, ub))
-    result = milp(
-        c=c,
-        constraints=constraints,
-        bounds=Bounds(lower, upper),
-        integrality=integrality,
-        options={
-            "time_limit": options.time_limit_s,
-            "mip_rel_gap": options.mip_rel_gap,
-        },
+    form = standard_form(model)
+    is_mip = bool(form.integer_mask.any())
+    highs = load_highs(
+        form,
+        integer=is_mip,
+        time_limit=options.time_limit_s,
+        mip_rel_gap=options.mip_rel_gap,
+        log_to_console=False,
     )
+    status = run_highs(highs)
+    info = highs.getInfo()
     stats = SolverStats(
         backend="highs",
-        nodes_explored=int(getattr(result, "mip_node_count", 0) or 0),
+        nodes_explored=max(0, info.mip_node_count),  # -1 for an LP
         time_total_s=time.perf_counter() - start,
     )
-    if result.x is None:
-        status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
-        if result.status == 4 and "unbounded" in (result.message or "").lower():
-            # HiGHS presolve reports "infeasible or unbounded" without
-            # telling which.  A zero-objective re-solve settles it: a
-            # feasible rational MILP whose status is one of the two must
-            # be unbounded.
-            feas = milp(
-                c=np.zeros_like(c),
-                constraints=constraints,
-                bounds=Bounds(lower, upper),
-                integrality=integrality,
-                options={"time_limit": options.time_limit_s},
-            )
-            if feas.status == 0:
-                status = SolveStatus.UNBOUNDED
-            elif feas.status == 2:
-                status = SolveStatus.INFEASIBLE
+    if not status.has_solution():
         _trace_solve(status, stats)
         return MilpSolution(status, math.nan, (), stats.nodes_explored, stats)
-    status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
-    if status is SolveStatus.ERROR and result.x is not None:
-        status = SolveStatus.FEASIBLE  # limit hit but incumbent available
-    values = np.asarray(result.x, dtype=float)
+    values = np.asarray(highs.getSolution().col_value, dtype=float)
     # Snap integer variables to exact integers to shield downstream code
     # from solver tolerance noise.
-    integer = integrality == 1
-    values[integer] = np.round(values[integer])
-    if getattr(result, "mip_gap", None) is not None:
-        stats.gap = float(result.mip_gap)
-    objective = sign * float(result.fun)
+    values[form.integer_mask] = np.round(values[form.integer_mask])
+    if is_mip:
+        stats.gap = float(info.mip_gap)
+    sign = -1.0 if model.sense is Sense.MAXIMIZE else 1.0
+    objective = sign * float(info.objective_function_value)
     _trace_solve(status, stats)
     return MilpSolution(status, objective, tuple(values.tolist()), stats.nodes_explored, stats)

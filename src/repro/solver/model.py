@@ -3,7 +3,7 @@
 The Medea ILP scheduler (paper §5.2, Fig. 5) builds its formulation against
 this interface, which is then solved by one of two interchangeable backends:
 the from-scratch branch-and-bound solver in
-:mod:`repro.solver.branch_and_bound` or SciPy's HiGHS wrapper in
+:mod:`repro.solver.branch_and_bound` or HiGHS's MIP solver in
 :mod:`repro.solver.highs`.  The model stores a *maximisation* or
 *minimisation* objective, range constraints ``lb <= a·x <= ub``, and per-
 variable bounds with an integrality flag.
@@ -206,8 +206,7 @@ class MilpModel:
         )
 
     def integrality(self) -> np.ndarray:
-        """1 where the variable is integer-constrained, else 0 (scipy
-        ``milp`` convention)."""
+        """1 where the variable is integer-constrained, else 0."""
         return np.array(self._var_integer, dtype=np.int64)
 
     def integer_indices(self) -> list[int]:

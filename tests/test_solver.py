@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -194,6 +195,32 @@ class TestBnBSpecifics:
         model, _ = knapsack_model()
         with pytest.raises(ValueError):
             solve(model, backend="cplex")
+
+
+@pytest.mark.parametrize("backend", ["highs", "bnb", "auto"])
+def test_empty_model_is_optimal(backend):
+    solution = solve(MilpModel(Sense.MAXIMIZE), backend=backend)
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.objective == 0.0
+    assert solution.values == ()
+
+
+def test_retired_solver_paths_stay_retired():
+    """One HiGHS binding and one B&B configuration: the technique switches,
+    the A/B baseline and SciPy's ``linprog``/``milp`` wrappers must not
+    regrow."""
+    import repro.solver.branch_and_bound as branch_and_bound
+    import repro.solver.highs as highs
+    from repro import IlpScheduler
+
+    fields = {field.name for field in dataclasses.fields(BnBOptions)}
+    assert fields == {"max_nodes", "time_limit_s", "gap"}
+    assert not hasattr(BnBOptions, "naive")
+    with pytest.raises(TypeError):
+        IlpScheduler(bnb_options=BnBOptions())
+    for module in (branch_and_bound, highs):
+        for name in ("linprog", "milp"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestCrossValidation:

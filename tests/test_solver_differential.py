@@ -1,14 +1,13 @@
 """Differential test: branch-and-bound vs HiGHS on seeded random MILPs.
 
-Two independent solver implementations (``scipy.optimize.milp`` and the
+Two independent solver implementations (HiGHS's MIP solver and the
 from-scratch branch-and-bound core) are run over a few hundred randomly
 generated models — mixed binary / general-integer / continuous columns,
 both objective senses, equality / inequality / range rows, deliberately
 including infeasible and unbounded instances — and must agree on the solve
-status and, when optimal, on the objective value.  The branch-and-bound
-solver is exercised both with presolve on and off, and every optimal
-solution it returns is re-checked for feasibility against the model.  The
-two-stage ``auto`` backend (node-bounded B&B, HiGHS for what it cannot
+status and, when optimal, on the objective value.  Every optimal solution
+the branch-and-bound solver returns is re-checked for feasibility against
+the model.  The two-stage ``auto`` backend (node-bounded B&B, HiGHS for what it cannot
 prove) is held to the same agreement on every model.
 
 A disagreement here means one of the solvers is wrong; historically this
@@ -78,7 +77,7 @@ def assert_agreement(model: MilpModel, bnb_options: BnBOptions, seed: int) -> No
     assert reference.status is not SolveStatus.ERROR, f"seed={seed}"
     for backend, options in (("bnb", bnb_options), ("auto", None)):
         candidate = solve(model, backend=backend, options=options)
-        context = f"seed={seed} backend={backend} presolve={bnb_options.presolve}"
+        context = f"seed={seed} backend={backend}"
         assert candidate.status is not SolveStatus.ERROR, context
         assert candidate.status == reference.status, (
             f"{context}: {backend}={candidate.status} highs={reference.status}"
@@ -95,38 +94,34 @@ def assert_agreement(model: MilpModel, bnb_options: BnBOptions, seed: int) -> No
 
 
 @pytest.mark.parametrize("chunk", range(_CHUNKS))
-@pytest.mark.parametrize("presolve", [True, False])
-def test_random_milps_agree(chunk: int, presolve: bool) -> None:
-    options = BnBOptions(presolve=presolve, time_limit_s=30.0)
+def test_random_milps_agree(chunk: int) -> None:
+    options = BnBOptions(time_limit_s=30.0)
     for offset in range(_SEEDS_PER_CHUNK):
         seed = chunk * _SEEDS_PER_CHUNK + offset
         model = random_model(random.Random(seed))
         assert_agreement(model, options, seed)
 
 
-@pytest.mark.parametrize("presolve", [True, False])
-def test_handcrafted_infeasible(presolve: bool) -> None:
+def test_handcrafted_infeasible() -> None:
     model = MilpModel(sense=Sense.MINIMIZE)
     x = model.add_binary("x")
     y = model.add_binary("y")
     model.add_ge({x: 1.0, y: 1.0}, 3.0)  # two binaries cannot sum to 3
-    assert_agreement(model, BnBOptions(presolve=presolve), seed=-1)
+    assert_agreement(model, BnBOptions(), seed=-1)
 
 
-@pytest.mark.parametrize("presolve", [True, False])
-def test_handcrafted_unbounded(presolve: bool) -> None:
+def test_handcrafted_unbounded() -> None:
     model = MilpModel(sense=Sense.MAXIMIZE)
     x = model.add_continuous("x", lower=0.0, upper=INF)
     b = model.add_binary("b")
     model.add_objective_term(x, 1.0)
     model.add_ge({x: 1.0, b: 1.0}, 0.0)
-    assert_agreement(model, BnBOptions(presolve=presolve), seed=-2)
+    assert_agreement(model, BnBOptions(), seed=-2)
 
 
-@pytest.mark.parametrize("presolve", [True, False])
-def test_handcrafted_integer_ray(presolve: bool) -> None:
+def test_handcrafted_integer_ray() -> None:
     model = MilpModel(sense=Sense.MINIMIZE)
     z = model.add_variable("z", lower=-INF, upper=0.0, integer=True)
     model.add_objective_term(z, 1.0)
     model.add_le({z: 1.0}, 0.0)
-    assert_agreement(model, BnBOptions(presolve=presolve), seed=-3)
+    assert_agreement(model, BnBOptions(), seed=-3)

