@@ -4,7 +4,7 @@ The budget is concrete — a traced scale run finishes within 1.05x the
 untraced run.  This benchmark measures exactly that ratio on a mid-size
 simulation: the same deterministic workload runs with telemetry fully off
 (disabled tracer) and with the full scale plane on (sampling tracer,
-columnar ``.mtrc`` sink, streaming rollup sink).
+JSONL sink, streaming rollup sink).
 
 The estimator is a **paired median ratio**: each repeat runs both arms
 back to back (order alternating between repeats), yielding one on/off
@@ -41,10 +41,9 @@ import time
 from repro import Resource, TagPopularityScheduler, build_cluster
 from repro.core.requests import TaskRequest
 from repro.obs.metrics import Metrics
-from repro.obs.mtrc import MtrcSink
 from repro.obs.rollup import RollupSink
 from repro.obs.sample import SamplingPolicy, TraceSampler
-from repro.obs.trace import Tracer
+from repro.obs.trace import JsonlSink, Tracer
 from repro.sim import ClusterSimulation, SimConfig
 from repro.workloads.lra_gen import hbase_population
 
@@ -122,7 +121,7 @@ def _telemetry_on(tmp_path, rep: int) -> Tracer:
     sampler = TraceSampler(SamplingPolicy.parse(SAMPLE_SPEC))
     return Tracer(
         [
-            MtrcSink(tmp_path / f"obs_overhead_{rep}.mtrc"),
+            JsonlSink(tmp_path / f"obs_overhead_{rep}.jsonl"),
             RollupSink(tmp_path / f"ROLLUP_obs_overhead_{rep}.json"),
         ],
         sampler=sampler,

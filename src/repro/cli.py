@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Eleven commands, each a thin wrapper over the library:
+Ten commands, each a thin wrapper over the library:
 
 * ``table1`` — print the paper's scheduler capability matrix.
 * ``parse``  — validate a constraint written in the paper's notation and
@@ -9,10 +9,8 @@ Eleven commands, each a thin wrapper over the library:
   violations / fragmentation / latency table.
 * ``simulate`` — run a mixed LRA + batch workload through the two-scheduler
   simulation and report placement quality and task latency.
-* ``trace-report`` — summarise a trace (JSONL or ``.mtrc``) produced by
+* ``trace-report`` — summarise a JSONL trace produced by
   ``MEDEA_TRACE=1`` or ``--trace-out``.
-* ``trace-convert`` — translate a trace between the JSONL and columnar
-  ``.mtrc`` containers (format chosen by the destination extension).
 * ``dashboard`` — aggregate a trace into per-tick time series, replay it
   against its recorded state hashes, judge SLO rules, and render a
   terminal report (optionally ``--html`` / ``--json`` artifacts).  Also
@@ -37,10 +35,9 @@ Exit codes are uniform across commands (the :data:`EXIT_OK` family):
 ``2`` usage errors (argparse's convention), ``3`` a CI gate tripped
 (``dashboard --fail-on-breach``, ``diff --fail-on-divergence``).
 
-Tracing: set ``MEDEA_TRACE=1`` (optionally ``MEDEA_TRACE_OUT=file.jsonl``
-— a ``.mtrc`` extension selects the columnar container) or pass
-``--trace-out FILE`` to ``compare``/``simulate`` to record the structured
-event stream; a metrics summary is printed after the run.
+Tracing: set ``MEDEA_TRACE=1`` (optionally ``MEDEA_TRACE_OUT=file.jsonl``)
+or pass ``--trace-out FILE`` to ``compare``/``simulate`` to record the
+structured event stream as JSONL; a metrics summary is printed after the run.
 ``MEDEA_TRACE_SAMPLE`` / ``--trace-sample`` attaches the deterministic
 sampling policy (e.g. ``"heartbeat=0.01,task=0.1,seed=7"``).
 
@@ -168,18 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace-report", help="summarise a MEDEA_TRACE trace file"
     )
-    p_trace.add_argument("trace_file", help="path to the .jsonl/.mtrc trace")
-
-    p_convert = sub.add_parser(
-        "trace-convert",
-        help="convert a trace between JSONL and the columnar .mtrc container",
-    )
-    p_convert.add_argument("source", help="input trace (.jsonl or .mtrc)")
-    p_convert.add_argument(
-        "destination",
-        help="output path; a .mtrc extension writes the columnar "
-             "container, anything else writes JSONL",
-    )
+    p_trace.add_argument("trace_file", help="path to the JSONL trace")
 
     p_dash = sub.add_parser(
         "dashboard",
@@ -187,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
              "streaming ROLLUP_*.json document",
     )
     p_dash.add_argument(
-        "trace_file", help="path to the .jsonl/.mtrc trace or ROLLUP_*.json"
+        "trace_file", help="path to the JSONL trace or ROLLUP_*.json"
     )
     p_dash.add_argument(
         "--json", metavar="FILE", default=None,
@@ -218,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="span profile + critical-path breakdown of a JSONL trace",
     )
-    p_profile.add_argument("trace_file", help="path to the .jsonl/.mtrc trace")
+    p_profile.add_argument("trace_file", help="path to the JSONL trace")
     p_profile.add_argument(
         "--collapsed", metavar="FILE", default=None,
         help="write collapsed-stack lines (flamegraph.pl / speedscope input)",
@@ -243,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare two recorded runs: IDENTICAL / EQUIVALENT / "
              "DIVERGED@tick / INCOMPARABLE, with causal explanations",
     )
-    p_diff.add_argument("trace_a", help="first run (.jsonl/.mtrc trace or ROLLUP_*.json)")
-    p_diff.add_argument("trace_b", help="second run (.jsonl/.mtrc trace or ROLLUP_*.json)")
+    p_diff.add_argument("trace_a", help="first run (JSONL trace or ROLLUP_*.json)")
+    p_diff.add_argument("trace_b", help="second run (JSONL trace or ROLLUP_*.json)")
     p_diff.add_argument(
         "--json", metavar="FILE", default=None,
         help="write the full diff report JSON (sorted keys) to this file",
@@ -671,51 +657,6 @@ def _cmd_trace_report(trace_file: str) -> int:
     except TraceFileError as exc:
         print(f"trace-report: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    return EXIT_OK
-
-
-def _cmd_trace_convert(args: argparse.Namespace) -> int:
-    import json as _json
-    import os as _os
-    from time import perf_counter
-
-    from .obs.mtrc import MtrcSink
-    from .obs.report import TraceFileError, iter_trace
-
-    if _os.path.abspath(args.source) == _os.path.abspath(args.destination):
-        print("trace-convert: source and destination are the same file",
-              file=sys.stderr)
-        return EXIT_DATA_ERROR
-    t0 = perf_counter()
-    count = 0
-    try:
-        reader = iter_trace(args.source)
-        if args.destination.endswith(".mtrc"):
-            sink = MtrcSink(args.destination)
-            try:
-                for obj in reader:
-                    sink.append_obj(obj)
-                    count += 1
-            finally:
-                sink.close()
-        else:
-            with open(args.destination, "w", encoding="utf-8") as handle:
-                for obj in reader:
-                    handle.write(_json.dumps(obj, sort_keys=True) + "\n")
-                    count += 1
-    except TraceFileError as exc:
-        print(f"trace-convert: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    elapsed = perf_counter() - t0
-    bytes_in = _os.path.getsize(args.source)
-    bytes_out = _os.path.getsize(args.destination)
-    ratio = bytes_in / bytes_out if bytes_out else float("inf")
-    print(
-        f"converted {count} events: {bytes_in} -> {bytes_out} bytes "
-        f"({ratio:.1f}x) in {elapsed:.2f}s"
-    )
-    if reader.truncated:
-        print("warning: trailing partial line/chunk ignored (crashed run?)")
     return EXIT_OK
 
 
@@ -1186,8 +1127,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_parse(args.constraint)
     if args.command == "trace-report":
         return _cmd_trace_report(args.trace_file)
-    if args.command == "trace-convert":
-        return _cmd_trace_convert(args)
     if args.command == "dashboard":
         return _cmd_dashboard(args)
     if args.command == "profile":

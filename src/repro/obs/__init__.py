@@ -60,11 +60,6 @@ telemetry dominating the run:
   sampling keyed on app/task identity, so kept lifecycles stay complete
   and same-seed canonical traces stay byte-identical
   (``MEDEA_TRACE_SAMPLE`` / ``--trace-sample``).
-* **Columnar traces** — the ``.mtrc`` container (``repro.obs.mtrc``):
-  chunked, struct-packed, zlib-compressed columns; ≥10× smaller and much
-  faster to ingest than JSONL.  :func:`iter_trace` / :func:`read_trace`
-  and every consumer accept both formats; ``repro trace-convert``
-  translates.
 * **Streaming rollups** — :class:`RollupState` / :class:`RollupSink`
   (``repro.obs.rollup``): live bounded aggregates periodically flushed to
   an atomic ``ROLLUP_*.json``; the dashboard renders from a rollup alone
@@ -151,7 +146,6 @@ from .profile import (
     critical_paths,
     span_deltas,
 )
-from .mtrc import MtrcFormatError, MtrcReader, MtrcSink, read_mtrc, write_mtrc
 from .replay import (
     ReplayDivergence,
     ReplayReport,
@@ -210,7 +204,6 @@ from .trace import (
     configure_from_env,
     current_request_id,
     get_tracer,
-    open_trace_sink,
     request_context,
     set_tracer,
 )
@@ -230,7 +223,6 @@ __all__ = [
     "set_tracer",
     "configure",
     "configure_from_env",
-    "open_trace_sink",
     "request_context",
     "current_request_id",
     # latency histograms
@@ -242,12 +234,6 @@ __all__ = [
     "SamplingPolicy",
     "TraceSampler",
     "parse_sample_spec",
-    # columnar traces
-    "MtrcFormatError",
-    "MtrcReader",
-    "MtrcSink",
-    "read_mtrc",
-    "write_mtrc",
     # streaming rollups
     "ROLLUP_SCHEMA",
     "RollupState",

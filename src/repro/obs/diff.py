@@ -2,9 +2,9 @@
 
 Two recorded runs rarely need a human to eyeball ten thousand JSONL lines;
 they need a *verdict* and, when the runs disagree, the first place and the
-reason why.  This module compares two traces (JSONL or ``.mtrc``,
-magic-sniffed by :func:`~repro.obs.report.iter_trace`) in one streaming
-pass per side and reports along three axes:
+reason why.  This module compares two JSONL traces (read by
+:func:`~repro.obs.report.iter_trace`) in one streaming pass per side and
+reports along three axes:
 
 * **Structural diff** — the deterministic decision stream (LRA/task
   lifecycle, scheduling cycles, node availability …) is aligned event by
@@ -757,10 +757,9 @@ def diff_traces(
 ) -> DiffReport:
     """Diff two recorded runs by path.
 
-    Accepts any pairing of JSONL and ``.mtrc`` traces (sniffed by magic,
-    not extension).  Two rollup documents get the statistical-only diff
-    (:func:`diff_rollups`); a rollup paired with a raw trace is
-    ``INCOMPARABLE``.  Unreadable files raise
+    Two JSONL traces get the full diff.  Two rollup documents get the
+    statistical-only diff (:func:`diff_rollups`); a rollup paired with a
+    raw trace is ``INCOMPARABLE``.  Unreadable files raise
     :class:`~repro.obs.report.TraceFileError` — the CLI maps that to the
     data-error exit code.
     """

@@ -33,7 +33,7 @@ the samples the stall suppressed.
 Serialization (:meth:`to_obj` / :meth:`to_json`) is byte-stable: sorted
 ``[index, count]`` pairs plus the bucket-geometry parameters, dumped with
 sorted keys — the same histogram always serializes to the same bytes, and
-a round trip through JSON (or a ``.mtrc`` event payload) is lossless.
+a round trip through JSON (a JSONL event payload) is lossless.
 """
 
 from __future__ import annotations

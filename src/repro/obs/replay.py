@@ -233,8 +233,8 @@ def replay_events(events: Iterable[Mapping[str, Any]]) -> ReplayReport:
 
 
 def replay_jsonl(path: str) -> ReplayReport:
-    """Replay a recorded trace file — JSONL or ``.mtrc`` — streaming
-    (tolerates a trailing partial line/chunk; raises
+    """Replay a recorded JSONL trace file, streaming
+    (tolerates a trailing partial line; raises
     :class:`~repro.obs.report.TraceFileError` on unusable files)."""
     from .report import iter_trace
 

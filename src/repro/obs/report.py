@@ -5,13 +5,12 @@ tables (grep-able fixed-width columns).  Used by ``python -m repro.cli
 trace-report`` / ``dashboard`` and the harness's ``SOLVER_STATS=1`` /
 ``MEDEA_TRACE=1`` paths.
 
-Trace files are read through :func:`iter_trace` (streaming — constant
-memory however large the trace) or :func:`read_trace` (eager list), both
-of which accept JSONL *and* the columnar ``.mtrc`` container
-(:mod:`repro.obs.mtrc`), turn every failure mode (missing file, empty
-file, corrupt JSON mid-file) into a typed :class:`TraceFileError`, and
-*tolerate a trailing partial line/chunk* — the normal shape of a trace
-from a crashed run.
+JSONL trace files are read through :func:`iter_trace` (streaming —
+constant memory however large the trace) or :func:`read_trace` (eager
+list), both of which turn every failure mode (missing file, empty file,
+undecodable bytes, corrupt JSON mid-file) into a typed
+:class:`TraceFileError`, and *tolerate a trailing partial line* — the
+normal shape of a trace from a crashed run.
 
 The dashboard pipeline (:func:`build_dashboard` →
 :func:`render_dashboard` / :func:`render_dashboard_html`) combines the
@@ -39,7 +38,6 @@ __all__ = [
     "TraceReader",
     "iter_trace",
     "read_trace",
-    "read_jsonl",
     "event_counts",
     "render_event_counts",
     "render_metrics",
@@ -52,7 +50,8 @@ __all__ = [
 
 
 class TraceFileError(ValueError):
-    """A trace file could not be used: missing, empty, or corrupt JSON.
+    """A trace file could not be used: missing, empty, not UTF-8 text, or
+    corrupt JSON.
 
     Subclasses :class:`ValueError` (like :class:`json.JSONDecodeError`) so
     pre-existing ``except ValueError`` call sites keep working while the
@@ -67,7 +66,7 @@ class TraceFile:
 
     path: str
     events: list[dict[str, Any]] = field(default_factory=list)
-    #: True when a trailing partial line/chunk was ignored (crashed run).
+    #: True when a trailing partial line was ignored (crashed run).
     truncated: bool = False
 
 
@@ -77,21 +76,18 @@ _DIAGNOSIS_MAX_BYTES = 64 * 1024 * 1024
 
 
 class TraceReader:
-    """Streaming iterator over a trace file's decoded event dicts.
-
-    Accepts both containers — JSONL (one event per line) and ``.mtrc``
-    (columnar chunks, detected by extension or magic bytes) — and keeps
-    memory constant regardless of file size: one line or one chunk is
-    resident at a time.
+    """Streaming iterator over a JSONL trace file's decoded event dicts
+    (one event per line).  Memory stays constant regardless of file size:
+    one line is resident at a time.
 
     Error contract (matching the historical :func:`read_trace`):
 
-    * missing/unreadable file, a directory, or an empty trace →
-      :class:`TraceFileError`
+    * missing/unreadable file, a directory, an empty trace, or bytes that
+      are not UTF-8 text (a binary file) → :class:`TraceFileError`
     * corrupt data before the tail → :class:`TraceFileError`; a
       ``ROLLUP_*.json`` rollup file passed by mistake gets a specific
       diagnosis
-    * a corrupt *trailing* line/chunk is tolerated as a partial write from
+    * a corrupt *trailing* line is tolerated as a partial write from
       a crashed run: iteration ends cleanly with :attr:`truncated` set
       (unless ``allow_partial_tail=False``)
 
@@ -107,44 +103,19 @@ class TraceReader:
         if os.path.isdir(self.path):
             raise TraceFileError(
                 f"{self.path} is a directory, not a trace file — pass the "
-                f".jsonl/.mtrc file written by MEDEA_TRACE_OUT / --trace-out"
+                f"JSONL file written by MEDEA_TRACE_OUT / --trace-out"
             )
 
-    @property
-    def format(self) -> str:
-        """``"mtrc"`` or ``"jsonl"`` (extension first, then magic sniff)."""
-        from .mtrc import is_mtrc_file
-
-        if self.path.endswith(".mtrc") or is_mtrc_file(self.path):
-            return "mtrc"
-        return "jsonl"
-
     def __iter__(self):
-        if self.format == "mtrc":
-            yield from self._iter_mtrc()
-        else:
+        try:
             yield from self._iter_jsonl()
+        except UnicodeDecodeError as exc:
+            raise TraceFileError(
+                f"{self.path}: not UTF-8 text, so not a JSONL trace — pass "
+                f"the file written by MEDEA_TRACE_OUT / --trace-out"
+            ) from exc
         if self.events_read == 0:
             raise TraceFileError(f"{self.path}: trace contains no events")
-
-    def _iter_mtrc(self):
-        from .mtrc import MtrcFormatError, MtrcReader
-
-        reader = MtrcReader(self.path)
-        try:
-            for obj in reader:
-                self.events_read += 1
-                yield obj
-        except MtrcFormatError as exc:
-            raise TraceFileError(str(exc)) from exc
-        except OSError as exc:
-            raise TraceFileError(
-                f"cannot read trace file {self.path}: {exc}"
-            ) from exc
-        if reader.truncated:
-            if not self.allow_partial_tail:
-                raise TraceFileError(f"{self.path}: truncated trailing chunk")
-            self.truncated = True
 
     def _iter_jsonl(self):
         try:
@@ -210,7 +181,7 @@ class TraceReader:
 
 
 def iter_trace(path: str, *, allow_partial_tail: bool = True) -> TraceReader:
-    """Streaming reader over a recorded trace (JSONL or ``.mtrc``)."""
+    """Streaming reader over a recorded JSONL trace."""
     return TraceReader(path, allow_partial_tail=allow_partial_tail)
 
 
@@ -220,12 +191,6 @@ def read_trace(path: str, *, allow_partial_tail: bool = True) -> TraceFile:
     reader = TraceReader(path, allow_partial_tail=allow_partial_tail)
     events = list(reader)
     return TraceFile(path=path, events=events, truncated=reader.truncated)
-
-
-def read_jsonl(path: str) -> list[dict[str, Any]]:
-    """Load a trace file into raw event dicts (see :func:`read_trace`
-    for the error contract)."""
-    return read_trace(path).events
 
 
 def event_counts(events: Iterable[TraceEvent | Mapping[str, Any]]) -> dict[str, int]:
@@ -279,8 +244,8 @@ def render_timers(snapshot: Mapping[str, Any]) -> str:
 
 
 def render_trace_report(path: str) -> str:
-    """Full report for a trace file (JSONL or ``.mtrc``): per-kind counts
-    plus the span of simulated time covered and how many events carry
+    """Full report for a JSONL trace file: per-kind counts plus the
+    span of simulated time covered and how many events carry
     wall-clock data.  Streams the file — a million-event trace is never
     resident in memory."""
     reader = iter_trace(path)
@@ -325,8 +290,8 @@ def build_dashboard(
     Runs the timeline aggregator, the replayer, the span profiler, the
     critical-path builder, and the SLO monitor (the default smoke rules
     unless ``rules`` is given) over a **single streaming pass** of the
-    trace (JSONL or ``.mtrc``) — resident memory is bounded by the
-    aggregates, not the trace length.  Deterministic results (series from
+    JSONL trace — resident memory is bounded by the aggregates, not the
+    trace length.  Deterministic results (series from
     ``data`` payloads, SLO verdicts over them, replay outcome) sit at the
     top level; anything derived from wall-clock measurements sits under
     ``"wall"``.

@@ -244,9 +244,9 @@ class TimelineAggregator:
         tick_s: float = DEFAULT_TICK_S,
         max_points: int = DEFAULT_MAX_POINTS,
     ) -> "TimelineAggregator":
-        """Build a timeline from a recorded trace file — JSONL or ``.mtrc``
-        — streaming one event at a time (constant memory; tolerates a
-        trailing partial line/chunk; raises
+        """Build a timeline from a recorded JSONL trace file, streaming
+        one event at a time (constant memory; tolerates a trailing
+        partial line; raises
         :class:`~repro.obs.report.TraceFileError` on unusable files)."""
         from .report import iter_trace
 

@@ -45,7 +45,6 @@ __all__ = [
     "set_tracer",
     "configure",
     "configure_from_env",
-    "open_trace_sink",
     "request_context",
     "current_request_id",
 ]
@@ -336,17 +335,6 @@ def set_tracer(tracer: Tracer | None) -> Tracer:
     return previous
 
 
-def open_trace_sink(path: str | os.PathLike) -> TraceSink:
-    """File sink for a trace output path, chosen by extension:
-    ``.mtrc`` → the columnar :class:`~repro.obs.mtrc.MtrcSink`, anything
-    else → :class:`JsonlSink`."""
-    if os.fspath(path).endswith(".mtrc"):
-        from .mtrc import MtrcSink
-
-        return MtrcSink(path)
-    return JsonlSink(path)
-
-
 def configure(
     *,
     jsonl_path: str | os.PathLike | None = None,
@@ -356,15 +344,14 @@ def configure(
 ) -> Tracer:
     """Build a tracer with the requested sinks and install it as default.
 
-    ``jsonl_path`` names the trace output file; a ``.mtrc`` extension
-    selects the columnar container instead of JSONL.  ``sample`` attaches
+    ``jsonl_path`` names the JSONL trace output file.  ``sample`` attaches
     a deterministic sampling policy (a spec string or a parsed
     :class:`~repro.obs.sample.SamplingPolicy`); trivial policies (all
     rates 1.0) are dropped so an unsampled tracer stays hook-free.
     """
     sinks: list[TraceSink] = []
     if jsonl_path is not None:
-        sinks.append(open_trace_sink(jsonl_path))
+        sinks.append(JsonlSink(jsonl_path))
     if memory:
         sinks.append(MemorySink())
     policy = SamplingPolicy.parse(sample) if isinstance(sample, str) else sample
@@ -379,10 +366,9 @@ def configure(
 def configure_from_env(environ: Mapping[str, str] | None = None) -> Tracer | None:
     """Enable tracing when ``MEDEA_TRACE`` is set to a truthy value.
 
-    ``MEDEA_TRACE_OUT`` names the trace output file (default
-    ``medea_trace.jsonl``; a ``.mtrc`` extension selects the columnar
-    container) and ``MEDEA_TRACE_SAMPLE`` attaches a sampling policy.
-    Returns the installed tracer, or ``None`` when tracing is not
+    ``MEDEA_TRACE_OUT`` names the JSONL trace output file (default
+    ``medea_trace.jsonl``) and ``MEDEA_TRACE_SAMPLE`` attaches a sampling
+    policy.  Returns the installed tracer, or ``None`` when tracing is not
     requested.  Does nothing if an enabled tracer is already installed
     (idempotent under repeated calls, e.g. from both a CLI entry point and
     the benchmark harness).

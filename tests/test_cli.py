@@ -66,12 +66,11 @@ class TestSimulate:
 
 
 class TestTraceSampleFlag:
-    def test_simulate_with_sampled_mtrc_trace(self, tmp_path, capsys):
-        from repro.obs.mtrc import is_mtrc_file
+    def test_simulate_with_sampled_jsonl_trace(self, tmp_path, capsys):
         from repro.obs.report import read_trace
         from repro.obs.trace import set_tracer
 
-        out = tmp_path / "run.mtrc"
+        out = tmp_path / "run.jsonl"
         try:
             assert main([
                 "simulate", "--nodes", "12", "--horizon", "30",
@@ -81,7 +80,6 @@ class TestTraceSampleFlag:
             ]) == 0
         finally:
             set_tracer(None)  # drop the CLI-installed ambient tracer
-        assert is_mtrc_file(out)
         events = read_trace(str(out)).events
         assert events
         assert all(e["kind"] != "engine.dispatch" for e in events)
@@ -105,13 +103,13 @@ class TestTraceSampleFlag:
             set_tracer(None)
 
 
-class TestTraceToolsOnMtrc:
+class TestTraceTools:
     @pytest.fixture()
-    def mtrc_trace(self, tmp_path):
-        """A small simulated trace recorded straight into .mtrc."""
+    def trace(self, tmp_path):
+        """A small simulated trace recorded through --trace-out."""
         from repro.obs.trace import set_tracer
 
-        out = tmp_path / "run.mtrc"
+        out = tmp_path / "run.jsonl"
         try:
             assert main([
                 "simulate", "--nodes", "12", "--horizon", "30",
@@ -121,22 +119,22 @@ class TestTraceToolsOnMtrc:
             set_tracer(None)
         return out
 
-    def test_trace_report_reads_mtrc(self, mtrc_trace, capsys):
+    def test_trace_report_reads_trace(self, trace, capsys):
         capsys.readouterr()
-        assert main(["trace-report", str(mtrc_trace)]) == 0
+        assert main(["trace-report", str(trace)]) == 0
         assert "events" in capsys.readouterr().out
 
-    def test_dashboard_reads_mtrc(self, mtrc_trace, tmp_path, capsys):
+    def test_dashboard_reads_trace(self, trace, tmp_path, capsys):
         json_out = tmp_path / "dash.json"
-        assert main(["dashboard", str(mtrc_trace),
+        assert main(["dashboard", str(trace),
                      "--json", str(json_out)]) == 0
         assert "SLO" in capsys.readouterr().out
         import json as _json
 
         assert _json.loads(json_out.read_text())["series"]
 
-    def test_profile_memory_flag(self, mtrc_trace, capsys):
-        assert main(["profile", str(mtrc_trace), "--memory"]) == 0
+    def test_profile_memory_flag(self, trace, capsys):
+        assert main(["profile", str(trace), "--memory"]) == 0
         out = capsys.readouterr().out
         assert "ingest peak (tracemalloc)" in out
         assert "process peak RSS" in out

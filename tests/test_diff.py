@@ -3,8 +3,8 @@
 Covers the diff plane's contract end to end: the backend × engine
 same-seed equivalence matrix, first-divergence localization, causal
 placement-flip explanations from decision audits, the INCOMPARABLE
-guard rails, exit-code semantics, artifact outputs, and the
-trace-convert canonical round trip the diff relies on.
+guard rails, exit-code semantics, artifact outputs, and the JSONL
+read-back of sampled traces the diff relies on.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.obs import (
     VERDICT_IDENTICAL,
     VERDICT_INCOMPARABLE,
     MemorySink,
-    MtrcSink,
     Tracer,
     diff_events,
     diff_rollups,
@@ -216,19 +215,18 @@ class TestDiffTraces:
                 handle.write(json.dumps(obj, sort_keys=True) + "\n")
         return str(path)
 
-    def _write_mtrc(self, path, events):
-        sink = MtrcSink(str(path))
-        for obj in events:
-            sink.append_obj(obj)
-        sink.close()
-        return str(path)
+    def test_sampled_trace_keeps_sampled_hash(self, tmp_path):
+        """A sampled trace read back from JSONL keeps its canonical event
+        stream, including the ``sampled_hash`` checkpoints a sampled
+        replay is checked against."""
+        from repro.obs.report import iter_trace
 
-    def test_jsonl_vs_mtrc_same_run_identical(self, tmp_path):
-        events = _run_events()
-        a = self._write_jsonl(tmp_path / "a.jsonl", events)
-        b = self._write_mtrc(tmp_path / "b.mtrc", events)
-        report = diff_traces(a, b)
-        assert report.verdict == VERDICT_IDENTICAL
+        events = _run_events(sample="heartbeat=0.25,task=0.5,seed=7")
+        path = self._write_jsonl(tmp_path / "sampled.jsonl", events)
+        read_back = list(iter_trace(path))
+        assert read_back == events
+        hashes = [e for e in read_back if e["kind"] == "sim.state_hash"]
+        assert hashes and any("sampled_hash" in e["data"] for e in hashes)
 
     def test_rollup_vs_trace_incomparable(self, tmp_path, isolate_obs):
         events = _run_events()
@@ -322,52 +320,6 @@ class TestCliDiff:
         out = capsys.readouterr().out
         assert "pairwise placement diff vs MEDEA-ILP" in out
         assert "DIVERGED@" in out or "EQUIVALENT" in out or "IDENTICAL" in out
-
-
-class TestTraceConvertRoundTrip:
-    """JSONL → .mtrc → JSONL preserves the canonical event stream
-    byte-identically — the identity the diff plane's IDENTICAL verdict
-    and the determinism contract are stated over."""
-
-    def _canonical_lines(self, path):
-        from repro.obs.report import iter_trace
-
-        return [
-            json.dumps({k: v for k, v in obj.items() if k != "wall"},
-                       sort_keys=True, separators=(",", ":"))
-            for obj in iter_trace(path)
-        ]
-
-    def _round_trip(self, tmp_path, events):
-        src = tmp_path / "src.jsonl"
-        with open(src, "w", encoding="utf-8") as handle:
-            for obj in events:
-                handle.write(json.dumps(obj, sort_keys=True) + "\n")
-        mid = tmp_path / "mid.mtrc"
-        back = tmp_path / "back.jsonl"
-        assert main(["trace-convert", str(src), str(mid)]) == EXIT_OK
-        assert main(["trace-convert", str(mid), str(back)]) == EXIT_OK
-        return str(src), str(back)
-
-    def test_full_trace_round_trips_canonically(self, tmp_path, capsys):
-        events = _run_events()
-        src, back = self._round_trip(tmp_path, events)
-        assert self._canonical_lines(src) == self._canonical_lines(back)
-        report = diff_traces(src, back)
-        assert report.verdict == VERDICT_IDENTICAL
-
-    def test_sampled_trace_round_trips_with_sampled_hash(self, tmp_path, capsys):
-        events = _run_events(sample="heartbeat=0.25,task=0.5,seed=7")
-        hashes = [e for e in events if e["kind"] == "sim.state_hash"]
-        assert hashes and any("sampled_hash" in e["data"] for e in hashes)
-        src, back = self._round_trip(tmp_path, events)
-        assert self._canonical_lines(src) == self._canonical_lines(back)
-        from repro.obs.report import iter_trace
-
-        round_tripped = [
-            obj for obj in iter_trace(back) if obj["kind"] == "sim.state_hash"
-        ]
-        assert any("sampled_hash" in e["data"] for e in round_tripped)
 
 
 class TestJsonStability:

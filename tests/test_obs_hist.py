@@ -227,11 +227,9 @@ class TestSerialization:
         obj = json.loads(encoded)
         assert list(obj) == sorted(obj)
 
-    def test_round_trip_through_jsonl_and_mtrc(self, tmp_path):
-        """A histogram embedded in a trace event's data survives both the
-        JSONL sink and the columnar ``.mtrc`` container byte-identically."""
-        from repro.obs.mtrc import read_mtrc, write_mtrc
-
+    def test_round_trip_through_jsonl(self, tmp_path):
+        """A histogram embedded in a trace event's data survives a JSONL
+        trace line byte-identically."""
         hist = LatencyHistogram()
         for v in (0.001, 0.004, 0.4, 0.002, 0.09):
             hist.record(v)
@@ -242,13 +240,8 @@ class TestSerialization:
         jsonl.write_text(json.dumps(event, sort_keys=True) + "\n")
         via_jsonl = json.loads(jsonl.read_text())["data"]["hist"]
 
-        mtrc = tmp_path / "t.mtrc"
-        write_mtrc(mtrc, [event])
-        via_mtrc = read_mtrc(mtrc)[0]["data"]["hist"]
-
-        for restored in (via_jsonl, via_mtrc):
-            round_tripped = LatencyHistogram.from_obj(restored)
-            assert round_tripped.to_json() == hist.to_json()
+        round_tripped = LatencyHistogram.from_obj(via_jsonl)
+        assert round_tripped.to_json() == hist.to_json()
 
     def test_same_sequence_same_bytes(self):
         payloads = []

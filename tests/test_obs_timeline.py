@@ -420,6 +420,33 @@ class TestTraceFileReading:
         with pytest.raises(TraceFileError, match="no 'kind' field"):
             read_trace(str(path))
 
+    @pytest.mark.parametrize("name", ["random.bin", "legacy.mtrc"])
+    def test_binary_file_is_trace_error(self, tmp_path, capsys, name):
+        """Bytes that are not UTF-8 — random data, or a legacy columnar
+        trace (magic + zlib chunks) — are a typed error, and every trace
+        command exits 1 with a one-line message instead of a traceback."""
+        import random
+        import zlib
+
+        from repro.cli import main
+
+        path = tmp_path / name
+        if name == "random.bin":
+            path.write_bytes(b"\xff\xfe" + random.Random(0).randbytes(4096))
+        else:
+            chunk = zlib.compress(json.dumps([{"kind": "a"}] * 50).encode())
+            path.write_bytes(b"MTRC\x01\x00\x00\x00"
+                             + len(chunk).to_bytes(4, "little") + chunk)
+        with pytest.raises(TraceFileError, match="not UTF-8"):
+            read_trace(str(path))
+        good = tmp_path / "good.jsonl"
+        good.write_text('{"kind": "a", "seq": 0}\n')
+        for argv in (["trace-report", str(path)], ["dashboard", str(path)],
+                     ["profile", str(path)], ["diff", str(good), str(path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "not UTF-8" in err and "Traceback" not in err
+
     def test_cli_dashboard_actionable_error(self, tmp_path, capsys):
         from repro.cli import main
 
