@@ -179,13 +179,11 @@ def run_placement_experiment(
     report = evaluate_violations(state, manager=manager)
     if solver_totals is not None and os.environ.get("SOLVER_STATS"):
         from repro.obs.metrics import get_metrics
-        from repro.obs.report import render_metrics, render_timers
+        from repro.obs.report import metrics_view
+        from repro.obs.view import to_text
 
         print(f"[{scheduler.name}] {solver_totals.summary()}")
-        snapshot = get_metrics().snapshot()
-        print(render_metrics(snapshot))
-        if snapshot["timers"]:
-            print(render_timers(snapshot))
+        print(to_text(metrics_view(get_metrics().snapshot())))
     return ExperimentResult(
         violation_fraction=report.violation_fraction,
         fragmentation_fraction=state.fragmented_node_fraction(),

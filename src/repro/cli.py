@@ -649,46 +649,45 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _emit_report(view, doc, *, what: str, json_path=None, html_path=None) -> None:
+    """Print a report command's page, then write its ``--json`` document
+    (sorted keys) and its ``--html`` page."""
+    import json as _json
+
+    from .obs.view import to_html, to_text
+
+    print(to_text(view))
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as handle:
+            _json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"{what} JSON written to {json_path}")
+    if html_path:
+        with open(html_path, "w", encoding="utf-8") as handle:
+            handle.write(to_html(view))
+        print(f"HTML report written to {html_path}")
+
+
 def _cmd_trace_report(trace_file: str) -> int:
-    from .obs.report import TraceFileError, render_trace_report
+    from .obs.report import TraceFileError, trace_report_view
+    from .obs.view import to_text
 
     try:
-        print(render_trace_report(trace_file))
+        print(to_text(trace_report_view(trace_file)))
     except TraceFileError as exc:
         print(f"trace-report: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     return EXIT_OK
 
 
-def _load_rollup_doc(path: str):
-    """Return the parsed rollup document when ``path`` holds one, else
-    ``None`` (raw traces and anything unreadable fall through to the
-    trace pipeline, which owns the error messages)."""
-    import json as _json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            head = handle.read(1)
-            if head != "{":
-                return None
-            doc = _json.loads(head + handle.read())
-    except (OSError, ValueError):
-        return None
-    from .obs.rollup import is_rollup_doc
-
-    return doc if is_rollup_doc(doc) else None
-
-
 def _cmd_dashboard(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .obs.report import (
         TraceFileError,
         build_dashboard,
         dashboard_verdict,
-        render_dashboard,
-        render_dashboard_html,
+        dashboard_view,
     )
+    from .obs.rollup import build_dashboard_from_rollup, sniff_rollup
 
     rules = None
     if args.slo:
@@ -699,10 +698,8 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"dashboard: cannot load SLO rules: {exc}", file=sys.stderr)
             return EXIT_DATA_ERROR
-    rollup_doc = _load_rollup_doc(args.trace_file)
+    rollup_doc = sniff_rollup(args.trace_file)
     if rollup_doc is not None:
-        from .obs.rollup import build_dashboard_from_rollup
-
         summary = build_dashboard_from_rollup(rollup_doc, rules=rules)
     else:
         try:
@@ -715,17 +712,9 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         except TraceFileError as exc:
             print(f"dashboard: {exc}", file=sys.stderr)
             return EXIT_DATA_ERROR
-    title = f"Medea run dashboard — {args.trace_file}"
-    print(render_dashboard(summary, title=title))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"summary JSON written to {args.json}")
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(render_dashboard_html(summary, title=title))
-        print(f"HTML report written to {args.html}")
+    view = dashboard_view(summary, title=f"Medea run dashboard — {args.trace_file}")
+    _emit_report(view, summary, what="summary",
+                 json_path=args.json, html_path=args.html)
     if args.fail_on_breach:
         breached = dashboard_verdict(summary) == "fail"
         diverged = not summary.get("replay", {}).get("ok", True)
@@ -737,17 +726,15 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .obs.events import EventKind
     from .obs.profile import (
         CriticalPathBuilder,
         ProfileReport,
-        render_critical_paths,
-        render_profile,
+        profile_summary,
+        profile_view,
     )
     from .obs.report import TraceFileError, iter_trace
-    from .reporting import banner
+    from .obs.view import Lines
 
     if args.memory:
         import tracemalloc
@@ -764,8 +751,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except TraceFileError as exc:
         print(f"profile: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    paths = path_builder.result()
-    memory_note = None
+    memory = []
     if args.memory:
         import resource
         import tracemalloc
@@ -776,51 +762,31 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         # ru_maxrss is KiB on Linux, bytes on macOS.
         rss_raw = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         rss_mb = rss_raw / 1024 if sys.platform != "darwin" else rss_raw / 2**20
-        memory_note = [
+        memory = [
             f"ingest peak (tracemalloc): {traced_peak / 2**20:.1f} MiB; "
             f"process peak RSS: {rss_mb:.1f} MiB"
         ]
         for stat in top:
             frame = stat.traceback[0]
-            memory_note.append(
+            memory.append(
                 f"  top alloc: {frame.filename}:{frame.lineno} "
                 f"{stat.size / 2**20:.1f} MiB"
             )
-    print(banner(f"Span profile — {args.trace_file}"))
-    print(render_profile(report))
-    print()
-    print(banner("Critical paths (per application)"))
-    print(render_critical_paths(paths))
+    summary = profile_summary(report, path_builder.result())
+    view = profile_view(
+        summary, title=f"Span profile / Critical paths — {args.trace_file}"
+    )
+    view.sections.append(Lines("Ingest memory", memory))
+    _emit_report(view, summary, what="profile", json_path=args.json)
     if args.collapsed:
         with open(args.collapsed, "w", encoding="utf-8") as handle:
             handle.write(report.collapsed(weight=args.weight))
         print(f"\ncollapsed stacks ({args.weight}) written to {args.collapsed}")
-    if args.json:
-        summary = {
-            "profile": report.to_obj(),
-            "critical_paths": [p.to_obj() for p in paths],
-            "wall": {"profile": report.wall_obj()},
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"profile JSON written to {args.json}")
-    if memory_note:
-        print()
-        for line in memory_note:
-            print(line)
     return EXIT_OK
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .obs.diff import (
-        VERDICT_INCOMPARABLE,
-        diff_traces,
-        render_diff,
-        render_diff_html,
-    )
+    from .obs.diff import VERDICT_INCOMPARABLE, diff_traces, diff_view
     from .obs.report import TraceFileError
 
     kwargs = {}
@@ -835,17 +801,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     except TraceFileError as exc:
         print(f"diff: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    print(render_diff(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(report.to_obj(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"diff JSON written to {args.json}")
-    if args.html:
-        title = f"repro diff — {args.trace_a} vs {args.trace_b}"
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(render_diff_html(report, title=title))
-        print(f"HTML report written to {args.html}")
+    _emit_report(diff_view(report), report.to_obj(), what="diff",
+                 json_path=args.json, html_path=args.html)
     if report.verdict == VERDICT_INCOMPARABLE:
         print(f"diff: runs are incomparable: {report.reason}",
               file=sys.stderr)
@@ -899,11 +856,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         InProcessTarget,
         RequestTemplate,
         VirtualTarget,
-        render_sweep,
-        render_sweep_html,
         run_sweep,
         sweep_to_json,
+        sweep_view,
     )
+    from .obs.view import to_html, to_text
 
     if args.sweep:
         try:
@@ -962,17 +919,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             shutdown_server()
 
     document = sweep_to_json(sweep)
+    view = sweep_view(sweep)
     if args.json_out == "-":
         sys.stdout.write(document)
     else:
-        print(render_sweep(sweep))
+        print(to_text(view))
     if args.json_out and args.json_out != "-":
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(document)
         print(f"loadgen: wrote {args.json_out}", file=sys.stderr)
     if args.html_out:
         with open(args.html_out, "w", encoding="utf-8") as fh:
-            fh.write(render_sweep_html(sweep))
+            fh.write(to_html(view))
         print(f"loadgen: wrote {args.html_out}", file=sys.stderr)
     return EXIT_OK
 
@@ -1004,7 +962,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     import time as _time
     from urllib.error import URLError
 
-    from .obs.serve import render_watch
+    from .obs.serve import watch_view
+    from .obs.view import to_text
 
     frames = 0
     delay = args.interval
@@ -1021,7 +980,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             if not args.no_clear:
                 # Clear screen + home cursor so the frame refreshes in place.
                 print("\x1b[2J\x1b[H", end="")
-            print(render_watch(snapshot))
+            print(to_text(watch_view(snapshot)))
             frames += 1
             # An unhealthy endpoint (503) answers with Retry-After; honour
             # it instead of hammering the stalled server at --interval.
@@ -1098,16 +1057,13 @@ def _finish_live_plane() -> None:
 def _finish_tracing() -> None:
     """Flush the trace file and print the metrics + self-telemetry summary."""
     from .obs.metrics import get_metrics
-    from .obs.report import render_metrics, render_timers
+    from .obs.report import metrics_view
     from .obs.trace import get_tracer
+    from .obs.view import to_text
 
     tracer = get_tracer()
     tracer.close()
-    snapshot = get_metrics().snapshot()
-    print()
-    print(render_metrics(snapshot))
-    if snapshot["timers"]:
-        print(render_timers(snapshot))
+    view = metrics_view(get_metrics().snapshot())
     stats = tracer.self_stats()
     line = (
         f"tracer: {stats['events_emitted']} events emitted"
@@ -1116,7 +1072,8 @@ def _finish_tracing() -> None:
     )
     if stats.get("sampling"):
         line += f", sampling '{stats['sampling']}'"
-    print(line)
+    view.headline.append(line)
+    print(to_text(view))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -80,7 +80,7 @@ The **diff plane** (ISSUE 9) — cross-run differential observability:
   ``scheduler.audit`` payloads, and statistical series/span deltas under
   a ``ratio`` × + ``abs_floor`` noise threshold.  Four-way verdict
   (``IDENTICAL`` / ``EQUIVALENT`` / ``DIVERGED`` / ``INCOMPARABLE``),
-  rendered by :func:`render_diff` / :func:`render_diff_html`;
+  rendered from :func:`diff_view` by :func:`to_text` / :func:`to_html`;
   ``repro diff A B --fail-on-divergence`` gates CI on it.
 
 Ambient configuration::
@@ -89,7 +89,7 @@ Ambient configuration::
     tracer = obs.configure(jsonl_path="trace.jsonl")   # or MEDEA_TRACE=1
     ... run a simulation ...
     tracer.close()
-    print(obs.report.render_metrics(obs.get_metrics().snapshot()))
+    print(obs.to_text(obs.report.metrics_view(obs.get_metrics().snapshot())))
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ from .diff import (
     diff_events,
     diff_rollups,
     diff_traces,
-    render_diff,
-    render_diff_html,
+    diff_view,
 )
 from .events import WALL_KEY, EventKind, TraceEvent, canonical
 from .hist import (
@@ -193,6 +192,7 @@ from .slo import (
 )
 from .spans import Span, current_span_path, span, span_phase
 from .timeline import TimelineAggregator, TimeSeries
+from .view import to_html, to_text
 from .violations import ViolationRecord, ViolationReport, evaluate_violations
 from .watchdog import Watchdog, WatchdogError, WatchdogTrip, watchdog_from_env
 from .trace import (
@@ -276,8 +276,7 @@ __all__ = [
     "diff_traces",
     "diff_events",
     "diff_rollups",
-    "render_diff",
-    "render_diff_html",
+    "diff_view",
     # timeline
     "TimeSeries",
     "TimelineAggregator",
@@ -329,7 +328,9 @@ __all__ = [
     "WatchdogError",
     "WatchdogTrip",
     "watchdog_from_env",
-    # renderers + moved stats helpers
+    # the report model's renderers + moved stats helpers
+    "to_text",
+    "to_html",
     "report",
     "stats",
 ]

@@ -44,8 +44,8 @@ profile aggregates instead of an event stream).
 
 Entry points: :func:`diff_traces` (two paths), :func:`diff_events` (two
 decoded event iterables, e.g. :class:`~repro.obs.trace.MemorySink`
-captures), and the renderers :func:`render_diff` /
-:func:`render_diff_html`; ``repro diff A B`` wraps them.
+captures), and the page builder :func:`diff_view`; ``repro diff A B``
+wraps them.
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ from .audit import explain_placement_flip
 from .events import WALL_KEY, EventKind, TraceEvent
 from .profile import ProfileReport, span_deltas
 from .replay import ReplayState
+from .rollup import sniff_rollup, summary_series
 from .timeline import TimelineAggregator
+from .view import Badge, Table, View
 
 __all__ = [
     "VERDICT_IDENTICAL",
@@ -74,8 +76,7 @@ __all__ = [
     "diff_traces",
     "diff_events",
     "diff_rollups",
-    "render_diff",
-    "render_diff_html",
+    "diff_view",
 ]
 
 VERDICT_IDENTICAL = "IDENTICAL"
@@ -556,12 +557,8 @@ def _stat_delta(a: float, b: float, *, ratio: float, abs_floor_s: float) -> bool
 def _series_section(
     side_a: _Side, side_b: _Side, *, ratio: float, abs_floor_s: float
 ) -> dict[str, Any]:
-    sum_a = side_a.timeline.summary()
-    sum_b = side_b.timeline.summary()
-    det_a = sum_a.get("series", {})
-    det_b = sum_b.get("series", {})
-    wall_a = (sum_a.get(WALL_KEY) or {}).get("series", {})
-    wall_b = (sum_b.get(WALL_KEY) or {}).get("series", {})
+    det_a, wall_a = summary_series(side_a.timeline.summary())
+    det_b, wall_b = summary_series(side_b.timeline.summary())
     return _series_deltas(
         det_a, det_b, wall_a, wall_b, ratio=ratio, abs_floor_s=abs_floor_s
     )
@@ -731,20 +728,6 @@ def _assemble(
 # -- file-level entry ---------------------------------------------------------
 
 
-def _sniff_rollup(path: str) -> Mapping[str, Any] | None:
-    from .rollup import is_rollup_doc
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            head = handle.read(1)
-            if head != "{":
-                return None
-            doc = json.loads(head + handle.read())
-    except (OSError, ValueError):
-        return None
-    return doc if is_rollup_doc(doc) else None
-
-
 def diff_traces(
     path_a: str,
     path_b: str,
@@ -767,8 +750,8 @@ def diff_traces(
 
     label_a = label_a if label_a is not None else path_a
     label_b = label_b if label_b is not None else path_b
-    rollup_a = _sniff_rollup(path_a)
-    rollup_b = _sniff_rollup(path_b)
+    rollup_a = sniff_rollup(path_a)
+    rollup_b = sniff_rollup(path_b)
     if rollup_a is not None or rollup_b is not None:
         if rollup_a is None or rollup_b is None:
             trace_side = path_a if rollup_a is None else path_b
@@ -832,8 +815,6 @@ def diff_rollups(
     match (``EQUIVALENT``; ``IDENTICAL`` when the stripped documents are
     byte-equal) or the first differing series localizes the divergence.
     """
-    from .rollup import summary_series
-
     det_a, wall_a = summary_series(doc_a)
     det_b, wall_b = summary_series(doc_b)
     series = _series_deltas(
@@ -901,7 +882,7 @@ def _first_delta_tick(
     return best
 
 
-# -- renderers ----------------------------------------------------------------
+# -- the diff page ------------------------------------------------------------
 
 
 def _fmt_event(obj: Mapping[str, Any] | None) -> str:
@@ -915,86 +896,34 @@ def _fmt_event(obj: Mapping[str, Any] | None) -> str:
     return f"{when} {obj.get('kind')} {data}"
 
 
-def render_diff(report: DiffReport) -> str:
-    """Terminal rendering of a :class:`DiffReport`."""
-    from ..reporting import banner
-
-    lines = [banner(f"repro diff — {report.label_a} vs {report.label_b}")]
-    lines.append(f"verdict: {report.headline()}")
-    if report.reason:
-        lines.append(f"  {report.reason}")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    a = report.sides.get("a", {})
-    b = report.sides.get("b", {})
-    if a.get("events") is not None:
-        lines.append(
-            f"{report.label_a}: {a.get('events', 0)} events, "
-            f"{a.get('structural_events', 0)} structural, "
-            f"{a.get('checkpoints', 0)} checkpoints, "
-            f"{a.get('placements', 0)} placements"
-        )
-        lines.append(
-            f"{report.label_b}: {b.get('events', 0)} events, "
-            f"{b.get('structural_events', 0)} structural, "
-            f"{b.get('checkpoints', 0)} checkpoints, "
-            f"{b.get('placements', 0)} placements"
-        )
-    div = report.divergence
-    if div is not None:
-        lines.append("")
-        lines.append(
-            f"first divergent structural event (#{div.index}): {div.reason}"
-        )
-        for ctx in div.context:
-            lines.append(f"    = {_fmt_event(ctx)}")
-        lines.append(f"  A > {_fmt_event(div.a)}")
-        lines.append(f"  B > {_fmt_event(div.b)}")
-        for after in div.after_a:
-            lines.append(f"  A + {_fmt_event(after)}")
-        for after in div.after_b:
-            lines.append(f"  B + {_fmt_event(after)}")
-    cp = report.checkpoints
+def diff_view(report: DiffReport) -> View:
+    """The ``repro diff`` page: verdict, one-line axis summaries, then the
+    runs, the first divergence with its context, fingerprint mismatches,
+    explained placement flips and the statistical deltas."""
+    label_a, label_b = report.label_a, report.label_b
+    headline: list[Any] = [
+        Badge("verdict", report.headline(), report.ok, report.reason)
+    ]
+    headline.extend(f"note: {note}" for note in report.notes)
+    cp, pl, series = report.checkpoints, report.placements, report.series
     if cp:
         status = "match" if not cp.get("mismatched") else (
             f"{cp['mismatched']} MISMATCHED"
         )
-        lines.append(
+        headline.append(
             f"fingerprints: {cp.get('common', 0)} common ticks ({status}); "
             f"final placement fingerprints "
             f"{'match' if cp.get('final_match') else 'DIFFER'}"
         )
-        for mismatch in cp.get("mismatches", ()):
-            lines.append(
-                f"  t={_fmt_tick(mismatch['time'])}: {mismatch['hash_a']} vs "
-                f"{mismatch['hash_b']}"
-            )
-    pl = report.placements
     if pl:
-        lines.append(
+        headline.append(
             f"placements: {pl.get('common', 0)} common containers, "
             f"{pl.get('flipped', 0)} flipped, "
-            f"{pl.get('only_a', 0)} only-{report.label_a}, "
-            f"{pl.get('only_b', 0)} only-{report.label_b}"
+            f"{pl.get('only_a', 0)} only-{label_a}, "
+            f"{pl.get('only_b', 0)} only-{label_b}"
         )
-    if report.flips:
-        lines.append("")
-        lines.append("flipped placements (earliest first):")
-        for flip in report.flips:
-            when = "?" if flip.time_a is None else _fmt_tick(float(flip.time_a))
-            lines.append(
-                f"  {flip.container_id} ({flip.app_id or 'task'}) at t={when}: "
-                f"{flip.node_a} vs {flip.node_b}"
-            )
-            for why in flip.explanation:
-                lines.append(f"    - {why}")
-        hidden = pl.get("flipped", 0) - len(report.flips)
-        if hidden > 0:
-            lines.append(f"  ... {hidden} more flips not shown")
-    series = report.series
     if series:
-        lines.append("")
-        lines.append(
+        headline.append(
             f"series: {series.get('deterministic_matched', 0)} deterministic "
             f"match, {len(series.get('deterministic_deltas', ()))} differ; "
             f"{series.get('wall_compared', 0)} wall series compared, "
@@ -1002,166 +931,73 @@ def render_diff(report: DiffReport) -> str:
             f"(ratio {report.thresholds.get('ratio')}, "
             f"floor {report.thresholds.get('abs_floor_s')}s)"
         )
-        for delta in series.get("deterministic_deltas", ())[:8]:
-            parts = [f"  ~ {delta.get('series')}: {delta.get('status')}"]
-            for stat in ("mean", "max", "last", "points"):
-                if stat in delta:
-                    parts.append(f"{stat} {delta[stat][0]} vs {delta[stat][1]}")
-            lines.append(" ".join(parts))
-        for flag in series.get("wall_flagged", ())[:8]:
-            lines.append(
-                f"  ! {flag['series']}: mean {flag['mean'][0]} vs "
-                f"{flag['mean'][1]} (beyond noise threshold)"
-            )
-    prof = report.profile
-    if prof.get("paths_flagged"):
-        lines.append(
-            f"span profile: {prof.get('paths_compared', 0)} common paths, "
-            f"{len(prof['paths_flagged'])} beyond noise"
-        )
-        for flag in prof["paths_flagged"][:8]:
-            lines.append(
-                f"  ! {flag['path']}: self {flag['self_s'][0]}s vs "
-                f"{flag['self_s'][1]}s"
-            )
-    return "\n".join(lines)
-
-
-def render_diff_html(report: DiffReport, *, title: str | None = None) -> str:
-    """Self-contained HTML diff report (same stylesheet as the dashboard:
-    no external assets, light/dark via CSS custom properties)."""
-    import html as _html
-
-    from .report import HTML_STYLE
-
-    if title is None:
-        title = f"repro diff — {report.label_a} vs {report.label_b}"
-    esc = lambda value: _html.escape(str(value))  # noqa: E731
-
-    badge_class = {
-        VERDICT_IDENTICAL: "pass",
-        VERDICT_EQUIVALENT: "pass",
-        VERDICT_DIVERGED: "fail",
-        VERDICT_INCOMPARABLE: "fail",
-    }[report.verdict]
-
-    def table(headers: list[str], rows: list[list[Any]]) -> str:
-        head = "".join(f"<th>{esc(h)}</th>" for h in headers)
-        body = "".join(
-            "<tr>" + "".join(
-                f"<td><pre class='cell'>{esc(cell)}</pre></td>" for cell in row
-            ) + "</tr>"
-            for row in rows
-        )
-        return (
-            f"<table><thead><tr>{head}</tr></thead>"
-            f"<tbody>{body}</tbody></table>"
+    flagged_paths = report.profile.get("paths_flagged", ())
+    if flagged_paths:
+        headline.append(
+            f"span profile: {report.profile.get('paths_compared', 0)} common "
+            f"paths, {len(flagged_paths)} beyond noise"
         )
 
-    sections: list[str] = []
-    a = report.sides.get("a", {})
-    b = report.sides.get("b", {})
-    if a.get("events") is not None:
-        sections.append("<h2>Runs</h2>" + table(
-            ["side", "path", "events", "structural", "checkpoints",
-             "placements"],
-            [
-                [report.label_a, a.get("path", "-"), a.get("events", 0),
-                 a.get("structural_events", "-"), a.get("checkpoints", "-"),
-                 a.get("placements", "-")],
-                [report.label_b, b.get("path", "-"), b.get("events", 0),
-                 b.get("structural_events", "-"), b.get("checkpoints", "-"),
-                 b.get("placements", "-")],
-            ],
-        ))
+    sides = [(label_a, report.sides.get("a", {})), (label_b, report.sides.get("b", {}))]
+    sections: list[Any] = [Table(
+        "Runs",
+        ["side", "path", "events", "structural", "checkpoints", "placements"],
+        [
+            [label, side.get("path", "-"), side.get("events", 0),
+             side.get("structural_events", "-"), side.get("checkpoints", "-"),
+             side.get("placements", "-")]
+            for label, side in sides if side.get("events") is not None
+        ],
+    )]
     div = report.divergence
     if div is not None:
         rows = [["=", _fmt_event(ctx)] for ctx in div.context]
-        rows.append([f"{report.label_a} >", _fmt_event(div.a)])
-        rows.append([f"{report.label_b} >", _fmt_event(div.b)])
-        rows.extend([f"{report.label_a} +", _fmt_event(e)] for e in div.after_a)
-        rows.extend([f"{report.label_b} +", _fmt_event(e)] for e in div.after_b)
-        sections.append(
-            f"<h2>First divergent event (#{div.index})</h2>"
-            f"<p class='note'>{esc(div.reason)}</p>"
-            + table(["", "event"], rows)
-        )
-    if report.flips:
-        rows = []
-        for flip in report.flips:
-            rows.append([
-                flip.container_id,
-                flip.app_id or "task",
-                "?" if flip.time_a is None else _fmt_tick(float(flip.time_a)),
-                flip.node_a,
-                flip.node_b,
-                "\n".join(flip.explanation) or "-",
-            ])
-        sections.append(
-            "<h2>Flipped placements</h2>" + table(
-                ["container", "app", "t", report.label_a, report.label_b,
-                 "why"],
-                rows,
-            )
-        )
-    cp = report.checkpoints
-    if cp.get("mismatches"):
-        sections.append("<h2>Fingerprint mismatches</h2>" + table(
-            ["t", report.label_a, report.label_b],
-            [[_fmt_tick(m["time"]), m["hash_a"], m["hash_b"]]
-             for m in cp["mismatches"]],
+        rows.append([f"{label_a} >", _fmt_event(div.a)])
+        rows.append([f"{label_b} >", _fmt_event(div.b)])
+        rows.extend([f"{label_a} +", _fmt_event(e)] for e in div.after_a)
+        rows.extend([f"{label_b} +", _fmt_event(e)] for e in div.after_b)
+        sections.append(Table(
+            f"First divergent structural event (#{div.index})",
+            ["", "event"], rows, note=div.reason,
         ))
-    series = report.series
-    det_deltas = series.get("deterministic_deltas", ())
-    if det_deltas:
-        rows = []
-        for delta in det_deltas:
-            detail = "; ".join(
-                f"{stat} {delta[stat][0]} vs {delta[stat][1]}"
-                for stat in ("mean", "max", "last", "points") if stat in delta
-            )
-            rows.append([delta.get("series"), delta.get("status"), detail or "-"])
-        sections.append("<h2>Deterministic series deltas</h2>" + table(
-            ["series", "status", "detail"], rows))
-    wall_flagged = series.get("wall_flagged", ())
-    if wall_flagged:
-        sections.append(
-            "<h2>Wall-clock series beyond noise</h2>"
-            f"<p class='note'>threshold: ratio "
-            f"{esc(report.thresholds.get('ratio'))} + floor "
-            f"{esc(report.thresholds.get('abs_floor_s'))}s</p>"
-            + table(
-                ["series", f"mean {report.label_a}", f"mean {report.label_b}"],
-                [[f["series"], f["mean"][0], f["mean"][1]]
-                 for f in wall_flagged],
-            )
+    sections.append(Table(
+        "Fingerprint mismatches",
+        ["t", label_a, label_b],
+        [[_fmt_tick(m["time"]), m["hash_a"], m["hash_b"]]
+         for m in cp.get("mismatches", ())],
+    ))
+    hidden = pl.get("flipped", 0) - len(report.flips)
+    sections.append(Table(
+        "Flipped placements (earliest first)",
+        ["container", "app", "t", label_a, label_b, "why"],
+        [
+            [flip.container_id, flip.app_id or "task",
+             "?" if flip.time_a is None else _fmt_tick(float(flip.time_a)),
+             flip.node_a, flip.node_b, "\n".join(flip.explanation) or "-"]
+            for flip in report.flips
+        ],
+        note=f"... {hidden} more flips not shown" if hidden > 0 else "",
+    ))
+    deltas = []
+    for delta in series.get("deterministic_deltas", ()):
+        detail = "; ".join(
+            f"{stat} {delta[stat][0]} vs {delta[stat][1]}"
+            for stat in ("mean", "max", "last", "points") if stat in delta
         )
-    flagged_paths = report.profile.get("paths_flagged", ())
-    if flagged_paths:
-        sections.append("<h2>Span-profile paths beyond noise</h2>" + table(
-            ["path", f"self s {report.label_a}", f"self s {report.label_b}"],
-            [[f["path"], f["self_s"][0], f["self_s"][1]]
-             for f in flagged_paths],
-        ))
-    notes = "".join(
-        f"<p class='note'>note: {esc(note)}</p>" for note in report.notes
+        deltas.append([delta.get("series"), delta.get("status"), detail or "-"])
+    sections.append(
+        Table("Deterministic series deltas", ["series", "status", "detail"], deltas)
     )
-
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{esc(title)}</title>
-<style>{HTML_STYLE}</style>
-</head>
-<body class="viz-root">
-<h1>{esc(title)}</h1>
-<p class="meta">verdict
-<span class="badge {badge_class}">{esc(report.headline())}</span>
-&middot; {esc(report.reason)}</p>
-{notes}
-{''.join(sections)}
-</body>
-</html>
-"""
+    sections.append(Table(
+        "Wall-clock series beyond noise",
+        ["series", f"mean {label_a}", f"mean {label_b}"],
+        [[f["series"], str(f["mean"][0]), str(f["mean"][1])]
+         for f in series.get("wall_flagged", ())],
+    ))
+    sections.append(Table(
+        "Span-profile paths beyond noise",
+        ["path", f"self s {label_a}", f"self s {label_b}"],
+        [[f["path"], str(f["self_s"][0]), str(f["self_s"][1])]
+         for f in flagged_paths],
+    ))
+    return View(f"repro diff — {label_a} vs {label_b}", headline, sections)

@@ -34,8 +34,8 @@ A **sweep** steps offered load over a rate ladder, records one histogram
 per step, and :func:`detect_knee` finds the saturation knee: the first
 step whose achieved throughput falls below ``efficiency ×`` offered, or
 whose p99 blows past ``latency_blowup ×`` the unloaded baseline.  Results
-render as a terminal table, an HTML latency-vs-throughput curve, or a
-sorted-key JSON document.
+are a sorted-key JSON document (:func:`sweep_to_json`) or a page
+(:func:`sweep_view`) rendered as text or HTML by :mod:`repro.obs.view`.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..cluster.resources import Resource
 from ..core.requests import ContainerRequest, LRARequest
 from .hist import LatencyHistogram, merge_histograms
+from .view import Lines, SeriesGroup, Table, View
 
 __all__ = [
     "LOADGEN_SCHEMA",
@@ -71,8 +72,7 @@ __all__ = [
     "detect_knee",
     "sweep_to_obj",
     "sweep_to_json",
-    "render_sweep",
-    "render_sweep_html",
+    "sweep_view",
 ]
 
 #: Schema tag of the ``repro loadgen --json`` document.
@@ -394,12 +394,13 @@ class StepResult:
     def completed(self) -> int:
         return self.placed + self.rejected
 
-    def to_obj(self, *, include_hist: bool = True) -> dict[str, Any]:
-        obj: dict[str, Any] = {
+    def to_obj(self) -> dict[str, Any]:
+        return {
             "achieved_rps": round(self.achieved_rps, 6),
             "duration_s": round(self.duration_s, 6),
             "effective_rps": round(self.effective_rps, 6),
             "errors": self.errors,
+            "hist": self.hist.to_obj(),
             "latency": self.hist.summary(),
             "mode": self.mode,
             "offered_rps": self.offered_rps,
@@ -407,9 +408,6 @@ class StepResult:
             "rejected": self.rejected,
             "requests": self.requests,
         }
-        if include_hist:
-            obj["hist"] = self.hist.to_obj()
-        return obj
 
 
 def _effective_rate(
@@ -646,9 +644,6 @@ class SweepResult:
     config: dict[str, Any]
     knee: dict[str, Any] | None = None
 
-    def merged_hist(self) -> LatencyHistogram:
-        return merge_histograms(step.hist for step in self.steps)
-
 
 def detect_knee(
     steps: Sequence[StepResult],
@@ -752,7 +747,7 @@ def run_sweep(
 # -- output --------------------------------------------------------------------
 
 
-def sweep_to_obj(sweep: SweepResult, *, include_hist: bool = True) -> dict[str, Any]:
+def sweep_to_obj(sweep: SweepResult) -> dict[str, Any]:
     """The ``--json`` document: sorted-key, schema-tagged; deterministic
     (byte-stable for a seed) when the target was virtual."""
     return {
@@ -760,7 +755,7 @@ def sweep_to_obj(sweep: SweepResult, *, include_hist: bool = True) -> dict[str, 
         "deterministic": sweep.config.get("target", "").startswith("virtual"),
         "knee": sweep.knee,
         "schema": LOADGEN_SCHEMA,
-        "steps": [s.to_obj(include_hist=include_hist) for s in sweep.steps],
+        "steps": [s.to_obj() for s in sweep.steps],
     }
 
 
@@ -770,116 +765,66 @@ def sweep_to_json(sweep: SweepResult) -> str:
     ) + "\n"
 
 
-def render_sweep(sweep: SweepResult) -> str:
-    """Terminal latency-vs-throughput table plus the knee verdict."""
-    from ..reporting import render_table
+def _curve(points: list[list[float]]) -> dict[str, Any]:
+    ys = [y for _, y in points]
+    return {"points": points, "min": min(ys), "mean": sum(ys) / len(ys),
+            "max": max(ys), "last": ys[-1]}
 
+
+def sweep_view(sweep: SweepResult) -> View:
+    """The latency-under-load page: the knee verdict, p50/p99 latency
+    curves over achieved throughput (palette slot 1), achieved vs offered
+    throughput (slot 2) and the per-step table."""
+    knee = sweep.knee
+    if knee is None:
+        knee_line = "no saturation knee detected (ladder never saturated)"
+    else:
+        knee_line = (
+            f"* at {knee['offered_rps']:g} rps offered ({knee['reason']}): "
+            f"capacity ≈ {knee['capacity_rps']:g} rps, "
+            f"p99 {knee['p99_s'] * 1e3:.2f}ms"
+        )
+    latency: dict[str, Any] = {}
+    throughput: dict[str, Any] = {}
+    if sweep.steps:
+        for q in (50, 99):
+            latency[f"p{q} ms"] = _curve(
+                [[s.achieved_rps, s.hist.quantile(q) * 1e3] for s in sweep.steps]
+            )
+        throughput["achieved rps"] = _curve(
+            [[s.offered_rps, s.achieved_rps] for s in sweep.steps]
+        )
     rows = []
-    knee_step = sweep.knee["step"] if sweep.knee else None
     for i, step in enumerate(sweep.steps):
         pct = step.hist.percentiles()
-        rows.append(
-            [
-                ("*" if i == knee_step else "") + f"{step.offered_rps:g}",
-                f"{step.achieved_rps:g}",
-                step.requests,
-                step.placed,
-                step.rejected,
-                step.errors,
-                f"{pct['p50_s'] * 1e3:.3f}",
-                f"{pct['p95_s'] * 1e3:.3f}",
-                f"{pct['p99_s'] * 1e3:.3f}",
-            ]
-        )
-    table = render_table(
+        rows.append([
+            ("*" if knee is not None and i == knee["step"] else "")
+            + f"{step.offered_rps:g}",
+            f"{step.achieved_rps:g}",
+            step.requests,
+            step.placed,
+            step.rejected,
+            step.errors,
+            f"{pct['p50_s'] * 1e3:.3f}",
+            f"{pct['p95_s'] * 1e3:.3f}",
+            f"{pct['p99_s'] * 1e3:.3f}",
+        ])
+    config = sweep.config
+    return View(
+        "repro loadgen — latency under load",
+        [f"loadgen sweep — {config.get('mode')} loop, {config.get('arrival')} "
+         f"arrivals, target {config.get('target')}"],
         [
-            "offered rps",
-            "achieved",
-            "requests",
-            "placed",
-            "rejected",
-            "errors",
-            "p50 ms",
-            "p95 ms",
-            "p99 ms",
+            Lines("Saturation knee", [knee_line]),
+            SeriesGroup("Latency (ms) vs achieved throughput (rps)", latency,
+                        x_unit="rps"),
+            SeriesGroup("Achieved vs offered throughput (rps)", throughput,
+                        slot=2, x_unit="rps"),
+            Table(
+                "Steps",
+                ["offered rps", "achieved", "requests", "placed", "rejected",
+                 "errors", "p50 ms", "p95 ms", "p99 ms"],
+                rows,
+            ),
         ],
-        rows,
     )
-    lines = [
-        f"loadgen sweep — {sweep.config.get('mode')} loop, "
-        f"{sweep.config.get('arrival')} arrivals, "
-        f"target {sweep.config.get('target')}",
-        "",
-        table,
-    ]
-    if sweep.knee is not None:
-        lines.append(
-            f"* saturation knee at {sweep.knee['offered_rps']:g} rps offered "
-            f"({sweep.knee['reason']}): capacity ≈ "
-            f"{sweep.knee['capacity_rps']:g} rps, "
-            f"p99 {sweep.knee['p99_s'] * 1e3:.2f}ms"
-        )
-    else:
-        lines.append("no saturation knee detected (ladder never saturated)")
-    return "\n".join(lines)
-
-
-def render_sweep_html(sweep: SweepResult) -> str:
-    """Self-contained HTML report: latency-vs-throughput curves (p50/p99
-    over achieved rps) in the dashboard's visual style."""
-    from html import escape
-
-    from .report import HTML_STYLE, _svg_line_chart
-
-    def chart(values: list[float], color: str) -> str:
-        points = [
-            [s.achieved_rps, v] for s, v in zip(sweep.steps, values)
-        ]
-        if not points:
-            return "<p>(no steps)</p>"
-        return _svg_line_chart(points, color=color)
-
-    p50 = [s.hist.quantile(50) * 1e3 for s in sweep.steps]
-    p99 = [s.hist.quantile(99) * 1e3 for s in sweep.steps]
-    achieved = [[s.offered_rps, s.achieved_rps] for s in sweep.steps]
-    knee_html = ""
-    if sweep.knee is not None:
-        knee_html = (
-            f"<p><strong>Saturation knee</strong>: offered "
-            f"{sweep.knee['offered_rps']:g} rps ({escape(sweep.knee['reason'])}) "
-            f"— capacity ≈ {sweep.knee['capacity_rps']:g} rps, "
-            f"p99 {sweep.knee['p99_s'] * 1e3:.2f} ms</p>"
-        )
-    rows = "".join(
-        "<tr>"
-        f"<td>{s.offered_rps:g}</td><td>{s.achieved_rps:g}</td>"
-        f"<td>{s.requests}</td><td>{s.placed}</td><td>{s.rejected}</td>"
-        f"<td>{s.errors}</td>"
-        f"<td>{s.hist.quantile(50) * 1e3:.3f}</td>"
-        f"<td>{s.hist.quantile(95) * 1e3:.3f}</td>"
-        f"<td>{s.hist.quantile(99) * 1e3:.3f}</td>"
-        "</tr>"
-        for s in sweep.steps
-    )
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>repro loadgen — latency under load</title>
-<style>{HTML_STYLE}</style></head><body>
-<h1>Latency under load</h1>
-<p>{escape(str(sweep.config.get('mode')))} loop,
-{escape(str(sweep.config.get('arrival')))} arrivals,
-target {escape(str(sweep.config.get('target')))}</p>
-{knee_html}
-<h2>p50 latency (ms) vs achieved throughput (rps)</h2>
-{chart(p50, "#2563eb")}
-<h2>p99 latency (ms) vs achieved throughput (rps)</h2>
-{chart(p99, "#dc2626")}
-<h2>Achieved vs offered throughput (rps)</h2>
-{_svg_line_chart(achieved, color="#059669") if achieved else ""}
-<h2>Steps</h2>
-<table><thead><tr><th>offered rps</th><th>achieved</th><th>requests</th>
-<th>placed</th><th>rejected</th><th>errors</th>
-<th>p50 ms</th><th>p95 ms</th><th>p99 ms</th></tr></thead>
-<tbody>{rows}</tbody></table>
-</body></html>
-"""

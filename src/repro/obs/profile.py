@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from ..reporting import render_table
 from .events import WALL_KEY, EventKind, TraceEvent
+from .view import Table, View
 
 __all__ = [
     "SpanStat",
@@ -37,8 +37,10 @@ __all__ = [
     "span_deltas",
     "AppCriticalPath",
     "critical_paths",
-    "render_profile",
-    "render_critical_paths",
+    "profile_summary",
+    "span_profile_section",
+    "critical_path_section",
+    "profile_view",
 ]
 
 
@@ -50,14 +52,6 @@ class SpanStat:
     count: int = 0
     total_s: float = 0.0
     self_s: float = 0.0
-
-    @property
-    def name(self) -> str:
-        return self.path.rsplit(";", 1)[-1]
-
-    @property
-    def depth(self) -> int:
-        return self.path.count(";")
 
     def to_obj(self) -> dict[str, Any]:
         """Deterministic part only; times are reported separately."""
@@ -98,9 +92,6 @@ class ProfileReport:
     def sorted_spans(self) -> list[SpanStat]:
         """Stats in deterministic (path-lexicographic) order."""
         return [self.spans[path] for path in sorted(self.spans)]
-
-    def total_self_s(self) -> float:
-        return sum(stat.self_s for stat in self.spans.values())
 
     def collapsed(self, *, weight: str = "time") -> str:
         """Collapsed-stack text (``flamegraph.pl`` / speedscope input).
@@ -345,67 +336,94 @@ def critical_paths(
     return builder.result()
 
 
-# -- renderers ----------------------------------------------------------------
+# -- the profile page ---------------------------------------------------------
 
 
-def _fmt_ms(seconds: float) -> str:
-    return f"{seconds * 1000:.2f}"
+def profile_summary(
+    report: ProfileReport, paths: list[AppCriticalPath]
+) -> dict[str, Any]:
+    """The ``repro profile --json`` document: deterministic span identities
+    and critical paths, span timings under ``"wall"``."""
+    return {
+        "profile": report.to_obj(),
+        "critical_paths": [path.to_obj() for path in paths],
+        WALL_KEY: {"profile": report.wall_obj()},
+    }
 
 
-def render_profile(report: ProfileReport) -> str:
-    """Fixed-width table of the span aggregation (path order, so the
-    tree structure reads top-down); empty report → a placeholder line."""
-    if not report.spans:
-        return "(no spans recorded; run with MEDEA_TRACE=1 to collect them)"
-    total_self = report.total_self_s()
+def _fmt_ms(seconds: Any) -> str:
+    return "-" if seconds is None else f"{float(seconds) * 1000:.2f}"
+
+
+def _fmt_s(seconds: Any) -> str:
+    return "-" if seconds is None else f"{float(seconds):.3f}"
+
+
+def span_profile_section(summary: Mapping[str, Any]) -> Table:
+    """Span-profile table (path order, so the tree reads top-down) of a
+    :func:`profile_summary` or dashboard summary: deterministic counts
+    joined with the wall-clock timings under ``"wall"``."""
+    times = (summary.get(WALL_KEY) or {}).get("profile", {})
+    total_self = sum(t.get("self_s", 0.0) for t in times.values())
     rows = []
-    for stat in report.sorted_spans():
-        indent = "  " * stat.depth
-        share = 100.0 * stat.self_s / total_self if total_self > 0 else 0.0
+    for obj in summary.get("profile", {}).get("spans", ()):
+        path = obj.get("path", "")
+        stat = times.get(path, {})
+        self_s = stat.get("self_s")
+        share = 100.0 * self_s / total_self if self_s and total_self > 0 else 0.0
         rows.append([
-            f"{indent}{stat.name}",
-            stat.count,
-            _fmt_ms(stat.total_s),
-            _fmt_ms(stat.self_s),
-            f"{share:.1f}%",
+            "  " * path.count(";") + path.rsplit(";", 1)[-1],
+            obj.get("count", 0),
+            _fmt_ms(stat.get("total_s")),
+            _fmt_ms(self_s),
+            "-" if self_s is None else f"{share:.1f}%",
         ])
-    return render_table(
-        ["span", "count", "total ms", "self ms", "self %"], rows
+    return Table(
+        "Span profile",
+        ["span", "count", "total ms", "self ms", "self %"],
+        rows,
+        note="times are wall clock (volatile); counts are deterministic",
+        empty="(no spans recorded; run with MEDEA_TRACE=1 to collect them)",
     )
 
 
-def render_critical_paths(paths: list[AppCriticalPath]) -> str:
-    """Fixed-width per-app latency attribution table."""
-    if not paths:
-        return (
-            "(no LRA lifecycle events in this trace; critical-path analysis "
-            "needs a simulation/Medea trace)"
-        )
-
-    def fmt(value: float | None) -> str:
-        return "-" if value is None else f"{value:.3f}"
-
+def critical_path_section(summary: Mapping[str, Any]) -> Table:
+    """Per-application latency attribution table of a
+    :func:`profile_summary` (solver time inside each path's ``"wall"``) or
+    a dashboard summary (solver times hoisted under its ``"wall"``)."""
+    hoisted = (summary.get(WALL_KEY) or {}).get("critical_paths", {})
     rows = []
-    for path in paths:
-        status = "dropped" if path.dropped else (
-            "placed" if path.placed_time is not None else "pending"
-        )
+    for obj in summary.get("critical_paths", ()):
+        app_id = obj.get("app_id", "?")
+        if obj.get("dropped"):
+            status = "dropped"
+        else:
+            status = "placed" if obj.get("placed_time") is not None else "pending"
+        wall = obj.get(WALL_KEY) or hoisted.get(app_id) or {}
         rows.append([
-            path.app_id,
+            app_id,
             status,
-            fmt(path.latency_s),
-            fmt(path.queue_wait_s),
-            fmt(path.retry_wait_s),
-            _fmt_ms(path.solver_wall_s),
-            path.attempts,
-            path.cycles,
-            path.rejections,
-            path.conflicts,
+            _fmt_s(obj.get("latency_s")),
+            _fmt_s(obj.get("queue_wait_s")),
+            _fmt_s(obj.get("retry_wait_s")),
+            _fmt_ms(wall.get("solver_wall_s")),
+            obj.get("attempts", 0),
+            obj.get("cycles", 0),
+            obj.get("rejections", 0),
+            obj.get("conflicts", 0),
         ])
-    return render_table(
-        [
-            "app", "status", "e2e s", "queue s", "retry s", "solver ms",
-            "attempts", "cycles", "rejects", "conflicts",
-        ],
+    return Table(
+        "Critical paths (per application)",
+        ["app", "status", "e2e s", "queue s", "retry s", "solver ms",
+         "attempts", "cycles", "rejects", "conflicts"],
         rows,
+        empty="(no LRA lifecycle events recorded; critical paths need a "
+              "simulation/Medea trace)",
+    )
+
+
+def profile_view(summary: Mapping[str, Any], *, title: str = "profile") -> View:
+    """The ``repro profile`` page of a :func:`profile_summary`."""
+    return View(
+        title, sections=[span_profile_section(summary), critical_path_section(summary)]
     )

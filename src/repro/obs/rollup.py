@@ -52,6 +52,7 @@ __all__ = [
     "rollup_from_env",
     "load_rollup",
     "is_rollup_doc",
+    "sniff_rollup",
     "summary_series",
     "build_dashboard_from_rollup",
 ]
@@ -290,6 +291,21 @@ def is_rollup_doc(doc: Any) -> bool:
     return isinstance(doc, Mapping) and doc.get("schema") == ROLLUP_SCHEMA
 
 
+def sniff_rollup(path: str) -> dict[str, Any] | None:
+    """The parsed rollup document when ``path`` holds one, else ``None``
+    (raw traces and anything unreadable fall through to the trace reader,
+    which owns the error messages)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            head = handle.read(1)
+            if head != "{":
+                return None
+            doc = json.loads(head + handle.read())
+    except (OSError, ValueError):
+        return None
+    return doc if is_rollup_doc(doc) else None
+
+
 def load_rollup(path: str | os.PathLike) -> dict[str, Any]:
     """Load and validate a ``ROLLUP_*.json`` document."""
     path = os.fspath(path)
@@ -393,19 +409,10 @@ def build_dashboard_from_rollup(
         ],
     }
 
-    timeline = _RollupTimeline(doc)
     monitor = SLOMonitor(default_smoke_slos() if rules is None else list(rules))
-    slo_report = monitor.evaluate(timeline)
-    deterministic, volatile = slo_report.split()
-    summary["slo"] = {
-        "verdict": "fail" if any(r.status == "FAIL" for r in deterministic) else "pass",
-        "rules": [r.to_obj() for r in deterministic],
-    }
-    if volatile:
-        wall_out["slo"] = {
-            "verdict": "fail" if any(r.status == "FAIL" for r in volatile) else "pass",
-            "rules": [r.to_obj() for r in volatile],
-        }
+    summary["slo"], wall_slo = monitor.evaluate(_RollupTimeline(doc)).summary_sections()
+    if wall_slo is not None:
+        wall_out["slo"] = wall_slo
 
     summary["profile"] = dict(doc.get("profile") or {"events": 0, "spans": []})
     summary["critical_paths"] = []

@@ -26,7 +26,7 @@ engine changes, no new event kinds.  Enabled via ``MEDEA_SERVE=<port>``
 unset (nothing is started, no sink is registered, the traced event stream
 is byte-identical).
 
-``repro watch`` (:func:`fetch_snapshot` / :func:`render_watch`) polls
+``repro watch`` (:func:`fetch_snapshot` / :func:`watch_view`) polls
 ``/snapshot`` into a refreshing terminal view.
 """
 
@@ -45,8 +45,9 @@ from ..version import build_info, server_banner, user_agent
 from .events import TraceEvent
 from .metrics import Metrics, get_metrics, parse_label_key
 from .rollup import RollupState
-from .timeline import DEFAULT_MAX_POINTS, DEFAULT_TICK_S, TimelineAggregator
+from .timeline import DEFAULT_MAX_POINTS, DEFAULT_TICK_S
 from .trace import Tracer, get_tracer, set_tracer
+from .view import SeriesGroup, View
 
 __all__ = [
     "HealthState",
@@ -58,7 +59,7 @@ __all__ = [
     "get_server",
     "shutdown_server",
     "fetch_snapshot",
-    "render_watch",
+    "watch_view",
 ]
 
 #: Environment variable read by :func:`serve_from_env` (the port number;
@@ -279,11 +280,6 @@ class TelemetryServer:
     @property
     def metrics(self) -> Metrics:
         return self._metrics if self._metrics is not None else get_metrics()
-
-    @property
-    def aggregator(self) -> TimelineAggregator:
-        """The rollup state's timeline (kept for API compatibility)."""
-        return self.rollup.timeline
 
     # -- event intake --------------------------------------------------------
 
@@ -605,10 +601,8 @@ def fetch_snapshot(target: str, *, timeout_s: float = 5.0) -> dict[str, Any]:
         return snapshot
 
 
-def render_watch(snapshot: Mapping[str, Any]) -> str:
-    """One refreshing-terminal frame of a live ``/snapshot`` document."""
-    from ..reporting import render_table
-
+def watch_view(snapshot: Mapping[str, Any]) -> View:
+    """One ``repro watch`` frame of a live ``/snapshot`` document."""
     meta = snapshot.get("meta", {})
     wall = snapshot.get("wall", {})
     health = wall.get("health", {})
@@ -617,7 +611,16 @@ def render_watch(snapshot: Mapping[str, Any]) -> str:
     span_txt = (
         f"t=[{span[0]:.1f}, {span[1]:.1f}]s" if span else "t=(no events yet)"
     )
-    header = (
+    headline = []
+    http = wall.get("http")
+    if http and http.get("status") == 503:
+        retry = http.get("retry_after_s")
+        headline.append(
+            "!! ENDPOINT UNHEALTHY (HTTP 503"
+            + (f", retry after {retry:g}s" if retry else "")
+            + ") — frame below is the last snapshot before the stall"
+        )
+    headline.append(
         f"{build.get('name', 'repro')}/{build.get('version', '?')}  "
         f"{span_txt}  events={meta.get('events', 0)}  "
         f"health={health.get('status', '?')}"
@@ -627,54 +630,27 @@ def render_watch(snapshot: Mapping[str, Any]) -> str:
             else ""
         )
     )
-    http = wall.get("http")
-    if http and http.get("status") == 503:
-        retry = http.get("retry_after_s")
-        header = (
-            "!! ENDPOINT UNHEALTHY (HTTP 503"
-            + (f", retry after {retry:g}s" if retry else "")
-            + ") — frame below is the last snapshot before the stall\n"
-            + header
-        )
     requests = wall.get("requests")
     if requests:
-        header += (
-            f"\nrequests: seen={requests.get('seen', 0)} "
+        headline.append(
+            f"requests: seen={requests.get('seen', 0)} "
             f"placed={requests.get('placed', 0)} "
             f"rejected={requests.get('rejected', 0)} "
             f"pending={requests.get('pending', 0)}"
         )
     latency = wall.get("request_latency")
     if latency and latency.get("count"):
-        header += (
-            f"\nrequest latency: n={latency['count']} "
+        headline.append(
+            f"request latency: n={latency['count']} "
             f"p50={latency['p50_s'] * 1e3:.2f}ms "
             f"p95={latency['p95_s'] * 1e3:.2f}ms "
             f"p99={latency['p99_s'] * 1e3:.2f}ms"
         )
-    rows = []
-
-    def series_rows(series: Mapping[str, Any], volatile: bool) -> None:
-        for name in sorted(series):
-            obj = series[name]
-            if "last" not in obj:
-                continue
-            rows.append(
-                [
-                    name + (" *" if volatile else ""),
-                    f"{obj['last']:.4g}",
-                    f"{obj['mean']:.4g}",
-                    f"{obj['min']:.4g}",
-                    f"{obj['max']:.4g}",
-                    len(obj.get("points", ())),
-                ]
-            )
-
-    series_rows(snapshot.get("series", {}), volatile=False)
-    series_rows(wall.get("series", {}), volatile=True)
-    if not rows:
-        return header + "\n\n(no series yet — is the run emitting events?)"
-    table = render_table(
-        ["series", "last", "mean", "min", "max", "points"], rows
-    )
-    return header + "\n\n" + table + "\n* = volatile (wall-clock-derived)"
+    series = snapshot.get("series", {})
+    wall_series = wall.get("series", {})
+    if not series and not wall_series:
+        headline.append("(no series yet — is the run emitting events?)")
+    return View("repro watch", headline, [
+        SeriesGroup("Series", series),
+        SeriesGroup("Wall-clock series (volatile)", wall_series, slot=2),
+    ])

@@ -171,17 +171,21 @@ class SLOReport:
     def verdict(self) -> str:
         return "pass" if self.ok else "fail"
 
-    def split(self) -> tuple[list[SLOResult], list[SLOResult]]:
-        """(deterministic results, volatile results) — for summary layout."""
-        deterministic = [r for r in self.results if not r.volatile]
-        volatile = [r for r in self.results if r.volatile]
-        return deterministic, volatile
+    def summary_sections(self) -> tuple[dict[str, Any], dict[str, Any] | None]:
+        """The dashboard summary's ``slo`` sections: (deterministic rules,
+        wall-derived rules or ``None`` when there are none), each with its
+        own verdict, so the wall-derived one can sit under ``"wall"``."""
 
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "rules": [r.to_obj() for r in self.results],
-        }
+        def section(results: list[SLOResult]) -> dict[str, Any]:
+            failed = any(r.status == "FAIL" for r in results)
+            return {
+                "verdict": "fail" if failed else "pass",
+                "rules": [r.to_obj() for r in results],
+            }
+
+        volatile = [r for r in self.results if r.volatile]
+        deterministic = section([r for r in self.results if not r.volatile])
+        return deterministic, (section(volatile) if volatile else None)
 
 
 class SLOMonitor:

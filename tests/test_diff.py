@@ -27,9 +27,10 @@ from repro.obs import (
     diff_events,
     diff_rollups,
     diff_traces,
-    render_diff,
-    render_diff_html,
+    diff_view,
     set_tracer,
+    to_html,
+    to_text,
 )
 from repro.obs.metrics import Metrics, set_metrics
 from repro.obs.sample import SamplingPolicy, TraceSampler
@@ -186,7 +187,7 @@ class TestRenderers:
         a = _run_events(seed=5, audit=True)
         b = _run_events(seed=6, audit=True)
         report = diff_events(a, b, label_a="A", label_b="B")
-        text = render_diff(report)
+        text = to_text(diff_view(report))
         assert "verdict: DIVERGED@" in text
         assert "first divergent structural event" in text
         assert "A >" in text and "B >" in text
@@ -194,7 +195,7 @@ class TestRenderers:
     def test_render_diff_html_self_contained(self):
         a = _run_events(seed=5, audit=True)
         b = _run_events(seed=6, audit=True)
-        html = render_diff_html(diff_events(a, b))
+        html = to_html(diff_view(diff_events(a, b)))
         assert html.lstrip().startswith("<!DOCTYPE html>")
         assert "badge fail" in html
         assert "<style>" in html and "http" not in html.split("<style>")[1].split("</style>")[0]

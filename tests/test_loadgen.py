@@ -32,16 +32,16 @@ from repro.obs.load import (
     burst_arrivals,
     detect_knee,
     poisson_arrivals,
-    render_sweep,
-    render_sweep_html,
     request_from_obj,
     request_to_obj,
     run_step,
     run_sweep,
     sweep_to_json,
+    sweep_view,
     uniform_arrivals,
 )
 from repro.obs.metrics import Metrics, set_metrics
+from repro.obs.view import to_html, to_text
 from repro.obs.trace import (
     MemorySink,
     Tracer,
@@ -172,7 +172,7 @@ class TestVirtualSweep:
             requests_per_step=150, seed=1
         )
         assert sweep.knee is None
-        assert "no saturation knee" in render_sweep(sweep)
+        assert "no saturation knee" in to_text(sweep_view(sweep))
 
     def test_closed_loop_virtual_deterministic(self):
         def once():
@@ -190,10 +190,10 @@ class TestVirtualSweep:
 
     def test_render_outputs(self):
         sweep = self._sweep()
-        text = render_sweep(sweep)
+        text = to_text(sweep_view(sweep))
         assert "saturation knee" in text
         assert "p99 ms" in text
-        html = render_sweep_html(sweep)
+        html = to_html(sweep_view(sweep))
         assert "<svg" in html and "Saturation knee" in html
 
 

@@ -389,14 +389,15 @@ class TestPublicApi:
             assert getattr(repro, name) is not None
 
     def test_report_renders_trace(self, tmp_path, isolate_obs):
-        from repro.obs.report import render_trace_report
+        from repro.obs.report import trace_report_view
+        from repro.obs.view import to_text
 
         path = tmp_path / "t.jsonl"
         tracer = Tracer([JsonlSink(path)])
         sim = _make_sim(tracer=tracer, metrics=Metrics())
         _drive(sim)
         tracer.close()
-        text = render_trace_report(str(path))
+        text = to_text(trace_report_view(str(path)))
         assert "lra.place" in text
         assert "TOTAL" in text
 

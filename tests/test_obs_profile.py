@@ -35,15 +35,12 @@ from repro.obs import (
     span,
     span_phase,
 )
-from repro.obs.profile import (
-    ProfileReport,
-    render_critical_paths,
-    render_profile,
-)
+from repro.obs.profile import ProfileReport, profile_summary, profile_view
 from repro.obs.report import build_dashboard
 from repro.obs.spans import _NULL_SPAN, current_span_path
 from repro.obs.metrics import get_metrics, set_metrics
 from repro.obs.trace import set_tracer
+from repro.obs.view import to_html, to_text
 from repro.sim import ClusterSimulation, SimConfig
 from tests.helpers import make_lra
 
@@ -170,11 +167,11 @@ class TestProfileReport:
         report = ProfileReport()
         assert report.collapsed() == ""
         assert report.collapsed(weight="count") == ""
-        assert report.total_self_s() == 0.0
         assert report.to_obj() == {"events": 0, "spans": []}
         assert report.wall_obj() == {}
-        assert "no spans recorded" in render_profile(report)
-        assert "no LRA lifecycle events" in render_critical_paths([])
+        text = to_text(profile_view(profile_summary(report, [])))
+        assert "no spans recorded" in text
+        assert "no LRA lifecycle events" in text
 
     def test_to_obj_is_deterministic_and_wall_free(self):
         report = self._report()
@@ -193,7 +190,7 @@ class TestProfileReport:
         assert report.spans["a"].count == 1
 
     def test_render_profile_indents_tree(self):
-        text = render_profile(self._report())
+        text = to_text(profile_view(profile_summary(self._report(), [])))
         assert "run" in text
         assert "  cycle" in text
         assert "    lp" in text
@@ -367,13 +364,13 @@ class TestDashboardProfileEmbedding:
         assert dumps[0] == dumps[1]
 
     def test_renderers_include_sections(self, isolate_obs, tmp_path):
-        from repro.obs.report import render_dashboard, render_dashboard_html
+        from repro.obs.report import dashboard_view
 
         summary = self._summary(tmp_path)
-        text = render_dashboard(summary)
+        text = to_text(dashboard_view(summary))
         assert "span profile" in text
         assert "critical paths" in text
-        html = render_dashboard_html(summary)
+        html = to_html(dashboard_view(summary))
         assert "Span profile" in html
         assert "Critical paths" in html
 

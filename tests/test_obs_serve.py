@@ -245,7 +245,8 @@ class TestWatchClient:
         assert user_agent("watch") == f"repro-watch/{get_version()}"
 
     def test_render_watch_frame(self, server):
-        from repro.obs.serve import render_watch
+        from repro.obs.serve import watch_view
+        from repro.obs.view import to_text
 
         get_tracer().emit(
             EventKind.SIM_STATE_HASH, time=1.0,
@@ -253,7 +254,7 @@ class TestWatchClient:
                   "utilization_by_rack": {}, "pending_tasks": 3,
                   "pending_lras": 1, "nodes_down": 0},
         )
-        frame = render_watch(fetch_snapshot(str(server.port)))
+        frame = to_text(watch_view(fetch_snapshot(str(server.port))))
         assert f"repro/{get_version()}" in frame
         assert "health=ok" in frame
         assert "utilization" in frame
