@@ -35,17 +35,17 @@ Exit codes are uniform across commands (the :data:`EXIT_OK` family):
 ``2`` usage errors (argparse's convention), ``3`` a CI gate tripped
 (``dashboard --fail-on-breach``, ``diff --fail-on-divergence``).
 
-Tracing: set ``MEDEA_TRACE=1`` (optionally ``MEDEA_TRACE_OUT=file.jsonl``)
-or pass ``--trace-out FILE`` to ``compare``/``simulate`` to record the
-structured event stream as JSONL; a metrics summary is printed after the run.
-``MEDEA_TRACE_SAMPLE`` / ``--trace-sample`` attaches the deterministic
-sampling policy (e.g. ``"heartbeat=0.01,task=0.1,seed=7"``).
-
-Live plane: ``--serve PORT`` (or ``MEDEA_SERVE=port``) starts the
-in-process telemetry endpoint (``/metrics``, ``/healthz``, ``/snapshot``)
-for the duration of the run; ``--rollup FILE`` (or ``MEDEA_ROLLUP``)
-streams bounded rollup documents to disk; ``--watchdog {warn,abort}`` (or
-``MEDEA_WATCHDOG``) turns on the online invariant monitors.
+Observability: ``compare`` and ``simulate`` run inside one
+:class:`~repro.obs.session.ObsSession`.  ``--trace-out FILE`` (or
+``MEDEA_TRACE=1`` with ``MEDEA_TRACE_OUT``) records the JSONL event trace
+and prints a metrics summary after the run; ``--trace-sample`` (or
+``MEDEA_TRACE_SAMPLE``) samples it deterministically (e.g.
+``"heartbeat=0.01,task=0.1,seed=7"``); ``--serve PORT`` (or
+``MEDEA_SERVE``) serves ``/metrics``, ``/healthz`` and ``/snapshot`` for the
+duration of the run; ``--rollup FILE`` (or ``MEDEA_ROLLUP``) streams
+bounded rollup documents to disk; ``--watchdog {warn,abort}`` (or
+``MEDEA_WATCHDOG``) arms the online invariant monitors.  One rule for all
+five: a flag that is given wins over its variable.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ __all__ = [
     "EXIT_USAGE",
     "EXIT_GATE",
 ]
+
+#: ``--scheduler`` choices of ``simulate``, in ``compare``'s row order.
+SCHEDULERS = ("ilp", "nc", "tp", "serial", "jkube", "jkube++", "unaware")
 
 # -- exit-code semantics ------------------------------------------------------
 #: Command completed successfully.
@@ -143,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--scheduler", default="ilp",
-        choices=("ilp", "nc", "tp", "serial", "jkube", "jkube++", "unaware"),
+        choices=SCHEDULERS,
         help="LRA scheduler to drive the simulation with (default ilp)",
     )
     p_sim.add_argument(
@@ -403,34 +406,13 @@ def _cmd_compare(
     nodes: int, racks: int, instances: int, max_rs: int,
     diff_pairwise: bool = False,
 ) -> int:
-    from . import (
-        ClusterState,
-        ConstraintManager,
-        ConstraintUnawareScheduler,
-        IlpScheduler,
-        JKubePlusPlusScheduler,
-        JKubeScheduler,
-        NodeCandidatesScheduler,
-        SerialScheduler,
-        TagPopularityScheduler,
-        build_cluster,
-        evaluate_violations,
-    )
+    from . import ClusterState, ConstraintManager, build_cluster, evaluate_violations
     from .obs.metrics import get_metrics
     from .obs.spans import span
     from .reporting import render_table
     from .workloads import hbase_population
 
-    schedulers = [
-        IlpScheduler(max_candidate_nodes=min(nodes, 60), time_limit_s=5.0,
-                     mip_rel_gap=0.02),
-        NodeCandidatesScheduler(),
-        TagPopularityScheduler(),
-        SerialScheduler(),
-        JKubeScheduler(),
-        JKubePlusPlusScheduler(),
-        ConstraintUnawareScheduler(seed=11),
-    ]
+    schedulers = [_make_sim_scheduler(name, nodes) for name in SCHEDULERS]
     population = hbase_population(instances, max_rs_per_node=max_rs)
     rows = []
     events_by_scheduler: dict[str, list[dict]] = {}
@@ -558,7 +540,8 @@ def _print_pairwise_diffs(
 
 
 def _make_sim_scheduler(name: str, nodes: int):
-    """Instantiate the ``--scheduler`` choice for ``repro simulate``.
+    """Instantiate one of :data:`SCHEDULERS` (``simulate --scheduler``,
+    and every row of ``compare``).
 
     The default ILP configuration is byte-for-byte the pre-flag behaviour
     (candidate cap, time limit, MIP gap), so traces recorded before the
@@ -595,7 +578,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import build_cluster, evaluate_violations
     from .apps import hbase_instance, tensorflow_instance
     from .obs.stats import BoxStats
-    from .obs.watchdog import Watchdog, WatchdogError
+    from .obs.watchdog import WatchdogError
     from .sim import ClusterSimulation, SimConfig
     from .workloads import GridMixConfig, generate_tasks
 
@@ -603,7 +586,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     lras, tasks = args.lras, args.tasks
     topology = build_cluster(nodes, racks=max(2, nodes // 10),
                              memory_mb=16 * 1024, vcores=8)
-    watchdog = Watchdog(mode=args.watchdog) if args.watchdog else None
     scheduler = _make_sim_scheduler(args.scheduler, nodes)
     if args.audit:
         scheduler.audit_enabled = True
@@ -611,7 +593,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         topology,
         scheduler,
         config=SimConfig(scheduling_interval_s=10.0, horizon_s=horizon),
-        watchdog=watchdog,
     )
     for i in range(lras):
         template = hbase_instance if i % 2 == 0 else tensorflow_instance
@@ -877,8 +858,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print("loadgen: --rate must be > 0", file=sys.stderr)
         return EXIT_USAGE
 
-    self_server = None
-    try:
+    from .obs.session import ObsConfig, ObsSession
+
+    http = args.http and not (args.virtual or args.target)
+    with ObsSession(ObsConfig(serve=0 if http else None)) as session:
         if args.virtual:
             target = VirtualTarget(
                 service_time_s=args.service_time,
@@ -889,14 +872,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             target = HttpTarget(args.target)
         else:
             service = _build_placement_service(args)
-            if args.http:
-                from .obs.serve import install as install_server
-
-                self_server = install_server(0)
-                self_server.attach_placement(service)
-                print(f"loadgen: self-hosting {self_server.url}/place",
+            if http:
+                session.server.attach_placement(service)
+                print(f"loadgen: self-hosting {session.server.url}/place",
                       file=sys.stderr)
-                target = HttpTarget(self_server.url)
+                target = HttpTarget(session.server.url)
             else:
                 target = InProcessTarget(service)
 
@@ -912,11 +892,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             seed=args.seed,
             progress=lambda line: print(f"loadgen: {line}", file=sys.stderr),
         )
-    finally:
-        if self_server is not None:
-            from .obs.serve import shutdown_server
-
-            shutdown_server()
 
     document = sweep_to_json(sweep)
     view = sweep_view(sweep)
@@ -995,74 +970,12 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _configure_tracing(args: argparse.Namespace) -> bool:
-    """Honour MEDEA_TRACE / MEDEA_TRACE_OUT / MEDEA_TRACE_SAMPLE and the
-    --trace-out / --trace-sample flags.  Returns True when an enabled
-    tracer is installed for this invocation."""
-    import os as _os
-
-    from .obs.sample import parse_sample_spec
-    from .obs.trace import ENV_TRACE_SAMPLE, configure, configure_from_env, get_tracer
-
-    configure_from_env()
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        sample = getattr(args, "trace_sample", None) or _os.environ.get(
-            ENV_TRACE_SAMPLE
-        )
-        try:
-            configure(jsonl_path=trace_out, sample=parse_sample_spec(sample))
-        except ValueError as exc:
-            raise SystemExit(f"repro: {exc}")
-    elif getattr(args, "trace_sample", None) and not get_tracer().enabled:
-        raise SystemExit(
-            "repro: --trace-sample needs a trace destination "
-            "(--trace-out or MEDEA_TRACE=1)"
-        )
-    return get_tracer().enabled
-
-
-def _configure_live_plane(args: argparse.Namespace):
-    """Honour --serve / MEDEA_SERVE and --rollup / MEDEA_ROLLUP for a run
-    command.  Returns the telemetry server (or ``None``)."""
-    from .obs.serve import install as install_server, serve_from_env
-
-    port = getattr(args, "serve", None)
-    if port is not None:
-        server = install_server(port)
-    else:
-        server = serve_from_env()
-    if server is not None:
-        print(f"telemetry endpoint: {server.url}", file=sys.stderr)
-    # Rollup after serve so an already-running server shares its live
-    # RollupState with the on-disk sink.
-    from .obs.rollup import install_rollup, rollup_from_env
-
-    rollup_target = getattr(args, "rollup", None)
-    if rollup_target:
-        install_rollup(rollup_target)
-    else:
-        rollup_from_env()
-    return server
-
-
-def _finish_live_plane() -> None:
-    from .obs.rollup import shutdown_rollup
-    from .obs.serve import shutdown_server
-
-    shutdown_rollup()
-    shutdown_server()
-
-
-def _finish_tracing() -> None:
-    """Flush the trace file and print the metrics + self-telemetry summary."""
+def _print_run_summary(tracer) -> None:
+    """Print the metrics + tracer self-telemetry summary of a traced run."""
     from .obs.metrics import get_metrics
     from .obs.report import metrics_view
-    from .obs.trace import get_tracer
     from .obs.view import to_text
 
-    tracer = get_tracer()
-    tracer.close()
     view = metrics_view(get_metrics().snapshot())
     stats = tracer.self_stats()
     line = (
@@ -1094,21 +1007,35 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_loadgen(args)
     if args.command == "watch":
         return _cmd_watch(args)
-    tracing = _configure_tracing(args)
-    _configure_live_plane(args)
+    from .obs.sample import parse_sample_spec
+    from .obs.session import ObsConfig, ObsSession
+
     try:
+        config = ObsConfig.from_env(
+            trace_out=args.trace_out,
+            sample=parse_sample_spec(args.trace_sample),
+            serve=args.serve,
+            rollup=args.rollup,
+            watchdog=getattr(args, "watchdog", None),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from None
+    if args.trace_sample and config.trace_out is None:
+        raise SystemExit(
+            "repro: --trace-sample needs a trace destination "
+            "(--trace-out or MEDEA_TRACE=1)"
+        )
+    with ObsSession(config) as session:
+        if session.server is not None:
+            print(f"telemetry endpoint: {session.server.url}", file=sys.stderr)
         if args.command == "compare":
             status = _cmd_compare(args.nodes, args.racks, args.instances,
                                   args.max_rs_per_node,
                                   diff_pairwise=args.diff)
-        elif args.command == "simulate":
+        else:
             status = _cmd_simulate(args)
-        else:  # pragma: no cover
-            raise AssertionError(f"unhandled command {args.command}")
-    finally:
-        _finish_live_plane()
-    if tracing:
-        _finish_tracing()
+        if config.trace_out is not None:
+            _print_run_summary(session.tracer)
     return status
 
 

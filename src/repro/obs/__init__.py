@@ -83,12 +83,14 @@ The **diff plane** (ISSUE 9) — cross-run differential observability:
   rendered from :func:`diff_view` by :func:`to_text` / :func:`to_html`;
   ``repro diff A B --fail-on-divergence`` gates CI on it.
 
-Ambient configuration::
+Run-time configuration is one session: :class:`ObsConfig` reads the six
+``MEDEA_*`` variables (a flag that is set wins over its variable) and
+:class:`ObsSession` installs the tracer, telemetry server, rollup sink and
+watchdog default for the run, then tears them down in one fixed order::
 
     from repro import obs
-    tracer = obs.configure(jsonl_path="trace.jsonl")   # or MEDEA_TRACE=1
-    ... run a simulation ...
-    tracer.close()
+    with obs.ObsSession(obs.ObsConfig.from_env(trace_out="trace.jsonl")):
+        ... run a simulation ...
     print(obs.to_text(obs.report.metrics_view(obs.get_metrics().snapshot())))
 """
 
@@ -164,23 +166,12 @@ from .rollup import (
     RollupSink,
     RollupState,
     build_dashboard_from_rollup,
-    get_rollup,
-    install_rollup,
     load_rollup,
-    rollup_from_env,
-    shutdown_rollup,
     summary_series,
 )
 from .sample import SamplingPolicy, TraceSampler, parse_sample_spec
-from .serve import (
-    HealthState,
-    TelemetryServer,
-    get_server,
-    install as install_server,
-    render_prometheus,
-    serve_from_env,
-    shutdown_server,
-)
+from .serve import HealthState, TelemetryServer, render_prometheus
+from .session import ObsConfig, ObsSession, current_session
 from .slo import (
     SLOBreach,
     SLOMonitor,
@@ -194,14 +185,12 @@ from .spans import Span, current_span_path, span, span_phase
 from .timeline import TimelineAggregator, TimeSeries
 from .view import to_html, to_text
 from .violations import ViolationRecord, ViolationReport, evaluate_violations
-from .watchdog import Watchdog, WatchdogError, WatchdogTrip, watchdog_from_env
+from .watchdog import Watchdog, WatchdogError, WatchdogTrip
 from .trace import (
     JsonlSink,
     MemorySink,
     Tracer,
     TraceSink,
-    configure,
-    configure_from_env,
     current_request_id,
     get_tracer,
     request_context,
@@ -221,8 +210,6 @@ __all__ = [
     "JsonlSink",
     "get_tracer",
     "set_tracer",
-    "configure",
-    "configure_from_env",
     "request_context",
     "current_request_id",
     # latency histograms
@@ -238,10 +225,6 @@ __all__ = [
     "ROLLUP_SCHEMA",
     "RollupState",
     "RollupSink",
-    "install_rollup",
-    "shutdown_rollup",
-    "get_rollup",
-    "rollup_from_env",
     "load_rollup",
     "summary_series",
     "build_dashboard_from_rollup",
@@ -319,15 +302,14 @@ __all__ = [
     "TelemetryServer",
     "HealthState",
     "render_prometheus",
-    "install_server",
-    "serve_from_env",
-    "get_server",
-    "shutdown_server",
     # online watchdog
     "Watchdog",
     "WatchdogError",
     "WatchdogTrip",
-    "watchdog_from_env",
+    # the one run-time session
+    "ObsConfig",
+    "ObsSession",
+    "current_session",
     # the report model's renderers + moved stats helpers
     "to_text",
     "to_html",

@@ -22,10 +22,11 @@ Consumers:
   the same :class:`RollupState`, so the in-flight view and the on-disk
   rollup are two renderings of one aggregate.
 
-Wiring mirrors the telemetry server: :func:`install_rollup` registers the
-sink on the ambient tracer (installing a sink-only tracer when tracing is
-otherwise disabled), ``MEDEA_ROLLUP=<path>`` (:func:`rollup_from_env`) or
-the CLI's ``--rollup PATH`` enables it, and it is zero-cost when unset.
+Wiring: ``--rollup PATH`` / ``MEDEA_ROLLUP`` opens the rollup plane through
+one :class:`~repro.obs.session.ObsSession`, which folds every event into
+the state the server reads and flushes this sink's file from it; a
+standalone :class:`RollupSink` on any tracer folds and flushes by itself.
+Zero-cost when unset.
 """
 
 from __future__ import annotations
@@ -39,17 +40,12 @@ from .hist import LatencyHistogram
 from .metrics import get_metrics
 from .profile import ProfileReport
 from .timeline import DEFAULT_MAX_POINTS, DEFAULT_TICK_S, TimelineAggregator, TimeSeries
-from .trace import Tracer, get_tracer, set_tracer
+from .trace import get_tracer
 
 __all__ = [
     "ROLLUP_SCHEMA",
-    "ENV_ROLLUP",
     "RollupState",
     "RollupSink",
-    "install_rollup",
-    "shutdown_rollup",
-    "get_rollup",
-    "rollup_from_env",
     "load_rollup",
     "is_rollup_doc",
     "sniff_rollup",
@@ -58,9 +54,6 @@ __all__ = [
 ]
 
 ROLLUP_SCHEMA = "medea.rollup/1"
-
-#: Environment variable read by :func:`rollup_from_env` (the output path).
-ENV_ROLLUP = "MEDEA_ROLLUP"
 
 #: Simulated seconds between on-disk flushes.
 DEFAULT_INTERVAL_S = 30.0
@@ -189,16 +182,19 @@ class RollupSink:
         if self._closed:
             return
         self.state.observe_event(event)
+        if self.due(event.time):
+            self.flush()
+
+    def due(self, t: float | None) -> bool:
+        """Count one folded event at simulated time ``t``; whether a flush
+        is now due."""
         self._events_since_flush += 1
-        t = event.time
         if t is not None:
             if self._last_flush_t is None:
                 self._last_flush_t = t
             elif t - self._last_flush_t >= self.interval_s:
-                self.flush()
-                return
-        if self._events_since_flush >= self.event_interval:
-            self.flush()
+                return True
+        return self._events_since_flush >= self.event_interval
 
     def flush(self) -> None:
         """Atomically rewrite the rollup document."""
@@ -216,72 +212,6 @@ class RollupSink:
             return
         self.flush()
         self._closed = True
-
-
-# -- ambient wiring -----------------------------------------------------------
-
-_active_rollup: RollupSink | None = None
-
-
-def get_rollup() -> RollupSink | None:
-    """The process-wide rollup sink, if one is installed."""
-    return _active_rollup
-
-
-def install_rollup(
-    path: str | os.PathLike,
-    *,
-    interval_s: float = DEFAULT_INTERVAL_S,
-    tracer: Tracer | None = None,
-) -> RollupSink:
-    """Register a rollup sink on the ambient tracer (idempotent).
-
-    Like :func:`repro.obs.serve.install`: when tracing is otherwise
-    disabled a sink-only tracer is installed, so the rollup plane works
-    without writing any raw trace file.  If a telemetry server is already
-    running, its live :class:`RollupState` is reused so ``/snapshot`` and
-    the on-disk rollup stay two views of one aggregate.
-    """
-    global _active_rollup
-    if _active_rollup is not None:
-        return _active_rollup
-    from .serve import get_server
-
-    server = get_server()
-    state = server.rollup if server is not None else None
-    sink = RollupSink(path, state=state, interval_s=interval_s)
-    target = tracer if tracer is not None else get_tracer()
-    if not target.enabled:
-        target = Tracer([sink])
-        set_tracer(target)
-    else:
-        target.add_sink(sink)
-    _active_rollup = sink
-    return sink
-
-
-def shutdown_rollup() -> None:
-    """Final-flush and detach the ambient rollup sink."""
-    global _active_rollup
-    sink = _active_rollup
-    if sink is None:
-        return
-    _active_rollup = None
-    tracer = get_tracer()
-    try:
-        tracer.remove_sink(sink)
-    except ValueError:
-        pass
-    sink.close()
-
-
-def rollup_from_env(environ: Mapping[str, str] | None = None) -> RollupSink | None:
-    """Install the rollup sink when ``MEDEA_ROLLUP=<path>`` is set."""
-    env = os.environ if environ is None else environ
-    raw = env.get(ENV_ROLLUP, "").strip()
-    if not raw or raw.lower() in ("0", "false", "no", "off"):
-        return None
-    return install_rollup(raw)
 
 
 # -- reading rollups back -----------------------------------------------------

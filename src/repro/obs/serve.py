@@ -18,13 +18,13 @@ or a Prometheus scraper can hit while a long run is in flight.
   :class:`~repro.obs.timeline.TimelineAggregator` sink, volatile fields
   under ``"wall"`` as usual, plus build identity and health.
 
-Wiring: :func:`install` registers the server's sink on the ambient tracer
-(enabling a sink-only tracer when none is configured) so the simulation's
-existing event stream feeds the timeline and the health heartbeat — no
-engine changes, no new event kinds.  Enabled via ``MEDEA_SERVE=<port>``
-(:func:`serve_from_env`) or the CLI's ``--serve PORT``; zero-cost when
-unset (nothing is started, no sink is registered, the traced event stream
-is byte-identical).
+Wiring: ``--serve PORT`` / ``MEDEA_SERVE`` opens the endpoint through one
+:class:`~repro.obs.session.ObsSession`, whose single sink folds the
+simulation's existing event stream into the server's :class:`RollupState`
+and beats its health under the server's :attr:`TelemetryServer.lock` — no
+engine changes, no new event kinds.  Zero-cost when unset (nothing is
+started, no sink is registered, the traced event stream is
+byte-identical).
 
 ``repro watch`` (:func:`fetch_snapshot` / :func:`watch_view`) polls
 ``/snapshot`` into a refreshing terminal view.
@@ -33,7 +33,6 @@ is byte-identical).
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 import time
@@ -42,11 +41,8 @@ from typing import Any, Mapping
 from urllib.request import Request, urlopen
 
 from ..version import build_info, server_banner, user_agent
-from .events import TraceEvent
 from .metrics import Metrics, get_metrics, parse_label_key
 from .rollup import RollupState
-from .timeline import DEFAULT_MAX_POINTS, DEFAULT_TICK_S
-from .trace import Tracer, get_tracer, set_tracer
 from .view import SeriesGroup, View
 
 __all__ = [
@@ -54,17 +50,9 @@ __all__ = [
     "RETRY_AFTER_S",
     "TelemetryServer",
     "render_prometheus",
-    "install",
-    "serve_from_env",
-    "get_server",
-    "shutdown_server",
     "fetch_snapshot",
     "watch_view",
 ]
-
-#: Environment variable read by :func:`serve_from_env` (the port number;
-#: ``0`` binds an ephemeral port).
-ENV_SERVE = "MEDEA_SERVE"
 
 #: Default wall-clock stall deadline before ``/healthz`` turns 503.
 DEFAULT_DEADLINE_S = 30.0
@@ -230,23 +218,6 @@ def render_prometheus(snapshot: Mapping[str, Any]) -> str:
 # -- the server ----------------------------------------------------------------
 
 
-class _TelemetrySink:
-    """Tracer sink fanning events into the server's aggregator + health.
-
-    Lives behind the server's lock: the simulation thread writes through
-    :meth:`emit` while HTTP threads read summaries.
-    """
-
-    def __init__(self, server: "TelemetryServer") -> None:
-        self._server = server
-
-    def emit(self, event: TraceEvent) -> None:
-        self._server.observe(event)
-
-    def close(self) -> None:
-        return None
-
-
 class TelemetryServer:
     """In-process HTTP telemetry endpoint over a background thread."""
 
@@ -257,19 +228,16 @@ class TelemetryServer:
         host: str = "127.0.0.1",
         metrics: Metrics | None = None,
         deadline_s: float = DEFAULT_DEADLINE_S,
-        tick_s: float = DEFAULT_TICK_S,
-        max_points: int = DEFAULT_MAX_POINTS,
     ) -> None:
         self.host = host
         self.port = port  # requested; updated to the bound port on start()
         self._metrics = metrics
         self.health = HealthState(deadline_s)
-        #: The live aggregate behind /snapshot — shared with the on-disk
-        #: rollup sink when both planes are enabled (see
-        #: :func:`repro.obs.rollup.install_rollup`).
-        self.rollup = RollupState(tick_s=tick_s, max_points=max_points)
-        self.sink = _TelemetrySink(self)
-        self._lock = threading.Lock()
+        #: The live aggregate behind /snapshot — the session folds events
+        #: into it, and flushes the on-disk rollup from it, under ``lock``
+        #: (the simulation thread writes while HTTP threads read).
+        self.rollup = RollupState()
+        self.lock = threading.Lock()
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self.started_at = time.time()
@@ -281,17 +249,11 @@ class TelemetryServer:
     def metrics(self) -> Metrics:
         return self._metrics if self._metrics is not None else get_metrics()
 
-    # -- event intake --------------------------------------------------------
-
-    def observe(self, event: TraceEvent) -> None:
-        """Fold one live trace event into the rollup state and the heartbeat."""
-        with self._lock:
-            self.rollup.observe_event(event)
-            self.health.beat(event.time)
+    # -- progress ---------------------------------------------------------------
 
     def beat(self, tick: float | None = None) -> None:
         """Direct progress heartbeat for un-traced callers."""
-        with self._lock:
+        with self.lock:
             self.health.beat(tick)
 
     def attach_placement(self, service) -> None:
@@ -306,7 +268,7 @@ class TelemetryServer:
         return render_prometheus(self.metrics.snapshot())
 
     def health_doc(self) -> tuple[int, dict[str, Any]]:
-        with self._lock:
+        with self.lock:
             alive, payload = self.health.status()
         return (200 if alive else 503), payload
 
@@ -315,7 +277,7 @@ class TelemetryServer:
         state: the timeline's series (volatile ones under ``"wall"``, as
         usual) and the bounded span profile, plus build identity and the
         health payload (volatile → under ``"wall"`` too)."""
-        with self._lock:
+        with self.lock:
             summary = self.rollup.summary()
             _, health = self.health.status()
         summary["meta"]["build"] = build_info()
@@ -482,81 +444,6 @@ class TelemetryServer:
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-
-# -- ambient wiring -------------------------------------------------------------
-
-_active_server: TelemetryServer | None = None
-
-
-def get_server() -> TelemetryServer | None:
-    """The process-wide telemetry server, if one is running."""
-    return _active_server
-
-
-def install(
-    port: int,
-    *,
-    host: str = "127.0.0.1",
-    deadline_s: float = DEFAULT_DEADLINE_S,
-    tracer: Tracer | None = None,
-) -> TelemetryServer:
-    """Start a telemetry server and register its sink on the tracer.
-
-    When the ambient tracer is disabled (no ``MEDEA_TRACE``), a sink-only
-    tracer is installed so the event stream exists for the live plane
-    without writing any JSONL file — the canonical trace output of
-    serve-less runs is untouched because none of this happens unless the
-    caller asked to serve.
-    """
-    global _active_server
-    if _active_server is not None:
-        return _active_server
-    server = TelemetryServer(port, host=host, deadline_s=deadline_s)
-    server.start()
-    target = tracer if tracer is not None else get_tracer()
-    if not target.enabled:
-        target = Tracer([server.sink])
-        set_tracer(target)
-    else:
-        target.add_sink(server.sink)
-    _active_server = server
-    return server
-
-
-def shutdown_server() -> None:
-    """Stop the ambient telemetry server and detach its sink."""
-    global _active_server
-    server = _active_server
-    if server is None:
-        return
-    _active_server = None
-    tracer = get_tracer()
-    try:
-        tracer.remove_sink(server.sink)
-    except ValueError:
-        pass
-    server.stop()
-
-
-def serve_from_env(environ: Mapping[str, str] | None = None) -> TelemetryServer | None:
-    """Start the telemetry endpoint when ``MEDEA_SERVE`` is set.
-
-    The value is the port to bind (``0`` picks an ephemeral port, printed
-    by the caller).  Returns the server, or ``None`` when serving is not
-    requested.  Idempotent.
-    """
-    env = os.environ if environ is None else environ
-    raw = env.get(ENV_SERVE, "").strip()
-    if not raw or raw.lower() in ("false", "no", "off"):
-        return None
-    try:
-        port = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_SERVE} must be a port number, got {raw!r}"
-        ) from None
-    return install(port)
 
 
 # -- the watch client ------------------------------------------------------------

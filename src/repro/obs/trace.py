@@ -13,9 +13,10 @@ Sinks receive fully formed :class:`~repro.obs.events.TraceEvent` records:
   fields in ``data``, volatile wall-clock fields under ``"wall"``.
 
 A process-wide default tracer supports ambient configuration
-(:func:`get_tracer` / :func:`set_tracer` / :func:`configure` /
-:func:`configure_from_env`); components may also be handed an explicit
-tracer for isolated runs (the determinism tests do exactly that).
+(:func:`get_tracer` / :func:`set_tracer`; runs build and install theirs
+through :class:`repro.obs.session.ObsSession`); components may also be
+handed an explicit tracer for isolated runs (the determinism tests do
+exactly that).
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from time import perf_counter
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 from .events import TraceEvent
-from .sample import (
-    PROTECTED_KINDS as _PROTECTED_KINDS,
-    _TERMINAL_KINDS,
-    SamplingPolicy,
-    TraceSampler,
-    parse_sample_spec,
-)
+from .sample import PROTECTED_KINDS as _PROTECTED_KINDS, _TERMINAL_KINDS, TraceSampler
 
 __all__ = [
     "TraceSink",
@@ -43,20 +38,9 @@ __all__ = [
     "Tracer",
     "get_tracer",
     "set_tracer",
-    "configure",
-    "configure_from_env",
     "request_context",
     "current_request_id",
 ]
-
-#: Environment variables read by :func:`configure_from_env`.
-ENV_TRACE = "MEDEA_TRACE"
-ENV_TRACE_OUT = "MEDEA_TRACE_OUT"
-#: Sampling-policy spec applied to the configured tracer (see
-#: :class:`repro.obs.sample.SamplingPolicy`), e.g.
-#: ``MEDEA_TRACE_SAMPLE="heartbeat=0.01,task=0.1,seed=7"``.
-ENV_TRACE_SAMPLE = "MEDEA_TRACE_SAMPLE"
-
 
 #: Request-scoped trace context (ISSUE 10).  While a ``request_context`` is
 #: active on the current thread/task, every emitted event is stamped with
@@ -334,52 +318,3 @@ def set_tracer(tracer: Tracer | None) -> Tracer:
     _default_tracer = tracer if tracer is not None else _NULL_TRACER
     return previous
 
-
-def configure(
-    *,
-    jsonl_path: str | os.PathLike | None = None,
-    memory: bool = False,
-    enabled: bool = True,
-    sample: str | SamplingPolicy | None = None,
-) -> Tracer:
-    """Build a tracer with the requested sinks and install it as default.
-
-    ``jsonl_path`` names the JSONL trace output file.  ``sample`` attaches
-    a deterministic sampling policy (a spec string or a parsed
-    :class:`~repro.obs.sample.SamplingPolicy`); trivial policies (all
-    rates 1.0) are dropped so an unsampled tracer stays hook-free.
-    """
-    sinks: list[TraceSink] = []
-    if jsonl_path is not None:
-        sinks.append(JsonlSink(jsonl_path))
-    if memory:
-        sinks.append(MemorySink())
-    policy = SamplingPolicy.parse(sample) if isinstance(sample, str) else sample
-    sampler = (
-        TraceSampler(policy) if policy is not None and not policy.trivial else None
-    )
-    tracer = Tracer(sinks, enabled=enabled, sampler=sampler)
-    set_tracer(tracer)
-    return tracer
-
-
-def configure_from_env(environ: Mapping[str, str] | None = None) -> Tracer | None:
-    """Enable tracing when ``MEDEA_TRACE`` is set to a truthy value.
-
-    ``MEDEA_TRACE_OUT`` names the JSONL trace output file (default
-    ``medea_trace.jsonl``) and ``MEDEA_TRACE_SAMPLE`` attaches a sampling
-    policy.  Returns the installed tracer, or ``None`` when tracing is not
-    requested.  Does nothing if an enabled tracer is already installed
-    (idempotent under repeated calls, e.g. from both a CLI entry point and
-    the benchmark harness).
-    """
-    env = os.environ if environ is None else environ
-    flag = env.get(ENV_TRACE, "").strip().lower()
-    if flag in ("", "0", "false", "no", "off"):
-        return None
-    if _default_tracer.enabled:
-        return _default_tracer
-    path = env.get(ENV_TRACE_OUT, "medea_trace.jsonl")
-    return configure(
-        jsonl_path=path, sample=parse_sample_spec(env.get(ENV_TRACE_SAMPLE))
-    )

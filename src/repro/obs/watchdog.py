@@ -32,18 +32,17 @@ diagnosis naming nodes/containers), bumps ``watchdog_trips_total``, and
 — in ``abort`` mode — raises :class:`WatchdogError` so the run exits
 non-zero instead of continuing on corrupt state.
 
-Zero-cost when off: the simulation holds ``watchdog=None`` unless
-``MEDEA_WATCHDOG`` (``1``/``warn``/``abort``) or an explicit instance
-enables it, so disabled runs execute no checks and emit no events.  When
+Zero-cost when off: the simulation holds ``watchdog=None`` unless an
+explicit instance or the open :class:`~repro.obs.session.ObsSession`
+(``--watchdog`` / ``MEDEA_WATCHDOG``) arms one, so disabled runs execute no checks and emit no events.  When
 armed it counts as demand for the heartbeat series: ticks with no queued
 tasks, which the simulation otherwise skips, still run the checks.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from .events import EventKind
 from .metrics import Metrics, get_metrics
@@ -57,11 +56,7 @@ __all__ = [
     "WatchdogError",
     "WatchdogTrip",
     "CHECKS",
-    "watchdog_from_env",
 ]
-
-#: Environment variable read by :func:`watchdog_from_env`.
-ENV_WATCHDOG = "MEDEA_WATCHDOG"
 
 #: The check catalogue, in evaluation order.
 CHECKS = (
@@ -327,19 +322,3 @@ class Watchdog:
                 EventKind.WATCHDOG_TRIP, time=trip.time, data=trip.to_data()
             )
 
-
-def watchdog_from_env(
-    environ: Mapping[str, str] | None = None, **kwargs: Any
-) -> Watchdog | None:
-    """Build a watchdog when ``MEDEA_WATCHDOG`` requests one.
-
-    ``1``/``true``/``on``/``warn`` → warn mode; ``abort`` → abort mode;
-    unset/falsy → ``None`` (the zero-cost default).  Extra ``kwargs`` pass
-    through to :class:`Watchdog`.
-    """
-    env = os.environ if environ is None else environ
-    flag = env.get(ENV_WATCHDOG, "").strip().lower()
-    if flag in ("", "0", "false", "no", "off"):
-        return None
-    mode = "abort" if flag == "abort" else "warn"
-    return Watchdog(mode=mode, **kwargs)

@@ -30,8 +30,9 @@ from ..core.scheduler import LRAScheduler
 from ..obs.events import EventKind
 from ..obs.metrics import Metrics, get_metrics
 from ..obs.spans import span
+from ..obs.session import default_watchdog
 from ..obs.trace import Tracer, get_tracer
-from ..obs.watchdog import Watchdog, watchdog_from_env
+from ..obs.watchdog import Watchdog
 from ..taskscheduler.base import TaskBasedScheduler
 from ..taskscheduler.capacity import CapacityScheduler
 from .engine import SimulationEngine
@@ -164,9 +165,9 @@ class ClusterSimulation:
         #: Cancellable handles for the heartbeat and cycle series.
         self.heartbeat_handle: _OnDemandSeries | None = None
         self.cycle_handle: _OnDemandSeries | None = None
-        #: Online invariant monitor; ``None`` (the default, unless
-        #: ``MEDEA_WATCHDOG`` asks for one) keeps the hot path check-free.
-        self.watchdog = watchdog if watchdog is not None else watchdog_from_env()
+        #: Online invariant monitor; ``None`` (the default, unless the open
+        #: observability session arms one) keeps the hot path check-free.
+        self.watchdog = watchdog if watchdog is not None else default_watchdog()
         self._install_periodic_activity()
 
     @property

@@ -5,6 +5,23 @@ from __future__ import annotations
 import pytest
 
 from repro import ClusterState, ConstraintManager, build_cluster
+from repro.obs.metrics import Metrics, set_metrics
+from repro.obs.session import current_session
+from repro.obs.trace import set_tracer
+
+
+@pytest.fixture
+def isolate_obs():
+    """A disabled ambient tracer and a fresh metrics registry for one test;
+    afterwards, close every observability session the test left open and
+    restore both."""
+    prev_tracer = set_tracer(None)
+    prev_metrics = set_metrics(Metrics())
+    yield
+    while (session := current_session()) is not None:
+        session.close()
+    set_tracer(prev_tracer)
+    set_metrics(prev_metrics)
 
 
 @pytest.fixture

@@ -68,18 +68,14 @@ class TestSimulate:
 class TestTraceSampleFlag:
     def test_simulate_with_sampled_jsonl_trace(self, tmp_path, capsys):
         from repro.obs.report import read_trace
-        from repro.obs.trace import set_tracer
 
         out = tmp_path / "run.jsonl"
-        try:
-            assert main([
-                "simulate", "--nodes", "12", "--horizon", "30",
-                "--lras", "1", "--tasks", "20",
-                "--trace-out", str(out),
-                "--trace-sample", "task=0.5,dispatch=0,seed=3",
-            ]) == 0
-        finally:
-            set_tracer(None)  # drop the CLI-installed ambient tracer
+        assert main([
+            "simulate", "--nodes", "12", "--horizon", "30",
+            "--lras", "1", "--tasks", "20",
+            "--trace-out", str(out),
+            "--trace-sample", "task=0.5,dispatch=0,seed=3",
+        ]) == 0
         events = read_trace(str(out)).events
         assert events
         assert all(e["kind"] != "engine.dispatch" for e in events)
@@ -91,32 +87,72 @@ class TestTraceSampleFlag:
                   "--trace-sample", "task=0.5"])
 
     def test_malformed_sample_spec_exits(self, tmp_path):
-        from repro.obs.trace import set_tracer
+        with pytest.raises(SystemExit, match="trace-sample"):
+            main(["simulate", "--nodes", "8", "--horizon", "10",
+                  "--lras", "0", "--tasks", "0",
+                  "--trace-out", str(tmp_path / "t.jsonl"),
+                  "--trace-sample", "task=nope"])
 
-        try:
-            with pytest.raises(SystemExit, match="trace-sample"):
-                main(["simulate", "--nodes", "8", "--horizon", "10",
-                      "--lras", "0", "--tasks", "0",
-                      "--trace-out", str(tmp_path / "t.jsonl"),
-                      "--trace-sample", "task=nope"])
-        finally:
-            set_tracer(None)
+
+#: A small traced-run argv shared by the session tests below.
+SMALL_SIM = ["simulate", "--nodes", "12", "--horizon", "30",
+             "--lras", "1", "--tasks", "20"]
+
+
+class TestObsSession:
+    """Every run command opens one observability session: a flag that is
+    set wins over its variable, and nothing outlives the call."""
+
+    def test_trace_out_flag_wins_over_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MEDEA_TRACE", "1")
+        monkeypatch.chdir(tmp_path)
+        assert main([*SMALL_SIM, "--trace-out", "x.jsonl"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.jsonl"]
+
+    def test_trace_sample_flag_wins_over_env(self, tmp_path, monkeypatch, capsys):
+        from repro.obs.report import read_trace
+
+        monkeypatch.setenv("MEDEA_TRACE", "1")
+        monkeypatch.chdir(tmp_path)
+        assert main([*SMALL_SIM, "--trace-sample", "task=0"]) == 0
+        assert "(0 sampled out)" not in capsys.readouterr().out
+        kinds = [e["kind"] for e in read_trace("medea_trace.jsonl").events]
+        assert kinds
+        assert not [k for k in kinds if k.startswith("task.")]
+
+    def test_serve_and_rollup_count_each_event_once(self, tmp_path, capsys):
+        import json
+
+        trace, rollup = tmp_path / "t.jsonl", tmp_path / "R.json"
+        assert main([*SMALL_SIM, "--trace-out", str(trace),
+                     "--rollup", str(rollup), "--serve", "0"]) == 0
+        lines = len(trace.read_text().splitlines())
+        assert json.loads(rollup.read_text())["rollup"]["events"] == lines
+
+    def test_no_tracer_outlives_a_call(self, tmp_path, capsys):
+        from repro.obs.trace import get_tracer
+
+        assert main([*SMALL_SIM, "--trace-out", str(tmp_path / "t.jsonl")]) == 0
+        assert not get_tracer().enabled and not get_tracer().sinks
+        assert "tracer:" in capsys.readouterr().out
+        assert main(SMALL_SIM) == 0
+        assert not get_tracer().enabled and not get_tracer().sinks
+        assert "tracer:" not in capsys.readouterr().out
+
+    def test_loadgen_http_leaves_no_tracer(self, capsys):
+        from repro.obs.trace import get_tracer
+
+        assert main(["loadgen", "--http", "--rate", "200", "--requests", "4",
+                     "--nodes", "12", "--concurrency", "2"]) == 0
+        assert not get_tracer().enabled and not get_tracer().sinks
 
 
 class TestTraceTools:
     @pytest.fixture()
     def trace(self, tmp_path):
         """A small simulated trace recorded through --trace-out."""
-        from repro.obs.trace import set_tracer
-
         out = tmp_path / "run.jsonl"
-        try:
-            assert main([
-                "simulate", "--nodes", "12", "--horizon", "30",
-                "--lras", "1", "--tasks", "20", "--trace-out", str(out),
-            ]) == 0
-        finally:
-            set_tracer(None)
+        assert main([*SMALL_SIM, "--trace-out", str(out)]) == 0
         return out
 
     def test_trace_report_reads_trace(self, trace, capsys):
@@ -171,8 +207,10 @@ class TestTraceTools:
 
 
 def test_retired_ledger_stays_retired():
-    """The schema-2 bench gate and the run log are deleted; their command,
+    """The schema-2 bench gate, the run log and the per-plane env/install
+    wiring the observability session replaced are deleted; their command,
     flags and exports must not regrow."""
+    import repro.cli
     import repro.obs
 
     for argv in (
@@ -189,4 +227,32 @@ def test_retired_ledger_stays_retired():
         "compare_bench", "compare_bench_files", "load_bench", "BenchCheck",
         "BenchComparison", "RunLogger", "get_run_logger", "set_run_logger",
         "configure_log", "configure_log_from_env",
+        "configure", "configure_from_env", "install_server", "serve_from_env",
+        "get_server", "shutdown_server", "install_rollup", "get_rollup",
+        "shutdown_rollup", "rollup_from_env", "watchdog_from_env",
     }
+    retired = {
+        repro.obs.trace: ("configure", "configure_from_env"),
+        repro.obs.serve: ("install", "get_server", "shutdown_server",
+                          "serve_from_env", "_TelemetrySink", "_active_server"),
+        repro.obs.rollup: ("install_rollup", "get_rollup", "shutdown_rollup",
+                           "rollup_from_env", "_active_rollup"),
+        repro.obs.watchdog: ("watchdog_from_env",),
+        repro.cli: ("_configure_tracing", "_configure_live_plane",
+                    "_finish_live_plane"),
+    }
+    for module, names in retired.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_only_the_session_reads_the_environment():
+    """Every ``MEDEA_*`` setting is read in one place."""
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    readers = sorted(
+        str(path.relative_to(src)) for path in src.rglob("*.py")
+        if "os.environ" in path.read_text() or "getenv" in path.read_text()
+    )
+    assert readers == ["obs/session.py"]

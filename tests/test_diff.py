@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro import NodeCandidatesScheduler, SerialScheduler, build_cluster
 from repro.apps import hbase_instance, tensorflow_instance
 from repro.cli import EXIT_DATA_ERROR, EXIT_GATE, EXIT_OK, main
@@ -32,20 +30,11 @@ from repro.obs import (
     to_html,
     to_text,
 )
-from repro.obs.metrics import Metrics, set_metrics
+from repro.obs.metrics import Metrics
 from repro.obs.sample import SamplingPolicy, TraceSampler
 from repro.obs.watchdog import Watchdog
 from repro.sim import ClusterSimulation, SimConfig
 from repro.workloads import GridMixConfig, generate_tasks
-
-
-@pytest.fixture
-def isolate_obs():
-    prev_tracer = set_tracer(None)
-    prev_metrics = set_metrics(Metrics())
-    yield
-    set_tracer(prev_tracer)
-    set_metrics(prev_metrics)
 
 
 def _run_events(

@@ -41,6 +41,7 @@ from repro.obs.load import (
     uniform_arrivals,
 )
 from repro.obs.metrics import Metrics, set_metrics
+from repro.obs.session import ObsConfig, ObsSession
 from repro.obs.view import to_html, to_text
 from repro.obs.trace import (
     MemorySink,
@@ -49,18 +50,6 @@ from repro.obs.trace import (
     request_context,
     set_tracer,
 )
-
-
-@pytest.fixture()
-def isolate_obs():
-    prev_tracer = set_tracer(None)
-    prev_metrics = set_metrics(Metrics())
-    yield
-    from repro.obs.serve import shutdown_server
-
-    shutdown_server()
-    set_tracer(prev_tracer)
-    set_metrics(prev_metrics)
 
 
 def _service(nodes=40, **kwargs):
@@ -294,15 +283,13 @@ class TestRequestContext:
 
 
 class TestServingPathHTTP:
-    def _serve(self, service):
-        from repro.obs.serve import install
+    @pytest.fixture()
+    def server(self, isolate_obs):
+        with ObsSession(ObsConfig(serve=0)) as session:
+            yield session.server
 
-        server = install(0)
-        server.attach_placement(service)
-        return server
-
-    def test_post_place_end_to_end(self, isolate_obs):
-        server = self._serve(_service())
+    def test_post_place_end_to_end(self, server):
+        server.attach_placement(_service())
         body = json.dumps(request_to_obj(RequestTemplate().build(0))).encode()
         request = urllib.request.Request(
             f"{server.url}/place", data=body,
@@ -316,8 +303,8 @@ class TestServingPathHTTP:
         # The serving requests roll into the snapshot for `repro watch`.
         assert server.snapshot_doc()["wall"]["requests"]["placed"] == 1
 
-    def test_http_target_drives_sweep(self, isolate_obs):
-        server = self._serve(_service())
+    def test_http_target_drives_sweep(self, server):
+        server.attach_placement(_service())
         step = run_step(
             HttpTarget(server.url), RequestTemplate(containers=2),
             offered_rps=100.0, requests=20, concurrency=8, seed=2
@@ -325,8 +312,8 @@ class TestServingPathHTTP:
         assert step.placed == 20
         assert step.errors == 0
 
-    def test_bad_json_is_400(self, isolate_obs):
-        server = self._serve(_service())
+    def test_bad_json_is_400(self, server):
+        server.attach_placement(_service())
         request = urllib.request.Request(
             f"{server.url}/place", data=b"{nope", method="POST",
         )
@@ -334,8 +321,8 @@ class TestServingPathHTTP:
             urllib.request.urlopen(request, timeout=5)
         assert excinfo.value.code == 400
 
-    def test_overload_is_503_with_retry_after(self, isolate_obs):
-        server = self._serve(_service(max_pending=0))
+    def test_overload_is_503_with_retry_after(self, server):
+        server.attach_placement(_service(max_pending=0))
         body = json.dumps(request_to_obj(RequestTemplate().build(0))).encode()
         request = urllib.request.Request(
             f"{server.url}/place", data=body, method="POST",
@@ -346,10 +333,7 @@ class TestServingPathHTTP:
         assert excinfo.value.headers["Retry-After"] is not None
         excinfo.value.read()
 
-    def test_no_service_attached_is_503(self, isolate_obs):
-        from repro.obs.serve import install
-
-        server = install(0)
+    def test_no_service_attached_is_503(self, server):
         request = urllib.request.Request(
             f"{server.url}/place", data=b"{}", method="POST",
         )

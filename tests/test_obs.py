@@ -29,24 +29,11 @@ from repro.obs import (
     Tracer,
     canonical,
 )
-from repro.obs.trace import (
-    configure_from_env,
-    get_tracer,
-    set_tracer,
-)
+from repro.obs.session import ObsConfig, ObsSession
+from repro.obs.trace import get_tracer
 from repro.obs.metrics import get_metrics, set_metrics
 from repro.sim import ClusterSimulation, SimConfig
 from tests.helpers import make_lra
-
-
-@pytest.fixture()
-def isolate_obs():
-    """Save and restore the ambient tracer/metrics around a test."""
-    prev_tracer = set_tracer(None)
-    prev_metrics = set_metrics(Metrics())
-    yield
-    set_tracer(prev_tracer)
-    set_metrics(prev_metrics)
 
 
 def _make_sim(tracer=None, metrics=None):
@@ -127,10 +114,29 @@ class TestTracer:
         assert len(lines) == 2
         assert json.loads(lines[0])["kind"] == "a"
 
-    def test_configure_from_env_noop_when_unset(self, isolate_obs):
-        assert configure_from_env({"MEDEA_TRACE": ""}) is None
-        assert configure_from_env({"MEDEA_TRACE": "0"}) is None
-        assert get_tracer().enabled is False
+    def test_trace_env_off_values_install_nothing(self, isolate_obs):
+        for off in ("", "0", "false", "No", " off "):
+            config = ObsConfig.from_env(
+                {"MEDEA_TRACE": off, "MEDEA_TRACE_OUT": "never.jsonl"}
+            )
+            assert config == ObsConfig()
+            with ObsSession(config) as session:
+                assert session.tracer is None
+                assert get_tracer().enabled is False
+
+    def test_trace_env_values(self):
+        on = ObsConfig.from_env({"MEDEA_TRACE": "1"})
+        assert on.trace_out == "medea_trace.jsonl" and on.sample is None
+        assert ObsConfig.from_env(
+            {"MEDEA_TRACE": "yes", "MEDEA_TRACE_OUT": "x.jsonl"}
+        ).trace_out == "x.jsonl"
+        # A --trace-out flag wins whether or not MEDEA_TRACE is set.
+        assert ObsConfig.from_env(
+            {"MEDEA_TRACE": "1"}, trace_out="flag.jsonl"
+        ).trace_out == "flag.jsonl"
+        sampled = ObsConfig.from_env({"MEDEA_TRACE_SAMPLE": "task=0.5,seed=3"})
+        assert sampled.sample.describe() == "task=0.5,seed=3"
+        assert ObsConfig.from_env({"MEDEA_TRACE_SAMPLE": "  "}).sample is None
 
 
 class TestDisabledTracingSim:
@@ -157,16 +163,15 @@ class TestTraceDeterminism:
         texts = []
         for run in range(2):
             path = tmp_path / f"run{run}.jsonl"
-            set_tracer(None)
-            tracer = configure_from_env(
+            config = ObsConfig.from_env(
                 {"MEDEA_TRACE": "1", "MEDEA_TRACE_OUT": str(path)}
             )
-            assert tracer is not None and tracer.enabled
             metrics = set_metrics(Metrics())
             try:
-                _drive(_make_sim())
+                with ObsSession(config) as session:
+                    assert get_tracer() is session.tracer
+                    _drive(_make_sim())
             finally:
-                get_tracer().close()
                 set_metrics(metrics)
             texts.append(canonical(path.read_text()))
         assert texts[0] and texts[0] == texts[1]

@@ -38,21 +38,9 @@ from repro.obs import (
 from repro.obs.profile import ProfileReport, profile_summary, profile_view
 from repro.obs.report import build_dashboard
 from repro.obs.spans import _NULL_SPAN, current_span_path
-from repro.obs.metrics import get_metrics, set_metrics
-from repro.obs.trace import set_tracer
 from repro.obs.view import to_html, to_text
 from repro.sim import ClusterSimulation, SimConfig
 from tests.helpers import make_lra
-
-
-@pytest.fixture()
-def isolate_obs():
-    """Save and restore the ambient tracer/metrics around a test."""
-    prev_tracer = set_tracer(None)
-    prev_metrics = set_metrics(Metrics())
-    yield
-    set_tracer(prev_tracer)
-    set_metrics(prev_metrics)
 
 
 def _tracer():

@@ -9,36 +9,22 @@ import urllib.request
 import pytest
 
 from repro.obs.events import EventKind
-from repro.obs.metrics import Metrics, set_metrics
+from repro.obs.metrics import Metrics
 from repro.obs.serve import (
     HealthState,
     TelemetryServer,
     fetch_snapshot,
-    get_server,
-    install,
     render_prometheus,
-    serve_from_env,
-    shutdown_server,
 )
-from repro.obs.trace import get_tracer, set_tracer
+from repro.obs.session import ObsConfig, ObsSession, current_session
+from repro.obs.trace import get_tracer
 from repro.version import get_version, server_banner, user_agent
 
 
 @pytest.fixture()
-def isolate_obs():
-    prev_tracer = set_tracer(None)
-    prev_metrics = set_metrics(Metrics())
-    yield
-    shutdown_server()
-    set_tracer(prev_tracer)
-    set_metrics(prev_metrics)
-
-
-@pytest.fixture()
 def server(isolate_obs):
-    server = install(0)
-    yield server
-    shutdown_server()
+    with ObsSession(ObsConfig(serve=0)) as session:
+        yield session.server
 
 
 def _get(server, path):
@@ -177,7 +163,7 @@ class TestEndpoints:
 
     def test_snapshot_structure_and_live_series(self, server):
         tracer = get_tracer()
-        assert tracer.enabled  # install() set up a sink-only tracer
+        assert tracer.enabled  # the session set up a sink-only tracer
         tracer.emit(
             EventKind.SIM_STATE_HASH, time=1.0,
             data={"hash": "h", "containers": 2, "utilization": 0.25,
@@ -212,30 +198,40 @@ class TestEndpoints:
 
 class TestAmbientWiring:
     def test_install_is_idempotent_and_shutdown_detaches(self, isolate_obs):
-        first = install(0)
-        assert install(0) is first
-        assert get_server() is first
-        shutdown_server()
-        assert get_server() is None
+        session = ObsSession(ObsConfig(serve=0))
+        with session:
+            server = session.server
+            assert current_session() is session
+            assert get_tracer() is session.tracer
+            assert _get(server, "/healthz")[0] == 200
+        assert current_session() is None
+        assert not get_tracer().enabled  # the null tracer is back
+        with pytest.raises(urllib.error.URLError):
+            _get(server, "/healthz")  # stopped
+        session.close()  # a second close is a no-op
 
-    def test_install_attaches_sink_to_enabled_tracer(self, isolate_obs):
-        from repro.obs.trace import MemorySink, Tracer
+    def test_install_attaches_sink_to_enabled_tracer(self, isolate_obs, tmp_path):
+        """With a trace file and the server both on, one tracer feeds both."""
+        path = tmp_path / "t.jsonl"
+        config = ObsConfig(trace_out=str(path), serve=0)
+        with ObsSession(config) as session:
+            get_tracer().emit(EventKind.SIM_HEARTBEAT, time=2.0,
+                              data={"allocations": 0})
+            assert session.server.health.beats == 1
+        assert len(path.read_text().splitlines()) == 1
 
-        sink = MemorySink()
-        set_tracer(Tracer([sink]))
-        server = install(0)
-        get_tracer().emit(EventKind.SIM_HEARTBEAT, time=2.0,
-                          data={"allocations": 0})
-        assert server.health.beats == 1
-        assert len(sink.events) == 1  # the original sink still sees events
-
-    def test_serve_from_env(self, isolate_obs):
-        assert serve_from_env({}) is None
-        assert serve_from_env({"MEDEA_SERVE": "off"}) is None
+    def test_serve_env_values(self, isolate_obs):
+        for off in ({}, {"MEDEA_SERVE": ""}, {"MEDEA_SERVE": "off"},
+                    {"MEDEA_SERVE": "False"}, {"MEDEA_SERVE": "no"}):
+            assert ObsConfig.from_env(off).serve is None
         with pytest.raises(ValueError, match="port"):
-            serve_from_env({"MEDEA_SERVE": "not-a-port"})
-        server = serve_from_env({"MEDEA_SERVE": "0"})
-        assert server is not None and server.port > 0
+            ObsConfig.from_env({"MEDEA_SERVE": "not-a-port"})
+        assert ObsConfig.from_env({"MEDEA_SERVE": " 8080 "}).serve == 8080
+        # A --serve flag wins; the variable is then not read at all.
+        assert ObsConfig.from_env({"MEDEA_SERVE": "not-a-port"}, serve=0).serve == 0
+        config = ObsConfig.from_env({"MEDEA_SERVE": "0"})  # 0 = ephemeral, not off
+        with ObsSession(config) as session:
+            assert session.server is not None and session.server.port > 0
 
 
 class TestWatchClient:
@@ -297,13 +293,15 @@ class TestWatchClient:
             s.bind(("127.0.0.1", 0))
             port = s.getsockname()[1]
 
-        started = threading.Timer(0.6, lambda: install(port))
+        server = TelemetryServer(port)
+        started = threading.Timer(0.6, server.start)
         started.start()
         try:
             snapshot = _fetch_snapshot_retrying(str(port), retry_for_s=10.0)
         finally:
             started.cancel()
-            shutdown_server()
+            started.join()
+            server.stop()
         assert snapshot["meta"]["build"]["name"] == "repro"
 
     def test_watch_retry_zero_raises_immediately(self, isolate_obs):

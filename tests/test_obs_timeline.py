@@ -37,21 +37,9 @@ from repro.obs import (
     replay_events,
     replay_jsonl,
 )
-from repro.obs.metrics import set_metrics
 from repro.obs.report import read_trace
-from repro.obs.trace import set_tracer
 from repro.sim import ClusterSimulation, SimConfig
 from tests.helpers import make_lra
-
-
-@pytest.fixture()
-def isolate_obs():
-    """Save and restore the ambient tracer/metrics around a test."""
-    prev_tracer = set_tracer(None)
-    prev_metrics = set_metrics(Metrics())
-    yield
-    set_tracer(prev_tracer)
-    set_metrics(prev_metrics)
 
 
 def _make_sim(tracer=None, metrics=None):

@@ -3,7 +3,7 @@
 The rollup plane's contract: bounded ``ROLLUP_*.json`` files whose size
 is a function of configuration (not run length), atomic flushes, a full
 dashboard renderable from the rollup alone, shared state with the live
-``/snapshot`` endpoint, and the ambient install/env wiring.
+``/snapshot`` endpoint, and the session/env wiring.
 """
 
 from __future__ import annotations
@@ -15,33 +15,19 @@ import pytest
 from repro import Resource, TagPopularityScheduler, build_cluster
 from repro.core.requests import TaskRequest
 from repro.obs.events import EventKind
-from repro.obs.metrics import Metrics, set_metrics
 from repro.obs.rollup import (
-    ENV_ROLLUP,
     ROLLUP_SCHEMA,
     RollupSink,
     RollupState,
     build_dashboard_from_rollup,
-    get_rollup,
-    install_rollup,
     is_rollup_doc,
     load_rollup,
-    rollup_from_env,
-    shutdown_rollup,
 )
-from repro.obs.trace import Tracer, get_tracer, set_tracer
+from repro.obs.serve import fetch_snapshot
+from repro.obs.session import ObsConfig, ObsSession, current_session
+from repro.obs.trace import Tracer, get_tracer
 from repro.sim import ClusterSimulation, SimConfig
 from repro.workloads.lra_gen import hbase_population
-
-
-@pytest.fixture()
-def isolate_obs():
-    prev_tracer = set_tracer(None)
-    prev_metrics = set_metrics(Metrics())
-    yield
-    shutdown_rollup()
-    set_tracer(prev_tracer)
-    set_metrics(prev_metrics)
 
 
 def _run_sim(tracer, *, horizon=50.0, tasks_per_s=8):
@@ -169,51 +155,100 @@ class TestRollupDashboard:
         assert not is_rollup_doc({"schema": "x"})
 
 
+def _emit_state_hash(time=1.0):
+    get_tracer().emit(
+        EventKind.SIM_STATE_HASH, time=time,
+        data={"hash": "h", "containers": 1, "utilization": 0.5,
+              "utilization_by_rack": {}, "pending_tasks": 0,
+              "pending_lras": 0, "nodes_down": 0},
+    )
+
+
 class TestAmbientWiring:
     def test_install_is_idempotent_and_shutdown_flushes(
         self, isolate_obs, tmp_path
     ):
         path = tmp_path / "ROLLUP_amb.json"
-        sink = install_rollup(path)
-        assert install_rollup(tmp_path / "other.json") is sink
-        assert get_rollup() is sink
-        get_tracer().emit(
-            EventKind.SIM_STATE_HASH, time=1.0,
-            data={"hash": "h", "containers": 1, "utilization": 0.5,
-                  "utilization_by_rack": {}, "pending_tasks": 0,
-                  "pending_lras": 0, "nodes_down": 0},
-        )
-        shutdown_rollup()
-        assert get_rollup() is None
+        session = ObsSession(ObsConfig(rollup=str(path)))
+        with session:
+            assert current_session() is session
+            assert session.rollup.path == str(path)
+            _emit_state_hash()
+        assert current_session() is None
         assert load_rollup(path)["rollup"]["events"] == 1
-        # Second shutdown is a no-op, not an error.
-        shutdown_rollup()
+        # Second close is a no-op, not an error.
+        session.close()
 
     def test_install_enables_sink_only_tracer(self, isolate_obs, tmp_path):
         assert not get_tracer().enabled
-        install_rollup(tmp_path / "ROLLUP_x.json")
-        assert get_tracer().enabled  # rollups work without a trace file
+        with ObsSession(ObsConfig(rollup=str(tmp_path / "ROLLUP_x.json"))):
+            assert get_tracer().enabled  # rollups work without a trace file
+        assert not get_tracer().enabled
 
-    def test_rollup_from_env(self, isolate_obs, tmp_path):
-        assert rollup_from_env({}) is None
-        assert rollup_from_env({ENV_ROLLUP: "off"}) is None
+    def test_rollup_env_values(self, tmp_path):
+        for off in ({}, {"MEDEA_ROLLUP": "off"}, {"MEDEA_ROLLUP": " "},
+                    {"MEDEA_ROLLUP": "0"}, {"MEDEA_ROLLUP": "FALSE"},
+                    {"MEDEA_ROLLUP": "no"}):
+            assert ObsConfig.from_env(off).rollup is None
         path = tmp_path / "ROLLUP_env.json"
-        sink = rollup_from_env({ENV_ROLLUP: str(path)})
-        assert sink is not None and sink.path == str(path)
+        assert ObsConfig.from_env({"MEDEA_ROLLUP": f" {path} "}).rollup == str(path)
+        # A --rollup flag wins over the variable.
+        assert ObsConfig.from_env(
+            {"MEDEA_ROLLUP": str(path)}, rollup="flag.json"
+        ).rollup == "flag.json"
 
     def test_snapshot_and_rollup_share_state(self, isolate_obs, tmp_path):
         """The live endpoint and the on-disk rollup are two views of one
-        RollupState: what /snapshot serves is what the file gets."""
-        from repro.obs.serve import install as install_server, shutdown_server
+        RollupState, fed once per event: what /snapshot serves is what the
+        file gets."""
+        path = tmp_path / "ROLLUP_share.json"
+        with ObsSession(ObsConfig(serve=0, rollup=str(path))) as session:
+            assert session.rollup.state is session.server.rollup
+            _emit_state_hash()
+            snapshot = fetch_snapshot(str(session.server.port))
+        assert snapshot["meta"]["events"] == 1
+        assert load_rollup(path)["rollup"]["events"] == 1
 
-        server = install_server(0)
+    def test_snapshot_readers_race_the_fold(self, isolate_obs, tmp_path):
+        """HTTP readers polling /snapshot while the run emits (and the
+        rollup flushes every 30 simulated seconds) lose no update."""
+        import sys
+        import threading
+
+        path = tmp_path / "ROLLUP_race.json"
+        errors: list[BaseException] = []
+        seen: list[int] = []
+        done = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            path = tmp_path / "ROLLUP_share.json"
-            sink = install_rollup(path)
-            assert sink.state is server.rollup
+            with ObsSession(ObsConfig(serve=0, rollup=str(path))) as session:
+                port = str(session.server.port)
+
+                def poll():
+                    try:
+                        while not done.is_set():
+                            seen.append(fetch_snapshot(port)["meta"]["events"])
+                    except BaseException as exc:  # reported below
+                        errors.append(exc)
+
+                readers = [threading.Thread(target=poll) for _ in range(4)]
+                for reader in readers:
+                    reader.start()
+                for i in range(600):
+                    _emit_state_hash(float(i))
+                done.set()
+                for reader in readers:
+                    reader.join(timeout=30)
+                    assert not reader.is_alive()
+                final = fetch_snapshot(port)["meta"]["events"]
         finally:
-            shutdown_rollup()
-            shutdown_server()
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert seen and max(seen) <= 600
+        assert final == 600
+        doc = load_rollup(path)
+        assert doc["rollup"]["events"] == 600 and doc["rollup"]["flushes"] > 1
 
 
 class TestRollupState:

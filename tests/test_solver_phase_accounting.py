@@ -16,8 +16,7 @@ import random
 
 import pytest
 
-from repro.obs import EventKind, MemorySink, Metrics, Tracer, build_profile
-from repro.obs.metrics import set_metrics
+from repro.obs import EventKind, MemorySink, Tracer, build_profile
 from repro.obs.trace import set_tracer
 from repro.solver import BnBOptions, solve
 from tests.test_solver_differential import random_model
@@ -25,15 +24,6 @@ from tests.test_solver_differential import random_model
 #: Wall-clock slack for the phase-sum check: each phase is timed with its
 #: own perf_counter pair, so rounding can push the sum a hair past total.
 _CLOCK_SLACK_S = 5e-3
-
-
-@pytest.fixture()
-def isolate_obs():
-    prev_tracer = set_tracer(None)
-    prev_metrics = set_metrics(Metrics())
-    yield
-    set_tracer(prev_tracer)
-    set_metrics(prev_metrics)
 
 
 def _assert_phase_invariants(stats, context: str) -> None:

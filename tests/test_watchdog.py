@@ -20,23 +20,10 @@ from repro.cluster.resources import Resource
 from repro.obs.events import EventKind
 from repro.obs.metrics import Metrics, set_metrics
 from repro.obs.trace import MemorySink, Tracer, set_tracer
-from repro.obs.watchdog import (
-    CHECKS,
-    Watchdog,
-    WatchdogError,
-    watchdog_from_env,
-)
+from repro.obs.session import ObsConfig, ObsSession
+from repro.obs.watchdog import CHECKS, Watchdog, WatchdogError
 from repro.sim import ClusterSimulation, SimConfig
 from tests.helpers import make_lra
-
-
-@pytest.fixture()
-def isolate_obs():
-    prev_tracer = set_tracer(None)
-    prev_metrics = set_metrics(Metrics())
-    yield
-    set_tracer(prev_tracer)
-    set_metrics(prev_metrics)
 
 
 def _make_sim(watchdog, horizon=20.0):
@@ -255,19 +242,29 @@ class TestNodeConservation:
 class TestEnvConstruction:
     def test_unset_and_falsy_disable(self):
         for value in ({}, {"MEDEA_WATCHDOG": ""}, {"MEDEA_WATCHDOG": "0"},
-                      {"MEDEA_WATCHDOG": "off"}):
-            assert watchdog_from_env(value) is None
+                      {"MEDEA_WATCHDOG": "off"}, {"MEDEA_WATCHDOG": " False "},
+                      {"MEDEA_WATCHDOG": "no"}):
+            assert ObsConfig.from_env(value).watchdog is None
 
     def test_modes(self):
-        assert watchdog_from_env({"MEDEA_WATCHDOG": "1"}).mode == "warn"
-        assert watchdog_from_env({"MEDEA_WATCHDOG": "warn"}).mode == "warn"
-        assert watchdog_from_env({"MEDEA_WATCHDOG": "abort"}).mode == "abort"
+        for raw, mode in (("1", "warn"), ("warn", "warn"), ("on", "warn"),
+                          ("abort", "abort"), (" ABORT ", "abort")):
+            assert ObsConfig.from_env({"MEDEA_WATCHDOG": raw}).watchdog == mode
+        # A --watchdog flag wins over the variable.
+        assert ObsConfig.from_env(
+            {"MEDEA_WATCHDOG": "abort"}, watchdog="warn"
+        ).watchdog == "warn"
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             Watchdog(mode="panic")
 
     def test_sim_defaults_to_no_watchdog(self, isolate_obs, monkeypatch):
-        monkeypatch.delenv("MEDEA_WATCHDOG", raising=False)
-        sim = _make_sim(None)
-        assert sim.watchdog is None
+        """Only the open session arms a default watchdog; the simulation
+        does not read the environment itself."""
+        monkeypatch.setenv("MEDEA_WATCHDOG", "abort")
+        assert _make_sim(None).watchdog is None
+        with ObsSession(ObsConfig(watchdog="abort")):
+            first, second = _make_sim(None).watchdog, _make_sim(None).watchdog
+        assert first.mode == "abort" and first is not second
+        assert _make_sim(None).watchdog is None
