@@ -44,15 +44,20 @@ Constraints of *already deployed* LRAs are grounded too: their subjects have
 fixed placements, so their inequalities are unconditionally active on the
 node sets containing them and constrain only the new ``X`` variables.
 
-Grounding visits only node sets that hold an ``X`` variable (of the subject,
-for a new subject; of a matching target, for deployed subjects) — no other
-set can yield a row — and reads every constant from the state's γ arrays
-(:meth:`ClusterState.gamma_array`), so building costs time proportional to
-the rows emitted, not to constraints × node sets.
+Grounding is array-native.  Each row family — Eq. 2, Eq. 3, Eq. 4, Eq. 5,
+and Eqs. 6–8 of all plain constraints (one more per DNF compound) — is
+gathered as entries and appended to the model as one CSR block
+(:meth:`MilpModel.add_rows`).  Eqs. 6–8 read a per-group incidence of node
+sets × X columns, built once per batch, and every constant from the state's
+γ arrays (:meth:`ClusterState.gamma_array`).  Only node sets that hold an
+``X`` column (of the subject, for a new subject; of a matching target, for
+deployed subjects) are visited — no other set can yield a row — so building
+costs time proportional to the rows emitted, not to constraints × node sets.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,7 +65,7 @@ import numpy as np
 
 from ..cluster.resources import Resource
 from ..cluster.state import ClusterState
-from ..solver import MilpModel, MilpSolution, Sense
+from ..solver import INF, MilpModel, MilpSolution, Sense
 from .constraint_manager import ConstraintManager
 from .constraints import (
     UNBOUNDED,
@@ -103,6 +108,110 @@ class GroundedViolation:
     extent: float
 
 
+def _indptr(lengths: np.ndarray) -> np.ndarray:
+    """CSR row pointer of rows with the given lengths."""
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + l)`` for every ``(s, l)``, laid end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _append_block(
+    model: MilpModel,
+    row_of: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    names: list[str],
+) -> None:
+    """Append rows given as entries ``(row_of, cols, vals)`` to ``model``,
+    sorted into CSR with each row's columns ascending."""
+    # Entries arrive as runs already in row order, which a merge sort uses.
+    order = np.argsort(row_of * max(1, model.num_variables) + cols, kind="stable")
+    model.add_rows(
+        _indptr(np.bincount(row_of, minlength=len(names))),
+        cols[order], vals[order], lower, upper, names,
+    )
+
+
+class _Rows:
+    """One row family, appended to the model as one block: rows are claimed
+    in order with their names, then given entries and bounds (unbounded
+    until set)."""
+
+    def __init__(self) -> None:
+        self._names: list[str] = []
+        self._entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._bounds: list[tuple[float, np.ndarray, np.ndarray]] = []
+
+    def claim(self, names: list[str]) -> int:
+        """Claim one row per name; returns the number of the first."""
+        first = len(self._names)
+        self._names += names
+        return first
+
+    def add(self, row: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        """Entries ``vals`` at (row number ``row``, column ``cols``)."""
+        self._entries.append((row, cols, vals))
+
+    def bound(self, side: float, row: np.ndarray, value: np.ndarray) -> None:
+        """Set the lower (``side`` < 0) or upper bound of rows ``row``."""
+        self._bounds.append((side, row, value))
+
+    def append_to(self, model: MilpModel) -> None:
+        if not self._names:
+            return
+        lower = np.full(len(self._names), -INF)
+        upper = np.full(len(self._names), INF)
+        for side, row, value in self._bounds:
+            (lower if side < 0 else upper)[row] = value
+        row, cols, vals = (np.concatenate(part) for part in zip(*self._entries))
+        _append_block(model, row, cols, vals, lower, upper, self._names)
+
+
+@dataclass(frozen=True)
+class _Incidence:
+    """One node group's sets × X-columns incidence for a batch.
+
+    X columns are numbered from 0 in creation order; an entry says that
+    column ``x``'s node is ``count`` times in set ``set_of``.  Set-major,
+    the entries are sorted by (set, column) in ``set_of``, ``x``, ``owner``
+    (the column's new container) and ``count``.  Owner-major, they are
+    sorted by (owner, set, column) in ``own_set`` and ``own_x``: container
+    ``n``'s run from ``owner_ptr[n]`` to ``owner_ptr[n + 1]``, ``first``
+    marks the first entry of each of its sets and ``rank`` numbers them
+    from 0."""
+
+    num_sets: int
+    set_of: np.ndarray
+    x: np.ndarray
+    owner: np.ndarray
+    count: np.ndarray
+    own_set: np.ndarray
+    own_x: np.ndarray
+    owner_ptr: np.ndarray
+    first: np.ndarray
+    rank: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Targets:
+    """The X columns matching a tag conjunction, per set of one group
+    (set-major CSR, as in :class:`_Incidence`), and γ of the conjunction over
+    the already-placed containers (the row constants)."""
+
+    ptr: np.ndarray
+    x: np.ndarray
+    count: np.ndarray
+    gamma: np.ndarray
+
+
 class IlpFormulation:
     """Builds and decodes the Fig. 5 MILP for one scheduling interval."""
 
@@ -128,8 +237,7 @@ class IlpFormulation:
         else:
             self.nodes = list(candidate_nodes)
         self.model = MilpModel(Sense.MAXIMIZE, name="medea-lra-placement")
-        # Index maps populated by build().
-        self.x_vars: dict[tuple[int, int, str], int] = {}
+        # Index maps populated by build() (see also x_vars).
         self.s_vars: dict[int, int] = {}
         self.z_vars: dict[str, int] = {}
         self.u_vars: dict[str, int] = {}
@@ -142,13 +250,31 @@ class IlpFormulation:
             for i, request in enumerate(self.requests)
             for j, container in enumerate(request.containers)
         ]
-        #: (i, j) -> {node: X variable}, and node -> [(X variable, container)],
-        #: both in candidate-node / container order (filled by build()).
-        self._x_of: dict[tuple[int, int], dict[str, int]] = {}
-        self._on_node: dict[str, list[tuple[int, ContainerRequest]]] = {}
+        #: Every tag some new container carries.
+        self._new_tags = frozenset().union(*(c.tags for _, _, c in self._new))
+        #: Position in ``_new`` of each request's first container.
+        self._first = np.cumsum([0] + [len(r.containers) for r in self.requests])
+        # The X columns (filled by build()): X column ``x`` is variable
+        # ``_x_cols[x]``; new container ``n`` owns columns ``_x_start[n]`` to
+        # ``_x_start[n + 1]``, and column ``x`` places container
+        # ``_x_owner[x]`` on candidate node ``_x_node[x]``.
+        self._x_start = np.zeros(len(self._new) + 1, dtype=np.int64)
+        self._x_node = np.zeros(0, dtype=np.int64)
+        self._x_owner = np.zeros(0, dtype=np.int64)
+        self._x_cols = np.zeros(0, dtype=np.int64)
         #: Per-batch lookups (see _memo's callers): computed on first use,
         #: read many times.
         self._cache: dict[tuple, object] = {}
+
+    @property
+    def x_vars(self) -> dict[tuple[int, int, str], int]:
+        """The X variable of each (request index, container index, node)."""
+        return {
+            (*self._new[n][:2], self.nodes[pos]): var
+            for n, pos, var in zip(
+                self._x_owner.tolist(), self._x_node.tolist(), self._x_cols.tolist()
+            )
+        }
 
     # -- per-batch lookups -----------------------------------------------------
 
@@ -158,10 +284,13 @@ class IlpFormulation:
             out = self._cache[key] = compute()
         return out
 
-    def _matching_new(self, tags: frozenset[str]) -> list[tuple[int, int, ContainerRequest]]:
-        """New containers whose tag set contains the conjunction ``tags``."""
+    def _matching_new(self, tags: frozenset[str]) -> list[int]:
+        """Positions in ``_new`` of the new containers whose tag set
+        contains the conjunction ``tags``."""
+        if not tags <= self._new_tags:
+            return []
         return self._memo(("new", tags), lambda: [
-            (i, j, c) for i, j, c in self._new if tags <= c.tags
+            n for n, (_, _, c) in enumerate(self._new) if tags <= c.tags
         ])
 
     def _existing_matching(self, tags: frozenset[str]) -> int:
@@ -171,35 +300,62 @@ class IlpFormulation:
             if tags <= placed.allocation.tags
         ))
 
-    def _x_per_set(
-        self, group_name: str, owners: Sequence[tuple[int, int]]
-    ) -> dict[int, dict[int, float]]:
-        """The sets of ``group_name`` holding an X variable of the new
-        containers ``owners``, ascending, each with those variables and
-        their occurrence counts in the set.  Only these sets can hold a row
-        that a placement variable enters."""
-        sets_of = self._memo(("sets", group_name), lambda: {
-            node_id: self.state.group_sets_for_node(group_name, node_id)
-            for node_id in self.nodes
-        })
-        per_set: dict[int, dict[int, float]] = {}
-        for owner in owners:
-            for node_id, var in self._x_of[owner].items():
-                for set_index in sets_of[node_id]:
-                    row = per_set.setdefault(set_index, {})
-                    row[var] = row.get(var, 0.0) + 1.0
-        return dict(sorted(per_set.items()))
+    def _incidence(self, group_name: str) -> _Incidence:
+        return self._memo(("incidence", group_name), lambda: self._build_incidence(group_name))
 
-    def _targets(
-        self, group_name: str, tags: frozenset[str]
-    ) -> tuple[dict[int, dict[int, float]], list[int]]:
-        """Per set of ``group_name``: the X variables of new containers
-        matching ``tags`` (see :meth:`_x_per_set`), and γ of ``tags`` over
-        the already-placed containers (the row constants)."""
-        return self._memo(("targets", group_name, tags), lambda: (
-            self._x_per_set(group_name, [(i, j) for i, j, _ in self._matching_new(tags)]),
-            self.state.gamma_array(group_name, tags).tolist(),
-        ))
+    def _build_incidence(self, group_name: str) -> _Incidence:
+        sets_of = [self.state.group_sets_for_node(group_name, n) for n in self.nodes]
+        degree = np.fromiter(map(len, sets_of), dtype=np.int64, count=len(sets_of))
+        node_sets = np.fromiter(
+            itertools.chain.from_iterable(sets_of), dtype=np.int64, count=int(degree.sum())
+        )
+        x_degree = degree[self._x_node]
+        x = np.repeat(np.arange(len(self._x_node)), x_degree)
+        x_sets = node_sets[_ranges(_indptr(degree)[self._x_node], x_degree)]
+        # One entry per (owner, set, column); a node listed twice in a set
+        # counts twice.
+        num_sets = len(self.state.topology.group(group_name).node_sets)
+        width = max(1, len(self._x_node))
+        key, count = np.unique(
+            (self._x_owner[x] * num_sets + x_sets) * width + x, return_counts=True
+        )
+        pair, x = key // width, key % width
+        own_set, owner = pair % num_sets, self._x_owner[x]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        owner_ptr = _indptr(np.bincount(owner, minlength=len(self._new)))
+        rank = np.cumsum(first) - 1
+        by_set = np.argsort(own_set, kind="stable")
+        return _Incidence(
+            num_sets=num_sets,
+            set_of=own_set[by_set],
+            x=x[by_set],
+            owner=owner[by_set],
+            count=count[by_set].astype(np.float64),
+            own_set=own_set,
+            own_x=x,
+            owner_ptr=owner_ptr,
+            first=first,
+            rank=rank - rank[owner_ptr[owner]],
+        )
+
+    def _targets(self, group_name: str, tags: frozenset[str]) -> _Targets:
+        """The X columns of new containers matching ``tags`` per set of
+        ``group_name`` — the only sets a row counting ``tags`` can hold a
+        placement variable in — and their γ."""
+        def compute() -> _Targets:
+            incidence = self._incidence(group_name)
+            matching = np.zeros(len(self._new), dtype=bool)
+            matching[self._matching_new(tags)] = True
+            keep = matching[incidence.owner]
+            return _Targets(
+                ptr=_indptr(np.bincount(incidence.set_of[keep], minlength=incidence.num_sets)),
+                x=incidence.x[keep],
+                count=incidence.count[keep],
+                gamma=self.state.gamma_array(group_name, tags),
+            )
+
+        return self._memo(("targets", group_name, tags), compute)
 
     def _active_constraints(self) -> list[PlacementConstraint]:
         """Union of manager-held constraints and those of the new requests
@@ -260,53 +416,77 @@ class IlpFormulation:
         rows = np.fromiter(
             (arrays.index_of[n] for n in self.nodes), dtype=np.intp, count=len(self.nodes)
         )
-        self._on_node = {node_id: [] for node_id in self.nodes}
-        for i, j, container in self._new:
-            x_of = self._x_of[i, j] = {}
-            for pos in np.flatnonzero(arrays.fit_mask(container.resource, rows)).tolist():
-                node_id = self.nodes[pos]
-                var = self.model.add_binary(f"X[{container.container_id}@{node_id}]")
-                x_of[node_id] = self.x_vars[i, j, node_id] = var
-                self._on_node[node_id].append((var, container))
+        self._free_mem = arrays.free_mem[rows].astype(np.float64)
+        self._free_vc = arrays.free_vc[rows].astype(np.float64)
+        fits = [np.flatnonzero(arrays.fit_mask(c.resource, rows)) for _, _, c in self._new]
+        x_base = self.model.add_variables(
+            [
+                f"X[{container.container_id}@{self.nodes[pos]}]"
+                for (_, _, container), positions in zip(self._new, fits)
+                for pos in positions.tolist()
+            ],
+            upper=1.0, integer=True,
+        )
+        per_container = np.fromiter(map(len, fits), dtype=np.int64, count=len(fits))
+        self._x_start = _indptr(per_container)
+        self._x_owner = np.repeat(np.arange(len(self._new)), per_container)
+        self._x_node = np.concatenate(fits) if fits else np.zeros(0, dtype=np.int64)
+        self._x_cols = x_base + np.arange(len(self._x_node))
         # Eq. 2: each container placed at most once.
-        for i, j, container in self._new:
-            if self._x_of[i, j]:
-                self.model.add_le(
-                    dict.fromkeys(self._x_of[i, j].values(), 1.0), 1.0,
-                    name=f"once[{container.container_id}]",
-                )
+        placeable = np.flatnonzero(per_container)
+        self.model.add_rows(
+            _indptr(per_container[placeable]),
+            self._x_cols,
+            np.ones(len(self._x_cols)),
+            np.full(len(placeable), -INF),
+            np.ones(len(placeable)),
+            [f"once[{self._new[n][2].container_id}]" for n in placeable.tolist()],
+        )
 
-    def _free(self, node_id: str) -> tuple[float, float]:
-        """Free (memory, vcores) of a node, from the state's free arrays."""
-        arrays = self.state.arrays
-        k = arrays.index_of[node_id]
-        return float(arrays.free_mem[k]), float(arrays.free_vc[k])
+    def _x_demand(self, resource: str) -> np.ndarray:
+        """Per X column, its container's demand of ``memory_mb`` or ``vcores``."""
+        demand = np.fromiter(
+            (getattr(c.resource, resource) for _, _, c in self._new),
+            dtype=np.float64, count=len(self._new),
+        )
+        return demand[self._x_owner]
+
+    def _used_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the candidate nodes holding an X column, and per X
+        column the rank of its node among them."""
+        holds = np.bincount(self._x_node, minlength=len(self.nodes)) > 0
+        return np.flatnonzero(holds), (np.cumsum(holds) - 1)[self._x_node]
 
     def _add_capacity_constraints(self) -> None:
-        # Eq. 3, one row per node per resource dimension.
-        for node_id in self.nodes:
-            placed = self._on_node[node_id]
-            if placed:
-                free_mem, free_vc = self._free(node_id)
-                self.model.add_le(
-                    {var: float(c.resource.memory_mb) for var, c in placed},
-                    free_mem, name=f"cap-mem[{node_id}]",
-                )
-                self.model.add_le(
-                    {var: float(c.resource.vcores) for var, c in placed},
-                    free_vc, name=f"cap-cpu[{node_id}]",
-                )
+        # Eq. 3, one row per node per resource dimension: memory, then vcores.
+        used, rank = self._used_nodes()
+        _append_block(
+            self.model,
+            np.concatenate([2 * rank, 2 * rank + 1]),
+            np.concatenate([self._x_cols, self._x_cols]),
+            np.concatenate([self._x_demand("memory_mb"), self._x_demand("vcores")]),
+            np.full(2 * len(used), -INF),
+            np.column_stack([self._free_mem[used], self._free_vc[used]]).ravel(),
+            [
+                name
+                for node_id in (self.nodes[pos] for pos in used.tolist())
+                for name in (f"cap-mem[{node_id}]", f"cap-cpu[{node_id}]")
+            ],
+        )
 
     def _add_all_or_nothing(self) -> None:
         # Eq. 4: sum of X over an LRA's containers equals T_i * S_i.
-        for i, request in enumerate(self.requests):
-            coeffs = {
-                var: 1.0
-                for j in range(len(request.containers))
-                for var in self._x_of[i, j].values()
-            }
-            coeffs[self.s_vars[i]] = -float(len(request.containers))
-            self.model.add_eq(coeffs, 0.0, name=f"all-or-nothing[{request.app_id}]")
+        count = len(self.requests)
+        x_start = self._x_start[self._first]
+        _append_block(
+            self.model,
+            np.concatenate([np.repeat(np.arange(count), np.diff(x_start)), np.arange(count)]),
+            np.concatenate([self._x_cols, np.fromiter(self.s_vars.values(), np.int64, count)]),
+            np.concatenate([np.ones(len(self._x_cols)), -np.diff(self._first).astype(np.float64)]),
+            np.zeros(count),
+            np.zeros(count),
+            [f"all-or-nothing[{request.app_id}]" for request in self.requests],
+        )
 
     def _add_fragmentation(self) -> None:
         # Eq. 5 on the memory dimension (scalar projection): z_n = 1 only if
@@ -314,47 +494,60 @@ class IlpFormulation:
         n_nodes = max(1, len(self.nodes))
         rmin_mem = float(self.rmin.memory_mb)
         big_b = rmin_mem + 1.0
-        for node_id in self.nodes:
-            z_var = self.model.add_binary(f"z[{node_id}]")
-            self.z_vars[node_id] = z_var
+        z_base = self.model.add_variables(
+            [f"z[{node_id}]" for node_id in self.nodes], upper=1.0, integer=True
+        )
+        self.z_vars = dict(zip(self.nodes, itertools.count(z_base)))
+        for z_var in self.z_vars.values():
             self.model.add_objective_term(
                 z_var, self.weights.w3_fragmentation / n_nodes
             )
-            coeffs: dict[int, float] = {z_var: big_b}
-            for var, container in self._on_node[node_id]:
-                coeffs[var] = float(container.resource.memory_mb)
-            # used_new + B*z <= Rf - rmin + B   (equivalent to Eq. 5)
-            self.model.add_le(
-                coeffs, self._free(node_id)[0] - rmin_mem + big_b, name=f"frag[{node_id}]"
-            )
+        nodes = np.arange(len(self.nodes))
+        # used_new + B*z <= Rf - rmin + B   (equivalent to Eq. 5)
+        _append_block(
+            self.model,
+            np.concatenate([nodes, self._x_node]),
+            np.concatenate([z_base + nodes, self._x_cols]),
+            np.concatenate([np.full(len(nodes), big_b), self._x_demand("memory_mb")]),
+            np.full(len(nodes), -INF),
+            self._free_mem - rmin_mem + big_b,
+            [f"frag[{node_id}]" for node_id in self.nodes],
+        )
 
     def _add_machines_used(self) -> None:
         """Optional §2.4 objective: minimise the number of machines used for
         the *new* placements."""
         n_nodes = max(1, len(self.nodes))
-        for node_id in self.nodes:
-            coeffs = {var: 1.0 for var, _ in self._on_node[node_id]}
-            if not coeffs:
-                continue
-            u_var = self.model.add_binary(f"u[{node_id}]")
-            self.u_vars[node_id] = u_var
-            coeffs[u_var] = -float(len(self._new))
-            self.model.add_le(coeffs, 0.0, name=f"used[{node_id}]")
+        used, rank = self._used_nodes()
+        node_ids = [self.nodes[pos] for pos in used.tolist()]
+        u_base = self.model.add_variables(
+            [f"u[{node_id}]" for node_id in node_ids], upper=1.0, integer=True
+        )
+        self.u_vars = dict(zip(node_ids, itertools.count(u_base)))
+        for u_var in self.u_vars.values():
             self.model.add_objective_term(
                 u_var, -self.weights.w4_machines / n_nodes
             )
+        _append_block(
+            self.model,
+            np.concatenate([rank, np.arange(len(used))]),
+            np.concatenate([self._x_cols, u_base + np.arange(len(used))]),
+            np.concatenate([np.ones(len(self._x_cols)), np.full(len(used), -float(len(self._new)))]),
+            np.full(len(used), -INF),
+            np.zeros(len(used)),
+            [f"used[{node_id}]" for node_id in node_ids],
+        )
 
     # -- Eqs. 6-8: placement constraints -----------------------------------------
 
     def _ground_constraint(
         self,
         constraint: PlacementConstraint,
-        *,
+        rows: _Rows,
         violation_terms: list[tuple[int, float]],
         activation_extra: int | None = None,
-    ) -> int:
-        """Ground one placement constraint; returns number of (subject,
-        tag-constraint) slack pairs created.
+    ) -> None:
+        """Ground one placement constraint into ``rows``.
 
         ``violation_terms`` collects ``(slack_var, normalised_weight)`` pairs
         for the objective.  ``activation_extra`` optionally names a
@@ -363,24 +556,19 @@ class IlpFormulation:
         for that inequality (used for DNF support).
         """
         group_name = self.state.topology.group(constraint.node_group).name
-        created = 0
-        # New subject containers.
-        for i, j, container in self._new:
-            if not constraint.applies_to(container.tags):
-                continue
-            created += self._ground_for_new_subject(
-                constraint, group_name, (i, j), container,
-                violation_terms, activation_extra,
+        subjects = self._matching_new(constraint.subject.tags)
+        if subjects:
+            self._ground_for_new_subjects(
+                constraint, group_name, subjects, rows, violation_terms, activation_extra
             )
         # Already-placed subjects, aggregated per node set: every existing
         # subject inside the same set sees the same target count, so one
         # inequality with an objective weight of n_subjects is equivalent to
         # n per-subject rows (and keeps the model small as the cluster
         # fills).
-        created += self._ground_for_existing_subjects(
-            constraint, group_name, violation_terms, activation_extra
+        self._ground_for_existing_subjects(
+            constraint, group_name, rows, violation_terms, activation_extra
         )
-        return created
 
     def _max_slack_norm(self, tc: TagConstraint) -> float:
         """Normaliser keeping a cmax-side violation in [0, 1] for the
@@ -402,161 +590,212 @@ class IlpFormulation:
             weight *= HARD_CONSTRAINT_FACTOR
         return weight
 
-    def _ground_for_new_subject(
+    def _slacks(
+        self,
+        constraint: PlacementConstraint,
+        tc: TagConstraint,
+        label: str,
+        name: str,
+        subjects: int,
+        violation_terms: list[tuple[int, float]],
+    ) -> tuple[int, int]:
+        """The violation slacks ``vmin{name}`` / ``vmax{name}`` of one
+        grounded tag constraint, on the bounded sides (-1 for the other):
+        weighted for ``subjects`` subject containers into
+        ``violation_terms``, recorded under ``label`` for diagnostics."""
+        weight = self._objective_weight(constraint)
+        slack_min = slack_max = -1
+        if tc.cmin > 0:
+            slack_min = self.model.add_continuous(f"vmin{name}", upper=float(tc.cmin))
+            violation_terms.append((slack_min, subjects * weight / float(tc.cmin)))
+            self._slack_vars.append((constraint, label, slack_min, 1.0 / tc.cmin))
+        if tc.cmax < UNBOUNDED:
+            slack_max = self.model.add_continuous(f"vmax{name}")
+            violation_terms.append((slack_max, subjects * weight * self._max_slack_norm(tc)))
+            self._slack_vars.append(
+                (constraint, label, slack_max, 1.0 / tc.cmax if tc.cmax > 0 else 1.0)
+            )
+        return slack_min, slack_max
+
+    def _ground_for_new_subjects(
         self,
         constraint: PlacementConstraint,
         group_name: str,
-        subject_idx: tuple[int, int],
-        container: ContainerRequest,
+        subjects: list[int],
+        rows: _Rows,
         violation_terms: list[tuple[int, float]],
         activation_extra: int | None,
-    ) -> int:
-        created = 0
-        weight = self._objective_weight(constraint)
-        # The sets the subject can be placed inside; the row of any other
-        # set is deactivated by its big-D whatever the solver does.
-        subject_sets = self._memo(
-            ("subject", group_name, subject_idx),
-            lambda: self._x_per_set(group_name, [subject_idx]),
+    ) -> None:
+        """Rows for the new containers ``subjects`` (positions in ``_new``):
+        subject by subject, tag constraint by tag constraint, set by set
+        over the sets the subject can be placed inside.  The row of any
+        other set would be deactivated by its big-D whatever the solver
+        does."""
+        tcs = constraint.tag_constraints
+        # Slack columns per (subject, tag constraint): min, max; -1 where
+        # the side is unbounded.
+        slack = np.full((len(subjects), len(tcs), 2), -1, dtype=np.int64)
+        for k, n in enumerate(subjects):
+            container_id = self._new[n][2].container_id
+            for tc_index, tc in enumerate(tcs):
+                slack[k, tc_index] = self._slacks(
+                    constraint, tc, container_id, f"[{container_id}/{tc_index}]", 1,
+                    violation_terms,
+                )
+        # Pairs (subject, set the subject has an X column in), subject by
+        # subject and set by set; each subject X column entry names its pair.
+        incidence = self._incidence(group_name)
+        subject_of = np.asarray(subjects)
+        starts = incidence.owner_ptr[subject_of]
+        lengths = incidence.owner_ptr[subject_of + 1] - starts
+        own = _ranges(starts, lengths)
+        entry_subject = np.repeat(np.arange(len(subjects)), lengths)
+        first = incidence.first[own]
+        pair_set = incidence.own_set[own[first]]
+        pair_subject = entry_subject[first]
+        pair_start = _indptr(np.bincount(pair_subject, minlength=len(subjects)))
+        entry_pair = pair_start[entry_subject] + incidence.rank[own]
+        pair_rank = np.arange(len(pair_set)) - pair_start[pair_subject]
+        # The subject's own X columns: outside the target count, and the
+        # switch that deactivates the row unless the subject is in the set.
+        exclude = (
+            self._x_start[subject_of][pair_subject],
+            self._x_start[subject_of + 1][pair_subject],
         )
-        for tc_index, tc in enumerate(constraint.tag_constraints):
-            slack_min = slack_max = None
-            if tc.cmin > 0:
-                slack_min = self.model.add_continuous(
-                    f"vmin[{container.container_id}/{tc_index}]", upper=float(tc.cmin)
+        switches = [(entry_pair, self._x_cols[incidence.own_x[own]])]
+        if activation_extra is not None:
+            switches.append((np.arange(len(pair_set)), np.full(len(pair_set), activation_extra)))
+        # Rows run subject, tag constraint, set, side: block (k, t) starts at
+        # row ``offset[k, t]``.
+        names = []
+        for k, n in enumerate(subjects):
+            subject = f"[{self._new[n][2].container_id}/{group_name}/"
+            tails = [f"{s}]" for s in pair_set[pair_start[k]:pair_start[k + 1]].tolist()]
+            for tc in tcs:
+                heads = ["cmin" + subject] * (tc.cmin > 0) + ["cmax" + subject] * (tc.cmax < UNBOUNDED)
+                names += [head + tail for tail in tails for head in heads]
+        sides = np.array([(tc.cmin > 0) + (tc.cmax < UNBOUNDED) for tc in tcs], dtype=np.int64)
+        per_subject = pair_start[1:] - pair_start[:-1]
+        offset = rows.claim(names) + _indptr((per_subject[:, None] * sides).ravel())[:-1]
+        offset = offset.reshape(len(subjects), len(tcs))
+        for tc_index, tc in enumerate(tcs):
+            if sides[tc_index]:
+                targets = self._targets(group_name, tc.c_tag.tags)
+                self._tag_constraint_rows(
+                    rows, tc, targets, pair_set,
+                    offset[pair_subject, tc_index] + pair_rank * sides[tc_index],
+                    slack[pair_subject, tc_index], targets.gamma[pair_set], switches, exclude,
                 )
-                norm = weight / float(tc.cmin)
-                violation_terms.append((slack_min, norm))
-                self._slack_vars.append((constraint, container.container_id, slack_min, 1.0 / tc.cmin))
-            if tc.cmax < UNBOUNDED:
-                slack_max = self.model.add_continuous(
-                    f"vmax[{container.container_id}/{tc_index}]"
-                )
-                violation_terms.append((slack_max, weight * self._max_slack_norm(tc)))
-                self._slack_vars.append(
-                    (constraint, container.container_id, slack_max,
-                     1.0 / tc.cmax if tc.cmax > 0 else 1.0)
-                )
-            if slack_min is None and slack_max is None:
-                continue  # vacuous (0, UNBOUNDED) constraint
-            targets, gamma = self._targets(group_name, tc.c_tag.tags)
-            big_d_of: dict[int, float] = {}
-            for set_index, subject_x in subject_sets.items():
-                constant = gamma[set_index]
-                big_d = big_d_of.get(constant)
-                if big_d is None:
-                    big_d = big_d_of[constant] = self._big_d(tc, constant)
-                created += 1
-                # Target counts exclude the subject itself (tij ≠ tisjs):
-                # its X variables carry only the -D·(1 - y) activation.
-                target_coeffs = targets.get(set_index, {})
-                if slack_min is not None:
-                    # targets + D(1-y) + slack >= cmin  (y = sum of subject X in set)
-                    coeffs = dict(target_coeffs)
-                    for var in subject_x:
-                        coeffs[var] = -big_d
-                    coeffs[slack_min] = 1.0
-                    rhs = float(tc.cmin) - constant - big_d
-                    if activation_extra is not None:
-                        coeffs[activation_extra] = -big_d
-                        rhs -= big_d
-                    self.model.add_ge(
-                        coeffs, rhs,
-                        name=f"cmin[{container.container_id}/{group_name}/{set_index}]",
-                    )
-                if slack_max is not None:
-                    # targets - D(1-y) - slack <= cmax
-                    coeffs = dict(target_coeffs)
-                    for var in subject_x:
-                        coeffs[var] = big_d
-                    coeffs[slack_max] = -1.0
-                    rhs = float(tc.cmax) - constant + big_d
-                    if activation_extra is not None:
-                        coeffs[activation_extra] = big_d
-                        rhs += big_d
-                    self.model.add_le(
-                        coeffs, rhs,
-                        name=f"cmax[{container.container_id}/{group_name}/{set_index}]",
-                    )
-        return created
 
     def _ground_for_existing_subjects(
         self,
         constraint: PlacementConstraint,
         group_name: str,
+        rows: _Rows,
         violation_terms: list[tuple[int, float]],
         activation_extra: int | None,
-    ) -> int:
-        created = 0
-        weight = self._objective_weight(constraint)
+    ) -> None:
+        tcs = [
+            (tc_index, tc, self._targets(group_name, tc.c_tag.tags))
+            for tc_index, tc in enumerate(constraint.tag_constraints)
+            if (tc.cmin > 0 or tc.cmax < UNBOUNDED) and self._matching_new(tc.c_tag.tags)
+        ]
+        if not any(targets.x.size for _, _, targets in tcs):
+            return
         subject_tags = constraint.subject.tags
         subjects = self.state.gamma_array(group_name, subject_tags)
-        tcs = [
-            (tc_index, tc, *self._targets(group_name, tc.c_tag.tags))
-            for tc_index, tc in enumerate(constraint.tag_constraints)
-            if tc.cmin > 0 or tc.cmax < UNBOUNDED
-        ]
         # A set no new placement variable enters gives a constant
-        # inequality that would only dilute the violation normalisation.
-        for set_index in sorted({s for _, _, targets, _ in tcs for s in targets}):
-            n_subjects = int(subjects[set_index])
-            if n_subjects == 0:
+        # inequality that would only dilute the violation normalisation:
+        # rows go to the pairs (set, tag constraint) with a target and a
+        # subject in the set, set by set.
+        hit = np.array([targets.ptr[1:] > targets.ptr[:-1] for _, _, targets in tcs]) & (
+            subjects[:-1] > 0
+        )
+        pair_set, pair_tc = np.nonzero(hit.T)
+        slack = np.full((len(pair_set), 2), -1, dtype=np.int64)
+        names = []
+        for p, (set_index, position) in enumerate(zip(pair_set.tolist(), pair_tc.tolist())):
+            tc_index, tc, _ = tcs[position]
+            tag_name = f"dep[{group_name}/{set_index}/{tc_index}]"
+            slack[p] = self._slacks(
+                constraint, tc, tag_name, tag_name, int(subjects[set_index]), violation_terms
+            )
+            names += [f"cmin{tag_name}"] * (tc.cmin > 0) + [f"cmax{tag_name}"] * (tc.cmax < UNBOUNDED)
+        pair_row = rows.claim(names) + _indptr((slack >= 0).sum(axis=1))[:-1]
+        for position, (_, tc, targets) in enumerate(tcs):
+            mine = np.flatnonzero(pair_tc == position)
+            if not mine.size:
                 continue
-            for tc_index, tc, targets, gamma in tcs:
-                target_coeffs = targets.get(set_index)
-                if not target_coeffs:
-                    continue
-                constant = gamma[set_index]
-                # Subjects whose tags imply the target conjunction count
-                # toward it and must exclude themselves (tij != tisjs).
-                if tc.c_tag.tags <= subject_tags:
-                    constant = max(0, constant - 1)
-                big_d = self._big_d(tc, constant)
-                created += 1
-                tag_name = f"dep[{group_name}/{set_index}/{tc_index}]"
-                if tc.cmin > 0:
-                    slack_min = self.model.add_continuous(
-                        f"vmin{tag_name}", upper=float(tc.cmin)
-                    )
-                    violation_terms.append(
-                        (slack_min, n_subjects * weight / float(tc.cmin))
-                    )
-                    self._slack_vars.append(
-                        (constraint, tag_name, slack_min, 1.0 / tc.cmin)
-                    )
-                    coeffs = dict(target_coeffs)
-                    coeffs[slack_min] = 1.0
-                    rhs = float(tc.cmin) - constant
-                    if activation_extra is not None:
-                        coeffs[activation_extra] = -big_d
-                        rhs -= big_d
-                    self.model.add_ge(coeffs, rhs, name=f"cmin{tag_name}")
-                if tc.cmax < UNBOUNDED:
-                    slack_max = self.model.add_continuous(f"vmax{tag_name}")
-                    violation_terms.append(
-                        (slack_max, n_subjects * weight * self._max_slack_norm(tc))
-                    )
-                    self._slack_vars.append(
-                        (constraint, tag_name, slack_max,
-                         1.0 / tc.cmax if tc.cmax > 0 else 1.0)
-                    )
-                    coeffs = dict(target_coeffs)
-                    coeffs[slack_max] = -1.0
-                    rhs = float(tc.cmax) - constant
-                    if activation_extra is not None:
-                        coeffs[activation_extra] = big_d
-                        rhs += big_d
-                    self.model.add_le(coeffs, rhs, name=f"cmax{tag_name}")
-        return created
+            constant = targets.gamma[pair_set[mine]]
+            # Subjects whose tags imply the target conjunction count
+            # toward it and must exclude themselves (tij != tisjs).
+            if tc.c_tag.tags <= subject_tags:
+                constant = np.maximum(0, constant - 1)
+            switches = []
+            if activation_extra is not None:
+                switches.append((np.arange(mine.size), np.full(mine.size, activation_extra)))
+            self._tag_constraint_rows(
+                rows, tc, targets, pair_set[mine], pair_row[mine], slack[mine],
+                constant, switches,
+            )
 
-    def _big_d(self, tc: TagConstraint, constant: int) -> float:
-        """A D large enough to deactivate either inequality."""
+    def _tag_constraint_rows(
+        self,
+        rows: _Rows,
+        tc: TagConstraint,
+        targets: _Targets,
+        pair_set: np.ndarray,
+        pair_row: np.ndarray,
+        slack: np.ndarray,
+        constant: np.ndarray,
+        switches: list[tuple[np.ndarray, np.ndarray]],
+        exclude: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Eqs. 6–7 of ``tc`` in the node sets ``pair_set``, whose placed
+        containers hold ``constant`` targets: a ``cmin`` row at ``pair_row``
+        and a ``cmax`` row after it (whichever side is bounded).  A row
+        counts the X columns of ``targets`` in its set, less those in the
+        pair's ``exclude`` range ``[start, end)``, plus its slack column
+        (``slack`` per pair: min, max).  A switch, given as (pair of each
+        entry, column), takes ∓D and moves the right-hand side by ∓D, so
+        the row binds only when the switch's columns sum to 1."""
+        lengths = targets.ptr[pair_set + 1] - targets.ptr[pair_set]
+        entries = _ranges(targets.ptr[pair_set], lengths)
+        target_pair = np.repeat(np.arange(len(pair_set)), lengths)
+        target_x = targets.x[entries]
+        target_count = targets.count[entries]
+        if exclude is not None:
+            # Target counts exclude the subject itself (tij ≠ tisjs).
+            other = (target_x < exclude[0][target_pair]) | (target_x >= exclude[1][target_pair])
+            target_pair, target_x, target_count = (
+                target_pair[other], target_x[other], target_count[other]
+            )
+        target_cols = self._x_cols[target_x]
+        big_d = self._big_d(tc, constant)
+        sides = []
+        if tc.cmin > 0:
+            # targets + D(1-y) + slack >= cmin  (y = sum of switch columns)
+            sides.append((-1.0, float(tc.cmin) - constant, slack[:, 0], 1.0))
+        if tc.cmax < UNBOUNDED:
+            # targets - D(1-y) - slack <= cmax
+            sides.append((1.0, float(tc.cmax) - constant, slack[:, 1], -1.0))
+        for side, (sign, rhs, slack_cols, slack_coeff) in enumerate(sides):
+            row = pair_row + side
+            rows.add(row[target_pair], target_cols, target_count)
+            rows.add(row, slack_cols, np.full(len(row), slack_coeff))
+            for entry_pair, cols in switches:
+                rows.add(row[entry_pair], cols, sign * big_d[entry_pair])
+                rhs = rhs + sign * big_d
+            rows.bound(sign, row, rhs)
+
+    def _big_d(self, tc: TagConstraint, constant: np.ndarray) -> np.ndarray:
+        """Per γ constant, a D large enough to deactivate either inequality."""
         matching_new = len(self._matching_new(tc.c_tag.tags))
         max_gamma = constant + matching_new
-        bound = max(tc.cmin, max_gamma)
+        bound = np.maximum(tc.cmin, max_gamma)
         if tc.cmax < UNBOUNDED:
-            bound = max(bound, max_gamma - tc.cmax)
-        return float(bound + 1)
+            bound = np.maximum(bound, max_gamma - tc.cmax)
+        return (bound + 1).astype(np.float64)
 
     #: Dilution cap for per-constraint violation normalisation: a constraint
     #: grounded on many subjects still keeps a per-subject penalty of at
@@ -565,12 +804,14 @@ class IlpFormulation:
     VIOLATION_DILUTION_CAP = 8
 
     def _add_placement_constraints(self) -> None:
+        rows = _Rows()
         per_constraint: list[list[tuple[int, float]]] = []
         for constraint in self._active_constraints():
             terms: list[tuple[int, float]] = []
-            self._ground_constraint(constraint, violation_terms=terms)
+            self._ground_constraint(constraint, rows, terms)
             if terms:
                 per_constraint.append(terms)
+        rows.append_to(self.model)
         # Deviation from the literal Eq. 1: the paper divides the violation
         # component by m (the number of constraints), which progressively
         # dilutes per-violation penalties as constraints accumulate until
@@ -590,17 +831,15 @@ class IlpFormulation:
         selection binary; at least one conjunct must be selected; only the
         selected conjunct's cardinality inequalities are active."""
         for comp_index, compound in enumerate(self._active_compounds()):
+            rows = _Rows()
             violation_terms: list[tuple[int, float]] = []
             selection_vars = []
             for conj_index, conjunct in enumerate(compound.conjuncts):
                 d_var = self.model.add_binary(f"dnf[{comp_index}/{conj_index}]")
                 selection_vars.append(d_var)
                 for constraint in conjunct:
-                    self._ground_constraint(
-                        constraint,
-                        violation_terms=violation_terms,
-                        activation_extra=d_var,
-                    )
+                    self._ground_constraint(constraint, rows, violation_terms, d_var)
+            rows.append_to(self.model)
             self.model.add_ge(
                 {var: 1.0 for var in selection_vars},
                 1.0,
@@ -630,9 +869,12 @@ class IlpFormulation:
                 result.rejected_apps.append(request.app_id)
                 continue
             for j, container in enumerate(request.containers):
+                n = self._first[i] + j
                 placed_node = next(
-                    (node_id for node_id, var in self._x_of[i, j].items()
-                     if solution.rounded(var) == 1),
+                    (self.nodes[pos] for pos, var in zip(
+                        self._x_node[self._x_start[n]:self._x_start[n + 1]].tolist(),
+                        self._x_cols[self._x_start[n]:self._x_start[n + 1]].tolist(),
+                    ) if solution.rounded(var) == 1),
                     None,
                 )
                 if placed_node is None:

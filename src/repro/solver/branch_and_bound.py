@@ -102,11 +102,12 @@ class _LpContext:
     """Per-solve cache of everything node LPs share, plus warm starts.
 
     The constraint matrix is passed to one incremental HiGHS instance
-    exactly once; a node solve then only swaps the variable-bound array in
-    place and re-runs, so HiGHS restarts dual simplex from the previous
-    node's basis (typically a handful of iterations instead of a cold
-    factorization).  Positive/negative splits of the range matrix support
-    the LP-free activity check of the rounding heuristic.
+    exactly once; a node solve then only changes the column bounds that
+    differ from the previous solve's and re-runs, so HiGHS restarts dual
+    simplex from the previous node's basis (typically a handful of
+    iterations instead of a cold factorization).  Positive/negative splits
+    of the range matrix support the LP-free activity check of the rounding
+    heuristic.
     """
 
     def __init__(self, form: StandardForm) -> None:
@@ -118,17 +119,23 @@ class _LpContext:
         self.lp_solves = 0
         self.lp_time = 0.0
         self._highs = load_highs(form, output_flag=False)
-        self._col_idx = np.arange(form.num_cols, dtype=np.int32)
+        #: The column bounds the HiGHS instance holds.
+        self._lower = np.array(form.col_lb, dtype=float)
+        self._upper = np.array(form.col_ub, dtype=float)
 
     def solve(self, lower: np.ndarray, upper: np.ndarray) -> _LpResult:
         start = time.perf_counter()
         highs = self._highs
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        # HiGHS's cost grows with the columns passed, so only bounds that
+        # differ from the previous solve's go in.
+        changed = np.flatnonzero((lower != self._lower) | (upper != self._upper))
         highs.changeColsBounds(
-            lower.size,
-            self._col_idx,
-            np.asarray(lower, dtype=float),
-            np.asarray(upper, dtype=float),
+            changed.size, changed.astype(np.int32), lower[changed], upper[changed]
         )
+        self._lower[changed] = lower[changed]
+        self._upper[changed] = upper[changed]
         status = run_highs(highs)
         if status is SolveStatus.OPTIMAL:
             x = np.asarray(highs.getSolution().col_value, dtype=float)

@@ -39,29 +39,34 @@ _LIMITS = (_MODEL.kTimeLimit, _MODEL.kIterationLimit, _MODEL.kSolutionLimit)
 def load_highs(form: StandardForm, integer: bool = False, **options) -> _core._Highs:
     """A HiGHS instance holding ``form``; ``integer`` keeps its integrality
     (a MIP), otherwise it is the LP relaxation.  ``options`` are HiGHS
-    option values set before the model is passed."""
+    option values set before the model is passed.
+
+    The model goes in through the array overload of ``passModel``, which
+    reads the numpy buffers in place (column-wise matrix, minimisation, no
+    objective offset; an LP passes every column as continuous), so each is
+    made contiguous in the dtype HiGHS reads and checked for its length."""
     csc = form.a.tocsc()
-    lp = _core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = form.num_cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = form.num_rows
-    lp.col_cost_ = np.asarray(form.c, dtype=float)
-    lp.col_lower_ = np.asarray(form.col_lb, dtype=float)
-    lp.col_upper_ = np.asarray(form.col_ub, dtype=float)
-    lp.row_lower_ = np.asarray(form.row_lb, dtype=float)
-    lp.row_upper_ = np.asarray(form.row_ub, dtype=float)
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = csc.indptr.astype(np.int32)
-    lp.a_matrix_.index_ = csc.indices.astype(np.int32)
-    lp.a_matrix_.value_ = csc.data.astype(float)
-    if integer:
-        lp.integrality_ = [
-            _core.HighsVarType.kInteger if flag else _core.HighsVarType.kContinuous
-            for flag in form.integer_mask
-        ]
+    cols, rows = form.num_cols, form.num_rows
+    columns = [np.ascontiguousarray(v, dtype=np.float64) for v in (form.c, form.col_lb, form.col_ub)]
+    row_bounds = [np.ascontiguousarray(v, dtype=np.float64) for v in (form.row_lb, form.row_ub)]
+    integrality = np.ascontiguousarray(
+        form.integer_mask if integer else np.zeros(cols, dtype=bool), dtype=np.int32
+    )
+    lengths = [len(v) for v in (*columns, integrality, *row_bounds)]
+    if lengths != [cols] * 4 + [rows] * 2 or csc.shape != (rows, cols):
+        raise ValueError("standard form arrays disagree with its shape")
     highs = _core._Highs()
     for name, value in options.items():
         highs.setOptionValue(name, value)
-    if highs.passModel(lp) == _core.HighsStatus.kError:
+    status = highs.passModel(
+        cols, rows, csc.nnz, _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
+        *columns, *row_bounds,
+        np.ascontiguousarray(csc.indptr, dtype=np.int32),
+        np.ascontiguousarray(csc.indices, dtype=np.int32),
+        np.ascontiguousarray(csc.data, dtype=np.float64),
+        integrality,
+    )
+    if status == _core.HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
     return highs
 

@@ -12,6 +12,7 @@ variable bounds with an integrality flag.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -63,10 +64,11 @@ class MilpSolution:
 class MilpModel:
     """Incrementally built MILP.
 
-    Variables and rows live in flat lists, one per attribute; row ``r``'s
-    nonzeros are ``_cols`` / ``_vals`` from ``_row_start[r]`` to
-    ``_row_start[r + 1]`` (CSR layout), so every export is one array
-    conversion and no object is kept per row.
+    Variables live in flat lists, one per attribute.  Rows are appended in
+    CSR blocks (:meth:`add_rows`; :meth:`add_constraint` is a one-row block)
+    and stored as the blocks' arrays: per block the nonzeros per row, the
+    column indices sorted within each row, the values and the row bounds.
+    An export concatenates them once and keeps the result as the only block.
     """
 
     def __init__(self, sense: Sense = Sense.MAXIMIZE, name: str = "milp") -> None:
@@ -76,12 +78,12 @@ class MilpModel:
         self._var_lower: list[float] = []
         self._var_upper: list[float] = []
         self._var_integer: list[bool] = []
-        self._row_start: list[int] = [0]
-        self._cols: list[int] = []
-        self._vals: list[float] = []
-        self._row_lower: list[float] = []
-        self._row_upper: list[float] = []
         self._row_names: list[str] = []
+        self._row_nnz = [np.zeros(0, dtype=np.int64)]
+        self._cols = [np.zeros(0, dtype=np.int64)]
+        self._vals = [np.zeros(0)]
+        self._row_lower = [np.zeros(0)]
+        self._row_upper = [np.zeros(0)]
         self._objective: dict[int, float] = {}
 
     # -- variables -------------------------------------------------------------
@@ -95,16 +97,32 @@ class MilpModel:
         integer: bool = False,
     ) -> int:
         """Add a variable and return its column index."""
-        if lower > upper:
+        return self.add_variables([name], lower=lower, upper=upper, integer=integer)
+
+    def add_variables(
+        self,
+        names: Sequence[str],
+        *,
+        lower: float = 0.0,
+        upper: float = INF,
+        integer: bool = False,
+    ) -> int:
+        """Add one variable per name, all with the same bounds and
+        integrality; returns the column index of the first."""
+        if not lower <= upper:  # inverted, or NaN
+            name = names[0] if names else ""
+            if math.isnan(lower) or math.isnan(upper):
+                raise ValueError(f"variable {name!r}: bound is NaN")
             raise ValueError(f"variable {name!r}: lower {lower} > upper {upper}")
-        self._var_names.append(name)
-        self._var_lower.append(lower)
-        self._var_upper.append(upper)
-        self._var_integer.append(integer)
-        return len(self._var_names) - 1
+        first = len(self._var_names)
+        self._var_names.extend(names)
+        self._var_lower.extend([lower] * len(names))
+        self._var_upper.extend([upper] * len(names))
+        self._var_integer.extend([integer] * len(names))
+        return first
 
     def add_binary(self, name: str) -> int:
-        return self.add_variable(name, lower=0.0, upper=1.0, integer=True)
+        return self.add_variables([name], lower=0.0, upper=1.0, integer=True)
 
     def add_continuous(self, name: str, *, lower: float = 0.0, upper: float = INF) -> int:
         return self.add_variable(name, lower=lower, upper=upper, integer=False)
@@ -126,6 +144,8 @@ class MilpModel:
     # -- objective ---------------------------------------------------------------
 
     def set_objective_coefficient(self, index: int, coeff: float) -> None:
+        if not math.isfinite(coeff):
+            raise ValueError(f"objective coefficient {coeff} of variable {index} is not finite")
         if coeff == 0.0:
             self._objective.pop(index, None)
         else:
@@ -137,6 +157,82 @@ class MilpModel:
 
     # -- constraints ---------------------------------------------------------------
 
+    def add_rows(
+        self,
+        indptr: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        names: Sequence[str],
+    ) -> int:
+        """Append range rows ``lower[r] <= sum(vals[k] * x[cols[k]]) <= upper[r]``,
+        row ``r`` holding the nonzeros ``indptr[r]:indptr[r + 1]`` (CSR);
+        returns the index of the first.
+
+        Every row of a model passes through here, so this is the one place
+        rows are checked: a row needs a bound, its bounds must not be NaN
+        or inverted, its coefficients must be finite, and it may name a
+        variable at most once.  Explicit zeros are dropped.  Errors name
+        the offending row and leave the model unchanged.
+        """
+        # Copies: the model must not change when the caller's arrays do.
+        indptr = np.asarray(indptr, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=np.float64)
+        lower = np.array(lower, dtype=np.float64)
+        upper = np.array(upper, dtype=np.float64)
+        rows = len(names)
+        if not (len(indptr) == rows + 1 == len(lower) + 1 == len(upper) + 1
+                and indptr[0] == 0 and len(cols) == len(vals) == indptr[-1]):
+            raise ValueError("row block: indptr, cols, vals, bounds and names disagree in length")
+        bad = ~(lower <= upper) | ((lower == -INF) & (upper == INF))  # NaN fails <=
+        if bad.any():
+            r = int(np.argmax(bad))
+            lo, hi, name = float(lower[r]), float(upper[r]), names[r]
+            if lo == -INF and hi == INF:
+                raise ValueError(f"constraint {name!r} is vacuous (no bounds)")
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError(f"constraint {name!r}: bound is NaN")
+            raise ValueError(f"constraint {name!r}: lower {lo} > upper {hi}")
+        row_of = np.repeat(np.arange(rows), indptr[1:] - indptr[:-1])
+        finite = np.isfinite(vals)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(
+                f"constraint {names[row_of[k]]!r}: coefficient {vals[k]} of variable "
+                f"{cols[k]} is not finite"
+            )
+        nonzero = vals != 0.0
+        if not nonzero.all():
+            cols, vals, row_of = cols[nonzero], vals[nonzero], row_of[nonzero]
+        n = len(self._var_names)
+        if cols.size and not (0 <= cols.min() and cols.max() < n):
+            k = int(np.argmax((cols < 0) | (cols >= n)))
+            raise IndexError(
+                f"constraint {names[row_of[k]]!r} references unknown variable {cols[k]}"
+            )
+        # Sort each row's columns; a repeated column shows as an equal key.
+        key = row_of * max(n, 1) + cols
+        step = key[1:] - key[:-1]
+        if not (step > 0).all():
+            order = np.argsort(key, kind="stable")
+            cols, vals, row_of, key = cols[order], vals[order], row_of[order], key[order]
+            step = key[1:] - key[:-1]
+            if not (step > 0).all():
+                k = int(np.argmin(step > 0))
+                raise ValueError(
+                    f"constraint {names[row_of[k]]!r} lists variable {cols[k]} twice"
+                )
+        first = len(self._row_names)
+        self._row_names.extend(names)
+        self._row_nnz.append(np.bincount(row_of, minlength=rows))
+        self._cols.append(cols)
+        self._vals.append(vals)
+        self._row_lower.append(lower)
+        self._row_upper.append(upper)
+        return first
+
     def add_constraint(
         self,
         coeffs: Mapping[int, float],
@@ -146,26 +242,15 @@ class MilpModel:
         name: str = "",
     ) -> int:
         """Add a range constraint ``lower <= sum(coeffs[i] * x_i) <= upper``."""
-        if lower == -INF and upper == INF:
-            raise ValueError(f"constraint {name!r} is vacuous (no bounds)")
-        if lower > upper:
-            raise ValueError(f"constraint {name!r}: lower {lower} > upper {upper}")
-        cols = [*coeffs]
-        vals = [*coeffs.values()]  # made float64 by the matrix export
-        if 0.0 in vals:
-            cols = [i for i, v in zip(cols, vals) if v != 0.0]
-            vals = [v for v in vals if v != 0.0]
-        n = len(self._var_names)
-        if cols and not (0 <= min(cols) and max(cols) < n):
-            bad = next(i for i in cols if not 0 <= i < n)
-            raise IndexError(f"constraint {name!r} references unknown variable {bad}")
-        self._cols += cols
-        self._vals += vals
-        self._row_start.append(len(self._cols))
-        self._row_lower.append(lower)
-        self._row_upper.append(upper)
-        self._row_names.append(name)
-        return len(self._row_names) - 1
+        size = len(coeffs)
+        return self.add_rows(
+            np.array([0, size]),
+            np.fromiter(coeffs, dtype=np.int64, count=size),
+            np.fromiter(coeffs.values(), dtype=np.float64, count=size),
+            np.array([lower], dtype=np.float64),
+            np.array([upper], dtype=np.float64),
+            [name],
+        )
 
     def add_le(self, coeffs: Mapping[int, float], rhs: float, name: str = "") -> int:
         return self.add_constraint(coeffs, upper=rhs, name=name)
@@ -183,21 +268,27 @@ class MilpModel:
         c[list(self._objective)] = list(self._objective.values())
         return c
 
+    def _row_arrays(self) -> tuple[np.ndarray, ...]:
+        """``(nnz per row, cols, vals, lower, upper)`` of every row, the
+        blocks concatenated and kept as one."""
+        parts = (self._row_nnz, self._cols, self._vals, self._row_lower, self._row_upper)
+        if len(self._cols) > 1:
+            for part in parts:
+                part[:] = [np.concatenate(part)]
+        return tuple(part[0] for part in parts)
+
     def constraint_matrix(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
         """``(A, lb, ub)`` with one row per constraint, column indices
         sorted within each row."""
+        nnz, cols, vals, lower, upper = self._row_arrays()
+        indptr = np.zeros(len(nnz) + 1, dtype=np.int64)
+        np.cumsum(nnz, out=indptr[1:])
         matrix = sparse.csr_matrix(
-            (
-                np.array(self._vals, dtype=float),
-                np.array(self._cols, dtype=np.int64),
-                np.array(self._row_start, dtype=np.int64),
-            ),
+            (vals.copy(), cols.copy(), indptr),
             shape=(len(self._row_names), len(self._var_names)),
         )
-        matrix.sort_indices()
-        return matrix, np.array(self._row_lower, dtype=float), np.array(
-            self._row_upper, dtype=float
-        )
+        matrix.has_sorted_indices = True
+        return matrix, lower.copy(), upper.copy()
 
     def variable_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return (
