@@ -23,8 +23,8 @@ Ten commands, each a thin wrapper over the library:
   (traces or rollups): structural first-divergence localization, causal
   placement-flip explanations from decision audits, and noise-thresholded
   statistical deltas; ``--fail-on-divergence`` turns it into a CI gate.
-* ``loadgen`` — drive the placement hot path with seeded open- or
-  closed-loop load and sweep offered rates into a latency-vs-throughput
+* ``loadgen`` — pace seeded open-loop requests into an in-process
+  placement service and sweep offered rates into a latency-vs-throughput
   curve.
 * ``watch`` — poll a live telemetry endpoint's ``/snapshot`` into a
   refreshing terminal view (retries with capped exponential backoff while
@@ -35,8 +35,9 @@ Exit codes are uniform across commands (the :data:`EXIT_OK` family):
 ``2`` usage errors (argparse's convention), ``3`` a CI gate tripped
 (``dashboard --fail-on-breach``, ``diff --fail-on-divergence``).
 
-Observability: ``compare`` and ``simulate`` run inside one
-:class:`~repro.obs.session.ObsSession`.  ``--trace-out FILE`` (or
+Observability: ``compare``, ``simulate`` and ``loadgen`` run inside one
+:class:`~repro.obs.session.ObsSession` (``loadgen`` takes its settings
+from the variables alone).  ``--trace-out FILE`` (or
 ``MEDEA_TRACE=1`` with ``MEDEA_TRACE_OUT``) records the JSONL event trace
 and prints a metrics summary after the run; ``--trace-sample`` (or
 ``MEDEA_TRACE_SAMPLE``) samples it deterministically (e.g.
@@ -267,11 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
              "rates into a latency-vs-throughput curve",
     )
     p_load.add_argument(
-        "--mode", choices=("open", "closed"), default="open",
-        help="open loop (scheduled arrivals, coordinated-omission-free) or "
-             "closed loop (fixed workers, CO-corrected); default open",
-    )
-    p_load.add_argument(
         "--arrival", choices=("poisson", "burst", "uniform"),
         default="poisson", help="arrival process (default poisson)",
     )
@@ -289,22 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument(
         "--concurrency", type=int, default=16, metavar="N",
-        help="worker pool size / closed-loop client count (default 16)",
+        help="worker pool size (default 16)",
     )
     p_load.add_argument("--seed", type=int, default=0,
                         help="arrival-schedule seed (default 0)")
     p_load.add_argument(
         "--nodes", type=int, default=100,
-        help="in-process cluster size (default 100)",
+        help="cluster size (default 100)",
     )
     p_load.add_argument("--racks", type=int, default=4,
-                        help="in-process rack count (default 4)")
+                        help="rack count (default 4)")
     p_load.add_argument(
         "--scheduler", default="node-candidates",
         choices=("node-candidates", "tag-popularity", "serial",
                  "jkube", "jkube++", "yarn"),
-        help="scheduler behind the in-process service "
-             "(default node-candidates)",
+        help="scheduler behind the service (default node-candidates)",
     )
     p_load.add_argument(
         "--containers", type=int, default=4,
@@ -312,30 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument(
         "--max-pending", type=int, default=128, metavar="N",
-        help="admission limit of the in-process service (default 128)",
-    )
-    p_load.add_argument(
-        "--target", default=None, metavar="URL",
-        help="POST /place against this telemetry endpoint instead of an "
-             "in-process service",
-    )
-    p_load.add_argument(
-        "--http", action="store_true",
-        help="self-host a telemetry server and drive it over HTTP "
-             "POST /place (end-to-end serving path)",
-    )
-    p_load.add_argument(
-        "--virtual", action="store_true",
-        help="drive a seeded queueing model on a logical clock instead of "
-             "a real scheduler — fully deterministic output",
-    )
-    p_load.add_argument(
-        "--service-time", type=float, default=0.002, metavar="SECONDS",
-        help="--virtual mean service time (default 0.002)",
-    )
-    p_load.add_argument(
-        "--servers", type=int, default=1,
-        help="--virtual parallel service stations (default 1)",
+        help="admission limit of the service (default 128)",
     )
     p_load.add_argument(
         "--json", dest="json_out", default=None, metavar="FILE",
@@ -833,10 +805,8 @@ def _build_placement_service(args: argparse.Namespace):
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .obs.load import (
-        HttpTarget,
         InProcessTarget,
         RequestTemplate,
-        VirtualTarget,
         run_sweep,
         sweep_to_json,
         sweep_view,
@@ -857,36 +827,23 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.rate <= 0:
         print("loadgen: --rate must be > 0", file=sys.stderr)
         return EXIT_USAGE
+    for flag in ("requests", "concurrency", "nodes", "racks", "containers"):
+        if getattr(args, flag) < 1:
+            print(f"loadgen: --{flag} must be >= 1", file=sys.stderr)
+            return EXIT_USAGE
 
     from .obs.session import ObsConfig, ObsSession
 
-    http = args.http and not (args.virtual or args.target)
-    with ObsSession(ObsConfig(serve=0 if http else None)) as session:
-        if args.virtual:
-            target = VirtualTarget(
-                service_time_s=args.service_time,
-                servers=args.servers,
-                seed=args.seed,
-            )
-        elif args.target:
-            target = HttpTarget(args.target)
-        else:
-            service = _build_placement_service(args)
-            if http:
-                session.server.attach_placement(service)
-                print(f"loadgen: self-hosting {session.server.url}/place",
-                      file=sys.stderr)
-                target = HttpTarget(session.server.url)
-            else:
-                target = InProcessTarget(service)
-
-        template = RequestTemplate(containers=args.containers)
+    try:
+        config = ObsConfig.from_env()
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from None
+    with ObsSession(config):
         sweep = run_sweep(
-            target,
-            template,
+            InProcessTarget(_build_placement_service(args)),
+            RequestTemplate(containers=args.containers),
             rates=rates,
             requests_per_step=args.requests,
-            mode=args.mode,
             arrival=args.arrival,
             concurrency=args.concurrency,
             seed=args.seed,

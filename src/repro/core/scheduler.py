@@ -16,7 +16,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 from ..cluster.resources import Resource
 from ..cluster.state import ClusterState
@@ -212,25 +212,11 @@ class PlacementResponse:
     queue_s: float = 0.0
     place_s: float = 0.0
 
-    def to_obj(self) -> dict[str, Any]:
-        """JSON-safe dict (the ``POST /place`` response body)."""
-        return {
-            "request_id": self.request_id,
-            "app_id": self.app_id,
-            "placed": self.placed,
-            "nodes": {k: self.nodes[k] for k in sorted(self.nodes)},
-            "reason": self.reason,
-            "latency_s": self.latency_s,
-            "queue_s": self.queue_s,
-            "place_s": self.place_s,
-        }
-
 
 class PlacementService:
     """The placement-request hot path: admission → queue → placement.
 
-    The seed of the Medea-as-a-service daemon (ROADMAP item 2): one
-    request = one LRA submission placed synchronously by an
+    One request = one LRA submission placed synchronously by an
     :class:`LRAScheduler` over a shared :class:`ClusterState`.  Placement
     is serialized by a lock (the paper's hot path is a single heuristic
     pass; queue time under contention is part of the latency being
@@ -275,9 +261,6 @@ class PlacementService:
         self._pending = 0
         self._ids = itertools.count(1)
         self._start = time.perf_counter()
-        self.requests_seen = 0
-        self.requests_placed = 0
-        self.requests_rejected = 0
 
     def _registry(self) -> Metrics:
         return self.metrics if self.metrics is not None else get_metrics()
@@ -331,7 +314,6 @@ class PlacementService:
         if now is None:
             now = t_admitted - self._start
         with self._meta_lock:
-            self.requests_seen += 1
             request_id = f"req-{next(self._ids):08d}"
             admitted = self._pending < self.max_pending
             if admitted:
@@ -339,8 +321,6 @@ class PlacementService:
         tracer = self._tracer()
         with request_context(request_id):
             if not admitted:
-                with self._meta_lock:
-                    self.requests_rejected += 1
                 if tracer.enabled:
                     tracer.emit(
                         EventKind.REQUEST_REJECT,
@@ -416,11 +396,6 @@ class PlacementService:
                 for p in result.placements
                 if p.app_id == request.app_id
             }
-            with self._meta_lock:
-                if placed:
-                    self.requests_placed += 1
-                else:
-                    self.requests_rejected += 1
             if tracer.enabled:
                 tracer.emit(
                     EventKind.REQUEST_PLACE,
@@ -446,15 +421,6 @@ class PlacementService:
                 tracer=tracer,
                 t_admitted=t_admitted,
             )
-
-    def stats(self) -> dict[str, int]:
-        with self._meta_lock:
-            return {
-                "seen": self.requests_seen,
-                "placed": self.requests_placed,
-                "rejected": self.requests_rejected,
-                "pending": self._pending,
-            }
 
 
 class ScratchPlacements:

@@ -23,13 +23,6 @@ the same buckets on every platform:
 * Buckets live in a sparse dict — memory is O(occupied buckets), about
   ``subbuckets`` per decade of dynamic range, independent of count.
 
-Closed-loop load generators suffer *coordinated omission*: a stalled
-request delays the requests that would have been issued behind it, so the
-recorded stream under-represents the stall.  :meth:`record_corrected`
-applies the standard HDR back-fill — record the latency, then ``latency -
-k * expected_interval_s`` for ``k = 1, 2, ...`` while positive — restoring
-the samples the stall suppressed.
-
 Serialization (:meth:`to_obj` / :meth:`to_json`) is byte-stable: sorted
 ``[index, count]`` pairs plus the bucket-geometry parameters, dumped with
 sorted keys — the same histogram always serializes to the same bytes, and
@@ -56,10 +49,6 @@ DEFAULT_MIN_VALUE_S = 1e-6
 #: Linear sub-buckets per power-of-two octave.  64 bounds the midpoint
 #: relative error at 1/128 (~0.8%) and keeps ~640 buckets per three decades.
 DEFAULT_SUBBUCKETS = 64
-
-#: Back-fill cap for :meth:`LatencyHistogram.record_corrected` — bounds the
-#: work a pathological stall (or a bogus tiny interval) can inject.
-_MAX_CORRECTION_FILLS = 100_000
 
 
 class LatencyHistogram:
@@ -147,29 +136,6 @@ class LatencyHistogram:
             self.max_s = seconds
         idx = self.bucket_index(seconds)
         self._buckets[idx] = self._buckets.get(idx, 0) + 1
-
-    def record_corrected(
-        self, seconds: float, expected_interval_s: float
-    ) -> None:
-        """Record with HDR coordinated-omission correction.
-
-        For closed-loop measurement at a target inter-request interval:
-        besides the observed latency, back-fill ``seconds - k *
-        expected_interval_s`` for ``k = 1, 2, ...`` while positive — the
-        samples the stalled client never got to issue.
-        """
-        self.record(seconds)
-        if expected_interval_s <= 0.0 or seconds <= expected_interval_s:
-            return
-        # Fill count computed up front (not by repeated subtraction) so a
-        # float residue like 1.0 - 10*0.1 == 1e-16 can't synthesize a
-        # spurious ~zero sample.
-        fills = min(
-            int(math.ceil(seconds / expected_interval_s - 1.0 - 1e-9)),
-            _MAX_CORRECTION_FILLS,
-        )
-        for k in range(1, fills + 1):
-            self.record(seconds - k * expected_interval_s)
 
     # -- merging -------------------------------------------------------------
 

@@ -1,34 +1,18 @@
 """Deterministic load generation for the placement hot path.
 
-ROADMAP item 2 ("Medea-as-a-service") is judged on p50/p99 placement
-latency *under offered load*; this module is the instrument.  It drives
-the :class:`~repro.core.scheduler.PlacementService` request path — in
-process, or over HTTP against the telemetry server's ``POST /place``
-endpoint — and folds every request latency into the mergeable
+Placement latency *under offered load* is measured in process, the way
+the paper measures Fig. 11 ("a simulator that executes Medea with
+simulated machines, merely ignoring RPCs"): this module paces seeded
+requests into a :class:`~repro.core.scheduler.PlacementService` and folds
+every request latency into the mergeable
 :class:`~repro.obs.hist.LatencyHistogram`.
 
-Three measurement disciplines, explicit because they answer different
-questions (and conflating them is the classic benchmarking sin):
-
-* **Open loop** — arrivals follow a seeded schedule (Poisson, bursty
-  on/off, or uniform) regardless of completions, like real tenants
-  submitting apps.  Latency is measured from the *scheduled* arrival, so
-  a stalled scheduler inflates the tail instead of silently throttling
-  the generator: open-loop measurement is immune to coordinated omission
-  by construction.
-* **Closed loop** — a fixed number of workers issue back-to-back
-  requests (each waits for its response).  Useful for saturation
-  throughput, but latencies are recorded with
-  :meth:`~repro.obs.hist.LatencyHistogram.record_corrected` (HDR
-  coordinated-omission back-fill) against the target inter-request
-  interval.
-* **Virtual** — the same arrival schedules and knee analysis run against
-  a seeded queueing model (deterministic service times, logical clock)
-  instead of wall time.  Every number in the output derives from seeded
-  arithmetic, so ``repro loadgen --virtual --sweep --json`` is
-  byte-stable for a given seed — the determinism contract the rest of
-  the observability plane already honours, here extended to the
-  latency-under-load curve itself (and what CI diffs).
+The load is **open loop**: arrivals follow a seeded schedule (Poisson,
+bursty on/off, or uniform) regardless of completions, like real tenants
+submitting apps.  Latency is measured from the *scheduled* arrival, so a
+stalled scheduler inflates the tail instead of silently throttling the
+generator: open-loop measurement is immune to coordinated omission by
+construction.
 
 A **sweep** steps offered load over a rate ladder, records one histogram
 per step, and :func:`detect_knee` finds the saturation knee: the first
@@ -41,30 +25,25 @@ are a sorted-key JSON document (:func:`sweep_to_json`) or a page
 from __future__ import annotations
 
 import json
-import math
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from ..cluster.resources import Resource
 from ..core.requests import ContainerRequest, LRARequest
-from .hist import LatencyHistogram, merge_histograms
+from .hist import LatencyHistogram
 from .view import Lines, SeriesGroup, Table, View
 
 __all__ = [
     "LOADGEN_SCHEMA",
-    "request_from_obj",
-    "request_to_obj",
     "poisson_arrivals",
     "uniform_arrivals",
     "burst_arrivals",
     "build_arrivals",
     "RequestTemplate",
     "InProcessTarget",
-    "HttpTarget",
-    "VirtualTarget",
     "StepResult",
     "SweepResult",
     "run_step",
@@ -81,74 +60,6 @@ LOADGEN_SCHEMA = "medea.loadgen/1"
 #: Saturation-knee thresholds (see :func:`detect_knee`).
 KNEE_EFFICIENCY = 0.9
 KNEE_LATENCY_BLOWUP = 5.0
-
-
-# -- request codec (the POST /place body) -------------------------------------
-
-
-def request_from_obj(payload: Mapping[str, Any]) -> LRARequest:
-    """Decode a ``POST /place`` JSON body into an :class:`LRARequest`.
-
-    Two container spellings::
-
-        {"app_id": "a1", "containers": 4, "memory_mb": 1024, "vcores": 1}
-        {"app_id": "a1", "containers": [
-            {"container_id": "c0", "memory_mb": 512, "vcores": 1,
-             "tags": ["hbase"]}, ...]}
-
-    Raises ``ValueError`` / ``KeyError`` / ``TypeError`` on malformed
-    payloads (the endpoint maps those to HTTP 400).
-    """
-    if not isinstance(payload, Mapping):
-        raise TypeError("request payload must be a JSON object")
-    app_id = str(payload["app_id"])
-    raw = payload["containers"]
-    containers: list[ContainerRequest] = []
-    if isinstance(raw, int):
-        if raw < 1:
-            raise ValueError(f"containers must be >= 1, got {raw}")
-        memory = int(payload.get("memory_mb", 1024))
-        vcores = int(payload.get("vcores", 1))
-        tags = frozenset(payload.get("tags", ()))
-        for i in range(raw):
-            containers.append(
-                ContainerRequest(
-                    container_id=f"{app_id}-c{i}",
-                    resource=Resource(memory_mb=memory, vcores=vcores),
-                    tags=tags,
-                )
-            )
-    else:
-        for i, obj in enumerate(raw):
-            containers.append(
-                ContainerRequest(
-                    container_id=str(obj.get("container_id", f"{app_id}-c{i}")),
-                    resource=Resource(
-                        memory_mb=int(obj.get("memory_mb", 1024)),
-                        vcores=int(obj.get("vcores", 1)),
-                    ),
-                    tags=frozenset(obj.get("tags", ())),
-                )
-            )
-    return LRARequest(app_id, containers)
-
-
-def request_to_obj(request: LRARequest) -> dict[str, Any]:
-    """Encode an :class:`LRARequest` as the ``POST /place`` JSON body
-    (constraints are not carried — load templates are constraint-free)."""
-    app_tag = f"appID:{request.app_id}"
-    return {
-        "app_id": request.app_id,
-        "containers": [
-            {
-                "container_id": c.container_id,
-                "memory_mb": c.resource.memory_mb,
-                "vcores": c.resource.vcores,
-                "tags": sorted(t for t in c.tags if t != app_tag),
-            }
-            for c in request.containers
-        ],
-    }
 
 
 # -- arrival schedules ---------------------------------------------------------
@@ -221,8 +132,7 @@ def build_arrivals(
 
 @dataclass(frozen=True)
 class RequestTemplate:
-    """Seeded factory of generic LRA submissions (constraint-free, so the
-    same template drives both the in-process and the HTTP target)."""
+    """Seeded factory of generic, constraint-free LRA submissions."""
 
     containers: int = 4
     memory_mb: int = 1024
@@ -254,7 +164,7 @@ class RequestTemplate:
         }
 
 
-# -- targets -------------------------------------------------------------------
+# -- the target ----------------------------------------------------------------
 
 
 class InProcessTarget:
@@ -267,103 +177,12 @@ class InProcessTarget:
 
     def place(self, request: LRARequest, *, now: float) -> str:
         """Issue one request; returns the outcome (``placed`` /
-        ``rejected`` / ``error``)."""
+        ``rejected``)."""
         response = self.service.handle(request, now=now)
         return "placed" if response.placed else "rejected"
 
     def describe(self) -> str:
         return f"in-process {type(self.service.scheduler).__name__}"
-
-
-class HttpTarget:
-    """Drive ``POST /place`` on a telemetry endpoint over HTTP."""
-
-    kind = "http"
-
-    def __init__(self, base_url: str, *, timeout_s: float = 30.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
-
-    def place(self, request: LRARequest, *, now: float) -> str:
-        from urllib.error import HTTPError, URLError
-        from urllib.request import Request, urlopen
-
-        from ..version import user_agent
-
-        body = json.dumps(request_to_obj(request)).encode("utf-8")
-        req = Request(
-            self.base_url + "/place",
-            data=body,
-            headers={
-                "Content-Type": "application/json",
-                "User-Agent": user_agent("loadgen"),
-            },
-            method="POST",
-        )
-        try:
-            with urlopen(req, timeout=self.timeout_s) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-            return "placed" if payload.get("placed") else "rejected"
-        except HTTPError as err:
-            err.read()
-            return "rejected" if err.code == 503 else "error"
-        except (URLError, OSError, ValueError):
-            return "error"
-
-    def describe(self) -> str:
-        return self.base_url
-
-
-class VirtualTarget:
-    """Seeded queueing model standing in for a real scheduler.
-
-    ``servers`` parallel service stations with exponential (or constant)
-    service times of mean ``service_time_s``; a logical clock replaces
-    wall time, so step results — achieved throughput included — are pure
-    functions of the seed.  Used by ``repro loadgen --virtual`` for
-    byte-stable curves and by CI to validate the sweep/knee machinery
-    without timing noise.
-    """
-
-    kind = "virtual"
-
-    def __init__(
-        self,
-        *,
-        service_time_s: float = 0.002,
-        servers: int = 1,
-        dist: str = "exp",
-        seed: int = 0,
-    ) -> None:
-        if service_time_s <= 0:
-            raise ValueError("service_time_s must be > 0")
-        if servers < 1:
-            raise ValueError("servers must be >= 1")
-        if dist not in ("exp", "const"):
-            raise ValueError(f"unknown service distribution {dist!r}")
-        self.service_time_s = service_time_s
-        self.servers = servers
-        self.dist = dist
-        self.seed = seed
-
-    def service_times(self, count: int) -> list[float]:
-        if self.dist == "const":
-            return [self.service_time_s] * count
-        rng = random.Random((self.seed << 8) ^ 0x5EED)
-        return [rng.expovariate(1.0 / self.service_time_s) for _ in range(count)]
-
-    def describe(self) -> str:
-        return (
-            f"virtual queue ({self.servers}x {self.dist} "
-            f"{self.service_time_s * 1e3:g}ms)"
-        )
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "dist": self.dist,
-            "servers": self.servers,
-            "service_time_s": self.service_time_s,
-        }
 
 
 # -- step execution ------------------------------------------------------------
@@ -374,7 +193,6 @@ class StepResult:
     """One offered-load step of a sweep."""
 
     offered_rps: float
-    mode: str
     requests: int
     #: Realized offered rate: ``requests / last scheduled arrival``.  A
     #: Poisson schedule's nominal rate has O(1/sqrt(N)) sampling noise;
@@ -384,8 +202,10 @@ class StepResult:
     effective_rps: float = 0.0
     placed: int = 0
     rejected: int = 0
+    #: Always 0 in process (``handle`` answers every request); the key
+    #: stays in the ``medea.loadgen/1`` schema.
     errors: int = 0
-    #: Wall (or virtual) seconds from first arrival to last completion.
+    #: Wall seconds from first arrival to last completion.
     duration_s: float = 0.0
     achieved_rps: float = 0.0
     hist: LatencyHistogram = field(default_factory=LatencyHistogram)
@@ -402,7 +222,7 @@ class StepResult:
             "errors": self.errors,
             "hist": self.hist.to_obj(),
             "latency": self.hist.summary(),
-            "mode": self.mode,
+            "mode": "open",
             "offered_rps": self.offered_rps,
             "placed": self.placed,
             "rejected": self.rejected,
@@ -410,67 +230,11 @@ class StepResult:
         }
 
 
-def _effective_rate(
-    arrivals: Sequence[float], mode: str, offered_rps: float
-) -> float:
-    """The rate the schedule actually offered (closed loops offer exactly
-    the nominal target)."""
-    if mode == "closed" or not arrivals or arrivals[-1] <= 0:
+def _effective_rate(arrivals: Sequence[float], offered_rps: float) -> float:
+    """The rate the schedule actually offered."""
+    if not arrivals or arrivals[-1] <= 0:
         return offered_rps
     return round(len(arrivals) / arrivals[-1], 6)
-
-
-def _run_virtual_step(
-    target: VirtualTarget,
-    arrivals: Sequence[float],
-    *,
-    mode: str,
-    offered_rps: float,
-    concurrency: int,
-) -> StepResult:
-    """Event-driven queueing simulation of one step (logical clock)."""
-    import heapq
-
-    count = len(arrivals)
-    step = StepResult(
-        offered_rps=offered_rps,
-        mode=mode,
-        requests=count,
-        effective_rps=_effective_rate(arrivals, mode, offered_rps),
-    )
-    services = target.service_times(count)
-    free = [0.0] * target.servers
-    heapq.heapify(free)
-    if mode == "open":
-        last_done = 0.0
-        for arrival, svc in zip(arrivals, services):
-            start = max(arrival, heapq.heappop(free))
-            done = start + svc
-            heapq.heappush(free, done)
-            last_done = max(last_done, done)
-            step.hist.record(done - arrival)
-            step.placed += 1
-        step.duration_s = last_done
-    else:
-        # Closed loop: `concurrency` clients issue back-to-back; latency
-        # is CO-corrected against the per-client target interval.
-        interval = concurrency / offered_rps if offered_rps > 0 else 0.0
-        ready = [0.0] * max(1, concurrency)
-        heapq.heapify(ready)
-        last_done = 0.0
-        for svc in services:
-            client = heapq.heappop(ready)
-            start = max(client, heapq.heappop(free))
-            done = start + svc
-            heapq.heappush(free, done)
-            heapq.heappush(ready, done)
-            last_done = max(last_done, done)
-            step.hist.record_corrected(done - client, interval)
-            step.placed += 1
-        step.duration_s = last_done
-    if step.duration_s > 0:
-        step.achieved_rps = round(step.completed / step.duration_s, 6)
-    return step
 
 
 def _run_open_loop(
@@ -482,15 +246,14 @@ def _run_open_loop(
     concurrency: int,
     index_base: int,
 ) -> StepResult:
-    """Paced open-loop step against a real (wall-clock) target."""
+    """One paced open-loop step."""
     from concurrent.futures import ThreadPoolExecutor
 
     count = len(arrivals)
     step = StepResult(
         offered_rps=offered_rps,
-        mode="open",
         requests=count,
-        effective_rps=_effective_rate(arrivals, "open", offered_rps),
+        effective_rps=_effective_rate(arrivals, offered_rps),
     )
     lock = threading.Lock()
     t0 = time.perf_counter()
@@ -506,10 +269,8 @@ def _run_open_loop(
             step.hist.record(latency)
             if outcome == "placed":
                 step.placed += 1
-            elif outcome == "rejected":
-                step.rejected += 1
             else:
-                step.errors += 1
+                step.rejected += 1
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         futures = []
@@ -526,111 +287,28 @@ def _run_open_loop(
     return step
 
 
-def _run_closed_loop(
-    target,
-    template: RequestTemplate,
-    *,
-    requests: int,
-    offered_rps: float,
-    concurrency: int,
-    index_base: int,
-) -> StepResult:
-    """Closed-loop step: ``concurrency`` workers, back-to-back requests,
-    per-worker histograms merged exactly at the end (the merge property
-    doing real work), coordinated-omission corrected when a target rate
-    is set."""
-    step = StepResult(
-        offered_rps=offered_rps,
-        mode="closed",
-        requests=requests,
-        effective_rps=offered_rps,
-    )
-    interval = concurrency / offered_rps if offered_rps > 0 else 0.0
-    counters_lock = threading.Lock()
-    hists: list[LatencyHistogram] = []
-
-    def worker(worker_id: int, quota: int) -> None:
-        hist = LatencyHistogram()
-        placed = rejected = errors = 0
-        for i in range(quota):
-            index = index_base + worker_id * quota + i
-            request = template.build(index)
-            t_start = time.perf_counter()
-            outcome = target.place(request, now=time.perf_counter() - t0)
-            latency = time.perf_counter() - t_start
-            hist.record_corrected(latency, interval)
-            if outcome == "placed":
-                placed += 1
-            elif outcome == "rejected":
-                rejected += 1
-            else:
-                errors += 1
-        with counters_lock:
-            hists.append(hist)
-            step.placed += placed
-            step.rejected += rejected
-            step.errors += errors
-
-    quota = max(1, requests // max(1, concurrency))
-    threads = [
-        threading.Thread(target=worker, args=(w, quota), daemon=True)
-        for w in range(max(1, concurrency))
-    ]
-    t0 = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    step.duration_s = time.perf_counter() - t0
-    step.requests = quota * max(1, concurrency)
-    step.hist = merge_histograms(hists)
-    if step.duration_s > 0:
-        step.achieved_rps = round(step.completed / step.duration_s, 6)
-    return step
-
-
 def run_step(
     target,
     template: RequestTemplate,
     *,
     offered_rps: float,
     requests: int,
-    mode: str = "open",
     arrival: str = "poisson",
     concurrency: int = 16,
     seed: int = 0,
     index_base: int = 0,
 ) -> StepResult:
-    """Run one offered-load step against any target."""
+    """Run one offered-load step against ``target``."""
     rng = random.Random((seed << 16) ^ hash(round(offered_rps * 1000)) & 0xFFFF)
     arrivals = build_arrivals(arrival, offered_rps, requests, rng)
-    if isinstance(target, VirtualTarget):
-        return _run_virtual_step(
-            target,
-            arrivals,
-            mode=mode,
-            offered_rps=offered_rps,
-            concurrency=concurrency,
-        )
-    if mode == "open":
-        return _run_open_loop(
-            target,
-            template,
-            arrivals,
-            offered_rps=offered_rps,
-            concurrency=concurrency,
-            index_base=index_base,
-        )
-    if mode == "closed":
-        return _run_closed_loop(
-            target,
-            template,
-            requests=requests,
-            offered_rps=offered_rps,
-            concurrency=concurrency,
-            index_base=index_base,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return _run_open_loop(
+        target,
+        template,
+        arrivals,
+        offered_rps=offered_rps,
+        concurrency=concurrency,
+        index_base=index_base,
+    )
 
 
 # -- sweeps and the saturation knee -------------------------------------------
@@ -697,7 +375,6 @@ def run_sweep(
     *,
     rates: Sequence[float],
     requests_per_step: int,
-    mode: str = "open",
     arrival: str = "poisson",
     concurrency: int = 16,
     seed: int = 0,
@@ -712,7 +389,6 @@ def run_sweep(
             template,
             offered_rps=rate,
             requests=requests_per_step,
-            mode=mode,
             arrival=arrival,
             concurrency=concurrency,
             seed=seed,
@@ -730,15 +406,13 @@ def run_sweep(
     config = {
         "arrival": arrival,
         "concurrency": concurrency,
-        "mode": mode,
+        "mode": "open",
         "rates": [float(r) for r in rates],
         "requests_per_step": requests_per_step,
         "seed": seed,
         "target": target.describe(),
         "template": template.to_obj(),
     }
-    if isinstance(target, VirtualTarget):
-        config["virtual"] = target.to_obj()
     return SweepResult(
         steps=steps, config=config, knee=detect_knee(steps)
     )
@@ -748,11 +422,11 @@ def run_sweep(
 
 
 def sweep_to_obj(sweep: SweepResult) -> dict[str, Any]:
-    """The ``--json`` document: sorted-key, schema-tagged; deterministic
-    (byte-stable for a seed) when the target was virtual."""
+    """The ``--json`` document: sorted-key and schema-tagged.  Wall-clock
+    measurements are never byte-stable, so ``deterministic`` is false."""
     return {
         "config": sweep.config,
-        "deterministic": sweep.config.get("target", "").startswith("virtual"),
+        "deterministic": False,
         "knee": sweep.knee,
         "schema": LOADGEN_SCHEMA,
         "steps": [s.to_obj() for s in sweep.steps],

@@ -275,14 +275,6 @@ class Histogram(_Instrument):
     def observe(self, seconds: float, **labels: Any) -> None:
         self._stat(self._write_key(labels)).record(seconds)
 
-    def observe_corrected(
-        self, seconds: float, expected_interval_s: float, **labels: Any
-    ) -> None:
-        """Record with coordinated-omission back-fill (closed-loop)."""
-        self._stat(self._write_key(labels)).record_corrected(
-            seconds, expected_interval_s
-        )
-
     def stat(self, **labels: Any) -> LatencyHistogram:
         return self._stats.get(_label_key(labels)) or LatencyHistogram(
             **self._kwargs

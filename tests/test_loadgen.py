@@ -1,14 +1,12 @@
 """Tests for the latency-under-load plane: the placement request path
-(``PlacementService`` + request-scoped tracing), the load generator
-(``repro.obs.load``), the sweep/knee analysis, and the serving-path
-regression gate wiring."""
+(``PlacementService`` + request-scoped tracing), the in-process load
+generator (``repro.obs.load``), the sweep/knee analysis and the
+``repro loadgen`` command."""
 
 from __future__ import annotations
 
 import json
 import random
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -19,29 +17,27 @@ from repro import (
     build_cluster,
 )
 from repro.core.scheduler import (
+    PLACE_REQUEST_COUNTER,
     REJECT_OVERLOAD,
     PlacementService,
 )
 from repro.obs.load import (
     LOADGEN_SCHEMA,
-    HttpTarget,
     InProcessTarget,
     RequestTemplate,
-    VirtualTarget,
+    StepResult,
+    SweepResult,
     build_arrivals,
     burst_arrivals,
     detect_knee,
     poisson_arrivals,
-    request_from_obj,
-    request_to_obj,
     run_step,
-    run_sweep,
     sweep_to_json,
+    sweep_to_obj,
     sweep_view,
     uniform_arrivals,
 )
-from repro.obs.metrics import Metrics, set_metrics
-from repro.obs.session import ObsConfig, ObsSession
+from repro.obs.metrics import Metrics, get_metrics, set_metrics
 from repro.obs.view import to_html, to_text
 from repro.obs.trace import (
     MemorySink,
@@ -90,48 +86,94 @@ class TestArrivals:
             poisson_arrivals(0.0, 3, rng)
 
 
-class TestRequestCodec:
-    def test_int_shorthand(self):
-        request = request_from_obj(
-            {"app_id": "a1", "containers": 3, "memory_mb": 512, "vcores": 2,
-             "tags": ["hbase"]}
-        )
-        assert request.app_id == "a1"
-        assert [c.container_id for c in request.containers] == [
-            "a1-c0", "a1-c1", "a1-c2"
-        ]
-        assert request.containers[0].resource.memory_mb == 512
-        assert "hbase" in request.containers[0].tags
+def _step(offered, achieved, latency_s, requests=50):
+    """A hand-built step: ``requests`` placed, each taking ``latency_s``."""
+    step = StepResult(
+        offered_rps=offered, requests=requests, effective_rps=offered,
+        placed=requests, duration_s=requests / achieved,
+        achieved_rps=achieved,
+    )
+    for _ in range(requests):
+        step.hist.record(latency_s)
+    return step
 
-    def test_round_trip(self):
-        request = RequestTemplate(containers=2, memory_mb=2048).build(7)
-        restored = request_from_obj(request_to_obj(request))
-        assert restored.app_id == request.app_id
-        assert [c.container_id for c in restored.containers] == [
-            c.container_id for c in request.containers
-        ]
-        assert [c.resource for c in restored.containers] == [
-            c.resource for c in request.containers
-        ]
 
-    def test_malformed_payloads_raise(self):
-        with pytest.raises((KeyError, TypeError)):
-            request_from_obj([1, 2, 3])
-        with pytest.raises(KeyError):
-            request_from_obj({"containers": 2})
-        with pytest.raises(ValueError):
-            request_from_obj({"app_id": "a", "containers": 0})
+def _sweep(steps):
+    return SweepResult(
+        steps=steps,
+        config={"arrival": "poisson", "mode": "open",
+                "target": "in-process NodeCandidatesScheduler"},
+        knee=detect_knee(steps),
+    )
+
+
+class TestSweepAnalysis:
+    def test_knee_from_throughput(self):
+        knee = detect_knee([
+            _step(10, 10, 0.002), _step(20, 19.5, 0.002),
+            _step(40, 30, 0.003), _step(80, 31, 0.004),
+        ])
+        assert knee["step"] == 2
+        assert knee["reason"] == "throughput"
+        assert knee["offered_rps"] == 40
+        # The capacity is the last achieved rate before the knee.
+        assert knee["capacity_rps"] == 19.5
+
+    def test_knee_from_latency(self):
+        knee = detect_knee([
+            _step(10, 10, 0.002), _step(20, 20, 0.004),
+            _step(40, 40, 0.020), _step(80, 80, 0.050),
+        ])
+        assert knee["step"] == 2
+        assert knee["reason"] == "latency"
+        assert knee["p99_s"] > 5 * 0.002
+        assert knee["capacity_rps"] == 20
+
+    def test_unsaturated_ladder_has_no_knee(self):
+        sweep = _sweep([_step(r, r, 0.002) for r in (5, 10, 20)])
+        assert sweep.knee is None
+        assert "no saturation knee" in to_text(sweep_view(sweep))
+
+    def test_json_byte_stable(self):
+        def build(latency_s=0.003):
+            return _sweep([_step(10, 10, 0.002), _step(40, 30, latency_s)])
+
+        assert sweep_to_json(build()) == sweep_to_json(build())
+        assert sweep_to_json(build()) != sweep_to_json(build(0.004))
+        document = sweep_to_obj(build())
+        assert document["schema"] == LOADGEN_SCHEMA
+        assert document["deterministic"] is False
+        assert [s["mode"] for s in document["steps"]] == ["open", "open"]
+
+    def test_render_outputs(self):
+        sweep = _sweep([_step(10, 10, 0.002), _step(40, 30, 0.003)])
+        text = to_text(sweep_view(sweep))
+        assert "saturation knee" in text
+        assert "capacity ≈ 10 rps" in text
+        assert "p99 ms" in text
+        html = to_html(sweep_view(sweep))
+        assert "<svg" in html and "Saturation knee" in html
 
 
 class TestVirtualSweep:
-    RATES = [10, 20, 40, 60, 80]
+    """A sweep whose latencies are drawn from a seeded rng instead of
+    measured: the JSON document must be a pure function of the results,
+    with no timestamp, ordering or wall-clock leak of its own."""
 
-    def _sweep(self, seed=7, **kwargs):
-        target = VirtualTarget(service_time_s=0.02, servers=1, seed=seed)
-        return run_sweep(
-            target, RequestTemplate(), rates=self.RATES,
-            requests_per_step=200, seed=seed, **kwargs
-        )
+    RATES = [10, 20, 40]
+
+    def _sweep(self, seed=7):
+        rng = random.Random(seed)
+        steps = []
+        for rate in self.RATES:
+            step = StepResult(
+                offered_rps=rate, requests=100, effective_rps=rate,
+                placed=100, duration_s=100 / rate, achieved_rps=rate,
+            )
+            for _ in range(step.requests):
+                step.hist.record(rng.expovariate(1 / 0.005))
+            steps.append(step)
+        return _sweep(steps)
 
     def test_same_seed_json_byte_stable(self):
         assert sweep_to_json(self._sweep()) == sweep_to_json(self._sweep())
@@ -140,56 +182,6 @@ class TestVirtualSweep:
         assert sweep_to_json(self._sweep(seed=7)) != sweep_to_json(
             self._sweep(seed=8)
         )
-
-    def test_knee_detected_near_theoretical_capacity(self):
-        sweep = self._sweep()
-        assert sweep.knee is not None
-        # 1 server at 20ms mean service ⇒ ~50 rps capacity: the ladder
-        # must saturate somewhere above 40 and the measured capacity land
-        # below the theoretical ceiling.
-        assert sweep.knee["offered_rps"] > 40
-        assert sweep.knee["capacity_rps"] < 55
-        assert sweep.knee["reason"] in ("throughput", "latency")
-        document = sweep_to_obj_dict(sweep)
-        assert document["deterministic"] is True
-        assert document["schema"] == LOADGEN_SCHEMA
-
-    def test_unsaturated_ladder_has_no_knee(self):
-        target = VirtualTarget(service_time_s=0.001, servers=4, seed=1)
-        sweep = run_sweep(
-            target, RequestTemplate(), rates=[5, 10, 20],
-            requests_per_step=150, seed=1
-        )
-        assert sweep.knee is None
-        assert "no saturation knee" in to_text(sweep_view(sweep))
-
-    def test_closed_loop_virtual_deterministic(self):
-        def once():
-            target = VirtualTarget(service_time_s=0.005, servers=2, seed=3)
-            return sweep_to_json(run_sweep(
-                target, RequestTemplate(), rates=[50, 400],
-                requests_per_step=120, mode="closed", concurrency=8, seed=3
-            ))
-        assert once() == once()
-
-    def test_latencies_rise_with_load(self):
-        sweep = self._sweep()
-        p99s = [s.hist.quantile(99) for s in sweep.steps]
-        assert p99s[-1] > 3 * p99s[0]
-
-    def test_render_outputs(self):
-        sweep = self._sweep()
-        text = to_text(sweep_view(sweep))
-        assert "saturation knee" in text
-        assert "p99 ms" in text
-        html = to_html(sweep_view(sweep))
-        assert "<svg" in html and "Saturation knee" in html
-
-
-def sweep_to_obj_dict(sweep):
-    from repro.obs.load import sweep_to_obj
-
-    return sweep_to_obj(sweep)
 
 
 class TestPlacementService:
@@ -232,7 +224,8 @@ class TestPlacementService:
         response = service.handle(RequestTemplate().build(0))
         assert not response.placed
         assert response.reason == REJECT_OVERLOAD
-        assert service.stats()["rejected"] == 1
+        counter = get_metrics().counter(PLACE_REQUEST_COUNTER)
+        assert counter.value(outcome=REJECT_OVERLOAD) == 1
 
     def test_latency_lands_in_ambient_histogram(self, isolate_obs):
         metrics = Metrics()
@@ -282,104 +275,44 @@ class TestRequestContext:
         assert set(canonical) == {"kind", "seq", "time", "data"}
 
 
-class TestServingPathHTTP:
-    @pytest.fixture()
-    def server(self, isolate_obs):
-        with ObsSession(ObsConfig(serve=0)) as session:
-            yield session.server
-
-    def test_post_place_end_to_end(self, server):
-        server.attach_placement(_service())
-        body = json.dumps(request_to_obj(RequestTemplate().build(0))).encode()
-        request = urllib.request.Request(
-            f"{server.url}/place", data=body,
-            headers={"Content-Type": "application/json"}, method="POST",
-        )
-        with urllib.request.urlopen(request, timeout=5) as response:
-            payload = json.loads(response.read())
-        assert payload["placed"] is True
-        assert payload["request_id"].startswith("req-")
-        assert len(payload["nodes"]) == 4
-        # The serving requests roll into the snapshot for `repro watch`.
-        assert server.snapshot_doc()["wall"]["requests"]["placed"] == 1
-
-    def test_http_target_drives_sweep(self, server):
-        server.attach_placement(_service())
-        step = run_step(
-            HttpTarget(server.url), RequestTemplate(containers=2),
-            offered_rps=100.0, requests=20, concurrency=8, seed=2
-        )
-        assert step.placed == 20
-        assert step.errors == 0
-
-    def test_bad_json_is_400(self, server):
-        server.attach_placement(_service())
-        request = urllib.request.Request(
-            f"{server.url}/place", data=b"{nope", method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5)
-        assert excinfo.value.code == 400
-
-    def test_overload_is_503_with_retry_after(self, server):
-        server.attach_placement(_service(max_pending=0))
-        body = json.dumps(request_to_obj(RequestTemplate().build(0))).encode()
-        request = urllib.request.Request(
-            f"{server.url}/place", data=body, method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5)
-        assert excinfo.value.code == 503
-        assert excinfo.value.headers["Retry-After"] is not None
-        excinfo.value.read()
-
-    def test_no_service_attached_is_503(self, server):
-        request = urllib.request.Request(
-            f"{server.url}/place", data=b"{}", method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5)
-        assert excinfo.value.code == 503
-
-
 class TestLoadgenCli:
-    def test_virtual_sweep_json_stdout_byte_stable(self, capsys):
+    SMALL = ["loadgen", "--nodes", "12", "--sweep", "50,100",
+             "--requests", "20"]
+
+    def test_sweep_json_stdout(self, capsys, isolate_obs):
         from repro.cli import main
 
-        argv = ["loadgen", "--virtual", "--service-time", "0.02",
-                "--sweep", "10,40,80", "--requests", "120",
-                "--seed", "7", "--json", "-"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        document = json.loads(first)
+        assert main(self.SMALL + ["--seed", "7", "--json", "-"]) == 0
+        document = json.loads(capsys.readouterr().out)
         assert document["schema"] == LOADGEN_SCHEMA
-        assert document["deterministic"] is True
-        assert [s["offered_rps"] for s in document["steps"]] == [10, 40, 80]
+        assert document["deterministic"] is False
+        assert document["config"]["mode"] == "open"
+        assert document["config"]["target"].startswith("in-process")
+        assert [s["offered_rps"] for s in document["steps"]] == [50, 100]
         for step in document["steps"]:
+            assert step["placed"] == 20
             for key in ("p50_s", "p95_s", "p99_s"):
                 assert key in step["latency"]
-        assert document["knee"] is not None
 
-    def test_outputs_written(self, tmp_path, capsys):
+    def test_outputs_written(self, tmp_path, capsys, isolate_obs):
         from repro.cli import main
 
         json_out = tmp_path / "curve.json"
         html_out = tmp_path / "curve.html"
-        assert main([
-            "loadgen", "--virtual", "--sweep", "20,200", "--requests", "80",
+        assert main(self.SMALL + [
             "--seed", "1", "--json", str(json_out), "--html", str(html_out),
         ]) == 0
         assert json.loads(json_out.read_text())["schema"] == LOADGEN_SCHEMA
         assert "<svg" in html_out.read_text()
         assert "loadgen sweep" in capsys.readouterr().out
 
-    def test_bad_sweep_spec_is_usage_error(self, capsys):
+    def test_bad_sweep_spec_is_usage_error(self, capsys, isolate_obs):
         from repro.cli import EXIT_USAGE, main
 
-        assert main(["loadgen", "--virtual", "--sweep", "10,zap"]) == EXIT_USAGE
-        assert main(["loadgen", "--virtual", "--sweep", "-5"]) == EXIT_USAGE
+        assert main(["loadgen", "--sweep", "10,zap"]) == EXIT_USAGE
+        assert main(["loadgen", "--sweep", "-5"]) == EXIT_USAGE
         assert main(["loadgen", "--rate", "0"]) == EXIT_USAGE
-        capsys.readouterr()
+        for flag in ("--concurrency", "--containers", "--nodes", "--racks",
+                     "--requests"):
+            assert main(["loadgen", flag, "0"]) == EXIT_USAGE, flag
+            assert f"loadgen: {flag} must be >= 1" in capsys.readouterr().err

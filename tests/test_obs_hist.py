@@ -121,43 +121,6 @@ class TestQuantiles:
         assert hist.min_s == 0.0
 
 
-class TestCoordinatedOmission:
-    def test_correction_backfills_missed_intervals(self):
-        # One 1s stall at a 100ms target interval hides ~9 requests that
-        # would have queued behind it; the corrected histogram re-adds
-        # them at decaying latencies (the HDR back-fill).
-        hist = LatencyHistogram()
-        hist.record_corrected(1.0, expected_interval_s=0.1)
-        assert hist.count == 10  # 1 real + 9 synthesized
-        assert hist.max_s == pytest.approx(1.0)
-        # Synthesized values step down by one interval each.
-        assert hist.quantile(10) == pytest.approx(0.1, rel=0.02)
-
-    def test_fast_observations_unaffected(self):
-        plain, corrected = LatencyHistogram(), LatencyHistogram()
-        for v in (0.01, 0.02, 0.05):
-            plain.record(v)
-            corrected.record_corrected(v, expected_interval_s=0.1)
-        assert corrected.to_json() == plain.to_json()
-
-    def test_correction_raises_tail_on_stalls(self):
-        uncorrected, corrected = LatencyHistogram(), LatencyHistogram()
-        rng = random.Random(3)
-        for _ in range(500):
-            v = rng.expovariate(1 / 0.01)
-            uncorrected.record(v)
-            corrected.record_corrected(v, expected_interval_s=0.01)
-        # With stalls present, correction can only raise the median
-        # (synthesized queueing latencies are all positive).
-        assert corrected.count >= uncorrected.count
-        assert corrected.quantile(50) >= 0.0
-
-    def test_zero_interval_means_no_correction(self):
-        hist = LatencyHistogram()
-        hist.record_corrected(5.0, expected_interval_s=0.0)
-        assert hist.count == 1
-
-
 class TestMerge:
     @staticmethod
     def _structure(hist):

@@ -161,6 +161,21 @@ class TestEndpoints:
         finally:
             server.stop()
 
+    def test_snapshot_status_code_agrees_with_body(self, isolate_obs):
+        """One health read picks both the status code and the body's
+        health, even when the deadline passes between two reads."""
+        ticks = iter([0.0, 0.5])
+        server = TelemetryServer(0)
+        server.health = HealthState(1.0, clock=lambda: next(ticks, 5.0))
+        server.beat()  # at 0.0; the next read sees 0.5, any later one 5.0
+        server.start()
+        try:
+            status, _, body = _get(server, "/snapshot")
+        finally:
+            server.stop()
+        assert status == 200
+        assert json.loads(body)["wall"]["health"]["status"] == "ok"
+
     def test_snapshot_structure_and_live_series(self, server):
         tracer = get_tracer()
         assert tracer.enabled  # the session set up a sink-only tracer
@@ -182,7 +197,7 @@ class TestEndpoints:
         status, _, body = _get(server, "/")
         assert status == 200
         assert json.loads(body)["endpoints"] == [
-            "/metrics", "/healthz", "/snapshot", "/place"
+            "/metrics", "/healthz", "/snapshot"
         ]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server, "/nope")

@@ -66,7 +66,8 @@ PAGES = {
     "dashboard-trace": lambda runs: ["dashboard", str(runs / "a.jsonl")],
     "dashboard-rollup": lambda runs: ["dashboard", str(runs / "ROLLUP_a.json")],
     "diff": lambda runs: ["diff", str(runs / "a.jsonl"), str(runs / "b.jsonl")],
-    "sweep": lambda runs: ["loadgen", "--virtual", "--sweep", "50,400"],
+    "sweep": lambda runs: ["loadgen", "--nodes", "12", "--sweep", "50,100",
+                           "--requests", "20"],
 }
 
 
