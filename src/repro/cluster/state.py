@@ -16,7 +16,16 @@ evaluation — the method's docstring states the accumulation order):
   over the group's set indices: a slice view of the tag's one *column*
   (every group's sets end to end; a write adds at the node's precomputed
   slots), allocated on the tag's first increment and freed when its last
-  container leaves: memory is O(live tags × sets).
+  container leaves: memory is O(live tags × sets);
+* per ``(cmin, cmax)``, a read-only **Eq.-8 table** over γ = 0 … n−1: the
+  extent, the reverse positive marginal, and that marginal with the
+  subject's self-exclusion, so the scorer gathers terms instead of
+  recomputing Eq. 8.  Entries come from the same elementwise operations as
+  ``TagConstraint.violation_extent``, hence equal it bit for bit; a table
+  covers the live carriers of its target's rarest tag plus one and doubles
+  when that grows (never clipped: a γ past the end raises).  The fold
+  over a node's sets starts from the first term, not from a zero array
+  (``0.0 + x == x`` for the non-negative terms).
 
 Per-node capacity / free / availability are mirrored into numpy
 struct-of-arrays (:class:`StateArrays`), keyed by a stable node-index map
@@ -199,12 +208,48 @@ def _extent_over(tc: "TagConstraint", gamma: _np.ndarray) -> _np.ndarray:
     )
 
 
+#: Length of a fresh :class:`_Eq8Table`; a longer one doubles from here.
+_EQ8_INITIAL = 16
+
+
+class _Eq8Table:
+    """Eq. 8 of one ``(cmin, cmax)`` tabulated over γ = 0 … n−1, read-only.
+
+    ``forward[γ]`` is the extent; ``marginal[γ]`` the positive marginal
+    ``max(0, ext(γ+1) − ext(γ))`` one more target container adds; and
+    ``marginal_self[γ]`` the same at ``max(0, γ − 1)``, for a subject that
+    is itself one of the γ targets.  Every entry comes from
+    :func:`_extent_over` over ``arange(n + 1)``, so it equals the scalar
+    evaluation bit for bit."""
+
+    __slots__ = ("forward", "marginal", "marginal_self")
+
+    def __init__(self, tc: "TagConstraint", n: int) -> None:
+        extent = _extent_over(tc, _np.arange(n + 1))
+        delta = extent[1:] - extent[:-1]
+        marginal = _np.where(delta > 0, delta, 0.0)
+        marginal_self = _np.concatenate((marginal[:1], marginal[:-1]))
+        for table in (extent, marginal, marginal_self):
+            table.setflags(write=False)
+        self.forward = extent[:n]
+        self.marginal = marginal
+        self.marginal_self = marginal_self
+
+    def __len__(self) -> int:
+        return len(self.marginal)
+
+
 def _fold_over_sets(terms: list[_np.ndarray], columns: _np.ndarray) -> _np.ndarray:
     """Per candidate node, the sum of per-set ``terms`` over the node's sets
     (``columns``: one set-index array per membership position), added in the
-    scalar evaluation's order: sets outermost, terms innermost."""
-    out = _np.zeros(columns.shape[1])
-    for column in columns:
+    scalar evaluation's order: sets outermost, terms innermost.
+
+    The fold starts from the first term, not from a zero array: every term
+    is a non-negative float, never -0.0, and ``0.0 + x == x`` bit for bit."""
+    out = terms[0][columns[0]]
+    for term in terms[1:]:
+        out += term[columns[0]]
+    for column in columns[1:]:
         for term in terms:
             out += term[column]
     return out
@@ -254,6 +299,8 @@ class ClusterState:
         self._columns: dict[str, _np.ndarray] = {}
         self._slots_of: list[tuple[int, ...]] = []
         self._width = 0
+        #: (cmin, cmax) -> Eq.-8 table, grown by doubling (see _eq8).
+        self._eq8_tables: dict[tuple[int, int], _Eq8Table] = {}
         #: Bumped on every node mutation; memoised metrics key off it.
         self._version = 0
         self._memo: dict = {}
@@ -550,8 +597,9 @@ class ClusterState:
         subjects, each observing the target count γ𝒮(c_tag), minus itself
         when the subject expression implies the target expression.
 
-        Every Eq.-8 term is computed once per node *set* of the group and
-        gathered to the candidates through the membership array.  Each
+        Every Eq.-8 term is read once per node *set* of the group from the
+        ``(cmin, cmax)`` table (see :meth:`_eq8`) and gathered to the
+        candidates through the membership array.  Each
         result equals, bit for bit, the node-by-node evaluation the test
         oracle spells out (``tests/helpers.py::scalar_placement_delta``):
         constraints in sequence; per constraint ``weight * forward`` then
@@ -574,12 +622,11 @@ class ClusterState:
             group = groups[constraint.node_group]
             columns = group.member[nodes].T
             if forward:
-                terms = [
-                    _extent_over(tc, group.gamma(tc.c_tag.tags))
-                    for tc in tag_constraints
-                ]
-                for term in terms:
+                terms = []
+                for tc in tag_constraints:
+                    term = self._eq8(tc).forward[group.gamma(tc.c_tag.tags)]
                     term[group.no_set] = 0.0  # γ = 0 there is padding, not a violation
+                    terms.append(term)
                 extent = _fold_over_sets(terms, columns)
                 extent[columns[0] == group.no_set] = float(len(tag_constraints))
                 total += constraint.weight * extent
@@ -587,15 +634,34 @@ class ClusterState:
                 subjects = group.gamma(constraint.subject.tags)
                 terms = []
                 for tc in reverse:
-                    gamma = group.gamma(tc.c_tag.tags)
-                    if tc.c_tag.tags <= constraint.subject.tags:
-                        # Every subject also counts toward the target and
-                        # must exclude itself.
-                        gamma = _np.maximum(0, gamma - 1)
-                    delta = _extent_over(tc, gamma + 1) - _extent_over(tc, gamma)
-                    terms.append(_np.where(delta > 0, subjects * delta, 0.0))
+                    table = self._eq8(tc)
+                    # A subject that also counts toward the target excludes
+                    # itself.
+                    marginal = (
+                        table.marginal_self
+                        if tc.c_tag.tags <= constraint.subject.tags
+                        else table.marginal
+                    )
+                    terms.append(subjects * marginal[group.gamma(tc.c_tag.tags)])
                 total += constraint.weight * _fold_over_sets(terms, columns)
         return total
+
+    def _eq8(self, tc: TagConstraint) -> _Eq8Table:
+        """The Eq.-8 table of ``tc``'s ``(cmin, cmax)``, long enough for any
+        γ of ``tc``'s target: one more entry than the live carriers of the
+        target's rarest tag, which no set's γ can exceed.  A short table is
+        rebuilt at a doubled length, never clipped, so a γ past its end
+        would raise rather than read a wrong value."""
+        live = self._live_tags
+        bound = min(live.get(tag, 0) for tag in tc.c_tag.tags) + 1
+        key = (tc.cmin, tc.cmax)
+        table = self._eq8_tables.get(key)
+        if table is None or len(table) < bound:
+            n = _EQ8_INITIAL if table is None else 2 * len(table)
+            while n < bound:
+                n *= 2
+            table = self._eq8_tables[key] = _Eq8Table(tc, n)
+        return table
 
     def placement_delta_violations(
         self,

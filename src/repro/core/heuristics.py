@@ -105,6 +105,19 @@ def relevant_constraints(
     ]
 
 
+def relevant_constraints_cached(
+    cache: dict[frozenset[str], list[PlacementConstraint]],
+    constraints: Sequence[PlacementConstraint],
+    tags: frozenset[str],
+) -> list[PlacementConstraint]:
+    """:func:`relevant_constraints` memoised in ``cache`` by tag set; the
+    caller owns ``cache`` and keeps it for one ``place()`` call only."""
+    cached = cache.get(tags)
+    if cached is None:
+        cached = cache[tags] = relevant_constraints(constraints, tags)
+    return cached
+
+
 class GreedyScheduler(LRAScheduler):
     """Shared greedy placement loop; subclasses choose the container order.
 
@@ -127,11 +140,7 @@ class GreedyScheduler(LRAScheduler):
     def _relevant(
         self, constraints: Sequence[PlacementConstraint], tags: frozenset[str]
     ) -> list[PlacementConstraint]:
-        cached = self._relevant_cache.get(tags)
-        if cached is None:
-            cached = relevant_constraints(constraints, tags)
-            self._relevant_cache[tags] = cached
-        return cached
+        return relevant_constraints_cached(self._relevant_cache, constraints, tags)
 
     def place(
         self,

@@ -37,7 +37,7 @@ from .constraints import (
     PlacementConstraint,
     TagConstraint,
 )
-from .heuristics import _gather_constraints
+from .heuristics import _gather_constraints, relevant_constraints_cached
 from .requests import ContainerRequest, LRARequest
 from .scheduler import LRAScheduler, PlacementResult, ScratchPlacements
 
@@ -103,6 +103,8 @@ class JKubeScheduler(LRAScheduler):
             return result
         audit = DecisionAudit(self.name) if self.audit_enabled else None
         constraints = self._effective_constraints(requests, manager)
+        # tags -> the constraints a container with them can interact with.
+        relevant: dict[frozenset[str], list[PlacementConstraint]] = {}
         failed: set[str] = set()
         with ScratchPlacements(state) as scratch:
             for req_index, request in enumerate(requests):
@@ -114,8 +116,11 @@ class JKubeScheduler(LRAScheduler):
                         if audit is not None
                         else None
                     )
+                    subset = relevant_constraints_cached(
+                        relevant, constraints, container.tags
+                    )
                     node_id = self._schedule_one(
-                        container, constraints, state, decision=decision
+                        container, subset, state, decision=decision
                     )
                     if node_id is None:
                         failed.add(request.app_id)

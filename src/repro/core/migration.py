@@ -155,14 +155,16 @@ class MigrationPlanner:
             # own tags do not poison the hypothetical counts.
             removal = state.release(container_id)
             try:
-                base_delta = state.placement_delta_violations(
-                    relevant, placed.node_id, tags
-                )
+                # One scoring pass over the fitting nodes and the origin;
+                # the origin's entry is the delta of staying put.
                 arrays = state.arrays
+                origin = arrays.index_of[placed.node_id]
                 fits = arrays.fit_mask(resource)
-                fits[arrays.index_of[placed.node_id]] = False
+                fits[origin] = False
                 fit = np.flatnonzero(fits)
-                deltas = state.placement_deltas(relevant, fit, tags)
+                deltas = state.placement_deltas(relevant, np.append(fit, origin), tags)
+                base_delta = float(deltas[-1])
+                deltas = deltas[:-1]
                 best_node, best_delta = None, base_delta
                 # argmin: the first node in topology order among equal minima.
                 if fit.size and deltas.min() < base_delta:

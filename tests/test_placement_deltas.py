@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from repro import (
     TagPopularityScheduler,
     build_cluster,
 )
+from repro.cluster.state import _EQ8_INITIAL
 from repro.core.constraints import UNBOUNDED, PlacementConstraint, TagConstraint
 from tests.helpers import make_lra, scalar_placement_delta
 
@@ -145,3 +147,65 @@ def test_audit_does_not_change_placements(seed: int, scheduler_class) -> None:
             len(decision.pruned_by("capacity")) + decision.feasible
             <= decision.considered
         )
+
+
+def _marginal(tc: TagConstraint, gamma: int) -> float:
+    """The reverse term ``scalar_placement_delta`` adds per subject."""
+    delta = tc.violation_extent(gamma + 1) - tc.violation_extent(gamma)
+    return delta if delta > 0 else 0.0
+
+
+def test_eq8_tables_equal_the_scalar_extent_bit_for_bit() -> None:
+    """Every table a state builds, at every length it grows through, holds
+    the scalar Eq.-8 values; and the tables cannot be written."""
+    grid = [
+        TagConstraint("hb", cmin, cmax)
+        for cmin in (0, 1, 2, 3, 5, 7)
+        for cmax in dict.fromkeys((cmin, cmin + 1, cmin + 3, UNBOUNDED))
+    ]
+    carriers = 4 * _EQ8_INITIAL
+    state = ClusterState(build_cluster(1, memory_mb=carriers * 1024, vcores=carriers))
+    lengths: dict[tuple[int, int], list[int]] = {}
+    for k in range(1, carriers + 1):
+        state.allocate(f"c{k}", "n00000", Resource(1024, 1), {"hb"}, "app")
+        for tc in grid:
+            table = state._eq8(tc)
+            assert len(table) > k  # room for every γ up to k carriers
+            seen = lengths.setdefault((tc.cmin, tc.cmax), [])
+            if seen and seen[-1] == len(table):
+                continue
+            seen.append(len(table))
+            n = len(table)
+            assert table.forward.tolist() == [tc.violation_extent(g) for g in range(n)]
+            assert table.marginal.tolist() == [_marginal(tc, g) for g in range(n)]
+            assert table.marginal_self.tolist() == [
+                _marginal(tc, max(0, g - 1)) for g in range(n)
+            ]
+            for array in (table.forward, table.marginal, table.marginal_self):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+    doublings = [_EQ8_INITIAL * 2**i for i in range(4)]
+    assert all(grown == doublings for grown in lengths.values()), lengths
+
+
+def test_deltas_past_the_initial_table_length_equal_the_oracle() -> None:
+    """A set's γ at three times the initial table length: the tables must
+    have grown to it — a clipped lookup would read a smaller γ's extent."""
+    crowd = 3 * _EQ8_INITIAL
+    topology = build_cluster(
+        4, racks=2, memory_mb=(crowd + 2) * 1024, vcores=crowd + 2
+    )
+    state = ClusterState(topology)
+    for k in range(crowd):
+        state.allocate(f"hb{k}", "n00000", Resource(1024, 1), {"hb"}, "app")
+    state.allocate("hb-far", "n00003", Resource(1024, 1), {"hb"}, "app")
+    constraints = [
+        PlacementConstraint("hb", (TagConstraint("hb", 0, 2),), "node"),
+        PlacementConstraint("hb", (TagConstraint("hb", 5, UNBOUNDED),), "rack"),
+    ]
+    node_ids = topology.node_ids()
+    deltas = state.placement_deltas(constraints, range(len(node_ids)), {"hb"})
+    assert deltas.tolist() == [
+        scalar_placement_delta(state, constraints, node_id, {"hb"})
+        for node_id in node_ids
+    ]
