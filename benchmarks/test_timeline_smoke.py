@@ -3,8 +3,8 @@
 Runs one heuristic and one small ILP placement experiment through
 :func:`benchmarks.harness.run_placement_experiment`.  Under ``MEDEA_TRACE``
 their ``bench.experiment`` / ``lra.place`` / ``sim.state_hash`` events are
-what CI's ``trace-report`` → ``dashboard --fail-on-breach`` → ``profile``
-chain replays and judges.
+what CI's ``dashboard --fail-on-breach --collapsed`` step replays, judges
+and profiles.
 """
 
 from __future__ import annotations

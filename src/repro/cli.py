@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Ten commands, each a thin wrapper over the library:
+Eight commands, each a thin wrapper over the library:
 
 * ``table1`` — print the paper's scheduler capability matrix.
 * ``parse``  — validate a constraint written in the paper's notation and
@@ -9,20 +9,17 @@ Ten commands, each a thin wrapper over the library:
   violations / fragmentation / latency table.
 * ``simulate`` — run a mixed LRA + batch workload through the two-scheduler
   simulation and report placement quality and task latency.
-* ``trace-report`` — summarise a JSONL trace produced by
-  ``MEDEA_TRACE=1`` or ``--trace-out``.
-* ``dashboard`` — aggregate a trace into per-tick time series, replay it
-  against its recorded state hashes, judge SLO rules, and render a
-  terminal report (optionally ``--html`` / ``--json`` artifacts).  Also
-  accepts a streaming ``ROLLUP_*.json`` document and renders from it
-  alone.
-* ``profile`` — span profile + per-app critical-path breakdown of a
-  trace, with collapsed-stack export for flamegraph.pl / speedscope
-  (``--memory`` adds ingest peak-memory accounting).
-* ``diff`` — four-way differential comparison of two recorded runs
-  (traces or rollups): structural first-divergence localization, causal
-  placement-flip explanations from decision audits, and noise-thresholded
-  statistical deltas; ``--fail-on-divergence`` turns it into a CI gate.
+* ``dashboard`` — the one reader of a single run: aggregate a trace into
+  per-tick time series, replay it against its recorded state hashes,
+  judge SLO rules, profile its spans and critical paths, count its events
+  by kind, and render a terminal report (optionally ``--html`` / ``--json``
+  artifacts and a ``--collapsed`` stack file for flamegraph.pl /
+  speedscope).  Also accepts a streaming ``ROLLUP_*.json`` document and
+  renders from it alone.
+* ``diff`` — did two recorded traces make the same decisions?  Structural
+  first-divergence localization, causal placement-flip explanations from
+  decision audits, and deterministic series / span-count deltas;
+  ``--fail-on-divergence`` turns it into a CI gate.
 * ``loadgen`` — pace seeded open-loop requests into an in-process
   placement service and sweep offered rates into a latency-vs-throughput
   curve.
@@ -166,15 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_live_plane_args(p_sim)
 
-    p_trace = sub.add_parser(
-        "trace-report", help="summarise a MEDEA_TRACE trace file"
-    )
-    p_trace.add_argument("trace_file", help="path to the JSONL trace")
-
     p_dash = sub.add_parser(
         "dashboard",
-        help="timeline + SLO + replay dashboard for a trace file or a "
-             "streaming ROLLUP_*.json document",
+        help="timeline, replay, SLO, span profile and critical paths of a "
+             "trace file or a streaming ROLLUP_*.json document",
     )
     p_dash.add_argument(
         "trace_file", help="path to the JSONL trace or ROLLUP_*.json"
@@ -192,49 +184,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file with SLO rules (default: built-in smoke thresholds)",
     )
     p_dash.add_argument(
-        "--tick", type=float, default=None,
-        help="timeline bucket width in simulated seconds (default 1.0)",
-    )
-    p_dash.add_argument(
-        "--max-points", type=int, default=None,
-        help="max points per series before downsampling (default 512)",
-    )
-    p_dash.add_argument(
         "--fail-on-breach", action="store_true",
         help="exit non-zero when any SLO rule fails or the replay diverges",
     )
-
-    p_profile = sub.add_parser(
-        "profile",
-        help="span profile + critical-path breakdown of a JSONL trace",
-    )
-    p_profile.add_argument("trace_file", help="path to the JSONL trace")
-    p_profile.add_argument(
+    p_dash.add_argument(
         "--collapsed", metavar="FILE", default=None,
-        help="write collapsed-stack lines (flamegraph.pl / speedscope input)",
+        help="write collapsed-stack lines (flamegraph.pl / speedscope input); "
+             "needs a JSONL trace",
     )
-    p_profile.add_argument(
-        "--memory", action="store_true",
-        help="account the ingest's own memory: tracemalloc peak and "
-             "process peak RSS, printed after the profile",
-    )
-    p_profile.add_argument(
+    p_dash.add_argument(
         "--weight", choices=("time", "count"), default="time",
         help="collapsed-stack weight: self-time µs (default) or the "
              "deterministic sample count",
     )
-    p_profile.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="write the profile + critical-path summary JSON to this file",
-    )
 
     p_diff = sub.add_parser(
         "diff",
-        help="compare two recorded runs: IDENTICAL / EQUIVALENT / "
-             "DIVERGED@tick / INCOMPARABLE, with causal explanations",
+        help="did two recorded traces make the same decisions? IDENTICAL / "
+             "EQUIVALENT / DIVERGED@tick / INCOMPARABLE, with causal "
+             "explanations",
     )
-    p_diff.add_argument("trace_a", help="first run (JSONL trace or ROLLUP_*.json)")
-    p_diff.add_argument("trace_b", help="second run (JSONL trace or ROLLUP_*.json)")
+    p_diff.add_argument("trace_a", help="first run's JSONL trace")
+    p_diff.add_argument("trace_b", help="second run's JSONL trace")
     p_diff.add_argument(
         "--json", metavar="FILE", default=None,
         help="write the full diff report JSON (sorted keys) to this file",
@@ -247,14 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--context", type=int, default=None, metavar="N",
         help="structural events of context around the first divergence "
              "(default 5)",
-    )
-    p_diff.add_argument(
-        "--ratio", type=float, default=None,
-        help="noise threshold multiplier for wall-clock deltas (default 1.5)",
-    )
-    p_diff.add_argument(
-        "--abs-floor", type=float, default=None, metavar="SECONDS",
-        help="absolute slack added to every wall-clock limit (default 0.02s)",
     )
     p_diff.add_argument(
         "--fail-on-divergence", action="store_true",
@@ -602,38 +565,42 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_report(view, doc, *, what: str, json_path=None, html_path=None) -> None:
+def _write(command: str, path: str, text: str) -> bool:
+    """Write one report artifact; an unwritable path is one stderr line,
+    not a traceback."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"{command}: cannot write {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return False
+    return True
+
+
+def _emit_report(view, doc, *, command: str, what: str, json_path=None,
+                 html_path=None) -> bool:
     """Print a report command's page, then write its ``--json`` document
-    (sorted keys) and its ``--html`` page."""
+    (sorted keys) and its ``--html`` page; False when a write failed."""
     import json as _json
 
     from .obs.view import to_html, to_text
 
     print(to_text(view))
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            _json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        if not _write(command, json_path,
+                      _json.dumps(doc, indent=2, sort_keys=True) + "\n"):
+            return False
         print(f"{what} JSON written to {json_path}")
     if html_path:
-        with open(html_path, "w", encoding="utf-8") as handle:
-            handle.write(to_html(view))
+        if not _write(command, html_path, to_html(view)):
+            return False
         print(f"HTML report written to {html_path}")
-
-
-def _cmd_trace_report(trace_file: str) -> int:
-    from .obs.report import TraceFileError, trace_report_view
-    from .obs.view import to_text
-
-    try:
-        print(to_text(trace_report_view(trace_file)))
-    except TraceFileError as exc:
-        print(f"trace-report: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    return EXIT_OK
+    return True
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
+    from .obs.profile import ProfileReport
     from .obs.report import (
         TraceFileError,
         build_dashboard,
@@ -651,23 +618,30 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"dashboard: cannot load SLO rules: {exc}", file=sys.stderr)
             return EXIT_DATA_ERROR
+    profile = ProfileReport()
     rollup_doc = sniff_rollup(args.trace_file)
     if rollup_doc is not None:
+        if args.collapsed:
+            print(f"dashboard: --collapsed needs the raw JSONL trace; "
+                  f"{args.trace_file} is a rollup document", file=sys.stderr)
+            return EXIT_USAGE
         summary = build_dashboard_from_rollup(rollup_doc, rules=rules)
     else:
         try:
-            summary = build_dashboard(
-                args.trace_file,
-                tick_s=args.tick,
-                max_points=args.max_points,
-                rules=rules,
-            )
+            summary = build_dashboard(args.trace_file, rules=rules,
+                                      profile=profile)
         except TraceFileError as exc:
             print(f"dashboard: {exc}", file=sys.stderr)
             return EXIT_DATA_ERROR
     view = dashboard_view(summary, title=f"Medea run dashboard — {args.trace_file}")
-    _emit_report(view, summary, what="summary",
-                 json_path=args.json, html_path=args.html)
+    if not _emit_report(view, summary, command="dashboard", what="summary",
+                        json_path=args.json, html_path=args.html):
+        return EXIT_DATA_ERROR
+    if args.collapsed:
+        if not _write("dashboard", args.collapsed,
+                      profile.collapsed(weight=args.weight)):
+            return EXIT_DATA_ERROR
+        print(f"collapsed stacks ({args.weight}) written to {args.collapsed}")
     if args.fail_on_breach:
         breached = dashboard_verdict(summary) == "fail"
         diverged = not summary.get("replay", {}).get("ok", True)
@@ -678,66 +652,6 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from .obs.events import EventKind
-    from .obs.profile import (
-        CriticalPathBuilder,
-        ProfileReport,
-        profile_summary,
-        profile_view,
-    )
-    from .obs.report import TraceFileError, iter_trace
-    from .obs.view import Lines
-
-    if args.memory:
-        import tracemalloc
-
-        tracemalloc.start()
-    report = ProfileReport()
-    path_builder = CriticalPathBuilder()
-    try:
-        for obj in iter_trace(args.trace_file):
-            if obj.get("kind") == EventKind.SPAN:
-                report.add(obj)
-            else:
-                path_builder.feed(obj)
-    except TraceFileError as exc:
-        print(f"profile: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    memory = []
-    if args.memory:
-        import resource
-        import tracemalloc
-
-        _, traced_peak = tracemalloc.get_traced_memory()
-        top = tracemalloc.take_snapshot().statistics("lineno")[:3]
-        tracemalloc.stop()
-        # ru_maxrss is KiB on Linux, bytes on macOS.
-        rss_raw = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        rss_mb = rss_raw / 1024 if sys.platform != "darwin" else rss_raw / 2**20
-        memory = [
-            f"ingest peak (tracemalloc): {traced_peak / 2**20:.1f} MiB; "
-            f"process peak RSS: {rss_mb:.1f} MiB"
-        ]
-        for stat in top:
-            frame = stat.traceback[0]
-            memory.append(
-                f"  top alloc: {frame.filename}:{frame.lineno} "
-                f"{stat.size / 2**20:.1f} MiB"
-            )
-    summary = profile_summary(report, path_builder.result())
-    view = profile_view(
-        summary, title=f"Span profile / Critical paths — {args.trace_file}"
-    )
-    view.sections.append(Lines("Ingest memory", memory))
-    _emit_report(view, summary, what="profile", json_path=args.json)
-    if args.collapsed:
-        with open(args.collapsed, "w", encoding="utf-8") as handle:
-            handle.write(report.collapsed(weight=args.weight))
-        print(f"\ncollapsed stacks ({args.weight}) written to {args.collapsed}")
-    return EXIT_OK
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     from .obs.diff import VERDICT_INCOMPARABLE, diff_traces, diff_view
     from .obs.report import TraceFileError
@@ -745,17 +659,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.context is not None:
         kwargs["context"] = args.context
-    if args.ratio is not None:
-        kwargs["ratio"] = args.ratio
-    if args.abs_floor is not None:
-        kwargs["abs_floor_s"] = args.abs_floor
     try:
         report = diff_traces(args.trace_a, args.trace_b, **kwargs)
     except TraceFileError as exc:
         print(f"diff: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    _emit_report(diff_view(report), report.to_obj(), what="diff",
-                 json_path=args.json, html_path=args.html)
+    if not _emit_report(diff_view(report), report.to_obj(), command="diff",
+                        what="diff", json_path=args.json, html_path=args.html):
+        return EXIT_DATA_ERROR
     if report.verdict == VERDICT_INCOMPARABLE:
         print(f"diff: runs are incomparable: {report.reason}",
               file=sys.stderr)
@@ -952,12 +863,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_table1()
     if args.command == "parse":
         return _cmd_parse(args.constraint)
-    if args.command == "trace-report":
-        return _cmd_trace_report(args.trace_file)
     if args.command == "dashboard":
         return _cmd_dashboard(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
     if args.command == "diff":
         return _cmd_diff(args)
     if args.command == "loadgen":

@@ -46,11 +46,13 @@ And the profiling layer (ISSUE 4 / the paper's §7.3–§7.5 latency
 attribution):
 
 * **Spans** — :func:`span` / :func:`span_phase` record hierarchical,
-  zero-cost-when-disabled phase timings as ``span`` trace events;
-  :func:`build_profile` aggregates them into a :class:`ProfileReport`
-  (self/total time per path, collapsed-stack export for flamegraphs).
-* **Critical paths** — :func:`critical_paths` attributes each placed app's
-  end-to-end latency to queue wait → constraint retries → solver time.
+  zero-cost-when-disabled phase timings as ``span`` trace events; a
+  :class:`ProfileReport` folds them into self/total time per path, with
+  collapsed-stack export for flamegraphs (``repro dashboard --collapsed``).
+* **Critical paths** — :class:`CriticalPathBuilder` attributes each placed
+  app's end-to-end latency to queue wait → constraint retries → solver
+  time.  The dashboard (:func:`build_dashboard`) folds both in its one
+  pass over a trace.
 
 The **scale plane** (ISSUE 8) — observing 10k-node runs without the
 telemetry dominating the run:
@@ -77,8 +79,8 @@ The **diff plane** (ISSUE 9) — cross-run differential observability:
   per side: structural alignment of the deterministic decision stream
   with first-divergence localization, replay-backed placement-fingerprint
   cross-checks, causal placement-flip explanations from the recorded
-  ``scheduler.audit`` payloads, and statistical series/span deltas under
-  a ``ratio`` × + ``abs_floor`` noise threshold.  Four-way verdict
+  ``scheduler.audit`` payloads, and exact deltas of the deterministic
+  series and span sample counts (no wall-clock axis).  Four-way verdict
   (``IDENTICAL`` / ``EQUIVALENT`` / ``DIVERGED`` / ``INCOMPARABLE``),
   rendered from :func:`diff_view` by :func:`to_text` / :func:`to_html`;
   ``repro diff A B --fail-on-divergence`` gates CI on it.
@@ -117,7 +119,6 @@ from .diff import (
     PlacementFlip,
     StructuralDivergence,
     diff_events,
-    diff_rollups,
     diff_traces,
     diff_view,
 )
@@ -139,14 +140,7 @@ from .metrics import (
     get_metrics,
     set_metrics,
 )
-from .profile import (
-    AppCriticalPath,
-    ProfileReport,
-    SpanStat,
-    build_profile,
-    critical_paths,
-    span_deltas,
-)
+from .profile import AppCriticalPath, CriticalPathBuilder, ProfileReport, SpanStat
 from .replay import (
     ReplayDivergence,
     ReplayReport,
@@ -167,7 +161,6 @@ from .rollup import (
     RollupState,
     build_dashboard_from_rollup,
     load_rollup,
-    summary_series,
 )
 from .sample import SamplingPolicy, TraceSampler, parse_sample_spec
 from .serve import HealthState, TelemetryServer, render_prometheus
@@ -226,7 +219,6 @@ __all__ = [
     "RollupState",
     "RollupSink",
     "load_rollup",
-    "summary_series",
     "build_dashboard_from_rollup",
     # metrics
     "Counter",
@@ -258,7 +250,6 @@ __all__ = [
     "StructuralDivergence",
     "diff_traces",
     "diff_events",
-    "diff_rollups",
     "diff_view",
     # timeline
     "TimeSeries",
@@ -284,10 +275,8 @@ __all__ = [
     "current_span_path",
     "SpanStat",
     "ProfileReport",
-    "build_profile",
-    "span_deltas",
     "AppCriticalPath",
-    "critical_paths",
+    "CriticalPathBuilder",
     # trace files + dashboard
     "TraceFileError",
     "TraceReader",

@@ -1,8 +1,9 @@
 """Cross-run differential observability: the ``repro diff`` forensics plane.
 
-Two recorded runs rarely need a human to eyeball ten thousand JSONL lines;
-they need a *verdict* and, when the runs disagree, the first place and the
-reason why.  This module compares two JSONL traces (read by
+Did two recorded runs make the same decisions?  Answering that rarely
+needs a human to eyeball ten thousand JSONL lines; it needs a *verdict*
+and, when the runs disagree, the first place and the reason why.  This
+module compares two JSONL traces (read by
 :func:`~repro.obs.report.iter_trace`) in one streaming pass per side and
 reports along three axes:
 
@@ -20,10 +21,10 @@ reports along three axes:
   flipped: the candidate one side pruned (capacity / availability / the
   attributed constraint), or the score terms that ranked another node
   first.
-* **Statistical diff** — per-path span-profile deltas and timeline series
-  deltas.  Deterministic series compare exactly; wall-clock timings are
-  flagged only beyond ``ratio`` × + ``abs_floor`` so runner jitter never
-  reads as divergence.
+* **Deterministic deltas** — timeline series derived from deterministic
+  payloads compare exactly, and span sample counts per profile path.
+  Wall-clock timings are not compared: speed is the benchmark gate's
+  question (``benchmarks/compare_commits.py``), not this one's.
 
 The outcome is a four-way verdict:
 
@@ -35,12 +36,11 @@ The outcome is a four-way verdict:
   different bookkeeping.
 * ``DIVERGED`` — a structural event or a placement fingerprint differs;
   ``tick`` localizes the first divergence.
-* ``INCOMPARABLE`` — the inputs cannot be meaningfully aligned (unreadable
-  file, trace vs rollup, no shared structural vocabulary).
+* ``INCOMPARABLE`` — the inputs cannot be meaningfully aligned (a side
+  with no events, no shared structural vocabulary).
 
-Rollup documents (``ROLLUP_*.json``) are also accepted — both sides must
-then be rollups, and the diff is statistical-only (bounded series +
-profile aggregates instead of an event stream).
+Only raw traces are compared: a ``ROLLUP_*.json`` document carries
+aggregates, not decisions, and the trace reader rejects it.
 
 Entry points: :func:`diff_traces` (two paths), :func:`diff_events` (two
 decoded event iterables, e.g. :class:`~repro.obs.trace.MemorySink`
@@ -58,9 +58,8 @@ from typing import Any, Iterable, Mapping
 
 from .audit import explain_placement_flip
 from .events import WALL_KEY, EventKind, TraceEvent
-from .profile import ProfileReport, span_deltas
+from .profile import ProfileReport
 from .replay import ReplayState
-from .rollup import sniff_rollup, summary_series
 from .timeline import TimelineAggregator
 from .view import Badge, Table, View
 
@@ -75,7 +74,6 @@ __all__ = [
     "StructuralDivergence",
     "diff_traces",
     "diff_events",
-    "diff_rollups",
     "diff_view",
 ]
 
@@ -116,11 +114,6 @@ STRUCTURAL_KINDS = frozenset({
 
 #: Structural events kept as post-divergence context per side.
 DEFAULT_CONTEXT = 5
-
-#: A wall-clock delta is significant when the larger side exceeds the
-#: smaller × ``DEFAULT_RATIO`` + ``DEFAULT_ABS_FLOOR_S`` seconds.
-DEFAULT_RATIO = 1.5
-DEFAULT_ABS_FLOOR_S = 0.02
 
 #: Placement flips explained in full before the report only counts them.
 MAX_RECORDED_FLIPS = 12
@@ -206,7 +199,6 @@ class DiffReport:
     flips: list[PlacementFlip] = field(default_factory=list)
     series: dict[str, Any] = field(default_factory=dict)
     profile: dict[str, Any] = field(default_factory=dict)
-    thresholds: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -238,7 +230,6 @@ class DiffReport:
             "flips": [f.to_obj() for f in self.flips],
             "series": dict(self.series),
             "profile": dict(self.profile),
-            "thresholds": dict(self.thresholds),
             "notes": list(self.notes),
         }
         if self.divergence is not None:
@@ -376,8 +367,6 @@ def diff_events(
     path_a: str | None = None,
     path_b: str | None = None,
     context: int = DEFAULT_CONTEXT,
-    ratio: float = DEFAULT_RATIO,
-    abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
 ) -> DiffReport:
     """Diff two decoded event streams (dicts or :class:`TraceEvent`).
 
@@ -472,7 +461,6 @@ def diff_events(
     return _assemble(
         side_a, side_b, divergence, matched,
         path_a=path_a, path_b=path_b,
-        ratio=ratio, abs_floor_s=abs_floor_s,
     )
 
 
@@ -547,34 +535,10 @@ def _placement_section(
     return section, flips
 
 
-def _stat_delta(a: float, b: float, *, ratio: float, abs_floor_s: float) -> bool:
-    """Symmetric noise test: significant iff the larger value exceeds the
-    smaller scaled by ``ratio`` plus the floor."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    return hi > lo * ratio + abs_floor_s
-
-
-def _series_section(
-    side_a: _Side, side_b: _Side, *, ratio: float, abs_floor_s: float
-) -> dict[str, Any]:
-    det_a, wall_a = summary_series(side_a.timeline.summary())
-    det_b, wall_b = summary_series(side_b.timeline.summary())
-    return _series_deltas(
-        det_a, det_b, wall_a, wall_b, ratio=ratio, abs_floor_s=abs_floor_s
-    )
-
-
-def _series_deltas(
-    det_a: Mapping[str, Any],
-    det_b: Mapping[str, Any],
-    wall_a: Mapping[str, Any],
-    wall_b: Mapping[str, Any],
-    *,
-    ratio: float,
-    abs_floor_s: float,
-) -> dict[str, Any]:
-    """Deterministic series compare exactly (point streams included);
-    wall series only beyond the noise threshold (mean-based)."""
+def _series_section(side_a: _Side, side_b: _Side) -> dict[str, Any]:
+    """Deterministic series compare exactly, point streams included."""
+    det_a = side_a.timeline.summary()["series"]
+    det_b = side_b.timeline.summary()["series"]
     det_deltas: list[dict[str, Any]] = []
     matched = 0
     for name in sorted(set(det_a) | set(det_b)):
@@ -597,24 +561,28 @@ def _series_deltas(
                 len(a_obj.get("points", ())), len(b_obj.get("points", ()))
             ]
         det_deltas.append(delta)
-    wall_flagged: list[dict[str, Any]] = []
-    wall_compared = 0
-    for name in sorted(set(wall_a) & set(wall_b)):
-        mean_a = wall_a[name].get("mean")
-        mean_b = wall_b[name].get("mean")
-        if mean_a is None or mean_b is None:
-            continue
-        wall_compared += 1
-        if _stat_delta(float(mean_a), float(mean_b),
-                       ratio=ratio, abs_floor_s=abs_floor_s):
-            wall_flagged.append({
-                "series": name, "mean": [mean_a, mean_b], "status": "flagged",
-            })
     return {
         "deterministic_matched": matched,
         "deterministic_deltas": det_deltas,
-        "wall_compared": wall_compared,
-        "wall_flagged": wall_flagged,
+    }
+
+
+def _profile_section(a: ProfileReport, b: ProfileReport) -> dict[str, Any]:
+    """Span paths present on one side only, and sample-count mismatches on
+    common paths.  Counts are deterministic per engine/sampling
+    configuration but informational: span cadence legitimately differs
+    between configurations."""
+    paths_a, paths_b = set(a.spans), set(b.spans)
+    common = paths_a & paths_b
+    return {
+        "paths_compared": len(common),
+        "paths_only_a": sorted(paths_a - paths_b),
+        "paths_only_b": sorted(paths_b - paths_a),
+        "count_deltas": [
+            {"path": path, "count": [a.spans[path].count, b.spans[path].count]}
+            for path in sorted(common)
+            if a.spans[path].count != b.spans[path].count
+        ],
     }
 
 
@@ -626,8 +594,6 @@ def _assemble(
     *,
     path_a: str | None,
     path_b: str | None,
-    ratio: float,
-    abs_floor_s: float,
 ) -> DiffReport:
     checkpoints = _checkpoint_section(side_a, side_b)
     placement_section, flips = _placement_section(side_a, side_b)
@@ -654,13 +620,8 @@ def _assemble(
         checkpoints=checkpoints,
         placements=placement_section,
         flips=flips,
-        series=_series_section(
-            side_a, side_b, ratio=ratio, abs_floor_s=abs_floor_s
-        ),
-        profile=span_deltas(
-            side_a.profile, side_b.profile, ratio=ratio, abs_floor_s=abs_floor_s
-        ),
-        thresholds={"ratio": ratio, "abs_floor_s": abs_floor_s},
+        series=_series_section(side_a, side_b),
+        profile=_profile_section(side_a.profile, side_b.profile),
     )
 
     kinds_a, kinds_b = side_a.structural_kinds(), side_b.structural_kinds()
@@ -735,57 +696,25 @@ def diff_traces(
     label_a: str | None = None,
     label_b: str | None = None,
     context: int = DEFAULT_CONTEXT,
-    ratio: float = DEFAULT_RATIO,
-    abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
 ) -> DiffReport:
-    """Diff two recorded runs by path.
+    """Diff two recorded JSONL traces by path.
 
-    Two JSONL traces get the full diff.  Two rollup documents get the
-    statistical-only diff (:func:`diff_rollups`); a rollup paired with a
-    raw trace is ``INCOMPARABLE``.  Unreadable files raise
-    :class:`~repro.obs.report.TraceFileError` — the CLI maps that to the
-    data-error exit code.
+    Unreadable files — and a ``ROLLUP_*.json`` document, which holds no
+    decisions to align — raise :class:`~repro.obs.report.TraceFileError`;
+    the CLI maps that to the data-error exit code.
     """
     from .report import iter_trace
-
-    label_a = label_a if label_a is not None else path_a
-    label_b = label_b if label_b is not None else path_b
-    rollup_a = sniff_rollup(path_a)
-    rollup_b = sniff_rollup(path_b)
-    if rollup_a is not None or rollup_b is not None:
-        if rollup_a is None or rollup_b is None:
-            trace_side = path_a if rollup_a is None else path_b
-            rollup_side = path_b if rollup_a is None else path_a
-            report = DiffReport(
-                verdict=VERDICT_INCOMPARABLE,
-                label_a=label_a,
-                label_b=label_b,
-                reason=(
-                    f"{rollup_side} is a rollup document but {trace_side} "
-                    "is a raw trace; compare two traces or two rollups"
-                ),
-            )
-            report.sides = {"a": {"path": path_a}, "b": {"path": path_b}}
-            return report
-        return diff_rollups(
-            rollup_a, rollup_b,
-            label_a=label_a, label_b=label_b,
-            path_a=path_a, path_b=path_b,
-            ratio=ratio, abs_floor_s=abs_floor_s,
-        )
 
     reader_a = iter_trace(path_a)
     reader_b = iter_trace(path_b)
     report = diff_events(
         reader_a,
         reader_b,
-        label_a=label_a,
-        label_b=label_b,
+        label_a=path_a if label_a is None else label_a,
+        label_b=path_b if label_b is None else label_b,
         path_a=path_a,
         path_b=path_b,
         context=context,
-        ratio=ratio,
-        abs_floor_s=abs_floor_s,
     )
     for reader, key in ((reader_a, "a"), (reader_b, "b")):
         if reader.truncated:
@@ -795,91 +724,6 @@ def diff_traces(
                 "line/chunk ignored (crashed run?)"
             )
     return report
-
-
-def diff_rollups(
-    doc_a: Mapping[str, Any],
-    doc_b: Mapping[str, Any],
-    *,
-    label_a: str = "A",
-    label_b: str = "B",
-    path_a: str | None = None,
-    path_b: str | None = None,
-    ratio: float = DEFAULT_RATIO,
-    abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
-) -> DiffReport:
-    """Statistical-only diff of two bounded rollup documents.
-
-    Rollups carry aggregates, not the event stream, so there is no
-    structural axis: the deterministic series and profile counts either
-    match (``EQUIVALENT``; ``IDENTICAL`` when the stripped documents are
-    byte-equal) or the first differing series localizes the divergence.
-    """
-    det_a, wall_a = summary_series(doc_a)
-    det_b, wall_b = summary_series(doc_b)
-    series = _series_deltas(
-        det_a, det_b, wall_a, wall_b, ratio=ratio, abs_floor_s=abs_floor_s
-    )
-    prof_a = doc_a.get("profile", {})
-    prof_b = doc_b.get("profile", {})
-    report = DiffReport(
-        verdict=VERDICT_EQUIVALENT,
-        label_a=label_a,
-        label_b=label_b,
-        sides={
-            "a": {"label": label_a, "path": path_a,
-                  "events": (doc_a.get("meta") or {}).get("events", 0),
-                  "rollup": True},
-            "b": {"label": label_b, "path": path_b,
-                  "events": (doc_b.get("meta") or {}).get("events", 0),
-                  "rollup": True},
-        },
-        series=series,
-        thresholds={"ratio": ratio, "abs_floor_s": abs_floor_s},
-        notes=["rollup documents: statistical diff only (no event stream)"],
-    )
-
-    def _strip(doc: Mapping[str, Any]) -> str:
-        kept = {k: v for k, v in doc.items() if k not in (WALL_KEY, "rollup")}
-        return json.dumps(kept, sort_keys=True)
-
-    prof_match = prof_a.get("spans") == prof_b.get("spans")
-    det_broken = series["deterministic_deltas"]
-    if _strip(doc_a) == _strip(doc_b):
-        report.verdict = VERDICT_IDENTICAL
-        report.reason = "deterministic rollup sections are identical"
-    elif det_broken or not prof_match:
-        report.verdict = VERDICT_DIVERGED
-        first = det_broken[0]["series"] if det_broken else "span profile"
-        report.tick = _first_delta_tick(det_a, det_b, det_broken)
-        report.reason = f"deterministic rollup series differ (first: {first})"
-        if not prof_match:
-            report.profile = {"counts_match": False}
-    else:
-        report.reason = (
-            f"{series['deterministic_matched']} deterministic series match; "
-            "only wall-clock aggregates differ"
-        )
-    return report
-
-
-def _first_delta_tick(
-    det_a: Mapping[str, Any],
-    det_b: Mapping[str, Any],
-    deltas: list[Mapping[str, Any]],
-) -> float | None:
-    """Earliest tick at which a differing deterministic series disagrees."""
-    best: float | None = None
-    for delta in deltas:
-        name = delta.get("series")
-        pts_a = {p[0]: p[1] for p in (det_a.get(name) or {}).get("points", ())}
-        pts_b = {p[0]: p[1] for p in (det_b.get(name) or {}).get("points", ())}
-        for t in sorted(set(pts_a) | set(pts_b)):
-            if pts_a.get(t) != pts_b.get(t):
-                if best is None or t < best:
-                    best = t
-                break
-    return best
 
 
 # -- the diff page ------------------------------------------------------------
@@ -899,7 +743,7 @@ def _fmt_event(obj: Mapping[str, Any] | None) -> str:
 def diff_view(report: DiffReport) -> View:
     """The ``repro diff`` page: verdict, one-line axis summaries, then the
     runs, the first divergence with its context, fingerprint mismatches,
-    explained placement flips and the statistical deltas."""
+    explained placement flips and the deterministic series deltas."""
     label_a, label_b = report.label_a, report.label_b
     headline: list[Any] = [
         Badge("verdict", report.headline(), report.ok, report.reason)
@@ -925,17 +769,7 @@ def diff_view(report: DiffReport) -> View:
     if series:
         headline.append(
             f"series: {series.get('deterministic_matched', 0)} deterministic "
-            f"match, {len(series.get('deterministic_deltas', ()))} differ; "
-            f"{series.get('wall_compared', 0)} wall series compared, "
-            f"{len(series.get('wall_flagged', ()))} beyond noise "
-            f"(ratio {report.thresholds.get('ratio')}, "
-            f"floor {report.thresholds.get('abs_floor_s')}s)"
-        )
-    flagged_paths = report.profile.get("paths_flagged", ())
-    if flagged_paths:
-        headline.append(
-            f"span profile: {report.profile.get('paths_compared', 0)} common "
-            f"paths, {len(flagged_paths)} beyond noise"
+            f"match, {len(series.get('deterministic_deltas', ()))} differ"
         )
 
     sides = [(label_a, report.sides.get("a", {})), (label_b, report.sides.get("b", {}))]
@@ -988,16 +822,4 @@ def diff_view(report: DiffReport) -> View:
     sections.append(
         Table("Deterministic series deltas", ["series", "status", "detail"], deltas)
     )
-    sections.append(Table(
-        "Wall-clock series beyond noise",
-        ["series", f"mean {label_a}", f"mean {label_b}"],
-        [[f["series"], str(f["mean"][0]), str(f["mean"][1])]
-         for f in series.get("wall_flagged", ())],
-    ))
-    sections.append(Table(
-        "Span-profile paths beyond noise",
-        ["path", f"self s {label_a}", f"self s {label_b}"],
-        [[f["path"], str(f["self_s"][0]), str(f["self_s"][1])]
-         for f in flagged_paths],
-    ))
     return View(f"repro diff — {label_a} vs {label_b}", headline, sections)

@@ -9,7 +9,7 @@ Two consumers of the ``span`` events emitted by :mod:`repro.obs.spans`:
   flamegraph) or sample counts (``weight="count"`` — fully deterministic:
   built from the canonical, wall-stripped trace it is byte-identical
   across same-seed runs).
-* :func:`critical_paths` — per placed application, attributes the
+* :class:`CriticalPathBuilder` — per placed application, attributes the
   end-to-end placement latency (``lra.submit`` → ``lra.place``) to queue
   wait (submission to the first scheduling cycle that considered the app),
   constraint retries (first consideration to eventual placement, covering
@@ -17,30 +17,26 @@ Two consumers of the ``span`` events emitted by :mod:`repro.obs.spans`:
   ``scheduler.place`` measurements of the cycles that considered it —
   volatile, so segregated under ``"wall"`` in serialised form).
 
-Both walk decoded event dicts (the shape :func:`repro.obs.report.read_trace`
-returns) or live :class:`~repro.obs.events.TraceEvent` records, reusing the
-same single-parse pipeline as the timeline aggregator and the replayer.
+Both fold decoded event dicts (the shape :func:`repro.obs.report.iter_trace`
+yields) inside the dashboard's single pass over a trace, next to the
+timeline aggregator and the replayer; the two tables below render them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping
 
-from .events import WALL_KEY, EventKind, TraceEvent
-from .view import Table, View
+from .events import WALL_KEY, EventKind
+from .view import Table
 
 __all__ = [
     "SpanStat",
     "ProfileReport",
-    "build_profile",
-    "span_deltas",
     "AppCriticalPath",
-    "critical_paths",
-    "profile_summary",
+    "CriticalPathBuilder",
     "span_profile_section",
     "critical_path_section",
-    "profile_view",
 ]
 
 
@@ -129,66 +125,6 @@ class ProfileReport:
         }
 
 
-def span_deltas(
-    a: ProfileReport,
-    b: ProfileReport,
-    *,
-    ratio: float = 1.5,
-    abs_floor_s: float = 0.02,
-) -> dict[str, Any]:
-    """Per-path differences between two span profiles (``repro diff``'s
-    statistical axis).
-
-    Sample *counts* are deterministic per engine/sampling configuration,
-    so count mismatches on common paths are reported exactly (but they are
-    informational — span cadence legitimately differs between engines).
-    Self-*times* are wall clock, so a path is only flagged when the larger
-    side exceeds the smaller scaled by ``ratio`` plus ``abs_floor_s``,
-    keeping runner jitter out of the diff.
-    """
-    paths_a, paths_b = set(a.spans), set(b.spans)
-    common = paths_a & paths_b
-    count_deltas: list[dict[str, Any]] = []
-    flagged: list[dict[str, Any]] = []
-    for path in sorted(common):
-        stat_a, stat_b = a.spans[path], b.spans[path]
-        if stat_a.count != stat_b.count:
-            count_deltas.append(
-                {"path": path, "count": [stat_a.count, stat_b.count]}
-            )
-        lo, hi = sorted((stat_a.self_s, stat_b.self_s))
-        if hi > lo * ratio + abs_floor_s:
-            flagged.append({
-                "path": path,
-                "self_s": [round(stat_a.self_s, 6), round(stat_b.self_s, 6)],
-            })
-    return {
-        "paths_compared": len(common),
-        "paths_only_a": sorted(paths_a - paths_b),
-        "paths_only_b": sorted(paths_b - paths_a),
-        "count_deltas": count_deltas,
-        "paths_flagged": flagged,
-    }
-
-
-def _iter_objs(
-    events: Iterable[Mapping[str, Any] | TraceEvent],
-) -> Iterable[Mapping[str, Any]]:
-    for event in events:
-        yield event.to_obj() if isinstance(event, TraceEvent) else event
-
-
-def build_profile(
-    events: Iterable[Mapping[str, Any] | TraceEvent],
-) -> ProfileReport:
-    """Aggregate every ``span`` event of a trace into a profile report."""
-    report = ProfileReport()
-    for obj in _iter_objs(events):
-        if obj.get("kind") == EventKind.SPAN:
-            report.add(obj)
-    return report
-
-
 # -- critical-path analysis ---------------------------------------------------
 
 
@@ -259,8 +195,11 @@ class CriticalPathBuilder:
     """Streaming per-application latency attribution.
 
     Feed decoded event dicts in stream order (:meth:`feed`) and collect
-    the app-sorted paths with :meth:`result`; :func:`critical_paths`
-    wraps it for whole-iterable inputs.  Memory is bounded by the number
+    the app-sorted paths with :meth:`result`.  Needs the Medea facade's
+    lifecycle events (``lra.submit``, ``cycle.start`` with its ``batch``,
+    ``scheduler.place`` with its wall solve time, ``lra.place`` /
+    ``lra.reject`` / ``lra.conflict`` / ``lra.drop``); batch-harness
+    traces without them yield no paths.  Memory is bounded by the number
     of applications, not the trace length.
     """
 
@@ -319,36 +258,7 @@ class CriticalPathBuilder:
         return [self.apps[app_id] for app_id in sorted(self.apps)]
 
 
-def critical_paths(
-    events: Iterable[Mapping[str, Any] | TraceEvent],
-) -> list[AppCriticalPath]:
-    """Per-application latency attribution from the LRA lifecycle trace.
-
-    Requires the Medea facade's lifecycle events (``lra.submit``,
-    ``cycle.start`` with its ``batch``, ``scheduler.place`` with its wall
-    solve time, ``lra.place`` / ``lra.reject`` / ``lra.conflict`` /
-    ``lra.drop``); batch-harness traces without them yield an empty list.
-    Results are sorted by app id.
-    """
-    builder = CriticalPathBuilder()
-    for obj in _iter_objs(events):
-        builder.feed(obj)
-    return builder.result()
-
-
-# -- the profile page ---------------------------------------------------------
-
-
-def profile_summary(
-    report: ProfileReport, paths: list[AppCriticalPath]
-) -> dict[str, Any]:
-    """The ``repro profile --json`` document: deterministic span identities
-    and critical paths, span timings under ``"wall"``."""
-    return {
-        "profile": report.to_obj(),
-        "critical_paths": [path.to_obj() for path in paths],
-        WALL_KEY: {"profile": report.wall_obj()},
-    }
+# -- the dashboard's profile tables ------------------------------------------
 
 
 def _fmt_ms(seconds: Any) -> str:
@@ -361,8 +271,8 @@ def _fmt_s(seconds: Any) -> str:
 
 def span_profile_section(summary: Mapping[str, Any]) -> Table:
     """Span-profile table (path order, so the tree reads top-down) of a
-    :func:`profile_summary` or dashboard summary: deterministic counts
-    joined with the wall-clock timings under ``"wall"``."""
+    dashboard summary: deterministic counts joined with the wall-clock
+    timings under ``"wall"``."""
     times = (summary.get(WALL_KEY) or {}).get("profile", {})
     total_self = sum(t.get("self_s", 0.0) for t in times.values())
     rows = []
@@ -388,9 +298,8 @@ def span_profile_section(summary: Mapping[str, Any]) -> Table:
 
 
 def critical_path_section(summary: Mapping[str, Any]) -> Table:
-    """Per-application latency attribution table of a
-    :func:`profile_summary` (solver time inside each path's ``"wall"``) or
-    a dashboard summary (solver times hoisted under its ``"wall"``)."""
+    """Per-application latency attribution table of a dashboard summary
+    (solver times hoisted under its ``"wall"``)."""
     hoisted = (summary.get(WALL_KEY) or {}).get("critical_paths", {})
     rows = []
     for obj in summary.get("critical_paths", ()):
@@ -399,7 +308,7 @@ def critical_path_section(summary: Mapping[str, Any]) -> Table:
             status = "dropped"
         else:
             status = "placed" if obj.get("placed_time") is not None else "pending"
-        wall = obj.get(WALL_KEY) or hoisted.get(app_id) or {}
+        wall = hoisted.get(app_id) or {}
         rows.append([
             app_id,
             status,
@@ -419,11 +328,4 @@ def critical_path_section(summary: Mapping[str, Any]) -> Table:
         rows,
         empty="(no LRA lifecycle events recorded; critical paths need a "
               "simulation/Medea trace)",
-    )
-
-
-def profile_view(summary: Mapping[str, Any], *, title: str = "profile") -> View:
-    """The ``repro profile`` page of a :func:`profile_summary`."""
-    return View(
-        title, sections=[span_profile_section(summary), critical_path_section(summary)]
     )

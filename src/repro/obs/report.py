@@ -2,8 +2,7 @@
 
 Reuses :mod:`repro.reporting` so observability output matches the benchmark
 tables (grep-able fixed-width columns).  Used by ``python -m repro.cli
-trace-report`` / ``dashboard`` and the harness's ``SOLVER_STATS=1`` /
-``MEDEA_TRACE=1`` paths.
+dashboard`` and the harness's ``SOLVER_STATS=1`` / ``MEDEA_TRACE=1`` paths.
 
 JSONL trace files are read through :func:`iter_trace` (streaming —
 constant memory however large the trace) or :func:`read_trace` (eager
@@ -13,9 +12,10 @@ undecodable bytes, corrupt JSON mid-file) into a typed
 normal shape of a trace from a crashed run.
 
 The dashboard pipeline (:func:`build_dashboard` → :func:`dashboard_view`,
-rendered by :mod:`repro.obs.view`) combines the timeline aggregator, the
-trace replayer and the SLO monitor into one summary document; volatile
-(wall-derived) content is segregated under the ``"wall"`` key so
+rendered by :mod:`repro.obs.view`) is the one reader of a single run: it
+combines the timeline aggregator, the trace replayer, the SLO monitor, the
+span profiler and the critical-path builder into one summary document;
+volatile (wall-derived) content is segregated under the ``"wall"`` key so
 same-seed summaries are byte-identical after stripping it, exactly like
 :func:`repro.obs.events.canonical`.
 """
@@ -24,11 +24,16 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter as _Counter
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .events import WALL_KEY
+from .events import WALL_KEY, EventKind
+from .profile import (
+    CriticalPathBuilder,
+    ProfileReport,
+    critical_path_section,
+    span_profile_section,
+)
 from .view import Badge, SeriesGroup, Table, View
 
 __all__ = [
@@ -38,7 +43,6 @@ __all__ = [
     "iter_trace",
     "read_trace",
     "metrics_view",
-    "trace_report_view",
     "build_dashboard",
     "dashboard_verdict",
     "dashboard_view",
@@ -217,48 +221,14 @@ def metrics_view(snapshot: Mapping[str, Any]) -> View:
     ])
 
 
-def trace_report_view(path: str) -> View:
-    """``repro trace-report``: per-kind counts plus the span of simulated
-    time covered and how many events carry wall-clock data.  Streams the
-    file — a million-event trace is never resident in memory."""
-    reader = iter_trace(path)
-    counts: _Counter[str] = _Counter()
-    t_min: float | None = None
-    t_max: float | None = None
-    with_wall = 0
-    total = 0
-    for event in reader:
-        total += 1
-        counts[event.get("kind", "?")] += 1
-        t = event.get("time")
-        if t is not None:
-            t_min = t if t_min is None else min(t_min, t)
-            t_max = t if t_max is None else max(t_max, t)
-        if WALL_KEY in event:
-            with_wall += 1
-    headline = [f"events: {total} total, {with_wall} with wall-clock fields"]
-    if t_min is not None:
-        headline.append(f"simulated time span: {t_min:.3f}s .. {t_max:.3f}s")
-    if reader.truncated:
-        headline.append("warning: trailing partial line ignored (crashed run?)")
-    rows = [[kind, count] for kind, count in sorted(counts.items())]
-    rows.append(["TOTAL", total])
-    return View(
-        f"trace report: {path}",
-        headline,
-        [Table("Events by kind", ["event kind", "count"], rows)],
-    )
-
-
 # -- dashboard --------------------------------------------------------------
 
 
 def build_dashboard(
     trace_path: str,
     *,
-    tick_s: float | None = None,
-    max_points: int | None = None,
     rules: Sequence[Any] | None = None,
+    profile: ProfileReport | None = None,
 ) -> dict[str, Any]:
     """Assemble the full dashboard summary for one trace file.
 
@@ -266,24 +236,21 @@ def build_dashboard(
     critical-path builder, and the SLO monitor (the default smoke rules
     unless ``rules`` is given) over a **single streaming pass** of the
     JSONL trace — resident memory is bounded by the aggregates, not the
-    trace length.  Deterministic results (series from
-    ``data`` payloads, SLO verdicts over them, replay outcome) sit at the
-    top level; anything derived from wall-clock measurements sits under
-    ``"wall"``.
+    trace length.  Span events fold into ``profile`` when one is given, so
+    the caller can export its collapsed stacks.  Deterministic results
+    (series from ``data`` payloads, SLO verdicts over them, replay outcome)
+    sit at the top level; anything derived from wall-clock measurements
+    sits under ``"wall"``.
     """
-    from .events import EventKind
-    from .profile import CriticalPathBuilder, ProfileReport
     from .replay import ReplayState
     from .slo import SLOMonitor, default_smoke_slos
-    from .timeline import DEFAULT_MAX_POINTS, DEFAULT_TICK_S, TimelineAggregator
+    from .timeline import TimelineAggregator
 
     reader = iter_trace(trace_path)
-    timeline = TimelineAggregator(
-        tick_s=DEFAULT_TICK_S if tick_s is None else tick_s,
-        max_points=DEFAULT_MAX_POINTS if max_points is None else max_points,
-    )
+    timeline = TimelineAggregator()
     replay_state = ReplayState()
-    profile = ProfileReport()
+    if profile is None:
+        profile = ProfileReport()
     path_builder = CriticalPathBuilder()
     span_kind = EventKind.SPAN
     for obj in reader:
@@ -358,9 +325,8 @@ def dashboard_view(summary: Mapping[str, Any], *, title: str = "dashboard") -> V
     """The dashboard page of a :func:`build_dashboard` (or rollup)
     summary: replay and SLO verdicts, the deterministic series (palette
     slot 1) and wall-clock series (slot 2), the span profile, the
-    per-application critical paths and the SLO rules."""
-    from .profile import critical_path_section, span_profile_section
-
+    per-application critical paths, the SLO rules and the event count of
+    each kind."""
     meta = summary.get("meta", {})
     span = meta.get("time_span")
     span_text = (
@@ -391,10 +357,13 @@ def dashboard_view(summary: Mapping[str, Any], *, title: str = "dashboard") -> V
     verdict = dashboard_verdict(summary)
     headline.append(Badge("SLO verdict", verdict, verdict == "pass"))
     wall_series = (summary.get(WALL_KEY) or {}).get("series", {})
+    kinds = [[kind, count] for kind, count in sorted(meta.get("kinds", {}).items())]
+    kinds.append(["TOTAL", meta.get("events", 0)])
     return View(title, headline, [
         SeriesGroup("Time series", summary.get("series", {})),
         SeriesGroup("Wall-clock series (volatile)", wall_series, slot=2),
         span_profile_section(summary),
         critical_path_section(summary),
         Table("SLO rules", ["SLO", "check", "observed", "status"], _slo_rows(summary)),
+        Table("Events by kind", ["event kind", "count"], kinds),
     ])

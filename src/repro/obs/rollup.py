@@ -49,7 +49,6 @@ __all__ = [
     "load_rollup",
     "is_rollup_doc",
     "sniff_rollup",
-    "summary_series",
     "build_dashboard_from_rollup",
 ]
 
@@ -252,17 +251,6 @@ def load_rollup(path: str | os.PathLike) -> dict[str, Any]:
             f"unexpected 'schema' field)"
         )
     return doc
-
-
-def summary_series(
-    doc: Mapping[str, Any],
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """``(deterministic, wall)`` series maps of a dashboard-shaped summary
-    or rollup document — the inputs ``repro diff`` compares when given two
-    rollups instead of raw traces."""
-    deterministic = dict(doc.get("series") or {})
-    wall = dict((doc.get(WALL_KEY) or {}).get("series") or {})
-    return deterministic, wall
 
 
 class _RollupTimeline:

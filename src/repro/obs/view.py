@@ -4,8 +4,8 @@ A view is a title, headline lines (plain strings or :class:`Badge`
 verdicts) and an ordered list of sections — a :class:`Table`, a
 :class:`SeriesGroup` of time series, or plain :class:`Lines`.  The plane
 that owns the data builds its view next to it (``dashboard_view``,
-``trace_report_view``, ``metrics_view``, ``diff_view``, ``profile_view``,
-``sweep_view``, ``watch_view``); :func:`to_text` and :func:`to_html` are
+``metrics_view``, ``diff_view``, ``sweep_view``, ``watch_view``);
+:func:`to_text` and :func:`to_html` are
 the only renderers.  JSON documents are not views: each plane serialises its own,
 byte-stable.
 

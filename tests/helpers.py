@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 from repro import ClusterState, ContainerRequest, LRARequest, Resource
+from repro.obs import EventKind, ProfileReport
 
 _counter = itertools.count(1)
 
@@ -28,6 +29,16 @@ def make_lra(
         for i in range(containers)
     ]
     return LRARequest(app_id, reqs, constraints, compound)
+
+
+def span_profile(events) -> ProfileReport:
+    """Fold the span events of ``events`` (TraceEvents or decoded dicts)."""
+    report = ProfileReport()
+    for event in events:
+        obj = event if isinstance(event, dict) else event.to_obj()
+        if obj["kind"] == EventKind.SPAN:
+            report.add(obj)
+    return report
 
 
 def place_all(state: ClusterState, result) -> None:

@@ -166,9 +166,13 @@ class TestTraceTools:
         return out
 
     def test_trace_report_reads_trace(self, trace, capsys):
+        """The dashboard is the one report of a single trace: its page
+        ends with the event count of every kind."""
         capsys.readouterr()
-        assert main(["trace-report", str(trace)]) == 0
-        assert "events" in capsys.readouterr().out
+        assert main(["dashboard", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "events by kind:" in out
+        assert "task.allocate" in out and "TOTAL" in out
 
     def test_dashboard_reads_trace(self, trace, tmp_path, capsys):
         json_out = tmp_path / "dash.json"
@@ -179,14 +183,28 @@ class TestTraceTools:
 
         assert _json.loads(json_out.read_text())["series"]
 
-    def test_profile_memory_flag(self, trace, capsys):
-        assert main(["profile", str(trace), "--memory"]) == 0
-        out = capsys.readouterr().out
-        assert "ingest peak (tracemalloc)" in out
-        assert "process peak RSS" in out
+    @pytest.mark.parametrize("command", ["dashboard", "diff"])
+    def test_unwritable_artifact_is_one_line(self, trace, tmp_path, capsys,
+                                             command):
+        """A report artifact that cannot be written is one stderr line and
+        exit 1, after the page, never a traceback."""
+        missing = tmp_path / "no" / "such" / "dir"
+        argv = {
+            "dashboard": ["dashboard", str(trace), "--json",
+                          str(missing / "x.json")],
+            "diff": ["diff", str(trace), str(trace), "--html",
+                     str(missing / "x.html")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out  # the page was printed first
+        assert f"{command}: cannot write {missing}" in captured.err
+        assert "No such file or directory" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_streaming_ingest_memory_is_bounded(self, tmp_path):
-        """trace-report must not load the whole file: peak ingest
+        """The trace reader must not load the whole file: peak ingest
         allocation stays far below the trace's size (satellite: a
         1M-event JSONL must not be read into memory — scaled down here,
         the bound is what matters)."""
@@ -218,10 +236,11 @@ class TestTraceTools:
 
 def test_retired_ledger_stays_retired():
     """The schema-2 bench gate, the run log, the per-plane env/install
-    wiring the observability session replaced and the parked serving
-    stack (HTTP and virtual load targets, closed loop, the HTTP placement
-    endpoint) are deleted; their command, flags and exports must not
-    regrow."""
+    wiring the observability session replaced, the parked serving stack
+    (HTTP and virtual load targets, closed loop, the HTTP placement
+    endpoint), the single-run readers the dashboard absorbed
+    (``trace-report``, ``profile``) and diff's wall-clock and rollup paths
+    are deleted; their commands, flags and exports must not regrow."""
     import repro.cli
     import repro.obs
     import repro.obs.load
@@ -238,6 +257,13 @@ def test_retired_ledger_stays_retired():
         ["loadgen", "--virtual"],
         ["loadgen", "--service-time", "0.01"],
         ["loadgen", "--servers", "2"],
+        ["trace-report", "t.jsonl"],
+        ["profile", "t.jsonl"],
+        ["dashboard", "t.jsonl", "--memory"],
+        ["dashboard", "t.jsonl", "--tick", "2"],
+        ["dashboard", "t.jsonl", "--max-points", "64"],
+        ["diff", "a.jsonl", "b.jsonl", "--ratio", "2"],
+        ["diff", "a.jsonl", "b.jsonl", "--abs-floor", "0.1"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
@@ -249,13 +275,16 @@ def test_retired_ledger_stays_retired():
         "configure", "configure_from_env", "install_server", "serve_from_env",
         "get_server", "shutdown_server", "install_rollup", "get_rollup",
         "shutdown_rollup", "rollup_from_env", "watchdog_from_env",
+        "diff_rollups", "summary_series", "build_profile", "critical_paths",
+        "span_deltas",
     }
     retired = {
         repro.obs.trace: ("configure", "configure_from_env"),
         repro.obs.serve: ("install", "get_server", "shutdown_server",
                           "serve_from_env", "_TelemetrySink", "_active_server"),
         repro.obs.rollup: ("install_rollup", "get_rollup", "shutdown_rollup",
-                           "rollup_from_env", "_active_rollup"),
+                           "rollup_from_env", "_active_rollup",
+                           "summary_series"),
         repro.obs.watchdog: ("watchdog_from_env",),
         # The serving stack's names are assembled, not spelled out, so a
         # source grep for them finds nothing once they are gone.
@@ -263,7 +292,11 @@ def test_retired_ledger_stays_retired():
                          *(f"{kind}Target" for kind in ("Http", "Virtual"))),
         repro.obs.serve.TelemetryServer: ("attach_" + "placement",),
         repro.cli: ("_configure_tracing", "_configure_live_plane",
-                    "_finish_live_plane"),
+                    "_finish_live_plane", "_cmd_trace_report", "_cmd_profile"),
+        repro.obs.report: ("trace_report_view",),
+        repro.obs.profile: ("profile_summary", "profile_view", "span_deltas",
+                            "build_profile", "critical_paths"),
+        repro.obs.diff: ("diff_rollups", "_first_delta_tick", "_stat_delta"),
     }
     for module, names in retired.items():
         for name in names:

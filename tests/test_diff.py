@@ -23,8 +23,6 @@ from repro.obs import (
     MemorySink,
     Tracer,
     diff_events,
-    diff_rollups,
-    diff_traces,
     diff_view,
     set_tracer,
     to_html,
@@ -189,6 +187,22 @@ class TestRenderers:
         assert "badge fail" in html
         assert "<style>" in html and "http" not in html.split("<style>")[1].split("</style>")[0]
 
+    def test_report_keys_hold_decisions_only(self):
+        """The report has no wall-clock axis: no thresholds, no wall
+        series, no self-time flags."""
+        obj = diff_events(_run_events(seed=5), _run_events(seed=6)).to_obj()
+        assert set(obj) == {
+            "verdict", "headline", "tick", "reason", "labels", "sides",
+            "structural", "checkpoints", "placements", "flips", "series",
+            "profile", "notes", "divergence",
+        }
+        assert set(obj["series"]) == {
+            "deterministic_matched", "deterministic_deltas",
+        }
+        assert set(obj["profile"]) == {
+            "paths_compared", "paths_only_a", "paths_only_b", "count_deltas",
+        }
+
     def test_report_to_obj_round_trips_json(self):
         a = _run_events(seed=5)
         b = _run_events(seed=6)
@@ -218,7 +232,9 @@ class TestDiffTraces:
         hashes = [e for e in read_back if e["kind"] == "sim.state_hash"]
         assert hashes and any("sampled_hash" in e["data"] for e in hashes)
 
-    def test_rollup_vs_trace_incomparable(self, tmp_path, isolate_obs):
+    def test_rollup_is_a_data_error(self, tmp_path, capsys, isolate_obs):
+        """A rollup holds aggregates, not decisions: the trace reader
+        rejects it with its rollup message and ``diff`` exits 1."""
         events = _run_events()
         trace = self._write_jsonl(tmp_path / "a.jsonl", events)
         rollup = tmp_path / "roll.json"
@@ -227,34 +243,14 @@ class TestDiffTraces:
             "--lras", "1", "--tasks", "5", "--scheduler", "nc",
             "--rollup", str(rollup),
         ]) == EXIT_OK
-        report = diff_traces(str(rollup), trace)
-        assert report.verdict == VERDICT_INCOMPARABLE
-        assert "rollup" in report.reason
-
-
-class TestDiffRollups:
-    def _doc(self, value):
-        return {
-            "schema": "medea.rollup/1",
-            "rollup": {"interval_s": 1.0},
-            "meta": {"events": 10},
-            "series": {"containers": {
-                "mean": value, "max": value, "last": value,
-                "points": [[0.0, value]],
-            }},
-            "profile": {"spans": {}},
-            "wall": {"series": {}},
-        }
-
-    def test_equal_docs_identical(self):
-        report = diff_rollups(self._doc(3.0), self._doc(3.0))
-        assert report.verdict == VERDICT_IDENTICAL
-
-    def test_deterministic_delta_diverges_with_tick(self):
-        report = diff_rollups(self._doc(3.0), self._doc(4.0))
-        assert report.verdict == VERDICT_DIVERGED
-        assert report.tick == 0.0
-        assert "containers" in report.reason
+        capsys.readouterr()
+        assert main(["diff", str(rollup), trace]) == EXIT_DATA_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"diff: {rollup} is a ROLLUP_*.json streaming-rollup document, "
+            "not a raw trace — pass it to 'repro dashboard' directly\n"
+        )
+        assert captured.out == ""
 
 
 class TestCliDiff:

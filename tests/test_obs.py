@@ -394,7 +394,7 @@ class TestPublicApi:
             assert getattr(repro, name) is not None
 
     def test_report_renders_trace(self, tmp_path, isolate_obs):
-        from repro.obs.report import trace_report_view
+        from repro.obs.report import build_dashboard, dashboard_view
         from repro.obs.view import to_text
 
         path = tmp_path / "t.jsonl"
@@ -402,7 +402,7 @@ class TestPublicApi:
         sim = _make_sim(tracer=tracer, metrics=Metrics())
         _drive(sim)
         tracer.close()
-        text = to_text(trace_report_view(str(path)))
+        text = to_text(dashboard_view(build_dashboard(str(path))))
         assert "lra.place" in text
         assert "TOTAL" in text
 
@@ -414,11 +414,12 @@ class TestPublicApi:
         sim = _make_sim(tracer=tracer, metrics=Metrics())
         _drive(sim)
         tracer.close()
-        assert main(["trace-report", str(path)]) == 0
+        assert main(["dashboard", str(path)]) == 0
         out = capsys.readouterr().out
         assert "engine.dispatch" in out
 
     def test_cli_trace_report_missing_file(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["trace-report", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["dashboard", str(tmp_path / "nope.jsonl")]) == 1
+        assert "dashboard: cannot read trace file" in capsys.readouterr().err

@@ -6,7 +6,7 @@ disabled no-op), the profile aggregation and its collapsed-stack export
 canonical, wall-stripped stream are byte-identical across same-seed runs),
 the per-app critical-path attribution, the dashboard embedding (profile
 timings stay under the summary's top-level ``"wall"`` key), and the
-``repro profile`` CLI.
+``repro dashboard --collapsed`` export.
 """
 
 from __future__ import annotations
@@ -29,18 +29,16 @@ from repro.obs import (
     MemorySink,
     Metrics,
     Tracer,
-    build_profile,
     canonical,
-    critical_paths,
     span,
     span_phase,
 )
-from repro.obs.profile import ProfileReport, profile_summary, profile_view
-from repro.obs.report import build_dashboard
+from repro.obs.profile import CriticalPathBuilder, ProfileReport
+from repro.obs.report import build_dashboard, dashboard_view, iter_trace
 from repro.obs.spans import _NULL_SPAN, current_span_path
 from repro.obs.view import to_html, to_text
 from repro.sim import ClusterSimulation, SimConfig
-from tests.helpers import make_lra
+from tests.helpers import make_lra, span_profile
 
 
 def _tracer():
@@ -50,6 +48,12 @@ def _tracer():
 
 def _span_events(sink):
     return [e for e in sink.events if e.kind == EventKind.SPAN]
+
+
+def _page(report):
+    """The dashboard page of a summary holding only ``report``'s spans."""
+    summary = {"profile": report.to_obj(), "wall": {"profile": report.wall_obj()}}
+    return to_text(dashboard_view(summary))
 
 
 class TestSpans:
@@ -129,7 +133,7 @@ class TestProfileReport:
             for _ in range(3):
                 with span("cycle", tracer=tracer):
                     span_phase("lp", 0.01, count=4, tracer=tracer)
-        return build_profile(sink.events)
+        return span_profile(sink.events)
 
     def test_aggregates_by_path(self):
         report = self._report()
@@ -157,7 +161,7 @@ class TestProfileReport:
         assert report.collapsed(weight="count") == ""
         assert report.to_obj() == {"events": 0, "spans": []}
         assert report.wall_obj() == {}
-        text = to_text(profile_view(profile_summary(report, [])))
+        text = _page(report)
         assert "no spans recorded" in text
         assert "no LRA lifecycle events" in text
 
@@ -174,11 +178,11 @@ class TestProfileReport:
         with span("a", tracer=tracer):
             pass
         decoded = [json.loads(line) for line in sink.jsonl().splitlines()]
-        report = build_profile(decoded)
+        report = span_profile(decoded)
         assert report.spans["a"].count == 1
 
     def test_render_profile_indents_tree(self):
-        text = to_text(profile_view(profile_summary(self._report(), [])))
+        text = _page(self._report())
         assert "run" in text
         assert "  cycle" in text
         assert "    lp" in text
@@ -246,7 +250,7 @@ class TestSimulationSpans:
         tracer = Tracer([sink], enabled=True)
         sim = _make_sim(tracer=tracer, metrics=Metrics())
         _drive(sim)
-        report = build_profile(sink.events)
+        report = span_profile(sink.events)
         paths = set(report.spans)
         assert "engine.run" in paths
         assert "engine.run;sim.cycle" in paths
@@ -272,7 +276,7 @@ class TestSimulationSpans:
                 json.loads(line)
                 for line in canonical(sink.jsonl()).splitlines()
             ]
-            stacks.append(build_profile(decoded).collapsed(weight="count"))
+            stacks.append(span_profile(decoded).collapsed(weight="count"))
         assert stacks[0] == stacks[1]
 
     def test_disabled_tracing_emits_nothing(self, isolate_obs):
@@ -283,6 +287,13 @@ class TestSimulationSpans:
         assert sink.events == []
 
 
+def _critical_paths(events):
+    builder = CriticalPathBuilder()
+    for event in events:
+        builder.feed(event.to_obj())
+    return builder.result()
+
+
 class TestCriticalPaths:
     def _traced_events(self):
         sink = MemorySink()
@@ -291,7 +302,7 @@ class TestCriticalPaths:
         return sink.events
 
     def test_attribution_for_placed_apps(self, isolate_obs):
-        paths = critical_paths(self._traced_events())
+        paths = _critical_paths(self._traced_events())
         by_app = {p.app_id: p for p in paths}
         assert set(by_app) == {"web", "db"}
         web = by_app["web"]
@@ -306,13 +317,13 @@ class TestCriticalPaths:
         assert web.solver_wall_s >= 0.0
 
     def test_to_obj_segregates_solver_wall(self, isolate_obs):
-        paths = critical_paths(self._traced_events())
+        paths = _critical_paths(self._traced_events())
         obj = paths[0].to_obj()
         assert "solver_wall_s" in obj["wall"]
         assert "solver_wall_s" not in {k for k in obj if k != "wall"}
 
     def test_empty_trace_yields_no_paths(self):
-        assert critical_paths([]) == []
+        assert _critical_paths([]) == []
 
 
 class TestDashboardProfileEmbedding:
@@ -352,8 +363,6 @@ class TestDashboardProfileEmbedding:
         assert dumps[0] == dumps[1]
 
     def test_renderers_include_sections(self, isolate_obs, tmp_path):
-        from repro.obs.report import dashboard_view
-
         summary = self._summary(tmp_path)
         text = to_text(dashboard_view(summary))
         assert "span profile" in text
@@ -375,16 +384,17 @@ class TestProfileCli:
     def test_profile_command(self, isolate_obs, tmp_path, capsys):
         trace_path = self._trace(tmp_path)
         collapsed = tmp_path / "stacks.txt"
-        summary_json = tmp_path / "profile.json"
+        summary_json = tmp_path / "dashboard.json"
         status = cli_main([
-            "profile", str(trace_path),
+            "dashboard", str(trace_path),
             "--collapsed", str(collapsed), "--weight", "count",
             "--json", str(summary_json),
         ])
         assert status == 0
         out = capsys.readouterr().out
-        assert "Span profile" in out
-        assert "Critical paths" in out
+        assert "span profile:" in out
+        assert "critical paths (per application):" in out
+        assert f"collapsed stacks (count) written to {collapsed}" in out
         stacks = collapsed.read_text()
         assert any(
             line.startswith("engine.run ") for line in stacks.splitlines()
@@ -393,7 +403,49 @@ class TestProfileCli:
         assert payload["profile"]["spans"]
         assert payload["critical_paths"]
 
+    @pytest.mark.parametrize("weight", ["time", "count"])
+    def test_collapsed_file_is_the_profile_of_the_trace(
+        self, isolate_obs, tmp_path, capsys, weight
+    ):
+        """``--collapsed`` writes exactly the collapsed stacks of the
+        trace's own span events, for either weight."""
+        trace_path = self._trace(tmp_path)
+        collapsed = tmp_path / "stacks.txt"
+        assert cli_main([
+            "dashboard", str(trace_path), "--collapsed", str(collapsed),
+            "--weight", weight,
+        ]) == 0
+        profile = span_profile(iter_trace(str(trace_path)))
+        expected = profile.collapsed(weight=weight).encode("utf-8")
+        assert expected
+        assert collapsed.read_bytes() == expected
+
+    def test_collapsed_needs_a_raw_trace(self, isolate_obs, tmp_path, capsys):
+        rollup = tmp_path / "ROLLUP_run.json"
+        assert cli_main([
+            "simulate", "--nodes", "10", "--horizon", "20", "--lras", "1",
+            "--tasks", "5", "--scheduler", "nc", "--rollup", str(rollup),
+        ]) == 0
+        capsys.readouterr()
+        status = cli_main([
+            "dashboard", str(rollup), "--collapsed", str(tmp_path / "s.txt"),
+        ])
+        assert status == 2
+        assert "--collapsed needs the raw JSONL trace" in capsys.readouterr().err
+        assert not (tmp_path / "s.txt").exists()
+
+    def test_unwritable_collapsed_file_is_one_line(self, isolate_obs, tmp_path,
+                                                   capsys):
+        trace_path = self._trace(tmp_path)
+        target = tmp_path / "no" / "such" / "stacks.txt"
+        assert cli_main([
+            "dashboard", str(trace_path), "--collapsed", str(target),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"dashboard: cannot write {target}:" in err
+        assert "Traceback" not in err
+
     def test_profile_command_missing_file(self, tmp_path, capsys):
-        status = cli_main(["profile", str(tmp_path / "nope.jsonl")])
+        status = cli_main(["dashboard", str(tmp_path / "nope.jsonl")])
         assert status == 1
-        assert "profile:" in capsys.readouterr().err
+        assert "dashboard:" in capsys.readouterr().err

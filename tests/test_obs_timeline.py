@@ -5,7 +5,7 @@ aggregation, declarative SLO monitoring with typed breach events, trace
 replay with state-hash cross-checking (including corruption detection),
 dashboard byte-determinism for same-seed runs, timer percentiles, the
 ``repro.obs.stats`` summaries, and the hardened trace-file reader behind
-``repro trace-report`` / ``dashboard``.
+``repro dashboard`` / ``diff``.
 """
 
 from __future__ import annotations
@@ -429,8 +429,7 @@ class TestTraceFileReading:
             read_trace(str(path))
         good = tmp_path / "good.jsonl"
         good.write_text('{"kind": "a", "seq": 0}\n')
-        for argv in (["trace-report", str(path)], ["dashboard", str(path)],
-                     ["profile", str(path)], ["diff", str(good), str(path)]):
+        for argv in (["dashboard", str(path)], ["diff", str(good), str(path)]):
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert "not UTF-8" in err and "Traceback" not in err
@@ -446,8 +445,8 @@ class TestTraceFileReading:
 
         path = tmp_path / "BENCH_x.json"
         path.write_text(json.dumps({"benchmarks": {}}, indent=2))
-        assert main(["trace-report", str(path)]) == 1
-        assert "trace-report:" in capsys.readouterr().err
+        assert main(["dashboard", str(path)]) == 1
+        assert "dashboard:" in capsys.readouterr().err
 
 
 class TestCli:
@@ -456,7 +455,7 @@ class TestCli:
 
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert main(["trace-report", str(path)]) == 1
+        assert main(["dashboard", str(path)]) == 1
         assert "no events" in capsys.readouterr().err
 
     def test_trace_report_tolerates_truncated(self, tmp_path, capsys,
@@ -466,8 +465,8 @@ class TestCli:
         path.write_text(text[:-20])  # cut into the final line
         from repro.cli import main
 
-        assert main(["trace-report", str(path)]) == 0
-        assert "partial line" in capsys.readouterr().out
+        assert main(["dashboard", str(path)]) == 0
+        assert "note: trailing partial line ignored" in capsys.readouterr().out
 
     def test_dashboard_end_to_end(self, tmp_path, capsys, isolate_obs):
         from repro.cli import main

@@ -16,9 +16,10 @@ import random
 
 import pytest
 
-from repro.obs import EventKind, MemorySink, Tracer, build_profile
+from repro.obs import EventKind, MemorySink, Tracer
 from repro.obs.trace import set_tracer
 from repro.solver import BnBOptions, solve
+from tests.helpers import span_profile
 from tests.test_solver_differential import random_model
 
 #: Wall-clock slack for the phase-sum check: each phase is timed with its
@@ -63,7 +64,7 @@ def test_traced_solve_emits_phase_spans(isolate_obs):
     set_tracer(Tracer([sink], enabled=True))
     model = random_model(random.Random(42))
     solution = solve(model, backend="bnb")
-    report = build_profile(sink.events)
+    report = span_profile(sink.events)
     assert "solver.bnb" in report.spans
     for phase in ("presolve", "lp", "heuristic"):
         path = f"solver.bnb;{phase}"
@@ -88,7 +89,7 @@ def test_traced_highs_solve_emits_span(isolate_obs):
     sink = MemorySink()
     set_tracer(Tracer([sink], enabled=True))
     solve(random_model(random.Random(43)), backend="highs")
-    report = build_profile(sink.events)
+    report = span_profile(sink.events)
     assert "solver.highs" in report.spans
     # Exactly one span event per solve alongside the solver.solve record.
     assert sum(1 for e in sink.events if e.kind == EventKind.SPAN) == 1
