@@ -9,7 +9,9 @@ substrate):
   :class:`MemorySink` sinks.  Zero-cost when disabled: call sites guard on
   ``tracer.enabled``.
 * **Metrics** — a :class:`Metrics` registry of labelled counters, gauges,
-  and timers with a deterministic :meth:`~Metrics.snapshot` API.
+  timers and histograms with a deterministic :meth:`~Metrics.snapshot`
+  API.  Every timer and histogram label set is one
+  :class:`LatencyHistogram`, the only latency record.
   :class:`SolverStats` is one of its record types.
 * **Decision audit** — :class:`DecisionAudit` attached to
   ``PlacementResult`` explains each placement: candidates considered,
@@ -21,8 +23,8 @@ Built on top of those (ISSUE 3 / the paper's §7 evaluation signals):
   post-hoc JSONL) into bounded-memory per-tick series: utilization,
   queue depths, container churn, solver latency, violations.
 * **SLO monitor** — :class:`SLOMonitor` judges declarative
-  :class:`SLORule` thresholds against a timeline, emitting typed
-  ``slo.breach`` events and a run-level verdict.
+  :class:`SLORule` thresholds against a finished timeline and returns a
+  per-rule report with a run-level verdict.
 * **Replay** — :func:`replay_jsonl` reconstructs cluster state from the
   event stream and cross-checks every recorded ``sim.state_hash``,
   reporting the first divergent tick.
@@ -123,12 +125,7 @@ from .diff import (
     diff_view,
 )
 from .events import WALL_KEY, EventKind, TraceEvent, canonical
-from .hist import (
-    DEFAULT_MIN_VALUE_S,
-    DEFAULT_SUBBUCKETS,
-    LatencyHistogram,
-    merge_histograms,
-)
+from .hist import DEFAULT_MIN_VALUE_S, DEFAULT_SUBBUCKETS, LatencyHistogram
 from .metrics import (
     Counter,
     Gauge,
@@ -136,7 +133,6 @@ from .metrics import (
     Metrics,
     SolverStats,
     Timer,
-    TimerStat,
     get_metrics,
     set_metrics,
 )
@@ -166,7 +162,6 @@ from .sample import SamplingPolicy, TraceSampler, parse_sample_spec
 from .serve import HealthState, TelemetryServer, render_prometheus
 from .session import ObsConfig, ObsSession, current_session
 from .slo import (
-    SLOBreach,
     SLOMonitor,
     SLOReport,
     SLOResult,
@@ -209,7 +204,6 @@ __all__ = [
     "DEFAULT_MIN_VALUE_S",
     "DEFAULT_SUBBUCKETS",
     "LatencyHistogram",
-    "merge_histograms",
     # sampling
     "SamplingPolicy",
     "TraceSampler",
@@ -225,7 +219,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Timer",
-    "TimerStat",
     "Metrics",
     "SolverStats",
     "get_metrics",
@@ -256,7 +249,6 @@ __all__ = [
     "TimelineAggregator",
     # SLO monitor
     "SLORule",
-    "SLOBreach",
     "SLOResult",
     "SLOReport",
     "SLOMonitor",

@@ -106,7 +106,6 @@ STRUCTURAL_KINDS = frozenset({
     EventKind.SCHEDULER_AUDIT,
     EventKind.NODE_AVAILABILITY,
     EventKind.WATCHDOG_TRIP,
-    EventKind.MIGRATION_PLAN,
     EventKind.BENCH_EXPERIMENT,
     EventKind.SOLVER_PRESOLVE,
     EventKind.SOLVER_SOLVE,

@@ -80,9 +80,6 @@ class EventKind:
     #: (admission/queue/place/total seconds).
     REQUEST_DONE = "request.done"
 
-    # -- SLO monitor ---------------------------------------------------------
-    SLO_BREACH = "slo.breach"
-
     # -- online invariant watchdog (repro.obs.watchdog) ----------------------
     #: An invariant monitor detected state corruption: ``data`` carries the
     #: check name and a deterministic structured diagnosis (nodes,
@@ -103,17 +100,6 @@ class EventKind:
     # -- MILP solver ---------------------------------------------------------
     SOLVER_PRESOLVE = "solver.presolve"
     SOLVER_SOLVE = "solver.solve"
-
-    # -- migrations ----------------------------------------------------------
-    MIGRATION_PLAN = "migration.plan"
-
-    @classmethod
-    def all_kinds(cls) -> list[str]:
-        return sorted(
-            value
-            for name, value in vars(cls).items()
-            if not name.startswith("_") and isinstance(value, str)
-        )
 
 
 @dataclass(frozen=True)

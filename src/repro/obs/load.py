@@ -4,7 +4,7 @@ Placement latency *under offered load* is measured in process, the way
 the paper measures Fig. 11 ("a simulator that executes Medea with
 simulated machines, merely ignoring RPCs"): this module paces seeded
 requests into a :class:`~repro.core.scheduler.PlacementService` and folds
-every request latency into the mergeable
+every request latency into a
 :class:`~repro.obs.hist.LatencyHistogram`.
 
 The load is **open loop**: arrivals follow a seeded schedule (Poisson,

@@ -16,7 +16,7 @@ produce — lives here as one of the metric types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .hist import LatencyHistogram
@@ -26,7 +26,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Timer",
-    "TimerStat",
     "Metrics",
     "SolverStats",
     "get_metrics",
@@ -83,9 +82,8 @@ def parse_label_key(label_key: str) -> list[tuple[str, str]]:
 class _Instrument:
     """Shared naming/labelling machinery."""
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         #: label items -> canonical key, one per label set written: deriving
         #: a key (sort, ``str``, escape) costs several times the write itself.
         self._write_keys: dict[tuple, str] = {}
@@ -116,8 +114,8 @@ class _Instrument:
 class Counter(_Instrument):
     """Monotonically increasing value per label set."""
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self._values: dict[str, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
@@ -140,8 +138,8 @@ class Counter(_Instrument):
 class Gauge(_Instrument):
     """Last-write-wins value per label set."""
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self._values: dict[str, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
@@ -158,134 +156,52 @@ class Gauge(_Instrument):
         return {k: self._values[k] for k in sorted(self._values)}
 
 
-@dataclass
-class TimerStat:
-    """Aggregate of one timer label set.
-
-    Besides the count/total/min/max running aggregates it keeps a
-    log-bucketed :class:`~repro.obs.hist.LatencyHistogram` of observations
-    so :meth:`percentile` (and the ``p50_s``/``p95_s``/``p99_s`` snapshot
-    fields) work at bounded memory with bounded relative error (~0.8%) for
-    arbitrarily long runs — and merge exactly across stats.
-    """
-
-    count: int = 0
-    total_s: float = 0.0
-    min_s: float = float("inf")
-    max_s: float = 0.0
-    hist: LatencyHistogram = field(
-        default_factory=LatencyHistogram, repr=False, compare=False
-    )
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total_s += seconds
-        self.min_s = min(self.min_s, seconds)
-        self.max_s = max(self.max_s, seconds)
-        self.hist.record(seconds)
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """q-th percentile (in [0, 100]); bounded-relative-error histogram
-        estimate.  Returns 0.0 when nothing was observed."""
-        return self.hist.quantile(q)
-
-    def merge(self, other: "TimerStat") -> "TimerStat":
-        """Exact merge of another stat into this one."""
-        self.count += other.count
-        self.total_s += other.total_s
-        self.min_s = min(self.min_s, other.min_s)
-        self.max_s = max(self.max_s, other.max_s)
-        self.hist.merge(other.hist)
-        return self
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total_s": self.total_s,
-            "mean_s": self.mean_s,
-            "min_s": self.min_s if self.count else 0.0,
-            "max_s": self.max_s,
-            "p50_s": self.percentile(50),
-            "p95_s": self.percentile(95),
-            "p99_s": self.percentile(99),
-        }
-
-
 class Timer(_Instrument):
-    """Duration aggregator (count / total / min / max) per label set."""
+    """Duration aggregator per label set: one
+    :class:`~repro.obs.hist.LatencyHistogram` each (count / total / min /
+    max plus bounded-error percentiles), snapshotted as its
+    :meth:`~repro.obs.hist.LatencyHistogram.summary` and exposed as a
+    Prometheus summary."""
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._stats: dict[str, TimerStat] = {}
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self._stats: dict[str, LatencyHistogram] = {}
 
     def observe(self, seconds: float, **labels: Any) -> None:
         key = self._write_key(labels)
-        stat = self._stats.get(key)
-        if stat is None:  # not setdefault: that builds a TimerStat per call
-            stat = self._stats[key] = TimerStat()
-        stat.observe(seconds)
+        hist = self._stats.get(key)
+        if hist is None:  # not setdefault: that builds a histogram per call
+            hist = self._stats[key] = LatencyHistogram()
+        hist.record(seconds)
 
-    def stat(self, **labels: Any) -> TimerStat:
-        return self._stats.get(_label_key(labels), TimerStat())
+    def stat(self, **labels: Any) -> LatencyHistogram:
+        return self._stats.get(_label_key(labels)) or LatencyHistogram()
 
     def time(self, **labels: Any) -> "_TimerContext":
         return _TimerContext(self, labels)
 
     def snapshot(self) -> dict[str, dict[str, float]]:
-        return {k: self._stats[k].to_dict() for k in sorted(self._stats)}
+        return {k: self._stats[k].summary() for k in sorted(self._stats)}
 
 
 class Histogram(_Instrument):
-    """Log-bucketed latency distribution per label set.
+    """Log-bucketed latency distribution per label set, exposed as a
+    Prometheus histogram: a snapshot entry is the timer's flat stats plus
+    the cumulative ``_bucket`` counts."""
 
-    A thin label-aware wrapper over :class:`~repro.obs.hist.LatencyHistogram`
-    for call sites that want the full distribution (Prometheus
-    ``_bucket`` exposition, exact cross-process merge) rather than the
-    timer's scalar aggregates.  All label sets share one bucket geometry,
-    so :meth:`merged` is exact.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        *,
-        min_value_s: float | None = None,
-        subbuckets: int | None = None,
-    ) -> None:
-        super().__init__(name, help)
-        kwargs: dict[str, Any] = {}
-        if min_value_s is not None:
-            kwargs["min_value_s"] = min_value_s
-        if subbuckets is not None:
-            kwargs["subbuckets"] = subbuckets
-        self._kwargs = kwargs
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self._stats: dict[str, LatencyHistogram] = {}
 
-    def _stat(self, key: str) -> LatencyHistogram:
+    def observe(self, seconds: float, **labels: Any) -> None:
+        key = self._write_key(labels)
         hist = self._stats.get(key)
         if hist is None:
-            hist = self._stats[key] = LatencyHistogram(**self._kwargs)
-        return hist
-
-    def observe(self, seconds: float, **labels: Any) -> None:
-        self._stat(self._write_key(labels)).record(seconds)
+            hist = self._stats[key] = LatencyHistogram()
+        hist.record(seconds)
 
     def stat(self, **labels: Any) -> LatencyHistogram:
-        return self._stats.get(_label_key(labels)) or LatencyHistogram(
-            **self._kwargs
-        )
-
-    def merged(self) -> LatencyHistogram:
-        """Exact merge across every label set."""
-        merged = LatencyHistogram(**self._kwargs)
-        for hist in self._stats.values():
-            merged.merge(hist)
-        return merged
+        return self._stats.get(_label_key(labels)) or LatencyHistogram()
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """Per-label-set flat stats (same shape as timer snapshots) plus
@@ -300,13 +216,6 @@ class Histogram(_Instrument):
             ]
             out[key] = stat
         return out
-
-    def export(self) -> dict[str, dict[str, Any]]:
-        """Per-label-set full bucket dumps (byte-stable, merge-exact)."""
-        return {k: self._stats[k].to_obj() for k in sorted(self._stats)}
-
-    def items(self) -> list[tuple[str, LatencyHistogram]]:
-        return [(k, self._stats[k]) for k in sorted(self._stats)]
 
 
 class _TimerContext:
@@ -344,37 +253,28 @@ class Metrics:
         self._timers: dict[str, Timer] = {}
         self._histograms: dict[str, Histogram] = {}
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         inst = self._counters.get(name)
         if inst is None:
-            inst = self._counters[name] = Counter(name, help)
+            inst = self._counters[name] = Counter(name)
         return inst
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         inst = self._gauges.get(name)
         if inst is None:
-            inst = self._gauges[name] = Gauge(name, help)
+            inst = self._gauges[name] = Gauge(name)
         return inst
 
-    def timer(self, name: str, help: str = "") -> Timer:
+    def timer(self, name: str) -> Timer:
         inst = self._timers.get(name)
         if inst is None:
-            inst = self._timers[name] = Timer(name, help)
+            inst = self._timers[name] = Timer(name)
         return inst
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        *,
-        min_value_s: float | None = None,
-        subbuckets: int | None = None,
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         inst = self._histograms.get(name)
         if inst is None:
-            inst = self._histograms[name] = Histogram(
-                name, help, min_value_s=min_value_s, subbuckets=subbuckets
-            )
+            inst = self._histograms[name] = Histogram(name)
         return inst
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
@@ -402,10 +302,6 @@ class Metrics:
                 for n in sorted(self._histograms)
             }
         return snap
-
-    def histograms(self) -> dict[str, Histogram]:
-        """Registered histogram instruments by name (sorted)."""
-        return {n: self._histograms[n] for n in sorted(self._histograms)}
 
     def reset(self) -> None:
         self._counters.clear()

@@ -84,7 +84,7 @@ class RollupState:
         self.top_k_spans = top_k_spans
         self.flushes = 0
         #: End-to-end placement-request latency distribution, folded from
-        #: ``request.done`` events (mergeable, bounded memory) — the p99
+        #: ``request.done`` events (bounded memory) — the p99
         #: ``repro watch`` renders and the sweep reports aggregate.
         self.request_hist = LatencyHistogram()
 
@@ -255,12 +255,11 @@ def load_rollup(path: str | os.PathLike) -> dict[str, Any]:
 
 class _RollupTimeline:
     """Timeline view reconstructed from a rollup document — just enough
-    surface (``series`` with ``values()``/``volatile``, ``time_span()``)
-    for :class:`~repro.obs.slo.SLOMonitor` to evaluate rules against."""
+    surface (``series`` with ``values()``/``volatile``) for
+    :class:`~repro.obs.slo.SLOMonitor` to evaluate rules against."""
 
     def __init__(self, doc: Mapping[str, Any]) -> None:
         self.series: dict[str, TimeSeries] = {}
-        self._span = (doc.get("meta") or {}).get("time_span")
         for name, obj in (doc.get("series") or {}).items():
             self._restore(name, obj, volatile=False)
         wall_series = (doc.get(WALL_KEY) or {}).get("series") or {}
@@ -279,11 +278,6 @@ class _RollupTimeline:
         for t, v in obj.get("points", ()):
             series.add(float(t), float(v))
         self.series[name] = series
-
-    def time_span(self) -> tuple[float, float] | None:
-        if not self._span:
-            return None
-        return (float(self._span[0]), float(self._span[1]))
 
 
 def build_dashboard_from_rollup(

@@ -30,15 +30,17 @@ tracing affordable at scale without giving up the determinism contract:
 
 * **Protected kinds** — the anchors the rest of the observability layer
   relies on (:data:`PROTECTED_KINDS`: state-hash checkpoints, node
-  availability, experiment boundaries, watchdog trips, SLO breaches) are
-  never sampled out, whatever the policy says.
+  availability, experiment boundaries, watchdog trips) are never sampled
+  out, whatever the policy says.
 
 * **Sampled fingerprints** — dropping lifecycle events would make replay's
   state reconstruction diverge from the recorded full-state hash.  The
-  sampler therefore mirrors replay's reconstruction over the *kept* events
-  only and enriches every ``sim.state_hash`` event with a deterministic
-  ``sampled_hash`` field; :mod:`repro.obs.replay` cross-checks against it
-  when present, so sampled traces replay without false divergence.
+  sampler therefore feeds every *kept* event to its own
+  :class:`~repro.obs.replay.ReplayState` and enriches every
+  ``sim.state_hash`` event with that state's fingerprint as a
+  deterministic ``sampled_hash`` field; :mod:`repro.obs.replay`
+  cross-checks against it when present, so sampled traces replay without
+  false divergence.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import Any, Mapping
 from zlib import crc32
 
 from .events import EventKind
+from .replay import ReplayState
 
 __all__ = [
     "SamplingPolicy",
@@ -64,7 +67,6 @@ PROTECTED_KINDS = frozenset(
         EventKind.NODE_AVAILABILITY,
         EventKind.BENCH_EXPERIMENT,
         EventKind.WATCHDOG_TRIP,
-        EventKind.SLO_BREACH,
     }
 )
 
@@ -196,8 +198,8 @@ class TraceSampler:
     :meth:`sample` is called by :meth:`repro.obs.trace.Tracer.emit` before
     an event is built (dropped events never consume a sequence number, so
     the kept stream stays contiguous and canonical).  The sampler also
-    maintains the kept-placement mirror behind the ``sampled_hash``
-    enrichment (see module docstring).
+    replays the kept stream behind the ``sampled_hash`` enrichment (see
+    module docstring).
     """
 
     def __init__(self, policy: SamplingPolicy) -> None:
@@ -207,8 +209,7 @@ class TraceSampler:
         self._thresholds: dict[str, int] = {}
         self._decisions: dict[str, bool] = {}
         self._kind_seen: dict[str, int] = {}
-        self._placements: dict[str, str] = {}
-        self._down: set[str] = set()
+        self._replay = ReplayState()
 
     # -- decision machinery --------------------------------------------------
 
@@ -274,55 +275,18 @@ class TraceSampler:
         ``data`` is returned unchanged except for ``sim.state_hash``
         events, which gain the deterministic ``sampled_hash`` field.
         """
-        if kind in PROTECTED_KINDS:
-            if kind == EventKind.NODE_AVAILABILITY:
-                node_id = data.get("node_id")
-                if node_id is not None:
-                    if data.get("up"):
-                        self._down.discard(node_id)
-                    else:
-                        self._down.add(node_id)
-            elif kind == EventKind.BENCH_EXPERIMENT:
-                # Fresh cluster: reset the mirror and the decision map.
-                self._placements.clear()
-                self._down.clear()
-                self._decisions.clear()
-            elif kind == EventKind.SIM_STATE_HASH:
-                from ..cluster.state import placement_fingerprint
-
-                data = dict(data)
-                data["sampled_hash"] = placement_fingerprint(
-                    self._placements, self._down
-                )
-            return True, data
-
-        key = data.get("app_id") or data.get("task_id") or data.get("container_id")
-        if not self.decide(kind, key if key is None else str(key)):
-            return False, data
-
-        # Mirror replay's reconstruction over the *kept* stream only.
-        if kind == EventKind.LRA_PLACE:
-            for container_id, node_id in data.get("placements") or ():
-                self._placements[container_id] = node_id
-        elif kind == EventKind.LRA_COMPLETE:
-            for container_id in data.get("released", ()):
-                self._placements.pop(container_id, None)
-        elif kind == EventKind.TASK_ALLOCATE:
-            task_id = data.get("task_id")
-            node_id = data.get("node_id")
-            if task_id is not None and node_id is not None:
-                self._placements[task_id] = node_id
-        elif kind == EventKind.TASK_RELEASE:
-            task_id = data.get("task_id")
-            if task_id is not None:
-                self._placements.pop(task_id, None)
+        if kind == EventKind.SIM_STATE_HASH:
+            return True, {**data, "sampled_hash": self._replay.fingerprint()}
+        if kind == EventKind.BENCH_EXPERIMENT:
+            # Fresh cluster: replay resets its state, and every lifecycle
+            # is decided afresh.
+            self._decisions.clear()
+        elif kind not in PROTECTED_KINDS:
+            key = (
+                data.get("app_id") or data.get("task_id")
+                or data.get("container_id")
+            )
+            if not self.decide(kind, key if key is None else str(key)):
+                return False, data
+        self._replay.feed({"kind": kind, "data": data})
         return True, data
-
-    def stats(self) -> dict[str, Any]:
-        """Deterministic sampler bookkeeping for self-telemetry."""
-        return {
-            "policy": self.policy.describe(),
-            "seed": self.policy.seed,
-            "tracked_decisions": len(self._decisions),
-            "tracked_placements": len(self._placements),
-        }

@@ -4,9 +4,8 @@ An :class:`SLORule` names a timeline series (glob patterns allowed, e.g.
 ``solver_latency_s:*``), an aggregation over its per-tick values (``max`` /
 ``min`` / ``mean`` / ``last`` / ``p50`` / ``p95`` / ``p99``), a comparison
 operator and a threshold.  :class:`SLOMonitor` evaluates a rule set against
-a :class:`~repro.obs.timeline.TimelineAggregator`, emits one typed
-``slo.breach`` trace event per violated rule, and produces an
-:class:`SLOReport` with a run-level pass/fail verdict.
+a finished :class:`~repro.obs.timeline.TimelineAggregator` and produces
+an :class:`SLOReport` with a run-level pass/fail verdict.
 
 Rules whose series does not exist in the timeline are *skipped*, not
 breached — a smoke trace without task load simply has no queuing-delay
@@ -26,14 +25,11 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Any, Iterable, Sequence
 
-from .events import EventKind
 from .stats import percentile
 from .timeline import TimelineAggregator
-from .trace import Tracer
 
 __all__ = [
     "SLORule",
-    "SLOBreach",
     "SLOResult",
     "SLOReport",
     "SLOMonitor",
@@ -62,9 +58,21 @@ class SLORule:
     description: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not isinstance(self.series, str):
+            raise ValueError(
+                f"SLO rule name and series must be strings, got "
+                f"{self.name!r} and {self.series!r}"
+            )
+        if isinstance(self.threshold, bool) or not isinstance(
+            self.threshold, (int, float)
+        ):
+            raise ValueError(
+                f"SLO rule {self.name!r}: threshold must be a number, got "
+                f"{self.threshold!r}"
+            )
         if self.agg not in _AGGS:
             raise ValueError(f"unknown agg {self.agg!r}; expected one of {_AGGS}")
-        if self.op not in _OPS:
+        if not isinstance(self.op, str) or self.op not in _OPS:
             raise ValueError(f"unknown op {self.op!r}; expected one of {tuple(_OPS)}")
 
     def aggregate(self, values: Sequence[float]) -> float:
@@ -102,25 +110,6 @@ class SLORule:
         return cls(**known)
 
 
-@dataclass(frozen=True)
-class SLOBreach:
-    """A typed breach record: which rule failed, and what was observed."""
-
-    rule: SLORule
-    observed: float
-    matched_series: tuple[str, ...]
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule.name,
-            "series": list(self.matched_series),
-            "agg": self.rule.agg,
-            "op": self.rule.op,
-            "threshold": self.rule.threshold,
-            "observed": round(self.observed, 6),
-        }
-
-
 @dataclass
 class SLOResult:
     """Evaluation outcome of one rule."""
@@ -156,12 +145,9 @@ class SLOReport:
     results: list[SLOResult] = field(default_factory=list)
 
     @property
-    def breaches(self) -> list[SLOBreach]:
-        return [
-            SLOBreach(r.rule, r.observed, r.matched_series)
-            for r in self.results
-            if not r.skipped and not r.ok
-        ]
+    def breaches(self) -> list[SLOResult]:
+        """The rules that were judged and failed."""
+        return [r for r in self.results if not r.skipped and not r.ok]
 
     @property
     def ok(self) -> bool:
@@ -194,40 +180,11 @@ class SLOMonitor:
     def __init__(self, rules: Iterable[SLORule]) -> None:
         self.rules = list(rules)
 
-    def evaluate(
-        self, timeline: TimelineAggregator, *, tracer: Tracer | None = None
-    ) -> SLOReport:
-        """Judge every rule; emit one ``slo.breach`` event per failure when
-        ``tracer`` is given and enabled."""
+    def evaluate(self, timeline: TimelineAggregator) -> SLOReport:
+        """Judge every rule."""
         report = SLOReport()
         for rule in self.rules:
             report.results.append(self._evaluate_rule(rule, timeline))
-        if tracer is not None and tracer.enabled:
-            span = timeline.time_span()
-            when = span[1] if span is not None else None
-            for breach in report.breaches:
-                obj = breach.to_obj()
-                observed = obj.pop("observed")
-                volatile = any(
-                    timeline.series[name].volatile
-                    for name in breach.matched_series
-                    if name in timeline.series
-                )
-                if volatile:
-                    # An observation over wall-derived series is itself
-                    # volatile: keep it out of the canonical stream.
-                    tracer.emit(
-                        EventKind.SLO_BREACH,
-                        time=when,
-                        data=obj,
-                        wall={"observed": observed},
-                    )
-                else:
-                    tracer.emit(
-                        EventKind.SLO_BREACH,
-                        time=when,
-                        data={**obj, "observed": observed},
-                    )
         return report
 
     def _evaluate_rule(
@@ -309,4 +266,11 @@ def load_slo_rules(path: str) -> list[SLORule]:
         raw = json.load(handle)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: SLO rules file must be a JSON list")
-    return [SLORule.from_obj(obj) for obj in raw]
+    rules = []
+    for index, obj in enumerate(raw):
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"{path}: SLO rule {index} must be a JSON object, got {obj!r}"
+            )
+        rules.append(SLORule.from_obj(obj))
+    return rules

@@ -246,9 +246,6 @@ class Tracer:
         self.sinks.append(sink)
         return sink
 
-    def remove_sink(self, sink: TraceSink) -> None:
-        self.sinks.remove(sink)
-
     def emit(
         self,
         kind: str,

@@ -10,7 +10,8 @@ the simulation's engine heartbeat, it re-derives the cluster's conserved
 quantities from first principles every few ticks and trips the moment the
 authoritative state stops agreeing with itself.
 
-Checks (each independently intervalled; 1 = every heartbeat):
+Checks (every heartbeat, except the violation audit: every
+:data:`VIOLATIONS_INTERVAL`-th):
 
 * ``node_conservation`` — per node, the free-resource vector must equal
   capacity minus the sum of its allocations, and never go negative.
@@ -45,8 +46,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from .events import EventKind
-from .metrics import Metrics, get_metrics
-from .trace import Tracer, get_tracer
+from .metrics import get_metrics
+from .trace import get_tracer
 
 if TYPE_CHECKING:  # annotation-only; the watchdog works on duck-typed sims
     from ..sim.cluster_sim import ClusterSimulation
@@ -67,6 +68,9 @@ CHECKS = (
 )
 
 _MODES = ("warn", "abort")
+
+#: Run the (expensive) violation audit every N-th heartbeat.
+VIOLATIONS_INTERVAL = 5
 
 
 class WatchdogError(RuntimeError):
@@ -105,42 +109,19 @@ class Watchdog:
     raises :class:`WatchdogError` after recording.  Identical consecutive
     diagnoses for a check are emitted once, so a persistent corruption
     does not flood the trace — the first trip pins the corrupting tick.
+    Trips go to the ambient tracer and metrics registry.
     """
 
-    def __init__(
-        self,
-        *,
-        mode: str = "warn",
-        fingerprint_interval: int = 1,
-        violations_interval: int = 5,
-        tracer: Tracer | None = None,
-        metrics: Metrics | None = None,
-    ) -> None:
+    def __init__(self, *, mode: str = "warn") -> None:
         if mode not in _MODES:
             raise ValueError(f"unknown watchdog mode {mode!r}; expected {_MODES}")
-        if fingerprint_interval < 1 or violations_interval < 1:
-            raise ValueError("check intervals must be >= 1")
         self.mode = mode
-        #: Run the fingerprint self-check every N-th heartbeat.
-        self.fingerprint_interval = fingerprint_interval
-        #: Run the (expensive) violation audit every N-th heartbeat.
-        self.violations_interval = violations_interval
         self.trips: list[WatchdogTrip] = []
         self.checks_run = 0
-        self._tracer = tracer
-        self._metrics = metrics
         #: check -> last emitted diagnosis, for consecutive-trip dedup.
         self._last_diagnosis: dict[str, dict[str, Any]] = {}
         #: High-water mark of the violations evaluation counter.
         self._violation_evals = 0.0
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
-
-    @property
-    def metrics(self) -> Metrics:
-        return self._metrics if self._metrics is not None else get_metrics()
 
     # -- the heartbeat hook --------------------------------------------------
 
@@ -156,10 +137,9 @@ class Watchdog:
         state = sim.state
         new_trips.extend(self._check_node_conservation(state, now))
         new_trips.extend(self._check_container_conservation(state, now))
-        if self.checks_run % self.violations_interval == 0:
+        if self.checks_run % VIOLATIONS_INTERVAL == 0:
             new_trips.extend(self._check_violation_consistency(sim, now))
-        if self.checks_run % self.fingerprint_interval == 0:
-            new_trips.extend(self._check_fingerprint(state, now))
+        new_trips.extend(self._check_fingerprint(state, now))
         for trip in new_trips:
             self._record(trip)
         if new_trips and self.mode == "abort":
@@ -262,8 +242,9 @@ class Watchdog:
         counter must be monotone."""
         from .violations import evaluate_violations
 
+        metrics = get_metrics()
         report = evaluate_violations(
-            sim.state, manager=sim.medea.manager, metrics=self.metrics
+            sim.state, manager=sim.medea.manager, metrics=metrics
         )
         distinct_violating = len({r.container_id for r in report.records})
         problems: dict[str, Any] = {}
@@ -277,7 +258,7 @@ class Watchdog:
         if distinct_violating > report.violating_containers:
             problems["record_containers"] = distinct_violating
             problems["violating"] = report.violating_containers
-        evals = self.metrics.counter("violations_evaluations_total").total()
+        evals = metrics.counter("violations_evaluations_total").total()
         if evals < self._violation_evals:
             problems["evaluations"] = evals
             problems["previous_evaluations"] = self._violation_evals
@@ -315,8 +296,8 @@ class Watchdog:
             return  # same persistent corruption; already reported
         self._last_diagnosis[trip.check] = dict(trip.diagnosis)
         self.trips.append(trip)
-        self.metrics.counter("watchdog_trips_total").inc(check=trip.check)
-        tracer = self.tracer
+        get_metrics().counter("watchdog_trips_total").inc(check=trip.check)
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.emit(
                 EventKind.WATCHDOG_TRIP, time=trip.time, data=trip.to_data()

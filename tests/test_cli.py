@@ -203,6 +203,26 @@ class TestTraceTools:
         assert "No such file or directory" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("rules, reason", [
+        ("[1]", "{path}: SLO rule 0 must be a JSON object, got 1"),
+        ('[{"name": "x", "series": "utilization", "threshold": "abc"}]',
+         "SLO rule 'x': threshold must be a number, got 'abc'"),
+    ], ids=["non-object-entry", "non-numeric-threshold"])
+    def test_malformed_slo_file_is_one_line(self, trace, tmp_path, capsys,
+                                            rules, reason):
+        """A malformed ``--slo`` file is one stderr line and exit 1 before
+        any page is drawn, never a traceback."""
+        slo = tmp_path / "slo.json"
+        slo.write_text(rules)
+        capsys.readouterr()
+        assert main(["dashboard", str(trace), "--slo", str(slo)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "dashboard: cannot load SLO rules: " + reason.format(path=slo)
+        ]
+        assert "Traceback" not in captured.err
+
     def test_streaming_ingest_memory_is_bounded(self, tmp_path):
         """The trace reader must not load the whole file: peak ingest
         allocation stays far below the trace's size (satellite: a
@@ -297,6 +317,11 @@ def test_retired_ledger_stays_retired():
         repro.obs.profile: ("profile_summary", "profile_view", "span_deltas",
                             "build_profile", "critical_paths"),
         repro.obs.diff: ("diff_rollups", "_first_delta_tick", "_stat_delta"),
+        # Unread signals: no emitter, no reader outside their own tests.
+        repro.obs.EventKind: ("SLO_BREACH", "MIGRATION_PLAN", "all_kinds"),
+        repro.obs.Tracer: ("remove_sink",),
+        repro.obs.TraceSampler: ("stats",),
+        repro.obs.slo: ("SLOBreach",),
     }
     for module, names in retired.items():
         for name in names:

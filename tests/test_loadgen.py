@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.core.scheduler import (
     PLACE_REQUEST_COUNTER,
+    PLACE_REQUEST_HISTOGRAM,
     REJECT_OVERLOAD,
     PlacementService,
 )
@@ -231,9 +232,12 @@ class TestPlacementService:
         metrics = Metrics()
         set_metrics(metrics)
         service = _service()
-        service.handle(RequestTemplate().build(0))
-        merged = metrics.histograms()["place_request_seconds"].merged()
-        assert merged.count == 1
+        response = service.handle(RequestTemplate().build(0))
+        assert response.placed
+        hist = metrics.histogram(PLACE_REQUEST_HISTOGRAM).stat(outcome="placed")
+        assert hist.count == 1
+        assert hist.sum_s == response.latency_s
+        assert hist.quantile(100) == response.latency_s
 
     def test_in_process_target_step(self, isolate_obs):
         service = _service()

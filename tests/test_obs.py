@@ -292,8 +292,13 @@ class TestSolverStats:
         assert metrics.counter("solver_nodes_explored_total").value(**labels) == 7
         assert metrics.counter("solver_lp_solves_total").value(**labels) == 3
         timer = metrics.timer("solver_phase_seconds")
-        assert timer.stat(phase="lp", **labels).total_s == pytest.approx(0.2)
-        assert timer.stat(phase="total", **labels).total_s == pytest.approx(0.5)
+        lp = timer.stat(phase="lp", **labels)
+        assert lp.count == 1
+        assert lp.sum_s == pytest.approx(0.2)
+        assert lp.quantile(50) == pytest.approx(0.2, rel=lp.relative_error)
+        assert timer.stat(phase="total", **labels).summary()["total_s"] == (
+            pytest.approx(0.5)
+        )
 
 
 class TestDecisionAudit:

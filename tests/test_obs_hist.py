@@ -1,10 +1,10 @@
-"""Tests for the mergeable latency histogram (``repro.obs.hist``).
+"""Tests for the latency histogram (``repro.obs.hist``).
 
-The histogram underpins every latency number the latency-under-load
-plane reports (timer percentiles, the loadgen sweep, the request-path
-``/metrics`` exposition), so the properties asserted here — bounded
-relative error, exact merge, byte-stable serialization, deterministic
-bucket arithmetic — are load-bearing for the determinism contract.
+The histogram is the one latency record behind every latency number the
+observability layer reports (timer and histogram snapshots, the loadgen
+sweep, the ``/metrics`` exposition), so the properties asserted here —
+bounded relative error, byte-stable serialization, deterministic bucket
+arithmetic — are load-bearing for the determinism contract.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.obs
+from repro.obs import Metrics, render_prometheus
 from repro.obs.hist import (
     DEFAULT_MIN_VALUE_S,
     DEFAULT_SUBBUCKETS,
     LatencyHistogram,
-    merge_histograms,
 )
 
 
@@ -121,74 +122,20 @@ class TestQuantiles:
         assert hist.min_s == 0.0
 
 
-class TestMerge:
-    @staticmethod
-    def _structure(hist):
-        """Everything but ``sum_s`` — bucket counts and extrema merge
-        EXACTLY; the float running sum is only merge-order-stable to the
-        last bit (addition is not associative)."""
-        obj = hist.to_obj()
-        obj.pop("sum_s")
-        return obj
-
-    def test_merge_is_exact(self):
-        rng = random.Random(11)
-        values = [rng.uniform(1e-4, 1.0) for _ in range(999)]
-        whole = LatencyHistogram()
-        parts = [LatencyHistogram() for _ in range(3)]
-        for i, v in enumerate(values):
-            whole.record(v)
-            parts[i % 3].record(v)
-        merged = merge_histograms(parts)
-        assert self._structure(merged) == self._structure(whole)
-        assert merged.sum_s == pytest.approx(whole.sum_s)
-        # Quantiles derive from bucket counts alone, so they agree
-        # exactly, not approximately.
-        for q in (50, 95, 99):
-            assert merged.quantile(q) == whole.quantile(q)
-
-    def test_merge_associative_and_commutative(self):
-        rng = random.Random(23)
-        hists = []
-        for _ in range(4):
-            h = LatencyHistogram()
-            for _ in range(200):
-                h.record(rng.expovariate(1 / 0.05))
-            hists.append(h)
-        left = hists[0].copy().merge(hists[1]).merge(hists[2]).merge(hists[3])
-        right = hists[2].copy().merge(hists[3])
-        right = hists[1].copy().merge(right)
-        right = hists[0].copy().merge(right)
-        reversed_order = merge_histograms(reversed([h.copy() for h in hists]))
-        assert (self._structure(left) == self._structure(right)
-                == self._structure(reversed_order))
-        for q in (50, 99):
-            assert left.quantile(q) == right.quantile(q)
-            assert left.quantile(q) == reversed_order.quantile(q)
-
-    def test_merge_rejects_mismatched_geometry(self):
-        a = LatencyHistogram()
-        b = LatencyHistogram(subbuckets=32)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_empty_iterable_yields_empty(self):
-        assert merge_histograms([]).count == 0
-
-
 class TestSerialization:
     def test_byte_stable_round_trip(self):
         rng = random.Random(5)
         hist = LatencyHistogram()
         for _ in range(1_000):
             hist.record(rng.expovariate(1 / 0.03))
-        encoded = hist.to_json()
-        decoded = LatencyHistogram.from_json(encoded)
-        assert decoded.to_json() == encoded
-        assert decoded.quantile(99) == hist.quantile(99)
-        # Sorted keys, compact separators: canonical JSON.
-        obj = json.loads(encoded)
+        encoded = json.dumps(hist.to_obj(), sort_keys=True)
+        assert json.loads(encoded) == hist.to_obj()
+        # Keys are already sorted; the geometry is the module constants.
+        obj = hist.to_obj()
         assert list(obj) == sorted(obj)
+        assert obj["min_value_s"] == DEFAULT_MIN_VALUE_S
+        assert obj["subbuckets"] == DEFAULT_SUBBUCKETS
+        assert sum(n for _, n in obj["buckets"]) == hist.count
 
     def test_round_trip_through_jsonl(self, tmp_path):
         """A histogram embedded in a trace event's data survives a JSONL
@@ -203,8 +150,7 @@ class TestSerialization:
         jsonl.write_text(json.dumps(event, sort_keys=True) + "\n")
         via_jsonl = json.loads(jsonl.read_text())["data"]["hist"]
 
-        round_tripped = LatencyHistogram.from_obj(via_jsonl)
-        assert round_tripped.to_json() == hist.to_json()
+        assert via_jsonl == hist.to_obj()
 
     def test_same_sequence_same_bytes(self):
         payloads = []
@@ -213,16 +159,8 @@ class TestSerialization:
             rng = random.Random(42)
             for _ in range(500):
                 hist.record(rng.uniform(1e-5, 10.0))
-            payloads.append(hist.to_json())
+            payloads.append(json.dumps(hist.to_obj(), sort_keys=True))
         assert payloads[0] == payloads[1]
-
-    def test_custom_geometry_round_trips(self):
-        hist = LatencyHistogram(min_value_s=1e-3, subbuckets=16)
-        hist.record(0.5)
-        restored = LatencyHistogram.from_json(hist.to_json())
-        assert restored.min_value_s == 1e-3
-        assert restored.subbuckets == 16
-        assert restored.to_json() == hist.to_json()
 
 
 class TestCumulativeBuckets:
@@ -237,3 +175,58 @@ class TestCumulativeBuckets:
         assert uppers == sorted(uppers)
         assert counts == sorted(counts)
         assert counts[-1] == hist.count
+
+
+class TestOneLatencyRecord:
+    """A timer label set is a :class:`LatencyHistogram`: its snapshot
+    entry is the histogram's ``summary()`` and its exposition is a
+    Prometheus summary of the same numbers."""
+
+    VALUES = (0.004, 0.0012, 0.25, 0.0012, 0.031)
+
+    def test_timer_entry_is_histogram_summary(self):
+        metrics = Metrics()
+        hist = LatencyHistogram()
+        for value in self.VALUES:
+            metrics.timer("place_seconds").observe(value, scheduler="nc")
+            hist.record(value)
+        snap = metrics.snapshot()
+        assert snap["timers"]["place_seconds"]["scheduler=nc"] == hist.summary()
+        assert metrics.timer("place_seconds").stat(scheduler="nc").mean_s == (
+            hist.mean_s
+        )
+        assert render_prometheus(snap) == (
+            "# TYPE place_seconds summary\n"
+            'place_seconds{scheduler="nc",quantile="0.5"} 0.004016\n'
+            'place_seconds{scheduler="nc",quantile="0.95"} 0.25\n'
+            'place_seconds{scheduler="nc",quantile="0.99"} 0.25\n'
+            'place_seconds_count{scheduler="nc"} 5.0\n'
+            'place_seconds_sum{scheduler="nc"} 0.2874\n'
+        )
+
+    def test_deleted_latency_api_stays_deleted(self):
+        """The second latency aggregate, the merge/deserialise surface
+        and the per-instrument geometry and help knobs must not regrow."""
+        import inspect
+
+        from repro.obs import hist as hist_module
+        from repro.obs import metrics as metrics_module
+
+        assert not set(repro.obs.__all__) & {"TimerStat", "merge_histograms"}
+        assert not hasattr(metrics_module, "TimerStat")
+        assert not hasattr(hist_module, "merge_histograms")
+        for name in ("merge", "copy", "from_obj", "from_json", "to_json",
+                     "_check_compatible", "min_value_s", "subbuckets"):
+            assert not hasattr(LatencyHistogram, name), name
+        for name in ("merged", "export", "items"):
+            assert not hasattr(metrics_module.Histogram, name), name
+        assert not hasattr(Metrics, "histograms")
+        for factory in (Metrics.counter, Metrics.gauge, Metrics.timer,
+                        Metrics.histogram):
+            assert list(inspect.signature(factory).parameters) == [
+                "self", "name",
+            ], factory
+        for cls in (metrics_module.Counter, metrics_module.Gauge,
+                    metrics_module.Timer, metrics_module.Histogram):
+            assert list(inspect.signature(cls).parameters) == ["name"], cls
+        assert not inspect.signature(LatencyHistogram).parameters

@@ -189,21 +189,22 @@ class TestProfileReport:
 
 
 class TestTimerStatZeroObservations:
-    """Satellite guard: percentile queries on empty aggregates must return
-    a defined value (0.0), never raise — matching the profile report's
-    empty-trace behaviour above."""
+    """Percentile queries on an empty timer stat (a
+    :class:`~repro.obs.hist.LatencyHistogram`) must return a defined value
+    (0.0), never raise — matching the profile report's empty-trace
+    behaviour above."""
 
     def test_percentile_on_empty_stat_returns_zero(self):
-        from repro.obs.metrics import TimerStat
+        from repro.obs.metrics import Timer
 
-        stat = TimerStat()
+        stat = Timer("t").stat()
         for q in (0, 50, 95, 99, 100):
-            assert stat.percentile(q) == 0.0
+            assert stat.quantile(q) == 0.0
 
     def test_to_dict_on_empty_stat_is_defined(self):
-        from repro.obs.metrics import TimerStat
+        from repro.obs.metrics import Timer
 
-        snapshot = TimerStat().to_dict()
+        snapshot = Timer("t").stat().summary()
         assert snapshot["count"] == 0
         assert snapshot["mean_s"] == 0.0
         assert snapshot["min_s"] == 0.0
@@ -215,7 +216,8 @@ class TestTimerStatZeroObservations:
 
         stat = Timer("t").stat(scheduler="never-used")
         assert stat.count == 0
-        assert stat.percentile(95) == 0.0
+        assert stat.sum_s == 0.0
+        assert stat.quantile(95) == 0.0
 
 
 def _make_sim(tracer=None, metrics=None):
