@@ -14,8 +14,8 @@ Eight commands, each a thin wrapper over the library:
   judge SLO rules, profile its spans and critical paths, count its events
   by kind, and render a terminal report (optionally ``--html`` / ``--json``
   artifacts and a ``--collapsed`` stack file for flamegraph.pl /
-  speedscope).  Also accepts a streaming ``ROLLUP_*.json`` document and
-  renders from it alone.
+  speedscope).  Also accepts a streaming ``ROLLUP_*.json`` document: it
+  holds the same summary, folded live, so its dashboard is the trace's.
 * ``diff`` — did two recorded traces make the same decisions?  Structural
   first-divergence localization, causal placement-flip explanations from
   decision audits, and deterministic series / span-count deltas;
@@ -40,10 +40,11 @@ and prints a metrics summary after the run; ``--trace-sample`` (or
 ``MEDEA_TRACE_SAMPLE``) samples it deterministically (e.g.
 ``"heartbeat=0.01,task=0.1,seed=7"``); ``--serve PORT`` (or
 ``MEDEA_SERVE``) serves ``/metrics``, ``/healthz`` and ``/snapshot`` for the
-duration of the run; ``--rollup FILE`` (or ``MEDEA_ROLLUP``) streams
-bounded rollup documents to disk; ``--watchdog {warn,abort}`` (or
-``MEDEA_WATCHDOG``) arms the online invariant monitors.  One rule for all
-five: a flag that is given wins over its variable.
+duration of the run; ``--rollup FILE`` (or ``MEDEA_ROLLUP``) streams the
+run's dashboard summary to disk as a bounded rollup document;
+``--watchdog {warn,abort}`` (or ``MEDEA_WATCHDOG``) arms the online
+invariant monitors.  One rule for all five: a flag that is given wins
+over its variable.
 """
 
 from __future__ import annotations
@@ -76,6 +77,29 @@ EXIT_USAGE = 2
 #: from "the check could not run".
 EXIT_GATE = 3
 
+#: Range of each numeric size flag, per command: (flag, "op bound").
+_FLAG_RANGES = {
+    "compare": (("nodes", ">= 1"), ("racks", ">= 1"), ("instances", ">= 0"),
+                ("max_rs_per_node", ">= 1")),
+    "simulate": (("nodes", ">= 1"), ("horizon", "> 0"), ("lras", ">= 0"),
+                 ("tasks", ">= 0")),
+    "loadgen": (("rate", "> 0"), ("requests", ">= 1"), ("concurrency", ">= 1"),
+                ("nodes", ">= 1"), ("racks", ">= 1"), ("containers", ">= 1")),
+}
+
+
+def _out_of_range(args: argparse.Namespace) -> bool:
+    """Print one ``<command>: --flag must be …`` line for the first size
+    flag of :data:`_FLAG_RANGES` outside its range."""
+    for flag, rule in _FLAG_RANGES.get(args.command, ()):
+        op, bound = rule.split()
+        value = getattr(args, flag)
+        if not (value > float(bound) if op == ">" else value >= float(bound)):
+            print(f"{args.command}: --{flag.replace('_', '-')} must be {rule}",
+                  file=sys.stderr)
+            return True
+    return False
+
 
 def _add_live_plane_args(p: argparse.ArgumentParser) -> None:
     """Flags shared by the run commands (``compare`` / ``simulate``)."""
@@ -86,9 +110,9 @@ def _add_live_plane_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--rollup", metavar="FILE", default=None,
-        help="stream bounded rollup documents (series + span stats + "
-             "self-telemetry) to this JSON file, atomically rewritten "
-             "during the run",
+        help="stream the run's dashboard summary (series, replay, SLO, "
+             "span profile, critical paths + self-telemetry) to this JSON "
+             "file, atomically rewritten during the run",
     )
     p.add_argument(
         "--trace-sample", metavar="SPEC", default=None,
@@ -607,7 +631,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         dashboard_verdict,
         dashboard_view,
     )
-    from .obs.rollup import build_dashboard_from_rollup, sniff_rollup
+    from .obs.rollup import rejudge_slos, sniff_rollup
 
     rules = None
     if args.slo:
@@ -619,13 +643,17 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
             print(f"dashboard: cannot load SLO rules: {exc}", file=sys.stderr)
             return EXIT_DATA_ERROR
     profile = ProfileReport()
-    rollup_doc = sniff_rollup(args.trace_file)
+    try:
+        rollup_doc = sniff_rollup(args.trace_file)
+    except ValueError as exc:
+        print(f"dashboard: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
     if rollup_doc is not None:
         if args.collapsed:
             print(f"dashboard: --collapsed needs the raw JSONL trace; "
                   f"{args.trace_file} is a rollup document", file=sys.stderr)
             return EXIT_USAGE
-        summary = build_dashboard_from_rollup(rollup_doc, rules=rules)
+        summary = rollup_doc if rules is None else rejudge_slos(rollup_doc, rules)
     else:
         try:
             summary = build_dashboard(args.trace_file, rules=rules,
@@ -735,13 +763,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             return EXIT_USAGE
     else:
         rates = [args.rate]
-    if args.rate <= 0:
-        print("loadgen: --rate must be > 0", file=sys.stderr)
-        return EXIT_USAGE
-    for flag in ("requests", "concurrency", "nodes", "racks", "containers"):
-        if getattr(args, flag) < 1:
-            print(f"loadgen: --{flag} must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
 
     from .obs.session import ObsConfig, ObsSession
 
@@ -859,6 +880,8 @@ def _print_run_summary(tracer) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if _out_of_range(args):
+        return EXIT_USAGE
     if args.command == "table1":
         return _cmd_table1()
     if args.command == "parse":

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as _np
 
@@ -474,9 +474,6 @@ class ClusterState:
 
     def containers_of_app(self, app_id: str) -> list[PlacedContainer]:
         return [c for c in self._containers.values() if c.allocation.app_id == app_id]
-
-    def iter_nodes(self) -> Iterator[Node]:
-        return iter(self.topology)
 
     def free_resources(self, node_id: str) -> Resource:
         return self.topology.node(node_id).free

@@ -82,9 +82,6 @@ class PlacementResult:
     def placed_apps(self) -> set[str]:
         return {p.app_id for p in self.placements}
 
-    def placements_of(self, app_id: str) -> list[ContainerPlacement]:
-        return [p for p in self.placements if p.app_id == app_id]
-
     def __len__(self) -> int:
         return len(self.placements)
 

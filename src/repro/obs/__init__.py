@@ -19,15 +19,20 @@ substrate):
 
 Built on top of those (ISSUE 3 / the paper's §7 evaluation signals):
 
-* **Timeline** — :class:`TimelineAggregator` folds a trace (live sink or
-  post-hoc JSONL) into bounded-memory per-tick series: utilization,
-  queue depths, container churn, solver latency, violations.
+* **Timeline** — :class:`TimelineAggregator` folds an event stream into
+  bounded-memory per-tick series: utilization, queue depths, container
+  churn, solver latency, violations.
 * **SLO monitor** — :class:`SLOMonitor` judges declarative
-  :class:`SLORule` thresholds against a finished timeline and returns a
+  :class:`SLORule` thresholds against those series and returns a
   per-rule report with a run-level verdict.
-* **Replay** — :func:`replay_jsonl` reconstructs cluster state from the
+* **Replay** — :class:`ReplayState` reconstructs cluster state from the
   event stream and cross-checks every recorded ``sim.state_hash``,
   reporting the first divergent tick.
+
+All of these, with the span profile and critical paths below, are folded
+by one :class:`RollupState` (``repro.obs.rollup``), one ``observe`` call
+per event: the dashboard of a trace, ``/snapshot``, a ``ROLLUP_*.json``
+file and each side of a diff are readings of that one fold.
 
 The **live plane** (ISSUE 5) — the same signals while the run is still
 in flight, zero-cost when disabled like everything else:
@@ -35,8 +40,8 @@ in flight, zero-cost when disabled like everything else:
 * **Telemetry endpoint** — :class:`TelemetryServer` (``repro.obs.serve``)
   serves ``/metrics`` (Prometheus text exposition of the live
   :class:`Metrics` registry), ``/healthz`` (503 once run progress stalls
-  past a wall-clock deadline) and ``/snapshot`` (the dashboard JSON from a
-  live :class:`TimelineAggregator` sink); ``MEDEA_SERVE=port`` /
+  past a wall-clock deadline) and ``/snapshot`` (the dashboard summary of
+  the session's live :class:`RollupState`); ``MEDEA_SERVE=port`` /
   ``--serve``, polled by ``repro watch``.
 * **Watchdog** — :class:`Watchdog` (``repro.obs.watchdog``) re-derives
   conservation invariants (node resources, container counts, placement
@@ -53,8 +58,7 @@ attribution):
   collapsed-stack export for flamegraphs (``repro dashboard --collapsed``).
 * **Critical paths** — :class:`CriticalPathBuilder` attributes each placed
   app's end-to-end latency to queue wait → constraint retries → solver
-  time.  The dashboard (:func:`build_dashboard`) folds both in its one
-  pass over a trace.
+  time.  Both are part of the one fold, so every dashboard has them.
 
 The **scale plane** (ISSUE 8) — observing 10k-node runs without the
 telemetry dominating the run:
@@ -64,11 +68,11 @@ telemetry dominating the run:
   sampling keyed on app/task identity, so kept lifecycles stay complete
   and same-seed canonical traces stay byte-identical
   (``MEDEA_TRACE_SAMPLE`` / ``--trace-sample``).
-* **Streaming rollups** — :class:`RollupState` / :class:`RollupSink`
-  (``repro.obs.rollup``): live bounded aggregates periodically flushed to
-  an atomic ``ROLLUP_*.json``; the dashboard renders from a rollup alone
-  and ``/snapshot`` serves from the same state (``MEDEA_ROLLUP`` /
-  ``--rollup``).
+* **Streaming rollups** — :class:`RollupSink` (``repro.obs.rollup``)
+  periodically flushes the live :class:`RollupState` to an atomic,
+  bounded ``ROLLUP_*.json``; the dashboard of that document equals the
+  dashboard of the run's trace, and ``/snapshot`` serves from the same
+  state (``MEDEA_ROLLUP`` / ``--rollup``).
 * **Self-telemetry** — the tracer accounts its own cost
   (``events_seen/emitted/dropped``, ``overhead_s``); the
   ``benchmarks/test_obs_overhead.py`` gate asserts total observability
@@ -137,27 +141,9 @@ from .metrics import (
     set_metrics,
 )
 from .profile import AppCriticalPath, CriticalPathBuilder, ProfileReport, SpanStat
-from .replay import (
-    ReplayDivergence,
-    ReplayReport,
-    ReplayState,
-    replay_events,
-    replay_jsonl,
-)
-from .report import (
-    TraceFileError,
-    TraceReader,
-    build_dashboard,
-    iter_trace,
-    read_trace,
-)
-from .rollup import (
-    ROLLUP_SCHEMA,
-    RollupSink,
-    RollupState,
-    build_dashboard_from_rollup,
-    load_rollup,
-)
+from .replay import ReplayDivergence, ReplayReport, ReplayState
+from .report import TraceFileError, TraceReader, build_dashboard, iter_trace
+from .rollup import ROLLUP_SCHEMA, RollupSink, RollupState
 from .sample import SamplingPolicy, TraceSampler, parse_sample_spec
 from .serve import HealthState, TelemetryServer, render_prometheus
 from .session import ObsConfig, ObsSession, current_session
@@ -212,8 +198,6 @@ __all__ = [
     "ROLLUP_SCHEMA",
     "RollupState",
     "RollupSink",
-    "load_rollup",
-    "build_dashboard_from_rollup",
     # metrics
     "Counter",
     "Gauge",
@@ -258,8 +242,6 @@ __all__ = [
     "ReplayDivergence",
     "ReplayReport",
     "ReplayState",
-    "replay_events",
-    "replay_jsonl",
     # spans + profiles
     "span",
     "span_phase",
@@ -273,7 +255,6 @@ __all__ = [
     "TraceFileError",
     "TraceReader",
     "iter_trace",
-    "read_trace",
     "build_dashboard",
     # violations audit
     "ViolationRecord",

@@ -59,8 +59,7 @@ from typing import Any, Iterable, Mapping
 from .audit import explain_placement_flip
 from .events import WALL_KEY, EventKind, TraceEvent
 from .profile import ProfileReport
-from .replay import ReplayState
-from .timeline import TimelineAggregator
+from .rollup import RollupState
 from .view import Badge, Table, View
 
 __all__ = [
@@ -262,18 +261,17 @@ def _structural_identity(obj: Mapping[str, Any]) -> dict[str, Any]:
 
 
 class _Side:
-    """Single-pass accumulator for one trace: canonical hash, structural
-    substream, replay reconstruction, checkpoints, placements, audits,
-    timeline, span profile.  Memory is bounded by the aggregates plus the
-    unmatched structural window, not the trace length."""
+    """Single-pass accumulator for one trace: the run's one fold
+    (timeline, replay, span profile), plus what only a diff needs —
+    canonical hash, structural substream, checkpoints, placements,
+    audits.  Memory is bounded by the aggregates plus the unmatched
+    structural window, not the trace length."""
 
     def __init__(self, label: str) -> None:
         self.label = label
-        self.events = 0
+        self.fold = RollupState()
         self.structural_events = 0
-        self.kind_counts: dict[str, int] = {}
         self.sha = hashlib.sha256()
-        self.replay = ReplayState()
         self.checkpoints: dict[float, str] = {}
         #: container → (node, simulated time), over the whole run (released
         #: containers stay; a flip anywhere in the run is still a flip).
@@ -282,26 +280,23 @@ class _Side:
         #: container → latest recorded decision payload.
         self.audit: dict[str, Mapping[str, Any]] = {}
         self.audit_events = 0
-        self.timeline = TimelineAggregator()
-        self.profile = ProfileReport()
         self.pending: deque[dict[str, Any]] = deque()
         #: Set by the driver after the first divergence: cap the pending
         #: window to the context size instead of buffering the whole tail.
         self.pending_limit: int | None = None
         self.truncated = False
 
+    @property
+    def events(self) -> int:
+        return self.fold.timeline.events
+
     def feed(self, obj: Mapping[str, Any]) -> None:
-        self.events += 1
-        kind = obj.get("kind")
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
+        self.fold.observe(obj)
         self.sha.update(_canonical_line(obj))
         self.sha.update(b"\n")
-        self.replay.feed(obj)
-        self.timeline.consume(obj)
+        kind = obj.get("kind")
         data = obj.get("data") or {}
-        if kind == EventKind.SPAN:
-            self.profile.add(obj)
-        elif kind == EventKind.SIM_STATE_HASH:
+        if kind == EventKind.SIM_STATE_HASH:
             digest = data.get("hash")
             t = obj.get("time")
             if digest is not None and t is not None:
@@ -329,10 +324,10 @@ class _Side:
                 self.pending.append(_structural_identity(obj))
 
     def structural_kinds(self) -> set[str]:
-        return {k for k in self.kind_counts if k in STRUCTURAL_KINDS}
+        return {k for k in self.fold.timeline.kind_counts if k in STRUCTURAL_KINDS}
 
     def summary_obj(self, path: str | None) -> dict[str, Any]:
-        replay = self.replay.finish().to_obj()
+        replay = self.fold.replay.finish().to_obj()
         obj: dict[str, Any] = {
             "label": self.label,
             "events": self.events,
@@ -340,7 +335,7 @@ class _Side:
             "checkpoints": len(self.checkpoints),
             "placements": len(self.placements),
             "audited_containers": len(self.audit),
-            "kinds": dict(sorted(self.kind_counts.items())),
+            "kinds": dict(sorted(self.fold.timeline.kind_counts.items())),
             "replay": replay,
         }
         if path is not None:
@@ -483,8 +478,8 @@ def _checkpoint_section(side_a: _Side, side_b: _Side) -> dict[str, Any]:
         "mismatched": len(mismatches),
         "mismatches": mismatches[:MAX_RECORDED_CHECKPOINT_MISMATCHES],
     }
-    final_a = side_a.replay.fingerprint()
-    final_b = side_b.replay.fingerprint()
+    final_a = side_a.fold.replay.fingerprint()
+    final_b = side_b.fold.replay.fingerprint()
     section["final_fingerprint_a"] = final_a
     section["final_fingerprint_b"] = final_b
     section["final_match"] = final_a == final_b
@@ -536,8 +531,8 @@ def _placement_section(
 
 def _series_section(side_a: _Side, side_b: _Side) -> dict[str, Any]:
     """Deterministic series compare exactly, point streams included."""
-    det_a = side_a.timeline.summary()["series"]
-    det_b = side_b.timeline.summary()["series"]
+    det_a = side_a.fold.timeline.summary()["series"]
+    det_b = side_b.fold.timeline.summary()["series"]
     det_deltas: list[dict[str, Any]] = []
     matched = 0
     for name in sorted(set(det_a) | set(det_b)):
@@ -620,7 +615,7 @@ def _assemble(
         placements=placement_section,
         flips=flips,
         series=_series_section(side_a, side_b),
-        profile=_profile_section(side_a.profile, side_b.profile),
+        profile=_profile_section(side_a.fold.profile, side_b.fold.profile),
     )
 
     kinds_a, kinds_b = side_a.structural_kinds(), side_b.structural_kinds()

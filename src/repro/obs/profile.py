@@ -17,9 +17,9 @@ Two consumers of the ``span`` events emitted by :mod:`repro.obs.spans`:
   ``scheduler.place`` measurements of the cycles that considered it —
   volatile, so segregated under ``"wall"`` in serialised form).
 
-Both fold decoded event dicts (the shape :func:`repro.obs.report.iter_trace`
-yields) inside the dashboard's single pass over a trace, next to the
-timeline aggregator and the replayer; the two tables below render them.
+Both fold decoded event dicts inside the run's one fold,
+:class:`~repro.obs.rollup.RollupState`, next to the timeline aggregator
+and the replayer; the two tables below render them.
 """
 
 from __future__ import annotations

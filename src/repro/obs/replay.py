@@ -20,18 +20,19 @@ design.  The sampling tracer therefore enriches each checkpoint with a
 ``hash``, so sampled traces cross-check without false divergence while
 still catching corruption of the kept stream.
 
-:class:`ReplayState` is the streaming core — feed it decoded event dicts
-one at a time (:meth:`ReplayState.feed`) and call
-:meth:`ReplayState.finish`; :func:`replay_events` / :func:`replay_jsonl`
-wrap it for whole-iterable and file inputs.  Batch traces (``timed_place``
-driven, no simulation) contain no checkpoints; they replay trivially with
-``checks == 0`` and ``ok == True``.
+:class:`ReplayState` is the streaming replayer — feed it decoded event
+dicts one at a time (:meth:`ReplayState.feed`) and read
+:meth:`ReplayState.finish` whenever a report is wanted.  The dashboard's
+one fold (:class:`~repro.obs.rollup.RollupState`) owns one; the sampling
+tracer owns another behind ``sampled_hash``.  Batch traces
+(``timed_place`` driven, no simulation) contain no checkpoints; they
+replay trivially with ``checks == 0`` and ``ok == True``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Mapping
 
 from ..cluster.state import placement_fingerprint
 from .events import EventKind
@@ -40,8 +41,6 @@ __all__ = [
     "ReplayDivergence",
     "ReplayReport",
     "ReplayState",
-    "replay_events",
-    "replay_jsonl",
 ]
 
 #: Divergences stored in full before the report only counts them.
@@ -190,14 +189,6 @@ class ReplayState:
                         )
                     )
 
-    def placement_map(self) -> dict[str, str]:
-        """Snapshot of the reconstructed container → node map."""
-        return dict(self._placements)
-
-    def down_nodes(self) -> set[str]:
-        """Snapshot of the reconstructed down-node set."""
-        return set(self._down)
-
     def fingerprint(self) -> str:
         """Fingerprint of the *current* reconstructed state — after the
         last fed event this is the run's final placement fingerprint,
@@ -205,46 +196,22 @@ class ReplayState:
         return placement_fingerprint(self._placements, self._down)
 
     def finish(self) -> ReplayReport:
-        """Final report (idempotent; safe to call once feeding is done)."""
-        report = self.report
-        if report.checks == 0 and not any(
-            "no sim.state_hash checkpoints" in w for w in report.warnings
-        ):
+        """The report as of the events fed so far, plus the end-of-stream
+        notes.  Pure — the notes go on a copy — so a mid-run summary leaves
+        no stale note behind for the next one."""
+        report = replace(
+            self.report,
+            divergences=list(self.report.divergences),
+            warnings=list(self.report.warnings),
+        )
+        if report.checks == 0:
             report.warnings.append(
                 "trace contains no sim.state_hash checkpoints (batch trace?); "
                 "replay is vacuously valid"
             )
         if report.sampled_checks:
-            note = (
+            report.warnings.append(
                 f"{report.sampled_checks}/{report.checks} checkpoints verified "
                 "against sampled_hash (sampled trace; kept lifecycles only)"
             )
-            if note not in report.warnings:
-                report.warnings.append(note)
         return report
-
-
-def replay_events(events: Iterable[Mapping[str, Any]]) -> ReplayReport:
-    """Replay decoded event dicts and cross-check every state hash."""
-    state = ReplayState()
-    for obj in events:
-        state.feed(obj)
-    return state.finish()
-
-
-def replay_jsonl(path: str) -> ReplayReport:
-    """Replay a recorded JSONL trace file, streaming
-    (tolerates a trailing partial line; raises
-    :class:`~repro.obs.report.TraceFileError` on unusable files)."""
-    from .report import iter_trace
-
-    reader = iter_trace(path)
-    state = ReplayState()
-    for obj in reader:
-        state.feed(obj)
-    report = state.finish()
-    if reader.truncated:
-        report.warnings.append(
-            f"trailing partial line ignored (crashed run?): {path}"
-        )
-    return report

@@ -5,17 +5,17 @@ tables (grep-able fixed-width columns).  Used by ``python -m repro.cli
 dashboard`` and the harness's ``SOLVER_STATS=1`` / ``MEDEA_TRACE=1`` paths.
 
 JSONL trace files are read through :func:`iter_trace` (streaming —
-constant memory however large the trace) or :func:`read_trace` (eager
-list), both of which turn every failure mode (missing file, empty file,
-undecodable bytes, corrupt JSON mid-file) into a typed
-:class:`TraceFileError`, and *tolerate a trailing partial line* — the
-normal shape of a trace from a crashed run.
+constant memory however large the trace), which turns every failure mode
+(missing file, empty file, undecodable bytes, corrupt JSON mid-file) into
+a typed :class:`TraceFileError` and *tolerates a trailing partial line* —
+the normal shape of a trace from a crashed run.
 
 The dashboard pipeline (:func:`build_dashboard` → :func:`dashboard_view`,
 rendered by :mod:`repro.obs.view`) is the one reader of a single run: it
-combines the timeline aggregator, the trace replayer, the SLO monitor, the
-span profiler and the critical-path builder into one summary document;
-volatile (wall-derived) content is segregated under the ``"wall"`` key so
+reads the trace into the run's one fold,
+:class:`~repro.obs.rollup.RollupState`, and renders its summary — the same
+document ``/snapshot`` serves and a ``ROLLUP_*.json`` file holds.
+Volatile (wall-derived) content is segregated under the ``"wall"`` key so
 same-seed summaries are byte-identical after stripping it, exactly like
 :func:`repro.obs.events.canonical`.
 """
@@ -24,24 +24,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .events import WALL_KEY, EventKind
-from .profile import (
-    CriticalPathBuilder,
-    ProfileReport,
-    critical_path_section,
-    span_profile_section,
-)
+from .events import WALL_KEY
+from .profile import ProfileReport, critical_path_section, span_profile_section
 from .view import Badge, SeriesGroup, Table, View
 
 __all__ = [
     "TraceFileError",
-    "TraceFile",
     "TraceReader",
     "iter_trace",
-    "read_trace",
     "metrics_view",
     "build_dashboard",
     "dashboard_verdict",
@@ -60,16 +52,6 @@ class TraceFileError(ValueError):
     """
 
 
-@dataclass
-class TraceFile:
-    """A parsed trace plus parse provenance."""
-
-    path: str
-    events: list[dict[str, Any]] = field(default_factory=list)
-    #: True when a trailing partial line was ignored (crashed run).
-    truncated: bool = False
-
-
 #: Whole-file diagnosis cap: a mixed-up ROLLUP_*.json document is
 #: re-parsed in full for a precise error message only below this size.
 _DIAGNOSIS_MAX_BYTES = 64 * 1024 * 1024
@@ -80,7 +62,7 @@ class TraceReader:
     (one event per line).  Memory stays constant regardless of file size:
     one line is resident at a time.
 
-    Error contract (matching the historical :func:`read_trace`):
+    Error contract:
 
     * missing/unreadable file, a directory, an empty trace, or bytes that
       are not UTF-8 text (a binary file) → :class:`TraceFileError`
@@ -89,15 +71,13 @@ class TraceReader:
       diagnosis
     * a corrupt *trailing* line is tolerated as a partial write from
       a crashed run: iteration ends cleanly with :attr:`truncated` set
-      (unless ``allow_partial_tail=False``)
 
     Errors surface lazily, during iteration; construction only rejects
     directories.
     """
 
-    def __init__(self, path: str, *, allow_partial_tail: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
-        self.allow_partial_tail = allow_partial_tail
         self.truncated = False
         self.events_read = 0
         if os.path.isdir(self.path):
@@ -134,9 +114,7 @@ class TraceReader:
                 except json.JSONDecodeError as exc:
                     # Tolerate a corrupt *final* line (crashed run); a
                     # corrupt line with more data after it is an error.
-                    if self.allow_partial_tail and not any(
-                        rest.strip() for rest in handle
-                    ):
+                    if not any(rest.strip() for rest in handle):
                         self.truncated = True
                         return
                     self._diagnose_document()
@@ -180,17 +158,9 @@ class TraceReader:
             )
 
 
-def iter_trace(path: str, *, allow_partial_tail: bool = True) -> TraceReader:
+def iter_trace(path: str) -> TraceReader:
     """Streaming reader over a recorded JSONL trace."""
-    return TraceReader(path, allow_partial_tail=allow_partial_tail)
-
-
-def read_trace(path: str, *, allow_partial_tail: bool = True) -> TraceFile:
-    """Parse a trace file eagerly into a list (see :class:`TraceReader`
-    for the error contract; prefer :func:`iter_trace` for large files)."""
-    reader = TraceReader(path, allow_partial_tail=allow_partial_tail)
-    events = list(reader)
-    return TraceFile(path=path, events=events, truncated=reader.truncated)
+    return TraceReader(path)
 
 
 def metrics_view(snapshot: Mapping[str, Any]) -> View:
@@ -230,66 +200,26 @@ def build_dashboard(
     rules: Sequence[Any] | None = None,
     profile: ProfileReport | None = None,
 ) -> dict[str, Any]:
-    """Assemble the full dashboard summary for one trace file.
-
-    Runs the timeline aggregator, the replayer, the span profiler, the
-    critical-path builder, and the SLO monitor (the default smoke rules
-    unless ``rules`` is given) over a **single streaming pass** of the
-    JSONL trace — resident memory is bounded by the aggregates, not the
-    trace length.  Span events fold into ``profile`` when one is given, so
-    the caller can export its collapsed stacks.  Deterministic results
-    (series from ``data`` payloads, SLO verdicts over them, replay outcome)
-    sit at the top level; anything derived from wall-clock measurements
-    sits under ``"wall"``.
+    """The dashboard summary of one trace file: one streaming pass of the
+    JSONL trace into one :class:`~repro.obs.rollup.RollupState`, then its
+    :meth:`~repro.obs.rollup.RollupState.summary` under ``rules`` (the
+    default smoke rules unless given).  Resident memory is bounded by the
+    aggregates, not the trace length.  Span events fold into ``profile``
+    when one is given, so the caller can export its collapsed stacks.
     """
-    from .replay import ReplayState
-    from .slo import SLOMonitor, default_smoke_slos
-    from .timeline import TimelineAggregator
+    from .rollup import RollupState
 
+    state = RollupState()
+    if profile is not None:
+        state.profile = profile
     reader = iter_trace(trace_path)
-    timeline = TimelineAggregator()
-    replay_state = ReplayState()
-    if profile is None:
-        profile = ProfileReport()
-    path_builder = CriticalPathBuilder()
-    span_kind = EventKind.SPAN
     for obj in reader:
-        timeline.consume(obj)
-        replay_state.feed(obj)
-        if obj.get("kind") == span_kind:
-            profile.add(obj)
-        else:
-            path_builder.feed(obj)
-    replay = replay_state.finish()
+        state.observe(obj)
+    summary = state.summary(rules)
     if reader.truncated:
-        replay.warnings.append("trailing partial line ignored (crashed run?)")
-    monitor = SLOMonitor(default_smoke_slos() if rules is None else list(rules))
-
-    summary = timeline.summary()
-    summary["replay"] = replay.to_obj()
-    summary["slo"], wall_slo = monitor.evaluate(timeline).summary_sections()
-    if wall_slo is not None:
-        summary.setdefault(WALL_KEY, {})["slo"] = wall_slo
-
-    # Span profile + per-app critical paths.  Identities/counts and the
-    # simulated-clock attribution are deterministic and sit at the top
-    # level; every wall-clock timing (span durations, per-app solver time)
-    # is hoisted under the summary's single top-level "wall" key so the
-    # byte-determinism contract over the stripped summary keeps holding.
-    summary["profile"] = profile.to_obj()
-    path_objs: list[dict[str, Any]] = []
-    paths_wall: dict[str, Any] = {}
-    for app_path in path_builder.result():
-        obj = app_path.to_obj()
-        paths_wall[app_path.app_id] = obj.pop(WALL_KEY)
-        path_objs.append(obj)
-    summary["critical_paths"] = path_objs
-    if profile.spans or paths_wall:
-        wall = summary.setdefault(WALL_KEY, {})
-        if profile.spans:
-            wall["profile"] = profile.wall_obj()
-        if paths_wall:
-            wall["critical_paths"] = paths_wall
+        summary["replay"]["warnings"].append(
+            "trailing partial line ignored (crashed run?)"
+        )
     return summary
 
 

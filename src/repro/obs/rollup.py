@@ -1,26 +1,28 @@
-"""Streaming rollups: bounded live aggregates instead of raw event files.
+"""The one fold of a run: :class:`RollupState`, and its bounded file.
 
-At 10k-node scale a raw trace is the wrong primary artifact — even
-sampled, it grows without bound and every consumer pays a full-file pass.
-The rollup plane inverts the flow: a :class:`RollupSink` registered on the
-tracer folds every event into a live :class:`RollupState` (a
-:class:`~repro.obs.timeline.TimelineAggregator` plus the span profiler,
-both already bounded in memory) and periodically rewrites one **bounded**
-``ROLLUP_*.json`` document — downsampled series, top-k span stats, the
-tracer's own cost accounting, and the ambient metrics snapshot.  The file
-is replaced atomically on every flush, so its size is a function of
-``max_points`` and the series count, never of run length.
+Every aggregate the dashboard shows — the timeline's series, the replay
+cross-check, the span profile, the per-application critical paths, the
+request-latency histogram — is folded from the event stream by one
+:class:`RollupState`, one :meth:`~RollupState.observe` call per event.
+Every reader uses it:
 
-Consumers:
+* ``repro dashboard TRACE.jsonl`` (:func:`~repro.obs.report.build_dashboard`)
+  reads the trace into one state and renders :meth:`~RollupState.summary`;
+* the live ``/snapshot`` endpoint (:mod:`repro.obs.serve`) serves the
+  summary of the session's state mid-run;
+* a :class:`RollupSink` rewrites :meth:`~RollupState.document` — the
+  summary plus the schema tag, flush bookkeeping and the tracer's and
+  metrics' wall-clock blocks — to one ``ROLLUP_*.json`` file, atomically,
+  every :data:`INTERVAL_S` simulated seconds and once more on close;
+* ``repro dashboard ROLLUP.json`` renders that document as it stands
+  (:func:`rejudge_slos` re-judges ``--slo`` rules from its stored series),
+  so a rollup's dashboard is the trace's dashboard;
+* ``repro diff`` folds each side into a state of its own.
 
-* ``repro dashboard ROLLUP_run.json`` renders the full dashboard (series
-  tables, charts, SLO verdicts) from the rollup alone via
-  :func:`build_dashboard_from_rollup` — no raw trace needed.  Replay
-  cross-checking is the one section that genuinely requires raw events;
-  it is reported as skipped, not failed.
-* The live ``/snapshot`` endpoint (:mod:`repro.obs.serve`) serves from
-  the same :class:`RollupState`, so the in-flight view and the on-disk
-  rollup are two renderings of one aggregate.
+The document is bounded: its size is the series cap
+(:data:`~repro.obs.timeline.DEFAULT_MAX_POINTS` points per series) plus
+one row per span path plus one critical-path row per LRA, never a
+function of how many events the run emitted.
 
 Wiring: ``--rollup PATH`` / ``MEDEA_ROLLUP`` opens the rollup plane through
 one :class:`~repro.obs.session.ObsSession`, which folds every event into
@@ -38,63 +40,64 @@ from typing import Any, Iterable, Mapping
 from .events import WALL_KEY, EventKind, TraceEvent
 from .hist import LatencyHistogram
 from .metrics import get_metrics
-from .profile import ProfileReport
-from .timeline import DEFAULT_MAX_POINTS, DEFAULT_TICK_S, TimelineAggregator, TimeSeries
+from .profile import CriticalPathBuilder, ProfileReport
+from .replay import ReplayState
+from .slo import SLOMonitor, SLORule, default_smoke_slos
+from .timeline import TimelineAggregator
 from .trace import get_tracer
 
 __all__ = [
     "ROLLUP_SCHEMA",
     "RollupState",
     "RollupSink",
-    "load_rollup",
-    "is_rollup_doc",
     "sniff_rollup",
-    "build_dashboard_from_rollup",
+    "rejudge_slos",
 ]
 
 ROLLUP_SCHEMA = "medea.rollup/1"
 
 #: Simulated seconds between on-disk flushes.
-DEFAULT_INTERVAL_S = 30.0
+INTERVAL_S = 30.0
 #: Event-count flush fallback for streams without a simulated clock.
-DEFAULT_EVENT_INTERVAL = 50_000
-#: Span paths kept in the rollup document (top-k by sample count).
-DEFAULT_TOP_K_SPANS = 64
+EVENT_INTERVAL = 50_000
+
+
+def _judge(
+    series: Mapping[str, tuple[list[float], bool]],
+    rules: Iterable[SLORule] | None,
+) -> tuple[dict[str, Any], dict[str, Any] | None]:
+    monitor = SLOMonitor(default_smoke_slos() if rules is None else rules)
+    return monitor.evaluate(series).summary_sections()
 
 
 class RollupState:
-    """Live bounded aggregate of one run: timeline + span profile.
+    """Every aggregate of one run, folded from its event stream.
 
-    Every ingest path is a single :meth:`observe` call, so the tracer
-    sink, the telemetry server, and post-hoc converters share one code
-    path.  :meth:`summary` is the dashboard-shaped view (what
-    ``/snapshot`` serves); :meth:`document` wraps it with the schema tag
-    and flush bookkeeping (what lands in ``ROLLUP_*.json``).
+    :meth:`observe` is the only way events get in; :meth:`summary` is the
+    dashboard summary; :meth:`document` is what lands in
+    ``ROLLUP_*.json``.
     """
 
-    def __init__(
-        self,
-        *,
-        tick_s: float = DEFAULT_TICK_S,
-        max_points: int = DEFAULT_MAX_POINTS,
-        top_k_spans: int = DEFAULT_TOP_K_SPANS,
-    ) -> None:
-        self.timeline = TimelineAggregator(tick_s=tick_s, max_points=max_points)
+    def __init__(self) -> None:
+        self.timeline = TimelineAggregator()
+        self.replay = ReplayState()
         self.profile = ProfileReport()
-        self.top_k_spans = top_k_spans
-        self.flushes = 0
-        #: End-to-end placement-request latency distribution, folded from
-        #: ``request.done`` events (bounded memory) — the p99
-        #: ``repro watch`` renders and the sweep reports aggregate.
+        self.paths = CriticalPathBuilder()
+        #: End-to-end placement-request latency, folded from
+        #: ``request.done`` events — the p50/p95/p99 ``repro watch`` shows.
         self.request_hist = LatencyHistogram()
+        self.flushes = 0
 
     def observe(self, obj: Mapping[str, Any]) -> None:
         """Fold one decoded event dict into every aggregate."""
         self.timeline.consume(obj)
+        self.replay.feed(obj)
         kind = obj.get("kind")
         if kind == EventKind.SPAN:
             self.profile.add(obj)
-        elif kind == EventKind.REQUEST_DONE:
+            return
+        self.paths.feed(obj)
+        if kind == EventKind.REQUEST_DONE:
             latency = (obj.get(WALL_KEY) or {}).get("latency_s")
             if latency is not None:
                 self.request_hist.record(latency)
@@ -102,40 +105,41 @@ class RollupState:
     def observe_event(self, event: TraceEvent) -> None:
         self.observe(event.to_obj())
 
-    def _profile_objs(self) -> tuple[dict[str, Any], dict[str, Any]]:
-        """(deterministic profile section, wall timings) bounded to the
-        top-k spans by sample count (count-desc, then path)."""
-        stats = self.profile.sorted_spans()
-        kept = sorted(stats, key=lambda s: (-s.count, s.path))[: self.top_k_spans]
-        kept.sort(key=lambda s: s.path)
-        obj: dict[str, Any] = {
-            "events": self.profile.events,
-            "spans": [stat.to_obj() for stat in kept],
+    def summary(self, rules: Iterable[SLORule] | None = None) -> dict[str, Any]:
+        """The dashboard summary as of the events observed so far: the
+        timeline's series, the replay outcome, SLO verdicts (the default
+        smoke rules unless ``rules`` is given), the span profile and the
+        critical paths.  Deterministic content sits at the top level and
+        everything derived from wall-clock measurements under ``"wall"``,
+        so same-seed summaries are byte-identical once it is stripped.
+        Pure: calling it mid-run changes nothing it later reports."""
+        summary = self.timeline.summary()
+        wall: dict[str, Any] = summary.pop(WALL_KEY, {})
+        summary["replay"] = self.replay.finish().to_obj()
+        series = {
+            name: (s.values(), s.volatile)
+            for name, s in self.timeline.series.items()
         }
-        if len(stats) > len(kept):
-            obj["spans_dropped"] = len(stats) - len(kept)
-        wall = {
-            stat.path: {
-                "total_s": round(stat.total_s, 6),
-                "self_s": round(stat.self_s, 6),
-            }
-            for stat in kept
-        }
-        return obj, wall
-
-    def summary(self) -> dict[str, Any]:
-        """Dashboard-shaped summary: the timeline's series (volatile ones
-        under ``"wall"``) plus the bounded span profile."""
-        out = self.timeline.summary()
-        profile_obj, profile_wall = self._profile_objs()
-        out["profile"] = profile_obj
-        if profile_wall:
-            out.setdefault(WALL_KEY, {})["profile"] = profile_wall
+        summary["slo"], wall_slo = _judge(series, rules)
+        if wall_slo is not None:
+            wall["slo"] = wall_slo
+        summary["profile"] = self.profile.to_obj()
+        if self.profile.spans:
+            wall["profile"] = self.profile.wall_obj()
+        path_objs: list[dict[str, Any]] = []
+        paths_wall: dict[str, Any] = {}
+        for app_path in self.paths.result():
+            obj = app_path.to_obj()
+            paths_wall[app_path.app_id] = obj.pop(WALL_KEY)
+            path_objs.append(obj)
+        summary["critical_paths"] = path_objs
+        if paths_wall:
+            wall["critical_paths"] = paths_wall
         if self.request_hist.count:
-            out.setdefault(WALL_KEY, {})["request_latency"] = (
-                self.request_hist.summary()
-            )
-        return out
+            wall["request_latency"] = self.request_hist.summary()
+        if wall:
+            summary[WALL_KEY] = wall
+        return summary
 
     def document(self) -> dict[str, Any]:
         """The bounded on-disk rollup document (one JSON object)."""
@@ -157,22 +161,16 @@ class RollupState:
 
 class RollupSink:
     """Tracer sink maintaining a :class:`RollupState` and flushing it to a
-    bounded JSON file — atomically (tmp + rename), every ``interval_s`` of
-    *simulated* time (or every ``event_interval`` events for clockless
-    streams), and once more on close."""
+    bounded JSON file — atomically (tmp + rename), every
+    :data:`INTERVAL_S` of *simulated* time (or every
+    :data:`EVENT_INTERVAL` events for clockless streams), and once more
+    on close."""
 
     def __init__(
-        self,
-        path: str | os.PathLike,
-        *,
-        state: RollupState | None = None,
-        interval_s: float = DEFAULT_INTERVAL_S,
-        event_interval: int = DEFAULT_EVENT_INTERVAL,
+        self, path: str | os.PathLike, *, state: RollupState | None = None
     ) -> None:
         self.path = os.fspath(path)
         self.state = state if state is not None else RollupState()
-        self.interval_s = float(interval_s)
-        self.event_interval = max(1, int(event_interval))
         self._last_flush_t: float | None = None
         self._events_since_flush = 0
         self._closed = False
@@ -191,9 +189,9 @@ class RollupSink:
         if t is not None:
             if self._last_flush_t is None:
                 self._last_flush_t = t
-            elif t - self._last_flush_t >= self.interval_s:
+            elif t - self._last_flush_t >= INTERVAL_S:
                 return True
-        return self._events_since_flush >= self.event_interval
+        return self._events_since_flush >= EVENT_INTERVAL
 
     def flush(self) -> None:
         """Atomically rewrite the rollup document."""
@@ -215,15 +213,39 @@ class RollupSink:
 
 # -- reading rollups back -----------------------------------------------------
 
+#: Top-level sections of a rollup document and the JSON type each must have.
+_SECTIONS = {
+    "meta": dict, "series": dict, "replay": dict, "slo": dict,
+    "profile": dict, "critical_paths": list, "rollup": dict, WALL_KEY: dict,
+}
 
-def is_rollup_doc(doc: Any) -> bool:
-    return isinstance(doc, Mapping) and doc.get("schema") == ROLLUP_SCHEMA
+
+def _check_series(where: str, series: Any) -> None:
+    if not isinstance(series, dict):
+        raise ValueError(f"'{where}' must be an object")
+    for name, obj in series.items():
+        points = obj.get("points") if isinstance(obj, dict) else None
+        if not isinstance(points, list) or not all(
+            isinstance(point, list) and len(point) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in point)
+            for point in points
+        ):
+            raise ValueError(
+                f"'{where}.{name}.points' must be a list of [time, value] "
+                f"number pairs"
+            )
 
 
 def sniff_rollup(path: str) -> dict[str, Any] | None:
-    """The parsed rollup document when ``path`` holds one, else ``None``
-    (raw traces and anything unreadable fall through to the trace reader,
-    which owns the error messages)."""
+    """The rollup document in ``path``, or ``None`` when the file is not
+    one (raw traces and unreadable files fall through to the trace reader,
+    which owns their error messages).
+
+    A file tagged ``"schema": "medea.rollup/1"`` whose sections do not
+    have the shape the dashboard reads raises :class:`ValueError` naming
+    the file and the bad field.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             head = handle.read(1)
@@ -232,102 +254,37 @@ def sniff_rollup(path: str) -> dict[str, Any] | None:
             doc = json.loads(head + handle.read())
     except (OSError, ValueError):
         return None
-    return doc if is_rollup_doc(doc) else None
-
-
-def load_rollup(path: str | os.PathLike) -> dict[str, Any]:
-    """Load and validate a ``ROLLUP_*.json`` document."""
-    path = os.fspath(path)
+    if not isinstance(doc, dict) or doc.get("schema") != ROLLUP_SCHEMA:
+        return None
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read rollup file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: corrupt rollup JSON: {exc.msg}") from exc
-    if not is_rollup_doc(doc):
-        raise ValueError(
-            f"{path} is not a {ROLLUP_SCHEMA} rollup document (missing or "
-            f"unexpected 'schema' field)"
-        )
+        for key, kind in _SECTIONS.items():
+            if key in doc and not isinstance(doc[key], kind):
+                name = "an object" if kind is dict else "a list"
+                raise ValueError(f"'{key}' must be {name}")
+        _check_series("series", doc.get("series", {}))
+        _check_series("wall.series", doc.get(WALL_KEY, {}).get("series", {}))
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed rollup document: {exc}") from None
     return doc
 
 
-class _RollupTimeline:
-    """Timeline view reconstructed from a rollup document — just enough
-    surface (``series`` with ``values()``/``volatile``) for
-    :class:`~repro.obs.slo.SLOMonitor` to evaluate rules against."""
-
-    def __init__(self, doc: Mapping[str, Any]) -> None:
-        self.series: dict[str, TimeSeries] = {}
-        for name, obj in (doc.get("series") or {}).items():
-            self._restore(name, obj, volatile=False)
-        wall_series = (doc.get(WALL_KEY) or {}).get("series") or {}
-        for name, obj in wall_series.items():
-            self._restore(name, obj, volatile=True)
-
-    def _restore(self, name: str, obj: Mapping[str, Any], *, volatile: bool) -> None:
-        series = TimeSeries(
-            name,
-            agg=obj.get("agg", "mean"),
-            tick_s=float(obj.get("tick_s") or DEFAULT_TICK_S),
-            volatile=volatile,
-        )
-        # One sample per rolled-up bucket reproduces the bucket values
-        # exactly for every aggregation mode.
-        for t, v in obj.get("points", ()):
-            series.add(float(t), float(v))
-        self.series[name] = series
-
-
-def build_dashboard_from_rollup(
-    doc: Mapping[str, Any],
-    *,
-    rules: Iterable[Any] | None = None,
+def rejudge_slos(
+    doc: Mapping[str, Any], rules: Iterable[SLORule]
 ) -> dict[str, Any]:
-    """Assemble the dashboard summary from a rollup document alone.
-
-    Series, meta, and the span profile come straight from the rollup;
-    SLO rules are re-evaluated against the reconstructed series.  Replay
-    cross-checking needs raw events by definition, so the replay section
-    reports itself skipped (``ok`` with a note), never failed.
-    """
-    from .slo import SLOMonitor, default_smoke_slos
-
-    summary: dict[str, Any] = {
-        "meta": dict(doc.get("meta") or {}),
-        "series": dict(doc.get("series") or {}),
+    """A rollup document's dashboard summary under other SLO ``rules``:
+    the document itself (whose stored verdicts are the default rules'),
+    with its SLO sections re-judged from its stored series."""
+    summary = dict(doc)
+    wall = dict(summary.get(WALL_KEY) or {})
+    series = {
+        name: ([value for _, value in obj["points"]], volatile)
+        for volatile, section in ((False, summary.get("series") or {}),
+                                  (True, wall.get("series") or {}))
+        for name, obj in section.items()
     }
-    summary["meta"]["rollup"] = dict(doc.get("rollup") or {})
-    wall_in = doc.get(WALL_KEY) or {}
-    wall_out: dict[str, Any] = {}
-    if wall_in.get("series"):
-        wall_out["series"] = dict(wall_in["series"])
-    if wall_in.get("profile"):
-        wall_out["profile"] = dict(wall_in["profile"])
-    if wall_in.get("tracer"):
-        wall_out["tracer"] = dict(wall_in["tracer"])
-
-    summary["replay"] = {
-        "ok": True,
-        "events": summary["meta"].get("events", 0),
-        "checks": 0,
-        "allocated": 0,
-        "released": 0,
-        "divergences": 0,
-        "warnings": [
-            "replay skipped: dashboard rendered from a streaming rollup "
-            "(no raw events to cross-check)"
-        ],
-    }
-
-    monitor = SLOMonitor(default_smoke_slos() if rules is None else list(rules))
-    summary["slo"], wall_slo = monitor.evaluate(_RollupTimeline(doc)).summary_sections()
+    summary["slo"], wall_slo = _judge(series, rules)
+    wall.pop("slo", None)
     if wall_slo is not None:
-        wall_out["slo"] = wall_slo
-
-    summary["profile"] = dict(doc.get("profile") or {"events": 0, "spans": []})
-    summary["critical_paths"] = []
-    if wall_out:
-        summary[WALL_KEY] = wall_out
+        wall["slo"] = wall_slo
+    summary[WALL_KEY] = wall
     return summary

@@ -14,9 +14,11 @@ or a Prometheus scraper can hit while a long run is in flight.
   simulated tick); when no progress arrives for longer than
   ``deadline_s`` of *wall* time the endpoint flips from 200 to 503, so a
   stalled solver or a hung loop is visible to any HTTP prober.
-* ``/snapshot`` — the dashboard's JSON summary computed from a **live**
-  :class:`~repro.obs.timeline.TimelineAggregator` sink, volatile fields
-  under ``"wall"`` as usual, plus build identity and health.
+* ``/snapshot`` — the dashboard summary of the run so far, from the
+  **live** :class:`~repro.obs.rollup.RollupState` (series, replay, SLO
+  verdicts, span profile, critical paths — what ``repro dashboard`` shows
+  of a trace), volatile fields under ``"wall"`` as usual, plus build
+  identity and health.
 
 Wiring: ``--serve PORT`` / ``MEDEA_SERVE`` opens the endpoint through one
 :class:`~repro.obs.session.ObsSession`, whose single sink folds the
@@ -262,10 +264,9 @@ class TelemetryServer:
         return (200 if alive else 503), payload
 
     def snapshot_doc(self) -> tuple[bool, dict[str, Any]]:
-        """``(alive, summary)`` — the live dashboard summary, served from
-        the shared rollup state: the timeline's series (volatile ones under
-        ``"wall"``, as usual) and the bounded span profile, plus build
-        identity and the health payload (volatile → under ``"wall"`` too).
+        """``(alive, summary)`` — the live dashboard summary of the shared
+        rollup state (:meth:`RollupState.summary`), plus build identity
+        and the health payload (volatile → under ``"wall"``).
         ``alive`` is the flag of that same health read, so a status code
         chosen from it always agrees with the body."""
         with self.lock:

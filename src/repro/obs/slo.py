@@ -4,10 +4,12 @@ An :class:`SLORule` names a timeline series (glob patterns allowed, e.g.
 ``solver_latency_s:*``), an aggregation over its per-tick values (``max`` /
 ``min`` / ``mean`` / ``last`` / ``p50`` / ``p95`` / ``p99``), a comparison
 operator and a threshold.  :class:`SLOMonitor` evaluates a rule set against
-a finished :class:`~repro.obs.timeline.TimelineAggregator` and produces
-an :class:`SLOReport` with a run-level pass/fail verdict.
+plain ``{name: (per-tick values, volatile)}`` series — the live fold's
+unrounded :class:`~repro.obs.timeline.TimeSeries` values, or the points a
+rollup document stored — and produces an :class:`SLOReport` with a
+run-level pass/fail verdict.
 
-Rules whose series does not exist in the timeline are *skipped*, not
+Rules whose series does not exist are *skipped*, not
 breached — a smoke trace without task load simply has no queuing-delay
 series to judge.  Percentiles are computed over the per-tick aggregated
 values (the bounded-memory contract of the timeline), not raw samples.
@@ -23,10 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .stats import percentile
-from .timeline import TimelineAggregator
 
 __all__ = [
     "SLORule",
@@ -175,34 +176,29 @@ class SLOReport:
 
 
 class SLOMonitor:
-    """Evaluate a rule set against an aggregated timeline."""
+    """Evaluate a rule set against aggregated series."""
 
     def __init__(self, rules: Iterable[SLORule]) -> None:
         self.rules = list(rules)
 
-    def evaluate(self, timeline: TimelineAggregator) -> SLOReport:
-        """Judge every rule."""
-        report = SLOReport()
-        for rule in self.rules:
-            report.results.append(self._evaluate_rule(rule, timeline))
-        return report
+    def evaluate(
+        self, series: Mapping[str, tuple[Sequence[float], bool]]
+    ) -> SLOReport:
+        """Judge every rule against ``{name: (per-tick values, volatile)}``."""
+        return SLOReport([self._evaluate_rule(rule, series) for rule in self.rules])
 
     def _evaluate_rule(
-        self, rule: SLORule, timeline: TimelineAggregator
+        self, rule: SLORule, series: Mapping[str, tuple[Sequence[float], bool]]
     ) -> SLOResult:
-        matched = sorted(
-            name for name in timeline.series if fnmatchcase(name, rule.series)
-        )
         observations: list[float] = []
         volatile = False
         names: list[str] = []
-        for name in matched:
-            series = timeline.series[name]
-            values = series.values()
+        for name in sorted(n for n in series if fnmatchcase(n, rule.series)):
+            values, is_volatile = series[name]
             if not values:
                 continue
             names.append(name)
-            volatile = volatile or series.volatile
+            volatile = volatile or is_volatile
             observations.append(rule.aggregate(values))
         if not observations:
             return SLOResult(rule, None, ok=True, skipped=True)

@@ -4,12 +4,13 @@ The paper's evaluation speaks in aggregates over time — node/rack
 utilisation (Fig. 3), task queuing delay (Fig. 7/11c), runtime constraint
 violations (Fig. 9), container churn and scheduler queue depth — while the
 tracer emits individual events.  :class:`TimelineAggregator` bridges the
-two: it consumes :class:`~repro.obs.events.TraceEvent` records (live, as a
-tracer sink, or post-hoc from a JSONL file) and maintains a set of
-:class:`TimeSeries`, each bucketed to a tick width and **bounded in
-memory**: when a series exceeds ``max_points`` buckets its tick width
-doubles and adjacent buckets are merged, so arbitrarily long runs keep a
-fixed-size, progressively coarser summary.
+two: it consumes decoded event dicts — inside the one fold of a run,
+:class:`~repro.obs.rollup.RollupState`, which owns the only instance — and
+maintains a set of :class:`TimeSeries`, each bucketed to
+:data:`DEFAULT_TICK_S` and **bounded in memory**: when a series exceeds
+:data:`DEFAULT_MAX_POINTS` buckets its tick width doubles and adjacent
+buckets are merged, so arbitrarily long runs keep a fixed-size,
+progressively coarser summary.
 
 Determinism: series derived from the deterministic ``data`` payload are
 themselves deterministic (same-seed runs produce identical summaries);
@@ -21,15 +22,15 @@ key of :meth:`TimelineAggregator.summary`, mirroring the trace-level
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-from .events import WALL_KEY, EventKind, TraceEvent
+from .events import WALL_KEY, EventKind
 
 __all__ = ["TimeSeries", "TimelineAggregator", "DEFAULT_TICK_S", "DEFAULT_MAX_POINTS"]
 
-#: Default bucket width in simulated seconds.
+#: Bucket width in simulated seconds of every timeline series.
 DEFAULT_TICK_S = 1.0
-#: Default per-series bucket cap before tick-doubling kicks in.
+#: Per-series bucket cap before tick-doubling kicks in.
 DEFAULT_MAX_POINTS = 512
 
 _AGGS = ("mean", "sum", "max", "last")
@@ -137,15 +138,8 @@ class TimeSeries:
 
 
 class TimelineAggregator:
-    """Streaming consumer turning a trace into the paper's signal series.
-
-    Usable three ways:
-
-    * as a live tracer sink (``Tracer([TimelineAggregator(), ...])``) — it
-      implements the sink protocol (:meth:`emit` / :meth:`close`);
-    * post-hoc over decoded event dicts (:meth:`consume` /
-      :meth:`consume_all`);
-    * straight from a JSONL file (:meth:`from_jsonl`).
+    """Streaming consumer turning a trace into the paper's signal series,
+    one decoded event dict per :meth:`consume` call.
 
     Series produced (deterministic unless noted):
 
@@ -170,14 +164,7 @@ class TimelineAggregator:
     ======================================  ======  ==============================
     """
 
-    def __init__(
-        self,
-        *,
-        tick_s: float = DEFAULT_TICK_S,
-        max_points: int = DEFAULT_MAX_POINTS,
-    ) -> None:
-        self.tick_s = float(tick_s)
-        self.max_points = max_points
+    def __init__(self) -> None:
         self.series: dict[str, TimeSeries] = {}
         self.events = 0
         self.kind_counts: dict[str, int] = {}
@@ -186,25 +173,13 @@ class TimelineAggregator:
         self._t_max: float | None = None
         self._down_nodes: set[str] = set()
 
-    # -- sink protocol -------------------------------------------------------
-
-    def emit(self, event: TraceEvent) -> None:
-        self.consume(event.to_obj())
-
-    def close(self) -> None:  # sink protocol; nothing buffered
-        return None
-
     # -- ingestion ------------------------------------------------------------
 
     def _series(self, name: str, agg: str, *, volatile: bool = False) -> TimeSeries:
         series = self.series.get(name)
         if series is None:
             series = self.series[name] = TimeSeries(
-                name,
-                agg=agg,
-                tick_s=self.tick_s,
-                max_points=self.max_points,
-                volatile=volatile,
+                name, agg=agg, volatile=volatile
             )
         return series
 
@@ -228,32 +203,6 @@ class TimelineAggregator:
         handler = self._HANDLERS.get(kind)
         if handler is not None:
             handler(self, t, data, wall)
-
-    def consume_all(self, events: Iterable[Mapping[str, Any] | TraceEvent]) -> None:
-        for event in events:
-            if isinstance(event, TraceEvent):
-                self.consume(event.to_obj())
-            else:
-                self.consume(event)
-
-    @classmethod
-    def from_jsonl(
-        cls,
-        path: str,
-        *,
-        tick_s: float = DEFAULT_TICK_S,
-        max_points: int = DEFAULT_MAX_POINTS,
-    ) -> "TimelineAggregator":
-        """Build a timeline from a recorded JSONL trace file, streaming
-        one event at a time (constant memory; tolerates a trailing
-        partial line; raises
-        :class:`~repro.obs.report.TraceFileError` on unusable files)."""
-        from .report import iter_trace
-
-        aggregator = cls(tick_s=tick_s, max_points=max_points)
-        for obj in iter_trace(path):
-            aggregator.consume(obj)
-        return aggregator
 
     # -- per-kind handlers ----------------------------------------------------
 
@@ -400,8 +349,8 @@ class TimelineAggregator:
             "meta": {
                 "events": self.events,
                 "kinds": dict(sorted(self.kind_counts.items())),
-                "tick_s": self.tick_s,
-                "max_points": self.max_points,
+                "tick_s": DEFAULT_TICK_S,
+                "max_points": DEFAULT_MAX_POINTS,
                 "time_span": list(span) if span is not None else None,
             },
             "series": deterministic,

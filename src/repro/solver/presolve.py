@@ -103,15 +103,6 @@ class PresolveResult:
         return x
 
 
-def _identity_result(form: StandardForm) -> PresolveResult:
-    return PresolveResult(
-        status=None,
-        form=form,
-        kept_cols=np.arange(form.num_cols),
-        fixed_values=np.zeros(form.num_cols),
-    )
-
-
 def presolve(form: StandardForm) -> PresolveResult:
     """Apply exact reductions to ``form``; never mutates the input."""
     n = form.num_cols

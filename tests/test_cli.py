@@ -21,6 +21,25 @@ class TestParser:
         assert args.nodes == 60 and args.instances == 8
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["simulate", "--nodes", "0"], "simulate: --nodes must be >= 1"),
+    (["simulate", "--horizon", "-5"], "simulate: --horizon must be > 0"),
+    (["compare", "--nodes", "0"], "compare: --nodes must be >= 1"),
+    (["compare", "--racks", "0"], "compare: --racks must be >= 1"),
+    (["compare", "--max-rs-per-node", "0"],
+     "compare: --max-rs-per-node must be >= 1"),
+], ids=["simulate-nodes", "simulate-horizon", "compare-nodes", "compare-racks",
+        "compare-max-rs-per-node"])
+def test_size_flag_out_of_range_is_usage_error(argv, line, tmp_path, capsys):
+    """A size the run cannot have is one usage line and exit 2 before
+    anything runs — no traceback, no silently empty run, no trace file."""
+    trace = tmp_path / "t.jsonl"
+    assert main([*argv, "--trace-out", str(trace)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert captured.out == "" and not trace.exists()
+
+
 class TestTable1:
     def test_prints_matrix(self, capsys):
         assert main(["table1"]) == 0
@@ -67,7 +86,7 @@ class TestSimulate:
 
 class TestTraceSampleFlag:
     def test_simulate_with_sampled_jsonl_trace(self, tmp_path, capsys):
-        from repro.obs.report import read_trace
+        from repro.obs.report import iter_trace
 
         out = tmp_path / "run.jsonl"
         assert main([
@@ -76,7 +95,7 @@ class TestTraceSampleFlag:
             "--trace-out", str(out),
             "--trace-sample", "task=0.5,dispatch=0,seed=3",
         ]) == 0
-        events = read_trace(str(out)).events
+        events = list(iter_trace(str(out)))
         assert events
         assert all(e["kind"] != "engine.dispatch" for e in events)
 
@@ -110,13 +129,13 @@ class TestObsSession:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.jsonl"]
 
     def test_trace_sample_flag_wins_over_env(self, tmp_path, monkeypatch, capsys):
-        from repro.obs.report import read_trace
+        from repro.obs.report import iter_trace
 
         monkeypatch.setenv("MEDEA_TRACE", "1")
         monkeypatch.chdir(tmp_path)
         assert main([*SMALL_SIM, "--trace-sample", "task=0"]) == 0
         assert "(0 sampled out)" not in capsys.readouterr().out
-        kinds = [e["kind"] for e in read_trace("medea_trace.jsonl").events]
+        kinds = [e["kind"] for e in iter_trace("medea_trace.jsonl")]
         assert kinds
         assert not [k for k in kinds if k.startswith("task.")]
 
@@ -141,7 +160,7 @@ class TestObsSession:
 
     def test_loadgen_traces_requests_from_env(self, tmp_path, monkeypatch,
                                               capsys):
-        from repro.obs.report import read_trace
+        from repro.obs.report import iter_trace
         from repro.obs.trace import get_tracer
 
         out = tmp_path / "load.jsonl"
@@ -150,7 +169,7 @@ class TestObsSession:
         assert main(["loadgen", "--rate", "200", "--requests", "4",
                      "--nodes", "12", "--concurrency", "2"]) == 0
         assert not get_tracer().enabled and not get_tracer().sinks
-        events = read_trace(str(out)).events
+        events = list(iter_trace(str(out)))
         for kind in ("request.submit", "request.place", "request.done"):
             of_kind = [e for e in events if e["kind"] == kind]
             assert len(of_kind) == 4, kind
@@ -223,6 +242,27 @@ class TestTraceTools:
         ]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"series": 5}, "'series' must be an object"),
+        ({"series": {"a": {"points": [["a", 1]]}}},
+         "'series.a.points' must be a list of [time, value] number pairs"),
+        ({"replay": "ok"}, "'replay' must be an object"),
+    ], ids=["series-not-object", "point-not-number", "replay-not-object"])
+    def test_malformed_rollup_is_one_line(self, tmp_path, capsys, doc, field):
+        """A rollup-tagged document of the wrong shape is one stderr line
+        naming the bad field and exit 1, never a traceback."""
+        import json as _json
+
+        path = tmp_path / "ROLLUP_bad.json"
+        path.write_text(_json.dumps({"schema": "medea.rollup/1", **doc}))
+        assert main(["dashboard", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"dashboard: {path}: malformed rollup document: {field}"
+        ]
+        assert "Traceback" not in captured.err
+
     def test_streaming_ingest_memory_is_bounded(self, tmp_path):
         """The trace reader must not load the whole file: peak ingest
         allocation stays far below the trace's size (satellite: a
@@ -259,11 +299,17 @@ def test_retired_ledger_stays_retired():
     wiring the observability session replaced, the parked serving stack
     (HTTP and virtual load targets, closed loop, the HTTP placement
     endpoint), the single-run readers the dashboard absorbed
-    (``trace-report``, ``profile``) and diff's wall-clock and rollup paths
-    are deleted; their commands, flags and exports must not regrow."""
+    (``trace-report``, ``profile``), diff's wall-clock and rollup paths,
+    and every fold of an event stream but ``RollupState`` (with the
+    settings and test-only entry points they carried) are deleted; their
+    commands, flags and exports must not regrow."""
+    import inspect
+
+    import repro
     import repro.cli
     import repro.obs
     import repro.obs.load
+    import repro.solver.presolve
 
     for argv in (
         ["bench-compare", "A", "B"],
@@ -296,7 +342,8 @@ def test_retired_ledger_stays_retired():
         "get_server", "shutdown_server", "install_rollup", "get_rollup",
         "shutdown_rollup", "rollup_from_env", "watchdog_from_env",
         "diff_rollups", "summary_series", "build_profile", "critical_paths",
-        "span_deltas",
+        "span_deltas", "build_dashboard_from_rollup", "load_rollup",
+        "replay_events", "replay_jsonl", "read_trace", "TraceFile",
     }
     retired = {
         repro.obs.trace: ("configure", "configure_from_env"),
@@ -304,7 +351,15 @@ def test_retired_ledger_stays_retired():
                           "serve_from_env", "_TelemetrySink", "_active_server"),
         repro.obs.rollup: ("install_rollup", "get_rollup", "shutdown_rollup",
                            "rollup_from_env", "_active_rollup",
-                           "summary_series"),
+                           "summary_series", "build_dashboard_from_rollup",
+                           "_RollupTimeline", "load_rollup", "is_rollup_doc",
+                           "DEFAULT_TOP_K_SPANS", "DEFAULT_INTERVAL_S",
+                           "DEFAULT_EVENT_INTERVAL"),
+        repro.obs.RollupState: ("_profile_objs",),
+        repro.obs.replay: ("replay_events", "replay_jsonl"),
+        repro.obs.ReplayState: ("placement_map", "down_nodes"),
+        repro.obs.TimelineAggregator: ("emit", "close", "consume_all",
+                                       "from_jsonl"),
         repro.obs.watchdog: ("watchdog_from_env",),
         # The serving stack's names are assembled, not spelled out, so a
         # source grep for them finds nothing once they are gone.
@@ -313,7 +368,7 @@ def test_retired_ledger_stays_retired():
         repro.obs.serve.TelemetryServer: ("attach_" + "placement",),
         repro.cli: ("_configure_tracing", "_configure_live_plane",
                     "_finish_live_plane", "_cmd_trace_report", "_cmd_profile"),
-        repro.obs.report: ("trace_report_view",),
+        repro.obs.report: ("trace_report_view", "read_trace", "TraceFile"),
         repro.obs.profile: ("profile_summary", "profile_view", "span_deltas",
                             "build_profile", "critical_paths"),
         repro.obs.diff: ("diff_rollups", "_first_delta_tick", "_stat_delta"),
@@ -322,10 +377,25 @@ def test_retired_ledger_stays_retired():
         repro.obs.Tracer: ("remove_sink",),
         repro.obs.TraceSampler: ("stats",),
         repro.obs.slo: ("SLOBreach",),
+        repro.ClusterState: ("iter_nodes",),
+        repro.PlacementResult: ("placements_of",),
+        repro.solver.presolve: ("_identity_result",),
     }
     for module, names in retired.items():
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # The folds' settings are module constants now, not arguments.
+    settings = {
+        repro.obs.RollupState: (),
+        repro.obs.TimelineAggregator: (),
+        repro.obs.RollupSink: ("path", "state"),
+        repro.obs.TraceReader: ("path",),
+        repro.obs.iter_trace: ("path",),
+    }
+    for obj, expected in settings.items():
+        init = obj.__init__ if isinstance(obj, type) else obj
+        params = tuple(inspect.signature(init).parameters)
+        assert params[1 if isinstance(obj, type) else 0:] == expected, obj
 
 
 def test_only_the_session_reads_the_environment():

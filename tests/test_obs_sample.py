@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro import Resource, TagPopularityScheduler, build_cluster
 from repro.core.requests import TaskRequest
 from repro.obs.events import EventKind
-from repro.obs.replay import replay_events
+from repro.obs.replay import ReplayState
 from repro.obs.sample import (
     PROTECTED_KINDS,
     SamplingPolicy,
@@ -286,19 +286,26 @@ class TestCallSiteGates:
         assert stats["sampling"] == "task=0.3,seed=11"
 
 
+def _replay(sink):
+    state = ReplayState()
+    for event in sink.events:
+        state.feed(event.to_obj())
+    return state.finish()
+
+
 class TestSampledReplay:
     def test_sampled_trace_replays_without_divergence(self):
         """Dropping lifecycles must not fake a divergence: the sampler's
         ``sampled_hash`` enrichment gives replay a checkpoint computed
         over the kept events only."""
         sink = _sampled_run("task=0.3,heartbeat=0.2,seed=11")
-        report = replay_events(e.to_obj() for e in sink.events)
+        report = _replay(sink)
         assert report.checks > 0
         assert not report.divergences
 
     def test_full_trace_still_replays(self):
         sink = _sampled_run("seed=11")  # nothing dropped
-        report = replay_events(e.to_obj() for e in sink.events)
+        report = _replay(sink)
         assert report.checks > 0
         assert not report.divergences
 

@@ -26,6 +26,7 @@ from repro.obs import (
     JsonlSink,
     MemorySink,
     Metrics,
+    ReplayState,
     SLOMonitor,
     SLORule,
     TimelineAggregator,
@@ -34,10 +35,8 @@ from repro.obs import (
     TimeSeries,
     build_dashboard,
     default_smoke_slos,
-    replay_events,
-    replay_jsonl,
+    iter_trace,
 )
-from repro.obs.report import read_trace
 from repro.sim import ClusterSimulation, SimConfig
 from tests.helpers import make_lra
 
@@ -74,6 +73,24 @@ def _traced_run(path):
     _drive(sim)
     tracer.close()
     return path
+
+
+def _timeline(events):
+    timeline = TimelineAggregator()
+    for obj in events:
+        timeline.consume(obj)
+    return timeline
+
+
+def _replay(events):
+    state = ReplayState()
+    for obj in events:
+        state.feed(obj)
+    return state.finish()
+
+
+def _series(timeline):
+    return {name: (s.values(), s.volatile) for name, s in timeline.series.items()}
 
 
 class TestTimeSeries:
@@ -126,8 +143,7 @@ class TestTimelineAggregator:
         tracer = Tracer([sink])
         sim = _make_sim(tracer=tracer, metrics=Metrics())
         _drive(sim)
-        timeline = TimelineAggregator()
-        timeline.consume_all(e.to_obj() for e in sink.events)
+        timeline = _timeline(e.to_obj() for e in sink.events)
         for name in ("utilization", "containers", "pending_lras",
                      "task_queue_delay_s", "containers_started",
                      "violations", "queue_depth:Serial"):
@@ -137,24 +153,23 @@ class TestTimelineAggregator:
         span = timeline.time_span()
         assert span is not None and span[1] <= 40.0
 
-    def test_live_sink_equals_posthoc(self, isolate_obs):
-        live = TimelineAggregator()
+    def test_live_sink_equals_posthoc(self, isolate_obs, tmp_path):
+        from repro.obs import RollupSink
+
+        live = RollupSink(tmp_path / "ROLLUP_live.json")
         sink = MemorySink()
         tracer = Tracer([sink, live])
         sim = _make_sim(tracer=tracer, metrics=Metrics())
         _drive(sim)
-        posthoc = TimelineAggregator()
-        posthoc.consume_all(e.to_obj() for e in sink.events)
-        assert live.summary() == posthoc.summary()
+        posthoc = _timeline(e.to_obj() for e in sink.events)
+        assert live.state.timeline.summary() == posthoc.summary()
 
     def test_volatile_series_segregated_under_wall(self, isolate_obs):
         sink = MemorySink()
         tracer = Tracer([sink])
         sim = _make_sim(tracer=tracer, metrics=Metrics())
         _drive(sim)
-        timeline = TimelineAggregator()
-        timeline.consume_all(e.to_obj() for e in sink.events)
-        summary = timeline.summary()
+        summary = _timeline(e.to_obj() for e in sink.events).summary()
         assert "solver_latency_s:Serial" in summary["wall"]["series"]
         assert not any(
             name.startswith("solver_latency_s") for name in summary["series"]
@@ -162,7 +177,7 @@ class TestTimelineAggregator:
 
     def test_from_jsonl(self, tmp_path, isolate_obs):
         path = _traced_run(tmp_path / "t.jsonl")
-        timeline = TimelineAggregator.from_jsonl(str(path))
+        timeline = _timeline(iter_trace(str(path)))
         assert timeline.series["utilization"].values()
 
 
@@ -172,7 +187,7 @@ class TestReplay:
         tracer = Tracer([sink])
         sim = _make_sim(tracer=tracer, metrics=Metrics())
         _drive(sim)
-        report = replay_events([e.to_obj() for e in sink.events])
+        report = _replay(e.to_obj() for e in sink.events)
         assert report.ok
         assert report.checks > 0
         assert report.allocated > 0 and report.released > 0
@@ -193,7 +208,7 @@ class TestReplay:
                 break
         assert corrupted_at is not None
         path.write_text("\n".join(lines) + "\n")
-        report = replay_jsonl(str(path))
+        report = _replay(iter_trace(str(path)))
         assert not report.ok
         first = report.first_divergence
         assert first is not None
@@ -205,19 +220,14 @@ class TestReplay:
     def test_batch_trace_vacuously_valid(self):
         events = [{"kind": "lra.place", "seq": 0, "time": 0.0,
                    "data": {"placements": [["c1", "n1"]]}}]
-        report = replay_events(events)
+        report = _replay(events)
         assert report.ok and report.checks == 0
         assert any("no sim.state_hash" in w for w in report.warnings)
 
 
 class TestSLO:
     def _timeline(self, **series_values):
-        timeline = TimelineAggregator()
-        for name, values in series_values.items():
-            series = timeline.series[name] = TimeSeries(name, agg="last")
-            for t, v in enumerate(values):
-                series.add(float(t), v)
-        return timeline
+        return {name: (values, False) for name, values in series_values.items()}
 
     def test_pass_fail_skip(self):
         timeline = self._timeline(queue=[1.0, 2.0, 3.0])
@@ -272,9 +282,8 @@ class TestSLO:
         tracer = Tracer([sink])
         sim = _make_sim(tracer=tracer, metrics=Metrics())
         _drive(sim)
-        timeline = TimelineAggregator()
-        timeline.consume_all(e.to_obj() for e in sink.events)
-        report = SLOMonitor(default_smoke_slos()).evaluate(timeline)
+        timeline = _timeline(e.to_obj() for e in sink.events)
+        report = SLOMonitor(default_smoke_slos()).evaluate(_series(timeline))
         assert report.ok, [r.to_obj() for r in report.results if not r.ok]
 
 
@@ -364,32 +373,30 @@ class TestStatsMove:
 class TestTraceFileReading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceFileError, match="cannot read"):
-            read_trace(str(tmp_path / "nope.jsonl"))
+            list(iter_trace(str(tmp_path / "nope.jsonl")))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(TraceFileError, match="no events"):
-            read_trace(str(path))
+            list(iter_trace(str(path)))
 
     def test_corrupt_mid_file_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "a", "seq": 0}\nnot json\n{"kind": "b"}\n')
         with pytest.raises(TraceFileError, match="line 2"):
-            read_trace(str(path))
+            list(iter_trace(str(path)))
 
     def test_trailing_partial_line_tolerated(self, tmp_path):
         path = tmp_path / "cut.jsonl"
         path.write_text('{"kind": "a", "seq": 0}\n{"kind": "b", "se')
-        trace = read_trace(str(path))
-        assert trace.truncated
-        assert [e["kind"] for e in trace.events] == ["a"]
-        with pytest.raises(TraceFileError):
-            read_trace(str(path), allow_partial_tail=False)
+        reader = iter_trace(str(path))
+        assert [e["kind"] for e in reader] == ["a"]
+        assert reader.truncated
 
     def test_directory_gets_actionable_error(self, tmp_path):
         with pytest.raises(TraceFileError, match="is a directory"):
-            read_trace(str(tmp_path))
+            list(iter_trace(str(tmp_path)))
 
     def test_bench_json_gets_actionable_error(self, tmp_path):
         path = tmp_path / "BENCH_timeline.json"
@@ -398,13 +405,13 @@ class TestTraceFileReading:
             indent=2,
         ))
         with pytest.raises(TraceFileError, match="corrupt JSON on line 1"):
-            read_trace(str(path))
+            list(iter_trace(str(path)))
 
     def test_non_event_json_gets_actionable_error(self, tmp_path):
         path = tmp_path / "notatrace.jsonl"
         path.write_text('{"kind": "a", "seq": 0}\n{"hello": "world"}\n')
         with pytest.raises(TraceFileError, match="no 'kind' field"):
-            read_trace(str(path))
+            list(iter_trace(str(path)))
 
     @pytest.mark.parametrize("name", ["random.bin", "legacy.mtrc"])
     def test_binary_file_is_trace_error(self, tmp_path, capsys, name):
@@ -424,7 +431,7 @@ class TestTraceFileReading:
             path.write_bytes(b"MTRC\x01\x00\x00\x00"
                              + len(chunk).to_bytes(4, "little") + chunk)
         with pytest.raises(TraceFileError, match="not UTF-8"):
-            read_trace(str(path))
+            list(iter_trace(str(path)))
         good = tmp_path / "good.jsonl"
         good.write_text('{"kind": "a", "seq": 0}\n')
         for argv in (["dashboard", str(path)], ["diff", str(good), str(path)]):

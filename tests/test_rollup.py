@@ -1,8 +1,9 @@
 """Streaming rollups (``repro.obs.rollup``).
 
 The rollup plane's contract: bounded ``ROLLUP_*.json`` files whose size
-is a function of configuration (not run length), atomic flushes, a full
-dashboard renderable from the rollup alone, shared state with the live
+is a function of configuration (not run length), atomic flushes, a
+rollup whose dashboard is the dashboard of the run's trace, a summary
+that calls mid-run cannot change, shared state with the live
 ``/snapshot`` endpoint, and the session/env wiring.
 """
 
@@ -14,15 +15,11 @@ import pytest
 
 from repro import Resource, TagPopularityScheduler, build_cluster
 from repro.core.requests import TaskRequest
-from repro.obs.events import EventKind
-from repro.obs.rollup import (
-    ROLLUP_SCHEMA,
-    RollupSink,
-    RollupState,
-    build_dashboard_from_rollup,
-    is_rollup_doc,
-    load_rollup,
-)
+from repro.obs import rollup
+from repro.obs.events import WALL_KEY, EventKind
+from repro.obs.report import build_dashboard, iter_trace
+from repro.obs.rollup import ROLLUP_SCHEMA, RollupSink, RollupState, sniff_rollup
+from repro.obs.sample import SamplingPolicy, TraceSampler, parse_sample_spec
 from repro.obs.serve import fetch_snapshot
 from repro.obs.session import ObsConfig, ObsSession, current_session
 from repro.obs.trace import Tracer, get_tracer
@@ -62,54 +59,68 @@ def _run_sim(tracer, *, horizon=50.0, tasks_per_s=8):
     return sim
 
 
+def _rollup_doc(path):
+    doc = sniff_rollup(path)
+    assert doc is not None, f"{path} holds no rollup document"
+    return doc
+
+
 class TestRollupSink:
-    def test_flushes_during_run_and_on_close(self, tmp_path):
+    def test_flushes_during_run_and_on_close(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rollup, "INTERVAL_S", 10.0)
         path = tmp_path / "ROLLUP_run.json"
-        sink = RollupSink(path, interval_s=10.0)
+        sink = RollupSink(path)
         tracer = Tracer([sink])
         _run_sim(tracer)
         tracer.close()
-        doc = load_rollup(path)
+        doc = _rollup_doc(path)
         assert doc["schema"] == ROLLUP_SCHEMA
         # Periodic flushes (50 sim-s / 10 s interval) plus the final one.
         assert doc["rollup"]["flushes"] >= 4
         assert doc["rollup"]["events"] > 100
         assert "utilization" in doc["series"]
 
-    def test_file_size_bounded_by_config_not_run_length(self, tmp_path):
+    def test_file_size_bounded_by_config_not_run_length(
+        self, tmp_path, monkeypatch
+    ):
         """Twice the events must not mean twice the rollup: the document
         holds aggregates (downsampled series), not raw events."""
+        monkeypatch.setattr(rollup, "INTERVAL_S", 10.0)
         sizes = {}
         for name, horizon in (("short", 40.0), ("long", 400.0)):
             path = tmp_path / f"ROLLUP_{name}.json"
-            tracer = Tracer([RollupSink(path, interval_s=10.0)])
+            tracer = Tracer([RollupSink(path)])
             _run_sim(tracer, horizon=horizon)
             tracer.close()
             sizes[name] = (path.stat().st_size,
-                           load_rollup(path)["rollup"]["events"])
+                           _rollup_doc(path)["rollup"]["events"])
         short_size, short_events = sizes["short"]
         long_size, long_events = sizes["long"]
         assert long_events > short_events  # genuinely more events
         assert long_size < short_size * 3  # ...but not proportionally bigger
 
-    def test_event_interval_flush_for_clockless_streams(self, tmp_path):
+    def test_event_interval_flush_for_clockless_streams(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(rollup, "EVENT_INTERVAL", 10)
         path = tmp_path / "ROLLUP_ec.json"
-        sink = RollupSink(path, event_interval=10)
+        sink = RollupSink(path)
         tracer = Tracer([sink])
         for i in range(25):  # no time= → event-count fallback drives flushes
             tracer.emit("task.submit", data={"task_id": f"t-{i}"})
         assert path.exists()  # flushed mid-stream, before close
         tracer.close()
-        assert load_rollup(path)["rollup"]["events"] == 25
+        assert _rollup_doc(path)["rollup"]["events"] == 25
 
-    def test_flush_is_atomic_replacement(self, tmp_path):
+    def test_flush_is_atomic_replacement(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rollup, "EVENT_INTERVAL", 5)
         path = tmp_path / "ROLLUP_a.json"
-        sink = RollupSink(path, event_interval=5)
+        sink = RollupSink(path)
         tracer = Tracer([sink])
         for i in range(23):
             tracer.emit("task.submit", data={"task_id": f"t-{i}"})
             if path.exists():
-                load_rollup(path)  # every observable state parses cleanly
+                _rollup_doc(path)  # every observable state parses cleanly
         tracer.close()
         assert not list(tmp_path.glob("*.tmp*"))  # no temp litter
 
@@ -120,14 +131,15 @@ class TestRollupDashboard:
         tracer = Tracer([RollupSink(path)])
         _run_sim(tracer)
         tracer.close()
-        dash = build_dashboard_from_rollup(load_rollup(path))
+        dash = _rollup_doc(path)
         assert dash["series"]["utilization"]["points"]
         assert dash["slo"]["verdict"] in ("pass", "fail")
         assert dash["profile"]["spans"]  # span tree survives aggregation
         assert dash["meta"]["events"] > 0
-        # Replay is explicitly marked skipped, not silently absent.
-        assert dash["replay"]["ok"]
-        assert any("rollup" in w for w in dash["replay"]["warnings"])
+        # The live fold replays and builds critical paths too.
+        assert dash["replay"]["ok"] and dash["replay"]["checks"] > 0
+        assert not dash["replay"]["warnings"]
+        assert [p["app_id"] for p in dash["critical_paths"]]
 
     def test_dashboard_cli_accepts_rollup_doc(self, tmp_path, capsys):
         from repro.cli import main
@@ -141,18 +153,28 @@ class TestRollupDashboard:
         assert "SLO" in capsys.readouterr().out
         assert json.loads(json_out.read_text())["series"]
 
-    def test_load_rollup_error_contract(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read"):
-            load_rollup(tmp_path / "missing.json")
+    def test_sniff_rollup_error_contract(self, tmp_path):
+        """Files that are not rollup documents are ``None`` (the trace
+        reader owns their errors); a rollup-tagged file of the wrong shape
+        is a ``ValueError`` naming the file and the field."""
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(ValueError, match="corrupt"):
-            load_rollup(bad)
         other = tmp_path / "other.json"
         other.write_text('{"schema": "something/else"}')
-        with pytest.raises(ValueError, match="rollup document"):
-            load_rollup(other)
-        assert not is_rollup_doc({"schema": "x"})
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"kind": "a", "seq": 0}\n')
+        for path in (tmp_path / "missing.json", bad, other, trace):
+            assert sniff_rollup(path) is None, path
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(RollupState().document()))
+        assert sniff_rollup(good)["schema"] == ROLLUP_SCHEMA
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps({"schema": ROLLUP_SCHEMA,
+                                         "meta": []}))
+        with pytest.raises(ValueError, match=(
+            f"^{malformed}: malformed rollup document: 'meta' must be an object$"
+        )):
+            sniff_rollup(malformed)
 
 
 def _emit_state_hash(time=1.0):
@@ -175,7 +197,7 @@ class TestAmbientWiring:
             assert session.rollup.path == str(path)
             _emit_state_hash()
         assert current_session() is None
-        assert load_rollup(path)["rollup"]["events"] == 1
+        assert _rollup_doc(path)["rollup"]["events"] == 1
         # Second close is a no-op, not an error.
         session.close()
 
@@ -207,7 +229,7 @@ class TestAmbientWiring:
             _emit_state_hash()
             snapshot = fetch_snapshot(str(session.server.port))
         assert snapshot["meta"]["events"] == 1
-        assert load_rollup(path)["rollup"]["events"] == 1
+        assert _rollup_doc(path)["rollup"]["events"] == 1
 
     def test_snapshot_readers_race_the_fold(self, isolate_obs, tmp_path):
         """HTTP readers polling /snapshot while the run emits (and the
@@ -247,7 +269,7 @@ class TestAmbientWiring:
         assert not errors
         assert seen and max(seen) <= 600
         assert final == 600
-        doc = load_rollup(path)
+        doc = _rollup_doc(path)
         assert doc["rollup"]["events"] == 600 and doc["rollup"]["flushes"] > 1
 
 
@@ -256,8 +278,6 @@ class TestRollupState:
         """Rollups aggregate the *kept* stream; sampling out lifecycles
         shrinks counts but keeps the protected anchors driving the
         headline series."""
-        from repro.obs.sample import SamplingPolicy, TraceSampler
-
         path = tmp_path / "ROLLUP_s.json"
         tracer = Tracer(
             [RollupSink(path)],
@@ -267,7 +287,7 @@ class TestRollupState:
         )
         _run_sim(tracer)
         tracer.close()
-        doc = load_rollup(path)
+        doc = _rollup_doc(path)
         assert doc["series"]["utilization"]["points"]  # protected anchors
         kinds = doc["meta"]["kinds"]
         assert EventKind.ENGINE_DISPATCH not in kinds
@@ -278,3 +298,50 @@ class TestRollupState:
         doc = state.document()
         assert doc["schema"] == ROLLUP_SCHEMA
         assert doc["rollup"]["events"] == 0
+
+    def test_summary_is_pure_mid_run(self, isolate_obs):
+        """``/snapshot`` and every flush call ``summary()`` mid-run; that
+        must leave nothing behind — twice in a row reads the same, and the
+        end-of-run summary is the one a fold that was never read gives."""
+        from repro.obs.trace import MemorySink
+
+        sink = MemorySink()
+        tracer = Tracer([sink], sampler=TraceSampler(
+            SamplingPolicy.parse("task=0.2,dispatch=0,seed=7")))
+        _run_sim(tracer)
+        tracer.close()
+        events = [e.to_obj() for e in sink.events]
+        read, unread = RollupState(), RollupState()
+        for index, obj in enumerate(events):
+            read.observe(obj)
+            unread.observe(obj)
+            if index in (len(events) // 3, len(events) // 2):
+                first, second = read.summary(), read.summary()
+                assert first["replay"]["warnings"] == second["replay"]["warnings"]
+                assert first == second
+        assert read.summary() == unread.summary()
+        assert read.summary()["replay"]["sampled_checks"] > 0
+
+
+def _strip(doc, *keys):
+    return {k: v for k, v in doc.items() if k not in (WALL_KEY, *keys)}
+
+
+@pytest.mark.parametrize("spec", [None, "engine.dispatch=0,task=0.2,seed=7"],
+                         ids=["unsampled", "sampled"])
+def test_rollup_dashboard_is_trace_dashboard(isolate_obs, tmp_path, spec):
+    """One run, one session recording a trace and a rollup: the rollup
+    document is the trace's dashboard (wall-clock blocks and the rollup's
+    own bookkeeping aside), replay and critical paths included."""
+    trace, path = tmp_path / "t.jsonl", tmp_path / "ROLLUP_t.json"
+    config = ObsConfig(trace_out=str(trace), rollup=str(path),
+                       sample=parse_sample_spec(spec))
+    with ObsSession(config) as session:
+        _run_sim(session.tracer)
+    doc = _rollup_doc(path)
+    dash = build_dashboard(str(trace))
+    assert doc["rollup"]["events"] == sum(1 for _ in iter_trace(str(trace)))
+    assert _strip(doc, "schema", "rollup") == _strip(dash)
+    assert dash["replay"]["ok"] and dash["replay"]["checks"] > 0
+    assert dash["critical_paths"]
+    assert ("sampled_checks" in dash["replay"]) == (spec is not None)
