@@ -365,8 +365,9 @@ def _cmd_compare(
     nodes: int, racks: int, instances: int, max_rs: int,
     diff_pairwise: bool = False,
 ) -> int:
+    import time as _time
+
     from . import ClusterState, ConstraintManager, build_cluster, evaluate_violations
-    from .obs.metrics import get_metrics
     from .obs.spans import span
     from .reporting import render_table
     from .workloads import hbase_population
@@ -384,12 +385,8 @@ def _cmd_compare(
         state = ClusterState(topology)
         manager = ConstraintManager(topology)
         run_events: list[dict] = []
-        # Timed through the obs layer (not a hand-rolled perf_counter pair)
-        # so CLI comparisons land in the same cli_compare_seconds timer and
-        # span profile as every other instrumented path.
-        with get_metrics().timer("cli_compare_seconds").time(
-            scheduler=scheduler.name
-        ) as timing, span(f"cli.compare:{scheduler.name}"):
+        with span(f"cli.compare:{scheduler.name}"):
+            start = _time.perf_counter()
             cycle = 0
             for index in range(0, len(population), 2):
                 batch = population[index:index + 2]
@@ -405,6 +402,7 @@ def _cmd_compare(
                         cycle, batch, result, seq_base=len(run_events)
                     ))
                 cycle += 1
+            elapsed_ms = (_time.perf_counter() - start) * 1000
         if diff_pairwise:
             run_events.append({
                 "kind": "sim.state_hash", "seq": len(run_events),
@@ -412,7 +410,6 @@ def _cmd_compare(
                 "data": {"hash": state.fingerprint()},
             })
             events_by_scheduler[scheduler.name] = run_events
-        elapsed_ms = timing.elapsed_s * 1000
         report = evaluate_violations(state, manager=manager)
         rows.append([
             scheduler.name,
@@ -602,6 +599,21 @@ def _write(command: str, path: str, text: str) -> bool:
     return True
 
 
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot be written (``None`` when it can), probed by an
+    append-open that truncates nothing; a file it created is removed."""
+    import os
+
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        return exc.strerror or str(exc)
+    if not existed:
+        os.remove(path)
+    return None
+
+
 def _emit_report(view, doc, *, command: str, what: str, json_path=None,
                  html_path=None) -> bool:
     """Print a report command's page, then write its ``--json`` document
@@ -789,12 +801,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     else:
         print(to_text(view))
     if args.json_out and args.json_out != "-":
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        if not _write("loadgen", args.json_out, document):
+            return EXIT_DATA_ERROR
         print(f"loadgen: wrote {args.json_out}", file=sys.stderr)
     if args.html_out:
-        with open(args.html_out, "w", encoding="utf-8") as fh:
-            fh.write(to_html(view))
+        if not _write("loadgen", args.html_out, to_html(view)):
+            return EXIT_DATA_ERROR
         print(f"loadgen: wrote {args.html_out}", file=sys.stderr)
     return EXIT_OK
 
@@ -912,6 +924,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "repro: --trace-sample needs a trace destination "
             "(--trace-out or MEDEA_TRACE=1)"
         )
+    # The rollup is first written mid-run: check both outputs before it.
+    for path in (config.trace_out, config.rollup):
+        reason = _unwritable(path) if path else None
+        if reason is not None:
+            print(f"repro: cannot write {path}: {reason}", file=sys.stderr)
+            return EXIT_DATA_ERROR
     with ObsSession(config) as session:
         if session.server is not None:
             print(f"telemetry endpoint: {session.server.url}", file=sys.stderr)

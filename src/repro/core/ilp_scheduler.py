@@ -14,7 +14,7 @@ import numpy as np
 from ..cluster.resources import Resource
 from ..cluster.state import ClusterState
 from ..obs.audit import PRUNE_CANDIDATE_POOL, CandidatePruned, DecisionAudit
-from ..obs.metrics import SolverStats, get_metrics
+from ..obs.metrics import SolverStats
 from ..solver import BnBOptions, HighsOptions, MilpSolution, solve
 from .constraint_manager import ConstraintManager
 from .ilp import IlpFormulation, IlpWeights
@@ -135,10 +135,6 @@ class IlpScheduler(LRAScheduler):
         self.last_formulation = formulation
         self.last_stats = solution.stats
         result = formulation.extract(solution)
-        # Fold the solve's effort breakdown into the generic metrics channel
-        # (the PR-1 hand-threaded path lives on via result.solver_stats).
-        if solution.stats is not None:
-            solution.stats.record_to(get_metrics(), scheduler=self.name)
         return formulation, solution, result
 
     @staticmethod

@@ -22,9 +22,9 @@ reproducing the ILP-ALL baseline of Fig. 11b.
 Observability: the facade emits the LRA lifecycle trace (``lra.submit`` /
 ``lra.place`` / ``lra.reject`` / ``lra.conflict`` / ``lra.resubmit`` /
 ``lra.drop`` / ``lra.complete``) and the cycle envelope (``cycle.start`` /
-``cycle.end``), and keeps lifecycle counters in the ambient metrics
-registry.  Clock arguments follow the unified convention — keyword-only
-``now: float``.
+``cycle.end``) — the lifecycle's only record; the metrics registry counts
+none of it again.  Clock arguments follow the unified convention —
+keyword-only ``now: float``.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ class MedeaScheduler:
         self.manager.register_application(request)
         self._pending.append(request)
         self.outcomes.setdefault(request.app_id, LraOutcome(request.app_id, now))
-        self.metrics.counter("lra_submitted_total").inc()
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(
@@ -162,7 +161,6 @@ class MedeaScheduler:
         self._last_cycle_time = now
         tracer = self.tracer
         pending_lras = len(self._pending)
-        self.metrics.gauge("medea_pending_lras").set(pending_lras)
         if tracer.enabled:
             tracer.emit(
                 EventKind.SCHEDULER_QUEUE,
@@ -206,8 +204,6 @@ class MedeaScheduler:
             tracer=tracer,
         )
         self.cycle_solve_times.append(result.solve_time_s)
-        metrics = self.metrics
-        metrics.timer("medea_cycle_seconds").observe(result.solve_time_s)
 
         by_app: dict[str, list] = {}
         for placement in result.placements:
@@ -223,7 +219,6 @@ class MedeaScheduler:
                 self.task_scheduler.apply_lra_placements(placements)
             except PlacementConflictError:
                 conflicted_apps.append(app_id)
-                metrics.counter("lra_conflicts_total").inc()
                 if tracer.enabled:
                     tracer.emit(
                         EventKind.LRA_CONFLICT,
@@ -234,7 +229,6 @@ class MedeaScheduler:
             else:
                 outcome.placed_time = now
                 placed_apps.append(app_id)
-                metrics.counter("lra_placed_total").inc()
                 if tracer.enabled:
                     tracer.emit(
                         EventKind.LRA_PLACE,
@@ -255,7 +249,6 @@ class MedeaScheduler:
         for app_id in result.rejected_apps:
             outcome = self.outcomes[app_id]
             outcome.attempts += 1
-            metrics.counter("lra_rejected_total").inc()
             if tracer.enabled:
                 tracer.emit(
                     EventKind.LRA_REJECT,
@@ -269,7 +262,7 @@ class MedeaScheduler:
             from ..obs.violations import evaluate_violations
 
             violation_report = evaluate_violations(
-                self.state, manager=self.manager, metrics=metrics
+                self.state, manager=self.manager, metrics=self.metrics
             )
             tracer.emit(
                 EventKind.CYCLE_END,
@@ -293,7 +286,6 @@ class MedeaScheduler:
         if outcome.attempts >= self.max_attempts:
             outcome.dropped = True
             self.manager.unregister_application(request.app_id)
-            self.metrics.counter("lra_dropped_total").inc()
             if tracer.enabled:
                 tracer.emit(
                     EventKind.LRA_DROP,
@@ -302,7 +294,6 @@ class MedeaScheduler:
                 )
             return
         self._pending.append(request)
-        self.metrics.counter("lra_resubmitted_total").inc()
         if tracer.enabled:
             tracer.emit(
                 EventKind.LRA_RESUBMIT,
@@ -316,7 +307,6 @@ class MedeaScheduler:
         """Release an LRA's containers and drop its constraints."""
         released = self.state.release_application(app_id)
         self.manager.unregister_application(app_id)
-        self.metrics.counter("lra_completed_total").inc()
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(

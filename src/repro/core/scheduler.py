@@ -143,14 +143,6 @@ class LRAScheduler(abc.ABC):
         registry.timer("scheduler_place_seconds").observe(
             result.solve_time_s, scheduler=self.name
         )
-        if result.placements:
-            registry.counter("scheduler_containers_placed_total").inc(
-                len(result.placements), scheduler=self.name
-            )
-        if result.rejected_apps:
-            registry.counter("scheduler_apps_rejected_total").inc(
-                len(result.rejected_apps), scheduler=self.name
-            )
         if tracer is None:
             tracer = get_tracer()
         if tracer.enabled:
@@ -183,10 +175,10 @@ class LRAScheduler(abc.ABC):
 REJECT_OVERLOAD = "overload"
 REJECT_UNPLACEABLE = "unplaceable"
 
-#: Metric names the placement-request path records (the latency-under-load
-#: plane's gated series come from the histogram).
+#: The one metric the placement-request path records: a per-outcome
+#: latency histogram, whose counts are also the request counts (the
+#: latency-under-load plane's gated series come from it).
 PLACE_REQUEST_HISTOGRAM = "place_request_seconds"
-PLACE_REQUEST_COUNTER = "place_requests_total"
 
 
 @dataclass
@@ -223,9 +215,9 @@ class PlacementService:
     solver) all carry the request id.
 
     Latency telemetry goes to the ``place_request_seconds``
-    :class:`~repro.obs.metrics.Histogram` (per-outcome label) and the
-    ``place_requests_total`` counter; ``/metrics`` exposes the histogram
-    as Prometheus cumulative buckets.
+    :class:`~repro.obs.metrics.Histogram` (per-outcome label; its count
+    per outcome is the request count); ``/metrics`` exposes it as
+    Prometheus cumulative buckets.
 
     ``retain=False`` (default) measures placement latency over a static
     cluster: proposals are not applied, so offered load can run
@@ -259,9 +251,6 @@ class PlacementService:
         self._ids = itertools.count(1)
         self._start = time.perf_counter()
 
-    def _registry(self) -> Metrics:
-        return self.metrics if self.metrics is not None else get_metrics()
-
     def _tracer(self):
         return self.tracer if self.tracer is not None else get_tracer()
 
@@ -274,12 +263,11 @@ class PlacementService:
         t_admitted: float,
     ) -> PlacementResponse:
         response.latency_s = time.perf_counter() - t_admitted
-        registry = self._registry()
+        registry = self.metrics if self.metrics is not None else get_metrics()
         outcome = "placed" if response.placed else (response.reason or "rejected")
         registry.histogram(PLACE_REQUEST_HISTOGRAM).observe(
             response.latency_s, outcome=outcome
         )
-        registry.counter(PLACE_REQUEST_COUNTER).inc(outcome=outcome)
         if tracer.enabled:
             tracer.emit(
                 EventKind.REQUEST_DONE,

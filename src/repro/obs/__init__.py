@@ -11,8 +11,9 @@ substrate):
 * **Metrics** — a :class:`Metrics` registry of labelled counters, gauges,
   timers and histograms with a deterministic :meth:`~Metrics.snapshot`
   API.  Every timer and histogram label set is one
-  :class:`LatencyHistogram`, the only latency record.
-  :class:`SolverStats` is one of its record types.
+  :class:`LatencyHistogram`, the only latency record.  It holds only what
+  no other record does (a count the trace carries is not counted again);
+  :class:`SolverStats` travels with each solve's result instead.
 * **Decision audit** — :class:`DecisionAudit` attached to
   ``PlacementResult`` explains each placement: candidates considered,
   constraints that pruned them, and the winning score/objective terms.
@@ -31,8 +32,8 @@ Built on top of those (ISSUE 3 / the paper's §7 evaluation signals):
 
 All of these, with the span profile and critical paths below, are folded
 by one :class:`RollupState` (``repro.obs.rollup``), one ``observe`` call
-per event: the dashboard of a trace, ``/snapshot``, a ``ROLLUP_*.json``
-file and each side of a diff are readings of that one fold.
+per event: the dashboard of a trace, ``/snapshot`` and a
+``ROLLUP_*.json`` file are readings of that one fold.
 
 The **live plane** (ISSUE 5) — the same signals while the run is still
 in flight, zero-cost when disabled like everything else:
@@ -84,9 +85,9 @@ The **diff plane** (ISSUE 9) — cross-run differential observability:
   (``repro.obs.diff``) compare two recorded runs in one streaming pass
   per side: structural alignment of the deterministic decision stream
   with first-divergence localization, replay-backed placement-fingerprint
-  cross-checks, causal placement-flip explanations from the recorded
-  ``scheduler.audit`` payloads, and exact deltas of the deterministic
-  series and span sample counts (no wall-clock axis).  Four-way verdict
+  cross-checks and causal placement-flip explanations from the recorded
+  ``scheduler.audit`` payloads — decisions only (series, spans and wall
+  time are each run's own dashboard's).  Four-way verdict
   (``IDENTICAL`` / ``EQUIVALENT`` / ``DIVERGED`` / ``INCOMPARABLE``),
   rendered from :func:`diff_view` by :func:`to_text` / :func:`to_html`;
   ``repro diff A B --fail-on-divergence`` gates CI on it.

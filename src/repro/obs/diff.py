@@ -5,7 +5,7 @@ needs a human to eyeball ten thousand JSONL lines; it needs a *verdict*
 and, when the runs disagree, the first place and the reason why.  This
 module compares two JSONL traces (read by
 :func:`~repro.obs.report.iter_trace`) in one streaming pass per side and
-reports along three axes:
+reports along two axes:
 
 * **Structural diff** — the deterministic decision stream (LRA/task
   lifecycle, scheduling cycles, node availability …) is aligned event by
@@ -21,10 +21,11 @@ reports along three axes:
   flipped: the candidate one side pruned (capacity / availability / the
   attributed constraint), or the score terms that ranked another node
   first.
-* **Deterministic deltas** — timeline series derived from deterministic
-  payloads compare exactly, and span sample counts per profile path.
-  Wall-clock timings are not compared: speed is the benchmark gate's
-  question (``benchmarks/compare_commits.py``), not this one's.
+
+Only decisions are compared.  A run's series and span profile are on its
+own dashboard (``repro dashboard``), and wall-clock timings are the
+benchmark gate's question (``benchmarks/compare_commits.py``), not this
+one's.
 
 The outcome is a four-way verdict:
 
@@ -58,8 +59,7 @@ from typing import Any, Iterable, Mapping
 
 from .audit import explain_placement_flip
 from .events import WALL_KEY, EventKind, TraceEvent
-from .profile import ProfileReport
-from .rollup import RollupState
+from .replay import ReplayState
 from .view import Badge, Table, View
 
 __all__ = [
@@ -195,8 +195,6 @@ class DiffReport:
     checkpoints: dict[str, Any] = field(default_factory=dict)
     placements: dict[str, Any] = field(default_factory=dict)
     flips: list[PlacementFlip] = field(default_factory=list)
-    series: dict[str, Any] = field(default_factory=dict)
-    profile: dict[str, Any] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -226,8 +224,6 @@ class DiffReport:
             "checkpoints": dict(self.checkpoints),
             "placements": dict(self.placements),
             "flips": [f.to_obj() for f in self.flips],
-            "series": dict(self.series),
-            "profile": dict(self.profile),
             "notes": list(self.notes),
         }
         if self.divergence is not None:
@@ -261,15 +257,17 @@ def _structural_identity(obj: Mapping[str, Any]) -> dict[str, Any]:
 
 
 class _Side:
-    """Single-pass accumulator for one trace: the run's one fold
-    (timeline, replay, span profile), plus what only a diff needs —
-    canonical hash, structural substream, checkpoints, placements,
-    audits.  Memory is bounded by the aggregates plus the unmatched
-    structural window, not the trace length."""
+    """Single-pass accumulator for one trace: event counts per kind, the
+    replayed placement state, canonical hash, structural substream,
+    checkpoints, placements and audits.  Memory is bounded by the
+    placement maps plus the unmatched structural window, not the trace
+    length."""
 
     def __init__(self, label: str) -> None:
         self.label = label
-        self.fold = RollupState()
+        self.replay = ReplayState()
+        self.events = 0
+        self.kind_counts: dict[str, int] = {}
         self.structural_events = 0
         self.sha = hashlib.sha256()
         self.checkpoints: dict[float, str] = {}
@@ -286,15 +284,13 @@ class _Side:
         self.pending_limit: int | None = None
         self.truncated = False
 
-    @property
-    def events(self) -> int:
-        return self.fold.timeline.events
-
     def feed(self, obj: Mapping[str, Any]) -> None:
-        self.fold.observe(obj)
+        self.events += 1
+        kind = obj.get("kind", "?")
+        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
+        self.replay.feed(obj)
         self.sha.update(_canonical_line(obj))
         self.sha.update(b"\n")
-        kind = obj.get("kind")
         data = obj.get("data") or {}
         if kind == EventKind.SIM_STATE_HASH:
             digest = data.get("hash")
@@ -324,10 +320,10 @@ class _Side:
                 self.pending.append(_structural_identity(obj))
 
     def structural_kinds(self) -> set[str]:
-        return {k for k in self.fold.timeline.kind_counts if k in STRUCTURAL_KINDS}
+        return {k for k in self.kind_counts if k in STRUCTURAL_KINDS}
 
     def summary_obj(self, path: str | None) -> dict[str, Any]:
-        replay = self.fold.replay.finish().to_obj()
+        replay = self.replay.finish().to_obj()
         obj: dict[str, Any] = {
             "label": self.label,
             "events": self.events,
@@ -335,7 +331,7 @@ class _Side:
             "checkpoints": len(self.checkpoints),
             "placements": len(self.placements),
             "audited_containers": len(self.audit),
-            "kinds": dict(sorted(self.fold.timeline.kind_counts.items())),
+            "kinds": dict(sorted(self.kind_counts.items())),
             "replay": replay,
         }
         if path is not None:
@@ -478,8 +474,8 @@ def _checkpoint_section(side_a: _Side, side_b: _Side) -> dict[str, Any]:
         "mismatched": len(mismatches),
         "mismatches": mismatches[:MAX_RECORDED_CHECKPOINT_MISMATCHES],
     }
-    final_a = side_a.fold.replay.fingerprint()
-    final_b = side_b.fold.replay.fingerprint()
+    final_a = side_a.replay.fingerprint()
+    final_b = side_b.replay.fingerprint()
     section["final_fingerprint_a"] = final_a
     section["final_fingerprint_b"] = final_b
     section["final_match"] = final_a == final_b
@@ -529,57 +525,6 @@ def _placement_section(
     return section, flips
 
 
-def _series_section(side_a: _Side, side_b: _Side) -> dict[str, Any]:
-    """Deterministic series compare exactly, point streams included."""
-    det_a = side_a.fold.timeline.summary()["series"]
-    det_b = side_b.fold.timeline.summary()["series"]
-    det_deltas: list[dict[str, Any]] = []
-    matched = 0
-    for name in sorted(set(det_a) | set(det_b)):
-        a_obj, b_obj = det_a.get(name), det_b.get(name)
-        if a_obj is None or b_obj is None:
-            det_deltas.append({
-                "series": name,
-                "status": "only_a" if b_obj is None else "only_b",
-            })
-            continue
-        if a_obj == b_obj:
-            matched += 1
-            continue
-        delta: dict[str, Any] = {"series": name, "status": "delta"}
-        for stat in ("mean", "max", "last"):
-            if a_obj.get(stat) != b_obj.get(stat):
-                delta[stat] = [a_obj.get(stat), b_obj.get(stat)]
-        if len(a_obj.get("points", ())) != len(b_obj.get("points", ())):
-            delta["points"] = [
-                len(a_obj.get("points", ())), len(b_obj.get("points", ()))
-            ]
-        det_deltas.append(delta)
-    return {
-        "deterministic_matched": matched,
-        "deterministic_deltas": det_deltas,
-    }
-
-
-def _profile_section(a: ProfileReport, b: ProfileReport) -> dict[str, Any]:
-    """Span paths present on one side only, and sample-count mismatches on
-    common paths.  Counts are deterministic per engine/sampling
-    configuration but informational: span cadence legitimately differs
-    between configurations."""
-    paths_a, paths_b = set(a.spans), set(b.spans)
-    common = paths_a & paths_b
-    return {
-        "paths_compared": len(common),
-        "paths_only_a": sorted(paths_a - paths_b),
-        "paths_only_b": sorted(paths_b - paths_a),
-        "count_deltas": [
-            {"path": path, "count": [a.spans[path].count, b.spans[path].count]}
-            for path in sorted(common)
-            if a.spans[path].count != b.spans[path].count
-        ],
-    }
-
-
 def _assemble(
     side_a: _Side,
     side_b: _Side,
@@ -614,8 +559,6 @@ def _assemble(
         checkpoints=checkpoints,
         placements=placement_section,
         flips=flips,
-        series=_series_section(side_a, side_b),
-        profile=_profile_section(side_a.fold.profile, side_b.fold.profile),
     )
 
     kinds_a, kinds_b = side_a.structural_kinds(), side_b.structural_kinds()
@@ -736,14 +679,14 @@ def _fmt_event(obj: Mapping[str, Any] | None) -> str:
 
 def diff_view(report: DiffReport) -> View:
     """The ``repro diff`` page: verdict, one-line axis summaries, then the
-    runs, the first divergence with its context, fingerprint mismatches,
-    explained placement flips and the deterministic series deltas."""
+    runs, the first divergence with its context, fingerprint mismatches
+    and explained placement flips."""
     label_a, label_b = report.label_a, report.label_b
     headline: list[Any] = [
         Badge("verdict", report.headline(), report.ok, report.reason)
     ]
     headline.extend(f"note: {note}" for note in report.notes)
-    cp, pl, series = report.checkpoints, report.placements, report.series
+    cp, pl = report.checkpoints, report.placements
     if cp:
         status = "match" if not cp.get("mismatched") else (
             f"{cp['mismatched']} MISMATCHED"
@@ -759,11 +702,6 @@ def diff_view(report: DiffReport) -> View:
             f"{pl.get('flipped', 0)} flipped, "
             f"{pl.get('only_a', 0)} only-{label_a}, "
             f"{pl.get('only_b', 0)} only-{label_b}"
-        )
-    if series:
-        headline.append(
-            f"series: {series.get('deterministic_matched', 0)} deterministic "
-            f"match, {len(series.get('deterministic_deltas', ()))} differ"
         )
 
     sides = [(label_a, report.sides.get("a", {})), (label_b, report.sides.get("b", {}))]
@@ -806,14 +744,4 @@ def diff_view(report: DiffReport) -> View:
         ],
         note=f"... {hidden} more flips not shown" if hidden > 0 else "",
     ))
-    deltas = []
-    for delta in series.get("deterministic_deltas", ()):
-        detail = "; ".join(
-            f"{stat} {delta[stat][0]} vs {delta[stat][1]}"
-            for stat in ("mean", "max", "last", "points") if stat in delta
-        )
-        deltas.append([delta.get("series"), delta.get("status"), detail or "-"])
-    sections.append(
-        Table("Deterministic series deltas", ["series", "status", "detail"], deltas)
-    )
     return View(f"repro diff — {label_a} vs {label_b}", headline, sections)

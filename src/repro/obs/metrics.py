@@ -1,23 +1,24 @@
-"""Counters, gauges, and timers with label support, plus a snapshot API.
+"""Counters, gauges, timers and histograms with labels, plus a snapshot API.
 
-The :class:`Metrics` registry is the repo's one generic telemetry channel:
-instead of hand-threading bespoke stats records component → scheduler →
-result → harness (the PR-1 ``SolverStats`` plumbing), instrumented code
-records into the ambient registry and consumers read a :meth:`snapshot`.
+The :class:`Metrics` registry keeps only numbers no other record holds: a
+count the trace already carries (an ``lra.place`` event, a
+``scheduler.place`` payload) is read from the trace, not counted twice.
 
-Instruments are label-aware: ``metrics.counter("lra_placed_total").inc(
-scheduler="MEDEA-ILP")`` keeps one value per label set.  Labels are
-canonicalised (sorted ``key=value`` pairs) so snapshots are deterministic.
+Instruments are label-aware: ``metrics.timer("scheduler_place_seconds")
+.observe(0.01, scheduler="MEDEA-ILP")`` keeps one value per label set.
+Labels are canonicalised (sorted ``key=value`` pairs) so snapshots are
+deterministic.
 
 :class:`SolverStats` — the MILP effort breakdown both solver backends
-produce — lives here as one of the metric types.
+produce — lives here too, though it travels with the solve, not through
+the registry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .hist import LatencyHistogram
 
@@ -145,10 +146,6 @@ class Gauge(_Instrument):
     def set(self, value: float, **labels: Any) -> None:
         self._values[self._write_key(labels)] = float(value)
 
-    def add(self, delta: float, **labels: Any) -> None:
-        key = self._write_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + delta
-
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
@@ -176,9 +173,6 @@ class Timer(_Instrument):
 
     def stat(self, **labels: Any) -> LatencyHistogram:
         return self._stats.get(_label_key(labels)) or LatencyHistogram()
-
-    def time(self, **labels: Any) -> "_TimerContext":
-        return _TimerContext(self, labels)
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         return {k: self._stats[k].summary() for k in sorted(self._stats)}
@@ -216,27 +210,6 @@ class Histogram(_Instrument):
             ]
             out[key] = stat
         return out
-
-
-class _TimerContext:
-    """``with timer.time(...):`` support."""
-
-    def __init__(self, timer: Timer, labels: Mapping[str, Any]) -> None:
-        self._timer = timer
-        self._labels = dict(labels)
-        self.elapsed_s = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        import time as _time
-
-        self._start = _time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        import time as _time
-
-        self.elapsed_s = _time.perf_counter() - self._start
-        self._timer.observe(self.elapsed_s, **self._labels)
 
 
 class Metrics:
@@ -333,9 +306,9 @@ class SolverStats:
 
     Produced by both solver backends (branch-and-bound fills every field;
     HiGHS reports its node count, achieved gap and wall time, since its
-    phases are not separable).  Historically hand-threaded ``IlpScheduler``
-    → ``PlacementResult`` → harness; since the ``repro.obs`` redesign it is also folded into the
-    generic :class:`Metrics` channel via :meth:`record_to`.
+    phases are not separable).  It travels with the solve
+    (``IlpScheduler.last_stats``, ``PlacementResult.solver_stats``) and is
+    not copied into the :class:`Metrics` registry.
     """
 
     backend: str = "bnb"
@@ -356,24 +329,6 @@ class SolverStats:
     #: solve reports none.  A merged record keeps the largest.
     gap: float = math.nan
 
-    #: (counter field name) pairs recorded by :meth:`record_to`.
-    _COUNTER_FIELDS = (
-        "nodes_explored",
-        "lp_solves",
-        "presolve_rows_removed",
-        "presolve_cols_fixed",
-        "presolve_bounds_tightened",
-        "heuristic_incumbents",
-        "solves",
-    )
-    #: (timer phase name, wall-time field) pairs recorded by :meth:`record_to`.
-    _TIMER_FIELDS = (
-        ("presolve", "time_presolve_s"),
-        ("lp", "time_lp_s"),
-        ("heuristic", "time_heuristic_s"),
-        ("total", "time_total_s"),
-    )
-
     def merge(self, other: "SolverStats") -> None:
         """Accumulate ``other`` into this record (for per-experiment totals)."""
         if self.solves == 0:
@@ -393,22 +348,6 @@ class SolverStats:
         self.solves += other.solves
         if math.isnan(self.gap) or other.gap > self.gap:
             self.gap = other.gap
-
-    def record_to(self, metrics: Metrics, **labels: Any) -> None:
-        """Fold this record into a :class:`Metrics` registry.
-
-        Effort counts go to ``solver_<field>_total`` counters and phase wall
-        times to the ``solver_phase_seconds`` timer, all labelled with the
-        backend (plus any extra ``labels``).
-        """
-        labels = {"backend": self.backend, **labels}
-        for field_name in self._COUNTER_FIELDS:
-            value = getattr(self, field_name)
-            if value:
-                metrics.counter(f"solver_{field_name}_total").inc(value, **labels)
-        phase_timer = metrics.timer("solver_phase_seconds")
-        for phase, field_name in self._TIMER_FIELDS:
-            phase_timer.observe(getattr(self, field_name), phase=phase, **labels)
 
     def summary(self) -> str:
         """One line suitable for benchmark output."""

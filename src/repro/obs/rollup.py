@@ -16,8 +16,7 @@ Every reader uses it:
   every :data:`INTERVAL_S` simulated seconds and once more on close;
 * ``repro dashboard ROLLUP.json`` renders that document as it stands
   (:func:`rejudge_slos` re-judges ``--slo`` rules from its stored series),
-  so a rollup's dashboard is the trace's dashboard;
-* ``repro diff`` folds each side into a state of its own.
+  so a rollup's dashboard is the trace's dashboard.
 
 The document is bounded: its size is the series cap
 (:data:`~repro.obs.timeline.DEFAULT_MAX_POINTS` points per series) plus

@@ -3,10 +3,6 @@
 The paper reports box plots with whiskers at p5/p99, boxes at p25/p75 and a
 median line (Fig. 7 caption); :class:`BoxStats` mirrors exactly that.
 
-It sits inside ``repro.obs`` so summaries fold into the same
-:class:`~repro.obs.metrics.Metrics` registry everything else records into
-(see :meth:`BoxStats.record_to`).
-
 This module is dependency-free (no ``repro`` imports) so it can be pulled
 in from anywhere in the package without import cycles.
 """
@@ -15,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "BoxStats",
@@ -106,18 +102,6 @@ class BoxStats:
         for benchmark series that can legitimately have no samples."""
         data = list(values)
         return cls.from_values(data) if data else cls.empty()
-
-    def record_to(self, metrics: Any, name: str, **labels: Any) -> None:
-        """Fold this summary into a :class:`~repro.obs.metrics.Metrics`
-        registry as a labelled gauge family: one ``stat=<p5|p25|median|
-        p75|p99|mean|count>`` series per field (NaN fields are skipped).
-        Duck-typed so this module stays import-cycle free."""
-        gauge = metrics.gauge(name)
-        for stat in ("p5", "p25", "median", "p75", "p99", "mean"):
-            value = getattr(self, stat)
-            if not math.isnan(value):
-                gauge.set(value, stat=stat, **labels)
-        gauge.set(self.count, stat="count", **labels)
 
     def row(self, label: str, unit: str = "") -> str:
         if self.count == 0:

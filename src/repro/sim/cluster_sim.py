@@ -28,7 +28,7 @@ from ..core.medea import MedeaScheduler
 from ..core.requests import LRARequest, TaskRequest
 from ..core.scheduler import LRAScheduler
 from ..obs.events import EventKind
-from ..obs.metrics import Metrics, get_metrics
+from ..obs.metrics import Metrics
 from ..obs.spans import span
 from ..obs.session import default_watchdog
 from ..obs.trace import Tracer, get_tracer
@@ -142,7 +142,6 @@ class ClusterSimulation:
         self.config = config or SimConfig()
         self.state = ClusterState(topology)
         self._tracer = tracer
-        self._metrics = metrics
         self.task_scheduler = task_scheduler or CapacityScheduler(
             self.state, tracer=tracer, metrics=metrics
         )
@@ -173,10 +172,6 @@ class ClusterSimulation:
     @property
     def tracer(self) -> Tracer:
         return self._tracer if self._tracer is not None else get_tracer()
-
-    @property
-    def metrics(self) -> Metrics:
-        return self._metrics if self._metrics is not None else get_metrics()
 
     # -- periodic machinery ------------------------------------------------------
 
@@ -330,9 +325,6 @@ class ClusterSimulation:
                     time=engine.now,
                     data={"node_id": node_id, "up": up},
                 )
-            self.metrics.counter("sim_node_transitions_total").inc(
-                direction="up" if up else "down"
-            )
 
         self.engine.schedule_at(at, flip)
 

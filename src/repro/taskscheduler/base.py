@@ -106,7 +106,6 @@ class TaskBasedScheduler(abc.ABC):
         self._task_queue[task.task_id] = task.queue
         if task.locality:
             self._pending_locality += 1
-        self.metrics.counter("task_submitted_total").inc(queue=task.queue)
         tracer = self.tracer
         if tracer.enabled and tracer.wants(EventKind.TASK_SUBMIT, task.task_id):
             tracer.emit(
@@ -146,8 +145,8 @@ class TaskBasedScheduler(abc.ABC):
         node = self.state.topology.node(node_id)
         allocations: list[TaskAllocation] = []
         # Resolved on the first allocation, not per task: a heartbeat that
-        # allocates nothing must not register the instruments.
-        allocated = latency = None
+        # allocates nothing must not register the timer.
+        latency = None
         while node.available:
             task = self._select_task(node_id)
             if task is None:
@@ -179,11 +178,8 @@ class TaskBasedScheduler(abc.ABC):
             self.completed_count += 1
             if self.retain_completed:
                 self.completed_allocations.append(allocation)
-            if allocated is None:
-                metrics = self.metrics
-                allocated = metrics.counter("task_allocated_total")
-                latency = metrics.timer("task_queue_latency_seconds")
-            allocated.inc(queue=task.queue)
+            if latency is None:
+                latency = self.metrics.timer("task_queue_latency_seconds")
             latency.observe(allocation.latency_s, queue=task.queue)
         tracer = self.tracer
         if tracer.enabled:
@@ -262,6 +258,5 @@ class TaskBasedScheduler(abc.ABC):
         except PlacementConflictError:
             for placement in applied:
                 self.state.release(placement.container_id)
-            self.metrics.counter("task_lra_apply_conflicts_total").inc()
             raise
         return applied

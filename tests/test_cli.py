@@ -139,6 +139,20 @@ class TestObsSession:
         assert kinds
         assert not [k for k in kinds if k.startswith("task.")]
 
+    @pytest.mark.parametrize("flag", ["--trace-out", "--rollup"])
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys,
+                                                    flag):
+        """A trace or rollup path in a missing directory is one stderr line
+        and exit 1 before any simulated work, never a traceback."""
+        path = tmp_path / "no" / "such" / "dir" / "out.json"
+        assert main([*SMALL_SIM, flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro: cannot write {path}: No such file or directory"
+        ]
+        assert "Traceback" not in captured.err
+
     def test_serve_and_rollup_count_each_event_once(self, tmp_path, capsys):
         import json
 
@@ -202,7 +216,7 @@ class TestTraceTools:
 
         assert _json.loads(json_out.read_text())["series"]
 
-    @pytest.mark.parametrize("command", ["dashboard", "diff"])
+    @pytest.mark.parametrize("command", ["dashboard", "diff", "loadgen"])
     def test_unwritable_artifact_is_one_line(self, trace, tmp_path, capsys,
                                              command):
         """A report artifact that cannot be written is one stderr line and
@@ -213,6 +227,8 @@ class TestTraceTools:
                           str(missing / "x.json")],
             "diff": ["diff", str(trace), str(trace), "--html",
                      str(missing / "x.html")],
+            "loadgen": ["loadgen", "--rate", "200", "--requests", "4",
+                        "--nodes", "12", "--json", str(missing / "x.json")],
         }[command]
         capsys.readouterr()
         assert main(argv) == 1
@@ -300,15 +316,20 @@ def test_retired_ledger_stays_retired():
     (HTTP and virtual load targets, closed loop, the HTTP placement
     endpoint), the single-run readers the dashboard absorbed
     (``trace-report``, ``profile``), diff's wall-clock and rollup paths,
-    and every fold of an event stream but ``RollupState`` (with the
-    settings and test-only entry points they carried) are deleted; their
-    commands, flags and exports must not regrow."""
+    every fold of an event stream but ``RollupState`` (with the settings
+    and test-only entry points they carried), and the metric writers and
+    diff sections that copied a number another record holds are deleted;
+    their commands, flags and exports must not regrow."""
+    import dataclasses
     import inspect
 
     import repro
     import repro.cli
     import repro.obs
+    import repro.core.scheduler
     import repro.obs.load
+    import repro.obs.metrics
+    import repro.obs.stats
     import repro.solver.presolve
 
     for argv in (
@@ -371,7 +392,17 @@ def test_retired_ledger_stays_retired():
         repro.obs.report: ("trace_report_view", "read_trace", "TraceFile"),
         repro.obs.profile: ("profile_summary", "profile_view", "span_deltas",
                             "build_profile", "critical_paths"),
-        repro.obs.diff: ("diff_rollups", "_first_delta_tick", "_stat_delta"),
+        repro.obs.diff: ("diff_rollups", "_first_delta_tick", "_stat_delta",
+                         "_series_section", "_profile_section"),
+        # One record per number: the registry keeps no copy of a count
+        # or duration another record holds.
+        repro.obs.metrics.Timer: ("time",),
+        repro.obs.metrics: ("_TimerContext",),
+        repro.obs.metrics.Gauge: ("add",),
+        repro.obs.SolverStats: ("record_to", "_COUNTER_FIELDS",
+                                "_TIMER_FIELDS"),
+        repro.obs.stats.BoxStats: ("record_to",),
+        repro.core.scheduler: ("PLACE_REQUEST_COUNTER",),
         # Unread signals: no emitter, no reader outside their own tests.
         repro.obs.EventKind: ("SLO_BREACH", "MIGRATION_PLAN", "all_kinds"),
         repro.obs.Tracer: ("remove_sink",),
@@ -384,6 +415,9 @@ def test_retired_ledger_stays_retired():
     for module, names in retired.items():
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # A dataclass field with a default factory leaves no class attribute.
+    diff_fields = {f.name for f in dataclasses.fields(repro.obs.DiffReport)}
+    assert not diff_fields & {"series", "profile"}
     # The folds' settings are module constants now, not arguments.
     settings = {
         repro.obs.RollupState: (),

@@ -188,19 +188,13 @@ class TestRenderers:
         assert "<style>" in html and "http" not in html.split("<style>")[1].split("</style>")[0]
 
     def test_report_keys_hold_decisions_only(self):
-        """The report has no wall-clock axis: no thresholds, no wall
-        series, no self-time flags."""
+        """The report compares decisions only: no wall-clock axis, and no
+        series or span-profile deltas (each run's dashboard has those)."""
         obj = diff_events(_run_events(seed=5), _run_events(seed=6)).to_obj()
         assert set(obj) == {
             "verdict", "headline", "tick", "reason", "labels", "sides",
-            "structural", "checkpoints", "placements", "flips", "series",
-            "profile", "notes", "divergence",
-        }
-        assert set(obj["series"]) == {
-            "deterministic_matched", "deterministic_deltas",
-        }
-        assert set(obj["profile"]) == {
-            "paths_compared", "paths_only_a", "paths_only_b", "count_deltas",
+            "structural", "checkpoints", "placements", "flips", "notes",
+            "divergence",
         }
 
     def test_report_to_obj_round_trips_json(self):

@@ -17,7 +17,6 @@ from repro import (
     build_cluster,
 )
 from repro.core.scheduler import (
-    PLACE_REQUEST_COUNTER,
     PLACE_REQUEST_HISTOGRAM,
     REJECT_OVERLOAD,
     PlacementService,
@@ -225,8 +224,8 @@ class TestPlacementService:
         response = service.handle(RequestTemplate().build(0))
         assert not response.placed
         assert response.reason == REJECT_OVERLOAD
-        counter = get_metrics().counter(PLACE_REQUEST_COUNTER)
-        assert counter.value(outcome=REJECT_OVERLOAD) == 1
+        hist = get_metrics().histogram(PLACE_REQUEST_HISTOGRAM)
+        assert hist.stat(outcome=REJECT_OVERLOAD).count == 1
 
     def test_latency_lands_in_ambient_histogram(self, isolate_obs):
         metrics = Metrics()

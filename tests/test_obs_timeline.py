@@ -348,15 +348,6 @@ class TestStatsMove:
             warnings.simplefilter("error", DeprecationWarning)
             from repro import BoxStats, evaluate_violations  # noqa: F401
 
-    def test_box_stats_record_to_registry(self):
-        from repro.obs.stats import BoxStats
-
-        metrics = Metrics()
-        BoxStats.from_values([1.0, 2.0, 3.0]).record_to(metrics, "lat")
-        gauges = metrics.snapshot()["gauges"]["lat"]
-        assert gauges["stat=median"] == pytest.approx(2.0)
-        assert gauges["stat=count"] == 3
-
     def test_violations_recorded_into_registry(self, isolate_obs):
         from repro import ClusterState, ConstraintManager, evaluate_violations
 
