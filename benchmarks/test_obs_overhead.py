@@ -43,7 +43,7 @@ from repro.core.requests import TaskRequest
 from repro.obs.metrics import Metrics
 from repro.obs.rollup import RollupSink
 from repro.obs.sample import SamplingPolicy, TraceSampler
-from repro.obs.trace import JsonlSink, Tracer
+from repro.obs.trace import JsonlSink, Tracer, set_tracer
 from repro.sim import ClusterSimulation, SimConfig
 from repro.workloads.lra_gen import hbase_population
 
@@ -65,7 +65,8 @@ OVERHEAD_LIMIT = 1.05 * 1.05 + 0.02
 
 
 def _run_workload(tracer: Tracer) -> float:
-    """One deterministic simulation run; returns process-CPU seconds."""
+    """One deterministic simulation run with ``tracer`` installed for its
+    duration; returns process-CPU seconds."""
     active_s = (TASKS + RATE - 1) // RATE
     horizon = float(active_s + 30)
     topology = build_cluster(
@@ -80,7 +81,6 @@ def _run_workload(tracer: Tracer) -> float:
             horizon_s=horizon,
         ),
         metrics=Metrics(),
-        tracer=tracer,
     )
     sim.task_scheduler.retain_completed = False
     for i, lra in enumerate(hbase_population(max(2, NODES // 50))):
@@ -105,9 +105,13 @@ def _run_workload(tracer: Tracer) -> float:
 
     sim.engine.schedule_periodic(1.0, submit_batch, until=float(active_s))
 
-    start = time.process_time()
-    sim.run()
-    cpu = time.process_time() - start
+    previous = set_tracer(tracer)
+    try:
+        start = time.process_time()
+        sim.run()
+        cpu = time.process_time() - start
+    finally:
+        set_tracer(previous)
     assert submitted == TASKS
     assert sim.task_scheduler.pending_tasks() == 0
     return cpu

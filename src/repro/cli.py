@@ -21,8 +21,8 @@ Eight commands, each a thin wrapper over the library:
   decision audits, and deterministic series / span-count deltas;
   ``--fail-on-divergence`` turns it into a CI gate.
 * ``loadgen`` — pace seeded open-loop requests into an in-process
-  placement service and sweep offered rates into a latency-vs-throughput
-  curve.
+  placement service (any ``--scheduler`` of ``simulate``) and sweep
+  offered rates into a latency-vs-throughput curve.
 * ``watch`` — poll a live telemetry endpoint's ``/snapshot`` into a
   refreshing terminal view (retries with capped exponential backoff while
   the endpoint comes up).
@@ -38,13 +38,14 @@ from the variables alone).  ``--trace-out FILE`` (or
 ``MEDEA_TRACE=1`` with ``MEDEA_TRACE_OUT``) records the JSONL event trace
 and prints a metrics summary after the run; ``--trace-sample`` (or
 ``MEDEA_TRACE_SAMPLE``) samples it deterministically (e.g.
-``"heartbeat=0.01,task=0.1,seed=7"``); ``--serve PORT`` (or
+``"dispatch=0.01,task=0.1,seed=7"``); ``--serve PORT`` (or
 ``MEDEA_SERVE``) serves ``/metrics``, ``/healthz`` and ``/snapshot`` for the
 duration of the run; ``--rollup FILE`` (or ``MEDEA_ROLLUP``) streams the
 run's dashboard summary to disk as a bounded rollup document;
 ``--watchdog {warn,abort}`` (or ``MEDEA_WATCHDOG``) arms the online
 invariant monitors.  One rule for all five: a flag that is given wins
-over its variable.
+over its variable.  All three commands check that the trace and rollup
+paths are writable before any work starts.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ __all__ = [
     "EXIT_GATE",
 ]
 
-#: ``--scheduler`` choices of ``simulate``, in ``compare``'s row order.
+#: ``--scheduler`` choices of ``simulate`` and ``loadgen``, in
+#: ``compare``'s row order.
 SCHEDULERS = ("ilp", "nc", "tp", "serial", "jkube", "jkube++", "unaware")
 
 # -- exit-code semantics ------------------------------------------------------
@@ -117,7 +119,7 @@ def _add_live_plane_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace-sample", metavar="SPEC", default=None,
         help="deterministic trace sampling policy, e.g. "
-             "'heartbeat=0.01,task=0.1,seed=7' (kept lifecycles stay "
+             "'dispatch=0.01,task=0.1,seed=7' (kept lifecycles stay "
              "complete; protected kinds are never dropped)",
     )
 
@@ -283,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--racks", type=int, default=4,
                         help="rack count (default 4)")
     p_load.add_argument(
-        "--scheduler", default="node-candidates",
-        choices=("node-candidates", "tag-popularity", "serial",
-                 "jkube", "jkube++", "yarn"),
-        help="scheduler behind the service (default node-candidates)",
+        "--scheduler", default="nc", choices=SCHEDULERS,
+        help="scheduler behind the service (default nc)",
     )
     p_load.add_argument(
         "--containers", type=int, default=4,
@@ -496,8 +496,8 @@ def _print_pairwise_diffs(
 
 
 def _make_sim_scheduler(name: str, nodes: int):
-    """Instantiate one of :data:`SCHEDULERS` (``simulate --scheduler``,
-    and every row of ``compare``).
+    """Instantiate one of :data:`SCHEDULERS` (``simulate`` / ``loadgen
+    --scheduler``, and every row of ``compare``).
 
     The default ILP configuration is byte-for-byte the pre-flag behaviour
     (candidate cap, time limit, MIP gap), so traces recorded before the
@@ -720,48 +720,23 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _build_placement_service(args: argparse.Namespace):
     """Stand up an in-process PlacementService on a fresh synthetic
     cluster, per the loadgen CLI flags."""
-    from . import (
-        ClusterState,
-        ConstraintManager,
-        ConstraintUnawareScheduler,
-        JKubePlusPlusScheduler,
-        JKubeScheduler,
-        NodeCandidatesScheduler,
-        SerialScheduler,
-        TagPopularityScheduler,
-        build_cluster,
-    )
+    from . import ClusterState, ConstraintManager, build_cluster
     from .core.scheduler import PlacementService
 
-    schedulers = {
-        "node-candidates": NodeCandidatesScheduler,
-        "tag-popularity": TagPopularityScheduler,
-        "serial": SerialScheduler,
-        "jkube": JKubeScheduler,
-        "jkube++": JKubePlusPlusScheduler,
-        "yarn": lambda: ConstraintUnawareScheduler(seed=11),
-    }
-    scheduler = schedulers[args.scheduler]()
     topology = build_cluster(
         args.nodes, racks=args.racks, memory_mb=16 * 1024, vcores=8
     )
-    state = ClusterState(topology)
     return PlacementService(
-        state,
-        scheduler,
+        ClusterState(topology),
+        _make_sim_scheduler(args.scheduler, args.nodes),
         ConstraintManager(topology),
         max_pending=args.max_pending,
     )
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from .obs.load import (
-        InProcessTarget,
-        RequestTemplate,
-        run_sweep,
-        sweep_to_json,
-        sweep_view,
-    )
+def _cmd_loadgen(args: argparse.Namespace, config) -> int:
+    from .obs.load import RequestTemplate, run_sweep, sweep_to_json, sweep_view
+    from .obs.session import ObsSession
     from .obs.view import to_html, to_text
 
     if args.sweep:
@@ -776,15 +751,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     else:
         rates = [args.rate]
 
-    from .obs.session import ObsConfig, ObsSession
-
-    try:
-        config = ObsConfig.from_env()
-    except ValueError as exc:
-        raise SystemExit(f"repro: {exc}") from None
     with ObsSession(config):
         sweep = run_sweep(
-            InProcessTarget(_build_placement_service(args)),
+            _build_placement_service(args),
             RequestTemplate(containers=args.containers),
             rates=rates,
             requests_per_step=args.requests,
@@ -902,24 +871,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_dashboard(args)
     if args.command == "diff":
         return _cmd_diff(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
     if args.command == "watch":
         return _cmd_watch(args)
     from .obs.sample import parse_sample_spec
     from .obs.session import ObsConfig, ObsSession
 
+    # ``loadgen`` has none of these flags: its settings come from the
+    # variables alone.
+    trace_sample = getattr(args, "trace_sample", None)
     try:
         config = ObsConfig.from_env(
-            trace_out=args.trace_out,
-            sample=parse_sample_spec(args.trace_sample),
-            serve=args.serve,
-            rollup=args.rollup,
+            trace_out=getattr(args, "trace_out", None),
+            sample=parse_sample_spec(trace_sample),
+            serve=getattr(args, "serve", None),
+            rollup=getattr(args, "rollup", None),
             watchdog=getattr(args, "watchdog", None),
         )
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}") from None
-    if args.trace_sample and config.trace_out is None:
+    if trace_sample and config.trace_out is None:
         raise SystemExit(
             "repro: --trace-sample needs a trace destination "
             "(--trace-out or MEDEA_TRACE=1)"
@@ -930,6 +900,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if reason is not None:
             print(f"repro: cannot write {path}: {reason}", file=sys.stderr)
             return EXIT_DATA_ERROR
+    if args.command == "loadgen":
+        return _cmd_loadgen(args, config)
     with ObsSession(config) as session:
         if session.server is not None:
             print(f"telemetry endpoint: {session.server.url}", file=sys.stderr)

@@ -74,7 +74,6 @@ class MedeaScheduler:
         max_attempts: int = 3,
         ilp_all: bool = False,
         max_batch_size: int | None = None,
-        tracer: Tracer | None = None,
         metrics: Metrics | None = None,
     ) -> None:
         if task_scheduler.state is not state:
@@ -95,13 +94,8 @@ class MedeaScheduler:
         #: Wall-clock solve time of each LRA scheduling cycle.
         self.cycle_solve_times: list[float] = []
         self._last_cycle_time: float = 0.0
-        #: Explicit tracer/metrics; ``None`` falls back to the ambient ones.
-        self._tracer = tracer
+        #: Explicit metrics registry; ``None`` falls back to the ambient one.
         self._metrics = metrics
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
 
     @property
     def metrics(self) -> Metrics:
@@ -115,7 +109,7 @@ class MedeaScheduler:
         self.manager.register_application(request)
         self._pending.append(request)
         self.outcomes.setdefault(request.app_id, LraOutcome(request.app_id, now))
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.emit(
                 EventKind.LRA_SUBMIT,
@@ -159,7 +153,7 @@ class MedeaScheduler:
         """Invoke the LRA scheduler on everything queued since the last
         cycle, then allocate through the task-based scheduler."""
         self._last_cycle_time = now
-        tracer = self.tracer
+        tracer = get_tracer()
         pending_lras = len(self._pending)
         if tracer.enabled:
             tracer.emit(
@@ -180,7 +174,6 @@ class MedeaScheduler:
             self._pending = self._pending[self.max_batch_size:]
         with span(
             "medea.cycle",
-            tracer=tracer,
             time=now,
             scheduler=self.lra_scheduler.name,
         ):
@@ -200,8 +193,7 @@ class MedeaScheduler:
                 },
             )
         result = self.lra_scheduler.timed_place(
-            batch, self.state, self.manager, now=now, metrics=self.metrics,
-            tracer=tracer,
+            batch, self.state, self.manager, now=now, metrics=self.metrics
         )
         self.cycle_solve_times.append(result.solve_time_s)
 
@@ -282,7 +274,7 @@ class MedeaScheduler:
     def _resubmit(
         self, request: LRARequest, outcome: LraOutcome, now: float = 0.0
     ) -> None:
-        tracer = self.tracer
+        tracer = get_tracer()
         if outcome.attempts >= self.max_attempts:
             outcome.dropped = True
             self.manager.unregister_application(request.app_id)
@@ -307,7 +299,7 @@ class MedeaScheduler:
         """Release an LRA's containers and drop its constraints."""
         released = self.state.release_application(app_id)
         self.manager.unregister_application(app_id)
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.emit(
                 EventKind.LRA_COMPLETE,

@@ -124,7 +124,6 @@ class LRAScheduler(abc.ABC):
         *,
         now: float = 0.0,
         metrics: Metrics | None = None,
-        tracer=None,
     ) -> PlacementResult:
         """:meth:`place` wrapped with wall-clock measurement.
 
@@ -132,19 +131,17 @@ class LRAScheduler(abc.ABC):
         :class:`~repro.obs.Metrics` registry under the
         ``scheduler_place_seconds`` timer, labelled with the algorithm name
         — the uniform channel Fig. 11a-style latency studies read — and a
-        ``scheduler.place`` trace event is emitted when tracing is on
-        (through ``tracer``, or the ambient one).
+        ``scheduler.place`` trace event is emitted when tracing is on.
         """
         start = time.perf_counter()
-        with span(f"place:{self.name}", tracer=tracer, time=now):
+        with span(f"place:{self.name}", time=now):
             result = self.place(requests, state, manager, now=now)
         result.solve_time_s = time.perf_counter() - start
         registry = metrics if metrics is not None else get_metrics()
         registry.timer("scheduler_place_seconds").observe(
             result.solve_time_s, scheduler=self.name
         )
-        if tracer is None:
-            tracer = get_tracer()
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.emit(
                 EventKind.SCHEDULER_PLACE,
@@ -234,7 +231,6 @@ class PlacementService:
         max_pending: int = 128,
         retain: bool = False,
         metrics: Metrics | None = None,
-        tracer=None,
     ) -> None:
         self.state = state
         self.scheduler = scheduler
@@ -244,22 +240,17 @@ class PlacementService:
         self.max_pending = max_pending
         self.retain = retain
         self.metrics = metrics
-        self.tracer = tracer
         self._place_lock = threading.Lock()
         self._meta_lock = threading.Lock()
         self._pending = 0
         self._ids = itertools.count(1)
         self._start = time.perf_counter()
 
-    def _tracer(self):
-        return self.tracer if self.tracer is not None else get_tracer()
-
     def _finish(
         self,
         response: PlacementResponse,
         *,
         now: float,
-        tracer,
         t_admitted: float,
     ) -> PlacementResponse:
         response.latency_s = time.perf_counter() - t_admitted
@@ -268,6 +259,7 @@ class PlacementService:
         registry.histogram(PLACE_REQUEST_HISTOGRAM).observe(
             response.latency_s, outcome=outcome
         )
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.emit(
                 EventKind.REQUEST_DONE,
@@ -303,7 +295,7 @@ class PlacementService:
             admitted = self._pending < self.max_pending
             if admitted:
                 self._pending += 1
-        tracer = self._tracer()
+        tracer = get_tracer()
         with request_context(request_id):
             if not admitted:
                 if tracer.enabled:
@@ -324,7 +316,6 @@ class PlacementService:
                         reason=REJECT_OVERLOAD,
                     ),
                     now=now,
-                    tracer=tracer,
                     t_admitted=t_admitted,
                 )
             try:
@@ -342,7 +333,7 @@ class PlacementService:
                     queue_s = time.perf_counter() - t_queue
                     t_place = time.perf_counter()
                     placed = False
-                    with span("request", tracer=tracer, time=now):
+                    with span("request", time=now):
                         self.manager.register_application(request)
                         try:
                             result = self.scheduler.timed_place(
@@ -351,7 +342,6 @@ class PlacementService:
                                 self.manager,
                                 now=now,
                                 metrics=self.metrics,
-                                tracer=self.tracer,
                             )
                             placed = request.app_id in result.placed_apps()
                             if placed and self.retain:
@@ -381,17 +371,6 @@ class PlacementService:
                 for p in result.placements
                 if p.app_id == request.app_id
             }
-            if tracer.enabled:
-                tracer.emit(
-                    EventKind.REQUEST_PLACE,
-                    time=now,
-                    data={
-                        "app_id": request.app_id,
-                        "placed": placed,
-                        "nodes": {k: nodes[k] for k in sorted(nodes)},
-                    },
-                    wall={"queue_s": queue_s, "place_s": place_s},
-                )
             return self._finish(
                 PlacementResponse(
                     request_id=request_id,
@@ -403,7 +382,6 @@ class PlacementService:
                     place_s=place_s,
                 ),
                 now=now,
-                tracer=tracer,
                 t_admitted=t_admitted,
             )
 

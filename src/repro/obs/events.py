@@ -35,7 +35,6 @@ class EventKind:
     ENGINE_DISPATCH = "engine.dispatch"
 
     # -- cluster simulation --------------------------------------------------
-    SIM_HEARTBEAT = "sim.heartbeat"
     NODE_AVAILABILITY = "sim.node_availability"
     #: Periodic fingerprint of the authoritative cluster state (placement
     #: map + down nodes) plus utilisation aggregates; the anchor replay
@@ -74,8 +73,6 @@ class EventKind:
     REQUEST_SUBMIT = "request.submit"
     #: Request refused at admission (queue depth / malformed payload).
     REQUEST_REJECT = "request.reject"
-    #: Placement outcome for one request (placed flag, node assignment).
-    REQUEST_PLACE = "request.place"
     #: Lifecycle complete; ``wall`` carries the latency breakdown
     #: (admission/queue/place/total seconds).
     REQUEST_DONE = "request.done"

@@ -43,7 +43,6 @@ __all__ = [
     "burst_arrivals",
     "build_arrivals",
     "RequestTemplate",
-    "InProcessTarget",
     "StepResult",
     "SweepResult",
     "run_step",
@@ -164,27 +163,6 @@ class RequestTemplate:
         }
 
 
-# -- the target ----------------------------------------------------------------
-
-
-class InProcessTarget:
-    """Drive a :class:`~repro.core.scheduler.PlacementService` directly."""
-
-    kind = "inprocess"
-
-    def __init__(self, service) -> None:
-        self.service = service
-
-    def place(self, request: LRARequest, *, now: float) -> str:
-        """Issue one request; returns the outcome (``placed`` /
-        ``rejected``)."""
-        response = self.service.handle(request, now=now)
-        return "placed" if response.placed else "rejected"
-
-    def describe(self) -> str:
-        return f"in-process {type(self.service.scheduler).__name__}"
-
-
 # -- step execution ------------------------------------------------------------
 
 
@@ -238,7 +216,7 @@ def _effective_rate(arrivals: Sequence[float], offered_rps: float) -> float:
 
 
 def _run_open_loop(
-    target,
+    service,
     template: RequestTemplate,
     arrivals: Sequence[float],
     *,
@@ -260,14 +238,14 @@ def _run_open_loop(
 
     def issue(index: int, arrival: float) -> None:
         request = template.build(index_base + index)
-        outcome = target.place(request, now=arrival)
+        placed = service.handle(request, now=arrival).placed
         latency = time.perf_counter() - (t0 + arrival)
         with lock:
             # Arrival-anchored latency: queueing delay behind a slow
             # scheduler (or an exhausted worker pool) counts against the
             # tail instead of being coordinated away.
             step.hist.record(latency)
-            if outcome == "placed":
+            if placed:
                 step.placed += 1
             else:
                 step.rejected += 1
@@ -288,7 +266,7 @@ def _run_open_loop(
 
 
 def run_step(
-    target,
+    service,
     template: RequestTemplate,
     *,
     offered_rps: float,
@@ -298,11 +276,12 @@ def run_step(
     seed: int = 0,
     index_base: int = 0,
 ) -> StepResult:
-    """Run one offered-load step against ``target``."""
+    """Run one offered-load step against ``service``, a
+    :class:`~repro.core.scheduler.PlacementService`."""
     rng = random.Random((seed << 16) ^ hash(round(offered_rps * 1000)) & 0xFFFF)
     arrivals = build_arrivals(arrival, offered_rps, requests, rng)
     return _run_open_loop(
-        target,
+        service,
         template,
         arrivals,
         offered_rps=offered_rps,
@@ -370,7 +349,7 @@ def detect_knee(
 
 
 def run_sweep(
-    target,
+    service,
     template: RequestTemplate,
     *,
     rates: Sequence[float],
@@ -385,7 +364,7 @@ def run_sweep(
     index_base = 0
     for rate in rates:
         step = run_step(
-            target,
+            service,
             template,
             offered_rps=rate,
             requests=requests_per_step,
@@ -410,7 +389,7 @@ def run_sweep(
         "rates": [float(r) for r in rates],
         "requests_per_step": requests_per_step,
         "seed": seed,
-        "target": target.describe(),
+        "target": f"in-process {type(service.scheduler).__name__}",
         "template": template.to_obj(),
     }
     return SweepResult(

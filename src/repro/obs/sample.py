@@ -1,15 +1,15 @@
 """Deterministic head-based trace sampling.
 
 At 10k nodes a fully traced run emits tens of millions of events; most of
-them (heartbeats, dispatches, per-task lifecycle) are individually
+them (dispatches, spans, per-task lifecycle) are individually
 uninteresting but collectively dominate tracing cost.  This module keeps
 tracing affordable at scale without giving up the determinism contract:
 
 * **Per-event-type policies** — a :class:`SamplingPolicy` is parsed from a
   compact spec string (``MEDEA_TRACE_SAMPLE`` / ``--trace-sample``), e.g.
-  ``"heartbeat=0.01,task=0.1,lra=1.0,seed=7"``.  Keys match an exact event
-  kind (``sim.heartbeat``), a glob (``task.*``), or a bare word matched
-  against the kind's dot components (``heartbeat`` → ``sim.heartbeat``).
+  ``"dispatch=0.01,task=0.1,lra=1.0,seed=7"``.  Keys match an exact event
+  kind (``engine.dispatch``), a glob (``task.*``), or a bare word matched
+  against the kind's dot components (``dispatch`` → ``engine.dispatch``).
   ``*`` (or ``default``) sets the fallback rate; ``seed=N`` keys the hash.
 
 * **Seeded-hash decisions** — sampling is a pure function of the policy
@@ -119,7 +119,7 @@ class SamplingPolicy:
             if not sep or not key or not value:
                 raise ValueError(
                     f"trace-sample: {entry!r} is not a key=value entry "
-                    f"(expected e.g. 'heartbeat=0.01' or 'seed=7')"
+                    f"(expected e.g. 'dispatch=0.01' or 'seed=7')"
                 )
             if key == "seed":
                 try:

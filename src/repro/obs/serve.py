@@ -23,10 +23,10 @@ or a Prometheus scraper can hit while a long run is in flight.
 Wiring: ``--serve PORT`` / ``MEDEA_SERVE`` opens the endpoint through one
 :class:`~repro.obs.session.ObsSession`, whose single sink folds the
 simulation's existing event stream into the server's :class:`RollupState`
-and beats its health under the server's :attr:`TelemetryServer.lock` — no
-engine changes, no new event kinds.  Zero-cost when unset (nothing is
-started, no sink is registered, the traced event stream is
-byte-identical).
+and beats its health under the tracer's lock, which the session hands the
+server as :attr:`TelemetryServer.lock` — no engine changes, no new event
+kinds.  Zero-cost when unset (nothing is started, no sink is registered,
+the traced event stream is byte-identical).
 
 ``repro watch`` (:func:`fetch_snapshot` / :func:`watch_view`) polls
 ``/snapshot`` into a refreshing terminal view.

@@ -13,16 +13,16 @@ variable, and a variable counts as unset when its value is one of its
 "off" values in :data:`ENV_TABLE`.
 
 Inside the session one sink folds every event into one
-:class:`~repro.obs.rollup.RollupState` under one lock: ``/snapshot`` reads
-that state and the rollup file is a flush of it, so each event is counted
-once.  Tracing is zero-cost when nothing is requested: an all-off session
-installs no tracer and leaves the ambient one alone.
+:class:`~repro.obs.rollup.RollupState` under the tracer's lock, which the
+server's ``/snapshot`` reads with: the rollup file is a flush of that
+state, so each event is counted once.  Tracing is zero-cost when nothing
+is requested: an all-off session installs no tracer and leaves the
+ambient one alone.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -102,7 +102,7 @@ class ObsConfig:
 class _Fold:
     """The session's one live sink: folds each event into the shared
     rollup state, beats the server's health and flushes the rollup file
-    when due, all under the lock ``/snapshot`` reads with."""
+    when due (under the tracer's lock, held by :meth:`Tracer.emit`)."""
 
     def __init__(self, session: ObsSession, state: RollupState) -> None:
         self.session = session
@@ -110,12 +110,11 @@ class _Fold:
 
     def emit(self, event) -> None:
         session = self.session
-        with session.lock:
-            self.state.observe_event(event)
-            if session.server is not None:
-                session.server.health.beat(event.time)
-            if session.rollup is not None and session.rollup.due(event.time):
-                session.rollup.flush()
+        self.state.observe_event(event)
+        if session.server is not None:
+            session.server.health.beat(event.time)
+        if session.rollup is not None and session.rollup.due(event.time):
+            session.rollup.flush()
 
     def close(self) -> None:
         """Teardown belongs to the session."""
@@ -152,7 +151,6 @@ class ObsSession:
         self.tracer: Tracer | None = None
         self.server: TelemetryServer | None = None
         self.rollup: RollupSink | None = None
-        self.lock = threading.Lock()
         self._stack = ExitStack()
 
     def __enter__(self) -> ObsSession:
@@ -176,7 +174,9 @@ class ObsSession:
                 state = RollupState()
                 if config.serve is not None:
                     self.server = TelemetryServer(config.serve)
-                    state, self.lock = self.server.rollup, self.server.lock
+                    state = self.server.rollup
+                    # /snapshot reads what the fold writes: one lock.
+                    self.server.lock = tracer.lock
                     self.server.start()
                     stack.callback(self.server.stop)
                 if config.rollup:
@@ -194,7 +194,7 @@ class ObsSession:
         self._stack.close()
 
     def _final_flush(self) -> None:
-        with self.lock:
+        with self.tracer.lock:
             self.rollup.close()
 
     def _leave(self, previous: Tracer) -> None:

@@ -43,17 +43,6 @@ from .trace import Tracer, get_tracer
 
 __all__ = ["span", "span_phase", "Span", "current_span_path"]
 
-#: Attribute on a :class:`Tracer` holding that tracer's open-span stack.
-_STACK_ATTR = "_span_stack"
-
-
-def _stack(tracer: Tracer) -> list:
-    stack = getattr(tracer, _STACK_ATTR, None)
-    if stack is None:
-        stack = []
-        setattr(tracer, _STACK_ATTR, stack)
-    return stack
-
 
 class _NullSpan:
     """Shared no-op context manager returned while tracing is disabled."""
@@ -73,7 +62,8 @@ _NULL_SPAN = _NullSpan()
 class Span:
     """One open span; use via ``with span("name"):`` rather than directly.
 
-    The enclosing span is found on the tracer's stack at ``__enter__``;
+    The enclosing span is found on the tracer's ``span_stack`` at
+    ``__enter__``;
     ``__exit__`` pops the stack, charges the duration to the parent's child
     accumulator (so the parent's ``self_s`` excludes it), and emits the
     ``span`` event — including on exception, so a crashed phase still shows
@@ -81,7 +71,7 @@ class Span:
     """
 
     __slots__ = ("_tracer", "name", "time", "data", "path", "depth",
-                 "_start", "_child_s", "_stack_ref")
+                 "_start", "_child_s")
 
     def __init__(
         self,
@@ -97,7 +87,7 @@ class Span:
         self._child_s = 0.0
 
     def __enter__(self) -> "Span":
-        stack = self._stack_ref = _stack(self._tracer)
+        stack = self._tracer.span_stack
         parent = stack[-1] if stack else None
         if parent is None:
             self.path = self.name
@@ -111,7 +101,7 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         dur_s = _time.perf_counter() - self._start
-        stack = self._stack_ref
+        stack = self._tracer.span_stack
         if stack and stack[-1] is self:
             stack.pop()
         if stack:
@@ -137,7 +127,6 @@ class Span:
 def span(
     name: str,
     *,
-    tracer: Tracer | None = None,
     time: float | None = None,
     **data: Any,
 ) -> Span | _NullSpan:
@@ -147,9 +136,9 @@ def span(
     contain ``;`` — it becomes one frame of the collapsed-stack path.
     ``time`` is the simulated clock, when the caller has one; extra keyword
     labels land in the event's deterministic ``data``.  Returns a shared
-    no-op when the (ambient or given) tracer is disabled.
+    no-op when the tracer is disabled.
     """
-    t = tracer if tracer is not None else get_tracer()
+    t = get_tracer()
     if not t.enabled:
         return _NULL_SPAN
     return Span(t, name, time, data)
@@ -160,7 +149,6 @@ def span_phase(
     dur_s: float,
     *,
     count: int = 1,
-    tracer: Tracer | None = None,
     time: float | None = None,
     **data: Any,
 ) -> None:
@@ -174,10 +162,10 @@ def span_phase(
     accumulator, so the parent's self time excludes it — exactly as if
     ``count`` real child spans had run.
     """
-    t = tracer if tracer is not None else get_tracer()
+    t = get_tracer()
     if not t.enabled:
         return
-    stack = _stack(t)
+    stack = t.span_stack
     parent = stack[-1] if stack else None
     if parent is None:
         path, depth = name, 0
@@ -199,8 +187,7 @@ def span_phase(
     )
 
 
-def current_span_path(tracer: Tracer | None = None) -> str | None:
+def current_span_path() -> str | None:
     """Path of the innermost open span, or ``None`` (introspection/tests)."""
-    t = tracer if tracer is not None else get_tracer()
-    stack = getattr(t, _STACK_ATTR, None)
+    stack = get_tracer().span_stack
     return stack[-1].path if stack else None

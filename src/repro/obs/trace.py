@@ -12,11 +12,12 @@ Sinks receive fully formed :class:`~repro.obs.events.TraceEvent` records:
 * :class:`JsonlSink` — one sorted-key JSON object per line; deterministic
   fields in ``data``, volatile wall-clock fields under ``"wall"``.
 
-A process-wide default tracer supports ambient configuration
-(:func:`get_tracer` / :func:`set_tracer`; runs build and install theirs
-through :class:`repro.obs.session.ObsSession`); components may also be
-handed an explicit tracer for isolated runs (the determinism tests do
-exactly that).
+Every component emits through the process-wide tracer (:func:`get_tracer`
+/ :func:`set_tracer`): a run installs its own through
+:class:`repro.obs.session.ObsSession`, so the whole causal chain of a
+placement — simulation, facade, scheduler, solver — lands in one stream.
+:meth:`Tracer.emit` holds the tracer's lock from the sampling decision to
+the last sink, so concurrent placement requests interleave whole events.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import contextvars
 import io
 import os
+import threading
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Iterable, Iterator, Mapping, TextIO
@@ -162,6 +164,10 @@ class Tracer:
     / ``events_dropped`` counters (deterministic for a given seed and
     spec) and ``overhead_s``, the cumulative wall time spent inside
     :meth:`emit` (volatile; surfaced as ``obs_overhead_seconds``).
+
+    ``lock`` serialises :meth:`emit` (sampling, ``seq``, sinks) across
+    threads; a reader of state the sinks write takes it too.
+    ``span_stack`` holds the open :mod:`~repro.obs.spans`, innermost last.
     """
 
     def __init__(
@@ -174,6 +180,8 @@ class Tracer:
         self.sinks: list[TraceSink] = list(sinks)
         self.enabled = enabled
         self.sampler = sampler
+        self.lock = threading.Lock()
+        self.span_stack: list = []
         self._seq = 0
         self.events_emitted = 0
         self.events_dropped = 0
@@ -259,23 +267,24 @@ class Tracer:
         if not self.enabled:
             return None
         t0 = perf_counter()
-        if self.sampler is not None:
-            keep, data = self.sampler.sample(kind, data or {})
-            if not keep:
-                self.events_dropped += 1
-                self.overhead_s += perf_counter() - t0
-                return None
         rid = _request_id.get()
-        if rid is not None and REQUEST_ID_KEY not in (data or {}):
-            data = {**(data or {}), REQUEST_ID_KEY: rid}
-        event = TraceEvent(
-            kind=kind, seq=self._seq, time=time, data=data or {}, wall=wall
-        )
-        self._seq += 1
-        for sink in self.sinks:
-            sink.emit(event)
-        self.events_emitted += 1
-        self.overhead_s += perf_counter() - t0
+        with self.lock:
+            if self.sampler is not None:
+                keep, data = self.sampler.sample(kind, data or {})
+                if not keep:
+                    self.events_dropped += 1
+                    self.overhead_s += perf_counter() - t0
+                    return None
+            if rid is not None and REQUEST_ID_KEY not in (data or {}):
+                data = {**(data or {}), REQUEST_ID_KEY: rid}
+            event = TraceEvent(
+                kind=kind, seq=self._seq, time=time, data=data or {}, wall=wall
+            )
+            self._seq += 1
+            for sink in self.sinks:
+                sink.emit(event)
+            self.events_emitted += 1
+            self.overhead_s += perf_counter() - t0
         return event
 
     def self_stats(self) -> dict[str, Any]:

@@ -5,13 +5,13 @@ the task-based scheduler, scheduling cycles drive the LRA scheduler, task
 containers complete after their duration, and LRAs optionally tear down.
 Both series tick on a fixed time grid but skip the work of a tick with no
 demand (no queued tasks / no pending LRAs), so idle heartbeats cost one
-heap operation; such ticks emit no ``sim.heartbeat`` / ``sim.state_hash``.
+heap operation; such ticks emit no ``sim.state_hash``.
 Machine unavailability traces can be replayed to take nodes down and up
 (used by the resilience experiments).
 
-A :class:`~repro.obs.Tracer` (explicit, or the ambient one) threads through
-every layer: the engine stamps ``engine.dispatch`` events, the facade the
-LRA lifecycle, and the simulation itself emits ``sim.heartbeat``,
+Every layer emits through the installed :class:`~repro.obs.Tracer`: the
+engine stamps ``engine.dispatch`` events, the facade the LRA lifecycle, the
+schedulers and the solver their decisions, and the simulation itself emits
 ``sim.state_hash`` (the per-tick placement fingerprint + utilisation
 aggregates the replayer and timeline consume), ``task.finish`` and
 ``sim.node_availability`` transitions.
@@ -31,7 +31,7 @@ from ..obs.events import EventKind
 from ..obs.metrics import Metrics
 from ..obs.spans import span
 from ..obs.session import default_watchdog
-from ..obs.trace import Tracer, get_tracer
+from ..obs.trace import get_tracer
 from ..obs.watchdog import Watchdog
 from ..taskscheduler.base import TaskBasedScheduler
 from ..taskscheduler.capacity import CapacityScheduler
@@ -135,15 +135,13 @@ class ClusterSimulation:
         task_scheduler: TaskBasedScheduler | None = None,
         config: SimConfig | None = None,
         ilp_all: bool = False,
-        tracer: Tracer | None = None,
         metrics: Metrics | None = None,
         watchdog: Watchdog | None = None,
     ) -> None:
         self.config = config or SimConfig()
         self.state = ClusterState(topology)
-        self._tracer = tracer
         self.task_scheduler = task_scheduler or CapacityScheduler(
-            self.state, tracer=tracer, metrics=metrics
+            self.state, metrics=metrics
         )
         if self.task_scheduler.state is not self.state:
             raise ValueError("task scheduler must be built on the simulation state")
@@ -153,10 +151,9 @@ class ClusterSimulation:
             self.task_scheduler,
             scheduling_interval_s=self.config.scheduling_interval_s,
             ilp_all=ilp_all,
-            tracer=tracer,
             metrics=metrics,
         )
-        self.engine = SimulationEngine(tracer=tracer)
+        self.engine = SimulationEngine()
         self._task_durations: dict[str, float] = {}
         self._lra_durations: dict[str, float] = {}
         #: Observers called after every LRA scheduling cycle with (sim, result).
@@ -168,10 +165,6 @@ class ClusterSimulation:
         #: observability session arms one) keeps the hot path check-free.
         self.watchdog = watchdog if watchdog is not None else default_watchdog()
         self._install_periodic_activity()
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
 
     # -- periodic machinery ------------------------------------------------------
 
@@ -206,18 +199,13 @@ class ClusterSimulation:
             self.cycle_handle.cancel()
 
     def _heartbeat_tick(self, engine: SimulationEngine) -> None:
-        with span("sim.heartbeat", tracer=self.tracer, time=engine.now):
+        with span("sim.heartbeat", time=engine.now):
             self._heartbeat_tick_impl(engine)
 
     def _heartbeat_tick_impl(self, engine: SimulationEngine) -> None:
         allocations = self.medea.heartbeat_all(engine.now)
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled:
-            tracer.emit(
-                EventKind.SIM_HEARTBEAT,
-                time=engine.now,
-                data={"allocations": len(allocations)},
-            )
             tracer.emit(
                 EventKind.SIM_STATE_HASH,
                 time=engine.now,
@@ -237,7 +225,7 @@ class ClusterSimulation:
             self.watchdog.check(self, now=engine.now)
 
     def _cycle_tick(self, engine: SimulationEngine) -> None:
-        with span("sim.cycle", tracer=self.tracer, time=engine.now):
+        with span("sim.cycle", time=engine.now):
             self._cycle_tick_impl(engine)
 
     def _cycle_tick_impl(self, engine: SimulationEngine) -> None:
@@ -277,7 +265,7 @@ class ClusterSimulation:
         # The task may already be gone if the run was torn down.
         if task_id in self.state.containers:
             self.task_scheduler.release_task(task_id, now=self.engine.now)
-            tracer = self.tracer
+            tracer = get_tracer()
             if tracer.enabled and tracer.wants(EventKind.TASK_FINISH, task_id):
                 tracer.emit(
                     EventKind.TASK_FINISH,
@@ -318,7 +306,7 @@ class ClusterSimulation:
 
         def flip(engine: SimulationEngine) -> None:
             self.state.topology.node(node_id).available = up
-            tracer = self.tracer
+            tracer = get_tracer()
             if tracer.enabled:
                 tracer.emit(
                     EventKind.NODE_AVAILABILITY,

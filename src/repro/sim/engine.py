@@ -6,11 +6,11 @@ the engine so they can schedule follow-ups.  This is the substrate standing
 in for the paper's simulator, which "executes Medea with simulated machines,
 merely ignoring RPCs and task execution" (§7.1).
 
-Observability: when built with an enabled :class:`~repro.obs.Tracer` (or
-when the ambient default tracer is enabled), the engine emits one
-``engine.dispatch`` event per callback invocation, carrying the simulated
-time, the dispatch sequence number, and the callback's qualified name —
-the uniform, replayable event feed trace-driven analyses consume.
+Observability: while the installed :class:`~repro.obs.Tracer` is enabled,
+the engine emits one ``engine.dispatch`` event per callback invocation,
+carrying the simulated time, the dispatch sequence number, and the
+callback's qualified name — the uniform, replayable event feed
+trace-driven analyses consume.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 
 from ..obs.events import EventKind
 from ..obs.spans import span
-from ..obs.trace import Tracer, get_tracer
+from ..obs.trace import get_tracer
 
 __all__ = ["SimulationEngine", "PeriodicHandle"]
 
@@ -73,17 +73,11 @@ class PeriodicHandle:
 class SimulationEngine:
     """Deterministic single-threaded event loop with a simulated clock."""
 
-    def __init__(self, *, tracer: Tracer | None = None) -> None:
+    def __init__(self) -> None:
         self._queue: list[tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self.now: float = 0.0
         self._running = False
-        #: Explicit tracer; ``None`` falls back to the ambient default.
-        self._tracer = tracer
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
 
     def schedule_at(self, time: float, callback: Callback) -> _Event:
         """Schedule ``callback`` at absolute simulated time ``time``."""
@@ -152,12 +146,9 @@ class SimulationEngine:
         # the dispatch stream is the densest in the system, so a rate-0
         # sampling policy must cost one bool check here, not a call.
         if traced is None:
-            tracer = self.tracer
-            traced = tracer.enabled and tracer.kind_enabled(
-                EventKind.ENGINE_DISPATCH
-            )
+            traced = get_tracer().kind_enabled(EventKind.ENGINE_DISPATCH)
         if traced:
-            self.tracer.emit(
+            get_tracer().emit(
                 EventKind.ENGINE_DISPATCH,
                 time=event.time,
                 data={
@@ -181,13 +172,12 @@ class SimulationEngine:
         tree: heartbeat / cycle / solver phases all nest inside it, and its
         self time is the loop's own dispatch overhead.
         """
-        with span("engine.run", tracer=self.tracer, time=self.now):
+        with span("engine.run", time=self.now):
             return self._run(until)
 
     def _run(self, until: float | None) -> float:
         self._running = True
-        tracer = self.tracer
-        traced = tracer.enabled and tracer.kind_enabled(EventKind.ENGINE_DISPATCH)
+        traced = get_tracer().kind_enabled(EventKind.ENGINE_DISPATCH)
         queue = self._queue
         try:
             while queue:

@@ -268,21 +268,15 @@ def solve_branch_and_bound(
     the branching/search remainder.  Per-node LPs are far too hot for real
     child spans; the aggregated phases keep the trace bounded.
     """
-    tracer = get_tracer()
-    if not tracer.enabled:
+    if not get_tracer().enabled:
         return _solve_bnb(model, options)
-    with span("solver.bnb", tracer=tracer):
+    with span("solver.bnb"):
         solution = _solve_bnb(model, options)
         stats = solution.stats
         if stats is not None:
-            span_phase("presolve", stats.time_presolve_s, tracer=tracer)
-            span_phase(
-                "lp",
-                stats.time_lp_s,
-                count=max(1, stats.lp_solves),
-                tracer=tracer,
-            )
-            span_phase("heuristic", stats.time_heuristic_s, tracer=tracer)
+            span_phase("presolve", stats.time_presolve_s)
+            span_phase("lp", stats.time_lp_s, count=max(1, stats.lp_solves))
+            span_phase("heuristic", stats.time_heuristic_s)
     return solution
 
 

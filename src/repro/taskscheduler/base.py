@@ -20,7 +20,7 @@ from ..core.requests import TaskRequest
 from ..core.scheduler import ContainerPlacement
 from ..obs.events import EventKind
 from ..obs.metrics import Metrics, get_metrics
-from ..obs.trace import Tracer, get_tracer
+from ..obs.trace import get_tracer
 from .queues import QueueConfig, QueueSystem
 
 __all__ = ["TaskAllocation", "PlacementConflictError", "TaskBasedScheduler"]
@@ -64,7 +64,6 @@ class TaskBasedScheduler(abc.ABC):
         state: ClusterState,
         queue_configs: Iterable[QueueConfig] = (),
         *,
-        tracer: Tracer | None = None,
         metrics: Metrics | None = None,
     ) -> None:
         self.state = state
@@ -86,13 +85,8 @@ class TaskBasedScheduler(abc.ABC):
         #: :meth:`min_head_demand`) is free of side effects; delay
         #: scheduling makes skip counting observable otherwise.
         self._pending_locality = 0
-        #: Explicit tracer/metrics; ``None`` falls back to the ambient ones.
-        self._tracer = tracer
+        #: Explicit metrics registry; ``None`` falls back to the ambient one.
         self._metrics = metrics
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
 
     @property
     def metrics(self) -> Metrics:
@@ -106,7 +100,7 @@ class TaskBasedScheduler(abc.ABC):
         self._task_queue[task.task_id] = task.queue
         if task.locality:
             self._pending_locality += 1
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled and tracer.wants(EventKind.TASK_SUBMIT, task.task_id):
             tracer.emit(
                 EventKind.TASK_SUBMIT,
@@ -181,7 +175,7 @@ class TaskBasedScheduler(abc.ABC):
             if latency is None:
                 latency = self.metrics.timer("task_queue_latency_seconds")
             latency.observe(allocation.latency_s, queue=task.queue)
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled:
             for allocation in allocations:
                 if not tracer.wants(EventKind.TASK_ALLOCATE, allocation.task_id):
@@ -207,7 +201,7 @@ class TaskBasedScheduler(abc.ABC):
         if queue_name is not None:
             self.queues.queue(queue_name).refund(placed.allocation.resource)
         self.metrics.counter("task_released_total").inc()
-        tracer = self.tracer
+        tracer = get_tracer()
         if tracer.enabled and tracer.wants(EventKind.TASK_RELEASE, task_id):
             tracer.emit(
                 EventKind.TASK_RELEASE,

@@ -7,7 +7,7 @@ import pytest
 from repro import ClusterState, ConstraintManager, build_cluster
 from repro.obs.metrics import Metrics, set_metrics
 from repro.obs.session import current_session
-from repro.obs.trace import set_tracer
+from repro.obs.trace import Tracer, set_tracer
 
 
 @pytest.fixture
@@ -22,6 +22,19 @@ def isolate_obs():
         session.close()
     set_tracer(prev_tracer)
     set_metrics(prev_metrics)
+
+
+@pytest.fixture
+def install_tracer(isolate_obs):
+    """``install_tracer(tracer)`` makes ``tracer`` the one every component
+    emits through for the rest of the test and returns it; ``isolate_obs``
+    restores the previous tracer afterwards."""
+
+    def install(tracer: Tracer) -> Tracer:
+        set_tracer(tracer)
+        return tracer
+
+    return install
 
 
 @pytest.fixture

@@ -139,13 +139,21 @@ class TestObsSession:
         assert kinds
         assert not [k for k in kinds if k.startswith("task.")]
 
-    @pytest.mark.parametrize("flag", ["--trace-out", "--rollup"])
+    @pytest.mark.parametrize("flag", ["--trace-out", "--rollup", "loadgen"])
     def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys,
-                                                    flag):
+                                                    monkeypatch, flag):
         """A trace or rollup path in a missing directory is one stderr line
-        and exit 1 before any simulated work, never a traceback."""
+        and exit 1 before any simulated work or load, never a traceback
+        (``loadgen`` takes its trace path from the variables)."""
         path = tmp_path / "no" / "such" / "dir" / "out.json"
-        assert main([*SMALL_SIM, flag, str(path)]) == 1
+        if flag == "loadgen":
+            monkeypatch.setenv("MEDEA_TRACE", "1")
+            monkeypatch.setenv("MEDEA_TRACE_OUT", str(path))
+            argv = ["loadgen", "--nodes", "12", "--rate", "200",
+                    "--requests", "4"]
+        else:
+            argv = [*SMALL_SIM, flag, str(path)]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
@@ -184,7 +192,7 @@ class TestObsSession:
                      "--nodes", "12", "--concurrency", "2"]) == 0
         assert not get_tracer().enabled and not get_tracer().sinks
         events = list(iter_trace(str(out)))
-        for kind in ("request.submit", "request.place", "request.done"):
+        for kind in ("request.submit", "request.done"):
             of_kind = [e for e in events if e["kind"] == kind]
             assert len(of_kind) == 4, kind
             assert all(e["data"]["request_id"] for e in of_kind), kind
@@ -344,6 +352,7 @@ def test_retired_ledger_stays_retired():
         ["loadgen", "--virtual"],
         ["loadgen", "--service-time", "0.01"],
         ["loadgen", "--servers", "2"],
+        ["loadgen", "--scheduler", "node-candidates"],
         ["trace-report", "t.jsonl"],
         ["profile", "t.jsonl"],
         ["dashboard", "t.jsonl", "--memory"],

@@ -24,7 +24,6 @@ from repro.obs import (
     Tracer,
     diff_events,
     diff_view,
-    set_tracer,
     to_html,
     to_text,
 )
@@ -36,6 +35,7 @@ from repro.workloads import GridMixConfig, generate_tasks
 
 
 def _run_events(
+    install_tracer,
     *,
     seed: int = 5,
     scheduler=None,
@@ -47,7 +47,7 @@ def _run_events(
     """Run a small mixed workload and return the decoded trace objects."""
     sink = MemorySink()
     sampler = TraceSampler(SamplingPolicy.parse(sample)) if sample else None
-    tracer = Tracer([sink], sampler=sampler)
+    tracer = install_tracer(Tracer([sink], sampler=sampler))
     scheduler = scheduler or NodeCandidatesScheduler()
     if audit:
         scheduler.audit_enabled = True
@@ -56,7 +56,6 @@ def _run_events(
         topo,
         scheduler,
         config=SimConfig(scheduling_interval_s=5.0, horizon_s=horizon),
-        tracer=tracer,
         metrics=Metrics(),
         watchdog=watchdog,
     )
@@ -71,27 +70,31 @@ def _run_events(
 
 
 class TestVerdicts:
-    def test_same_stream_is_identical(self):
-        events = _run_events()
+    def test_same_stream_is_identical(self, install_tracer):
+        events = _run_events(install_tracer)
         report = diff_events(events, events)
         assert report.verdict == VERDICT_IDENTICAL
         assert report.ok and report.comparable
         assert report.headline() == "IDENTICAL"
         assert not report.flips
 
-    def test_same_seed_twice_is_identical(self):
+    def test_same_seed_twice_is_identical(self, install_tracer):
         """The determinism contract: two separate same-seed runs make the
         same decisions and record the same canonical trace."""
-        report = diff_events(_run_events(), _run_events())
+        report = diff_events(
+            _run_events(install_tracer), _run_events(install_tracer)
+        )
         assert report.verdict == VERDICT_IDENTICAL
         assert report.ok
 
-    def test_armed_watchdog_changes_cadence_not_decisions(self):
+    def test_armed_watchdog_changes_cadence_not_decisions(
+        self, install_tracer
+    ):
         """An armed watchdog fires the idle heartbeat ticks an unarmed run
         skips: more ``sim.heartbeat``/``sim.state_hash`` events, the same
         decisions."""
-        a = _run_events()
-        b = _run_events(watchdog=Watchdog(mode="warn"))
+        a = _run_events(install_tracer)
+        b = _run_events(install_tracer, watchdog=Watchdog(mode="warn"))
         assert len(b) > len(a)
         report = diff_events(a, b, label_a="unarmed", label_b="armed")
         assert report.verdict == VERDICT_EQUIVALENT
@@ -100,9 +103,9 @@ class TestVerdicts:
         assert report.checkpoints["final_match"]
         assert report.checkpoints["mismatched"] == 0
 
-    def test_different_seed_diverges_with_localization(self):
-        a = _run_events(seed=5)
-        b = _run_events(seed=6)
+    def test_different_seed_diverges_with_localization(self, install_tracer):
+        a = _run_events(install_tracer, seed=5)
+        b = _run_events(install_tracer, seed=6)
         report = diff_events(a, b)
         assert report.verdict == VERDICT_DIVERGED
         assert not report.ok
@@ -116,9 +119,13 @@ class TestVerdicts:
         assert div.reason
         assert div.after_a or div.after_b
 
-    def test_scheduler_flip_explained_from_audit(self):
-        a = _run_events(scheduler=NodeCandidatesScheduler(), audit=True)
-        b = _run_events(scheduler=SerialScheduler(), audit=True)
+    def test_scheduler_flip_explained_from_audit(self, install_tracer):
+        a = _run_events(
+            install_tracer, scheduler=NodeCandidatesScheduler(), audit=True
+        )
+        b = _run_events(
+            install_tracer, scheduler=SerialScheduler(), audit=True
+        )
         report = diff_events(a, b, label_a="nc", label_b="serial")
         assert report.verdict == VERDICT_DIVERGED
         assert report.placements["flipped"] > 0
@@ -131,8 +138,8 @@ class TestVerdicts:
         assert ("pruned" in text or "score terms" in text
                 or "candidate" in text or "upstream decision" in text)
 
-    def test_empty_side_is_incomparable(self):
-        events = _run_events()
+    def test_empty_side_is_incomparable(self, install_tracer):
+        events = _run_events(install_tracer)
         report = diff_events([], events)
         assert report.verdict == VERDICT_INCOMPARABLE
         assert not report.ok and not report.comparable
@@ -146,8 +153,8 @@ class TestVerdicts:
         assert report.verdict == VERDICT_INCOMPARABLE
         assert "no shared structural" in report.reason
 
-    def test_structural_tail_imbalance_diverges(self):
-        events = _run_events()
+    def test_structural_tail_imbalance_diverges(self, install_tracer):
+        events = _run_events(install_tracer)
         structural = [e for e in events if e["kind"] in STRUCTURAL_KINDS]
         assert len(structural) > 3
         report = diff_events(events, events[:-len(events) // 4])
@@ -170,36 +177,39 @@ class TestVerdicts:
 
 
 class TestRenderers:
-    def test_render_diff_terminal(self):
-        a = _run_events(seed=5, audit=True)
-        b = _run_events(seed=6, audit=True)
+    def test_render_diff_terminal(self, install_tracer):
+        a = _run_events(install_tracer, seed=5, audit=True)
+        b = _run_events(install_tracer, seed=6, audit=True)
         report = diff_events(a, b, label_a="A", label_b="B")
         text = to_text(diff_view(report))
         assert "verdict: DIVERGED@" in text
         assert "first divergent structural event" in text
         assert "A >" in text and "B >" in text
 
-    def test_render_diff_html_self_contained(self):
-        a = _run_events(seed=5, audit=True)
-        b = _run_events(seed=6, audit=True)
+    def test_render_diff_html_self_contained(self, install_tracer):
+        a = _run_events(install_tracer, seed=5, audit=True)
+        b = _run_events(install_tracer, seed=6, audit=True)
         html = to_html(diff_view(diff_events(a, b)))
         assert html.lstrip().startswith("<!DOCTYPE html>")
         assert "badge fail" in html
         assert "<style>" in html and "http" not in html.split("<style>")[1].split("</style>")[0]
 
-    def test_report_keys_hold_decisions_only(self):
+    def test_report_keys_hold_decisions_only(self, install_tracer):
         """The report compares decisions only: no wall-clock axis, and no
         series or span-profile deltas (each run's dashboard has those)."""
-        obj = diff_events(_run_events(seed=5), _run_events(seed=6)).to_obj()
+        obj = diff_events(
+            _run_events(install_tracer, seed=5),
+            _run_events(install_tracer, seed=6),
+        ).to_obj()
         assert set(obj) == {
             "verdict", "headline", "tick", "reason", "labels", "sides",
             "structural", "checkpoints", "placements", "flips", "notes",
             "divergence",
         }
 
-    def test_report_to_obj_round_trips_json(self):
-        a = _run_events(seed=5)
-        b = _run_events(seed=6)
+    def test_report_to_obj_round_trips_json(self, install_tracer):
+        a = _run_events(install_tracer, seed=5)
+        b = _run_events(install_tracer, seed=6)
         obj = diff_events(a, b).to_obj()
         encoded = json.dumps(obj, sort_keys=True)
         assert json.loads(encoded)["verdict"] == VERDICT_DIVERGED
@@ -213,23 +223,25 @@ class TestDiffTraces:
                 handle.write(json.dumps(obj, sort_keys=True) + "\n")
         return str(path)
 
-    def test_sampled_trace_keeps_sampled_hash(self, tmp_path):
+    def test_sampled_trace_keeps_sampled_hash(self, install_tracer, tmp_path):
         """A sampled trace read back from JSONL keeps its canonical event
         stream, including the ``sampled_hash`` checkpoints a sampled
         replay is checked against."""
         from repro.obs.report import iter_trace
 
-        events = _run_events(sample="heartbeat=0.25,task=0.5,seed=7")
+        events = _run_events(
+            install_tracer, sample="span=0.25,task=0.5,seed=7"
+        )
         path = self._write_jsonl(tmp_path / "sampled.jsonl", events)
         read_back = list(iter_trace(path))
         assert read_back == events
         hashes = [e for e in read_back if e["kind"] == "sim.state_hash"]
         assert hashes and any("sampled_hash" in e["data"] for e in hashes)
 
-    def test_rollup_is_a_data_error(self, tmp_path, capsys, isolate_obs):
+    def test_rollup_is_a_data_error(self, tmp_path, capsys, install_tracer):
         """A rollup holds aggregates, not decisions: the trace reader
         rejects it with its rollup message and ``diff`` exits 1."""
-        events = _run_events()
+        events = _run_events(install_tracer)
         trace = self._write_jsonl(tmp_path / "a.jsonl", events)
         rollup = tmp_path / "roll.json"
         assert main([
@@ -248,37 +260,41 @@ class TestDiffTraces:
 
 
 class TestCliDiff:
-    def _trace(self, tmp_path, name, *, seed, isolate=None):
-        events = _run_events(seed=seed)
+    def _trace(self, install_tracer, tmp_path, name, *, seed):
+        events = _run_events(install_tracer, seed=seed)
         path = tmp_path / name
         with open(path, "w", encoding="utf-8") as handle:
             for obj in events:
                 handle.write(json.dumps(obj, sort_keys=True) + "\n")
         return str(path)
 
-    def test_equivalent_exits_zero(self, tmp_path, capsys):
-        a = self._trace(tmp_path, "a.jsonl", seed=5)
-        b = self._trace(tmp_path, "b.jsonl", seed=5)
+    def test_equivalent_exits_zero(self, install_tracer, tmp_path, capsys):
+        a = self._trace(install_tracer, tmp_path, "a.jsonl", seed=5)
+        b = self._trace(install_tracer, tmp_path, "b.jsonl", seed=5)
         assert main(["diff", a, b, "--fail-on-divergence"]) == EXIT_OK
         assert "verdict: IDENTICAL" in capsys.readouterr().out
 
-    def test_divergence_gates_with_exit_3(self, tmp_path, capsys):
-        a = self._trace(tmp_path, "a.jsonl", seed=5)
-        b = self._trace(tmp_path, "b.jsonl", seed=6)
+    def test_divergence_gates_with_exit_3(
+        self, install_tracer, tmp_path, capsys
+    ):
+        a = self._trace(install_tracer, tmp_path, "a.jsonl", seed=5)
+        b = self._trace(install_tracer, tmp_path, "b.jsonl", seed=6)
         assert main(["diff", a, b]) == EXIT_OK
         capsys.readouterr()
         assert main(["diff", a, b, "--fail-on-divergence"]) == EXIT_GATE
         captured = capsys.readouterr()
         assert "failing on DIVERGED@" in captured.err
 
-    def test_missing_file_is_data_error(self, tmp_path, capsys):
-        a = self._trace(tmp_path, "a.jsonl", seed=5)
+    def test_missing_file_is_data_error(
+        self, install_tracer, tmp_path, capsys
+    ):
+        a = self._trace(install_tracer, tmp_path, "a.jsonl", seed=5)
         assert main(["diff", a, str(tmp_path / "nope.jsonl")]) == EXIT_DATA_ERROR
         assert "diff:" in capsys.readouterr().err
 
-    def test_json_and_html_artifacts(self, tmp_path, capsys):
-        a = self._trace(tmp_path, "a.jsonl", seed=5)
-        b = self._trace(tmp_path, "b.jsonl", seed=6)
+    def test_json_and_html_artifacts(self, install_tracer, tmp_path, capsys):
+        a = self._trace(install_tracer, tmp_path, "a.jsonl", seed=5)
+        b = self._trace(install_tracer, tmp_path, "b.jsonl", seed=6)
         json_out = tmp_path / "diff.json"
         html_out = tmp_path / "diff.html"
         assert main([
@@ -313,7 +329,6 @@ class TestJsonStability:
             "simulate", "--nodes", "10", "--horizon", "30", "--lras", "1",
             "--tasks", "5", "--scheduler", "nc", "--trace-out", str(trace),
         ]) == EXIT_OK
-        set_tracer(None)
         out1 = tmp_path / "d1.json"
         out2 = tmp_path / "d2.json"
         assert main(["dashboard", str(trace), "--json", str(out1)]) == EXIT_OK

@@ -9,15 +9,19 @@ the disabled-tracer no-op, and the keyword-only clock convention.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro import (
+    IlpScheduler,
     Resource,
     SerialScheduler,
     TaskRequest,
     build_cluster,
 )
+from repro.apps import hbase_instance
 from repro.core.constraints import affinity, anti_affinity
 from repro.obs import (
     EventKind,
@@ -35,12 +39,11 @@ from repro.sim import ClusterSimulation, SimConfig
 from tests.helpers import make_lra
 
 
-def _make_sim(tracer=None, metrics=None):
+def _make_sim(metrics=None):
     topo = build_cluster(6, racks=2, memory_mb=8 * 1024, vcores=8)
     config = SimConfig(scheduling_interval_s=5.0, horizon_s=60.0)
-    return ClusterSimulation(
-        topo, SerialScheduler(), config=config, tracer=tracer, metrics=metrics
-    )
+    return ClusterSimulation(topo, SerialScheduler(), config=config,
+                             metrics=metrics)
 
 
 def _drive(sim):
@@ -103,6 +106,34 @@ class TestTracer:
             tracer.emit("x")
         assert [e.seq for e in sink.events] == [0, 1, 2, 3, 4]
 
+    def test_concurrent_emits_keep_the_trace_whole(self, tmp_path):
+        """16 threads x 2,000 emits into one JSONL file: every line parses
+        and the seqs are exactly 0 ... 31,999 (placement requests emit
+        from worker threads)."""
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer([JsonlSink(path)])
+
+        def work(worker: int) -> None:
+            for i in range(2000):
+                tracer.emit("x", time=float(i), data={"w": worker, "i": i})
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(16)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        tracer.close()
+        lines = path.read_text().splitlines()
+        assert sorted(json.loads(line)["seq"] for line in lines) == list(
+            range(32000)
+        )
+
     def test_jsonl_sink_writes_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = Tracer([JsonlSink(path)])
@@ -139,24 +170,42 @@ class TestTracer:
 
 
 class TestDisabledTracingSim:
-    def test_sim_with_disabled_tracer_emits_nothing(self, isolate_obs):
+    def test_sim_with_disabled_tracer_emits_nothing(self, install_tracer):
         sink = MemorySink()
-        tracer = Tracer([sink], enabled=False)
-        sim = _make_sim(tracer=tracer, metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink], enabled=False))
+        _drive(_make_sim())
         assert len(sink) == 0
 
 
 class TestTraceDeterminism:
-    def test_same_seed_runs_are_byte_identical(self, isolate_obs):
+    def test_same_seed_runs_are_byte_identical(self, install_tracer):
         streams = []
         for _ in range(2):
             sink = MemorySink()
-            sim = _make_sim(tracer=Tracer([sink]), metrics=Metrics())
-            _drive(sim)
+            install_tracer(Tracer([sink]))
+            _drive(_make_sim(metrics=Metrics()))
             assert len(sink) > 0
             streams.append(sink.jsonl(canonical=True))
         assert streams[0] == streams[1]
+
+    def test_solver_events_and_spans_stay_in_the_run_trace(
+        self, install_tracer
+    ):
+        """The solver emits through the tracer the run installed: its
+        events land in the same stream, its span under the placement."""
+        sink = MemorySink()
+        install_tracer(Tracer([sink]))
+        sim = ClusterSimulation(
+            build_cluster(24, racks=4, memory_mb=16 * 1024, vcores=8),
+            IlpScheduler(),
+            config=SimConfig(scheduling_interval_s=5.0, horizon_s=20.0),
+        )
+        sim.submit_lra(hbase_instance("hb-0"), at=1.0)
+        sim.run(20.0)
+        kinds = set(sink.kinds())
+        assert {EventKind.SOLVER_PRESOLVE, EventKind.SOLVER_SOLVE} <= kinds
+        paths = {e.data["path"] for e in sink.of_kind(EventKind.SPAN)}
+        assert any("place:MEDEA-ILP;solver.bnb" in p for p in paths)
 
     def test_env_configured_runs_are_byte_identical(self, isolate_obs, tmp_path):
         texts = []
@@ -175,14 +224,14 @@ class TestTraceDeterminism:
             texts.append(canonical(path.read_text()))
         assert texts[0] and texts[0] == texts[1]
 
-    def test_lifecycle_kinds_present(self, isolate_obs):
+    def test_lifecycle_kinds_present(self, install_tracer):
         sink = MemorySink()
-        sim = _make_sim(tracer=Tracer([sink]), metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink]))
+        _drive(_make_sim())
         kinds = set(sink.kinds())
         for expected in (
             EventKind.ENGINE_DISPATCH,
-            EventKind.SIM_HEARTBEAT,
+            EventKind.SIM_STATE_HASH,
             EventKind.CYCLE_START,
             EventKind.CYCLE_END,
             EventKind.LRA_SUBMIT,
@@ -195,10 +244,10 @@ class TestTraceDeterminism:
         ):
             assert expected in kinds, f"missing {expected}"
 
-    def test_wall_fields_segregated(self, isolate_obs):
+    def test_wall_fields_segregated(self, install_tracer):
         sink = MemorySink()
-        sim = _make_sim(tracer=Tracer([sink]), metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink]))
+        _drive(_make_sim())
         for event in sink.of_kind(EventKind.CYCLE_END):
             assert "solve_time_s" in (event.wall or {})
             assert "solve_time_s" not in event.data
@@ -279,13 +328,13 @@ class TestMetrics:
         outcomes = sim.medea.outcomes.values()
         assert sum(o.placed_time is not None for o in outcomes) == 2
 
-    def test_sim_writes_only_families_with_a_reader(self, isolate_obs):
+    def test_sim_writes_only_families_with_a_reader(self, install_tracer):
         """One record per number: a traced simulation writes the families
         a benchmark, CI step or safety check reads by name, and none whose
         number an event or another family already holds."""
         metrics = Metrics()
-        sim = _make_sim(tracer=Tracer([MemorySink()]), metrics=metrics)
-        _drive(sim)
+        install_tracer(Tracer([MemorySink()]))
+        _drive(_make_sim(metrics=metrics))
         families = {
             name for section in metrics.snapshot().values() for name in section
         }
@@ -396,26 +445,24 @@ class TestPublicApi:
             assert name in repro.__all__
             assert getattr(repro, name) is not None
 
-    def test_report_renders_trace(self, tmp_path, isolate_obs):
+    def test_report_renders_trace(self, tmp_path, install_tracer):
         from repro.obs.report import build_dashboard, dashboard_view
         from repro.obs.view import to_text
 
         path = tmp_path / "t.jsonl"
-        tracer = Tracer([JsonlSink(path)])
-        sim = _make_sim(tracer=tracer, metrics=Metrics())
-        _drive(sim)
+        tracer = install_tracer(Tracer([JsonlSink(path)]))
+        _drive(_make_sim())
         tracer.close()
         text = to_text(dashboard_view(build_dashboard(str(path))))
         assert "lra.place" in text
         assert "TOTAL" in text
 
-    def test_cli_trace_report(self, tmp_path, capsys, isolate_obs):
+    def test_cli_trace_report(self, tmp_path, capsys, install_tracer):
         from repro.cli import main
 
         path = tmp_path / "t.jsonl"
-        tracer = Tracer([JsonlSink(path)])
-        sim = _make_sim(tracer=tracer, metrics=Metrics())
-        _drive(sim)
+        tracer = install_tracer(Tracer([JsonlSink(path)]))
+        _drive(_make_sim())
         tracer.close()
         assert main(["dashboard", str(path)]) == 0
         out = capsys.readouterr().out

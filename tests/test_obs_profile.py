@@ -27,7 +27,6 @@ from repro.obs import (
     EventKind,
     JsonlSink,
     MemorySink,
-    Metrics,
     Tracer,
     canonical,
     span,
@@ -41,9 +40,11 @@ from repro.sim import ClusterSimulation, SimConfig
 from tests.helpers import make_lra, span_profile
 
 
-def _tracer():
+def _traced(install_tracer):
+    """Install a tracer capturing into a fresh memory sink; return it."""
     sink = MemorySink()
-    return Tracer([sink], enabled=True), sink
+    install_tracer(Tracer([sink]))
+    return sink
 
 
 def _span_events(sink):
@@ -57,12 +58,12 @@ def _page(report):
 
 
 class TestSpans:
-    def test_nesting_builds_paths_and_depths(self):
-        tracer, sink = _tracer()
-        with span("root", tracer=tracer, time=3.0):
-            with span("child", tracer=tracer):
-                with span("leaf", tracer=tracer):
-                    assert current_span_path(tracer) == "root;child;leaf"
+    def test_nesting_builds_paths_and_depths(self, install_tracer):
+        sink = _traced(install_tracer)
+        with span("root", time=3.0):
+            with span("child"):
+                with span("leaf"):
+                    assert current_span_path() == "root;child;leaf"
         events = _span_events(sink)
         # Spans close inside-out.
         assert [e.data["path"] for e in events] == [
@@ -74,40 +75,40 @@ class TestSpans:
             assert event.wall["dur_s"] >= 0.0
             assert event.wall["self_s"] >= 0.0
 
-    def test_self_time_excludes_children(self):
-        tracer, sink = _tracer()
-        with span("outer", tracer=tracer):
-            with span("inner", tracer=tracer):
+    def test_self_time_excludes_children(self, install_tracer):
+        sink = _traced(install_tracer)
+        with span("outer"):
+            with span("inner"):
                 pass
         inner, outer = _span_events(sink)
         assert outer.data["name"] == "outer"
         assert outer.wall["self_s"] <= outer.wall["dur_s"]
         assert outer.wall["dur_s"] >= inner.wall["dur_s"]
 
-    def test_disabled_tracer_returns_shared_noop(self, isolate_obs):
-        tracer = Tracer([], enabled=False)
-        ctx = span("anything", tracer=tracer)
+    def test_disabled_tracer_returns_shared_noop(self, install_tracer):
+        sink = MemorySink()
+        install_tracer(Tracer([sink], enabled=False))
+        ctx = span("anything")
         assert ctx is _NULL_SPAN
-        assert span("other", tracer=tracer) is ctx
+        assert span("other") is ctx
         with ctx:
             pass
-        # The ambient default tracer is disabled under isolate_obs too.
-        assert span("ambient") is _NULL_SPAN
         span_phase("phase", 0.5)  # must be a silent no-op
+        assert sink.events == []
 
-    def test_span_emits_even_on_exception(self):
-        tracer, sink = _tracer()
+    def test_span_emits_even_on_exception(self, install_tracer):
+        sink = _traced(install_tracer)
         with pytest.raises(RuntimeError):
-            with span("crashy", tracer=tracer):
+            with span("crashy"):
                 raise RuntimeError("boom")
         events = _span_events(sink)
         assert [e.data["name"] for e in events] == ["crashy"]
-        assert current_span_path(tracer) is None
+        assert current_span_path() is None
 
-    def test_span_phase_charges_parent(self):
-        tracer, sink = _tracer()
-        with span("solve", tracer=tracer):
-            span_phase("lp", 0.25, count=12, tracer=tracer)
+    def test_span_phase_charges_parent(self, install_tracer):
+        sink = _traced(install_tracer)
+        with span("solve"):
+            span_phase("lp", 0.25, count=12)
         lp, solve = _span_events(sink)
         assert lp.data == {
             "name": "lp", "path": "solve;lp", "depth": 1,
@@ -118,32 +119,32 @@ class TestSpans:
         # (clamped at zero because real elapsed time is far below 0.25s).
         assert solve.wall["self_s"] == 0.0
 
-    def test_extra_labels_land_in_data(self):
-        tracer, sink = _tracer()
-        with span("place", tracer=tracer, scheduler="Serial"):
+    def test_extra_labels_land_in_data(self, install_tracer):
+        sink = _traced(install_tracer)
+        with span("place", scheduler="Serial"):
             pass
         (event,) = _span_events(sink)
         assert event.data["scheduler"] == "Serial"
 
 
 class TestProfileReport:
-    def _report(self):
-        tracer, sink = _tracer()
-        with span("run", tracer=tracer):
+    def _report(self, install_tracer):
+        sink = _traced(install_tracer)
+        with span("run"):
             for _ in range(3):
-                with span("cycle", tracer=tracer):
-                    span_phase("lp", 0.01, count=4, tracer=tracer)
+                with span("cycle"):
+                    span_phase("lp", 0.01, count=4)
         return span_profile(sink.events)
 
-    def test_aggregates_by_path(self):
-        report = self._report()
+    def test_aggregates_by_path(self, install_tracer):
+        report = self._report(install_tracer)
         assert set(report.spans) == {"run", "run;cycle", "run;cycle;lp"}
         assert report.spans["run;cycle"].count == 3
         assert report.spans["run;cycle;lp"].count == 12
         assert report.spans["run;cycle;lp"].total_s == pytest.approx(0.03)
 
-    def test_collapsed_stack_format(self):
-        report = self._report()
+    def test_collapsed_stack_format(self, install_tracer):
+        report = self._report(install_tracer)
         lines = report.collapsed(weight="count").splitlines()
         assert lines == ["run 1", "run;cycle 3", "run;cycle;lp 12"]
         time_lines = report.collapsed(weight="time").splitlines()
@@ -165,24 +166,24 @@ class TestProfileReport:
         assert "no spans recorded" in text
         assert "no LRA lifecycle events" in text
 
-    def test_to_obj_is_deterministic_and_wall_free(self):
-        report = self._report()
+    def test_to_obj_is_deterministic_and_wall_free(self, install_tracer):
+        report = self._report(install_tracer)
         obj = report.to_obj()
         assert "wall" not in json.dumps(obj)
         assert [s["path"] for s in obj["spans"]] == sorted(
             s["path"] for s in obj["spans"]
         )
 
-    def test_accepts_decoded_dicts(self):
-        tracer, sink = _tracer()
-        with span("a", tracer=tracer):
+    def test_accepts_decoded_dicts(self, install_tracer):
+        sink = _traced(install_tracer)
+        with span("a"):
             pass
         decoded = [json.loads(line) for line in sink.jsonl().splitlines()]
         report = span_profile(decoded)
         assert report.spans["a"].count == 1
 
-    def test_render_profile_indents_tree(self):
-        text = _page(self._report())
+    def test_render_profile_indents_tree(self, install_tracer):
+        text = _page(self._report(install_tracer))
         assert "run" in text
         assert "  cycle" in text
         assert "    lp" in text
@@ -220,12 +221,10 @@ class TestTimerStatZeroObservations:
         assert stat.quantile(95) == 0.0
 
 
-def _make_sim(tracer=None, metrics=None):
+def _make_sim():
     topo = build_cluster(6, racks=2, memory_mb=8 * 1024, vcores=8)
     config = SimConfig(scheduling_interval_s=5.0, horizon_s=60.0)
-    return ClusterSimulation(
-        topo, SerialScheduler(), config=config, tracer=tracer, metrics=metrics
-    )
+    return ClusterSimulation(topo, SerialScheduler(), config=config)
 
 
 def _drive(sim):
@@ -247,11 +246,9 @@ def _drive(sim):
 
 
 class TestSimulationSpans:
-    def test_sim_emits_span_tree(self, isolate_obs):
-        sink = MemorySink()
-        tracer = Tracer([sink], enabled=True)
-        sim = _make_sim(tracer=tracer, metrics=Metrics())
-        _drive(sim)
+    def test_sim_emits_span_tree(self, install_tracer):
+        sink = _traced(install_tracer)
+        _drive(_make_sim())
         report = span_profile(sink.events)
         paths = set(report.spans)
         assert "engine.run" in paths
@@ -265,13 +262,13 @@ class TestSimulationSpans:
             >= report.spans["engine.run;sim.cycle"].total_s
         )
 
-    def test_count_collapsed_stack_deterministic_across_runs(self, isolate_obs):
+    def test_count_collapsed_stack_deterministic_across_runs(
+        self, install_tracer
+    ):
         stacks = []
         for _ in range(2):
-            sink = MemorySink()
-            sim = _make_sim(tracer=Tracer([sink], enabled=True),
-                            metrics=Metrics())
-            _drive(sim)
+            sink = _traced(install_tracer)
+            _drive(_make_sim())
             # Build from the canonical (wall-stripped) stream: exactly what
             # the acceptance criterion compares.
             decoded = [
@@ -281,11 +278,10 @@ class TestSimulationSpans:
             stacks.append(span_profile(decoded).collapsed(weight="count"))
         assert stacks[0] == stacks[1]
 
-    def test_disabled_tracing_emits_nothing(self, isolate_obs):
+    def test_disabled_tracing_emits_nothing(self, install_tracer):
         sink = MemorySink()
-        sim = _make_sim(tracer=Tracer([sink], enabled=False),
-                        metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink], enabled=False))
+        _drive(_make_sim())
         assert sink.events == []
 
 
@@ -297,14 +293,13 @@ def _critical_paths(events):
 
 
 class TestCriticalPaths:
-    def _traced_events(self):
-        sink = MemorySink()
-        sim = _make_sim(tracer=Tracer([sink], enabled=True), metrics=Metrics())
-        _drive(sim)
+    def _traced_events(self, install_tracer):
+        sink = _traced(install_tracer)
+        _drive(_make_sim())
         return sink.events
 
-    def test_attribution_for_placed_apps(self, isolate_obs):
-        paths = _critical_paths(self._traced_events())
+    def test_attribution_for_placed_apps(self, install_tracer):
+        paths = _critical_paths(self._traced_events(install_tracer))
         by_app = {p.app_id: p for p in paths}
         assert set(by_app) == {"web", "db"}
         web = by_app["web"]
@@ -318,8 +313,8 @@ class TestCriticalPaths:
         assert not web.dropped
         assert web.solver_wall_s >= 0.0
 
-    def test_to_obj_segregates_solver_wall(self, isolate_obs):
-        paths = _critical_paths(self._traced_events())
+    def test_to_obj_segregates_solver_wall(self, install_tracer):
+        paths = _critical_paths(self._traced_events(install_tracer))
         obj = paths[0].to_obj()
         assert "solver_wall_s" in obj["wall"]
         assert "solver_wall_s" not in {k for k in obj if k != "wall"}
@@ -329,16 +324,18 @@ class TestCriticalPaths:
 
 
 class TestDashboardProfileEmbedding:
-    def _summary(self, tmp_path):
+    def _summary(self, install_tracer, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         sink = JsonlSink(str(trace_path))
-        sim = _make_sim(tracer=Tracer([sink], enabled=True), metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink]))
+        _drive(_make_sim())
         sink.close()
         return build_dashboard(str(trace_path))
 
-    def test_profile_and_critical_paths_sections(self, isolate_obs, tmp_path):
-        summary = self._summary(tmp_path)
+    def test_profile_and_critical_paths_sections(
+        self, install_tracer, tmp_path
+    ):
+        summary = self._summary(install_tracer, tmp_path)
         assert summary["profile"]["spans"]
         assert summary["critical_paths"]
         # Every wall-clock timing is hoisted under the top-level wall key;
@@ -354,18 +351,18 @@ class TestDashboardProfileEmbedding:
             assert "wall" not in entry
             assert "solver_wall_s" not in entry
 
-    def test_summary_stays_byte_deterministic(self, isolate_obs, tmp_path):
+    def test_summary_stays_byte_deterministic(self, install_tracer, tmp_path):
         dumps = []
         for run in range(2):
             subdir = tmp_path / f"r{run}"
             subdir.mkdir()
-            summary = self._summary(subdir)
+            summary = self._summary(install_tracer, subdir)
             summary.pop("wall", None)
             dumps.append(json.dumps(summary, sort_keys=True))
         assert dumps[0] == dumps[1]
 
-    def test_renderers_include_sections(self, isolate_obs, tmp_path):
-        summary = self._summary(tmp_path)
+    def test_renderers_include_sections(self, install_tracer, tmp_path):
+        summary = self._summary(install_tracer, tmp_path)
         text = to_text(dashboard_view(summary))
         assert "span profile" in text
         assert "critical paths" in text
@@ -375,16 +372,16 @@ class TestDashboardProfileEmbedding:
 
 
 class TestProfileCli:
-    def _trace(self, tmp_path):
+    def _trace(self, install_tracer, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         sink = JsonlSink(str(trace_path))
-        sim = _make_sim(tracer=Tracer([sink], enabled=True), metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink]))
+        _drive(_make_sim())
         sink.close()
         return trace_path
 
-    def test_profile_command(self, isolate_obs, tmp_path, capsys):
-        trace_path = self._trace(tmp_path)
+    def test_profile_command(self, install_tracer, tmp_path, capsys):
+        trace_path = self._trace(install_tracer, tmp_path)
         collapsed = tmp_path / "stacks.txt"
         summary_json = tmp_path / "dashboard.json"
         status = cli_main([
@@ -407,11 +404,11 @@ class TestProfileCli:
 
     @pytest.mark.parametrize("weight", ["time", "count"])
     def test_collapsed_file_is_the_profile_of_the_trace(
-        self, isolate_obs, tmp_path, capsys, weight
+        self, install_tracer, tmp_path, capsys, weight
     ):
         """``--collapsed`` writes exactly the collapsed stacks of the
         trace's own span events, for either weight."""
-        trace_path = self._trace(tmp_path)
+        trace_path = self._trace(install_tracer, tmp_path)
         collapsed = tmp_path / "stacks.txt"
         assert cli_main([
             "dashboard", str(trace_path), "--collapsed", str(collapsed),
@@ -436,9 +433,10 @@ class TestProfileCli:
         assert "--collapsed needs the raw JSONL trace" in capsys.readouterr().err
         assert not (tmp_path / "s.txt").exists()
 
-    def test_unwritable_collapsed_file_is_one_line(self, isolate_obs, tmp_path,
-                                                   capsys):
-        trace_path = self._trace(tmp_path)
+    def test_unwritable_collapsed_file_is_one_line(
+        self, install_tracer, tmp_path, capsys
+    ):
+        trace_path = self._trace(install_tracer, tmp_path)
         target = tmp_path / "no" / "such" / "stacks.txt"
         assert cli_main([
             "dashboard", str(trace_path), "--collapsed", str(target),

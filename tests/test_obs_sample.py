@@ -30,9 +30,9 @@ from repro.workloads.lra_gen import hbase_population
 
 class TestPolicyParsing:
     def test_basic_spec(self):
-        policy = SamplingPolicy.parse("heartbeat=0.01,task=0.5,seed=7")
+        policy = SamplingPolicy.parse("dispatch=0.01,task=0.5,seed=7")
         assert policy.seed == 7
-        assert policy.rate_for(EventKind.SIM_HEARTBEAT) == 0.01
+        assert policy.rate_for(EventKind.ENGINE_DISPATCH) == 0.01
         assert policy.rate_for(EventKind.TASK_SUBMIT) == 0.5
         assert policy.rate_for(EventKind.LRA_SUBMIT) == 1.0  # default
 
@@ -69,7 +69,7 @@ class TestPolicyParsing:
         assert parse_sample_spec("task=0.5") is not None
 
     def test_describe_round_trips(self):
-        policy = SamplingPolicy.parse("heartbeat=0.01,task=0.5,*=0.9,seed=7")
+        policy = SamplingPolicy.parse("dispatch=0.01,task=0.5,*=0.9,seed=7")
         again = SamplingPolicy.parse(policy.describe())
         assert again.describe() == policy.describe()
         assert again.seed == policy.seed
@@ -80,7 +80,7 @@ class TestPolicyParsing:
         assert not SamplingPolicy.parse("task=0.5").trivial
 
 
-def _run_sim(tracer, *, nodes=24, tasks_per_s=10, horizon=40.0):
+def _run_sim(*, nodes=24, tasks_per_s=10, horizon=40.0):
     topology = build_cluster(nodes, racks=3, memory_mb=8 * 1024, vcores=8)
     sim = ClusterSimulation(
         topology,
@@ -90,7 +90,6 @@ def _run_sim(tracer, *, nodes=24, tasks_per_s=10, horizon=40.0):
             heartbeat_interval_s=1.0,
             horizon_s=horizon,
         ),
-        tracer=tracer,
     )
     for i, lra in enumerate(hbase_population(1)):
         sim.submit_lra(lra, at=float(2 * i))
@@ -112,41 +111,45 @@ def _run_sim(tracer, *, nodes=24, tasks_per_s=10, horizon=40.0):
     return sim
 
 
-def _sampled_run(spec: str) -> MemorySink:
+def _sampled_run(install_tracer, spec: str) -> MemorySink:
     sink = MemorySink()
-    tracer = Tracer([sink], sampler=TraceSampler(SamplingPolicy.parse(spec)))
-    _run_sim(tracer)
+    tracer = install_tracer(
+        Tracer([sink], sampler=TraceSampler(SamplingPolicy.parse(spec)))
+    )
+    _run_sim()
     tracer.close()
     return sink
 
 
 class TestDeterminism:
-    def test_same_seed_same_spec_byte_identical(self):
-        spec = "task=0.3,heartbeat=0.2,seed=11"
-        first = _sampled_run(spec).jsonl(canonical=True)
-        second = _sampled_run(spec).jsonl(canonical=True)
+    def test_same_seed_same_spec_byte_identical(self, install_tracer):
+        spec = "task=0.3,span=0.2,seed=11"
+        first = _sampled_run(install_tracer, spec).jsonl(canonical=True)
+        second = _sampled_run(install_tracer, spec).jsonl(canonical=True)
         assert len(first) > 500
         assert first == second
 
-    def test_different_seed_differs(self):
-        kept_a = [e.kind for e in _sampled_run("task=0.3,seed=1").events]
-        kept_b = [e.kind for e in _sampled_run("task=0.3,seed=2").events]
+    def test_different_seed_differs(self, install_tracer):
+        kept_a = _sampled_run(install_tracer, "task=0.3,seed=1").kinds()
+        kept_b = _sampled_run(install_tracer, "task=0.3,seed=2").kinds()
         assert kept_a != kept_b  # different identities survive
 
-    def test_sampling_reduces_volume(self):
-        full = _sampled_run("seed=3")
-        thin = _sampled_run("task=0.2,heartbeat=0.2,dispatch=0,seed=3")
+    def test_sampling_reduces_volume(self, install_tracer):
+        full = _sampled_run(install_tracer, "seed=3")
+        thin = _sampled_run(
+            install_tracer, "task=0.2,span=0.2,dispatch=0,seed=3"
+        )
         assert 0 < len(thin) < len(full)
 
-    def test_kept_stream_has_contiguous_seqs(self):
-        events = _sampled_run("task=0.3,seed=5").events
+    def test_kept_stream_has_contiguous_seqs(self, install_tracer):
+        events = _sampled_run(install_tracer, "task=0.3,seed=5").events
         assert [e.seq for e in events] == list(range(len(events)))
 
 
 class TestLifecycleCompleteness:
-    def test_no_orphan_task_events(self):
+    def test_no_orphan_task_events(self, install_tracer):
         """Head-based sampling keeps or drops whole task lifecycles."""
-        sink = _sampled_run("task=0.3,seed=9")
+        sink = _sampled_run(install_tracer, "task=0.3,seed=9")
         stages: dict[str, set[str]] = {}
         for event in sink.events:
             if event.kind.startswith("task."):
@@ -161,8 +164,8 @@ class TestLifecycleCompleteness:
                 EventKind.TASK_FINISH,
             }, f"{task_id} kept a partial lifecycle: {kinds}"
 
-    def test_protected_kinds_survive_zero_default(self):
-        sink = _sampled_run("*=0,seed=4")
+    def test_protected_kinds_survive_zero_default(self, install_tracer):
+        sink = _sampled_run(install_tracer, "*=0,seed=4")
         kinds = set(sink.kinds())
         assert EventKind.SIM_STATE_HASH in kinds
         assert all(k in PROTECTED_KINDS for k in kinds)
@@ -246,12 +249,12 @@ class TestCallSiteGates:
             EventKind.TASK_SUBMIT
         )
 
-    def test_gated_and_ungated_kept_streams_identical(self):
+    def test_gated_and_ungated_kept_streams_identical(self, install_tracer):
         """The call-site gates change who pays for drops, never what is
         kept: forcing every event through emit() (wants → True) yields
         the same kept stream as the gated call sites."""
-        spec = "task=0.3,heartbeat=0.2,seed=11"
-        gated = _sampled_run(spec).jsonl(canonical=True)
+        spec = "task=0.3,span=0.2,seed=11"
+        gated = _sampled_run(install_tracer, spec).jsonl(canonical=True)
 
         class UngatedTracer(Tracer):
             def wants(self, kind, key=None):  # defer to emit()'s sampler
@@ -264,17 +267,19 @@ class TestCallSiteGates:
         tracer = UngatedTracer(
             [sink], sampler=TraceSampler(SamplingPolicy.parse(spec))
         )
-        _run_sim(tracer)
+        install_tracer(tracer)
+        _run_sim()
         tracer.close()
         assert sink.jsonl(canonical=True) == gated
 
-    def test_self_stats_account_rates(self):
+    def test_self_stats_account_rates(self, install_tracer):
         sink = MemorySink()
         tracer = Tracer(
             [sink],
             sampler=TraceSampler(SamplingPolicy.parse("task=0.3,seed=11")),
         )
-        _run_sim(tracer)
+        install_tracer(tracer)
+        _run_sim()
         tracer.close()
         stats = tracer.self_stats()
         assert stats["events_emitted"] == len(sink)
@@ -294,23 +299,23 @@ def _replay(sink):
 
 
 class TestSampledReplay:
-    def test_sampled_trace_replays_without_divergence(self):
+    def test_sampled_trace_replays_without_divergence(self, install_tracer):
         """Dropping lifecycles must not fake a divergence: the sampler's
         ``sampled_hash`` enrichment gives replay a checkpoint computed
         over the kept events only."""
-        sink = _sampled_run("task=0.3,heartbeat=0.2,seed=11")
+        sink = _sampled_run(install_tracer, "task=0.3,span=0.2,seed=11")
         report = _replay(sink)
         assert report.checks > 0
         assert not report.divergences
 
-    def test_full_trace_still_replays(self):
-        sink = _sampled_run("seed=11")  # nothing dropped
+    def test_full_trace_still_replays(self, install_tracer):
+        sink = _sampled_run(install_tracer, "seed=11")  # nothing dropped
         report = _replay(sink)
         assert report.checks > 0
         assert not report.divergences
 
-    def test_state_hash_carries_sampled_fingerprint(self):
-        sink = _sampled_run("task=0.3,seed=11")
+    def test_state_hash_carries_sampled_fingerprint(self, install_tracer):
+        sink = _sampled_run(install_tracer, "task=0.3,seed=11")
         hashes = sink.of_kind(EventKind.SIM_STATE_HASH)
         assert hashes
         assert all("sampled_hash" in e.data for e in hashes)

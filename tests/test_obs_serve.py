@@ -230,8 +230,8 @@ class TestAmbientWiring:
         path = tmp_path / "t.jsonl"
         config = ObsConfig(trace_out=str(path), serve=0)
         with ObsSession(config) as session:
-            get_tracer().emit(EventKind.SIM_HEARTBEAT, time=2.0,
-                              data={"allocations": 0})
+            get_tracer().emit(EventKind.ENGINE_DISPATCH, time=2.0,
+                              data={"event_seq": 0})
             assert session.server.health.beats == 1
         assert len(path.read_text().splitlines()) == 1
 
@@ -273,8 +273,8 @@ class TestWatchClient:
     def test_cli_watch_count_one(self, server, capsys):
         from repro.cli import main
 
-        get_tracer().emit(EventKind.SIM_HEARTBEAT, time=1.0,
-                          data={"allocations": 0})
+        get_tracer().emit(EventKind.ENGINE_DISPATCH, time=1.0,
+                          data={"event_seq": 0})
         assert main(["watch", str(server.port), "--count", "1",
                      "--no-clear"]) == 0
         out = capsys.readouterr().out

@@ -41,12 +41,10 @@ from repro.sim import ClusterSimulation, SimConfig
 from tests.helpers import make_lra
 
 
-def _make_sim(tracer=None, metrics=None):
+def _make_sim():
     topo = build_cluster(6, racks=2, memory_mb=8 * 1024, vcores=8)
     config = SimConfig(scheduling_interval_s=5.0, horizon_s=60.0)
-    return ClusterSimulation(
-        topo, SerialScheduler(), config=config, tracer=tracer, metrics=metrics
-    )
+    return ClusterSimulation(topo, SerialScheduler(), config=config)
 
 
 def _drive(sim):
@@ -67,10 +65,9 @@ def _drive(sim):
     sim.run(40.0)
 
 
-def _traced_run(path):
-    tracer = Tracer([JsonlSink(path)])
-    sim = _make_sim(tracer=tracer, metrics=Metrics())
-    _drive(sim)
+def _traced_run(install_tracer, path):
+    tracer = install_tracer(Tracer([JsonlSink(path)]))
+    _drive(_make_sim())
     tracer.close()
     return path
 
@@ -138,11 +135,10 @@ class TestTimeSeries:
 
 
 class TestTimelineAggregator:
-    def test_sim_trace_produces_paper_series(self, isolate_obs):
+    def test_sim_trace_produces_paper_series(self, install_tracer):
         sink = MemorySink()
-        tracer = Tracer([sink])
-        sim = _make_sim(tracer=tracer, metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink]))
+        _drive(_make_sim())
         timeline = _timeline(e.to_obj() for e in sink.events)
         for name in ("utilization", "containers", "pending_lras",
                      "task_queue_delay_s", "containers_started",
@@ -153,40 +149,37 @@ class TestTimelineAggregator:
         span = timeline.time_span()
         assert span is not None and span[1] <= 40.0
 
-    def test_live_sink_equals_posthoc(self, isolate_obs, tmp_path):
+    def test_live_sink_equals_posthoc(self, install_tracer, tmp_path):
         from repro.obs import RollupSink
 
         live = RollupSink(tmp_path / "ROLLUP_live.json")
         sink = MemorySink()
-        tracer = Tracer([sink, live])
-        sim = _make_sim(tracer=tracer, metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink, live]))
+        _drive(_make_sim())
         posthoc = _timeline(e.to_obj() for e in sink.events)
         assert live.state.timeline.summary() == posthoc.summary()
 
-    def test_volatile_series_segregated_under_wall(self, isolate_obs):
+    def test_volatile_series_segregated_under_wall(self, install_tracer):
         sink = MemorySink()
-        tracer = Tracer([sink])
-        sim = _make_sim(tracer=tracer, metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink]))
+        _drive(_make_sim())
         summary = _timeline(e.to_obj() for e in sink.events).summary()
         assert "solver_latency_s:Serial" in summary["wall"]["series"]
         assert not any(
             name.startswith("solver_latency_s") for name in summary["series"]
         )
 
-    def test_from_jsonl(self, tmp_path, isolate_obs):
-        path = _traced_run(tmp_path / "t.jsonl")
+    def test_from_jsonl(self, tmp_path, install_tracer):
+        path = _traced_run(install_tracer, tmp_path / "t.jsonl")
         timeline = _timeline(iter_trace(str(path)))
         assert timeline.series["utilization"].values()
 
 
 class TestReplay:
-    def test_sim_trace_replays_clean(self, isolate_obs):
+    def test_sim_trace_replays_clean(self, install_tracer):
         sink = MemorySink()
-        tracer = Tracer([sink])
-        sim = _make_sim(tracer=tracer, metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink]))
+        _drive(_make_sim())
         report = _replay(e.to_obj() for e in sink.events)
         assert report.ok
         assert report.checks > 0
@@ -194,9 +187,9 @@ class TestReplay:
         assert not report.warnings
 
     def test_corrupted_trace_detected_with_first_divergent_tick(
-        self, tmp_path, isolate_obs
+        self, tmp_path, install_tracer
     ):
-        path = _traced_run(tmp_path / "t.jsonl")
+        path = _traced_run(install_tracer, tmp_path / "t.jsonl")
         lines = path.read_text().splitlines()
         corrupted_at = None
         for i, line in enumerate(lines):
@@ -277,20 +270,21 @@ class TestSLO:
         with pytest.raises(ValueError, match="missing"):
             SLORule.from_obj({"name": "x"})
 
-    def test_default_smoke_rules_pass_on_sim_trace(self, isolate_obs):
+    def test_default_smoke_rules_pass_on_sim_trace(self, install_tracer):
         sink = MemorySink()
-        tracer = Tracer([sink])
-        sim = _make_sim(tracer=tracer, metrics=Metrics())
-        _drive(sim)
+        install_tracer(Tracer([sink]))
+        _drive(_make_sim())
         timeline = _timeline(e.to_obj() for e in sink.events)
         report = SLOMonitor(default_smoke_slos()).evaluate(_series(timeline))
         assert report.ok, [r.to_obj() for r in report.results if not r.ok]
 
 
 class TestDashboardDeterminism:
-    def test_same_seed_summaries_byte_identical(self, tmp_path, isolate_obs):
-        a = _traced_run(tmp_path / "a.jsonl")
-        b = _traced_run(tmp_path / "b.jsonl")
+    def test_same_seed_summaries_byte_identical(
+        self, tmp_path, install_tracer
+    ):
+        a = _traced_run(install_tracer, tmp_path / "a.jsonl")
+        b = _traced_run(install_tracer, tmp_path / "b.jsonl")
         summaries = []
         for path in (a, b):
             summary = build_dashboard(str(path))
@@ -298,8 +292,8 @@ class TestDashboardDeterminism:
             summaries.append(json.dumps(summary, sort_keys=True))
         assert summaries[0] == summaries[1]
 
-    def test_replay_section_validates(self, tmp_path, isolate_obs):
-        path = _traced_run(tmp_path / "t.jsonl")
+    def test_replay_section_validates(self, tmp_path, install_tracer):
+        path = _traced_run(install_tracer, tmp_path / "t.jsonl")
         summary = build_dashboard(str(path))
         assert summary["replay"]["ok"] is True
         assert summary["replay"]["checks"] > 0
@@ -455,8 +449,8 @@ class TestCli:
         assert "no events" in capsys.readouterr().err
 
     def test_trace_report_tolerates_truncated(self, tmp_path, capsys,
-                                              isolate_obs):
-        path = _traced_run(tmp_path / "t.jsonl")
+                                              install_tracer):
+        path = _traced_run(install_tracer, tmp_path / "t.jsonl")
         text = path.read_text()
         path.write_text(text[:-20])  # cut into the final line
         from repro.cli import main
@@ -464,10 +458,10 @@ class TestCli:
         assert main(["dashboard", str(path)]) == 0
         assert "note: trailing partial line ignored" in capsys.readouterr().out
 
-    def test_dashboard_end_to_end(self, tmp_path, capsys, isolate_obs):
+    def test_dashboard_end_to_end(self, tmp_path, capsys, install_tracer):
         from repro.cli import main
 
-        path = _traced_run(tmp_path / "t.jsonl")
+        path = _traced_run(install_tracer, tmp_path / "t.jsonl")
         json_out = tmp_path / "dash.json"
         html_out = tmp_path / "dash.html"
         status = main([
@@ -490,10 +484,10 @@ class TestCli:
         assert main(["dashboard", str(tmp_path / "nope.jsonl")]) == 1
         assert "dashboard:" in capsys.readouterr().err
 
-    def test_dashboard_fail_on_breach(self, tmp_path, capsys, isolate_obs):
+    def test_dashboard_fail_on_breach(self, tmp_path, capsys, install_tracer):
         from repro.cli import main
 
-        path = _traced_run(tmp_path / "t.jsonl")
+        path = _traced_run(install_tracer, tmp_path / "t.jsonl")
         rules = tmp_path / "slo.json"
         rules.write_text(json.dumps([
             {"name": "impossible", "series": "utilization",

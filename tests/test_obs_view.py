@@ -8,7 +8,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs.metrics import Metrics, set_metrics
-from repro.obs.trace import set_tracer
 
 
 class _Page(HTMLParser):
@@ -57,7 +56,6 @@ def runs(tmp_path_factory):
                 "--rollup", str(root / f"ROLLUP_{name}.json"),
             ]) == 0
     finally:
-        set_tracer(None)
         set_metrics(prev_metrics)
     return root
 

@@ -27,7 +27,7 @@ from repro.sim import ClusterSimulation, SimConfig
 from repro.workloads.lra_gen import hbase_population
 
 
-def _run_sim(tracer, *, horizon=50.0, tasks_per_s=8):
+def _run_sim(*, horizon=50.0, tasks_per_s=8):
     topology = build_cluster(24, racks=3, memory_mb=8 * 1024, vcores=8)
     sim = ClusterSimulation(
         topology,
@@ -37,7 +37,6 @@ def _run_sim(tracer, *, horizon=50.0, tasks_per_s=8):
             heartbeat_interval_s=1.0,
             horizon_s=horizon,
         ),
-        tracer=tracer,
     )
     for i, lra in enumerate(hbase_population(1)):
         sim.submit_lra(lra, at=float(2 * i))
@@ -66,12 +65,14 @@ def _rollup_doc(path):
 
 
 class TestRollupSink:
-    def test_flushes_during_run_and_on_close(self, tmp_path, monkeypatch):
+    def test_flushes_during_run_and_on_close(
+        self, install_tracer, tmp_path, monkeypatch
+    ):
         monkeypatch.setattr(rollup, "INTERVAL_S", 10.0)
         path = tmp_path / "ROLLUP_run.json"
         sink = RollupSink(path)
-        tracer = Tracer([sink])
-        _run_sim(tracer)
+        tracer = install_tracer(Tracer([sink]))
+        _run_sim()
         tracer.close()
         doc = _rollup_doc(path)
         assert doc["schema"] == ROLLUP_SCHEMA
@@ -81,7 +82,7 @@ class TestRollupSink:
         assert "utilization" in doc["series"]
 
     def test_file_size_bounded_by_config_not_run_length(
-        self, tmp_path, monkeypatch
+        self, install_tracer, tmp_path, monkeypatch
     ):
         """Twice the events must not mean twice the rollup: the document
         holds aggregates (downsampled series), not raw events."""
@@ -89,8 +90,8 @@ class TestRollupSink:
         sizes = {}
         for name, horizon in (("short", 40.0), ("long", 400.0)):
             path = tmp_path / f"ROLLUP_{name}.json"
-            tracer = Tracer([RollupSink(path)])
-            _run_sim(tracer, horizon=horizon)
+            tracer = install_tracer(Tracer([RollupSink(path)]))
+            _run_sim(horizon=horizon)
             tracer.close()
             sizes[name] = (path.stat().st_size,
                            _rollup_doc(path)["rollup"]["events"])
@@ -126,10 +127,12 @@ class TestRollupSink:
 
 
 class TestRollupDashboard:
-    def test_dashboard_renders_from_rollup_alone(self, tmp_path):
+    def test_dashboard_renders_from_rollup_alone(
+        self, install_tracer, tmp_path
+    ):
         path = tmp_path / "ROLLUP_d.json"
-        tracer = Tracer([RollupSink(path)])
-        _run_sim(tracer)
+        tracer = install_tracer(Tracer([RollupSink(path)]))
+        _run_sim()
         tracer.close()
         dash = _rollup_doc(path)
         assert dash["series"]["utilization"]["points"]
@@ -141,12 +144,14 @@ class TestRollupDashboard:
         assert not dash["replay"]["warnings"]
         assert [p["app_id"] for p in dash["critical_paths"]]
 
-    def test_dashboard_cli_accepts_rollup_doc(self, tmp_path, capsys):
+    def test_dashboard_cli_accepts_rollup_doc(
+        self, install_tracer, tmp_path, capsys
+    ):
         from repro.cli import main
 
         path = tmp_path / "ROLLUP_cli.json"
-        tracer = Tracer([RollupSink(path)])
-        _run_sim(tracer)
+        tracer = install_tracer(Tracer([RollupSink(path)]))
+        _run_sim()
         tracer.close()
         json_out = tmp_path / "dash.json"
         assert main(["dashboard", str(path), "--json", str(json_out)]) == 0
@@ -274,7 +279,7 @@ class TestAmbientWiring:
 
 
 class TestRollupState:
-    def test_sampling_composes_with_rollups(self, tmp_path):
+    def test_sampling_composes_with_rollups(self, install_tracer, tmp_path):
         """Rollups aggregate the *kept* stream; sampling out lifecycles
         shrinks counts but keeps the protected anchors driving the
         headline series."""
@@ -285,7 +290,8 @@ class TestRollupState:
                 SamplingPolicy.parse("task=0.2,dispatch=0,seed=7")
             ),
         )
-        _run_sim(tracer)
+        install_tracer(tracer)
+        _run_sim()
         tracer.close()
         doc = _rollup_doc(path)
         assert doc["series"]["utilization"]["points"]  # protected anchors
@@ -299,7 +305,7 @@ class TestRollupState:
         assert doc["schema"] == ROLLUP_SCHEMA
         assert doc["rollup"]["events"] == 0
 
-    def test_summary_is_pure_mid_run(self, isolate_obs):
+    def test_summary_is_pure_mid_run(self, install_tracer):
         """``/snapshot`` and every flush call ``summary()`` mid-run; that
         must leave nothing behind — twice in a row reads the same, and the
         end-of-run summary is the one a fold that was never read gives."""
@@ -308,7 +314,8 @@ class TestRollupState:
         sink = MemorySink()
         tracer = Tracer([sink], sampler=TraceSampler(
             SamplingPolicy.parse("task=0.2,dispatch=0,seed=7")))
-        _run_sim(tracer)
+        install_tracer(tracer)
+        _run_sim()
         tracer.close()
         events = [e.to_obj() for e in sink.events]
         read, unread = RollupState(), RollupState()
@@ -337,7 +344,7 @@ def test_rollup_dashboard_is_trace_dashboard(isolate_obs, tmp_path, spec):
     config = ObsConfig(trace_out=str(trace), rollup=str(path),
                        sample=parse_sample_spec(spec))
     with ObsSession(config) as session:
-        _run_sim(session.tracer)
+        _run_sim()
     doc = _rollup_doc(path)
     dash = build_dashboard(str(trace))
     assert doc["rollup"]["events"] == sum(1 for _ in iter_trace(str(trace)))

@@ -94,7 +94,7 @@ def test_deterministic_across_scheduler_types() -> None:
     assert run_once() == run_once()
 
 
-def run_large_cluster(*, tracer=None) -> tuple[str, int, int]:
+def run_large_cluster() -> tuple[str, int, int]:
     """A seeded 1000-node run; returns (canonical trace, heartbeat ticks
     that did work, heartbeat grid ticks).
 
@@ -107,7 +107,6 @@ def run_large_cluster(*, tracer=None) -> tuple[str, int, int]:
         ConstraintUnawareScheduler(seed=7),
         config=SimConfig(scheduling_interval_s=10.0, heartbeat_interval_s=1.0,
                          horizon_s=120.0),
-        tracer=tracer,
     )
     trace: list[str] = []
     sim.cycle_observers.append(
@@ -160,14 +159,15 @@ def test_same_seed_byte_identical_at_scale() -> None:
     assert fired < ticks
 
 
-def test_tracing_does_not_perturb_the_run() -> None:
+def test_tracing_does_not_perturb_the_run(install_tracer) -> None:
     """MEDEA_TRACE-style tracing must be write-only: enabling an event
     tracer cannot change placements, latencies, or fingerprints."""
     from repro.obs.trace import MemorySink, Tracer
 
     quiet, _, _ = run_large_cluster()
     sink = MemorySink()
-    traced, _, _ = run_large_cluster(tracer=Tracer([sink], enabled=True))
+    install_tracer(Tracer([sink]))
+    traced, _, _ = run_large_cluster()
     assert quiet.encode() == traced.encode()
     assert len(sink) > 0  # the tracer actually captured the run
 

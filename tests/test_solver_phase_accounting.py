@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro.obs import EventKind, MemorySink, Tracer
-from repro.obs.trace import set_tracer
 from repro.solver import BnBOptions, solve
 from tests.helpers import span_profile
 from tests.test_solver_differential import random_model
@@ -59,9 +58,9 @@ def test_heuristic_time_never_negative_with_rounding_on():
         assert solution.stats.time_heuristic_s >= 0.0, f"seed={seed}"
 
 
-def test_traced_solve_emits_phase_spans(isolate_obs):
+def test_traced_solve_emits_phase_spans(install_tracer):
     sink = MemorySink()
-    set_tracer(Tracer([sink], enabled=True))
+    install_tracer(Tracer([sink]))
     model = random_model(random.Random(42))
     solution = solve(model, backend="bnb")
     report = span_profile(sink.events)
@@ -85,9 +84,9 @@ def test_traced_solve_emits_phase_spans(isolate_obs):
     )
 
 
-def test_traced_highs_solve_emits_span(isolate_obs):
+def test_traced_highs_solve_emits_span(install_tracer):
     sink = MemorySink()
-    set_tracer(Tracer([sink], enabled=True))
+    install_tracer(Tracer([sink]))
     solve(random_model(random.Random(43)), backend="highs")
     report = span_profile(sink.events)
     assert "solver.highs" in report.spans

@@ -19,7 +19,7 @@ from repro.cluster.node import Allocation
 from repro.cluster.resources import Resource
 from repro.obs.events import EventKind
 from repro.obs.metrics import Metrics, set_metrics
-from repro.obs.trace import MemorySink, Tracer, set_tracer
+from repro.obs.trace import MemorySink, Tracer
 from repro.obs.session import ObsConfig, ObsSession
 from repro.obs.watchdog import CHECKS, Watchdog, WatchdogError
 from repro.sim import ClusterSimulation, SimConfig
@@ -128,10 +128,12 @@ class TestDoubleFree:
 
 
 class TestTripEvent:
-    def test_trip_event_emitted_and_canonical_deterministic(self, isolate_obs):
+    def test_trip_event_emitted_and_canonical_deterministic(
+        self, install_tracer
+    ):
         def run_once():
             sink = MemorySink()
-            set_tracer(Tracer([sink]))
+            install_tracer(Tracer([sink]))
             set_metrics(Metrics())
             watchdog = Watchdog(mode="warn")
             sim = _make_sim(watchdog)
