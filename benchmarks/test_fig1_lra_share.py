@@ -25,12 +25,13 @@ class BestFitScheduler(GreedyScheduler):
     def pick_node(self, container, constraints, state, *, decision=None):
         best_node, best_key = None, None
         for node in state.topology:
-            if not node.can_fit(container.resource):
+            if not state.can_fit(node.node_id, container.resource):
                 continue
             delta = state.placement_delta_violations(
                 constraints, node.node_id, container.tags
             )
-            key = (delta, node.free.memory_mb)  # pack tightest-fitting node
+            # Pack the tightest-fitting node.
+            key = (delta, state.free_resources(node.node_id).memory_mb)
             if best_key is None or key < best_key:
                 best_key, best_node = key, node.node_id
         return best_node

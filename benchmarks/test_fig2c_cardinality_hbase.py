@@ -38,7 +38,8 @@ def skewed_fill(state: ClusterState, mean_fraction: float) -> None:
         fraction = min(0.92, mean_fraction * 2 * index / max(1, count - 1))
         target_mb = int(fraction * node.capacity.memory_mb)
         blocks, block = 0, Resource(6144, 1)
-        while (blocks + 1) * block.memory_mb <= target_mb and node.can_fit(block):
+        fits = state.can_fit
+        while (blocks + 1) * block.memory_mb <= target_mb and fits(node.node_id, block):
             state.allocate(
                 f"bg/{node.node_id}/{blocks}", node.node_id, block,
                 (TASK_TAG,), "bg", long_running=False,

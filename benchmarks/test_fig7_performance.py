@@ -82,8 +82,10 @@ def measure(state) -> dict[str, list[float]]:
     for placed in state.containers.values():
         if placed.allocation.long_running:
             continue
-        node = state.topology.node(placed.node_id)
-        overcommit = 1.0 + 0.1 * max(0.0, node.memory_utilization() - 0.9)
+        capacity_mb = state.topology.node(placed.node_id).capacity.memory_mb
+        free_mb = state.free_resources(placed.node_id).memory_mb
+        utilization = 1.0 - free_mb / capacity_mb
+        overcommit = 1.0 + 0.1 * max(0.0, utilization - 0.9)
         gridmix.append(GRIDMIX_BASE_S * overcommit)
     return {
         "tf": tf_runtimes, "hb_insert": hb_insert,

@@ -65,7 +65,7 @@ def skewed_background(state: ClusterState, seed: int = 5) -> None:
     ]
     for i in range(420):
         node = rng.choices(nodes, weights)[0]
-        if node.can_fit(Resource(2048, 1)):
+        if state.can_fit(node.node_id, Resource(2048, 1)):
             state.allocate(
                 f"bg/{i}", node.node_id, Resource(2048, 1), ("task",), "bg",
                 long_running=False,

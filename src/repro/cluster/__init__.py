@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from .node import Allocation, Node
+from .node import Node
 from .resources import Resource
-from .state import ClusterState, PlacedContainer
+from .state import Allocation, ClusterState, PlacedContainer
 from .topology import ClusterTopology, NodeGroup, build_cluster
 
 __all__ = [

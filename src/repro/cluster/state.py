@@ -27,13 +27,17 @@ evaluation — the method's docstring states the accumulation order):
   over a node's sets starts from the first term, not from a zero array
   (``0.0 + x == x`` for the non-negative terms).
 
-Per-node capacity / free / availability are mirrored into numpy
-struct-of-arrays (:class:`StateArrays`), keyed by a stable node-index map
-in topology order, and ``total_free`` / utilisation / fragmentation / rack
-statistics are computed vectorised over it.  The mirror is maintained
-through :meth:`Node.add_listener` hooks, so it stays consistent no matter
-which code path mutates a node.  All integer aggregates are exact (int64);
-the test suite checks every metric and every delta against scalar oracles
+The state is the only record of allocations: the container map, γ, and
+per-node capacity / free / availability as numpy struct-of-arrays
+(:class:`StateArrays`, keyed by a stable node-index map in topology order)
+are written by :meth:`ClusterState.allocate` / :meth:`ClusterState.release`
+alone.  A :class:`~repro.cluster.node.Node` only describes its machine, so
+several states over one topology are independent; the one fact they share
+is a node's availability, which each state follows through
+:meth:`Node.add_listener`.  ``total_free`` / utilisation / fragmentation /
+rack statistics are computed vectorised over the arrays.  All integer
+aggregates are exact (int64); the test suite checks every metric and every
+delta against scalar oracles that recount from the container map
 (``tests/helpers.py``) and a golden fixture frozen from the retired
 dict-of-``Node`` backend.
 
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as _np
@@ -53,15 +58,19 @@ import numpy as _np
 if TYPE_CHECKING:  # import only for annotations: core depends on cluster
     from ..core.constraints import PlacementConstraint, TagConstraint
     from .index import CandidateIndex
-from .node import Allocation, Node
+from ..tags import validate_tag
+from .node import Node
 from .resources import Resource
 from .topology import ClusterTopology
 
-__all__ = ["ClusterState", "PlacedContainer", "StateArrays", "placement_fingerprint"]
+__all__ = [
+    "Allocation", "ClusterState", "PlacedContainer", "StateArrays",
+    "placement_fingerprint",
+]
 
 
 class StateArrays:
-    """Struct-of-arrays mirror of the per-node scalar state.
+    """Struct-of-arrays record of the per-node scalar state.
 
     One row per node, in topology insertion order (the *stable node-index
     map*); int64 throughout so integer sums are exact.  Rack membership is
@@ -87,12 +96,8 @@ class StateArrays:
         self.cap_vc = _np.fromiter(
             (nd.capacity.vcores for nd in nodes), dtype=_np.int64, count=n
         )
-        self.free_mem = _np.fromiter(
-            (nd.free.memory_mb for nd in nodes), dtype=_np.int64, count=n
-        )
-        self.free_vc = _np.fromiter(
-            (nd.free.vcores for nd in nodes), dtype=_np.int64, count=n
-        )
+        self.free_mem = self.cap_mem.copy()
+        self.free_vc = self.cap_vc.copy()
         self.avail = _np.fromiter(
             (nd.available for nd in nodes), dtype=bool, count=n
         )
@@ -109,22 +114,20 @@ class StateArrays:
         )
         self.total_cap_mem = int(self.cap_mem.sum())
 
-    def refresh_free(self, node: Node) -> None:
-        i = self.index_of[node.node_id]
-        free = node.free
-        self.free_mem[i] = free.memory_mb
-        self.free_vc[i] = free.vcores
-
     def fit_mask(
         self, demand: Resource, nodes: _np.ndarray | slice = slice(None)
     ) -> _np.ndarray:
         """Per node (all, or the given indices): available and free ≥
-        ``demand`` in both dimensions — ``Node.can_fit`` in one compare."""
+        ``demand`` in both dimensions."""
         return (
             self.avail[nodes]
             & (self.free_mem[nodes] >= demand.memory_mb)
             & (self.free_vc[nodes] >= demand.vcores)
         )
+
+    def room_mask(self) -> _np.ndarray:
+        """Per node: available and not full (some memory or vcores free)."""
+        return self.avail & ((self.free_mem != 0) | (self.free_vc != 0))
 
 
 class _GroupGamma:
@@ -272,6 +275,32 @@ def placement_fingerprint(
     return digest.hexdigest()[:16]
 
 
+#: Tag strings already validated (validity depends on the string alone);
+#: emptied past 65,536 entries so its memory stays bounded.
+_valid_tags: set[str] = set()
+
+
+def _validate_tags(tags: frozenset[str]) -> None:
+    """:func:`validate_tag` for every tag, each string checked only once."""
+    if not _valid_tags.issuperset(tags):
+        for tag in tags:
+            validate_tag(tag)
+        if len(_valid_tags) > 1 << 16:
+            _valid_tags.clear()
+        _valid_tags.update(tags)
+
+
+@dataclass(frozen=True, slots=True)
+class Allocation:
+    """A container currently occupying resources on a node."""
+
+    container_id: str
+    resource: Resource
+    tags: frozenset[str]
+    app_id: str
+    long_running: bool = True
+
+
 class PlacedContainer:
     """Bookkeeping record for a container placed somewhere in the cluster."""
 
@@ -301,38 +330,20 @@ class ClusterState:
         self._width = 0
         #: (cmin, cmax) -> Eq.-8 table, grown by doubling (see _eq8).
         self._eq8_tables: dict[tuple[int, int], _Eq8Table] = {}
-        #: Bumped on every node mutation; memoised metrics key off it.
+        #: Bumped on every write and availability flip; memoised metrics
+        #: key off it.
         self._version = 0
         self._memo: dict = {}
         self._memo_version = -1
-        self._down: set[str] = {
-            n.node_id for n in topology if not n.available
-        }
         self._arrays = StateArrays(topology)
         self._candidate_index: CandidateIndex | None = None
         for node in topology:
-            node.add_listener(self)
-
-    # -- mutation observation -------------------------------------------------
-    #
-    # Registered on every node so derived structures (version counter, down
-    # set, struct-of-arrays mirror) track *any* mutation path, including
-    # tests driving Node.allocate directly.
-
-    def _node_allocated(self, node: Node, allocation: Allocation) -> None:
-        self._version += 1
-        self._arrays.refresh_free(node)
-
-    def _node_released(self, node: Node, allocation: Allocation) -> None:
-        self._version += 1
-        self._arrays.refresh_free(node)
+            node.add_listener(self._node_availability)
 
     def _node_availability(self, node: Node, up: bool) -> None:
+        """A machine went down or came back (every state over the topology
+        hears it)."""
         self._version += 1
-        if up:
-            self._down.discard(node.node_id)
-        else:
-            self._down.add(node.node_id)
         self._arrays.avail[self._arrays.index_of[node.node_id]] = up
 
     @property
@@ -342,21 +353,16 @@ class ClusterState:
 
     @property
     def arrays(self) -> StateArrays:
-        """The struct-of-arrays mirror of per-node scalar state."""
+        """The struct-of-arrays record of per-node scalar state."""
         return self._arrays
 
     def candidate_index(self) -> CandidateIndex:
-        """The incrementally-maintained candidate store over this state.
-
-        Built lazily on first use and kept consistent through node mutation
-        hooks from then on; shared by every scheduler reading this state.
-        """
+        """The tag / fit query view over this state, built on first use and
+        shared by every scheduler reading it."""
         if self._candidate_index is None:
             from .index import CandidateIndex
 
-            self._candidate_index = CandidateIndex(
-                self.topology, arrays=self._arrays
-            )
+            self._candidate_index = CandidateIndex(self)
         return self._candidate_index
 
     def _memo_table(self) -> dict:
@@ -377,20 +383,29 @@ class ClusterState:
         *,
         long_running: bool = True,
     ) -> PlacedContainer:
+        """Place a container.  Every check (duplicate id, node, fit, tag
+        syntax) runs before anything is written, so a rejected call leaves
+        no trace.  Fit is against free resources only: an unavailable node
+        keeps what it holds, and callers test availability themselves."""
         if container_id in self._containers:
             raise ValueError(f"container {container_id} already allocated")
-        node = self.topology.node(node_id)
-        allocation = Allocation(
-            container_id=container_id,
-            resource=resource,
-            tags=tags if type(tags) is frozenset else frozenset(tags),
-            app_id=app_id,
-            long_running=long_running,
-        )
-        node.allocate(allocation)
+        arrays = self._arrays
+        i = arrays.index_of[node_id]
+        free_mem, free_vc = arrays.free_mem, arrays.free_vc
+        if resource.memory_mb > free_mem[i] or resource.vcores > free_vc[i]:
+            raise ValueError(
+                f"container {container_id} ({resource}) does not fit "
+                f"free {self.free_resources(node_id)} on {node_id}"
+            )
+        tags = tags if type(tags) is frozenset else frozenset(tags)
+        _validate_tags(tags)
+        free_mem[i] -= resource.memory_mb
+        free_vc[i] -= resource.vcores
+        self._version += 1
+        allocation = Allocation(container_id, resource, tags, app_id, long_running)
         # γ before the container map: a group registered since the last
         # write is recounted *from* that map inside this call.
-        self._update_group_tags(node_id, allocation.tags, +1)
+        self._update_group_tags(i, tags, +1)
         placed = PlacedContainer(container_id, node_id, allocation)
         self._containers[container_id] = placed
         return placed
@@ -400,8 +415,14 @@ class ClusterState:
             placed = self._containers[container_id]
         except KeyError:
             raise KeyError(f"container {container_id} is not allocated") from None
-        self.topology.node(placed.node_id).release(container_id)
-        self._update_group_tags(placed.node_id, placed.allocation.tags, -1)
+        arrays = self._arrays
+        i = arrays.index_of[placed.node_id]
+        resource = placed.allocation.resource
+        arrays.free_mem[i] += resource.memory_mb
+        arrays.free_vc[i] += resource.vcores
+        self._version += 1
+        # γ before the container map, as in allocate.
+        self._update_group_tags(i, placed.allocation.tags, -1)
         del self._containers[container_id]
         return placed
 
@@ -437,13 +458,16 @@ class ClusterState:
             self._width = offset
             self._live_tags = {}
             self._columns = {}
+            index_of = self._arrays.index_of
             for placed in self._containers.values():
-                self._update_group_tags(placed.node_id, placed.allocation.tags, +1)
+                self._update_group_tags(
+                    index_of[placed.node_id], placed.allocation.tags, +1
+                )
         return self._gamma
 
-    def _update_group_tags(self, node_id: str, tags: frozenset[str], delta: int) -> None:
+    def _update_group_tags(self, row: int, tags: frozenset[str], delta: int) -> None:
         groups = self._gamma_groups()
-        slots = self._slots_of[self._arrays.index_of[node_id]]
+        slots = self._slots_of[row]
         live = self._live_tags
         columns = self._columns
         for tag in tags:
@@ -476,7 +500,19 @@ class ClusterState:
         return [c for c in self._containers.values() if c.allocation.app_id == app_id]
 
     def free_resources(self, node_id: str) -> Resource:
-        return self.topology.node(node_id).free
+        arrays = self._arrays
+        i = arrays.index_of[node_id]
+        return Resource(int(arrays.free_mem[i]), int(arrays.free_vc[i]))
+
+    def can_fit(self, node_id: str, demand: Resource) -> bool:
+        """``node_id`` is available and has ``demand`` free."""
+        arrays = self._arrays
+        i = arrays.index_of[node_id]
+        return bool(
+            arrays.avail[i]
+            and demand.memory_mb <= arrays.free_mem[i]
+            and demand.vcores <= arrays.free_vc[i]
+        )
 
     def total_free(self) -> Resource:
         memo = self._memo_table()
@@ -677,7 +713,7 @@ class ClusterState:
     #
     # Every metric is memoised on the state version counter (the timeline
     # sink reads several per heartbeat) and computed vectorised over the
-    # struct-of-arrays mirror.  The private ``_compute_*`` functions are the
+    # struct-of-arrays record.  The private ``_compute_*`` functions are the
     # uncached paths; regression tests assert cached and direct values agree.
 
     def fragmented_node_fraction(self, threshold: Resource = Resource(2048, 1)) -> float:
@@ -755,11 +791,10 @@ class ClusterState:
         }
 
     def down_node_ids(self) -> list[str]:
-        """Ids of currently unavailable nodes, sorted.
-
-        Served from the incrementally-maintained down set — O(#down), not
-        O(cluster size)."""
-        return sorted(self._down)
+        """Ids of currently unavailable nodes, sorted."""
+        arrays = self._arrays
+        down = _np.flatnonzero(~arrays.avail).tolist()
+        return sorted(arrays.node_ids[i] for i in down)
 
     def fingerprint(self) -> str:
         """Digest of the current placement map and down-node set (see

@@ -231,8 +231,9 @@ class IlpFormulation:
         self.weights = weights or IlpWeights()
         self.rmin = rmin
         if candidate_nodes is None:
+            node_ids = state.arrays.node_ids
             self.nodes = [
-                n.node_id for n in state.topology if n.available and not n.free.is_zero()
+                node_ids[i] for i in np.flatnonzero(state.arrays.room_mask()).tolist()
             ]
         else:
             self.nodes = list(candidate_nodes)

@@ -185,9 +185,9 @@ class IlpScheduler(LRAScheduler):
         if pool is not None:
             in_pool = set(pool)
             pooled_out = [
-                CandidatePruned(node.node_id, PRUNE_CANDIDATE_POOL)
-                for node in state.topology
-                if node.node_id not in in_pool
+                CandidatePruned(node_id, PRUNE_CANDIDATE_POOL)
+                for node_id in state.arrays.node_ids
+                if node_id not in in_pool
             ]
         placed_node = {p.container_id: p.node_id for p in result.placements}
         for request in requests:
@@ -210,18 +210,19 @@ class IlpScheduler(LRAScheduler):
         if self.max_candidate_nodes is None:
             return None
         limit = self.max_candidate_nodes
-        nodes = [
-            n for n in state.topology if n.available and not n.free.is_zero()
-        ]
+        arrays = state.arrays
+        rows = np.flatnonzero(arrays.room_mask()).tolist()
+        nodes = [arrays.node_ids[i] for i in rows]
         if len(nodes) <= limit:
-            return [n.node_id for n in nodes]
+            return nodes
 
         # (a) Emptiest racks, taken whole, so rack-affinity groups fit.
         rack_free: dict[str, int] = {}
         rack_members: dict[str, list[str]] = {}
-        for node in nodes:
-            rack_free[node.rack] = rack_free.get(node.rack, 0) + node.free.memory_mb
-            rack_members.setdefault(node.rack, []).append(node.node_id)
+        for i, node_id in zip(rows, nodes):
+            rack = state.topology.node(node_id).rack
+            rack_free[rack] = rack_free.get(rack, 0) + int(arrays.free_mem[i])
+            rack_members.setdefault(rack, []).append(node_id)
         pool: list[str] = []
         seen: set[str] = set()
 
@@ -253,15 +254,15 @@ class IlpScheduler(LRAScheduler):
         tagged = state.candidate_index().nodes_with_any_tag(
             target_tags, dynamic_only=True
         )
-        for node in nodes:
+        for node_id in nodes:
             if added >= extra_budget:
                 break
-            if node.node_id in tagged and node.node_id not in seen:
-                push(node.node_id)
+            if node_id in tagged and node_id not in seen:
+                push(node_id)
                 added += 1
 
         # (c) Stride sample for spread (anti-affinity) headroom.
         stride = max(1, len(nodes) // max(1, limit // 4))
-        for node in nodes[::stride]:
-            push(node.node_id)
+        for node_id in nodes[::stride]:
+            push(node_id)
         return pool

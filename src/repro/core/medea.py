@@ -347,19 +347,17 @@ class MedeaScheduler:
         task_scheduler = self.task_scheduler
         if task_scheduler.pending_tasks() == 0:
             return allocations
-        state = self.state
+        arrays = self.state.arrays
+        node_ids = arrays.node_ids
         if not task_scheduler.demand_bound_safe():
-            for node in state.topology:
-                if node.available:
-                    allocs = self.heartbeat(node.node_id, now)
-                    if allocs:
-                        allocations.extend(allocs)
-                        if task_scheduler.pending_tasks() == 0:
-                            break
+            for idx in arrays.avail.nonzero()[0].tolist():
+                allocs = self.heartbeat(node_ids[idx], now)
+                if allocs:
+                    allocations.extend(allocs)
+                    if task_scheduler.pending_tasks() == 0:
+                        break
             return allocations
         bound = task_scheduler.min_head_demand()
-        arrays = state.arrays
-        node_ids = arrays.node_ids
         total = len(node_ids)
         start = 0
         while start < total:

@@ -44,8 +44,8 @@ def feasible_nodes(state: ClusterState, demand: Resource) -> list[str]:
 
     One vectorised compare over the state's free-capacity arrays instead
     of a full topology scan, but returning exactly the list the scan
-    ``[n.node_id for n in state.topology if n.can_fit(demand)]`` would —
-    order included — so selection tie-breaks are unchanged.
+    ``[n.node_id for n in state.topology if state.can_fit(n.node_id, demand)]``
+    would — order included — so selection tie-breaks are unchanged.
     """
     return state.candidate_index().fit_node_ids(demand)
 

@@ -185,6 +185,8 @@ class StepResult:
     errors: int = 0
     #: Wall seconds from first arrival to last completion.
     duration_s: float = 0.0
+    #: Offered seconds: the last scheduled arrival offset.
+    offered_s: float = 0.0
     achieved_rps: float = 0.0
     hist: LatencyHistogram = field(default_factory=LatencyHistogram)
 
@@ -223,8 +225,10 @@ def _run_open_loop(
     offered_rps: float,
     concurrency: int,
     index_base: int,
+    time_base: float,
 ) -> StepResult:
-    """One paced open-loop step."""
+    """One paced open-loop step; request ``i`` is stamped with the logical
+    clock ``time_base + arrivals[i]``."""
     from concurrent.futures import ThreadPoolExecutor
 
     count = len(arrivals)
@@ -232,13 +236,14 @@ def _run_open_loop(
         offered_rps=offered_rps,
         requests=count,
         effective_rps=_effective_rate(arrivals, offered_rps),
+        offered_s=arrivals[-1] if arrivals else 0.0,
     )
     lock = threading.Lock()
     t0 = time.perf_counter()
 
     def issue(index: int, arrival: float) -> None:
         request = template.build(index_base + index)
-        placed = service.handle(request, now=arrival).placed
+        placed = service.handle(request, now=time_base + arrival).placed
         latency = time.perf_counter() - (t0 + arrival)
         with lock:
             # Arrival-anchored latency: queueing delay behind a slow
@@ -275,9 +280,11 @@ def run_step(
     concurrency: int = 16,
     seed: int = 0,
     index_base: int = 0,
+    time_base: float = 0.0,
 ) -> StepResult:
     """Run one offered-load step against ``service``, a
-    :class:`~repro.core.scheduler.PlacementService`."""
+    :class:`~repro.core.scheduler.PlacementService`.  ``index_base`` and
+    ``time_base`` continue a sweep's request ids and logical clock."""
     rng = random.Random((seed << 16) ^ hash(round(offered_rps * 1000)) & 0xFFFF)
     arrivals = build_arrivals(arrival, offered_rps, requests, rng)
     return _run_open_loop(
@@ -287,6 +294,7 @@ def run_step(
         offered_rps=offered_rps,
         concurrency=concurrency,
         index_base=index_base,
+        time_base=time_base,
     )
 
 
@@ -362,6 +370,7 @@ def run_sweep(
     """Step offered load over ``rates`` and analyse the knee."""
     steps: list[StepResult] = []
     index_base = 0
+    time_base = 0.0
     for rate in rates:
         step = run_step(
             service,
@@ -372,8 +381,10 @@ def run_sweep(
             concurrency=concurrency,
             seed=seed,
             index_base=index_base,
+            time_base=time_base,
         )
         index_base += step.requests
+        time_base += step.offered_s
         steps.append(step)
         if progress is not None:
             pct = step.hist.percentiles()

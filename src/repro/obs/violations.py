@@ -74,24 +74,33 @@ class _ExactCheck:
     counts, which overcounts when no single container carries every tag
     (``appID:a ∧ hb_sec`` on a node with ``{appID:a, hb_m}`` and
     ``{appID:b, hb_sec}`` is 1 there, 0 here).  The audit instead counts,
-    per (group, set, conjunction), the allocations on the set's nodes that
+    per (group, set, conjunction), the containers on the set's nodes that
     carry every tag — memoised for one evaluation — and excludes the
     subject container itself.
     """
 
     def __init__(self, state: "ClusterState") -> None:
+        self._state = state
         self._topology = state.topology
         self._counts: dict[tuple[str, int, frozenset[str]], int] = {}
+        #: node id -> tag sets of its containers, grouped on first use.
+        self._tags_on: dict[str, list[frozenset[str]]] | None = None
 
     def _count(self, group: str, set_index: int, tags: frozenset[str]) -> int:
         key = (group, set_index, tags)
         count = self._counts.get(key)
         if count is None:
-            topology = self._topology
+            tags_on = self._tags_on
+            if tags_on is None:
+                tags_on = self._tags_on = {}
+                for placed in self._state.containers.values():
+                    tags_on.setdefault(placed.node_id, []).append(
+                        placed.allocation.tags
+                    )
             count = self._counts[key] = sum(
-                tags <= allocation.tags
-                for node_id in topology.group(group).node_sets[set_index]
-                for allocation in topology.node(node_id).iter_allocations()
+                tags <= container_tags
+                for node_id in self._topology.group(group).node_sets[set_index]
+                for container_tags in tags_on.get(node_id, ())
             )
         return count
 

@@ -13,19 +13,17 @@ authoritative state stops agreeing with itself.
 Checks (every heartbeat, except the violation audit: every
 :data:`VIOLATIONS_INTERVAL`-th):
 
-* ``node_conservation`` — per node, the free-resource vector must equal
-  capacity minus the sum of its allocations, and never go negative.
-* ``container_conservation`` — the cluster-wide container map and the
-  union of per-node allocation maps must hold exactly the same container
-  ids (a leaked container lives on a node but not in the map; a
-  double-free is the reverse).
+* ``node_conservation`` — per node, the ledger's free columns must equal
+  capacity minus the containers its map places there, and never go
+  negative.
 * ``violation_consistency`` — :func:`repro.obs.violations
   .evaluate_violations` must be internally consistent (violating ⊆
   subject, records ↔ counts, non-negative extent) and its evaluation
   counter monotone.
 * ``fingerprint`` — :func:`repro.cluster.state.placement_fingerprint`
-  recomputed from the per-node allocations must match the state's own
-  digest (the same cross-check replay performs, but live).
+  recomputed from the container map and the machines' availability must
+  match the state's own (memoised) digest (the same cross-check replay
+  performs, but live).
 
 A tripped watchdog emits a typed ``watchdog.trip`` trace event whose
 ``data`` payload is fully deterministic (check name, tick, structured
@@ -62,7 +60,6 @@ __all__ = [
 #: The check catalogue, in evaluation order.
 CHECKS = (
     "node_conservation",
-    "container_conservation",
     "violation_consistency",
     "fingerprint",
 )
@@ -136,7 +133,6 @@ class Watchdog:
         new_trips: list[WatchdogTrip] = []
         state = sim.state
         new_trips.extend(self._check_node_conservation(state, now))
-        new_trips.extend(self._check_container_conservation(state, now))
         if self.checks_run % VIOLATIONS_INTERVAL == 0:
             new_trips.extend(self._check_violation_consistency(sim, now))
         new_trips.extend(self._check_fingerprint(state, now))
@@ -149,25 +145,25 @@ class Watchdog:
     # -- individual invariants ----------------------------------------------
 
     def _check_node_conservation(self, state, now: float) -> list[WatchdogTrip]:
-        """Per-node resource accounting: free == capacity − Σ allocations,
-        both components non-negative."""
+        """Per-node resource accounting: free == capacity − Σ the node's
+        containers in the map, both components non-negative."""
+        arrays = state.arrays
+        index_of = arrays.index_of
+        used = [[0, 0, 0] for _ in arrays.node_ids]
+        for placed in state.containers.values():
+            row = used[index_of[placed.node_id]]
+            row[0] += placed.allocation.resource.memory_mb
+            row[1] += placed.allocation.resource.vcores
+            row[2] += 1
         trips = []
-        for node in state.topology:
-            allocated_mem = 0
-            allocated_vcores = 0
-            container_count = 0
-            for allocation in node.iter_allocations():
-                allocated_mem += allocation.resource.memory_mb
-                allocated_vcores += allocation.resource.vcores
-                container_count += 1
-            free = node.free
+        for i, node in enumerate(state.topology):
+            allocated_mem, allocated_vcores, container_count = used[i]
+            free_mem, free_vcores = int(arrays.free_mem[i]), int(arrays.free_vc[i])
             capacity = node.capacity
             expected_mem = capacity.memory_mb - allocated_mem
             expected_vcores = capacity.vcores - allocated_vcores
-            drift = (
-                free.memory_mb != expected_mem or free.vcores != expected_vcores
-            )
-            negative = free.memory_mb < 0 or free.vcores < 0
+            drift = free_mem != expected_mem or free_vcores != expected_vcores
+            negative = free_mem < 0 or free_vcores < 0
             over = allocated_mem > capacity.memory_mb or (
                 allocated_vcores > capacity.vcores
             )
@@ -179,8 +175,8 @@ class Watchdog:
                         {
                             "node_id": node.node_id,
                             "containers": container_count,
-                            "free_memory_mb": free.memory_mb,
-                            "free_vcores": free.vcores,
+                            "free_memory_mb": free_mem,
+                            "free_vcores": free_vcores,
                             "expected_free_memory_mb": expected_mem,
                             "expected_free_vcores": expected_vcores,
                             "negative_free": negative,
@@ -189,53 +185,6 @@ class Watchdog:
                     )
                 )
         return trips
-
-    def _check_container_conservation(self, state, now: float) -> list[WatchdogTrip]:
-        """The cluster-wide container map and the union of per-node
-        allocations must agree exactly (ids and hosting node)."""
-        node_side: dict[str, str] = {}
-        duplicated: list[str] = []
-        for node in state.topology:
-            for allocation in node.iter_allocations():
-                if allocation.container_id in node_side:
-                    duplicated.append(allocation.container_id)
-                node_side[allocation.container_id] = node.node_id
-        state_side = {
-            container_id: placed.node_id
-            for container_id, placed in state.containers.items()
-        }
-        if node_side == state_side and not duplicated:
-            return []
-        leaked = sorted(set(node_side) - set(state_side))
-        missing = sorted(set(state_side) - set(node_side))
-        moved = sorted(
-            container_id
-            for container_id in set(node_side) & set(state_side)
-            if node_side[container_id] != state_side[container_id]
-        )
-        diagnosis: dict[str, Any] = {
-            "state_containers": len(state_side),
-            "node_containers": len(node_side),
-        }
-        if leaked:
-            # On a node but unknown to the cluster map: a leak.  Name the
-            # culprits and where they sit so the operator can act.
-            diagnosis["leaked"] = [
-                [container_id, node_side[container_id]] for container_id in leaked
-            ]
-        if missing:
-            # In the cluster map but on no node: a double-free / lost alloc.
-            diagnosis["missing"] = [
-                [container_id, state_side[container_id]] for container_id in missing
-            ]
-        if moved:
-            diagnosis["moved"] = [
-                [container_id, state_side[container_id], node_side[container_id]]
-                for container_id in moved
-            ]
-        if duplicated:
-            diagnosis["duplicated"] = sorted(set(duplicated))
-        return [WatchdogTrip("container_conservation", now, diagnosis)]
 
     def _check_violation_consistency(self, sim, now: float) -> list[WatchdogTrip]:
         """The violation auditor must agree with itself, and its evaluation
@@ -268,16 +217,14 @@ class Watchdog:
         return [WatchdogTrip("violation_consistency", now, problems)]
 
     def _check_fingerprint(self, state, now: float) -> list[WatchdogTrip]:
-        """Recompute the placement fingerprint from the per-node allocation
-        maps and compare with the state's own digest."""
+        """Recompute the placement fingerprint from the container map and
+        the machines' availability, and compare with the state's digest."""
         from ..cluster.state import placement_fingerprint
 
-        node_side = {
-            allocation.container_id: node.node_id
-            for node in state.topology
-            for allocation in node.iter_allocations()
-        }
-        recomputed = placement_fingerprint(node_side, state.down_node_ids())
+        recomputed = placement_fingerprint(
+            {cid: placed.node_id for cid, placed in state.containers.items()},
+            [node.node_id for node in state.topology if not node.available],
+        )
         recorded = state.fingerprint()
         if recomputed == recorded:
             return []

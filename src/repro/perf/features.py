@@ -52,22 +52,25 @@ def extract_features(
             continue
         workers_per_node[placed.node_id] = workers_per_node.get(placed.node_id, 0) + 1
 
-    class_counts: dict[str, int] = {}
+    class_counts = dict.fromkeys(workers_per_node, 0)
+    foreign_mem = dict.fromkeys(workers_per_node, 0)
+    for placed in state.containers.values():
+        node_id = placed.node_id
+        if node_id not in class_counts:
+            continue
+        allocation = placed.allocation
+        if worker_tag in allocation.tags:
+            class_counts[node_id] += 1
+        if allocation.app_id != app_id:
+            foreign_mem[node_id] += allocation.resource.memory_mb
     external: dict[str, float] = {}
     racks: set[str] = set()
     for node_id in workers_per_node:
         node = state.topology.node(node_id)
         racks.add(node.rack)
-        class_count = 0
-        foreign_mem = 0
-        for allocation in node.allocations.values():
-            if worker_tag in allocation.tags:
-                class_count += 1
-            if allocation.app_id != app_id:
-                foreign_mem += allocation.resource.memory_mb
-        class_counts[node_id] = class_count
         external[node_id] = (
-            foreign_mem / node.capacity.memory_mb if node.capacity.memory_mb else 0.0
+            foreign_mem[node_id] / node.capacity.memory_mb
+            if node.capacity.memory_mb else 0.0
         )
 
     return PlacementFeatures(

@@ -136,7 +136,8 @@ class TaskBasedScheduler(abc.ABC):
     def handle_heartbeat(self, node_id: str, now: float) -> list[TaskAllocation]:
         """Allocate queued tasks onto the heartbeating node until it is full
         or no queue can use it.  Returns the new allocations."""
-        node = self.state.topology.node(node_id)
+        state = self.state
+        node = state.topology.node(node_id)
         allocations: list[TaskAllocation] = []
         # Resolved on the first allocation, not per task: a heartbeat that
         # allocates nothing must not register the timer.
@@ -145,14 +146,14 @@ class TaskBasedScheduler(abc.ABC):
             task = self._select_task(node_id)
             if task is None:
                 break
-            if not node.can_fit(task.resource):
+            if not state.can_fit(node_id, task.resource):
                 break
             queue = self.queues.queue(task.queue)
             queue.pop_head()
             if task.locality:
                 self._pending_locality -= 1
             queue.charge(task.resource)
-            self.state.allocate(
+            state.allocate(
                 task.task_id,
                 node_id,
                 task.resource,
@@ -222,13 +223,14 @@ class TaskBasedScheduler(abc.ABC):
         Raises :class:`PlacementConflictError` if the target node no longer
         has room — the caller (Medea facade) resubmits the LRA.
         """
-        node = self.state.topology.node(placement.node_id)
-        if not node.can_fit(placement.resource):
+        state = self.state
+        if not state.can_fit(placement.node_id, placement.resource):
             raise PlacementConflictError(
                 f"placement of {placement.container_id} on {placement.node_id} "
-                f"conflicts: need {placement.resource}, free {node.free}"
+                f"conflicts: need {placement.resource}, "
+                f"free {state.free_resources(placement.node_id)}"
             )
-        self.state.allocate(
+        state.allocate(
             placement.container_id,
             placement.node_id,
             placement.resource,

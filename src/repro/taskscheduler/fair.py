@@ -19,7 +19,6 @@ class FairScheduler(TaskBasedScheduler):
     name = "fair"
 
     def _select_task(self, node_id: str) -> TaskRequest | None:
-        node = self.state.topology.node(node_id)
         total = self.state.topology.total_capacity()
         candidates = []
         for queue in self.queues.nonempty_queues():

@@ -123,7 +123,7 @@ def fill_cluster(
         if attempts > max_attempts:
             break  # cluster cannot be filled further with this container size
         node = rng.choice(nodes)
-        if not node.can_fit(fill_resource):
+        if not state.can_fit(node.node_id, fill_resource):
             continue
         state.allocate(
             f"{app_id}/t{next(ids):07d}",

@@ -47,17 +47,40 @@ def place_all(state: ClusterState, result) -> None:
         state.allocate(p.container_id, p.node_id, p.resource, p.tags, p.app_id)
 
 
+def recount_free(state: ClusterState) -> dict[str, Resource]:
+    """Per node, capacity minus the containers ``state.containers`` places
+    there — recounted from the map, never read from the state's columns."""
+    used: dict[str, tuple[int, int]] = {}
+    for placed in state.containers.values():
+        memory_mb, vcores = used.get(placed.node_id, (0, 0))
+        resource = placed.allocation.resource
+        used[placed.node_id] = (memory_mb + resource.memory_mb, vcores + resource.vcores)
+    free = {}
+    for node in state.topology:
+        memory_mb, vcores = used.get(node.node_id, (0, 0))
+        free[node.node_id] = Resource(
+            node.capacity.memory_mb - memory_mb, node.capacity.vcores - vcores
+        )
+    return free
+
+
 def scalar_state_metrics(state: ClusterState, threshold: Resource) -> dict:
     """Scalar oracle for ``ClusterState``'s vectorised cluster metrics.
 
-    Plain loops over the topology's nodes — independent of the
-    struct-of-arrays mirror production code computes them from.
+    Plain loops over the topology's nodes, with per-node free from
+    :func:`recount_free` — independent of the struct-of-arrays record
+    production code computes them from.
     """
+    free = recount_free(state)
     nodes = list(state.topology)
     up = [n for n in nodes if n.available]
     capacity_mb = sum(n.capacity.memory_mb for n in nodes)
-    free_mb = sum(n.free.memory_mb for n in up)
-    utils = [n.memory_utilization() for n in up]
+    free_mb = sum(free[n.node_id].memory_mb for n in up)
+    utils = [
+        1.0 - free[n.node_id].memory_mb / n.capacity.memory_mb
+        if n.capacity.memory_mb else 0.0
+        for n in up
+    ]
     mean = sum(utils) / len(utils) if utils else 0.0
     variance = sum((u - mean) ** 2 for u in utils) / len(utils) if utils else 0.0
     rack_capacity: dict[str, float] = {}
@@ -65,13 +88,17 @@ def scalar_state_metrics(state: ClusterState, threshold: Resource) -> dict:
     for n in nodes:
         rack_capacity[n.rack] = rack_capacity.get(n.rack, 0.0) + n.capacity.memory_mb
         if n.available:
-            rack_used[n.rack] = rack_used.get(n.rack, 0.0) + n.used.memory_mb
+            used_mb = n.capacity.memory_mb - free[n.node_id].memory_mb
+            rack_used[n.rack] = rack_used.get(n.rack, 0.0) + used_mb
+    # §7.4: fragmented = less free than the threshold and not fully used.
+    fragmented = [
+        n for n in up
+        if not free[n.node_id].is_zero() and not threshold.fits(free[n.node_id])
+    ]
     return {
-        "total_free": Resource(free_mb, sum(n.free.vcores for n in up)),
+        "total_free": Resource(free_mb, sum(free[n.node_id].vcores for n in up)),
         "utilization": (capacity_mb - free_mb) / capacity_mb if capacity_mb else 0.0,
-        "frag": (
-            sum(1 for n in up if n.is_fragmented(threshold)) / len(up) if up else 0.0
-        ),
+        "frag": len(fragmented) / len(up) if up else 0.0,
         "cv": variance ** 0.5 / mean if mean else 0.0,
         "rack_util": {
             rack: rack_used.get(rack, 0.0) / cap

@@ -1,17 +1,13 @@
-"""Property tests for the incrementally-maintained candidate index.
+"""Property tests for the candidate queries over the cluster state.
 
-The :class:`~repro.cluster.index.CandidateIndex` is updated through node
-mutation hooks on every allocate / release (availability lives on the
-state's arrays, which the fit query reads).  These tests drive arbitrary
-interleavings of allocate / release / fail / recover (Hypothesis generates
-the op sequences) and assert the one invariant everything else rests on:
-the incremental index is always *identical* to an index rebuilt from
-scratch over the same topology state — same tag counts.
-
-On top of the snapshot invariant, the query surface is cross-checked
-against brute-force topology scans: ``fit_node_indices`` must equal the
-legacy capacity scan (in the same order), and the tag queries must match
-per-node tag recomputation.
+:class:`~repro.cluster.index.CandidateIndex` keeps no record of its own:
+fit queries read the state's free and availability columns, tag queries
+read γ's ``node`` group column.  These tests drive arbitrary interleavings
+of allocate / release / fail / recover (Hypothesis generates the op
+sequences) and, after every op, check the columns and every query against
+a brute-force recount from the container map (``tests/helpers.py``): the
+free and availability columns, ``fit_node_indices`` in topology order, and
+the tag queries.
 """
 
 from __future__ import annotations
@@ -21,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Resource, anti_affinity, build_cluster
-from repro.cluster.index import CandidateIndex
 from repro.cluster.state import ClusterState
+from tests.helpers import recount_free
 
 NUM_NODES = 8
 TAGS = ("hbase", "master", "web", "cache")
+#: Node 0 carries a static attribute that is also a container tag.
+STATIC = {0: ("cache",)}
 
 #: One mutation op: (kind, node index, tag index, size step).
 _op = st.tuples(
@@ -38,12 +36,14 @@ _op = st.tuples(
 
 def _build_state() -> ClusterState:
     topology = build_cluster(NUM_NODES, racks=2, memory_mb=8 * 1024, vcores=8)
+    for i, node in enumerate(topology):
+        node.static_tags = frozenset(STATIC.get(i, ()))
     return ClusterState(topology)
 
 
-def _interpret(state: ClusterState, ops) -> None:
-    """Apply an op sequence; infeasible ops degrade to no-ops so every
-    generated sequence is valid."""
+def _interpret(state: ClusterState, ops, check=lambda state: None) -> None:
+    """Apply an op sequence, calling ``check(state)`` after every op;
+    infeasible ops degrade to no-ops so every generated sequence is valid."""
     live: list[str] = []
     counter = 0
     nodes = list(state.topology)
@@ -51,7 +51,7 @@ def _interpret(state: ClusterState, ops) -> None:
         node = nodes[node_i]
         if kind == "alloc":
             resource = Resource(step * 512, 1)
-            if node.available and node.can_fit(resource):
+            if state.can_fit(node.node_id, resource):
                 counter += 1
                 cid = f"c{counter}"
                 state.allocate(
@@ -66,16 +66,43 @@ def _interpret(state: ClusterState, ops) -> None:
             node.available = False
         elif kind == "up":
             node.available = True
+        check(state)
+
+
+def _check_against_recount(state: ClusterState) -> None:
+    """The columns and every query equal a brute-force recount from the
+    container map and the nodes."""
+    index = state.candidate_index()
+    nodes = list(state.topology)
+    free = recount_free(state)
+    arrays = state.arrays
+    assert arrays.free_mem.tolist() == [free[n.node_id].memory_mb for n in nodes]
+    assert arrays.free_vc.tolist() == [free[n.node_id].vcores for n in nodes]
+    assert arrays.avail.tolist() == [n.available for n in nodes]
+    for demand in (Resource(512, 1), Resource(2048, 1), Resource(8 * 1024, 8)):
+        assert index.fit_node_indices(demand) == [
+            i for i, n in enumerate(nodes)
+            if n.available and demand.fits(free[n.node_id])
+        ]
+    for tag in TAGS:
+        hosting = [
+            placed.node_id for placed in state.containers.values()
+            if tag in placed.allocation.tags
+        ]
+        assert index.nodes_with_tag(tag, dynamic_only=True) == set(hosting)
+        assert index.nodes_with_tag(tag) == set(hosting) | {
+            n.node_id for n in nodes if tag in n.static_tags
+        }
+        for node in nodes:
+            assert index.tag_count(tag, node.node_id) == hosting.count(node.node_id)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(_op, max_size=40))
-def test_incremental_index_equals_rebuild(ops) -> None:
+def test_queries_match_recount_after_every_op(ops) -> None:
     state = _build_state()
-    index = state.candidate_index()
-    _interpret(state, ops)
-    rebuilt = CandidateIndex.rebuilt(state.topology)
-    assert index.snapshot() == rebuilt.snapshot()
+    _check_against_recount(state)
+    _interpret(state, ops, _check_against_recount)
 
 
 @settings(max_examples=40, deadline=None)
@@ -92,13 +119,13 @@ def test_fit_query_matches_topology_scan(ops, mem: int, vcores: int) -> None:
     brute = [
         i
         for i, node in enumerate(state.topology)
-        if node.available and node.can_fit(demand)
+        if state.can_fit(node.node_id, demand)
     ]
     assert index.fit_node_indices(demand) == brute
     assert index.fit_node_ids(demand) == [
         node.node_id
         for node in state.topology
-        if node.available and node.can_fit(demand)
+        if state.can_fit(node.node_id, demand)
     ]
 
 
@@ -110,36 +137,31 @@ def test_tag_queries_match_node_tags(ops) -> None:
     _interpret(state, ops)
     for tag in TAGS:
         expected_dynamic = {
-            node.node_id
-            for node in state.topology
-            if tag in node.dynamic_tags()
+            placed.node_id for placed in state.containers.values()
+            if tag in placed.allocation.tags
         }
-        expected_all = {
-            node.node_id
-            for node in state.topology
-            if tag in node.tag_multiset()
+        expected_static = {
+            node.node_id for node in state.topology if tag in node.static_tags
         }
         assert index.nodes_with_tag(tag, dynamic_only=True) == expected_dynamic
-        assert index.nodes_with_tag(tag) == expected_all
-        for node in state.topology:
-            assert index.tag_count(tag, node.node_id) == (
-                node.dynamic_tags().cardinality(tag)
-            )
+        assert index.nodes_with_tag(tag) == expected_dynamic | expected_static
 
 
 @settings(max_examples=30, deadline=None)
 @given(ops=st.lists(_op, max_size=25))
 def test_index_consistent_after_release_all(ops) -> None:
-    """Releasing every container returns the index to its pristine shape."""
+    """Releasing every container returns the queries to their pristine
+    answers."""
     state = _build_state()
     index = state.candidate_index()
     _interpret(state, ops)
     for cid in list(state.containers):
         state.release(cid)
-    pristine = CandidateIndex.rebuilt(state.topology)
-    snap = index.snapshot()
-    assert snap == pristine.snapshot()
-    assert snap["tags"] == {}
+    _check_against_recount(state)
+    for tag in TAGS:
+        assert index.nodes_with_tag(tag, dynamic_only=True) == set()
+    up = [i for i, node in enumerate(state.topology) if node.available]
+    assert index.fit_node_indices(Resource(8 * 1024, 8)) == up
 
 
 def test_membership_arrays_rebuild_on_new_group() -> None:

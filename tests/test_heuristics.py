@@ -47,7 +47,7 @@ class TestGreedyCommon:
         topo, state, manager = build()
         scheduler_cls().place([make_lra(containers=4)], state, manager)
         assert len(state.containers) == 0
-        assert all(node.free == node.capacity for node in topo)
+        assert all(state.free_resources(n.node_id) == n.capacity for n in topo)
 
     def test_respects_capacity(self, scheduler_cls):
         topo = build_cluster(2, memory_mb=2 * 1024, vcores=2)

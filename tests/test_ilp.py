@@ -30,7 +30,7 @@ from repro import (
 from repro.core.ilp import IlpFormulation
 from repro.solver import solve
 
-from tests.helpers import make_lra, place_all
+from tests.helpers import make_lra, place_all, recount_free
 
 
 def build(num_nodes=8, racks=2, **kw):
@@ -63,8 +63,8 @@ class TestBasicPlacement:
         req = make_lra("big", containers=4, memory_mb=4 * 1024)
         result = schedule([req], state, manager)
         place_all(state, result)
-        for node in topo:
-            assert node.free.memory_mb >= 0
+        for free in recount_free(state).values():
+            assert free.memory_mb >= 0
 
     def test_all_or_nothing(self):
         """An app that cannot fully fit is fully rejected (Eq. 4)."""

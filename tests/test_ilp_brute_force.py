@@ -34,7 +34,7 @@ from repro.core.constraints import (
     anti_affinity,
     cardinality,
 )
-from tests.helpers import make_lra, place_all
+from tests.helpers import make_lra, place_all, recount_free
 
 
 def random_instance(seed: int):
@@ -70,8 +70,7 @@ def assignment_satisfies(state, app, nodes_choice) -> bool:
     placed = []
     try:
         for container, node_id in zip(app.containers, nodes_choice):
-            node = state.topology.node(node_id)
-            if not node.can_fit(container.resource):
+            if not state.can_fit(node_id, container.resource):
                 return False
             state.allocate(
                 container.container_id, node_id, container.resource,
@@ -113,5 +112,5 @@ def test_ilp_finds_clean_placement_when_one_exists(seed):
             f"assignment exists: {[ (r.container_id, r.constraint) for r in report.records ]}"
         )
     # Soundness either way: capacities hold.
-    for node in topo:
-        assert node.free.memory_mb >= 0 and node.free.vcores >= 0
+    for free in recount_free(state).values():
+        assert free.memory_mb >= 0 and free.vcores >= 0

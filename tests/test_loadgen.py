@@ -31,6 +31,7 @@ from repro.obs.load import (
     detect_knee,
     poisson_arrivals,
     run_step,
+    run_sweep,
     sweep_to_json,
     sweep_to_obj,
     sweep_view,
@@ -244,6 +245,25 @@ class TestPlacementService:
         assert step.placed == 30
         assert step.hist.count == 30
         assert step.achieved_rps > 0
+
+    def test_sweep_steps_follow_each_other_in_time(self, install_tracer):
+        """A sweep carries its logical clock across steps, so step k's
+        events start no earlier than step k-1's end."""
+        sink = MemorySink()
+        install_tracer(Tracer([sink]))
+        requests = 6
+        run_sweep(
+            _service(nodes=20), RequestTemplate(containers=2),
+            rates=[400.0, 800.0, 1600.0], requests_per_step=requests,
+            concurrency=2, seed=3,
+        )
+        times: dict[int, list[float]] = {}
+        for event in sink.events:
+            number = int(event.data["request_id"].rsplit("-", 1)[1])
+            times.setdefault((number - 1) // requests, []).append(event.time)
+        assert sorted(times) == [0, 1, 2]
+        for k in (1, 2):
+            assert min(times[k]) >= max(times[k - 1])
 
 
 class TestRequestContext:

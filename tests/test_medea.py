@@ -258,7 +258,7 @@ def run_scenario(scenario, heartbeat_all):
     task_scheduler = POLICIES[scenario["policy"]](state, scenario["queues"])
     medea = MedeaScheduler(state, SerialScheduler(), task_scheduler)
     for k, (node_id, size) in enumerate(scenario["fill"]):
-        if topology.node(node_id).can_fit(Resource(*size)):
+        if state.can_fit(node_id, Resource(*size)):
             state.allocate(f"bg{k}", node_id, Resource(*size), ("bg",), "bg")
     for node_id in sorted(scenario["down"]):
         topology.node(node_id).available = False

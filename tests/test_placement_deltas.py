@@ -85,7 +85,7 @@ def _cluster(rng: random.Random) -> ClusterState:
         node = topology.node(rng.choice(node_ids))
         roll = rng.random()
         if roll < 0.7:
-            if node.can_fit(Resource(1024, 1)):
+            if state.can_fit(node.node_id, Resource(1024, 1)):
                 state.allocate(
                     f"c{step}", node.node_id, Resource(1024, 1), _some_tags(rng), "app"
                 )

@@ -28,6 +28,7 @@ from repro import (
     cardinality,
 )
 from repro.core.heuristics import relevant_constraints
+from tests.helpers import recount_free
 
 SCHEDULER_FACTORIES = [
     lambda: IlpScheduler(time_limit_s=10.0, mip_rel_gap=0.05),
@@ -86,7 +87,7 @@ def test_scheduler_contract(factory, data):
 
     # 1. Proposal only: state untouched.
     assert len(state.containers) == 0
-    assert all(node.free == node.capacity for node in topo)
+    assert all(state.free_resources(n.node_id) == n.capacity for n in topo)
 
     # 2. Unique container assignments on existing nodes.
     ids = [p.container_id for p in result.placements]
@@ -110,8 +111,8 @@ def test_scheduler_contract(factory, data):
     # 4. Capacity safety: the proposal can actually be applied.
     for p in result.placements:
         state.allocate(p.container_id, p.node_id, p.resource, p.tags, p.app_id)
-    for node in topo:
-        assert node.free.memory_mb >= 0 and node.free.vcores >= 0
+    for free in recount_free(state).values():
+        assert free.memory_mb >= 0 and free.vcores >= 0
 
 
 class TestRelevantConstraints:

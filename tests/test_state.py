@@ -47,22 +47,17 @@ class TestAllocationLifecycle:
         stored the allocation and cut its free vector, while the mirror, γ
         and the container map never heard of it — and a retry with valid
         tags then failed as a duplicate."""
-        from repro.cluster.index import CandidateIndex
-
         topology = build_cluster(4, racks=2)
         state = ClusterState(topology)
-        index = state.candidate_index()
         fresh = ClusterState(build_cluster(4, racks=2))
         with pytest.raises(ValueError):
             state.allocate("c1", "n00001", Resource(4096, 2), {"bad tag"}, "a")
-        node = topology.node("n00001")
-        assert node.free == node.capacity and node.allocations == {}
+        assert state.free_resources("n00001") == topology.node("n00001").capacity
         for name in ("free_mem", "free_vc", "avail"):
             assert (getattr(state.arrays, name) == getattr(fresh.arrays, name)).all()
         assert state.containers == {} and state.version == fresh.version
         assert state._live_tags == {}
         assert all(not g.counts for g in state._gamma_groups().values())
-        assert index.snapshot() == CandidateIndex.rebuilt(topology).snapshot()
         assert state.fingerprint() == fresh.fingerprint()
 
         put(state, "c1", "n00001", tags=("good",), mem=4096)
@@ -144,7 +139,7 @@ class TestGammaBookkeeping:
                 cid = f"c{step}"
                 node = rng.choice(topo.node_ids())
                 tags = tuple(rng.sample(tag_pool, k=rng.randint(1, 2)))
-                if topo.node(node).can_fit(Resource(512, 1)):
+                if state.can_fit(node, Resource(512, 1)):
                     state.allocate(cid, node, Resource(512, 1), tags, "app")
                     live.append(cid)
         for group_name in topo.group_names():
@@ -152,8 +147,8 @@ class TestGammaBookkeeping:
             for idx, node_set in enumerate(group.node_sets):
                 for tag in tag_pool:
                     expected = sum(
-                        topo.node(n).dynamic_tags().cardinality(tag)
-                        for n in node_set
+                        placed.node_id in node_set and tag in placed.allocation.tags
+                        for placed in state.containers.values()
                     )
                     assert state.group_tag_count(group_name, idx, tag) == expected
 
@@ -308,8 +303,8 @@ class TestClusterMetrics:
 class TestMetricMemoisation:
     """Memoised cluster metrics must always agree with direct recomputation.
 
-    The metrics are cached on the state's version counter (bumped by node
-    mutation hooks on every allocate / release / availability flip); a
+    The metrics are cached on the state's version counter (bumped on every
+    allocate / release and, through the node's hook, availability flip); a
     stale cache would silently skew utilisation, fragmentation, and the
     fingerprint the determinism suite pins.
     """
@@ -355,7 +350,7 @@ class TestMetricMemoisation:
             node = rng.choice(nodes)
             if kind == "alloc":
                 resource = Resource(rng.choice([512, 1024, 4096]), 1)
-                if node.available and node.can_fit(resource):
+                if state.can_fit(node.node_id, resource):
                     cid = f"m{step}"
                     state.allocate(cid, node.node_id, resource, ("w",), "app")
                     live.append(cid)
@@ -377,7 +372,7 @@ class TestMetricMemoisation:
 
     def test_direct_node_mutation_invalidates(self, state):
         """Flipping a node's availability directly (not through the state
-        API) must still invalidate cached metrics, via the node hooks."""
+        API) must still invalidate cached metrics, via the node's hook."""
         before = state.total_free()
         node = state.topology.node("n00000")
         node.available = False
@@ -387,3 +382,39 @@ class TestMetricMemoisation:
         node.available = True
         assert state.total_free() == before
         assert state.down_node_ids() == []
+
+
+class TestSharedTopology:
+    """Two states over one topology share only what describes the machines:
+    their containers and free resources are their own, a node's
+    availability is everyone's."""
+
+    def test_states_over_one_topology_are_independent(self):
+        topology = build_cluster(4, racks=2)
+        a, b = ClusterState(topology), ClusterState(topology)
+        demand = Resource(16 * 1024, 8)
+        before = (b.total_free(), b.candidate_index().fit_node_ids(demand))
+        a.allocate("c1", "n00000", Resource(4096, 1), ("w",), "app")
+        assert b.containers == {}
+        assert (b.total_free(), b.candidate_index().fit_node_ids(demand)) == before
+        assert b.free_resources("n00000") == topology.node("n00000").capacity
+        assert b.candidate_index().nodes_with_tag("w") == set()
+        # b places its own c1 on the same node; a is untouched by it.
+        b.allocate("c1", "n00000", Resource(4096, 1), ("w",), "app")
+        assert a.free_resources("n00000") == Resource(12 * 1024, 7)
+        assert b.free_resources("n00000") == Resource(12 * 1024, 7)
+        b.release("c1")
+        assert set(a.containers) == {"c1"} and b.containers == {}
+
+    def test_availability_flip_reaches_every_state(self):
+        topology = build_cluster(4, racks=2)
+        a, b = ClusterState(topology), ClusterState(topology)
+        demand = Resource(1024, 1)
+        topology.node("n00001").available = False
+        for state in (a, b):
+            assert state.down_node_ids() == ["n00001"]
+            assert state.arrays.fit_mask(demand).tolist() == [True, False, True, True]
+        topology.node("n00001").available = True
+        for state in (a, b):
+            assert state.down_node_ids() == []
+            assert state.arrays.fit_mask(demand).all()

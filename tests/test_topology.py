@@ -4,80 +4,88 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Node, NodeGroup, Resource, build_cluster
-from repro.cluster.node import Allocation
+from repro import ClusterState, Node, NodeGroup, Resource, build_cluster
 from repro.cluster.topology import ClusterTopology
 
 
-def alloc(cid="c1", mem=1024, cores=1, tags=("w",), app="a1"):
-    return Allocation(cid, Resource(mem, cores), frozenset(tags), app)
+def one_node_state(capacity=Resource(4096, 4), **node_kwargs) -> ClusterState:
+    return ClusterState(ClusterTopology([Node("n1", capacity, **node_kwargs)]))
+
+
+def alloc(state, cid="c1", mem=1024, cores=1, tags=("w",), app="a1"):
+    return state.allocate(cid, "n1", Resource(mem, cores), tags, app)
 
 
 class TestNode:
+    """A node's ledger, read and written through :class:`ClusterState`."""
+
     def test_initial_state(self):
-        node = Node("n1", Resource(4096, 4))
-        assert node.free == Resource(4096, 4)
-        assert node.used == Resource(0, 0)
-        assert node.available
-        assert node.container_count() == 0
+        state = one_node_state()
+        assert state.free_resources("n1") == Resource(4096, 4)
+        assert state.topology.node("n1").available
+        assert state.containers == {}
 
     def test_allocate_updates_free_and_tags(self):
-        node = Node("n1", Resource(4096, 4))
-        node.allocate(alloc())
-        assert node.free == Resource(3072, 3)
-        assert node.dynamic_tags().cardinality("w") == 1
+        state = one_node_state()
+        alloc(state)
+        assert state.free_resources("n1") == Resource(3072, 3)
+        assert state.candidate_index().tag_count("w", "n1") == 1
 
     def test_release_restores(self):
-        node = Node("n1", Resource(4096, 4))
-        node.allocate(alloc())
-        node.release("c1")
-        assert node.free == node.capacity
-        assert node.dynamic_tags().cardinality("w") == 0
+        state = one_node_state()
+        alloc(state)
+        state.release("c1")
+        assert state.free_resources("n1") == Resource(4096, 4)
+        assert state.candidate_index().tag_count("w", "n1") == 0
 
     def test_duplicate_container_rejected(self):
-        node = Node("n1", Resource(4096, 4))
-        node.allocate(alloc())
+        state = one_node_state()
+        alloc(state)
         with pytest.raises(ValueError):
-            node.allocate(alloc())
+            alloc(state)
+        assert state.free_resources("n1") == Resource(3072, 3)
 
     def test_overallocation_rejected(self):
-        node = Node("n1", Resource(1024, 1))
+        state = one_node_state(Resource(1024, 1))
         with pytest.raises(ValueError):
-            node.allocate(alloc(mem=2048))
+            alloc(state, mem=2048)
+        assert state.containers == {}
+        assert state.free_resources("n1") == Resource(1024, 1)
 
     def test_release_unknown_rejected(self):
         with pytest.raises(KeyError):
-            Node("n1", Resource(1, 1)).release("ghost")
+            one_node_state(Resource(1, 1)).release("ghost")
 
     def test_can_fit_respects_availability(self):
-        node = Node("n1", Resource(4096, 4))
-        assert node.can_fit(Resource(1024, 1))
-        node.available = False
-        assert not node.can_fit(Resource(1024, 1))
+        state = one_node_state()
+        assert state.can_fit("n1", Resource(1024, 1))
+        state.topology.node("n1").available = False
+        assert not state.can_fit("n1", Resource(1024, 1))
 
     def test_static_tags_in_multiset_once(self):
-        node = Node("n1", Resource(4096, 4), static_tags=["gpu"])
-        node.allocate(alloc())
-        ms = node.tag_multiset()
-        assert ms.cardinality("gpu") == 1
-        assert ms.cardinality("w") == 1
+        state = one_node_state(static_tags=["gpu"])
+        alloc(state)
+        index = state.candidate_index()
+        assert index.nodes_with_tag("gpu") == {"n1"}
+        assert index.nodes_with_tag("w") == {"n1"}
         # static tags are not dynamic
-        assert node.dynamic_tags().cardinality("gpu") == 0
+        assert index.nodes_with_tag("gpu", dynamic_only=True) == set()
+        assert index.tag_count("gpu", "n1") == 0
 
     def test_memory_utilization(self):
-        node = Node("n1", Resource(4096, 4))
-        node.allocate(alloc(mem=1024))
-        assert node.memory_utilization() == pytest.approx(0.25)
+        state = one_node_state()
+        alloc(state, mem=1024)
+        assert state.cluster_memory_utilization() == pytest.approx(0.25)
 
     def test_fragmentation_definition(self):
         """§7.4: fragmented = less free than threshold AND not fully used."""
         threshold = Resource(2048, 1)
-        node = Node("n1", Resource(4096, 2))
-        assert not node.is_fragmented(threshold)  # plenty free
-        node.allocate(alloc(cid="a", mem=3072, cores=1))
-        assert node.is_fragmented(threshold)  # 1 GB free < 2 GB
-        node.allocate(alloc(cid="b", mem=1024, cores=1))
-        assert not node.is_fragmented(threshold)  # fully used
+        state = one_node_state(Resource(4096, 2))
+        assert state.fragmented_node_fraction(threshold) == 0.0  # plenty free
+        alloc(state, cid="a", mem=3072, cores=1)
+        assert state.fragmented_node_fraction(threshold) == 1.0  # 1 GB < 2 GB
+        alloc(state, cid="b", mem=1024, cores=1)
+        assert state.fragmented_node_fraction(threshold) == 0.0  # fully used
 
 
 class TestNodeGroup:

@@ -1,9 +1,10 @@
 """Tests for the online invariant watchdog (``repro.obs.watchdog``).
 
-The interesting cases corrupt the authoritative cluster state mid-run —
-leak a container onto a node behind the state map's back, double-free one
-out of the map — and assert the watchdog fires at the corrupting tick
-with a deterministic, actionable diagnosis.
+The interesting cases corrupt the cluster state's ledger mid-run — record
+a container in the map without charging the node's free columns, drop one
+from the map without refunding them, shave a node's free memory — and
+assert the watchdog fires at the corrupting tick with a deterministic,
+actionable diagnosis.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 import pytest
 
 from repro import SerialScheduler, build_cluster
-from repro.cluster.node import Allocation
 from repro.cluster.resources import Resource
+from repro.cluster.state import Allocation, PlacedContainer
 from repro.obs.events import EventKind
 from repro.obs.metrics import Metrics, set_metrics
 from repro.obs.trace import MemorySink, Tracer
@@ -38,13 +39,16 @@ def _make_sim(watchdog, horizon=20.0):
 
 
 def _leak_container(sim, node_index=0, container_id="leak-1"):
-    """Allocate directly on a node, bypassing the cluster state map."""
-    node = sim.state.topology.node(sim.state.topology.node_ids()[node_index])
-    node.allocate(
+    """Record a container in the state's map behind the ledger's back: the
+    node's free columns are not charged for it."""
+    state = sim.state
+    node_id = state.topology.node_ids()[node_index]
+    state._containers[container_id] = PlacedContainer(
+        container_id, node_id,
         Allocation(container_id, Resource(memory_mb=256, vcores=1),
-                   frozenset(), "ghost")
+                   frozenset(), "ghost"),
     )
-    return node.node_id
+    return node_id
 
 
 class TestCleanRuns:
@@ -58,14 +62,13 @@ class TestCleanRuns:
     def test_checks_catalogue(self):
         assert CHECKS == (
             "node_conservation",
-            "container_conservation",
             "violation_consistency",
             "fingerprint",
         )
 
 
 class TestContainerLeak:
-    def test_leak_trips_at_corrupting_tick_naming_node_and_container(
+    def test_map_leak_trips_node_conservation_at_corrupting_tick(
         self, isolate_obs
     ):
         watchdog = Watchdog(mode="warn")
@@ -75,18 +78,15 @@ class TestContainerLeak:
             7.0, lambda _e: leaked_node.setdefault("id", _leak_container(sim))
         )
         sim.run(20.0)
-        checks = {trip.check for trip in watchdog.trips}
-        assert "container_conservation" in checks
-        trip = next(
-            t for t in watchdog.trips if t.check == "container_conservation"
-        )
+        trip = next(t for t in watchdog.trips if t.check == "node_conservation")
         # Heartbeats run every 1.0s, so the first check after the t=7.0
         # corruption is the t=7.0 heartbeat itself (corrupting event was
         # scheduled first, same tick).
         assert trip.time == 7.0
-        assert trip.diagnosis["leaked"] == [["leak-1", leaked_node["id"]]]
-        # The independently recomputed fingerprint diverges too.
-        assert "fingerprint" in checks
+        assert trip.diagnosis["node_id"] == leaked_node["id"]
+        assert trip.diagnosis["expected_free_memory_mb"] == (
+            trip.diagnosis["free_memory_mb"] - 256
+        )
 
     def test_consecutive_identical_diagnosis_reported_once(self, isolate_obs):
         watchdog = Watchdog(mode="warn")
@@ -94,7 +94,7 @@ class TestContainerLeak:
         sim.engine.schedule_at(7.0, lambda _e: _leak_container(sim))
         sim.run(20.0)
         conservation_trips = [
-            t for t in watchdog.trips if t.check == "container_conservation"
+            t for t in watchdog.trips if t.check == "node_conservation"
         ]
         # ~13 more heartbeats see the same leak; only the first is recorded.
         assert len(conservation_trips) == 1
@@ -104,26 +104,23 @@ class TestDoubleFree:
     def test_missing_container_diagnosed(self, isolate_obs):
         watchdog = Watchdog(mode="warn")
         sim = _make_sim(watchdog)
+        dropped = {}
 
         def double_free(_engine):
-            # Remove a placed container from its node but leave the state
-            # map entry: the node side forgot an allocation the cluster
-            # still believes in.
-            container_id, placed = next(iter(sim.state.containers.items()))
-            node = sim.state.topology.node(placed.node_id)
-            node.release(container_id)
+            # Drop a placed container from the map without refunding its
+            # node: the free columns still pay for a container the map lost.
+            container_id = next(iter(sim.state.containers))
+            dropped["placed"] = sim.state._containers.pop(container_id)
 
         sim.engine.schedule_at(8.0, double_free)
         sim.run(20.0)
-        trip = next(
-            t for t in watchdog.trips if t.check == "container_conservation"
-        )
+        trip = next(t for t in watchdog.trips if t.check == "node_conservation")
+        placed = dropped["placed"]
         assert trip.time == 8.0
-        assert len(trip.diagnosis["missing"]) == 1
-        # node-side release also breaks per-node resource accounting? No —
-        # release restores free correctly; only the cross-map check fires.
-        assert trip.diagnosis["state_containers"] == (
-            trip.diagnosis["node_containers"] + 1
+        assert trip.diagnosis["node_id"] == placed.node_id
+        assert trip.diagnosis["free_memory_mb"] == (
+            trip.diagnosis["expected_free_memory_mb"]
+            - placed.allocation.resource.memory_mb
         )
 
 
@@ -148,8 +145,8 @@ class TestTripEvent:
         second = run_once()
         assert first, "expected watchdog.trip events"
         payload = json.loads(first[0])["data"]
-        assert payload["check"] == "container_conservation"
-        assert payload["leaked"][0][0] == "leak-1"
+        assert payload["check"] == "node_conservation"
+        assert payload["node_id"] == "n00000"
         assert first == second
 
     def test_trips_counted_in_metrics(self, isolate_obs):
@@ -160,7 +157,7 @@ class TestTripEvent:
         sim.engine.schedule_at(7.0, lambda _e: _leak_container(sim))
         sim.run(20.0)
         counts = metrics.snapshot()["counters"]["watchdog_trips_total"]
-        assert counts["check=container_conservation"] >= 1
+        assert counts["check=node_conservation"] >= 1
 
 
 class TestAbortMode:
@@ -171,7 +168,7 @@ class TestAbortMode:
         with pytest.raises(WatchdogError) as excinfo:
             sim.run(20.0)
         assert excinfo.value.trip.time == 7.0
-        assert "leak-1" in str(excinfo.value)
+        assert "node_id=n00000" in str(excinfo.value)
 
     @pytest.mark.parametrize("mode, exit_code", [("abort", 1), ("warn", 0)])
     def test_cli_trip_reaches_stderr(self, tmp_path, mode, exit_code):
@@ -189,12 +186,8 @@ original_init = cluster_sim.ClusterSimulation.__init__
 
 def corrupting_init(self, *args, **kwargs):
     original_init(self, *args, **kwargs)
-    from repro.cluster.node import Allocation
-    from repro.cluster.resources import Resource
     def corrupt(_engine):
-        node = self.state.topology.node(self.state.topology.node_ids()[0])
-        node.allocate(Allocation("leak-1", Resource(memory_mb=256, vcores=1),
-                                 frozenset(), "ghost"))
+        self.state.arrays.free_mem[0] -= 256
     self.engine.schedule_at(5.0, corrupt)
 
 cluster_sim.ClusterSimulation.__init__ = corrupting_init
@@ -208,7 +201,7 @@ sys.exit(main(["simulate", "--nodes", "8", "--horizon", "15",
         )
         assert result.returncode == exit_code
         assert "watchdog tripped" in result.stderr
-        assert "leak-1" in result.stderr
+        assert "node_conservation" in result.stderr
 
     def test_warn_mode_keeps_running(self, isolate_obs):
         watchdog = Watchdog(mode="warn")
@@ -225,10 +218,7 @@ class TestNodeConservation:
         sim = _make_sim(watchdog)
 
         def tamper(_engine):
-            node = sim.state.topology.node(sim.state.topology.node_ids()[1])
-            node._free = Resource(
-                memory_mb=node._free.memory_mb - 512, vcores=node._free.vcores
-            )
+            sim.state.arrays.free_mem[1] -= 512
 
         sim.engine.schedule_at(6.0, tamper)
         sim.run(20.0)
