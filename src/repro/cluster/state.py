@@ -41,6 +41,13 @@ delta against scalar oracles that recount from the container map
 (``tests/helpers.py``) and a golden fixture frozen from the retired
 dict-of-``Node`` backend.
 
+Scalar reads and writes of one node's row (the free columns, the
+availability mask, a γ column's slots) go through ``memoryview``s of the
+same int64 / bool buffers: still one record, with Python ints in and out
+instead of numpy scalars.  :class:`Allocation`, built once per container,
+is a ``NamedTuple`` — immutable, value-equal, hashable, and cheap to build;
+it equals any tuple of the same values, so compare it by fields.
+
 Derived metrics are memoised on a state *version counter* that every
 allocate / release / availability flip bumps, so repeated reads within one
 tick (timeline sink, watchdog, state-hash event) cost one computation.
@@ -50,8 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as _np
 
@@ -81,6 +87,7 @@ class StateArrays:
     __slots__ = (
         "index_of", "node_ids", "cap_mem", "cap_vc", "free_mem", "free_vc",
         "avail", "rack_names", "rack_codes", "rack_cap_mem", "total_cap_mem",
+        "total_cap_vc",
     )
 
     def __init__(self, topology: ClusterTopology) -> None:
@@ -113,6 +120,7 @@ class StateArrays:
             minlength=len(self.rack_names),
         )
         self.total_cap_mem = int(self.cap_mem.sum())
+        self.total_cap_vc = int(self.cap_vc.sum())
 
     def fit_mask(
         self, demand: Resource, nodes: _np.ndarray | slice = slice(None)
@@ -290,9 +298,11 @@ def _validate_tags(tags: frozenset[str]) -> None:
         _valid_tags.update(tags)
 
 
-@dataclass(frozen=True, slots=True)
-class Allocation:
-    """A container currently occupying resources on a node."""
+class Allocation(NamedTuple):
+    """A container currently occupying resources on a node.
+
+    A named tuple, not a frozen dataclass: one is built per container
+    lifecycle.  It compares equal to any tuple of the same values."""
 
     container_id: str
     resource: Resource
@@ -325,7 +335,8 @@ class ClusterState:
         self._gamma: dict[str, _GroupGamma] = {}
         self._gamma_version = -1
         self._live_tags: dict[str, int] = {}
-        self._columns: dict[str, _np.ndarray] = {}
+        #: tag -> its column, as a memoryview for the per-slot writes.
+        self._columns: dict[str, memoryview] = {}
         self._slots_of: list[tuple[int, ...]] = []
         self._width = 0
         #: (cmin, cmax) -> Eq.-8 table, grown by doubling (see _eq8).
@@ -336,6 +347,12 @@ class ClusterState:
         self._memo: dict = {}
         self._memo_version = -1
         self._arrays = StateArrays(topology)
+        # Scalar reads and writes of one node's row go through memoryviews
+        # of the arrays' own int64 / bool buffers: one record, and a Python
+        # int in and out instead of a numpy scalar.
+        self._free_mem = memoryview(self._arrays.free_mem)
+        self._free_vc = memoryview(self._arrays.free_vc)
+        self._avail = memoryview(self._arrays.avail)
         self._candidate_index: CandidateIndex | None = None
         for node in topology:
             node.add_listener(self._node_availability)
@@ -389,9 +406,8 @@ class ClusterState:
         keeps what it holds, and callers test availability themselves."""
         if container_id in self._containers:
             raise ValueError(f"container {container_id} already allocated")
-        arrays = self._arrays
-        i = arrays.index_of[node_id]
-        free_mem, free_vc = arrays.free_mem, arrays.free_vc
+        i = self._arrays.index_of[node_id]
+        free_mem, free_vc = self._free_mem, self._free_vc
         if resource.memory_mb > free_mem[i] or resource.vcores > free_vc[i]:
             raise ValueError(
                 f"container {container_id} ({resource}) does not fit "
@@ -415,11 +431,10 @@ class ClusterState:
             placed = self._containers[container_id]
         except KeyError:
             raise KeyError(f"container {container_id} is not allocated") from None
-        arrays = self._arrays
-        i = arrays.index_of[placed.node_id]
+        i = self._arrays.index_of[placed.node_id]
         resource = placed.allocation.resource
-        arrays.free_mem[i] += resource.memory_mb
-        arrays.free_vc[i] += resource.vcores
+        self._free_mem[i] += resource.memory_mb
+        self._free_vc[i] += resource.vcores
         self._version += 1
         # γ before the container map, as in allocate.
         self._update_group_tags(i, placed.allocation.tags, -1)
@@ -466,25 +481,27 @@ class ClusterState:
         return self._gamma
 
     def _update_group_tags(self, row: int, tags: frozenset[str], delta: int) -> None:
-        groups = self._gamma_groups()
+        if self.topology.groups_version != self._gamma_version:
+            self._gamma_groups()
         slots = self._slots_of[row]
         live = self._live_tags
         columns = self._columns
         for tag in tags:
-            column = columns.get(tag)
-            if column is None:
-                column = columns[tag] = _np.zeros(self._width, dtype=_np.int64)
-                for group in groups.values():
+            view = columns.get(tag)
+            if view is None:
+                column = _np.zeros(self._width, dtype=_np.int64)
+                view = columns[tag] = memoryview(column)
+                for group in self._gamma.values():
                     group.counts[tag] = column[group.offset:group.offset + group.no_set + 1]
             for slot in slots:
-                column[slot] += delta
+                view[slot] += delta
             carriers = live.get(tag, 0) + delta
             if carriers > 0:
                 live[tag] = carriers
             else:
                 # Last container with this tag left: its column is all zero.
                 del live[tag], columns[tag]
-                for group in groups.values():
+                for group in self._gamma.values():
                     del group.counts[tag]
 
     # -- queries -----------------------------------------------------------------
@@ -500,18 +517,24 @@ class ClusterState:
         return [c for c in self._containers.values() if c.allocation.app_id == app_id]
 
     def free_resources(self, node_id: str) -> Resource:
-        arrays = self._arrays
-        i = arrays.index_of[node_id]
-        return Resource(int(arrays.free_mem[i]), int(arrays.free_vc[i]))
+        i = self._arrays.index_of[node_id]
+        return Resource(self._free_mem[i], self._free_vc[i])
+
+    def free_vector(self, node_id: str) -> tuple[int, int] | None:
+        """``(memory_mb, vcores)`` free on ``node_id`` as plain ints, or
+        ``None`` while the node is down."""
+        i = self._arrays.index_of[node_id]
+        if not self._avail[i]:
+            return None
+        return self._free_mem[i], self._free_vc[i]
 
     def can_fit(self, node_id: str, demand: Resource) -> bool:
         """``node_id`` is available and has ``demand`` free."""
-        arrays = self._arrays
-        i = arrays.index_of[node_id]
+        i = self._arrays.index_of[node_id]
         return bool(
-            arrays.avail[i]
-            and demand.memory_mb <= arrays.free_mem[i]
-            and demand.vcores <= arrays.free_vc[i]
+            self._avail[i]
+            and demand.memory_mb <= self._free_mem[i]
+            and demand.vcores <= self._free_vc[i]
         )
 
     def total_free(self) -> Resource:

@@ -14,8 +14,8 @@ attached automatically (paper §4.2 footnote 5).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 from ..cluster.resources import Resource
 from .constraints import CompoundConstraint, PlacementConstraint
@@ -112,13 +112,17 @@ class LRARequest:
         )
 
 
-@dataclass(frozen=True)
-class TaskRequest:
+class TaskRequest(NamedTuple):
     """A short-running (task-based) container request.
 
     ``locality`` optionally lists preferred nodes/racks in YARN's
     node→rack→any relaxation order; no placement constraints are allowed —
     requests with constraints must go through the LRA API (§3).
+
+    An immutable, value-equal, hashable record: one is built per task
+    lifecycle, and a named tuple costs a fraction of a frozen dataclass
+    to build.  Being a tuple, it compares equal to any tuple of the same
+    values; compare records by their fields, not by their type.
     """
 
     task_id: str

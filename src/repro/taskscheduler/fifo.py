@@ -12,9 +12,9 @@ __all__ = ["FifoScheduler"]
 class FifoScheduler(TaskBasedScheduler):
     name = "fifo"
 
-    def _select_task(self, node_id: str) -> TaskRequest | None:
+    def _select_task(self, node_id: str, rack: str) -> TaskRequest | None:
         for queue in self.queues.nonempty_queues():
             task = queue.head()
-            if task is not None and queue.can_use(task.resource):
+            if queue.can_use(task.resource):
                 return task
         return None
