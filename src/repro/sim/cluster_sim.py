@@ -125,7 +125,14 @@ class _OnDemandSeries:
 
 
 class ClusterSimulation:
-    """One simulated cluster with a Medea scheduler on top."""
+    """One simulated cluster with a Medea scheduler on top.
+
+    The task-based scheduler defaults to a single-queue
+    :class:`CapacityScheduler` over a fresh :class:`ClusterState`.  A
+    ``task_scheduler`` built over ``topology`` (any policy, any queues)
+    brings its own state, and the simulation runs on that state; one built
+    over another topology is rejected.
+    """
 
     def __init__(
         self,
@@ -139,12 +146,12 @@ class ClusterSimulation:
         watchdog: Watchdog | None = None,
     ) -> None:
         self.config = config or SimConfig()
-        self.state = ClusterState(topology)
-        self.task_scheduler = task_scheduler or CapacityScheduler(
-            self.state, metrics=metrics
-        )
-        if self.task_scheduler.state is not self.state:
-            raise ValueError("task scheduler must be built on the simulation state")
+        if task_scheduler is None:
+            task_scheduler = CapacityScheduler(ClusterState(topology), metrics=metrics)
+        elif task_scheduler.state.topology is not topology:
+            raise ValueError("task scheduler must be built over the simulation topology")
+        self.task_scheduler = task_scheduler
+        self.state = task_scheduler.state
         self.medea = MedeaScheduler(
             self.state,
             lra_scheduler,
@@ -211,13 +218,17 @@ class ClusterSimulation:
                 time=engine.now,
                 data=self._state_hash_data(),
             )
+        # A completion is a handle-free ``(time, seq, _finish_task, task_id)``
+        # queue entry: nothing cancels it, so it needs no closure or handle.
+        durations = self._task_durations
+        call_at = engine.call_at
+        finish = self._finish_task
+        now = engine.now
         for allocation in allocations:
-            duration = self._task_durations.pop(allocation.task_id, None)
+            task_id = allocation.task_id
+            duration = durations.pop(task_id, None)
             if duration is not None:
-                engine.schedule_in(
-                    duration,
-                    lambda _e, tid=allocation.task_id: self._finish_task(tid),
-                )
+                call_at(now + duration, finish, task_id)
         # Online invariant checks ride the same heartbeat that drives the
         # task scheduler: corruption is caught at the tick it happens, not
         # in a post-mortem replay.
@@ -236,9 +247,7 @@ class ClusterSimulation:
             if duration is not None:
                 # Schedule teardown once per app (pop marks it scheduled).
                 self._lra_durations.pop(app_id)
-                engine.schedule_in(
-                    duration, lambda _e, a=app_id: self._finish_lra(a)
-                )
+                engine.call_at(engine.now + duration, self._finish_lra, app_id)
         for observer in self.cycle_observers:
             observer(self, result)
 
@@ -264,12 +273,13 @@ class ClusterSimulation:
     def _finish_task(self, task_id: str) -> None:
         # The task may already be gone if the run was torn down.
         if task_id in self.state.containers:
-            self.task_scheduler.release_task(task_id, now=self.engine.now)
+            now = self.engine.now
+            self.task_scheduler.release_task(task_id, now=now)
             tracer = get_tracer()
             if tracer.enabled and tracer.wants(EventKind.TASK_FINISH, task_id):
                 tracer.emit(
                     EventKind.TASK_FINISH,
-                    time=self.engine.now,
+                    time=now,
                     data={"task_id": task_id},
                 )
 

@@ -1,15 +1,30 @@
 """Discrete-event simulation engine.
 
-A minimal, deterministic event loop over a heap of ``(time, seq, event)``
-tuples (``seq`` is unique, so two events never compare); callbacks receive
-the engine so they can schedule follow-ups.  This is the substrate standing
-in for the paper's simulator, which "executes Medea with simulated machines,
-merely ignoring RPCs and task execution" (§7.1).
+A minimal, deterministic event loop over one heap of plain
+``(time, seq, fn, arg)`` entries: popping an entry sets the clock to
+``time`` and calls ``fn(arg)``.  ``seq`` comes from one counter, so it is
+unique and tuple comparison never reaches ``fn``: entries dispatch in
+``(time, seq)`` order — simulated time, then creation order.
+
+There are two ways in, over that one queue and counter:
+
+* :meth:`call_at` pushes ``(time, seq, fn, arg)`` and returns nothing.  It
+  is the path of events nothing cancels and that happen once per task: a
+  task completion is ``(t, seq, ClusterSimulation._finish_task, task_id)``,
+  with no closure and no handle object.
+* :meth:`schedule_at` / :meth:`schedule_in` wrap ``callback(engine)`` in a
+  cancellable handle and push ``(time, seq, _fire, handle)``.  Cancelling
+  leaves the entry in the heap; it is skipped when popped, before the clock
+  moves.  Periodic series are built on these.
+
+This is the substrate standing in for the paper's simulator, which
+"executes Medea with simulated machines, merely ignoring RPCs and task
+execution" (§7.1).
 
 Observability: while the installed :class:`~repro.obs.Tracer` is enabled,
 the engine emits one ``engine.dispatch`` event per callback invocation,
-carrying the simulated time, the dispatch sequence number, and the
-callback's qualified name — the uniform, replayable event feed
+carrying the simulated time, the entry's sequence number, the callback's
+qualified name and the queue depth — the uniform, replayable event feed
 trace-driven analyses consume.
 """
 
@@ -17,7 +32,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable
+import math
+from typing import Any, Callable
 
 from ..obs.events import EventKind
 from ..obs.spans import span
@@ -29,15 +45,23 @@ Callback = Callable[["SimulationEngine"], None]
 
 
 class _Event:
-    """A pending callback; cancelling it leaves it in the heap, unfired."""
+    """The cancellable handle :meth:`SimulationEngine.schedule_at` returns;
+    its queue entry is ``(time, seq, _fire, handle)``."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
+    __slots__ = ("engine", "callback", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callback) -> None:
-        self.time = time
-        self.seq = seq
+    def __init__(self, engine: "SimulationEngine", callback: Callback) -> None:
+        self.engine = engine
         self.callback = callback
         self.cancelled = False
+
+    def _fire(self) -> None:
+        self.callback(self.engine)
+
+
+#: The ``fn`` of every handle entry: the dispatch loop checks it by identity
+#: to skip cancelled handles, and the dispatch event to name the callback.
+_fire = _Event._fire
 
 
 class PeriodicHandle:
@@ -74,17 +98,28 @@ class SimulationEngine:
     """Deterministic single-threaded event loop with a simulated clock."""
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, _Event]] = []
+        self._queue: list[tuple[float, int, Callable, Any]] = []
         self._seq = itertools.count()
         self.now: float = 0.0
-        self._running = False
 
-    def schedule_at(self, time: float, callback: Callback) -> _Event:
-        """Schedule ``callback`` at absolute simulated time ``time``."""
+    def call_at(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Call ``fn(arg)`` at absolute simulated time ``time``.
+
+        The handle-free entry: nothing can cancel it, and ``fn`` receives
+        ``arg``, not the engine.  It shares :meth:`schedule_at`'s queue and
+        sequence counter, so it is ordered against every other event by
+        ``(time, creation order)``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        event = _Event(time, next(self._seq), callback)
-        heapq.heappush(self._queue, (time, event.seq, event))
+        heapq.heappush(self._queue, (time, next(self._seq), fn, arg))
+
+    def schedule_at(self, time: float, callback: Callback) -> _Event:
+        """Schedule ``callback(engine)`` at absolute simulated time ``time``;
+        returns a handle :meth:`cancel` accepts."""
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
+        event = _Event(self, callback)
+        heapq.heappush(self._queue, (time, next(self._seq), _fire, event))
         return event
 
     def schedule_in(self, delay: float, callback: Callback) -> _Event:
@@ -138,31 +173,24 @@ class SimulationEngine:
             event.cancelled = True
 
     def pending(self) -> int:
-        return sum(1 for _, _, e in self._queue if not e.cancelled)
+        return sum(
+            1 for _, _, fn, arg in self._queue if fn is not _fire or not arg.cancelled
+        )
 
-    def _dispatch(self, event: _Event, traced: bool | None = None) -> None:
-        self.now = event.time
-        # ``traced`` is the run-level latch (see ``Tracer.kind_enabled``):
-        # the dispatch stream is the densest in the system, so a rate-0
-        # sampling policy must cost one bool check here, not a call.
-        if traced is None:
-            traced = get_tracer().kind_enabled(EventKind.ENGINE_DISPATCH)
-        if traced:
-            get_tracer().emit(
-                EventKind.ENGINE_DISPATCH,
-                time=event.time,
-                data={
-                    "event_seq": event.seq,
-                    "callback": getattr(
-                        event.callback, "__qualname__", type(event.callback).__name__
-                    ),
-                    # O(1) depth of the event queue at dispatch (includes
-                    # cancelled-but-unpopped events); feeds the timeline's
-                    # engine backlog series.
-                    "queued": len(self._queue),
-                },
-            )
-        event.callback(self)
+    def _emit_dispatch(self, time: float, seq: int, fn: Callable, arg: Any) -> None:
+        callback = arg.callback if fn is _fire else fn
+        get_tracer().emit(
+            EventKind.ENGINE_DISPATCH,
+            time=time,
+            data={
+                "event_seq": seq,
+                "callback": getattr(callback, "__qualname__", type(callback).__name__),
+                # O(1) depth of the event queue at dispatch (includes
+                # cancelled-but-unpopped events); feeds the timeline's
+                # engine backlog series.
+                "queued": len(self._queue),
+            },
+        )
 
     def run(self, until: float | None = None) -> float:
         """Drain events (optionally up to simulated time ``until``); returns
@@ -176,29 +204,36 @@ class SimulationEngine:
             return self._run(until)
 
     def _run(self, until: float | None) -> float:
-        self._running = True
+        # ``traced`` is the run-level latch (see ``Tracer.kind_enabled``):
+        # the dispatch stream is the densest in the system, so a rate-0
+        # sampling policy must cost one bool check here, not a call.
         traced = get_tracer().kind_enabled(EventKind.ENGINE_DISPATCH)
         queue = self._queue
-        try:
-            while queue:
-                if until is not None and queue[0][0] > until:
-                    break
-                event = heapq.heappop(queue)[2]
-                if event.cancelled:
-                    continue
-                self._dispatch(event, traced)
-            if until is not None and until > self.now:
-                self.now = until
-        finally:
-            self._running = False
+        pop = heapq.heappop
+        fire = _fire
+        limit = math.inf if until is None else until
+        while queue and queue[0][0] <= limit:
+            time, seq, fn, arg = pop(queue)
+            if fn is fire and arg.cancelled:
+                continue
+            self.now = time
+            if traced:
+                self._emit_dispatch(time, seq, fn, arg)
+            fn(arg)
+        if until is not None and until > self.now:
+            self.now = until
         return self.now
 
     def step(self) -> bool:
         """Process exactly one event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            time, seq, fn, arg = heapq.heappop(queue)
+            if fn is _fire and arg.cancelled:
                 continue
-            self._dispatch(event)
+            self.now = time
+            if get_tracer().kind_enabled(EventKind.ENGINE_DISPATCH):
+                self._emit_dispatch(time, seq, fn, arg)
+            fn(arg)
             return True
         return False

@@ -415,6 +415,10 @@ def _solve_bnb(
             0.0, (time.perf_counter() - t0) - (ctx.lp_time - lp_before)
         )
 
+    # The root goes on the heap and is solved a second time when popped.
+    # That solve decides placements and must stay: reusing ``root`` gives
+    # the same ``x``, but it leaves HiGHS in another warm-start state for
+    # the child solves that follow, and ``lra_ilp``'s placements moved.
     heap: list[tuple[float, int, _Node]] = []
     heapq.heappush(
         heap, (root.fun, next(counter), _Node(root.fun, root_lower, root_upper))

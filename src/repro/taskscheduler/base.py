@@ -18,7 +18,7 @@ from ..cluster.state import ClusterState
 from ..core.requests import TaskRequest
 from ..core.scheduler import ContainerPlacement
 from ..obs.events import EventKind
-from ..obs.metrics import Metrics, get_metrics
+from ..obs.metrics import Counter, Metrics, get_metrics
 from ..obs.trace import get_tracer
 from .queues import QueueConfig, QueueSystem
 
@@ -85,6 +85,12 @@ class TaskBasedScheduler(abc.ABC):
         self._pending_locality = 0
         #: Explicit metrics registry; ``None`` falls back to the ambient one.
         self._metrics = metrics
+        #: ``task_released_total`` and the registry it was resolved from:
+        #: resolved on the first release (a scheduler that never releases
+        #: adds no family to the snapshot) and again only if the ambient
+        #: registry is swapped.
+        self._released: Counter | None = None
+        self._released_in: Metrics | None = None
 
     @property
     def metrics(self) -> Metrics:
@@ -210,7 +216,11 @@ class TaskBasedScheduler(abc.ABC):
         queue_name = self._task_queue.pop(task_id, None)
         if queue_name is not None:
             self.queues.refund(queue_name, placed.allocation.resource)
-        self.metrics.counter("task_released_total").inc()
+        metrics = self.metrics
+        if metrics is not self._released_in:
+            self._released = metrics.counter("task_released_total")
+            self._released_in = metrics
+        self._released.inc()
         tracer = get_tracer()
         if tracer.enabled and tracer.wants(EventKind.TASK_RELEASE, task_id):
             tracer.emit(

@@ -184,6 +184,62 @@ class TestClusterSimulation:
         with pytest.raises(ValueError):
             ClusterSimulation(topo, SerialScheduler(), task_scheduler=foreign)
 
+    @pytest.mark.parametrize("policy", ["capacity", "fair", "fifo"])
+    def test_given_task_scheduler_runs_until_the_queues_drain(self, policy):
+        """A task scheduler of any policy, built over the simulation's
+        topology, is the simulation's allocator: over-subscribed queues
+        drain, every completion releases its task, and the ledger recounts
+        clean (with an LRA torn down on the same completion path)."""
+        from repro import CapacityScheduler, ClusterState, FairScheduler, FifoScheduler
+        from repro.obs.metrics import Metrics
+        from repro.taskscheduler import QueueConfig
+        from tests.helpers import recount_free
+
+        topo = build_cluster(6, racks=2, memory_mb=8 * 1024, vcores=8)
+        state = ClusterState(topo)
+        metrics = Metrics()
+        queues = (
+            QueueConfig("q0", 0.5), QueueConfig("q1", 0.3, 0.6), QueueConfig("q2", 0.2),
+        )
+        task_scheduler = {
+            "capacity": lambda: CapacityScheduler(state, queues, metrics=metrics),
+            "fair": lambda: FairScheduler(state, queues, metrics=metrics),
+            "fifo": lambda: FifoScheduler(state, metrics=metrics),
+        }[policy]()
+        sim = ClusterSimulation(
+            topo,
+            SerialScheduler(),
+            task_scheduler=task_scheduler,
+            config=SimConfig(scheduling_interval_s=5.0, horizon_s=200.0),
+        )
+        assert sim.state is state and sim.medea.state is state
+        names = list(task_scheduler.queues.queues)
+        tasks = 150
+        for i in range(tasks):
+            sim.submit_task(
+                TaskRequest(
+                    f"t{i:03d}", f"app-{i % 4}",
+                    Resource(1024 * (1 + i % 3), 1 + i % 2),
+                    duration_s=1.0 + i % 5,
+                    queue=names[i % len(names)],
+                ),
+                at=float(i // 10),
+            )
+        sim.submit_lra(make_lra("lra", containers=2), at=1.0, duration_s=20.0)
+        sim.run(15.0)
+        # The offered load outruns the cluster: tasks wait in the queues.
+        assert max(sim.task_latencies()) >= 1.0
+        sim.run(200.0)
+        assert task_scheduler.pending_tasks() == 0
+        assert task_scheduler.completed_count == tasks
+        assert metrics.counter("task_released_total").value() == tasks
+        assert sim.lra_latencies() and not state.containers
+        assert all(q.used_mb == 0 for q in task_scheduler.queues.queues.values())
+        free = recount_free(state)
+        for node in topo:
+            assert state.free_resources(node.node_id) == free[node.node_id]
+            assert free[node.node_id] == node.capacity
+
     def test_stop_periodic_activity(self):
         sim = self.make_sim()
         sim.submit_lra(make_lra("a", containers=2), at=1.0)

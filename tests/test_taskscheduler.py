@@ -103,6 +103,23 @@ class TestHeartbeatAllocation:
         assert "t1" not in state.containers
         assert sched.queues.queue("default").used_mb == 0
 
+    def test_released_counter_follows_the_ambient_registry(self, isolate_obs):
+        from repro.obs.metrics import Metrics, get_metrics, set_metrics
+
+        _, state = build()
+        sched = FifoScheduler(state)
+        first = get_metrics()
+        for tid in ("t1", "t2"):
+            sched.submit(task(tid), now=0.0)
+        sched.handle_heartbeat("n00000", now=1.0)
+        assert "task_released_total" not in first.snapshot()["counters"]
+        sched.release_task("t1", now=2.0)
+        second = Metrics()
+        set_metrics(second)
+        sched.release_task("t2", now=3.0)
+        assert first.counter("task_released_total").value() == 1
+        assert second.counter("task_released_total").value() == 1
+
     def test_unavailable_node_gets_nothing(self):
         topo, state = build()
         topo.node("n00000").available = False
