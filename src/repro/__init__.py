@@ -11,10 +11,15 @@ re-exports the pieces a downstream user needs to build and place LRAs::
     )
 
 See README.md for a quickstart and DESIGN.md for the system inventory.
+The ILP names are lazy exports (see :mod:`repro.core`): SciPy loads on
+their first use, not on ``import repro``.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from . import core
 from .cluster import (
     Allocation,
     ClusterState,
@@ -33,8 +38,6 @@ from .core import (
     ConstraintUnawareScheduler,
     ContainerPlacement,
     ContainerRequest,
-    IlpScheduler,
-    IlpWeights,
     JKubePlusPlusScheduler,
     JKubeScheduler,
     LRARequest,
@@ -72,6 +75,9 @@ from .obs.violations import evaluate_violations
 from .taskscheduler import CapacityScheduler, FairScheduler, FifoScheduler
 from .version import get_version
 
+if TYPE_CHECKING:
+    from .core import GroundedViolation, IlpFormulation, IlpScheduler, IlpWeights
+
 __version__ = get_version()
 
 __all__ = [
@@ -106,6 +112,8 @@ __all__ = [
     "ConstraintManager",
     "ConstraintUnawareScheduler",
     "ContainerPlacement",
+    "GroundedViolation",
+    "IlpFormulation",
     "IlpScheduler",
     "IlpWeights",
     "JKubePlusPlusScheduler",
@@ -134,3 +142,13 @@ __all__ = [
     "TraceEvent",
     "Tracer",
 ]
+
+
+def __getattr__(name: str):
+    if name not in core.LAZY_ILP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(core, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(core.LAZY_ILP_NAMES))

@@ -504,7 +504,6 @@ def _make_sim_scheduler(name: str, nodes: int):
     flag existed still reproduce."""
     from . import (
         ConstraintUnawareScheduler,
-        IlpScheduler,
         JKubePlusPlusScheduler,
         JKubeScheduler,
         NodeCandidatesScheduler,
@@ -513,6 +512,8 @@ def _make_sim_scheduler(name: str, nodes: int):
     )
 
     if name == "ilp":
+        from .core.ilp_scheduler import IlpScheduler
+
         return IlpScheduler(max_candidate_nodes=min(nodes, 60),
                             time_limit_s=5.0, mip_rel_gap=0.02)
     if name == "nc":

@@ -1,6 +1,14 @@
-"""Medea's core contribution: constraints, constraint manager, schedulers."""
+"""Medea's core contribution: constraints, constraint manager, schedulers.
+
+The ILP names (:data:`LAZY_ILP_NAMES`) are lazy exports: ``repro.core.ilp``
+imports :mod:`repro.solver` and so SciPy, which the heuristic, task,
+simulator and serving paths never use, so they load on first access.
+"""
 
 from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
 
 from .capabilities import TABLE_1, SchedulerCapabilities, Support, render_table1
 from .constraint_manager import ConstraintManager, ConstraintValidationError
@@ -23,14 +31,24 @@ from .heuristics import (
     SerialScheduler,
     TagPopularityScheduler,
 )
-from .ilp import GroundedViolation, IlpFormulation, IlpWeights
-from .ilp_scheduler import IlpScheduler
 from .jkube import JKubePlusPlusScheduler, JKubeScheduler
 from .medea import LraOutcome, MedeaScheduler
 from .migration import Migration, MigrationPlan, MigrationPlanner
 from .requests import ContainerRequest, LRARequest, TaskRequest, next_app_id
 from .scheduler import ContainerPlacement, LRAScheduler, PlacementResult
 from ..tags import TagMultiset, app_id_tag
+
+if TYPE_CHECKING:
+    from .ilp import GroundedViolation, IlpFormulation, IlpWeights
+    from .ilp_scheduler import IlpScheduler
+
+#: Lazy export name -> the submodule that defines it.
+LAZY_ILP_NAMES = {
+    "GroundedViolation": ".ilp",
+    "IlpFormulation": ".ilp",
+    "IlpWeights": ".ilp",
+    "IlpScheduler": ".ilp_scheduler",
+}
 
 __all__ = [
     "NODE_SCOPE",
@@ -77,3 +95,16 @@ __all__ = [
     "TagMultiset",
     "app_id_tag",
 ]
+
+
+def __getattr__(name: str):
+    module = LAZY_ILP_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(LAZY_ILP_NAMES))
