@@ -51,6 +51,7 @@ paths are writable before any work starts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -92,14 +93,20 @@ _FLAG_RANGES = {
 
 def _out_of_range(args: argparse.Namespace) -> bool:
     """Print one ``<command>: --flag must be …`` line for the first size
-    flag of :data:`_FLAG_RANGES` outside its range."""
+    flag of :data:`_FLAG_RANGES` outside its range or not finite (an
+    ``inf`` horizon never ends, an ``inf`` rate cannot pace)."""
     for flag, rule in _FLAG_RANGES.get(args.command, ()):
         op, bound = rule.split()
         value = getattr(args, flag)
         if not (value > float(bound) if op == ">" else value >= float(bound)):
-            print(f"{args.command}: --{flag.replace('_', '-')} must be {rule}",
-                  file=sys.stderr)
-            return True
+            problem = rule
+        elif not math.isfinite(value):
+            problem = "finite"
+        else:
+            continue
+        print(f"{args.command}: --{flag.replace('_', '-')} must be {problem}",
+              file=sys.stderr)
+        return True
     return False
 
 

@@ -35,7 +35,7 @@ from ..obs.trace import get_tracer
 from ..obs.watchdog import Watchdog
 from ..taskscheduler.base import TaskBasedScheduler
 from ..taskscheduler.capacity import CapacityScheduler
-from .engine import SimulationEngine
+from .engine import PeriodicHandle, SimulationEngine
 
 __all__ = ["ClusterSimulation", "SimConfig"]
 
@@ -48,80 +48,6 @@ class SimConfig:
     heartbeat_interval_s: float = 1.0
     #: Hard stop for periodic activity; ``run()`` may stop earlier.
     horizon_s: float = 3600.0
-
-
-class _OnDemandSeries:
-    """A periodic series that skips the work of ticks with no demand.
-
-    Duck-types :class:`~repro.sim.engine.PeriodicHandle` (``cancel()``,
-    ``cancelled``, ``fired``, ``active``).  The series stays *scheduled*
-    exactly like an uninterrupted ``schedule_periodic`` series — every
-    grid tick ``k * interval`` dispatches, and tick ``k+1``'s event is
-    created during tick ``k``'s dispatch.  Keeping the event-creation
-    points identical is what makes skipping decision-equivalent to firing
-    every tick: at equal timestamps the heap breaks ties by creation
-    sequence, so a tick resumed any other way (e.g. scheduled lazily when
-    work arrives) can invert its order against same-time events such as
-    task completions, and placements diverge.
-
-    What *is* skipped is the callback: when ``demand()`` is false the tick
-    reduces to one heap operation and a counter check — no span, no state
-    fingerprint.  Those per-tick costs, not the heap, are what dominate
-    idle time at 10k nodes.  ``fired`` counts only the
-    ticks that ran the callback; ``ticks`` counts every grid point.
-    """
-
-    __slots__ = (
-        "_engine", "_interval", "_until", "_callback", "_demand",
-        "cancelled", "fired", "ticks", "_event",
-    )
-
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        interval: float,
-        callback: Callable[[SimulationEngine], None],
-        *,
-        demand: Callable[[], bool],
-        until: float | None = None,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self._engine = engine
-        self._interval = interval
-        self._until = until
-        self._callback = callback
-        self._demand = demand
-        self.cancelled = False
-        #: Ticks whose callback actually ran (PeriodicHandle protocol).
-        self.fired = 0
-        #: Grid ticks dispatched, including skipped ones.
-        self.ticks = 0
-        self._event = None
-        if until is None or interval <= until:
-            self._event = engine.schedule_at(interval, self._tick)
-
-    def _tick(self, engine: SimulationEngine) -> None:
-        self._event = None
-        if self.cancelled:
-            return
-        self.ticks += 1
-        if self._demand():
-            self.fired += 1
-            self._callback(engine)
-        next_time = (self.ticks + 1) * self._interval
-        if not self.cancelled and (self._until is None or next_time <= self._until):
-            self._event = engine.schedule_at(next_time, self._tick)
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self._event is not None:
-            self._event.cancelled = True
-            self._event = None
-
-    @property
-    def active(self) -> bool:
-        return not self.cancelled and self._event is not None
 
 
 class ClusterSimulation:
@@ -165,45 +91,35 @@ class ClusterSimulation:
         self._lra_durations: dict[str, float] = {}
         #: Observers called after every LRA scheduling cycle with (sim, result).
         self.cycle_observers: list[Callable] = []
-        #: Cancellable handles for the heartbeat and cycle series.
-        self.heartbeat_handle: _OnDemandSeries | None = None
-        self.cycle_handle: _OnDemandSeries | None = None
         #: Online invariant monitor; ``None`` (the default, unless the open
         #: observability session arms one) keeps the hot path check-free.
         self.watchdog = watchdog if watchdog is not None else default_watchdog()
-        self._install_periodic_activity()
-
-    # -- periodic machinery ------------------------------------------------------
-
-    def _install_periodic_activity(self) -> None:
         # Heartbeats are installed before cycles: when both series share a
         # timestamp the heap breaks the tie by creation sequence.
-        self.heartbeat_handle = _OnDemandSeries(
-            self.engine,
+        self.heartbeat_handle: PeriodicHandle = self.engine.schedule_periodic(
             self.config.heartbeat_interval_s,
             self._heartbeat_tick,
+            until=self.config.horizon_s,
             # An armed watchdog checks invariants every tick, so it counts
             # as demand: corruption on an idle tick is caught at that tick.
             demand=lambda: (
                 self.watchdog is not None
                 or self.task_scheduler.pending_tasks() > 0
             ),
-            until=self.config.horizon_s,
         )
-        self.cycle_handle = _OnDemandSeries(
-            self.engine,
+        self.cycle_handle: PeriodicHandle = self.engine.schedule_periodic(
             self.config.scheduling_interval_s,
             self._cycle_tick,
-            demand=lambda: self.medea.pending_lras() > 0,
             until=self.config.horizon_s,
+            demand=lambda: self.medea.pending_lras() > 0,
         )
+
+    # -- periodic machinery ------------------------------------------------------
 
     def stop_periodic_activity(self) -> None:
         """Cancel the heartbeat and scheduling-cycle series (teardown)."""
-        if self.heartbeat_handle is not None:
-            self.heartbeat_handle.cancel()
-        if self.cycle_handle is not None:
-            self.cycle_handle.cancel()
+        self.heartbeat_handle.cancel()
+        self.cycle_handle.cancel()
 
     def _heartbeat_tick(self, engine: SimulationEngine) -> None:
         with span("sim.heartbeat", time=engine.now):

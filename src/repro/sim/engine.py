@@ -6,16 +6,13 @@ A minimal, deterministic event loop over one heap of plain
 unique and tuple comparison never reaches ``fn``: entries dispatch in
 ``(time, seq)`` order — simulated time, then creation order.
 
-There are two ways in, over that one queue and counter:
-
-* :meth:`call_at` pushes ``(time, seq, fn, arg)`` and returns nothing.  It
-  is the path of events nothing cancels and that happen once per task: a
-  task completion is ``(t, seq, ClusterSimulation._finish_task, task_id)``,
-  with no closure and no handle object.
-* :meth:`schedule_at` / :meth:`schedule_in` wrap ``callback(engine)`` in a
-  cancellable handle and push ``(time, seq, _fire, handle)``.  Cancelling
-  leaves the entry in the heap; it is skipped when popped, before the clock
-  moves.  Periodic series are built on these.
+:meth:`~SimulationEngine.call_at` pushes one entry; nothing removes or
+skips an entry once pushed.  A task completion is
+``(t, seq, ClusterSimulation._finish_task, task_id)``, with no closure and
+no handle object.  :meth:`~SimulationEngine.schedule_at` is
+``call_at(time, callback, engine)``, and
+:meth:`~SimulationEngine.schedule_periodic` builds a series out of
+``schedule_at`` calls.
 
 This is the substrate standing in for the paper's simulator, which
 "executes Medea with simulated machines, merely ignoring RPCs and task
@@ -44,54 +41,74 @@ __all__ = ["SimulationEngine", "PeriodicHandle"]
 Callback = Callable[["SimulationEngine"], None]
 
 
-class _Event:
-    """The cancellable handle :meth:`SimulationEngine.schedule_at` returns;
-    its queue entry is ``(time, seq, _fire, handle)``."""
-
-    __slots__ = ("engine", "callback", "cancelled")
-
-    def __init__(self, engine: "SimulationEngine", callback: Callback) -> None:
-        self.engine = engine
-        self.callback = callback
-        self.cancelled = False
-
-    def _fire(self) -> None:
-        self.callback(self.engine)
-
-
-#: The ``fn`` of every handle entry: the dispatch loop checks it by identity
-#: to skip cancelled handles, and the dispatch event to name the callback.
-_fire = _Event._fire
-
-
 class PeriodicHandle:
-    """Cancellable handle for a :meth:`SimulationEngine.schedule_periodic`
-    series.
+    """One :meth:`SimulationEngine.schedule_periodic` series.
 
-    Unlike the one-shot ``schedule_at`` / ``schedule_in`` events, a periodic
-    callback reschedules itself, so cancelling any single underlying event
-    is not enough — this handle tracks the *current* pending event and stops
-    the series as a whole.  Accepted by :meth:`SimulationEngine.cancel`.
+    Tick ``k`` (``k = 1, 2, …``) is at ``origin + k * interval``, where
+    ``origin`` is the clock when the series was made: a pure function of
+    the tick count, so no float drift accumulates.  Every grid tick
+    dispatches, and tick ``k+1`` is scheduled during tick ``k``'s dispatch,
+    after the callback ran.  When ``demand()`` is false the callback is
+    skipped — the tick costs one heap operation and a counter — but the
+    tick is still scheduled exactly where an uninterrupted series would
+    schedule it.  That keeps its sequence number, and so its order against
+    same-time events such as task completions, independent of demand: a
+    series resumed lazily when work arrives could break a tie the other
+    way, and placements would diverge.
+
+    ``ticks`` counts every grid tick dispatched, ``fired`` the ticks whose
+    callback ran.  :meth:`cancel` ends the series: its pending tick still
+    dispatches, as a no-op, and schedules nothing.
     """
 
-    __slots__ = ("_event", "cancelled", "fired")
+    __slots__ = (
+        "_callback", "_demand", "_origin", "_interval", "_until", "_pending",
+        "cancelled", "fired", "ticks",
+    )
 
-    def __init__(self) -> None:
-        self._event: _Event | None = None
+    def __init__(
+        self,
+        engine: "SimulationEngine",
+        interval: float,
+        callback: Callback,
+        until: float | None,
+        demand: Callable[[], bool] | None,
+    ) -> None:
+        self._callback = callback
+        self._demand = demand
+        self._origin = engine.now
+        self._interval = interval
+        self._until = until
         self.cancelled = False
-        #: Number of times the periodic callback has run.
         self.fired = 0
+        self.ticks = 0
+        self._schedule_next(engine)
+
+    def _schedule_next(self, engine: "SimulationEngine") -> None:
+        next_time = self._origin + (self.ticks + 1) * self._interval
+        self._pending = self._until is None or next_time <= self._until
+        if self._pending:
+            engine.schedule_at(next_time, self._tick)
+
+    def _tick(self, engine: "SimulationEngine") -> None:
+        self._pending = False
+        if self.cancelled:
+            return
+        self.ticks += 1
+        if self._demand is None or self._demand():
+            self.fired += 1
+            self._callback(engine)
+        if not self.cancelled:
+            self._schedule_next(engine)
 
     def cancel(self) -> None:
-        """Stop the series: the pending tick (if any) will not fire and no
-        further ticks are scheduled."""
+        """End the series: no callback runs and no tick is scheduled after
+        this."""
         self.cancelled = True
-        if self._event is not None:
-            self._event.cancelled = True
 
     @property
     def active(self) -> bool:
-        return not self.cancelled and self._event is not None
+        return not self.cancelled and self._pending
 
 
 class SimulationEngine:
@@ -103,91 +120,48 @@ class SimulationEngine:
         self.now: float = 0.0
 
     def call_at(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
-        """Call ``fn(arg)`` at absolute simulated time ``time``.
-
-        The handle-free entry: nothing can cancel it, and ``fn`` receives
-        ``arg``, not the engine.  It shares :meth:`schedule_at`'s queue and
-        sequence counter, so it is ordered against every other event by
-        ``(time, creation order)``."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
+        """Call ``fn(arg)`` at absolute simulated time ``time``, ordered
+        against every other entry by ``(time, creation order)``."""
+        # Written so that NaN fails too: a NaN entry at the heap head would
+        # end ``run()`` silently (``nan <= limit`` is False).
+        if not time >= self.now:
+            raise ValueError(
+                f"cannot schedule at {time}: in the past or not a number "
+                f"(now {self.now})"
+            )
         heapq.heappush(self._queue, (time, next(self._seq), fn, arg))
 
-    def schedule_at(self, time: float, callback: Callback) -> _Event:
-        """Schedule ``callback(engine)`` at absolute simulated time ``time``;
-        returns a handle :meth:`cancel` accepts."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        event = _Event(self, callback)
-        heapq.heappush(self._queue, (time, next(self._seq), _fire, event))
-        return event
-
-    def schedule_in(self, delay: float, callback: Callback) -> _Event:
-        """Schedule ``callback`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        return self.schedule_at(self.now + delay, callback)
+    def schedule_at(self, time: float, callback: Callback) -> None:
+        """Call ``callback(engine)`` at absolute simulated time ``time``."""
+        self.call_at(time, callback, self)
 
     def schedule_periodic(
         self,
         interval: float,
         callback: Callback,
         *,
-        start: float | None = None,
         until: float | None = None,
+        demand: Callable[[], bool] | None = None,
     ) -> PeriodicHandle:
-        """Invoke ``callback`` every ``interval`` seconds until ``until``.
-
-        Returns a :class:`PeriodicHandle` so the series can be torn down
-        (e.g. stopping heartbeats when a simulation drains early) — like
-        ``schedule_at`` / ``schedule_in``, what was scheduled can be
-        cancelled, either via ``handle.cancel()`` or :meth:`cancel`.
-        """
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        first = self.now + interval if start is None else start
-        handle = PeriodicHandle()
-
-        def tick(engine: "SimulationEngine") -> None:
-            handle._event = None
-            if handle.cancelled:
-                return
-            handle.fired += 1
-            callback(engine)
-            # Multiplicative grid (first + k*interval), not an additive
-            # now+interval recurrence: tick times are a pure function of
-            # the fire count, so no float drift accumulates.
-            next_time = first + handle.fired * interval
-            if not handle.cancelled and (until is None or next_time <= until):
-                handle._event = engine.schedule_at(next_time, tick)
-
-        if until is None or first <= until:
-            handle._event = self.schedule_at(first, tick)
-        return handle
-
-    def cancel(self, event: _Event | PeriodicHandle) -> None:
-        """Cancel a pending one-shot event or a whole periodic series."""
-        if isinstance(event, PeriodicHandle):
-            event.cancel()
-        else:
-            event.cancelled = True
+        """Call ``callback(engine)`` every ``interval`` seconds from now,
+        up to ``until``, skipping the ticks at which ``demand()`` is false
+        (see :class:`PeriodicHandle`)."""
+        if not interval > 0:
+            raise ValueError(f"interval must be positive, not {interval}")
+        return PeriodicHandle(self, interval, callback, until, demand)
 
     def pending(self) -> int:
-        return sum(
-            1 for _, _, fn, arg in self._queue if fn is not _fire or not arg.cancelled
-        )
+        return len(self._queue)
 
-    def _emit_dispatch(self, time: float, seq: int, fn: Callable, arg: Any) -> None:
-        callback = arg.callback if fn is _fire else fn
+    def _emit_dispatch(self, time: float, seq: int, fn: Callable) -> None:
         get_tracer().emit(
             EventKind.ENGINE_DISPATCH,
             time=time,
             data={
                 "event_seq": seq,
-                "callback": getattr(callback, "__qualname__", type(callback).__name__),
-                # O(1) depth of the event queue at dispatch (includes
-                # cancelled-but-unpopped events); feeds the timeline's
-                # engine backlog series.
+                "callback": getattr(fn, "__qualname__", type(fn).__name__),
+                # O(1) depth of the event queue at dispatch; feeds the
+                # timeline's engine backlog series.
                 "queued": len(self._queue),
             },
         )
@@ -210,30 +184,13 @@ class SimulationEngine:
         traced = get_tracer().kind_enabled(EventKind.ENGINE_DISPATCH)
         queue = self._queue
         pop = heapq.heappop
-        fire = _fire
         limit = math.inf if until is None else until
         while queue and queue[0][0] <= limit:
             time, seq, fn, arg = pop(queue)
-            if fn is fire and arg.cancelled:
-                continue
             self.now = time
             if traced:
-                self._emit_dispatch(time, seq, fn, arg)
+                self._emit_dispatch(time, seq, fn)
             fn(arg)
         if until is not None and until > self.now:
             self.now = until
         return self.now
-
-    def step(self) -> bool:
-        """Process exactly one event; returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            time, seq, fn, arg = heapq.heappop(queue)
-            if fn is _fire and arg.cancelled:
-                continue
-            self.now = time
-            if get_tracer().kind_enabled(EventKind.ENGINE_DISPATCH):
-                self._emit_dispatch(time, seq, fn, arg)
-            fn(arg)
-            return True
-        return False

@@ -28,13 +28,20 @@ class TestParser:
     (["compare", "--racks", "0"], "compare: --racks must be >= 1"),
     (["compare", "--max-rs-per-node", "0"],
      "compare: --max-rs-per-node must be >= 1"),
+    (["simulate", "--horizon", "inf"], "simulate: --horizon must be finite"),
+    (["loadgen", "--rate", "inf"], "loadgen: --rate must be finite"),
 ], ids=["simulate-nodes", "simulate-horizon", "compare-nodes", "compare-racks",
-        "compare-max-rs-per-node"])
-def test_size_flag_out_of_range_is_usage_error(argv, line, tmp_path, capsys):
+        "compare-max-rs-per-node", "simulate-horizon-inf", "loadgen-rate-inf"])
+def test_size_flag_out_of_range_is_usage_error(
+    argv, line, tmp_path, capsys, monkeypatch
+):
     """A size the run cannot have is one usage line and exit 2 before
     anything runs — no traceback, no silently empty run, no trace file."""
     trace = tmp_path / "t.jsonl"
-    assert main([*argv, "--trace-out", str(trace)]) == EXIT_USAGE
+    # ``loadgen`` has no ``--trace-out``; it reads the variable.
+    monkeypatch.setenv("MEDEA_TRACE_OUT", str(trace))
+    flags = [] if argv[0] == "loadgen" else ["--trace-out", str(trace)]
+    assert main([*argv, *flags]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [line]
     assert captured.out == "" and not trace.exists()

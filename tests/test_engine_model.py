@@ -1,20 +1,21 @@
 """The simulation engine against a reference model.
 
 The reference keeps its pending entries in a plain list sorted by
-``(time, seq)``.  Hypothesis draws programs of ``schedule_at``,
-``schedule_in``, ``call_at``, ``schedule_periodic`` and ``cancel`` actions
-over a few colliding times; every scheduled callback carries actions of its
-own, so scheduling and cancelling also happen from inside callbacks.  The
+``(time, seq)``.  Hypothesis draws programs of ``schedule_at``, ``call_at``,
+``schedule_periodic`` (with and without ``demand``) and series ``cancel``
+actions over a few colliding times; every scheduled callback carries
+actions of its own, so scheduling and cancelling also happen from inside
+callbacks.  A ``demand`` is a cyclic pattern of answers, one per call.  The
 program runs in segments (``run(until)``, then more top-level actions), and
 the engine must make the model's dispatches exactly:
 
 * the same callbacks at the same clock, in ``(time, creation)`` order;
 * one ``engine.dispatch`` event per dispatch with the model's ``time``,
-  ``event_seq``, ``callback`` and ``queued`` — so a cancelled entry neither
-  moves the clock nor emits;
-* ``pending()`` equal to the model's count of live entries at every segment
-  boundary;
-* the same run driven by ``step()`` alone.
+  ``event_seq``, ``callback`` and ``queued`` — a cancelled series' pending
+  tick included, which dispatches as a no-op;
+* ``pending()`` equal to the model's entry count at every segment boundary;
+* per series, the model's ``ticks``, ``fired``, ``cancelled`` and ``active``
+  at every segment boundary.
 
 Every time is a multiple of 0.5, so all clock arithmetic is exact.
 """
@@ -31,6 +32,8 @@ from repro.obs.trace import MemorySink, Tracer, set_tracer
 from repro.sim import SimulationEngine
 
 DELTAS = st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.0))
+#: ``None`` (no ``demand``) or the cyclic answers of a series' ``demand()``.
+DEMANDS = st.none() | st.lists(st.booleans(), min_size=1, max_size=3).map(tuple)
 
 
 def _action(depth: int):
@@ -39,9 +42,10 @@ def _action(depth: int):
         else st.lists(_action(depth - 1), max_size=3).map(tuple)
     )
     return st.one_of(
-        st.tuples(st.sampled_from(("at", "in", "call")), DELTAS, kids),
+        st.tuples(st.sampled_from(("at", "call")), DELTAS, kids),
         st.tuples(
-            st.just("periodic"), st.sampled_from((0.5, 1.0)), st.integers(1, 3), kids
+            st.just("periodic"), st.sampled_from((0.5, 1.0)), st.integers(1, 4),
+            DEMANDS, kids,
         ),
         st.tuples(st.just("cancel"), st.integers(0, 63)),
     )
@@ -55,6 +59,18 @@ PROGRAMS = st.tuples(
         st.tuples(st.sampled_from((0.0, 0.5, 1.0, 1.5, 3.0)), ACTIONS), max_size=3
     ),
 )
+
+
+def _demand(answers):
+    """A ``demand()`` that returns ``answers`` cyclically, one per call."""
+    if answers is None:
+        return None
+    calls = itertools.count()
+    return lambda: answers[next(calls) % len(answers)]
+
+
+def _series_state(handles) -> list[tuple[int, int, bool, bool]]:
+    return [(h.ticks, h.fired, h.cancelled, h.active) for h in handles]
 
 
 class EngineSide:
@@ -72,7 +88,7 @@ class EngineSide:
         for action in actions:
             if action[0] == "cancel":
                 if self.handles:
-                    engine.cancel(self.handles[action[1] % len(self.handles)])
+                    self.handles[action[1] % len(self.handles)].cancel()
                 continue
             label = next(self.labels)
             kids = action[-1]
@@ -81,18 +97,17 @@ class EngineSide:
                 self.run_callback(label, kids)
 
             if action[0] == "periodic":
-                _, interval, count, _ = action
+                _, interval, count, answers, _ = action
                 self.handles.append(
                     engine.schedule_periodic(
-                        interval, fire, start=base + interval, until=base + interval * count
+                        interval, fire, until=base + interval * count,
+                        demand=_demand(answers),
                     )
                 )
             elif action[0] == "call":
                 engine.call_at(base + action[1], self.on_call, (label, kids))
-            elif action[0] == "at":
-                self.handles.append(engine.schedule_at(base + action[1], fire))
             else:
-                self.handles.append(engine.schedule_in(base - engine.now + action[1], fire))
+                engine.schedule_at(base + action[1], fire)
 
     def on_call(self, arg) -> None:
         self.run_callback(*arg)
@@ -102,44 +117,54 @@ class EngineSide:
         self.perform(kids, self.engine.now)
 
 
-HANDLE_NAME = "EngineSide.perform.<locals>.fire"
-TICK_NAME = "SimulationEngine.schedule_periodic.<locals>.tick"
+AT_NAME = "EngineSide.perform.<locals>.fire"
+TICK_NAME = "PeriodicHandle._tick"
 CALL_NAME = EngineSide.on_call.__qualname__
 
 
 class _Entry:
-    __slots__ = ("time", "seq", "name", "fire", "cancelled")
+    __slots__ = ("time", "seq", "name", "fire")
 
     def __init__(self, time, seq, name, fire) -> None:
         self.time, self.seq, self.name, self.fire = time, seq, name, fire
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class _Series:
-    """A periodic series: the next tick is created after the callback ran."""
+    """A periodic series on the grid ``origin + k * interval``: every grid
+    tick dispatches, the next one is created after the callback ran, and
+    ``demand()`` decides only whether the callback runs."""
 
-    def __init__(self, model, label, kids, first, interval, until) -> None:
+    def __init__(self, model, label, kids, interval, until, demand) -> None:
         self.model, self.label, self.kids = model, label, kids
-        self.first, self.interval, self.until = first, interval, until
+        self.origin, self.interval, self.until = model.now, interval, until
+        self.demand = demand
         self.cancelled = False
-        self.fired = 0
-        self.current = model.push(first, TICK_NAME, self.tick) if first <= until else None
+        self.ticks = self.fired = 0
+        self.schedule_next()
+
+    def schedule_next(self) -> None:
+        next_time = self.origin + (self.ticks + 1) * self.interval
+        self.pending = next_time <= self.until
+        if self.pending:
+            self.model.push(next_time, TICK_NAME, self.tick)
 
     def tick(self) -> None:
-        self.current = None
-        self.fired += 1
-        self.model.run_callback(self.label, self.kids)
-        next_time = self.first + self.fired * self.interval
-        if not self.cancelled and next_time <= self.until:
-            self.current = self.model.push(next_time, TICK_NAME, self.tick)
+        self.pending = False
+        if self.cancelled:
+            return
+        self.ticks += 1
+        if self.demand is None or self.demand():
+            self.fired += 1
+            self.model.run_callback(self.label, self.kids)
+        if not self.cancelled:
+            self.schedule_next()
 
     def cancel(self) -> None:
         self.cancelled = True
-        if self.current is not None:
-            self.current.cancel()
+
+    @property
+    def active(self) -> bool:
+        return not self.cancelled and self.pending
 
 
 class Model:
@@ -149,29 +174,25 @@ class Model:
         self.entries: list[_Entry] = []
         self.seq = 0
         self.now = 0.0
-        self.handles: list = []
+        self.handles: list[_Series] = []
         self.labels = itertools.count()
         self.log: list[tuple[float, int]] = []
         #: (time, seq, callback name, queue length after the pop)
         self.dispatched: list[tuple[float, int, str, int]] = []
 
-    def push(self, time: float, name: str, fire) -> _Entry:
+    def push(self, time: float, name: str, fire) -> None:
         assert time >= self.now
-        entry = _Entry(time, self.seq, name, fire)
+        self.entries.append(_Entry(time, self.seq, name, fire))
         self.seq += 1
-        self.entries.append(entry)
         self.entries.sort(key=lambda e: (e.time, e.seq))
-        return entry
 
     def pending(self) -> int:
-        return sum(1 for e in self.entries if not e.cancelled)
+        return len(self.entries)
 
     def run(self, until: float | None = None) -> None:
         limit = math.inf if until is None else until
         while self.entries and self.entries[0].time <= limit:
             entry = self.entries.pop(0)
-            if entry.cancelled:
-                continue
             self.now = entry.time
             self.dispatched.append((entry.time, entry.seq, entry.name, len(self.entries)))
             entry.fire()
@@ -179,6 +200,7 @@ class Model:
             self.now = until
 
     def perform(self, actions, base: float) -> None:
+        assert base == self.now
         for action in actions:
             if action[0] == "cancel":
                 if self.handles:
@@ -187,18 +209,17 @@ class Model:
             label = next(self.labels)
             kids = action[-1]
             if action[0] == "periodic":
-                _, interval, count, _ = action
+                _, interval, count, answers, _ = action
                 self.handles.append(
-                    _Series(self, label, kids, base + interval, interval, base + interval * count)
+                    _Series(self, label, kids, interval, base + interval * count,
+                            _demand(answers))
                 )
                 continue
-            entry = self.push(
+            self.push(
                 base + action[1],
-                CALL_NAME if action[0] == "call" else HANDLE_NAME,
+                CALL_NAME if action[0] == "call" else AT_NAME,
                 lambda label=label, kids=kids: self.run_callback(label, kids),
             )
-            if action[0] != "call":
-                self.handles.append(entry)
 
     def run_callback(self, label: int, kids) -> None:
         self.log.append((self.now, label))
@@ -212,16 +233,6 @@ def _dispatches(sink: MemorySink) -> list[tuple[float, int, str, int]]:
     ]
 
 
-def _traced(drive) -> tuple[EngineSide, list]:
-    sink = MemorySink()
-    previous = set_tracer(Tracer([sink]))
-    try:
-        side = drive()
-    finally:
-        set_tracer(previous)
-    return side, _dispatches(sink)
-
-
 @settings(max_examples=300, deadline=None)
 @given(program=PROGRAMS)
 def test_engine_dispatches_what_the_sorted_list_model_does(program) -> None:
@@ -229,57 +240,40 @@ def test_engine_dispatches_what_the_sorted_list_model_does(program) -> None:
 
     model = Model()
     model.perform(initial, 0.0)
-    boundaries = [(model.pending(), 0)]
+    boundaries = [(model.pending(), _series_state(model.handles))]
     until = 0.0
     for advance, actions in segments:
         until += advance
         model.run(until)
         assert model.now == until
-        boundaries.append((model.pending(), len(model.dispatched)))
+        boundaries.append((model.pending(), _series_state(model.handles)))
         model.perform(actions, until)
     model.run()
+    final = _series_state(model.handles)
 
-    def by_run() -> EngineSide:
-        side = EngineSide()
-        engine = side.engine
+    side = EngineSide()
+    engine = side.engine
+    sink = MemorySink()
+    previous = set_tracer(Tracer([sink]))
+    try:
         side.perform(initial, 0.0)
-        assert engine.pending() == boundaries[0][0]
+        assert (engine.pending(), _series_state(side.handles)) == boundaries[0]
         until = 0.0
-        for (advance, actions), (pending, _) in zip(segments, boundaries[1:]):
+        for (advance, actions), boundary in zip(segments, boundaries[1:]):
             until += advance
             assert engine.run(until) == until
-            assert engine.pending() == pending
+            assert (engine.pending(), _series_state(side.handles)) == boundary
             side.perform(actions, until)
         engine.run()
-        assert engine.now == model.now
-        assert engine.pending() == 0
-        return side
+    finally:
+        set_tracer(previous)
 
-    def by_step() -> EngineSide:
-        side = EngineSide()
-        engine = side.engine
-        side.perform(initial, 0.0)
-        until = 0.0
-        done = 0
-        for (advance, actions), (pending, dispatched) in zip(segments, boundaries[1:]):
-            until += advance
-            for _ in range(dispatched - done):
-                assert engine.step() is True
-            done = dispatched
-            assert engine.pending() == pending
-            side.perform(actions, until)
-        while engine.step():
-            pass
-        assert engine.pending() == 0
-        return side
-
-    run_side, run_dispatches = _traced(by_run)
-    step_side, step_dispatches = _traced(by_step)
-
-    assert run_side.log == model.log
-    assert run_dispatches == model.dispatched
-    assert step_side.log == run_side.log
-    assert step_dispatches == run_dispatches
+    assert engine.now == model.now
+    assert engine.pending() == 0
+    assert _series_state(side.handles) == final
+    assert side.log == model.log
+    dispatches = _dispatches(sink)
+    assert dispatches == model.dispatched
     # Creation order breaks every tie in simulated time.
-    keys = [(time, seq) for time, seq, _, _ in run_dispatches]
+    keys = [(time, seq) for time, seq, _, _ in dispatches]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
