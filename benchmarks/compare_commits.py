@@ -6,14 +6,18 @@ BASE is exported (``git archive``) into a temporary directory, then
 ``benchmarks/pipeline/run.py --trace 0`` runs base/change/change/base/… per
 workload, each side from its own checkout, so host drift hits both sides
 alike.  Per (workload, end-to-end metric) it prints both medians, both
-quartile spreads (q3 − q1), the ratio change/base, the pairs the change won
-(beat the base in the metric's direction; a tie counts for neither side) and
-a verdict: ``unresolved`` when the medians differ by no more than the wider
-spread (``benchmarks/pipeline/README.md``, "Observed run-to-run spread"),
-otherwise ``improved`` or ``worse`` by the metric's direction in
+quartile spreads (q3 − q1), the ratio change/base, the smallest change the
+runs resolve (``resolves``: ratios inside 1 ± the wider spread over the base
+median read ``unresolved``), the pairs ``improved`` needs (⌈0.9·n⌉ of n),
+the pairs the change won (beat the base in the metric's direction; a tie
+counts for neither side) and a verdict: ``unresolved`` when the medians
+differ by no more than the wider spread (``benchmarks/pipeline/README.md``,
+"Observed run-to-run spread"), otherwise ``improved`` or ``worse`` by the metric's direction in
 ``BENCHMARK.json`` — where ``improved`` also needs at least 9 of every 10
 pairs won, and reads ``unresolved`` without them.
-Exits 1 if a run fails its output checks or the two sides' output
+A metric whose ``resolves`` is wider than its ``bound`` is listed after the
+table: at that pair count the run cannot call a change inside the bound
+either way.  Exits 1 if a run fails its output checks or the two sides' output
 fingerprints differ, and 3 if a metric is ``worse`` by more than its
 ``bound`` in ``BENCHMARK.json`` (the rule of ``run.py --check-repeat``;
 ``unresolved`` never fails).  Reads the benchmark, never edits it.
@@ -81,24 +85,35 @@ def judge(spec: dict, values: dict, prints: dict) -> tuple[list[str], int]:
     ``prints[workload][side]`` the set of output fingerprints seen.
     """
     lines = [f"{'workload':14s} {'metric':17s} {'base':>10s} {'±iqr':>9s} "
-             f"{'change':>10s} {'±iqr':>9s} {'ratio':>8s} {'won':>6s}  verdict"]
-    mismatch, offenders = False, []
+             f"{'change':>10s} {'±iqr':>9s} {'ratio':>8s} {'resolves':>9s} "
+             f"{'needs':>5s} {'won':>6s}  verdict"]
+    mismatch, offenders, blind = False, [], []
     for workload, sides in values.items():
         for metric in spec["end_to_end"]:
             name = metric["name"]
+            n = len(sides["base"][name])
             row = verdict(sides["base"][name], sides["change"][name], metric["better"])
             ratio, word, won = row[4:]
-            pairs = f"{won}/{len(sides['base'][name])}"
+            # A ratio inside 1 ± resolve reads unresolved whatever the pairs
+            # say; improved also needs ceil(0.9 n) pairs won.
+            resolve = max(row[1], row[3]) / row[0] if row[0] else float("nan")
+            needs = -(-9 * n // 10)
             lines.append(f"{workload:14s} {name:17s} {row[0]:10.5g} {row[1]:9.3g} "
-                         f"{row[2]:10.5g} {row[3]:9.3g} {ratio:8.3f} {pairs:>6s}  {word}")
+                         f"{row[2]:10.5g} {row[3]:9.3g} {ratio:8.3f} {'1±' + format(resolve, '.3f'):>9s} "
+                         f"{needs:5d} {f'{won}/{n}':>6s}  {word}")
             if word == "worse" and abs(ratio - 1.0) > metric["bound"]:
                 offenders.append(f"{workload}.{name} (ratio {ratio:.3f}, bound ±{metric['bound']:g})")
+            if resolve > metric["bound"]:
+                blind.append(f"{workload}.{name} (1±{resolve:.3f}, bound ±{metric['bound']:g}, {n} pairs)")
         base, change = prints[workload]["base"], prints[workload]["change"]
         if base != change or len(base) != 1:
             mismatch = True
             lines.append(f"{workload}: FINGERPRINTS DIFFER base={sorted(base)} change={sorted(change)}")
         else:
             lines.append(f"{workload}: fingerprint {min(base)} on both sides")
+    if blind:
+        lines.append("CANNOT CALL A CHANGE INSIDE ITS BOUND (it reads unresolved, "
+                     "neither improved nor worse): " + ", ".join(blind))
     if offenders:
         lines.append("WORSE BEYOND BOUND: " + ", ".join(offenders))
     return lines, 1 if mismatch else 3 if offenders else 0

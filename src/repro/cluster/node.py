@@ -8,12 +8,13 @@ ledger (:class:`~repro.cluster.state.ClusterState`), not here.
 
 The one mutable fact is :attr:`Node.available`: a machine that is down is
 down for every state built over the topology, so a flip is pushed to each
-of them through :meth:`Node.add_listener`.
+of them through the topology's registry (see
+:meth:`~repro.cluster.topology.ClusterTopology.add_availability_listener`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Collection, Iterable
 
 from .resources import Resource
 
@@ -39,12 +40,10 @@ class Node:
         self.static_tags = frozenset(static_tags)
         #: False while the machine is down / being upgraded (failure replay).
         self._available = True
-        self._listeners: list[Callable[[Node, bool], None]] = []
-
-    def add_listener(self, callback: Callable[["Node", bool], None]) -> None:
-        """Call ``callback(node, up)`` on every availability flip."""
-        if callback not in self._listeners:
-            self._listeners.append(callback)
+        #: Objects told ``node_availability(node, up)`` on every flip: the
+        #: registry of the topology built over this node, which shares it
+        #: among all its nodes.
+        self._listeners: Collection = ()
 
     @property
     def available(self) -> bool:
@@ -56,8 +55,8 @@ class Node:
         if up == self._available:
             return
         self._available = up
-        for callback in self._listeners:
-            callback(self, up)
+        for listener in self._listeners:
+            listener.node_availability(self, up)
 
     def __repr__(self) -> str:
         return f"Node({self.node_id}, capacity={self.capacity}, rack={self.rack})"

@@ -34,8 +34,9 @@ are written by :meth:`ClusterState.allocate` / :meth:`ClusterState.release`
 alone.  A :class:`~repro.cluster.node.Node` only describes its machine, so
 several states over one topology are independent; the one fact they share
 is a node's availability, which each state follows through
-:meth:`Node.add_listener`.  ``total_free`` / utilisation / fragmentation /
-rack statistics are computed vectorised over the arrays.  All integer
+:meth:`ClusterTopology.add_availability_listener`.  ``total_free`` /
+utilisation / fragmentation / rack statistics are computed vectorised over
+the arrays.  All integer
 aggregates are exact (int64); the test suite checks every metric and every
 delta against scalar oracles that recount from the container map
 (``tests/helpers.py``) and a golden fixture frozen from the retired
@@ -64,7 +65,7 @@ import numpy as _np
 if TYPE_CHECKING:  # import only for annotations: core depends on cluster
     from ..core.constraints import PlacementConstraint, TagConstraint
     from .index import CandidateIndex
-from ..tags import validate_tag
+from ..tags import validate_tags
 from .node import Node
 from .resources import Resource
 from .topology import ClusterTopology
@@ -150,23 +151,24 @@ class _GroupGamma:
 
     __slots__ = ("member", "no_set", "offset", "counts", "zeros")
 
-    def __init__(self, sets_of: list[Sequence[int]], no_set: int, offset: int) -> None:
+    def __init__(
+        self, rows: _np.ndarray, sets: _np.ndarray, nodes: int, no_set: int, offset: int
+    ) -> None:
+        """``rows[k]`` is in set ``sets[k]``, one pair per membership, in
+        set order; ``nodes`` rows in all."""
         self.no_set = no_set
         self.offset = offset
-        lengths = _np.fromiter(map(len, sets_of), dtype=_np.intp, count=len(sets_of))
-        #: The same as an array for the scorer's gathers: one column per
+        lengths = _np.bincount(rows, minlength=nodes)
+        #: Node index -> the sets it is in, in set order: one column per
         #: membership position, rows right-padded with ``no_set``.
         self.member = _np.full(
-            (len(sets_of), max(1, int(lengths.max()))), no_set, dtype=_np.intp
+            (nodes, max(1, int(lengths.max()))), no_set, dtype=_np.intp
         )
         # The cells left of each row's length, in row-major order, are the
-        # membership lists laid end to end.
-        self.member[_np.arange(self.member.shape[1]) < lengths[:, None]] = (
-            _np.fromiter(
-                itertools.chain.from_iterable(sets_of),
-                dtype=_np.intp, count=int(lengths.sum()),
-            )
-        )
+        # memberships sorted by row; the stable sort keeps set order.
+        self.member[_np.arange(self.member.shape[1]) < lengths[:, None]] = sets[
+            _np.argsort(rows, kind="stable")
+        ]
         #: tag -> int64 cardinality per set, a view into the tag's column;
         #: present only while some container carries the tag (see
         #: ``ClusterState._update_group_tags``).
@@ -283,21 +285,6 @@ def placement_fingerprint(
     return digest.hexdigest()[:16]
 
 
-#: Tag strings already validated (validity depends on the string alone);
-#: emptied past 65,536 entries so its memory stays bounded.
-_valid_tags: set[str] = set()
-
-
-def _validate_tags(tags: frozenset[str]) -> None:
-    """:func:`validate_tag` for every tag, each string checked only once."""
-    if not _valid_tags.issuperset(tags):
-        for tag in tags:
-            validate_tag(tag)
-        if len(_valid_tags) > 1 << 16:
-            _valid_tags.clear()
-        _valid_tags.update(tags)
-
-
 class Allocation(NamedTuple):
     """A container currently occupying resources on a node.
 
@@ -354,12 +341,12 @@ class ClusterState:
         self._free_vc = memoryview(self._arrays.free_vc)
         self._avail = memoryview(self._arrays.avail)
         self._candidate_index: CandidateIndex | None = None
-        for node in topology:
-            node.add_listener(self._node_availability)
+        topology.add_availability_listener(self)
 
-    def _node_availability(self, node: Node, up: bool) -> None:
-        """A machine went down or came back (every state over the topology
-        hears it)."""
+    def node_availability(self, node: Node, up: bool) -> None:
+        """A machine went down or came back: called by the topology for
+        every state over it (flip ``node.available`` instead of calling
+        this)."""
         self._version += 1
         self._arrays.avail[self._arrays.index_of[node.node_id]] = up
 
@@ -414,7 +401,7 @@ class ClusterState:
                 f"free {self.free_resources(node_id)} on {node_id}"
             )
         tags = tags if type(tags) is frozenset else frozenset(tags)
-        _validate_tags(tags)
+        validate_tags(tags)
         free_mem[i] -= resource.memory_mb
         free_vc[i] -= resource.vcores
         self._version += 1
@@ -453,23 +440,45 @@ class ClusterState:
 
         A group registered (or replaced) after containers were placed gets
         its membership arrays built and its γ recounted from the container
-        map here, so it is never invisible to constraint checks."""
+        map here, so it is never invisible to constraint checks.  The build
+        is one pass over each group's ``node_sets``, O(nodes +
+        memberships).  It runs on first use, not in the constructor, so a
+        state pays it at its first write (a pre-loaded one inside
+        ``fill_cluster``), before any timed read."""
         topology = self.topology
         version = topology.groups_version
         if version != self._gamma_version:
             self._gamma_version = version
-            node_ids = self._arrays.node_ids
+            index_of = self._arrays.index_of
+            nodes = len(index_of)
             self._gamma = {}
-            slots: list[list[int]] = [[] for _ in node_ids]
+            rows: list[_np.ndarray] = []
+            slots: list[_np.ndarray] = []
             offset = 0
             for name in topology.group_names():
-                sets_of = [topology.set_indices_for_node(name, n) for n in node_ids]
-                no_set = len(topology.group(name).node_sets)
-                self._gamma[name] = _GroupGamma(sets_of, no_set, offset)
-                for row, sets in zip(slots, sets_of):
-                    row.extend(offset + s for s in sets)
+                node_sets = topology.group(name).node_sets
+                no_set = len(node_sets)
+                sizes = _np.fromiter(map(len, node_sets), dtype=_np.intp, count=no_set)
+                # One (node index, set index) pair per membership, in set order.
+                row = _np.fromiter(
+                    map(index_of.__getitem__, itertools.chain.from_iterable(node_sets)),
+                    dtype=_np.intp, count=int(sizes.sum()),
+                )
+                sets = _np.repeat(_np.arange(no_set, dtype=_np.intp), sizes)
+                self._gamma[name] = _GroupGamma(row, sets, nodes, no_set, offset)
+                rows.append(row)
+                slots.append(sets + offset)
                 offset += no_set + 1
-            self._slots_of = [tuple(row) for row in slots]
+            # Per node its slots, groups in order and each group's sets in
+            # order: the stable sort by node keeps the concatenation order.
+            every_row = _np.concatenate(rows)
+            flat = iter(
+                _np.concatenate(slots)[_np.argsort(every_row, kind="stable")].tolist()
+            )
+            self._slots_of = [
+                tuple(itertools.islice(flat, count))
+                for count in _np.bincount(every_row, minlength=nodes).tolist()
+            ]
             self._width = offset
             self._live_tags = {}
             self._columns = {}
@@ -840,9 +849,15 @@ class ClusterState:
         return value
 
     def _compute_cluster_memory_utilization(self) -> float:
-        arrays = self._arrays
-        total = arrays.total_cap_mem
+        total = self._arrays.total_cap_mem
         if total == 0:
             return 0.0
-        used = total - int(arrays.free_mem[arrays.avail].sum())
-        return used / total
+        return self.used_memory_mb() / total
+
+    def used_memory_mb(self) -> int:
+        """Cluster memory not free on an available node: what containers
+        hold, plus the whole capacity of every down node (the numerator of
+        :meth:`cluster_memory_utilization`, whose denominator is
+        ``arrays.total_cap_mem``).  One O(nodes) sum, not memoised."""
+        arrays = self._arrays
+        return arrays.total_cap_mem - int(arrays.free_mem[arrays.avail].sum())

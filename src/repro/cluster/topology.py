@@ -10,6 +10,7 @@ operators hide the physical cluster layout.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -45,10 +46,14 @@ class ClusterTopology:
         if not nodes:
             raise ValueError("a cluster needs at least one node")
         self._nodes: dict[str, Node] = {}
+        # Every node notifies the same registry, which holds each listener
+        # weakly: a dropped state is not kept alive by its topology.
+        self._listeners: weakref.WeakSet = weakref.WeakSet()
         for node in nodes:
             if node.node_id in self._nodes:
                 raise ValueError(f"duplicate node id {node.node_id}")
             self._nodes[node.node_id] = node
+            node._listeners = self._listeners
         self._groups: dict[str, NodeGroup] = {}
         #: Bumped whenever the set of registered groups changes, so caches
         #: keyed on group structure (the state's membership arrays and γ
@@ -88,6 +93,12 @@ class ClusterTopology:
         self._groups_version += 1
         self._rebuild_membership()
         return group
+
+    def add_availability_listener(self, listener) -> None:
+        """Call ``listener.node_availability(node, up)`` on every
+        availability flip of any node, for as long as ``listener`` lives
+        (it is held weakly)."""
+        self._listeners.add(listener)
 
     def _rebuild_membership(self) -> None:
         self._membership = {node_id: {} for node_id in self._nodes}

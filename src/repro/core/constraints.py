@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..tags import NODE_SCOPE, RACK_SCOPE, TagMultiset, validate_tag
+from ..tags import NODE_SCOPE, RACK_SCOPE, TagMultiset, validate_tags
 
 __all__ = [
     "UNBOUNDED",
@@ -63,10 +63,10 @@ class TagExpression:
     def __init__(self, tags: str | Iterable[str]) -> None:
         if isinstance(tags, str):
             tags = [tags]
-        tag_list = [validate_tag(t) for t in tags]
-        if not tag_list:
+        tag_set = frozenset(tags)
+        if not tag_set:
             raise ValueError("a tag expression needs at least one tag")
-        self._tags = frozenset(tag_list)
+        self._tags = validate_tags(tag_set)
 
     @property
     def tags(self) -> frozenset[str]:

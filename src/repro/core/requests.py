@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from ..cluster.resources import Resource
 from .constraints import CompoundConstraint, PlacementConstraint
-from ..tags import app_id_tag, validate_tag
+from ..tags import app_id_tag, validate_tags
 
 __all__ = ["ContainerRequest", "LRARequest", "TaskRequest", "next_app_id"]
 
@@ -40,8 +40,7 @@ class ContainerRequest:
     tags: frozenset[str]
 
     def __post_init__(self) -> None:
-        for tag in self.tags:
-            validate_tag(tag)
+        validate_tags(self.tags)
 
     def with_extra_tags(self, extra: Iterable[str]) -> "ContainerRequest":
         return ContainerRequest(self.container_id, self.resource, self.tags | frozenset(extra))

@@ -25,6 +25,7 @@ __all__ = [
     "is_namespaced",
     "tag_namespace",
     "validate_tag",
+    "validate_tags",
     "TagMultiset",
 ]
 
@@ -52,6 +53,24 @@ def validate_tag(tag: str) -> str:
     if tag.startswith(":") or tag.endswith(":"):
         raise ValueError(f"tag {tag!r} has an empty namespace or value")
     return tag
+
+
+#: Tag strings already validated (validity depends on the string alone);
+#: emptied past 65,536 entries so its memory stays bounded.
+_valid_tags: set[str] = set()
+
+
+def validate_tags(tags: frozenset[str]) -> frozenset[str]:
+    """Return ``tags`` if every tag is well-formed (see :func:`validate_tag`),
+    raise ``ValueError`` otherwise.  Each distinct string is checked once
+    per process, so re-validating a known set is one ``issuperset``."""
+    if not _valid_tags.issuperset(tags):
+        for tag in tags:
+            validate_tag(tag)
+        if len(_valid_tags) > 1 << 16:
+            _valid_tags.clear()
+        _valid_tags.update(tags)
+    return tags
 
 
 def is_namespaced(tag: str) -> bool:

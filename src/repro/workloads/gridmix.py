@@ -109,29 +109,40 @@ def fill_cluster(
     ``fill_resource`` defaults to <2 GB, 1 core> rather than the streaming
     config's 1 GB tasks: on 16 GB / 8-core nodes, 1 GB-per-core tasks
     exhaust vcores at 50% memory and higher targets become unreachable.
+
+    Cost: one O(nodes) read of used memory, then O(1) per attempt.  Every
+    placement lands on an available node, so it raises used memory by
+    exactly ``fill_resource.memory_mb``; the loop keeps that integer
+    itself and tests ``used / total`` — the int and the division of
+    :meth:`ClusterState.cluster_memory_utilization` — instead of
+    re-summing the cluster after every container.
     """
     if not 0.0 <= target_memory_fraction < 1.0:
         raise ValueError("target fraction must be in [0, 1)")
     rng = random.Random(config.seed)
     ids = itertools.count(1)
-    nodes = [n for n in state.topology if n.available]
+    node_ids = [n.node_id for n in state.topology if n.available]
+    tags = frozenset((TASK_TAG,))
     placed = 0
     attempts = 0
-    max_attempts = len(nodes) * 1000
-    while state.cluster_memory_utilization() < target_memory_fraction:
+    max_attempts = len(node_ids) * 1000
+    total = state.arrays.total_cap_mem
+    used = state.used_memory_mb()
+    while (used / total if total else 0.0) < target_memory_fraction:
         attempts += 1
         if attempts > max_attempts:
             break  # cluster cannot be filled further with this container size
-        node = rng.choice(nodes)
-        if not state.can_fit(node.node_id, fill_resource):
+        node_id = rng.choice(node_ids)
+        if not state.can_fit(node_id, fill_resource):
             continue
         state.allocate(
             f"{app_id}/t{next(ids):07d}",
-            node.node_id,
+            node_id,
             fill_resource,
-            (TASK_TAG,),
+            tags,
             app_id,
             long_running=False,
         )
+        used += fill_resource.memory_mb
         placed += 1
     return placed

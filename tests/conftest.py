@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro import ClusterState, ConstraintManager, build_cluster
 from repro.obs.metrics import Metrics, set_metrics
 from repro.obs.session import current_session
 from repro.obs.trace import Tracer, set_tracer
+
+# Hypothesis' explain phase re-runs a failing example under tracing and
+# formats every candidate's traceback; for a failure raised deep inside
+# nested callbacks (the engine model) that took minutes per report.  Every
+# other phase, and each test's own ``max_examples``, stays as it is.
+settings.register_profile(
+    "repro", phases=[phase for phase in Phase if phase is not Phase.explain]
+)
+settings.load_profile("repro")
 
 
 @pytest.fixture

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from repro import ClusterState, ContainerRequest, LRARequest, Resource
 from repro.obs import EventKind, ProfileReport
+from repro.taskscheduler.base import TASK_TAG
+from repro.workloads import GridMixConfig
 
 _counter = itertools.count(1)
 
@@ -164,3 +167,42 @@ def scalar_placement_delta(
                     reverse += n_subjects * delta
         total += constraint.weight * reverse
     return total
+
+
+def reference_fill_cluster(
+    state: ClusterState,
+    target_memory_fraction: float,
+    *,
+    config: GridMixConfig = GridMixConfig(),
+    app_id: str = "gridmix-bg",
+    fill_resource: Resource = Resource(2048, 1),
+) -> int:
+    """Oracle for ``repro.workloads.fill_cluster``: the loop as it was
+    before it kept used memory itself, re-reading
+    ``state.cluster_memory_utilization()`` (an O(nodes) sum after every
+    write) before each placement.  Same random draws, same containers."""
+    if not 0.0 <= target_memory_fraction < 1.0:
+        raise ValueError("target fraction must be in [0, 1)")
+    rng = random.Random(config.seed)
+    ids = itertools.count(1)
+    nodes = [n for n in state.topology if n.available]
+    placed = 0
+    attempts = 0
+    max_attempts = len(nodes) * 1000
+    while state.cluster_memory_utilization() < target_memory_fraction:
+        attempts += 1
+        if attempts > max_attempts:
+            break  # cluster cannot be filled further with this container size
+        node = rng.choice(nodes)
+        if not state.can_fit(node.node_id, fill_resource):
+            continue
+        state.allocate(
+            f"{app_id}/t{next(ids):07d}",
+            node.node_id,
+            fill_resource,
+            (TASK_TAG,),
+            app_id,
+            long_running=False,
+        )
+        placed += 1
+    return placed

@@ -1,7 +1,8 @@
 """The perf gate's decision, on synthetic values: ``verdict()`` wording for
-both metric directions and its pairs-won rule, and ``judge()``'s exit
+both metric directions and its pairs-won rule, ``judge()``'s exit
 status — 0 within bound or unresolved, 3 worse beyond bound, 1 on a
-fingerprint mismatch.  No benchmark run involved."""
+fingerprint mismatch — and the resolution it reports per metric.  No
+benchmark run involved."""
 
 from __future__ import annotations
 
@@ -101,3 +102,38 @@ def test_fingerprint_mismatch_exits_1_even_when_a_metric_is_worse():
     lines, status = judge(SPEC, *collected(scaled(2.0), TIGHT, fingerprint="f1"))
     assert status == 1
     assert any("FINGERPRINTS DIFFER" in line for line in lines)
+
+
+def test_judge_prints_resolution_and_pairs_needed():
+    lines, _ = judge(SPEC, *collected(scaled(0.5), scaled(2.0)))
+    # Spreads 2 (base) and 1 (change) over a base median of 101.
+    row = next(line for line in lines if "latency_p50_ms" in line)
+    assert row.split()[-4:] == ["1±0.020", "3", "3/3", "improved"]
+    assert not any(line.startswith("CANNOT CALL") for line in lines)
+
+
+@pytest.mark.parametrize("n, needs", [(2, 2), (3, 3), (5, 5), (10, 9), (11, 10), (20, 18)])
+def test_pairs_needed_is_the_improved_rule(n, needs):
+    base = [100.0] * n
+    values = {"w": {"base": {"latency_p50_ms": base, "throughput_per_s": base},
+                    "change": {"latency_p50_ms": base, "throughput_per_s": base}}}
+    lines, _ = judge(SPEC, values, {"w": {"base": {"f0"}, "change": {"f0"}}})
+    row = next(line for line in lines if "latency_p50_ms" in line)
+    assert row.split()[-3] == str(needs)
+    # The same count, from the verdict itself: needs - 1 wins are not enough.
+    change = [50.0] * (needs - 1) + [100.0] * (n - needs + 1)
+    assert verdict(base, change, "lower")[5] != "improved"
+    change = [50.0] * needs + [100.0] * (n - needs)
+    assert verdict(base, change, "lower")[5:] == ("improved", needs)
+
+
+def test_judge_names_metrics_too_noisy_for_their_bound():
+    noisy = [60.0, 140.0, 220.0]  # spread 160 over a median of 140
+    lines, status = judge(SPEC, {"w": {
+        "base": {"latency_p50_ms": noisy, "throughput_per_s": TIGHT},
+        "change": {"latency_p50_ms": noisy, "throughput_per_s": TIGHT},
+    }}, {"w": {"base": {"f0"}, "change": {"f0"}}})
+    assert status == 0
+    note = next(line for line in lines if line.startswith("CANNOT CALL"))
+    assert "w.latency_p50_ms (1±1.143, bound ±0.25, 3 pairs)" in note
+    assert "throughput_per_s" not in note

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    ClusterState,
     CompoundConstraint,
     ContainerRequest,
     LRARequest,
@@ -12,8 +13,10 @@ from repro import (
     TaskRequest,
     affinity,
     anti_affinity,
+    build_cluster,
     next_app_id,
 )
+from repro.core.constraints import TagExpression
 from repro.tags import app_id_tag
 
 
@@ -21,6 +24,26 @@ class TestContainerRequest:
     def test_tag_validation(self):
         with pytest.raises(ValueError):
             ContainerRequest("c", Resource(1, 1), frozenset({"bad tag"}))
+
+    @pytest.mark.parametrize(
+        "tag", ["", "has space", "a,b", "a:b:c", ":x", "x:", "br{ace}"]
+    )
+    def test_one_validator_rejects_every_malformed_tag_every_time(self, tag):
+        """Requests, tag expressions and the state share one memoised
+        validator: a known-good tag beside a bad one never lets it through,
+        and a rejected tag is rejected again."""
+        good = ContainerRequest("c", Resource(1, 1), frozenset({"ok"}))
+        state = ClusterState(build_cluster(1))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ContainerRequest("c", Resource(1, 1), frozenset({"ok", tag}))
+            with pytest.raises(ValueError):
+                good.with_extra_tags([tag])
+            with pytest.raises(ValueError):
+                TagExpression(["ok", tag])
+            with pytest.raises(ValueError):
+                state.allocate("c", "n00000", Resource(1, 1), ("ok", tag), "app")
+        assert state.containers == {}
 
     def test_with_extra_tags(self):
         c = ContainerRequest("c", Resource(1, 1), frozenset({"a"}))
