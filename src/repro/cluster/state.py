@@ -149,7 +149,7 @@ class _GroupGamma:
     padding reads 0 and needs no mask.  The group's per-set arrays start at
     ``offset`` in the state's per-tag columns."""
 
-    __slots__ = ("member", "no_set", "offset", "counts", "zeros")
+    __slots__ = ("member", "no_set", "covers_all", "offset", "counts", "zeros")
 
     def __init__(
         self, rows: _np.ndarray, sets: _np.ndarray, nodes: int, no_set: int, offset: int
@@ -169,6 +169,8 @@ class _GroupGamma:
         self.member[_np.arange(self.member.shape[1]) < lengths[:, None]] = sets[
             _np.argsort(rows, kind="stable")
         ]
+        #: Every node is in some set of the group.
+        self.covers_all = bool(lengths.all())
         #: tag -> int64 cardinality per set, a view into the tag's column;
         #: present only while some container carries the tag (see
         #: ``ClusterState._update_group_tags``).
@@ -646,11 +648,13 @@ class ClusterState:
     def placement_deltas(
         self,
         constraints: Iterable[PlacementConstraint],
-        node_indices: Sequence[int] | _np.ndarray,
+        node_indices: Sequence[int] | _np.ndarray | None,
         subject_tags: Iterable[str],
     ) -> _np.ndarray:
         """Violation extent a hypothetical placement of one container would
-        incur on each of ``node_indices`` (a float64 per index).
+        incur on each of ``node_indices`` (a float64 per index), or on every
+        node in topology order when ``node_indices`` is ``None`` — then each
+        group's membership is read through a view, not gathered.
 
         Scores both directions: (a) *forward* — constraints whose subject
         matches the new container, evaluated on the candidate node (the
@@ -675,8 +679,12 @@ class ClusterState:
         and no reverse ones.
         """
         subject = frozenset(subject_tags)
-        nodes = _np.asarray(node_indices, dtype=_np.intp)
-        total = _np.zeros(len(nodes))
+        if node_indices is None:
+            nodes = slice(None)
+            total = _np.zeros(len(self.arrays.node_ids))
+        else:
+            nodes = _np.asarray(node_indices, dtype=_np.intp)
+            total = _np.zeros(len(nodes))
         groups = self._gamma_groups()
         for constraint in constraints:
             tag_constraints = constraint.tag_constraints
@@ -693,7 +701,8 @@ class ClusterState:
                     term[group.no_set] = 0.0  # γ = 0 there is padding, not a violation
                     terms.append(term)
                 extent = _fold_over_sets(terms, columns)
-                extent[columns[0] == group.no_set] = float(len(tag_constraints))
+                if not group.covers_all:
+                    extent[columns[0] == group.no_set] = float(len(tag_constraints))
                 total += constraint.weight * extent
             if reverse:
                 subjects = group.gamma(constraint.subject.tags)

@@ -4,9 +4,11 @@ All heuristics share one greedy loop: order the batch's containers, then for
 each container pick the feasible node with the smallest *additional*
 constraint-violation extent (ties broken toward the node with most free
 memory, which nudges load balance).  Node selection is one array pass per
-container — the capacity fit mask over the state's free arrays, then
-:meth:`ClusterState.placement_deltas` over the fitting nodes — and the
-optional decision audit is a view of those same two arrays.  The
+container — :meth:`ClusterState.placement_deltas` over every node, with
+``+inf`` where the capacity fit mask says the container does not fit — and
+the optional decision audit is a view of that same array.  The constraints
+come from the manager's tag index (:class:`BatchConstraints`), so a batch
+costs what its own tags reach, not the number of live applications.  The
 heuristics differ only in the ordering:
 
 * **Serial** — no ordering; containers are placed in submission order.
@@ -39,7 +41,7 @@ from ..obs.audit import (
     ContainerDecision,
     DecisionAudit,
 )
-from .constraint_manager import ConstraintManager
+from .constraint_manager import BatchConstraints, ConstraintManager
 from .constraints import PlacementConstraint
 from .dsl import format_constraint
 from .requests import ContainerRequest, LRARequest
@@ -63,11 +65,12 @@ __all__ = [
 def _gather_constraints(
     requests: Sequence[LRARequest], manager: ConstraintManager
 ) -> list[PlacementConstraint]:
-    """Active constraints plus those of the incoming batch, deduplicated.
+    """Active constraints plus those of the incoming batch, deduplicated,
+    compound constraints approximated by their first conjunct.
 
-    Compound (DNF) constraints are approximated by their first conjunct —
-    the greedy algorithms have no machinery to defer disjunct choice, which
-    is exactly the quality gap the ILP exploits.
+    The plain scan: J-Kube maps this list before filtering it, and the
+    tests hold :meth:`ConstraintManager.batch` to
+    ``relevant_constraints(_gather_constraints(...), tags)``.
     """
     seen: set[PlacementConstraint] = set()
     out: list[PlacementConstraint] = []
@@ -132,15 +135,8 @@ class GreedyScheduler(LRAScheduler):
     name = "greedy"
 
     def __init__(self, *, audit: bool = False) -> None:
-        # tags -> relevant constraint subset, valid for one place() call.
-        self._relevant_cache: dict[frozenset[str], list[PlacementConstraint]] = {}
         self.audit_enabled = audit
         self._audit: DecisionAudit | None = None
-
-    def _relevant(
-        self, constraints: Sequence[PlacementConstraint], tags: frozenset[str]
-    ) -> list[PlacementConstraint]:
-        return relevant_constraints_cached(self._relevant_cache, constraints, tags)
 
     def place(
         self,
@@ -153,13 +149,12 @@ class GreedyScheduler(LRAScheduler):
         result = PlacementResult()
         if not requests:
             return result
-        self._relevant_cache = {}
         self._audit = DecisionAudit(self.name) if self.audit_enabled else None
-        constraints = _gather_constraints(requests, manager)
+        batch = manager.batch(requests)
         # (request index, container) work items, in the subclass's order;
         # select_next allows dynamic re-prioritisation between placements
         # (Medea-NC refreshes candidate counts after every placement).
-        pending = self.order_containers(requests, constraints, state)
+        pending = self.order_containers(requests, batch, state)
         failed_apps: set[str] = set()
         with ScratchPlacements(state) as scratch:
             while pending:
@@ -173,7 +168,8 @@ class GreedyScheduler(LRAScheduler):
                     else None
                 )
                 node_id = self.pick_node(
-                    container, constraints, state, decision=decision
+                    container, batch.relevant(container.tags), state,
+                    decision=decision,
                 )
                 if node_id is None:
                     failed_apps.add(request.app_id)
@@ -192,7 +188,7 @@ class GreedyScheduler(LRAScheduler):
     def order_containers(
         self,
         requests: Sequence[LRARequest],
-        constraints: Sequence[PlacementConstraint],
+        batch: BatchConstraints,
         state: ClusterState,
     ) -> list[tuple[int, ContainerRequest]]:
         """Submission order by default (the Serial behaviour)."""
@@ -219,39 +215,34 @@ class GreedyScheduler(LRAScheduler):
         *,
         decision: ContainerDecision | None = None,
     ) -> str | None:
-        """Feasible node minimising additional violation extent; ties broken
-        toward the node with the most free memory, then toward the first
-        node in topology order.
+        """Feasible node minimising additional violation extent against
+        ``constraints`` (the batch's relevant ones); ties broken toward the
+        node with the most free memory, then toward the first node in
+        topology order.
 
-        One array pass: the capacity fit mask over the state's free arrays,
-        :meth:`ClusterState.placement_deltas` over the survivors, then the
+        One array pass: :func:`_scores` over every node, then the
         lexicographic minimum of (delta, −free memory).  The deltas are
         bit-identical to a node-by-node evaluation, so this picks exactly
         the node a strict-``<`` first-wins scan in topology order would.
 
         When ``decision`` is given, every pruned/penalised candidate is
-        recorded into it — a view of the same fit mask and delta array.
+        recorded into it — a view of the same score array.
         """
-        relevant = self._relevant(constraints, container.tags)
-        arrays = state.arrays
-        fits = arrays.fit_mask(container.resource)
-        fit = np.flatnonzero(fits)
-        deltas = state.placement_deltas(relevant, fit, container.tags)
+        scores = _scores(container, constraints, state)
         if decision is not None:
-            self._audit_candidates(
-                decision, relevant, container, state, fits, fit, deltas
-            )
-        if not fit.size:
+            self._audit_candidates(decision, constraints, container, state, scores)
+        best_score = scores.min(initial=np.inf)
+        if best_score == np.inf:
             return None
-        free = arrays.free_mem[fit]
-        tied = np.flatnonzero(deltas == deltas.min())
-        best = tied[free[tied].argmax()]  # argmax: first of equal maxima
-        chosen = arrays.node_ids[fit[best]]
+        arrays = state.arrays
+        tied = np.flatnonzero(scores == best_score)
+        best = tied[arrays.free_mem[tied].argmax()]  # argmax: first of equal maxima
+        chosen = arrays.node_ids[best]
         if decision is not None:
             decision.chosen_node = chosen
             decision.score_terms = {
-                "violation_delta": float(deltas[best]),
-                "free_memory_mb": int(free[best]),
+                "violation_delta": float(best_score),
+                "free_memory_mb": int(arrays.free_mem[best]),
             }
         return chosen
 
@@ -261,16 +252,15 @@ class GreedyScheduler(LRAScheduler):
         relevant: Sequence[PlacementConstraint],
         container: ContainerRequest,
         state: ClusterState,
-        fits: np.ndarray,
-        fit: np.ndarray,
-        deltas: np.ndarray,
+        scores: np.ndarray,
     ) -> None:
         """Record what ``pick_node`` saw, in topology order: capacity
         misfits, and for every candidate with a positive delta one entry
         per contributing constraint."""
-        violating = fit[deltas > 0]
-        decision.considered += len(fits)
-        decision.feasible += fit.size - violating.size
+        fits = scores < np.inf
+        violating = np.flatnonzero(fits & (scores > 0))
+        decision.considered += len(scores)
+        decision.feasible += int(np.count_nonzero(fits)) - violating.size
         row_of = {int(i): row for row, i in enumerate(violating)}
         attributed = [
             (
@@ -294,6 +284,19 @@ class GreedyScheduler(LRAScheduler):
                         )
 
 
+def _scores(
+    container: ContainerRequest,
+    constraints: Sequence[PlacementConstraint],
+    state: ClusterState,
+) -> np.ndarray:
+    """Per node, the violation extent placing ``container`` there adds, and
+    ``+inf`` where it does not fit: one :meth:`ClusterState.placement_deltas`
+    pass over the whole node axis."""
+    scores = state.placement_deltas(constraints, None, container.tags)
+    scores[~state.arrays.fit_mask(container.resource)] = np.inf
+    return scores
+
+
 class SerialScheduler(GreedyScheduler):
     """Greedy with no request ordering (the paper's *Serial* baseline)."""
 
@@ -308,19 +311,11 @@ class TagPopularityScheduler(GreedyScheduler):
     def order_containers(
         self,
         requests: Sequence[LRARequest],
-        constraints: Sequence[PlacementConstraint],
+        batch: BatchConstraints,
         state: ClusterState,
     ) -> list[tuple[int, ContainerRequest]]:
-        popularity: dict[str, int] = {}
-        for constraint in constraints:
-            for tag in constraint.subject.tags:
-                popularity[tag] = popularity.get(tag, 0) + 1
-            for tc in constraint.tag_constraints:
-                for tag in tc.c_tag.tags:
-                    popularity[tag] = popularity.get(tag, 0) + 1
-
         def score(container: ContainerRequest) -> int:
-            return sum(popularity.get(tag, 0) for tag in container.tags)
+            return sum(batch.popularity(tag) for tag in container.tags)
 
         items = [
             (i, container)
@@ -349,7 +344,7 @@ class NodeCandidatesScheduler(GreedyScheduler):
     def __init__(self, *, audit: bool = False) -> None:
         super().__init__(audit=audit)
         self._pending: list[tuple[int, ContainerRequest]] = []
-        self._constraints: Sequence[PlacementConstraint] = ()
+        self._batch: BatchConstraints | None = None
         self._state: ClusterState | None = None
         #: container id -> set of violation-free feasible nodes.
         self._candidates: dict[str, set[str]] = {}
@@ -360,16 +355,17 @@ class NodeCandidatesScheduler(GreedyScheduler):
             return super().place(requests, state, manager, now=now)
         finally:
             self._state = None
+            self._batch = None
             self._pending = []
             self._candidates = {}
 
     def order_containers(
         self,
         requests: Sequence[LRARequest],
-        constraints: Sequence[PlacementConstraint],
+        batch: BatchConstraints,
         state: ClusterState,
     ) -> list[tuple[int, ContainerRequest]]:
-        self._constraints = constraints
+        self._batch = batch
         self._pending = [
             (i, container)
             for i, request in enumerate(requests)
@@ -392,8 +388,8 @@ class NodeCandidatesScheduler(GreedyScheduler):
         return best_index
 
     def after_placement(self, container: ContainerRequest, node_id: str) -> None:
-        state = self._state
-        if state is None:
+        state, batch = self._state, self._batch
+        if state is None or batch is None:
             return
         # The placed container is done; only still-pending ones are refreshed.
         self._candidates.pop(container.container_id, None)
@@ -406,7 +402,7 @@ class NodeCandidatesScheduler(GreedyScheduler):
             candidates = self._candidates.get(other.container_id)
             if candidates is None:
                 continue
-            relevant = self._relevant(self._constraints, other.tags)
+            relevant = batch.relevant(other.tags)
             tag_related = any(
                 (constraint.applies_to(other.tags)
                  and any(tc.c_tag.tags & placed_tags for tc in constraint.tag_constraints))
@@ -426,12 +422,9 @@ class NodeCandidatesScheduler(GreedyScheduler):
         """Indices of the nodes whose candidacy the placement may have
         changed: the node itself plus every node sharing a constrained node
         set with it."""
-        assert self._state is not None
+        assert self._state is not None and self._batch is not None
         affected = {node_id}
-        groups = {
-            c.node_group
-            for c in self._relevant(self._constraints, container.tags)
-        }
+        groups = {c.node_group for c in self._batch.relevant(container.tags)}
         for group_name in groups:
             for node_set in self._state.topology.sets_of_group_containing(
                 group_name, node_id
@@ -443,15 +436,14 @@ class NodeCandidatesScheduler(GreedyScheduler):
         )
 
     def _compute_candidates(self, container: ContainerRequest) -> set[str]:
-        """Initial violation-free candidate set: the fit mask and delta
-        array :meth:`GreedyScheduler.pick_node` ranks, tested for zero."""
-        assert self._state is not None
-        arrays = self._state.arrays
-        fit = np.flatnonzero(arrays.fit_mask(container.resource))
-        deltas = self._state.placement_deltas(
-            self._relevant(self._constraints, container.tags), fit, container.tags
+        """Initial violation-free candidate set: the score array
+        :meth:`GreedyScheduler.pick_node` ranks, tested for zero."""
+        assert self._state is not None and self._batch is not None
+        scores = _scores(
+            container, self._batch.relevant(container.tags), self._state
         )
-        return {arrays.node_ids[i] for i in fit[deltas == 0]}
+        node_ids = self._state.arrays.node_ids
+        return {node_ids[i] for i in np.flatnonzero(scores == 0)}
 
 
 class ConstraintUnawareScheduler(LRAScheduler):

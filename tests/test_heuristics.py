@@ -20,6 +20,7 @@ from repro import (
     cardinality,
     evaluate_violations,
 )
+from repro.core.constraints import PlacementConstraint
 from tests.helpers import make_lra, place_all
 
 ALL_HEURISTICS = [
@@ -113,6 +114,45 @@ class TestGreedyCommon:
         assert all(p.node_id != "n00000" for p in result.placements)
 
 
+    def test_place_cost_does_not_grow_with_unrelated_apps(
+        self, scheduler_cls, monkeypatch
+    ):
+        """A call count, not a timer: placing one fixed batch evaluates the
+        same subject matches whether 10 or 1,000 applications whose tags it
+        never meets hold constraints."""
+        calls = []
+        applies_to = PlacementConstraint.applies_to
+
+        def counted(constraint, tags):
+            calls.append(1)
+            return applies_to(constraint, tags)
+
+        monkeypatch.setattr(PlacementConstraint, "applies_to", counted)
+
+        def count(unrelated: int) -> int:
+            _, state, manager = build()
+            for i in range(unrelated):
+                manager.register_application(make_lra(
+                    f"u{i}", containers=1, tags={f"u{i}"},
+                    constraints=[anti_affinity(f"u{i}", f"u{i}", "node"),
+                                 affinity(f"u{i}", f"v{i}", "rack")],
+                ))
+            batch = [
+                make_lra("w", containers=3, tags={"w"},
+                         constraints=[anti_affinity("w", "w", "node")]),
+                make_lra("hb", containers=2, tags={"hb"},
+                         constraints=[affinity("hb", "w", "rack")]),
+            ]
+            for request in batch:
+                manager.register_application(request)
+            calls.clear()
+            result = scheduler_cls().place(batch, state, manager)
+            assert len(result.placements) == 5
+            return len(calls)
+
+        assert count(10) == count(1000) > 0
+
+
 class TestTagPopularityOrdering:
     def test_popular_tags_first(self):
         """Containers whose tags appear in more constraints are ordered
@@ -127,10 +167,8 @@ class TestTagPopularityOrdering:
             ],
         )
         boring = make_lra("boring", containers=1, tags={"plain"})
-        constraints = popular.constraints
-        items = scheduler.order_containers(
-            [boring, popular], list(constraints), state
-        )
+        batch = [boring, popular]
+        items = scheduler.order_containers(batch, manager.batch(batch), state)
         first_tags = items[0][1].tags
         assert "hot" in first_tags
 
@@ -209,11 +247,12 @@ class TestNodeCandidatesOrdering:
         )
         scheduler = NodeCandidatesScheduler()
         scheduler._state = state
-        scheduler._constraints = list(picky.constraints)
+        scheduler._batch = manager.batch([picky])
         try:
             candidates = scheduler._compute_candidates(picky.containers[0])
         finally:
             scheduler._state = None
+            scheduler._batch = None
         assert candidates == {"n00000"}
 
 
@@ -223,7 +262,7 @@ class TestSerialBehaviour:
         scheduler = SerialScheduler()
         a = make_lra("a", containers=2)
         b = make_lra("b", containers=2)
-        items = scheduler.order_containers([a, b], [], state)
+        items = scheduler.order_containers([a, b], manager.batch([a, b]), state)
         assert [i for i, _ in items] == [0, 0, 1, 1]
 
 

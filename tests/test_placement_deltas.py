@@ -105,9 +105,12 @@ def test_array_deltas_equal_scalar_oracle_bit_for_bit(seed: int) -> None:
     state, constraints, subject = _cluster(rng), _constraints(rng), _some_tags(rng)
     node_ids = state.topology.node_ids()
     deltas = state.placement_deltas(constraints, range(len(node_ids)), subject)
+    everywhere = state.placement_deltas(constraints, None, subject)
+    assert len(everywhere) == len(node_ids)
     for k, node_id in enumerate(node_ids):
         expected = scalar_placement_delta(state, constraints, node_id, subject)
         assert deltas[k] == expected, (node_id, deltas[k], expected)
+        assert everywhere[k] == expected, (node_id, everywhere[k], expected)
         assert state.placement_delta_violations(constraints, node_id, subject) == expected
     # Any subset, in any order, gathers the same values.
     subset = list(range(len(node_ids)))[::-2]
