@@ -51,7 +51,7 @@ it equals any tuple of the same values, so compare it by fields.
 
 Derived metrics are memoised on a state *version counter* that every
 allocate / release / availability flip bumps, so repeated reads within one
-tick (timeline sink, watchdog, state-hash event) cost one computation.
+tick (timeline sink, state-hash event) cost one computation.
 """
 
 from __future__ import annotations
@@ -840,15 +840,12 @@ class ClusterState:
     def fingerprint(self) -> str:
         """Digest of the current placement map and down-node set (see
         :func:`placement_fingerprint`); recorded in ``sim.state_hash``
-        events and recomputed by the trace replayer."""
-        memo = self._memo_table()
-        value = memo.get("fingerprint")
-        if value is None:
-            value = memo["fingerprint"] = placement_fingerprint(
-                {cid: placed.node_id for cid, placed in self._containers.items()},
-                self.down_node_ids(),
-            )
-        return value
+        events and recomputed by the trace replayer.  Not memoised: each
+        checkpoint reads it once."""
+        return placement_fingerprint(
+            {cid: placed.node_id for cid, placed in self._containers.items()},
+            self.down_node_ids(),
+        )
 
     def cluster_memory_utilization(self) -> float:
         memo = self._memo_table()

@@ -8,10 +8,11 @@ constraints against the cluster's registered node groups, and implements the
 paper's conflict-resolution rule: *operator constraints override application
 constraints when more restrictive* (§5.2).
 
-Besides the plain lists, the manager keeps a tag index that registration
-updates in place, so the greedy heuristics' queries — which constraints a
-container with given tags interacts with, how popular a tag is — cost what
-the container's own tags reach, not the number of live applications.
+Besides the plain per-owner lists, the manager keeps a tag index that
+registration updates in place.  Every query reads the index — the active
+list, which constraints a container with given tags interacts with, how
+popular a tag is — so the schedulers' per-container queries cost what the
+container's own tags reach, not the number of live applications.
 """
 
 from __future__ import annotations
@@ -37,13 +38,6 @@ _Record = tuple[int, list[PlacementConstraint], list[CompoundConstraint]]
 
 class ConstraintValidationError(ValueError):
     """Raised when a submitted constraint references an unknown node group."""
-
-
-def _touches(constraint: PlacementConstraint, tags: frozenset[str]) -> bool:
-    """A container with ``tags`` matches the subject or carries a target."""
-    return constraint.applies_to(tags) or any(
-        tc.c_tag.tags <= tags for tc in constraint.tag_constraints
-    )
 
 
 def _tag_uses(constraint: PlacementConstraint) -> Iterator[str]:
@@ -105,7 +99,6 @@ class ConstraintManager:
         self._operator: list[PlacementConstraint] = []
         self._operator_rank = -1
         self._next_rank = 0
-        self._active_cache: list[PlacementConstraint] | None = None
         # -- the tag index ---------------------------------------------------
         self._entries: dict[PlacementConstraint, _Entry] = {}
         #: representative tag -> entries: the smallest subject tag, and the
@@ -156,7 +149,6 @@ class ConstraintManager:
         self._apps[request.app_id] = record
         for key, constraint in self._occurrences(record):
             self._put(constraint, key)
-        self._active_cache = None
 
     def register_operator_constraint(self, constraint: PlacementConstraint) -> None:
         self.validate(constraint)
@@ -172,7 +164,6 @@ class ConstraintManager:
                 entry.overridden = True
                 self._refresh(entry)
         self._put(constraint, key)
-        self._active_cache = None
 
     def unregister_application(self, app_id: str) -> None:
         """Drop an application's constraints when it finishes (tags leave the
@@ -180,7 +171,6 @@ class ConstraintManager:
         record = self._apps.pop(app_id, None)
         if record is not None:
             self._unindex(record)
-            self._active_cache = None
 
     # -- index upkeep ---------------------------------------------------------
 
@@ -264,18 +254,10 @@ class ConstraintManager:
 
     def active_constraints(self) -> list[PlacementConstraint]:
         """All simple constraints currently in force, across every registered
-        application and the operator (owners in registration order), with
-        operator conflict-overrides applied.  A plain scan of the lists, not
-        of the index."""
-        if self._active_cache is None:
-            owners = [(rank, simple) for rank, simple, _ in self._apps.values()]
-            if self._operator:
-                owners.append((self._operator_rank, self._operator))
-                owners.sort(key=itemgetter(0))
-            self._active_cache = self._apply_operator_overrides(
-                [constraint for _, simple in owners for constraint in simple]
-            )
-        return list(self._active_cache)
+        application and the operator (owners in registration order, each
+        owner's list in submission order), with operator conflict-overrides
+        applied.  A value that two owners hold appears twice."""
+        return self._in_force(self._entries.values())
 
     def constraints_applying_to(
         self, tags: frozenset[str]
@@ -285,11 +267,45 @@ class ConstraintManager:
         if c.applies_to(tags)]``, served from the subject-tag index.
         Preserving the active-list order keeps downstream float accumulation
         (violation extents) byte-identical to the unindexed scan."""
-        hits: list[tuple[_Key, PlacementConstraint]] = []
+        return self._in_force(
+            entry
+            for tag in tags
+            for entry in self._by_subject.get(tag, ())
+            if entry.value.applies_to(tags)
+        )
+
+    def constraints_touching(self, tags: frozenset[str]) -> list[PlacementConstraint]:
+        """Active constraints a container with ``tags`` interacts with (see
+        :meth:`PlacementConstraint.touches`), in active-list order with
+        repeats — exactly ``[c for c in self.active_constraints() if
+        c.touches(tags)]``."""
+        return self._in_force(
+            entry for entry in self._reached(tags) if entry.value.touches(tags)
+        )
+
+    def _reached(self, tags: frozenset[str]) -> set[_Entry]:
+        """The entries bucketed under one of ``tags``: a superset of those
+        a container with ``tags`` touches, since each entry is bucketed
+        under its smallest subject tag and the smallest tag of each target
+        conjunction, and matching a conjunction means carrying all of its
+        tags."""
+        reached: set[_Entry] = set()
         for tag in tags:
-            for entry in self._by_subject.get(tag, ()):
-                if not entry.overridden and entry.value.applies_to(tags):
-                    hits.extend((key, entry.value) for key in entry.keys if not key[0])
+            reached.update(self._by_subject.get(tag, ()))
+            reached.update(self._by_target.get(tag, ()))
+        return reached
+
+    @staticmethod
+    def _in_force(entries: Iterable[_Entry]) -> list[PlacementConstraint]:
+        """The simple-constraint occurrences (section 0) of ``entries`` that
+        no operator constraint overrides, in active-list order."""
+        hits = [
+            (key, entry.value)
+            for entry in entries
+            if not entry.overridden
+            for key in entry.keys
+            if not key[0]
+        ]
         hits.sort(key=itemgetter(0))
         return [value for _, value in hits]
 
@@ -309,29 +325,14 @@ class ConstraintManager:
 
     # -- conflict resolution ---------------------------------------------------
 
-    def _apply_operator_overrides(
-        self, constraints: list[PlacementConstraint]
-    ) -> list[PlacementConstraint]:
-        """Apply the §5.2 rule: an operator constraint overrides application
-        constraints on the same (subject, target, group) triple when it is
-        *more restrictive* (narrower cardinality interval).
-
-        Constraints that do not clash are all kept; the ILP then minimises
-        violations among whatever remains.
-        """
-        if not self._operator:
-            return constraints
-        return [
-            constraint
-            for constraint in constraints
-            if not any(self._overrides(op, constraint) for op in self._operator)
-        ]
-
     @staticmethod
     def _overrides(op: PlacementConstraint, app: PlacementConstraint) -> bool:
-        """True if operator constraint ``op`` targets the same triple as
-        application constraint ``app`` and is at least as restrictive on
-        every tag constraint; an operator constraint is never overridden."""
+        """The §5.2 rule: True if operator constraint ``op`` targets the
+        same (subject, target, group) triple as application constraint
+        ``app`` and is at least as restrictive (a narrower cardinality
+        interval) on every tag constraint; an operator constraint is never
+        overridden.  Constraints that do not clash are all kept; the ILP
+        then minimises violations among whatever remains."""
         if app.origin == ConstraintManager.OPERATOR:
             return False
         if op.node_group != app.node_group or op.subject != app.subject:
@@ -349,13 +350,14 @@ class ConstraintManager:
 
 
 class BatchConstraints:
-    """What the greedy heuristics score one batch against: the manager's
-    greedy view, then the batch's own constraints (simple ones, then first
-    conjuncts, request by request) that the view does not already hold.
+    """What the greedy heuristics and J-Kube score one batch against: the
+    manager's greedy view, then the batch's own constraints (simple ones,
+    then first conjuncts, request by request) that the view does not
+    already hold, each value once.
 
-    Equal, element by element and in order, to the scan it replaces —
-    ``tests/test_constraint_manager.py`` holds it to
-    ``relevant_constraints(_gather_constraints(requests, manager), tags)``.
+    Equal, element by element and in order, to a plain scan of those lists:
+    ``tests/test_constraint_manager.py`` holds :meth:`relevant` to the scan
+    kept in ``tests/helpers.py`` after every registration step.
     """
 
     __slots__ = ("_manager", "_extra", "_extra_popularity", "_relevant")
@@ -380,24 +382,18 @@ class BatchConstraints:
         self._relevant: dict[frozenset[str], list[PlacementConstraint]] = {}
 
     def relevant(self, tags: frozenset[str]) -> list[PlacementConstraint]:
-        """Constraints a container with ``tags`` can interact with: those
-        whose subject it matches (forward check) or whose target conjunction
-        it carries (it changes existing subjects' counts), in view order.
-        Everything else is untouched by the placement."""
+        """The constraints a container with ``tags`` touches (see
+        :meth:`PlacementConstraint.touches`), in view order.  Everything
+        else is untouched by the placement."""
         cached = self._relevant.get(tags)
         if cached is None:
-            manager = self._manager
-            candidates: set[_Entry] = set()
-            for tag in tags:
-                candidates.update(manager._by_subject.get(tag, ()))
-                candidates.update(manager._by_target.get(tag, ()))
             hits = sorted(
                 (entry.first, entry.value)
-                for entry in candidates
-                if entry.first is not None and _touches(entry.value, tags)
+                for entry in self._manager._reached(tags)
+                if entry.first is not None and entry.value.touches(tags)
             )
             cached = self._relevant[tags] = [value for _, value in hits] + [
-                constraint for constraint in self._extra if _touches(constraint, tags)
+                constraint for constraint in self._extra if constraint.touches(tags)
             ]
         return cached
 

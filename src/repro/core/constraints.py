@@ -187,6 +187,15 @@ class PlacementConstraint:
     def applies_to(self, container_tags: Iterable[str]) -> bool:
         return self.subject.matches(container_tags)
 
+    def touches(self, container_tags: frozenset[str]) -> bool:
+        """A container with ``container_tags`` interacts with this
+        constraint: it matches the subject (its own placement is checked)
+        or carries a whole target conjunction (its placement changes the
+        counts subjects are checked against)."""
+        return self.applies_to(container_tags) or any(
+            tc.c_tag.tags <= container_tags for tc in self.tag_constraints
+        )
+
     def satisfied_by_multiset(self, gamma_source: TagMultiset) -> bool:
         """Evaluate all tag constraints against a node-set tag multiset."""
         return all(
@@ -209,6 +218,25 @@ class PlacementConstraint:
             if not (tc.c_tag.tags & subject_tags):
                 return False
         return True
+
+    def __hash__(self) -> int:
+        """The dataclass-generated hash, computed once per instance: values
+        key the constraint manager's index and the ILP's de-duplication,
+        and re-hashing the nested fields costs microseconds a call."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((
+                self.subject, self.tag_constraints, self.node_group,
+                self.weight, self.hard, self.origin,
+            ))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # ``str`` hashes differ between processes: never pickle the cache.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def __repr__(self) -> str:
         tcs = " ∧ ".join(repr(tc) for tc in self.tag_constraints)

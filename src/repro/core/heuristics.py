@@ -62,65 +62,6 @@ __all__ = [
 ]
 
 
-def _gather_constraints(
-    requests: Sequence[LRARequest], manager: ConstraintManager
-) -> list[PlacementConstraint]:
-    """Active constraints plus those of the incoming batch, deduplicated,
-    compound constraints approximated by their first conjunct.
-
-    The plain scan: J-Kube maps this list before filtering it, and the
-    tests hold :meth:`ConstraintManager.batch` to
-    ``relevant_constraints(_gather_constraints(...), tags)``.
-    """
-    seen: set[PlacementConstraint] = set()
-    out: list[PlacementConstraint] = []
-
-    def _add(constraint: PlacementConstraint) -> None:
-        if constraint not in seen:
-            seen.add(constraint)
-            out.append(constraint)
-
-    for constraint in manager.active_constraints():
-        _add(constraint)
-    for compound in manager.active_compound_constraints():
-        for constraint in compound.conjuncts[0]:
-            _add(constraint)
-    for request in requests:
-        for constraint in request.constraints:
-            _add(constraint)
-        for compound in request.compound_constraints:
-            for constraint in compound.conjuncts[0]:
-                _add(constraint)
-    return out
-
-
-def relevant_constraints(
-    constraints: Sequence[PlacementConstraint], tags: frozenset[str]
-) -> list[PlacementConstraint]:
-    """Constraints a container with ``tags`` can interact with: those whose
-    subject it matches (forward check) or whose target conjunction it
-    carries (it changes existing subjects' counts).  Everything else is
-    untouched by the placement and can be skipped in scoring loops."""
-    return [
-        c for c in constraints
-        if c.applies_to(tags)
-        or any(tc.c_tag.tags <= tags for tc in c.tag_constraints)
-    ]
-
-
-def relevant_constraints_cached(
-    cache: dict[frozenset[str], list[PlacementConstraint]],
-    constraints: Sequence[PlacementConstraint],
-    tags: frozenset[str],
-) -> list[PlacementConstraint]:
-    """:func:`relevant_constraints` memoised in ``cache`` by tag set; the
-    caller owns ``cache`` and keeps it for one ``place()`` call only."""
-    cached = cache.get(tags)
-    if cached is None:
-        cached = cache[tags] = relevant_constraints(constraints, tags)
-    return cached
-
-
 class GreedyScheduler(LRAScheduler):
     """Shared greedy placement loop; subclasses choose the container order.
 

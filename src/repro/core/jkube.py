@@ -31,13 +31,12 @@ from ..obs.audit import (
     ContainerDecision,
     DecisionAudit,
 )
-from .constraint_manager import ConstraintManager
+from .constraint_manager import BatchConstraints, ConstraintManager
 from .constraints import (
     UNBOUNDED,
     PlacementConstraint,
     TagConstraint,
 )
-from .heuristics import _gather_constraints, relevant_constraints_cached
 from .requests import ContainerRequest, LRARequest
 from .scheduler import LRAScheduler, PlacementResult, ScratchPlacements
 
@@ -102,7 +101,7 @@ class JKubeScheduler(LRAScheduler):
         if not requests:
             return result
         audit = DecisionAudit(self.name) if self.audit_enabled else None
-        constraints = self._effective_constraints(requests, manager)
+        batch = manager.batch(requests)
         # tags -> the constraints a container with them can interact with.
         relevant: dict[frozenset[str], list[PlacementConstraint]] = {}
         failed: set[str] = set()
@@ -116,9 +115,11 @@ class JKubeScheduler(LRAScheduler):
                         if audit is not None
                         else None
                     )
-                    subset = relevant_constraints_cached(
-                        relevant, constraints, container.tags
-                    )
+                    subset = relevant.get(container.tags)
+                    if subset is None:
+                        subset = relevant[container.tags] = self._relevant(
+                            batch, container.tags
+                        )
                     node_id = self._schedule_one(
                         container, subset, state, decision=decision
                     )
@@ -132,18 +133,19 @@ class JKubeScheduler(LRAScheduler):
         result.audit = audit
         return result
 
-    def _effective_constraints(
-        self, requests: Sequence[LRARequest], manager: ConstraintManager
+    def _relevant(
+        self, batch: BatchConstraints, tags: frozenset[str]
     ) -> list[PlacementConstraint]:
-        constraints = _gather_constraints(requests, manager)
+        """The batch's constraints a container with ``tags`` touches, as
+        this scheduler sees them.  Mapping a constraint keeps its subject
+        and only drops or weakens targets, so a mapped constraint touches
+        ``tags`` only if its source does: mapping the touching ones and
+        filtering again equals mapping everything, then filtering."""
+        touching = batch.relevant(tags)
         if self.supports_cardinality:
-            return constraints
-        mapped = []
-        for constraint in constraints:
-            supported = _kube_supported(constraint)
-            if supported is not None:
-                mapped.append(supported)
-        return mapped
+            return touching
+        mapped = map(_kube_supported, touching)
+        return [m for m in mapped if m is not None and m.touches(tags)]
 
     # -- the filter/score pipeline ------------------------------------------
 

@@ -17,14 +17,11 @@ real cluster must drain/restart the container.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from ..cluster.state import ClusterState
 from .constraint_manager import ConstraintManager
-from .constraints import PlacementConstraint
-from .heuristics import relevant_constraints
 
 __all__ = ["Migration", "MigrationPlan", "MigrationPlanner"]
 
@@ -81,12 +78,11 @@ class MigrationPlanner:
         The state is mutated tentatively while planning (so successive moves
         see each other) and fully restored before returning.
         """
-        constraints = manager.active_constraints()
         plan = MigrationPlan()
         applied: list[Migration] = []
         try:
             for _ in range(self.max_moves):
-                move = self._best_single_move(state, constraints)
+                move = self._best_single_move(state, manager)
                 if move is None:
                     break
                 self._apply(state, move)
@@ -118,19 +114,17 @@ class MigrationPlanner:
         )
 
     def _violating_containers(
-        self, state: ClusterState, constraints: Sequence[PlacementConstraint]
+        self, state: ClusterState, manager: ConstraintManager
     ) -> list[tuple[float, str]]:
         """(extent, container_id) for every violating LRA container, worst
-        first."""
+        first; a constraint value two applications hold counts twice."""
         out = []
         for placed in state.containers.values():
             if not placed.allocation.long_running:
                 continue
             tags = placed.allocation.tags
             extent = 0.0
-            for constraint in constraints:
-                if not constraint.applies_to(tags):
-                    continue
+            for constraint in manager.constraints_applying_to(tags):
                 ok, e = state.check_placement(
                     constraint, placed.node_id, tags, placed=True
                 )
@@ -142,15 +136,15 @@ class MigrationPlanner:
         return out
 
     def _best_single_move(
-        self, state: ClusterState, constraints: Sequence[PlacementConstraint]
+        self, state: ClusterState, manager: ConstraintManager
     ) -> Migration | None:
         """The highest-gain single migration, or None if nothing clears the
         migration cost."""
-        for extent, container_id in self._violating_containers(state, constraints):
+        for extent, container_id in self._violating_containers(state, manager):
             placed = state.container(container_id)
             tags = placed.allocation.tags
             resource = placed.allocation.resource
-            relevant = relevant_constraints(constraints, frozenset(tags))
+            relevant = manager.constraints_touching(tags)
             # Evaluate candidate nodes with the container *removed*, so its
             # own tags do not poison the hypothetical counts.
             removal = state.release(container_id)

@@ -45,8 +45,8 @@ in flight, zero-cost when disabled like everything else:
   the session's live :class:`RollupState`); ``MEDEA_SERVE=port`` /
   ``--serve``, polled by ``repro watch``.
 * **Watchdog** — :class:`Watchdog` (``repro.obs.watchdog``) re-derives
-  conservation invariants (per-node resources against the container map,
-  placement fingerprints, violation-audit consistency) on every engine heartbeat and
+  conservation invariants (per-node resources and availability against the
+  container map and the machines, violation-audit consistency) on every engine heartbeat and
   emits typed ``watchdog.trip`` events — replay's corruption detection
   moved to the moment of corruption; ``abort`` mode exits non-zero.
 

@@ -150,15 +150,16 @@ def evaluate_violations(
     violation accounting shares the one telemetry channel instead of living
     as a side system.
     """
-    indexed_manager = None
     if constraints is None:
         if manager is None:
             raise ValueError("need constraints or a constraint manager")
         # Per-container applicability comes from the manager's subject-tag
         # index (same constraints, same order as the linear scan).
-        indexed_manager = manager
-        constraints = manager.active_constraints()
+        applying_to = manager.constraints_applying_to
         compound = tuple(manager.active_compound_constraints()) or compound
+    else:
+        def applying_to(tags):
+            return [c for c in constraints if c.applies_to(tags)]
 
     check = _ExactCheck(state)
     report = ViolationReport()
@@ -166,10 +167,7 @@ def evaluate_violations(
         if not placed.allocation.long_running:
             continue
         tags = placed.allocation.tags
-        if indexed_manager is not None:
-            applicable = indexed_manager.constraints_applying_to(tags)
-        else:
-            applicable = [c for c in constraints if c.applies_to(tags)]
+        applicable = applying_to(tags)
         applicable_compound = [
             comp
             for comp in compound

@@ -15,15 +15,17 @@ Checks (every heartbeat, except the violation audit: every
 
 * ``node_conservation`` — per node, the ledger's free columns must equal
   capacity minus the containers its map places there, and never go
-  negative.
+  negative; and the ledger's availability column must equal the
+  machines' own ``Node.available``.
 * ``violation_consistency`` — :func:`repro.obs.violations
   .evaluate_violations` must be internally consistent (violating ⊆
   subject, records ↔ counts, non-negative extent) and its evaluation
   counter monotone.
-* ``fingerprint`` — :func:`repro.cluster.state.placement_fingerprint`
-  recomputed from the container map and the machines' availability must
-  match the state's own (memoised) digest (the same cross-check replay
-  performs, but live).
+
+The placement fingerprint is not checked live: the state digests the same
+container map and availability column these checks read, so a recomputed
+digest could only agree.  The trace replayer (:mod:`repro.obs.replay`)
+recomputes it from the events instead.
 
 A tripped watchdog emits a typed ``watchdog.trip`` trace event whose
 ``data`` payload is fully deterministic (check name, tick, structured
@@ -43,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from .events import EventKind
 from .metrics import get_metrics
 from .trace import get_tracer
@@ -61,7 +65,6 @@ __all__ = [
 CHECKS = (
     "node_conservation",
     "violation_consistency",
-    "fingerprint",
 )
 
 _MODES = ("warn", "abort")
@@ -135,7 +138,6 @@ class Watchdog:
         new_trips.extend(self._check_node_conservation(state, now))
         if self.checks_run % VIOLATIONS_INTERVAL == 0:
             new_trips.extend(self._check_violation_consistency(sim, now))
-        new_trips.extend(self._check_fingerprint(state, now))
         for trip in new_trips:
             self._record(trip)
         if new_trips and self.mode == "abort":
@@ -146,7 +148,9 @@ class Watchdog:
 
     def _check_node_conservation(self, state, now: float) -> list[WatchdogTrip]:
         """Per-node resource accounting: free == capacity − Σ the node's
-        containers in the map, both components non-negative."""
+        containers in the map, both components non-negative; and the
+        availability column agrees with every ``Node.available`` (one trip
+        naming each disagreeing node with the machine's own flag)."""
         arrays = state.arrays
         index_of = arrays.index_of
         used = [[0, 0, 0] for _ in arrays.node_ids]
@@ -184,6 +188,21 @@ class Watchdog:
                         },
                     )
                 )
+        topology_up = np.fromiter(
+            (node.available for node in state.topology), dtype=bool,
+            count=len(arrays.node_ids),
+        )
+        desync = np.flatnonzero(topology_up != arrays.avail).tolist()
+        if desync:
+            trips.append(
+                WatchdogTrip(
+                    "node_conservation",
+                    now,
+                    {"availability_desync": {
+                        arrays.node_ids[i]: bool(topology_up[i]) for i in desync
+                    }},
+                )
+            )
         return trips
 
     def _check_violation_consistency(self, sim, now: float) -> list[WatchdogTrip]:
@@ -215,26 +234,6 @@ class Watchdog:
         if not problems:
             return []
         return [WatchdogTrip("violation_consistency", now, problems)]
-
-    def _check_fingerprint(self, state, now: float) -> list[WatchdogTrip]:
-        """Recompute the placement fingerprint from the container map and
-        the machines' availability, and compare with the state's digest."""
-        from ..cluster.state import placement_fingerprint
-
-        recomputed = placement_fingerprint(
-            {cid: placed.node_id for cid, placed in state.containers.items()},
-            [node.node_id for node in state.topology if not node.available],
-        )
-        recorded = state.fingerprint()
-        if recomputed == recorded:
-            return []
-        return [
-            WatchdogTrip(
-                "fingerprint",
-                now,
-                {"recorded": recorded, "recomputed": recomputed},
-            )
-        ]
 
     # -- trip plumbing -------------------------------------------------------
 

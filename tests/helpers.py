@@ -5,7 +5,17 @@ from __future__ import annotations
 import itertools
 import random
 
-from repro import ClusterState, ContainerRequest, LRARequest, Resource
+from repro import (
+    ClusterState,
+    ConstraintManager,
+    ContainerRequest,
+    LRARequest,
+    Resource,
+    affinity,
+    anti_affinity,
+    build_cluster,
+)
+from repro.core.constraints import PlacementConstraint
 from repro.obs import EventKind, ProfileReport
 from repro.taskscheduler.base import TASK_TAG
 from repro.workloads import GridMixConfig
@@ -32,6 +42,40 @@ def make_lra(
         for i in range(containers)
     ]
     return LRARequest(app_id, reqs, constraints, compound)
+
+
+def applies_to_calls(scheduler, unrelated: int, monkeypatch) -> int:
+    """``PlacementConstraint.applies_to`` calls while ``scheduler`` places
+    one fixed 2-app batch (5 containers, 8 nodes) next to ``unrelated``
+    registered applications whose tags the batch never meets."""
+    calls = []
+    applies_to = PlacementConstraint.applies_to
+
+    def counted(constraint, tags):
+        calls.append(1)
+        return applies_to(constraint, tags)
+
+    topology = build_cluster(8, racks=2, memory_mb=8 * 1024, vcores=8)
+    state, manager = ClusterState(topology), ConstraintManager(topology)
+    for i in range(unrelated):
+        manager.register_application(make_lra(
+            f"u{i}", containers=1, tags={f"u{i}"},
+            constraints=[anti_affinity(f"u{i}", f"u{i}", "node"),
+                         affinity(f"u{i}", f"v{i}", "rack")],
+        ))
+    batch = [
+        make_lra("w", containers=3, tags={"w"},
+                 constraints=[anti_affinity("w", "w", "node")]),
+        make_lra("hb", containers=2, tags={"hb"},
+                 constraints=[affinity("hb", "w", "rack")]),
+    ]
+    for request in batch:
+        manager.register_application(request)
+    with monkeypatch.context() as patch:
+        patch.setattr(PlacementConstraint, "applies_to", counted)
+        result = scheduler.place(batch, state, manager)
+    assert len(result.placements) == 5
+    return len(calls)
 
 
 def span_profile(events) -> ProfileReport:
@@ -65,6 +109,42 @@ def recount_free(state: ClusterState) -> dict[str, Resource]:
             node.capacity.memory_mb - memory_mb, node.capacity.vcores - vcores
         )
     return free
+
+
+def gather_constraints(requests, manager) -> list:
+    """Oracle for ``ConstraintManager.batch``: active constraints plus those
+    of the incoming batch, deduplicated, compound constraints approximated
+    by their first conjunct — a plain scan of the manager's lists."""
+    seen = set()
+    out = []
+
+    def _add(constraint) -> None:
+        if constraint not in seen:
+            seen.add(constraint)
+            out.append(constraint)
+
+    for constraint in manager.active_constraints():
+        _add(constraint)
+    for compound in manager.active_compound_constraints():
+        for constraint in compound.conjuncts[0]:
+            _add(constraint)
+    for request in requests:
+        for constraint in request.constraints:
+            _add(constraint)
+        for compound in request.compound_constraints:
+            for constraint in compound.conjuncts[0]:
+                _add(constraint)
+    return out
+
+
+def relevant_constraints(constraints, tags: frozenset[str]) -> list:
+    """Oracle for constraint relevance: those whose subject ``tags``
+    matches or whose target conjunction it carries, in list order."""
+    return [
+        c for c in constraints
+        if c.applies_to(tags)
+        or any(tc.c_tag.tags <= tags for tc in c.tag_constraints)
+    ]
 
 
 def scalar_state_metrics(state: ClusterState, threshold: Resource) -> dict:

@@ -18,8 +18,8 @@ from repro import (
 )
 from repro.core.constraint_manager import ConstraintValidationError
 from repro.core.constraints import PlacementConstraint, TagConstraint
-from repro.core.heuristics import _gather_constraints, relevant_constraints
-from tests.helpers import make_lra
+from repro.core.jkube import JKubePlusPlusScheduler, JKubeScheduler, _kube_supported
+from tests.helpers import gather_constraints, make_lra, relevant_constraints
 
 
 class TestRegistration:
@@ -218,7 +218,8 @@ def _scan_popularity(constraints):
 def test_index_equals_the_scans(pool, steps, batch_simple, batch_compound):
     """After every register, re-register, unregister and operator step, the
     index answers exactly what the scans answer: the same constraints in
-    the same order, and the same popularity.  (A tag expression cannot be
+    the same order, and the same popularity — for the greedy family,
+    J-Kube, J-Kube++ and migration alike.  (A tag expression cannot be
     empty, so there are no empty subjects to cover.)"""
     manager = ConstraintManager(build_cluster(4, racks=2))
     owners: dict[object, list[PlacementConstraint]] = {}
@@ -249,7 +250,8 @@ def test_index_equals_the_scans(pool, steps, batch_simple, batch_compound):
         ]
         unregistered = _request("new", pool, batch_simple, [(batch_compound, [])] if batch_compound else [])
         requests = [*list(live.values())[:1], unregistered]
-        gathered = _gather_constraints(requests, manager)
+        gathered = gather_constraints(requests, manager)
+        mapped = [m for m in map(_kube_supported, gathered) if m is not None]
         batch = manager.batch(requests)
         popularity = _scan_popularity(gathered)
         for tag in _TAGS:
@@ -257,6 +259,15 @@ def test_index_equals_the_scans(pool, steps, batch_simple, batch_compound):
         active = manager.active_constraints()
         for tags in _TAG_SETS:
             assert batch.relevant(tags) == relevant_constraints(gathered, tags)
+            assert JKubePlusPlusScheduler()._relevant(batch, tags) == (
+                relevant_constraints(gathered, tags)
+            )
+            assert JKubeScheduler()._relevant(batch, tags) == (
+                relevant_constraints(mapped, tags)
+            )
             assert manager.constraints_applying_to(tags) == [
                 c for c in active if c.applies_to(tags)
             ]
+            assert manager.constraints_touching(tags) == (
+                relevant_constraints(active, tags)
+            )

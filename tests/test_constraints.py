@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro import (
@@ -177,6 +183,35 @@ class TestPlacementConstraint:
 
     def test_hashable(self):
         assert len({affinity("a", "b"), affinity("a", "b")}) == 1
+
+    def test_hash_is_the_dataclass_hash(self):
+        for c in (affinity("a", ["b", "c"]), cardinality("s", "x", 0, 2, "rack"),
+                  anti_affinity("a", "b", hard=True, origin="operator")):
+            fields = tuple(getattr(c, f.name) for f in dataclasses.fields(c))
+            assert hash(c) == hash(c) == hash(fields)
+
+    def test_cached_hash_is_not_pickled(self):
+        """``str`` hashes are per process: a constraint hashed and pickled
+        under another hash seed must hash here like a fresh equal one."""
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        script = (
+            "import pickle, sys\n"
+            "from repro import affinity\n"
+            "c = affinity('a', ['b', 'c'], 'rack')\n"
+            "hash(c)\n"
+            "sys.stdout.buffer.write(pickle.dumps((hash('probe'), c)))\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            check=True, timeout=60,
+        ).stdout
+        remote_probe, loaded = pickle.loads(out)
+        assert remote_probe != hash("probe")
+        fresh = affinity("a", ["b", "c"], "rack")
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        assert {fresh: 1}[loaded] == 1
 
     def test_hard_flag(self):
         assert anti_affinity("a", "b", hard=True).hard

@@ -20,8 +20,7 @@ from repro import (
     cardinality,
     evaluate_violations,
 )
-from repro.core.constraints import PlacementConstraint
-from tests.helpers import make_lra, place_all
+from tests.helpers import applies_to_calls, make_lra, place_all
 
 ALL_HEURISTICS = [
     SerialScheduler,
@@ -120,37 +119,11 @@ class TestGreedyCommon:
         """A call count, not a timer: placing one fixed batch evaluates the
         same subject matches whether 10 or 1,000 applications whose tags it
         never meets hold constraints."""
-        calls = []
-        applies_to = PlacementConstraint.applies_to
-
-        def counted(constraint, tags):
-            calls.append(1)
-            return applies_to(constraint, tags)
-
-        monkeypatch.setattr(PlacementConstraint, "applies_to", counted)
-
-        def count(unrelated: int) -> int:
-            _, state, manager = build()
-            for i in range(unrelated):
-                manager.register_application(make_lra(
-                    f"u{i}", containers=1, tags={f"u{i}"},
-                    constraints=[anti_affinity(f"u{i}", f"u{i}", "node"),
-                                 affinity(f"u{i}", f"v{i}", "rack")],
-                ))
-            batch = [
-                make_lra("w", containers=3, tags={"w"},
-                         constraints=[anti_affinity("w", "w", "node")]),
-                make_lra("hb", containers=2, tags={"hb"},
-                         constraints=[affinity("hb", "w", "rack")]),
-            ]
-            for request in batch:
-                manager.register_application(request)
-            calls.clear()
-            result = scheduler_cls().place(batch, state, manager)
-            assert len(result.placements) == 5
-            return len(calls)
-
-        assert count(10) == count(1000) > 0
+        calls = [
+            applies_to_calls(scheduler_cls(), unrelated, monkeypatch)
+            for unrelated in (10, 1000)
+        ]
+        assert calls[0] == calls[1] > 0
 
 
 class TestTagPopularityOrdering:

@@ -17,7 +17,7 @@ from repro import (
     evaluate_violations,
 )
 from repro.core.jkube import _kube_supported
-from tests.helpers import make_lra, place_all
+from tests.helpers import applies_to_calls, make_lra, place_all
 
 
 def build(num_nodes=8, racks=2, mem=8 * 1024):
@@ -43,6 +43,17 @@ class TestConstraintMapping:
         assert mapped is not None
         tc = mapped.tag_constraints[0]
         assert tc.cmin == 1 and tc.cmax == UNBOUNDED
+
+
+@pytest.mark.parametrize("scheduler_cls", [JKubeScheduler, JKubePlusPlusScheduler])
+def test_place_cost_does_not_grow_with_unrelated_apps(scheduler_cls, monkeypatch):
+    """J-Kube reads the manager's index too: the same subject matches with
+    10 or 1,000 unrelated applications registered."""
+    calls = [
+        applies_to_calls(scheduler_cls(), unrelated, monkeypatch)
+        for unrelated in (10, 1000)
+    ]
+    assert calls[0] == calls[1] > 0
 
 
 class TestJKube:

@@ -27,8 +27,7 @@ from repro import (
     build_cluster,
     cardinality,
 )
-from repro.core.heuristics import relevant_constraints
-from tests.helpers import recount_free
+from tests.helpers import make_lra, recount_free
 
 SCHEDULER_FACTORIES = [
     lambda: IlpScheduler(time_limit_s=10.0, mip_rel_gap=0.05),
@@ -115,20 +114,27 @@ def test_scheduler_contract(factory, data):
         assert free.memory_mb >= 0 and free.vcores >= 0
 
 
+def batch_relevant(constraints, tags):
+    """``BatchConstraints.relevant`` with ``constraints`` registered."""
+    manager = ConstraintManager(build_cluster(2))
+    manager.register_application(make_lra(constraints=constraints))
+    return manager.batch([]).relevant(tags)
+
+
 class TestRelevantConstraints:
     def test_subject_match_kept(self):
         c = anti_affinity("w", "x", "node")
-        assert relevant_constraints([c], frozenset({"w"})) == [c]
+        assert batch_relevant([c], frozenset({"w"})) == [c]
 
     def test_target_match_kept(self):
         c = anti_affinity("w", "x", "node")
-        assert relevant_constraints([c], frozenset({"x"})) == [c]
+        assert batch_relevant([c], frozenset({"x"})) == [c]
 
     def test_unrelated_dropped(self):
         c = anti_affinity("w", "x", "node")
-        assert relevant_constraints([c], frozenset({"z"})) == []
+        assert batch_relevant([c], frozenset({"z"})) == []
 
     def test_conjunction_target_requires_all_tags(self):
         c = anti_affinity("w", ["x", "y"], "node")
-        assert relevant_constraints([c], frozenset({"x"})) == []
-        assert relevant_constraints([c], frozenset({"x", "y"})) == [c]
+        assert batch_relevant([c], frozenset({"x"})) == []
+        assert batch_relevant([c], frozenset({"x", "y"})) == [c]

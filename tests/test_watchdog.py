@@ -2,7 +2,8 @@
 
 The interesting cases corrupt the cluster state's ledger mid-run — record
 a container in the map without charging the node's free columns, drop one
-from the map without refunding them, shave a node's free memory — and
+from the map without refunding them, shave a node's free memory, mark a
+node down in the ledger while the machine stays up — and
 assert the watchdog fires at the corrupting tick with a deterministic,
 actionable diagnosis.
 """
@@ -60,11 +61,7 @@ class TestCleanRuns:
         assert watchdog.checks_run > 0
 
     def test_checks_catalogue(self):
-        assert CHECKS == (
-            "node_conservation",
-            "violation_consistency",
-            "fingerprint",
-        )
+        assert CHECKS == ("node_conservation", "violation_consistency")
 
 
 class TestContainerLeak:
@@ -229,6 +226,34 @@ class TestNodeConservation:
         assert trip.diagnosis["free_memory_mb"] == (
             trip.diagnosis["expected_free_memory_mb"] - 512
         )
+
+
+class TestAvailabilityDesync:
+    @staticmethod
+    def _desync(sim):
+        # The ledger's availability column says down; the machine is up.
+        sim.engine.schedule_at(
+            6.0, lambda _e: sim.state.arrays.avail.__setitem__(1, False)
+        )
+
+    def test_warn_trips_node_conservation(self, isolate_obs):
+        watchdog = Watchdog(mode="warn")
+        sim = _make_sim(watchdog)
+        self._desync(sim)
+        sim.run(20.0)
+        trips = [t for t in watchdog.trips if t.check == "node_conservation"]
+        assert [(t.time, t.diagnosis) for t in trips] == [
+            (6.0, {"availability_desync": {"n00001": True}})
+        ]
+
+    def test_abort_raises(self, isolate_obs):
+        sim = _make_sim(Watchdog(mode="abort"))
+        self._desync(sim)
+        with pytest.raises(WatchdogError) as excinfo:
+            sim.run(20.0)
+        assert excinfo.value.trip.time == 6.0
+        assert excinfo.value.trip.check == "node_conservation"
+        assert "availability_desync" in str(excinfo.value)
 
 
 class TestEnvConstruction:
