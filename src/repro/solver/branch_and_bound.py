@@ -42,7 +42,7 @@ from ..obs.events import EventKind
 from ..obs.metrics import SolverStats
 from ..obs.spans import span, span_phase
 from ..obs.trace import get_tracer
-from .highs import load_highs, run_highs
+from .highs import check_limits, load_highs, run_highs
 from .model import MilpModel, MilpSolution, Sense, SolveStatus
 from .presolve import StandardForm, presolve, standard_form
 
@@ -71,6 +71,9 @@ class BnBOptions:
     time_limit_s: float = 120.0
     #: Stop when the relative optimality gap falls below this value.
     gap: float = 1e-6
+
+    def __post_init__(self) -> None:
+        check_limits(self.time_limit_s, self.gap)
 
 
 class _Node:
@@ -113,9 +116,8 @@ class _LpContext:
     def __init__(self, form: StandardForm) -> None:
         self.form = form
         self.c = form.c
-        a = form.a.tocsr()
-        self.a_pos = a.maximum(0).tocsr()
-        self.a_neg = a.minimum(0).tocsr()
+        self.a_pos = form.a.where(form.a.data > 0)
+        self.a_neg = form.a.where(form.a.data < 0)
         self.lp_solves = 0
         self.lp_time = 0.0
         self._highs = load_highs(form, output_flag=False)

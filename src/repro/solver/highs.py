@@ -1,5 +1,9 @@
 """The one binding to HiGHS, through SciPy's vendored ``_highspy`` module.
 
+:func:`_load_core` loads that extension alone, so no SciPy package init
+runs, and registers it under its canonical name, so that a later
+``import scipy.optimize`` reuses it instead of loading it twice.
+
 Two helpers hold everything that touches the bindings: :func:`load_highs`
 loads a :class:`StandardForm` into one incremental HiGHS instance, and
 :func:`run_highs` runs it and maps the outcome to a :class:`SolveStatus`.
@@ -10,11 +14,14 @@ and the independent reference the B&B core is cross-validated against.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 
 import numpy as np
-from scipy.optimize._highspy import _core
 
 from ..obs.events import EventKind
 from ..obs.metrics import SolverStats
@@ -24,6 +31,28 @@ from .model import MilpModel, MilpSolution, Sense, SolveStatus
 from .presolve import StandardForm, standard_form
 
 __all__ = ["solve_highs", "HighsOptions", "load_highs", "run_highs"]
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core():
+    """SciPy's compiled HiGHS bindings, loaded from SciPy's directory
+    without importing any SciPy package."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        _CORE, [os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")]
+    )
+    if spec is None:
+        raise ImportError("the ILP solver needs SciPy >= 1.15 (its HiGHS bindings)")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _load_core()
 
 _MODEL = _core.HighsModelStatus
 _STATUS = {
@@ -45,7 +74,6 @@ def load_highs(form: StandardForm, integer: bool = False, **options) -> _core._H
     reads the numpy buffers in place (column-wise matrix, minimisation, no
     objective offset; an LP passes every column as continuous), so each is
     made contiguous in the dtype HiGHS reads and checked for its length."""
-    csc = form.a.tocsc()
     cols, rows = form.num_cols, form.num_rows
     columns = [np.ascontiguousarray(v, dtype=np.float64) for v in (form.c, form.col_lb, form.col_ub)]
     row_bounds = [np.ascontiguousarray(v, dtype=np.float64) for v in (form.row_lb, form.row_ub)]
@@ -53,17 +81,19 @@ def load_highs(form: StandardForm, integer: bool = False, **options) -> _core._H
         form.integer_mask if integer else np.zeros(cols, dtype=bool), dtype=np.int32
     )
     lengths = [len(v) for v in (*columns, integrality, *row_bounds)]
-    if lengths != [cols] * 4 + [rows] * 2 or csc.shape != (rows, cols):
+    if lengths != [cols] * 4 + [rows] * 2 or form.a.shape != (rows, cols):
         raise ValueError("standard form arrays disagree with its shape")
     highs = _core._Highs()
     for name, value in options.items():
-        highs.setOptionValue(name, value)
+        if highs.setOptionValue(name, value) == _core.HighsStatus.kError:
+            raise ValueError(f"HiGHS rejected option {name}={value!r}")
+    indptr, indices, data = form.a.by_columns()
     status = highs.passModel(
-        cols, rows, csc.nnz, _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
+        cols, rows, len(data), _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
         *columns, *row_bounds,
-        np.ascontiguousarray(csc.indptr, dtype=np.int32),
-        np.ascontiguousarray(csc.indices, dtype=np.int32),
-        np.ascontiguousarray(csc.data, dtype=np.float64),
+        np.ascontiguousarray(indptr, dtype=np.int32),
+        np.ascontiguousarray(indices, dtype=np.int32),
+        np.ascontiguousarray(data, dtype=np.float64),
         integrality,
     )
     if status == _core.HighsStatus.kError:
@@ -106,10 +136,19 @@ def _trace_solve(status: SolveStatus, stats: SolverStats) -> None:
         )
 
 
+def check_limits(time_limit_s: float, gap: float) -> None:
+    """Reject a negative or NaN time limit or gap, which HiGHS would
+    otherwise ignore or take as given."""
+    for name, value in (("time_limit_s", time_limit_s), ("gap", gap)):
+        if not value >= 0:  # negative, or NaN
+            raise ValueError(f"{name} must be a non-negative number, not {value}")
+
+
 class HighsOptions:
     """Options accepted by the HiGHS MILP backend."""
 
     def __init__(self, time_limit_s: float = 120.0, mip_rel_gap: float = 1e-6) -> None:
+        check_limits(time_limit_s, mip_rel_gap)
         self.time_limit_s = time_limit_s
         self.mip_rel_gap = mip_rel_gap
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from ..obs.metrics import SolverStats
 
-__all__ = ["Sense", "SolveStatus", "MilpModel", "MilpSolution", "INF"]
+__all__ = ["Sense", "SolveStatus", "MilpModel", "MilpSolution", "CsrMatrix", "INF"]
 
 INF = float("inf")
 
@@ -40,6 +39,49 @@ class SolveStatus(enum.Enum):
 
     def has_solution(self) -> bool:
         return self in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
+
+
+class CsrMatrix(NamedTuple):
+    """A sparse matrix by rows: row ``r`` holds ``data[indptr[r]:indptr[r + 1]]``
+    in the columns ``indices[indptr[r]:indptr[r + 1]]``.  Nothing writes to
+    the arrays once the record is built."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # Each row sums its entries in order from +0.0, as a CSR mat-vec
+        # loop does, so the sums are the same to the bit.
+        return np.bincount(self.row_ids(), self.data * x[self.indices], self.shape[0])
+
+    def where(self, keep: np.ndarray) -> CsrMatrix:
+        """The entries where ``keep`` is true; the shape stays."""
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr]
+        return CsrMatrix(indptr, self.indices[keep], self.data[keep], self.shape)
+
+    def select(self, rows: np.ndarray, cols: np.ndarray) -> CsrMatrix:
+        """The submatrix of ``rows`` and ``cols`` (increasing), entries in order."""
+        new_col = np.full(self.shape[1], -1)
+        new_col[cols] = np.arange(len(cols))
+        in_rows = np.zeros(self.shape[0], dtype=bool)
+        in_rows[rows] = True
+        sub = self.where(in_rows[self.row_ids()] & (new_col[self.indices] >= 0))
+        # The rows left out are empty now: a kept row ends where the next starts.
+        indptr = np.append(sub.indptr[rows], len(sub.data))
+        return CsrMatrix(indptr, new_col[sub.indices], sub.data, (len(rows), len(cols)))
+
+    def by_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, row indices, data)`` of the column-wise form, each
+        column's entries in row order."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.searchsorted(self.indices[order], np.arange(self.shape[1] + 1))
+        return indptr, self.row_ids()[order], self.data[order]
 
 
 @dataclass(frozen=True)
@@ -277,17 +319,15 @@ class MilpModel:
                 part[:] = [np.concatenate(part)]
         return tuple(part[0] for part in parts)
 
-    def constraint_matrix(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    def constraint_matrix(self) -> tuple[CsrMatrix, np.ndarray, np.ndarray]:
         """``(A, lb, ub)`` with one row per constraint, column indices
         sorted within each row."""
         nnz, cols, vals, lower, upper = self._row_arrays()
         indptr = np.zeros(len(nnz) + 1, dtype=np.int64)
         np.cumsum(nnz, out=indptr[1:])
-        matrix = sparse.csr_matrix(
-            (vals.copy(), cols.copy(), indptr),
-            shape=(len(self._row_names), len(self._var_names)),
+        matrix = CsrMatrix(
+            indptr, cols.copy(), vals.copy(), (len(self._row_names), len(self._var_names))
         )
-        matrix.has_sorted_indices = True
         return matrix, lower.copy(), upper.copy()
 
     def variable_bounds(self) -> tuple[np.ndarray, np.ndarray]:

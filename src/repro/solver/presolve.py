@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from .model import MilpModel, Sense, SolveStatus
+from .model import CsrMatrix, MilpModel, Sense, SolveStatus
 
 __all__ = ["StandardForm", "PresolveResult", "presolve", "standard_form"]
 
@@ -45,7 +44,7 @@ class StandardForm:
 
     c: np.ndarray
     c0: float
-    a: sparse.csr_matrix
+    a: CsrMatrix
     row_lb: np.ndarray
     row_ub: np.ndarray
     col_lb: np.ndarray
@@ -70,7 +69,7 @@ def standard_form(model: MilpModel) -> StandardForm:
     return StandardForm(
         c=sign * model.objective_vector(),
         c0=0.0,
-        a=matrix.tocsr(),
+        a=matrix,
         row_lb=np.asarray(row_lb, dtype=float),
         row_ub=np.asarray(row_ub, dtype=float),
         col_lb=np.asarray(col_lb, dtype=float),
@@ -109,7 +108,7 @@ def presolve(form: StandardForm) -> PresolveResult:
     m = form.num_rows
     c = form.c.copy()
     c0 = form.c0
-    a = form.a.tocsr(copy=True)
+    a = form.a
     row_lb, row_ub = form.row_lb.copy(), form.row_ub.copy()
     col_lb, col_ub = form.col_lb.copy(), form.col_ub.copy()
     integer = form.integer_mask.copy()
@@ -124,7 +123,7 @@ def presolve(form: StandardForm) -> PresolveResult:
     # bookkeeping), flattened for vectorized per-entry passes.
     data = a.data
     col_ids = a.indices
-    row_ids = np.repeat(np.arange(m), np.diff(a.indptr))
+    row_ids = a.row_ids()
 
     def round_integer_bounds() -> bool:
         nonlocal bounds_tightened, infeasible
@@ -333,7 +332,7 @@ def presolve(form: StandardForm) -> PresolveResult:
     reduced = StandardForm(
         c=c[kept_cols],
         c0=c0,
-        a=a[kept_rows][:, kept_cols].tocsr(),
+        a=a.select(kept_rows, kept_cols),
         row_lb=row_lb[kept_rows],
         row_ub=row_ub[kept_rows],
         col_lb=col_lb[kept_cols],

@@ -88,7 +88,6 @@ def model_digest(model) -> dict:
         for i in range(n)
     ]
     matrix, lb, ub = model.constraint_matrix()
-    matrix = matrix.tocsr()
     rows = []
     for r, name in enumerate(_row_names(model)):
         lo, hi = matrix.indptr[r], matrix.indptr[r + 1]

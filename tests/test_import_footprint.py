@@ -1,11 +1,14 @@
-"""SciPy and the ILP load only when an ILP runs.
+"""SciPy's HiGHS bindings and the ILP load only when an ILP runs.
 
 ``repro.core.ilp`` and ``repro.core.ilp_scheduler`` import
-:mod:`repro.solver`, the only importer of SciPy (about 45 MB and half a
-second).  The heuristic, task-scheduler, simulator and serving paths must
-run without them, and the ILP names stay reachable as lazy exports of
-``repro`` and ``repro.core``.  Each check runs in a fresh interpreter, since
-this test session has long since imported the ILP.
+:mod:`repro.solver`, whose ``highs`` module loads SciPy's compiled HiGHS
+extension (``scipy.optimize._highspy._core``, about 5 MB) and nothing else
+of SciPy: ``scipy``, ``scipy.sparse`` and ``scipy.optimize`` (about 40 MB
+more) stay unloaded even then.  The heuristic, task-scheduler, simulator
+and serving paths must run without any of it, and the ILP names stay
+reachable as lazy exports of ``repro`` and ``repro.core``.  Each check runs
+in a fresh interpreter, since this test session has long since imported the
+ILP.
 """
 
 from __future__ import annotations
@@ -19,8 +22,14 @@ from pathlib import Path
 
 import repro
 
-#: The modules a non-ILP run must leave out of ``sys.modules``.
-HEAVY = ("scipy", "repro.solver", "repro.core.ilp", "repro.core.ilp_scheduler")
+#: The modules an ILP run loads; a non-ILP run leaves them out of ``sys.modules``.
+ILP = (
+    "repro.core.ilp", "repro.core.ilp_scheduler", "repro.solver",
+    "scipy.optimize._highspy._core",
+)
+#: The modules no run loads: the solver needs none of SciPy's packages.
+SCIPY = ("scipy", "scipy.optimize", "scipy.sparse")
+HEAVY = ILP + SCIPY
 
 _PRELUDE = """
 import contextlib, io, json, sys
@@ -132,7 +141,7 @@ def test_ilp_names_are_lazy_exports():
     assert out["before"] == []
     assert out["listed"] and out["exported"] and out["unknown"] and out["same"]
     assert out["unbound"] == []
-    assert out["after"] == sorted(HEAVY)
+    assert out["after"] == sorted(ILP)
 
 
 def test_cli_ilp_scheduler_loads_the_solver_stack():
@@ -145,4 +154,56 @@ def test_cli_ilp_scheduler_loads_the_solver_stack():
         print(json.dumps(dict(status=status, after=loaded())))
         """
     )
-    assert out == {"status": 0, "after": sorted(HEAVY)}
+    assert out == {"status": 0, "after": sorted(ILP)}
+
+
+def test_scipy_optimize_still_solves_after_an_ilp_solve():
+    out = _run(
+        """
+        from repro.solver import MilpModel, solve
+        from repro.solver import highs
+        model = MilpModel()
+        x = model.add_binary("x")
+        model.add_objective_term(x, 1.0)
+        assert solve(model).objective == 1.0
+        before = loaded()
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        lp = scipy.optimize.linprog([1, 1], A_ub=[[-1, -1]], b_ub=[-1], method="highs")
+        mip = scipy.optimize.milp([-1, -1], integrality=[1, 1], bounds=(0, 1))
+        print(json.dumps(dict(
+            before=before, lp=lp.fun, mip=mip.fun, same=_core is highs._core,
+        )))
+        """
+    )
+    assert out == {
+        "before": ["repro.solver", "scipy.optimize._highspy._core"],
+        "lp": 1.0, "mip": -2.0, "same": True,
+    }
+
+
+def test_loader_reuses_the_bindings_scipy_optimize_loaded():
+    out = _run(
+        """
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        from repro.solver import MilpModel, highs, solve
+        model = MilpModel()
+        model.add_objective_term(model.add_binary("x"), 2.0)
+        print(json.dumps(dict(same=highs._core is _core, objective=solve(model).objective)))
+        """
+    )
+    assert out == {"same": True, "objective": 2.0}
+
+
+def test_missing_scipy_names_the_version_the_ilp_needs():
+    out = _run(
+        """
+        sys.modules["scipy"] = None  # find_spec("scipy") now finds nothing
+        try:
+            import repro.solver
+        except ImportError as exc:
+            print(json.dumps(dict(error=str(exc))))
+        """
+    )
+    assert "SciPy >= 1.15" in out["error"]

@@ -74,7 +74,7 @@ class TestBlockAppend:
         block(blocked, rows)
         for model in (by_rows(rows), blocked):
             matrix, _, _ = model.constraint_matrix()
-            assert matrix.nnz == 1
+            assert len(matrix.data) == 1
             assert matrix.indices.tolist() == [1]
 
     def test_columns_come_out_sorted(self):

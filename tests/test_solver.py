@@ -11,13 +11,16 @@ import pytest
 from repro.solver import (
     INF,
     BnBOptions,
+    HighsOptions,
     MilpModel,
     Sense,
     SolveStatus,
     solve,
     solve_branch_and_bound,
     solve_highs,
+    standard_form,
 )
+from repro.solver.highs import load_highs
 
 
 def knapsack_model():
@@ -221,6 +224,45 @@ def test_retired_solver_paths_stay_retired():
     for module in (branch_and_bound, highs):
         for name in ("linprog", "milp"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestLimits:
+    """A limit HiGHS would ignore or misread is an error, not a silent default."""
+
+    @pytest.mark.parametrize("limit", [-5.0, math.nan])
+    def test_options_reject_a_negative_or_nan_time_limit(self, limit):
+        with pytest.raises(ValueError, match="time_limit_s"):
+            HighsOptions(time_limit_s=limit)
+        with pytest.raises(ValueError, match="time_limit_s"):
+            BnBOptions(time_limit_s=limit)
+
+    @pytest.mark.parametrize("gap", [-0.01, math.nan])
+    def test_options_reject_a_negative_or_nan_gap(self, gap):
+        with pytest.raises(ValueError, match="gap"):
+            HighsOptions(mip_rel_gap=gap)
+        with pytest.raises(ValueError, match="gap"):
+            BnBOptions(gap=gap)
+
+    def test_zero_and_infinite_limits_are_accepted(self):
+        HighsOptions(time_limit_s=0.0, mip_rel_gap=0.0)
+        BnBOptions(time_limit_s=INF, gap=INF)
+
+    @pytest.mark.parametrize(
+        "option, value", [("time_limit", -5.0), ("no_such_option", 1.0)]
+    )
+    def test_load_highs_raises_on_a_rejected_option(self, option, value):
+        form = standard_form(knapsack_model()[0])
+        with pytest.raises(ValueError, match=option):
+            load_highs(form, log_to_console=False, **{option: value})
+
+    def test_ilp_scheduler_with_a_negative_time_limit_does_not_solve(self):
+        from repro import ClusterState, ConstraintManager, IlpScheduler, build_cluster
+        from tests.helpers import make_lra
+
+        topo = build_cluster(4)
+        scheduler = IlpScheduler(backend="highs", time_limit_s=-5)
+        with pytest.raises(ValueError, match="time_limit_s"):
+            scheduler.place([make_lra()], ClusterState(topo), ConstraintManager(topo))
 
 
 class TestCrossValidation:
