@@ -181,7 +181,7 @@ class _GroupGamma:
 
     def gamma(self, tags: Iterable[str]) -> _np.ndarray:
         """γ𝒮 of a tag conjunction over every set of the group: the minimum
-        over the tags (see :meth:`TagMultiset.min_cardinality`)."""
+        over the tags, as in :func:`_conjunction_count`."""
         out = None
         for tag in tags:
             counts = self.counts.get(tag)
@@ -197,8 +197,9 @@ def _conjunction_count(
     tags: Iterable[str],
     exclude: Iterable[str] = (),
 ) -> int:
-    """Scalar γ of a tag conjunction in one node set (see
-    :meth:`ClusterState.gamma`)."""
+    """Scalar γ of a tag conjunction in one node set: the minimum of the
+    per-tag counts, each less one if the tag is in ``exclude``, floored at
+    0."""
     excl = set(exclude)
     gamma = None
     for tag in tags:
@@ -582,7 +583,7 @@ class ClusterState:
         contribution (the ILP's ``tij ≠ tisjs`` exclusion in Eqs. 6–7).
 
         The conjunction cardinality is the minimum over individual tags (see
-        :meth:`TagMultiset.min_cardinality`); ``exclude`` subtracts one
+        :func:`_conjunction_count`); ``exclude`` subtracts one
         occurrence of each listed tag, used when the subject container is
         itself already counted in the state.
         """

@@ -36,7 +36,7 @@ from .medea import LraOutcome, MedeaScheduler
 from .migration import Migration, MigrationPlan, MigrationPlanner
 from .requests import ContainerRequest, LRARequest, TaskRequest, next_app_id
 from .scheduler import ContainerPlacement, LRAScheduler, PlacementResult
-from ..tags import TagMultiset, app_id_tag
+from ..tags import app_id_tag
 
 if TYPE_CHECKING:
     from .ilp import GroundedViolation, IlpFormulation, IlpWeights
@@ -92,7 +92,6 @@ __all__ = [
     "ContainerPlacement",
     "LRAScheduler",
     "PlacementResult",
-    "TagMultiset",
     "app_id_tag",
 ]
 

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..tags import NODE_SCOPE, RACK_SCOPE, TagMultiset, validate_tags
+from ..tags import NODE_SCOPE, RACK_SCOPE, validate_tags
 
 __all__ = [
     "UNBOUNDED",
@@ -77,11 +77,6 @@ class TagExpression:
         conjunction."""
         tag_set = container_tags if isinstance(container_tags, (set, frozenset)) else set(container_tags)
         return self._tags <= tag_set
-
-    def cardinality_in(self, multiset: TagMultiset) -> int:
-        """γ of this conjunction in ``multiset`` (see
-        :meth:`TagMultiset.min_cardinality`)."""
-        return multiset.min_cardinality(self._tags)
 
     def __and__(self, other: "TagExpression") -> "TagExpression":
         return TagExpression(self._tags | other._tags)
@@ -194,20 +189,6 @@ class PlacementConstraint:
         counts subjects are checked against)."""
         return self.applies_to(container_tags) or any(
             tc.c_tag.tags <= container_tags for tc in self.tag_constraints
-        )
-
-    def satisfied_by_multiset(self, gamma_source: TagMultiset) -> bool:
-        """Evaluate all tag constraints against a node-set tag multiset."""
-        return all(
-            tc.satisfied_by(tc.c_tag.cardinality_in(gamma_source))
-            for tc in self.tag_constraints
-        )
-
-    def violation_extent(self, gamma_source: TagMultiset) -> float:
-        """Summed Eq.-8 extent over the conjunction's tag constraints."""
-        return sum(
-            tc.violation_extent(tc.c_tag.cardinality_in(gamma_source))
-            for tc in self.tag_constraints
         )
 
     def is_intra_application(self) -> bool:

@@ -15,7 +15,8 @@ from ..cluster.resources import Resource
 from ..cluster.state import ClusterState
 from ..obs.audit import PRUNE_CANDIDATE_POOL, CandidatePruned, DecisionAudit
 from ..obs.metrics import SolverStats
-from ..solver import BnBOptions, HighsOptions, MilpSolution, solve
+from ..solver import BnBOptions, HighsOptions, MilpSolution, check_backend, solve
+from ..solver.highs import check_limits
 from .constraint_manager import ConstraintManager
 from .ilp import IlpFormulation, IlpWeights
 from .requests import LRARequest
@@ -73,6 +74,8 @@ class IlpScheduler(LRAScheduler):
         max_candidate_nodes: int | None = None,
         audit: bool = False,
     ) -> None:
+        check_backend(backend)
+        check_limits(time_limit_s, mip_rel_gap)
         self.weights = weights or IlpWeights()
         self.backend = backend
         self.rmin = rmin

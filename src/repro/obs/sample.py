@@ -20,13 +20,16 @@ tracing affordable at scale without giving up the determinism contract:
   ~10× cheaper than a cryptographic hash — the decision runs once per
   lifecycle on the hot path.)
 
-* **Complete lifecycles** — keyed events are decided *once per identity*
-  (head-based sampling): the first event carrying an id fixes the keep/drop
-  decision and every later event with the same id inherits it, so a kept
-  lifecycle is kept whole — no orphan ``task.release`` without its
-  ``task.submit``.  Decisions are evicted at terminal events
-  (``lra.complete`` / ``lra.drop`` / ``task.finish``) so the decision map
-  tracks *concurrent* lifecycles, not total ones.
+* **Complete lifecycles** — keyed events are decided *once per
+  lifecycle*, at its opening event (:data:`LIFECYCLES`: ``task.submit``,
+  ``lra.submit``, ``request.submit`` / ``request.reject``).  Only an
+  opening event hashes its key; a kept key enters the sampler's kept set,
+  every later event with that key is kept iff the key is in the set, and
+  the closing event (``task.finish``, ``lra.complete`` / ``lra.drop``,
+  ``request.done``) removes it.  A kept lifecycle is therefore kept whole
+  — no orphan ``task.release`` without its ``task.submit``, also when the
+  tracer was installed after the lifecycle opened — and the sampler holds
+  one entry per *open kept* lifecycle, never a drop decision.
 
 * **Protected kinds** — the anchors the rest of the observability layer
   relies on (:data:`PROTECTED_KINDS`: state-hash checkpoints, node
@@ -70,11 +73,22 @@ PROTECTED_KINDS = frozenset(
     }
 )
 
-#: Terminal lifecycle kinds: after these the identity's sampling decision
-#: can be evicted (bounds the decision map to concurrent lifecycles).
-_TERMINAL_KINDS = frozenset(
-    {EventKind.LRA_COMPLETE, EventKind.LRA_DROP, EventKind.TASK_FINISH}
+#: The keyed lifecycles: ``(opening kinds, closing kinds)`` per family.
+#: An event is keyed by its payload's ``app_id`` / ``task_id`` /
+#: ``container_id``; an opening kind decides its key's lifecycle and a
+#: closing kind ends it.  The one place to register a keyed kind that opens
+#: or closes a lifecycle; a keyed kind in between needs no entry.
+LIFECYCLES = (
+    ((EventKind.TASK_SUBMIT,), (EventKind.TASK_FINISH,)),
+    ((EventKind.LRA_SUBMIT,), (EventKind.LRA_COMPLETE, EventKind.LRA_DROP)),
+    (
+        (EventKind.REQUEST_SUBMIT, EventKind.REQUEST_REJECT),
+        (EventKind.REQUEST_DONE,),
+    ),
 )
+
+_OPENING_KINDS = frozenset(k for opening, _ in LIFECYCLES for k in opening)
+_CLOSING_KINDS = frozenset(k for _, closing in LIFECYCLES for k in closing)
 
 _FULL = 1 << 32
 
@@ -195,11 +209,10 @@ def parse_sample_spec(spec: str | None) -> SamplingPolicy | None:
 class TraceSampler:
     """Stateful per-tracer sampler applying a :class:`SamplingPolicy`.
 
-    :meth:`sample` is called by :meth:`repro.obs.trace.Tracer.emit` before
-    an event is built (dropped events never consume a sequence number, so
-    the kept stream stays contiguous and canonical).  The sampler also
-    replays the kept stream behind the ``sampled_hash`` enrichment (see
-    module docstring).
+    :meth:`keeps` is the one keep/drop rule (the tracer's call-site gates
+    ask it too); :meth:`sample` applies it to each would-be event, keeps
+    :attr:`kept` up to date, and replays the kept stream behind the
+    ``sampled_hash`` enrichment (see module docstring).
     """
 
     def __init__(self, policy: SamplingPolicy) -> None:
@@ -207,11 +220,10 @@ class TraceSampler:
         # The seed keys the hash as crc32's initial value.
         self._seed_init = policy.seed & 0xFFFFFFFF
         self._thresholds: dict[str, int] = {}
-        self._decisions: dict[str, bool] = {}
+        #: Keys of the open lifecycles whose opening event was kept.
+        self.kept: set[str] = set()
         self._kind_seen: dict[str, int] = {}
         self._replay = ReplayState()
-
-    # -- decision machinery --------------------------------------------------
 
     def _threshold(self, kind: str) -> int:
         threshold = self._thresholds.get(kind)
@@ -224,53 +236,33 @@ class TraceSampler:
     def _hash32(self, payload: str) -> int:
         return crc32(payload.encode("utf-8"), self._seed_init)
 
-    def decide(self, kind: str, key: str | None) -> bool:
-        """The deterministic keep/drop decision for one event."""
-        if key is None:
-            n = self._kind_seen.get(kind, 0) + 1
-            self._kind_seen[kind] = n
-            threshold = self._threshold(kind)
-            if threshold >= _FULL:
-                return True
-            return self._hash32(f"{kind}|{n}") < threshold
-        keep = self._decisions.get(key)
-        if keep is None:
-            threshold = self._threshold(kind)
-            keep = threshold >= _FULL or self._hash32(key) < threshold
-            self._decisions[key] = keep
-        if kind in _TERMINAL_KINDS:
-            self._decisions.pop(key, None)
-        return keep
+    def keeps(self, kind: str, key: str | None = None) -> bool:
+        """Whether an event of ``kind`` with sampling identity ``key`` is
+        kept; changes no state, so a call-site gate may ask first.
 
-    def prefilter(self, kind: str, key: str | None) -> bool:
-        """Slow path behind :meth:`repro.obs.trace.Tracer.wants`.
-
-        Makes (and caches) the keyed decision without seeing the payload,
-        so hot call sites can skip building event data for dropped
-        lifecycles.  Keyless kinds are only cheap-decidable at rate 0 —
-        fractional keyless sampling needs the per-kind counter, which
-        stays inside :meth:`decide` so the kept stream is identical
-        whether or not a call site is gated.
-
-        Returns the keep decision; on a keyed *keep* the cached decision
-        is left in place (not evicted at terminal kinds) because the
-        subsequent :meth:`sample` call resolves — and evicts — it.
+        Protected kinds are always kept.  An opening kind keeps its key
+        iff ``crc32(key, seed)`` falls below the kind's rate; any other
+        keyed event iff its lifecycle's key is in :attr:`kept`.  Without a
+        key the answer is whether the kind can be kept at all (its rate is
+        not 0): fractional keyless sampling counts events per kind, which
+        only :meth:`sample` does.
         """
         if kind in PROTECTED_KINDS:
             return True
-        if key is not None:
+        if key is None:
+            return self._threshold(kind) != 0
+        if kind in _OPENING_KINDS:
             threshold = self._threshold(kind)
-            keep = threshold >= _FULL or self._hash32(key) < threshold
-            self._decisions[key] = keep
-            return keep
-        return self._threshold(kind) != 0
-
-    # -- the tracer hook -----------------------------------------------------
+            return threshold >= _FULL or self._hash32(key) < threshold
+        return key in self.kept
 
     def sample(
         self, kind: str, data: Mapping[str, Any]
     ) -> tuple[bool, Mapping[str, Any]]:
-        """``(keep, data)`` for one would-be event.
+        """``(keep, data)`` for one would-be event, called by
+        :meth:`repro.obs.trace.Tracer.emit` before the event is built
+        (dropped events never consume a sequence number, so the kept
+        stream stays contiguous and canonical).
 
         ``data`` is returned unchanged except for ``sim.state_hash``
         events, which gain the deterministic ``sampled_hash`` field.
@@ -279,14 +271,27 @@ class TraceSampler:
             return True, {**data, "sampled_hash": self._replay.fingerprint()}
         if kind == EventKind.BENCH_EXPERIMENT:
             # Fresh cluster: replay resets its state, and every lifecycle
-            # is decided afresh.
-            self._decisions.clear()
+            # opens afresh.
+            self.kept.clear()
         elif kind not in PROTECTED_KINDS:
             key = (
                 data.get("app_id") or data.get("task_id")
                 or data.get("container_id")
             )
-            if not self.decide(kind, key if key is None else str(key)):
-                return False, data
+            if key is None:
+                threshold = self._threshold(kind)
+                if threshold < _FULL:
+                    n = self._kind_seen.get(kind, 0) + 1
+                    self._kind_seen[kind] = n
+                    if self._hash32(f"{kind}|{n}") >= threshold:
+                        return False, data
+            else:
+                key = str(key)
+                if not self.keeps(kind, key):
+                    return False, data
+                if kind in _OPENING_KINDS:
+                    self.kept.add(key)
+                elif kind in _CLOSING_KINDS:
+                    self.kept.discard(key)
         self._replay.feed({"kind": kind, "data": data})
         return True, data

@@ -31,7 +31,7 @@ from time import perf_counter
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 from .events import TraceEvent
-from .sample import PROTECTED_KINDS as _PROTECTED_KINDS, _TERMINAL_KINDS, TraceSampler
+from .sample import TraceSampler
 
 __all__ = [
     "TraceSink",
@@ -207,10 +207,7 @@ class Tracer:
         """
         if not self.enabled:
             return False
-        sampler = self.sampler
-        if sampler is None or kind in _PROTECTED_KINDS:
-            return True
-        return sampler.policy.rate_for(kind) != 0.0
+        return self.sampler is None or self.sampler.keeps(kind)
 
     def wants(self, kind: str, key: str | None = None) -> bool:
         """Pre-flight sampling gate for hot call sites.
@@ -224,28 +221,16 @@ class Tracer:
 
         ``key`` is the event's sampling identity (what
         :meth:`TraceSampler.sample` would extract from the payload:
-        app/task/container id); pass it for keyed lifecycles so the
-        head-based decision is shared with ungated call sites.  Keyless
-        kinds are only suppressed at rate 0 — fractional keyless rates
-        return ``True`` and let :meth:`emit` decide.
-
-        The kept stream is byte-identical whether or not a call site is
+        app/task/container id); pass it for keyed lifecycles.  The answer
+        is :meth:`TraceSampler.keeps`, the rule :meth:`emit` applies, so
+        the kept stream is byte-identical whether or not a call site is
         gated; ``wants`` only changes who pays for dropped events.
+        Keyless kinds are only suppressed at rate 0 — fractional keyless
+        rates return ``True`` and let :meth:`emit` decide.
         """
         if not self.enabled:
             return False
-        sampler = self.sampler
-        if sampler is None:
-            return True
-        if key is not None:
-            keep = sampler._decisions.get(key)
-            if keep is None:
-                keep = sampler.prefilter(kind, key)
-            if keep or kind in _PROTECTED_KINDS:
-                return True
-            if kind in _TERMINAL_KINDS:
-                sampler._decisions.pop(key, None)
-        elif sampler.prefilter(kind, None):
+        if self.sampler is None or self.sampler.keeps(kind, key):
             return True
         self.events_dropped += 1
         return False

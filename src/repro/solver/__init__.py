@@ -33,6 +33,7 @@ __all__ = [
     "presolve",
     "standard_form",
     "solve",
+    "check_backend",
     "solve_branch_and_bound",
     "solve_highs",
     "CERTIFY_MAX_NODES",
@@ -95,10 +96,13 @@ def solve(
     options: HighsOptions | BnBOptions | None = None,
 ) -> MilpSolution:
     """Solve ``model`` with the named backend (``highs``, ``bnb`` or ``auto``)."""
-    try:
-        runner = _BACKENDS[backend]
-    except KeyError:
+    check_backend(backend)
+    return _BACKENDS[backend](model, options)
+
+
+def check_backend(backend: str) -> None:
+    """Reject a backend name :func:`solve` does not know."""
+    if backend not in _BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {sorted(_BACKENDS)}"
-        ) from None
-    return runner(model, options)
+        )

@@ -8,8 +8,10 @@ containers currently running on node ``n``, and the *tag cardinality*
 node sets (racks, upgrade domains, ...).
 
 This module implements tags as plain strings with an optional ``ns:value``
-namespace convention and provides :class:`TagMultiset`, the multiset that
-backs γ for nodes and node groups.
+namespace convention, and :class:`TagMultiset`, §4.1's γ as a plain
+multiset.  The scheduler does not count with it: γ lives in
+:class:`~repro.cluster.state.ClusterState`'s per-group count arrays
+(``cluster/state.py::_conjunction_count``).
 """
 
 from __future__ import annotations

@@ -422,7 +422,7 @@ def test_retired_ledger_stays_retired():
         # Unread signals: no emitter, no reader outside their own tests.
         repro.obs.EventKind: ("SLO_BREACH", "MIGRATION_PLAN", "all_kinds"),
         repro.obs.Tracer: ("remove_sink",),
-        repro.obs.TraceSampler: ("stats",),
+        repro.obs.TraceSampler: ("stats", "prefilter", "decide"),
         repro.obs.slo: ("SLOBreach",),
         repro.ClusterState: ("iter_nodes",),
         repro.PlacementResult: ("placements_of",),

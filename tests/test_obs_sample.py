@@ -13,8 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Resource, TagPopularityScheduler, build_cluster
+from repro import (
+    ClusterState,
+    ConstraintManager,
+    NodeCandidatesScheduler,
+    Resource,
+    TagPopularityScheduler,
+    build_cluster,
+)
 from repro.core.requests import TaskRequest
+from repro.core.scheduler import PlacementService
+from repro.obs.load import RequestTemplate, run_step
 from repro.obs.events import EventKind
 from repro.obs.replay import ReplayState
 from repro.obs.sample import (
@@ -23,7 +32,7 @@ from repro.obs.sample import (
     TraceSampler,
     parse_sample_spec,
 )
-from repro.obs.trace import MemorySink, Tracer
+from repro.obs.trace import MemorySink, Tracer, set_tracer
 from repro.sim import ClusterSimulation, SimConfig
 from repro.workloads.lra_gen import hbase_population
 
@@ -177,7 +186,7 @@ class TestLifecycleCompleteness:
         one, two = TraceSampler(policy), TraceSampler(policy)
         for i in range(50):
             key = f"task-{i}"
-            assert one.decide(EventKind.TASK_SUBMIT, key) == two.decide(
+            assert one.keeps(EventKind.TASK_SUBMIT, key) == two.keeps(
                 EventKind.TASK_SUBMIT, key
             )
 
@@ -187,20 +196,100 @@ class TestLifecycleCompleteness:
         sampler = TraceSampler(SamplingPolicy([("task", rate)], seed=seed))
         for i in range(30):
             key = f"t-{i}"
-            head = sampler.decide(EventKind.TASK_SUBMIT, key)
-            assert sampler.decide(EventKind.TASK_ALLOCATE, key) == head
-            assert sampler.decide(EventKind.TASK_RELEASE, key) == head
-            # Terminal event still matches, then evicts the decision.
-            assert sampler.decide(EventKind.TASK_FINISH, key) == head
-            assert key not in sampler._decisions
+            data = {"task_id": key}
+            head = sampler.keeps(EventKind.TASK_SUBMIT, key)
+            assert sampler.sample(EventKind.TASK_SUBMIT, data)[0] == head
+            for kind in (EventKind.TASK_ALLOCATE, EventKind.TASK_RELEASE):
+                assert sampler.keeps(kind, key) == head
+                assert sampler.sample(kind, data)[0] == head
+            # The closing event still matches, then ends the lifecycle.
+            assert sampler.keeps(EventKind.TASK_FINISH, key) == head
+            assert sampler.sample(EventKind.TASK_FINISH, data)[0] == head
+            assert key not in sampler.kept
+            assert not sampler.keeps(EventKind.TASK_RELEASE, key)
 
     def test_decision_map_stays_bounded(self):
         sampler = TraceSampler(SamplingPolicy([("task", 0.5)], seed=1))
+        kept = 0
         for i in range(5000):
-            key = f"t-{i}"
-            sampler.decide(EventKind.TASK_SUBMIT, key)
-            sampler.decide(EventKind.TASK_FINISH, key)
-        assert len(sampler._decisions) == 0
+            data = {"task_id": f"t-{i}"}
+            kept += sampler.sample(EventKind.TASK_SUBMIT, data)[0]
+            assert len(sampler.kept) <= 1
+            sampler.sample(EventKind.TASK_FINISH, data)
+        assert 0 < kept < 5000
+        assert not sampler.kept
+
+    def test_only_an_opening_event_decides(self):
+        """A lifecycle whose opening event the sampler never saw is
+        dropped whole, whatever the rate of its later kinds."""
+        sampler = TraceSampler(SamplingPolicy([("task", 1.0)], seed=1))
+        data = {"task_id": "t-0"}
+        for kind in (
+            EventKind.TASK_ALLOCATE,
+            EventKind.TASK_RELEASE,
+            EventKind.TASK_FINISH,
+        ):
+            assert not sampler.keeps(kind, "t-0")
+            assert sampler.sample(kind, data) == (False, data)
+        assert sampler.sample(EventKind.TASK_SUBMIT, data) == (True, data)
+        assert sampler.kept == {"t-0"}
+
+    def test_tracer_installed_mid_run_keeps_no_orphan(self, install_tracer):
+        """A tracer swapped in while task lifecycles are open keeps only
+        the lifecycles whose ``task.submit`` it saw."""
+        from benchmarks import test_obs_overhead as overhead
+
+        sink = MemorySink()
+        late = Tracer(
+            [sink],
+            sampler=TraceSampler(SamplingPolicy.parse("task=0.3,seed=9")),
+        )
+
+        class LateTracing(overhead.ClusterSimulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.engine.schedule_at(
+                    10.5, lambda engine: set_tracer(late)
+                )
+
+        original = overhead.ClusterSimulation
+        overhead.ClusterSimulation = LateTracing
+        try:
+            overhead._run_workload(Tracer(enabled=False))
+        finally:
+            overhead.ClusterSimulation = original
+        submitted = {
+            e.data["task_id"] for e in sink.of_kind(EventKind.TASK_SUBMIT)
+        }
+        assert submitted
+        orphans = {
+            e.data["task_id"]
+            for e in sink.events
+            if e.kind.startswith("task.") and e.data["task_id"] not in submitted
+        }
+        assert not orphans
+
+    def test_sampled_serve_step_leaves_no_open_lifecycle(self, install_tracer):
+        """``request.done`` closes a request lifecycle: after a sampled
+        load step the kept set is empty."""
+        sampler = TraceSampler(SamplingPolicy.parse("request=0.1,seed=7"))
+        sink = MemorySink()
+        install_tracer(Tracer([sink], sampler=sampler))
+        topology = build_cluster(20, racks=2, memory_mb=16 * 1024, vcores=8)
+        service = PlacementService(
+            ClusterState(topology),
+            NodeCandidatesScheduler(),
+            ConstraintManager(topology),
+        )
+        step = run_step(
+            service, RequestTemplate(containers=2),
+            offered_rps=4000.0, requests=400, concurrency=4, seed=7,
+        )
+        assert step.completed == 400
+        submitted = sink.of_kind(EventKind.REQUEST_SUBMIT)
+        assert 0 < len(submitted) < 400
+        assert len(sink.of_kind(EventKind.REQUEST_DONE)) == len(submitted)
+        assert not sampler.kept
 
 
 class TestCallSiteGates:

@@ -256,13 +256,19 @@ class TestLimits:
             load_highs(form, log_to_console=False, **{option: value})
 
     def test_ilp_scheduler_with_a_negative_time_limit_does_not_solve(self):
-        from repro import ClusterState, ConstraintManager, IlpScheduler, build_cluster
-        from tests.helpers import make_lra
+        """A bad limit or backend is refused when the scheduler is built,
+        before any batch reaches the solver."""
+        from repro import IlpScheduler
 
-        topo = build_cluster(4)
-        scheduler = IlpScheduler(backend="highs", time_limit_s=-5)
-        with pytest.raises(ValueError, match="time_limit_s"):
-            scheduler.place([make_lra()], ClusterState(topo), ConstraintManager(topo))
+        for kwargs, match in (
+            ({"time_limit_s": -5}, "time_limit_s"),
+            ({"time_limit_s": float("nan")}, "time_limit_s"),
+            ({"mip_rel_gap": float("nan")}, "gap"),
+            ({"mip_rel_gap": -1e-3}, "gap"),
+            ({"backend": "gurobi"}, "unknown backend"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                IlpScheduler(**kwargs)
 
 
 class TestCrossValidation:
